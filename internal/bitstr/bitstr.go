@@ -12,9 +12,23 @@
 // A Str is an immutable value; all operations return new values. Bits are
 // packed MSB-first and unused trailing bits of the last byte are always
 // zero, which lets Equal and Prefix compare whole bytes.
+//
+// # Representation
+//
+// A string of up to 128 bits (inlineBits) lives inside the Str value
+// itself, so drawing, concatenating, slicing and parsing it never touches
+// the heap. That covers every string the fault-free path sees: strings
+// start at size(1, epsilon) bits (25 at the default epsilon, 45 at 2^-40)
+// and one extension adds size(2, epsilon) more (91 at 2^-40). Only a
+// string pushed past 128 bits — several extensions under a sustained
+// replay attack — spills, and then all of its bits live in one heap slice
+// whose size is bounded by the errors observed for the current message,
+// exactly as the paper's storage claim has it. A value is in exactly one
+// of the two forms, decided by its length alone.
 package bitstr
 
 import (
+	"bytes"
 	"crypto/rand"
 	"errors"
 	"fmt"
@@ -26,8 +40,37 @@ import (
 //
 // The zero value is the empty string and is ready to use.
 type Str struct {
-	bits []byte // packed MSB-first; trailing slack bits are zero
-	n    int    // number of valid bits
+	n      int                  // number of valid bits
+	inline [inlineBits / 8]byte // the bits when n <= inlineBits, else zero
+	spill  []byte               // the bits when n > inlineBits, else nil
+}
+
+// inlineBits is the longest string stored without a heap allocation.
+const inlineBits = 128
+
+// bytes returns s's packed bits: MSB-first, trailing slack bits zero. The
+// slice aliases s and must not outlive it; only alloc's caller may write
+// through it.
+func (s *Str) bytes() []byte {
+	if s.n > inlineBits {
+		return s.spill
+	}
+	return s.inline[:byteLen(s.n)]
+}
+
+// alloc makes s, which must be empty, a string of n zero bits (none for
+// n <= 0) and returns its bytes for the caller to fill in, keeping the
+// slack bits zero.
+func (s *Str) alloc(n int) []byte {
+	if n <= 0 {
+		return nil
+	}
+	s.n = n
+	if n > inlineBits {
+		//lint:allow hotpathalloc the spill: only a string extended past inlineBits under attack leaves the value
+		s.spill = make([]byte, byteLen(n))
+	}
+	return s.bytes()
 }
 
 // ErrMalformed reports that a byte slice does not contain a validly encoded
@@ -35,28 +78,32 @@ type Str struct {
 var ErrMalformed = errors.New("bitstr: malformed encoding")
 
 // Empty returns the empty bit string.
-func Empty() Str { return Str{} }
+func Empty() (s Str) { return s }
 
 // Zero returns a string of n zero bits.
 func Zero(n int) Str {
-	if n <= 0 {
-		return Str{}
-	}
-	return Str{bits: make([]byte, byteLen(n)), n: n}
+	var out Str
+	out.alloc(n)
+	return out
 }
 
 // One returns the single-bit string "1".
-func One() Str { return Str{bits: []byte{0x80}, n: 1} }
+func One() Str {
+	var out Str
+	out.alloc(1)[0] = 0x80
+	return out
+}
 
 // FromBinary parses a string of '0' and '1' characters ("10110").
 // It is intended for tests and examples.
 func FromBinary(s string) (Str, error) {
-	out := Str{bits: make([]byte, byteLen(len(s))), n: len(s)}
+	var out Str
+	bits := out.alloc(len(s))
 	for i, c := range s {
 		switch c {
 		case '0':
 		case '1':
-			out.bits[i/8] |= 1 << (7 - uint(i)%8)
+			bits[i/8] |= 1 << (7 - uint(i)%8)
 		default:
 			return Str{}, fmt.Errorf("bitstr: invalid character %q in binary literal", c)
 		}
@@ -75,14 +122,11 @@ func MustBinary(s string) Str {
 
 // fromRaw builds a Str from packed bytes, copying and masking slack bits.
 func fromRaw(raw []byte, n int) Str {
-	if n <= 0 {
-		return Str{}
-	}
-	nb := byteLen(n)
-	bits := make([]byte, nb)
-	copy(bits, raw[:nb])
+	var out Str
+	bits := out.alloc(n)
+	copy(bits, raw)
 	maskSlack(bits, n)
-	return Str{bits: bits, n: n}
+	return out
 }
 
 // Len returns the number of bits in s.
@@ -96,20 +140,12 @@ func (s Str) Bit(i int) bool {
 	if i < 0 || i >= s.n {
 		return false
 	}
-	return s.bits[i/8]&(1<<(7-uint(i)%8)) != 0
+	return s.bytes()[i/8]&(1<<(7-uint(i)%8)) != 0
 }
 
 // Equal reports whether s and r contain exactly the same bits.
 func (s Str) Equal(r Str) bool {
-	if s.n != r.n {
-		return false
-	}
-	for i := range s.bits {
-		if s.bits[i] != r.bits[i] {
-			return false
-		}
-	}
-	return true
+	return s.n == r.n && bytes.Equal(s.bytes(), r.bytes())
 }
 
 // HasPrefix reports whether p is a prefix of s. Every string has the empty
@@ -120,18 +156,17 @@ func (s Str) HasPrefix(p Str) bool {
 	if p.n > s.n {
 		return false
 	}
+	sb, pb := s.bytes(), p.bytes()
 	full := p.n / 8
-	for i := 0; i < full; i++ {
-		if s.bits[i] != p.bits[i] {
-			return false
-		}
+	if !bytes.Equal(sb[:full], pb[:full]) {
+		return false
 	}
 	rem := p.n % 8
 	if rem == 0 {
 		return true
 	}
 	mask := byte(0xff) << (8 - uint(rem))
-	return s.bits[full]&mask == p.bits[full]&mask
+	return sb[full]&mask == pb[full]
 }
 
 // IsPrefixOf reports whether s is a prefix of r: the paper's prefix(s, r).
@@ -150,22 +185,23 @@ func (s Str) Concat(r Str) Str {
 	if s.n == 0 {
 		return r
 	}
-	out := Str{bits: make([]byte, byteLen(s.n+r.n)), n: s.n + r.n}
-	copy(out.bits, s.bits)
+	var out Str
+	bits := out.alloc(s.n + r.n)
+	copy(bits, s.bytes())
 	off := s.n % 8
 	if off == 0 {
-		copy(out.bits[s.n/8:], r.bits)
+		copy(bits[s.n/8:], r.bytes())
 		return out
 	}
 	// Shift r's bits right by off and OR them in across byte boundaries.
 	idx := s.n / 8
-	for i := 0; i < len(r.bits); i++ {
-		out.bits[idx+i] |= r.bits[i] >> uint(off)
-		if idx+i+1 < len(out.bits) {
-			out.bits[idx+i+1] |= r.bits[i] << (8 - uint(off))
+	for i, b := range r.bytes() {
+		bits[idx+i] |= b >> uint(off)
+		if idx+i+1 < len(bits) {
+			bits[idx+i+1] |= b << (8 - uint(off))
 		}
 	}
-	maskSlack(out.bits, out.n)
+	maskSlack(bits, out.n)
 	return out
 }
 
@@ -174,14 +210,12 @@ func (s Str) Suffix(n int) Str {
 	if n >= s.n {
 		return s
 	}
-	if n <= 0 {
-		return Str{}
-	}
-	out := Str{bits: make([]byte, byteLen(n)), n: n}
+	var out Str
+	bits := out.alloc(n)
 	start := s.n - n
 	for i := 0; i < n; i++ {
 		if s.Bit(start + i) {
-			out.bits[i/8] |= 1 << (7 - uint(i)%8)
+			bits[i/8] |= 1 << (7 - uint(i)%8)
 		}
 	}
 	return out
@@ -192,10 +226,7 @@ func (s Str) Prefix(n int) Str {
 	if n >= s.n {
 		return s
 	}
-	if n <= 0 {
-		return Str{}
-	}
-	return fromRaw(s.bits, n)
+	return fromRaw(s.bytes(), n)
 }
 
 // String renders s as a binary literal, truncated for readability.
@@ -225,49 +256,37 @@ func (s Str) String() string {
 // bytes.
 func (s Str) AppendWire(dst []byte) []byte {
 	dst = appendUvarint(dst, uint64(s.n))
-	return append(dst, s.bits...)
+	dst = append(dst, s.bytes()...)
+	return dst
 }
 
 // WireSize returns the number of bytes AppendWire will add.
 func (s Str) WireSize() int {
-	return uvarintLen(uint64(s.n)) + len(s.bits)
+	return uvarintLen(uint64(s.n)) + byteLen(s.n)
 }
 
 // ParseWire decodes a bit string produced by AppendWire from the front of
 // buf, returning the string and the remaining bytes.
-func ParseWire(buf []byte) (Str, []byte, error) {
+func ParseWire(buf []byte) (s Str, rest []byte, err error) {
 	n, k := parseUvarint(buf)
 	if k <= 0 {
-		return Str{}, nil, ErrMalformed
+		return s, nil, ErrMalformed
 	}
 	buf = buf[k:]
 	const maxBits = 1 << 24 // defensive cap: 2 MiB of bits is far beyond protocol use
 	if n > maxBits {
-		return Str{}, nil, ErrMalformed
+		return s, nil, ErrMalformed
 	}
 	nb := byteLen(int(n))
 	if len(buf) < nb {
-		return Str{}, nil, ErrMalformed
+		return s, nil, ErrMalformed
 	}
-	s := fromRaw(buf[:nb], int(n))
 	// Reject encodings with nonzero slack bits so each value has exactly one
 	// encoding (defensive: a forged packet cannot alias two strings).
-	if nb > 0 && !bytesEqual(s.bits, buf[:nb]) {
-		return Str{}, nil, ErrMalformed
+	if rem := n % 8; rem != 0 && buf[nb-1]<<rem != 0 {
+		return s, nil, ErrMalformed
 	}
-	return s, buf[nb:], nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return fromRaw(buf[:nb], int(n)), buf[nb:], nil
 }
 
 func byteLen(bits int) int { return (bits + 7) / 8 }
@@ -283,7 +302,8 @@ func appendUvarint(dst []byte, v uint64) []byte {
 		dst = append(dst, byte(v)|0x80)
 		v >>= 7
 	}
-	return append(dst, byte(v))
+	dst = append(dst, byte(v))
+	return dst
 }
 
 func uvarintLen(v uint64) int {
@@ -332,14 +352,13 @@ type mathSource struct{ r *mathrand.Rand }
 func NewMathSource(r *mathrand.Rand) Source { return &mathSource{r: r} }
 
 func (s *mathSource) Draw(n int) Str {
-	if n <= 0 {
-		return Str{}
-	}
-	raw := make([]byte, byteLen(n))
+	var out Str
+	raw := out.alloc(n)
 	for i := range raw {
 		raw[i] = byte(s.r.Intn(256))
 	}
-	return fromRaw(raw, n)
+	maskSlack(raw, n)
+	return out
 }
 
 // seededSource draws from a SplitMix64 stream: deterministic like the
@@ -354,10 +373,8 @@ type seededSource struct{ s uint64 }
 func NewSeededSource(seed int64) Source { return &seededSource{s: uint64(seed)} }
 
 func (s *seededSource) Draw(n int) Str {
-	if n <= 0 {
-		return Str{}
-	}
-	raw := make([]byte, byteLen(n))
+	var out Str
+	raw := out.alloc(n)
 	for i := 0; i < len(raw); i += 8 {
 		s.s += 0x9e3779b97f4a7c15
 		z := s.s
@@ -368,7 +385,8 @@ func (s *seededSource) Draw(n int) Str {
 			raw[i+j] = byte(z >> (8 * j))
 		}
 	}
-	return fromRaw(raw, n)
+	maskSlack(raw, n)
+	return out
 }
 
 type cryptoSource struct{}
@@ -378,15 +396,14 @@ type cryptoSource struct{}
 func NewCryptoSource() Source { return cryptoSource{} }
 
 func (cryptoSource) Draw(n int) Str {
-	if n <= 0 {
-		return Str{}
-	}
-	raw := make([]byte, byteLen(n))
+	var out Str
+	raw := out.alloc(n)
 	if _, err := rand.Read(raw); err != nil {
 		// crypto/rand.Read never fails on supported platforms; if the
 		// kernel's entropy device is truly broken there is nothing safe
 		// the protocol can do.
 		panic(fmt.Sprintf("bitstr: crypto source failed: %v", err))
 	}
-	return fromRaw(raw, n)
+	maskSlack(raw, n)
+	return out
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"ghm/internal/bitstr"
 	"ghm/internal/wire"
 )
@@ -8,9 +10,10 @@ import (
 // RxOutput collects the output actions of one receiver input event.
 type RxOutput struct {
 	// Delivered holds the messages passed to the higher layer
-	// (receive_msg actions); at most one per input event.
+	// (receive_msg actions); at most one per input event, a fresh copy.
 	Delivered [][]byte
-	// Packets are encoded CTL packets to place on the R->T channel.
+	// Packets are encoded CTL packets to place on the R->T channel (at
+	// most one per event), freshly allocated.
 	Packets [][]byte
 }
 
@@ -28,7 +31,8 @@ type RxStats struct {
 // Figure 5 of the technical report. Methods must be called from one
 // goroutine at a time.
 type Receiver struct {
-	p Params
+	p     Params
+	frame []byte // written ahead of every packet: empty, or a window's slot id
 
 	rho     bitstr.Str // rho^R_k: current challenge
 	rhoPrev bitstr.Str // rho^R_{k-1}: previous challenge (error-count exclusion)
@@ -86,27 +90,67 @@ func (rx *Receiver) Level() int { return rx.t }
 // Stats returns a copy of the receiver's event counters.
 func (rx *Receiver) Stats() RxStats { return rx.stats }
 
-// Retry models the internal RETRY action: retransmit the current
-// (challenge, last tag, retry counter) triple and bump the counter. The
-// protocol's liveness assumes RETRY occurs infinitely often; callers drive
-// it from a timer (runtime) or scheduler (simulator).
-func (rx *Receiver) Retry() RxOutput {
-	return RxOutput{Packets: [][]byte{rx.ctlPacket()}}
+// Retry is AppendRetry returning a freshly allocated packet, for callers
+// that keep packets across events.
+//
+//ghm:hotpath
+func (rx *Receiver) Retry() (out RxOutput) {
+	out.Packets = packets(rx.AppendRetry(nil))
+	return out
 }
 
-// ReceivePacket models receive_pkt^{T->R}(m, rho, tau) per Figure 5.
-// Malformed packets are ignored.
-func (rx *Receiver) ReceivePacket(p []byte) RxOutput {
+// AppendRetry models the internal RETRY action: it appends the current
+// (challenge, last tag, retry counter) triple to dst as a CTL packet and
+// bumps the counter. The protocol's liveness assumes RETRY occurs
+// infinitely often; callers drive it from a timer (runtime) or scheduler
+// (simulator).
+//
+//ghm:hotpath
+func (rx *Receiver) AppendRetry(dst []byte) []byte {
+	var c wire.Ctl
+	c.Rho, c.Tau, c.I = rx.rho, rx.tauLast, rx.iR
+	dst = slices.Grow(dst, len(rx.frame)+c.Size())
+	dst = append(dst, rx.frame...)
+	dst = wire.AppendCtl(dst, c)
+	rx.iR++
+	rx.stats.PacketsSent++
+	return dst
+}
+
+// ReceivePacket is AppendReceivePacket returning a freshly allocated
+// packet and a copy of the delivered message.
+//
+//ghm:hotpath
+func (rx *Receiver) ReceivePacket(p []byte) (out RxOutput) {
+	pkt, msg, delivered := rx.AppendReceivePacket(nil, p)
+	if !delivered {
+		out.Packets = packets(pkt)
+		return out
+	}
+	// A delivery always comes with its ack: one header carries both.
+	//lint:allow hotpathalloc the wrapper's delivery copy and the output header: msg aliases p, which the caller may reuse
+	both := [][]byte{pkt, append([]byte(nil), msg...)}
+	out.Packets, out.Delivered = both[:1:1], both[1:]
+	return out
+}
+
+// AppendReceivePacket models receive_pkt^{T->R}(m, rho, tau) per Figure
+// 5: it appends the CTL packet the event emits, if any, to dst, and when
+// the event is a receive_msg action reports delivered with msg aliasing
+// p — the caller copies it before p is reused. Malformed packets are
+// ignored.
+//
+//ghm:hotpath
+func (rx *Receiver) AppendReceivePacket(dst, p []byte) (out, msg []byte, delivered bool) {
 	data, err := wire.DecodeData(p)
 	if err != nil {
 		rx.stats.Ignored++
-		return RxOutput{}
+		return dst, nil, false
 	}
-	return rx.receiveData(data)
+	return rx.receiveData(dst, data)
 }
 
-func (rx *Receiver) receiveData(d wire.Data) RxOutput {
-	var out RxOutput
+func (rx *Receiver) receiveData(dst []byte, d wire.Data) (out, msg []byte, delivered bool) {
 	switch {
 	case d.Rho.Equal(rx.rho):
 		switch {
@@ -116,13 +160,12 @@ func (rx *Receiver) receiveData(d wire.Data) RxOutput {
 			// Adopt the extension and re-ack so it can reach OK; no
 			// delivery (Figure 5's first branch).
 			rx.tauLast = d.Tau
-			out.Packets = append(out.Packets, rx.ctlPacket())
+			dst = rx.AppendRetry(dst)
 		case !d.Tau.IsPrefixOf(rx.tauLast):
 			// Fresh tag unrelated to the last delivered one: this is the
 			// next message. Deliver, remember its tag, restart counters
 			// and draw a new challenge (Figure 5's second branch).
-			msg := append([]byte(nil), d.Msg...)
-			out.Delivered = append(out.Delivered, msg)
+			msg, delivered = d.Msg, true
 			rx.tauLast = d.Tau
 			rx.k++
 			rx.stats.Delivered++
@@ -131,7 +174,7 @@ func (rx *Receiver) receiveData(d wire.Data) RxOutput {
 			rx.iR = 1
 			rx.rhoPrev = rx.rho
 			rx.rho = rx.p.Source.Draw(rx.p.Size(1))
-			out.Packets = append(out.Packets, rx.ctlPacket())
+			dst = rx.AppendRetry(dst)
 		default:
 			// tau is a proper prefix of tauLast: a stale duplicate of a
 			// packet we already processed. Ignore.
@@ -155,14 +198,5 @@ func (rx *Receiver) receiveData(d wire.Data) RxOutput {
 	default:
 		rx.stats.Ignored++
 	}
-	return out
-}
-
-// ctlPacket emits the current (rho, tauLast, i) and increments i, exactly
-// as Figure 5's RETRY action does.
-func (rx *Receiver) ctlPacket() []byte {
-	p := wire.Ctl{Rho: rx.rho, Tau: rx.tauLast, I: rx.iR}.Encode()
-	rx.iR++
-	rx.stats.PacketsSent++
-	return p
+	return dst, msg, delivered
 }

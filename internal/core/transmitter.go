@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 
 	"ghm/internal/bitstr"
 	"ghm/internal/wire"
@@ -14,7 +15,8 @@ var ErrBusy = errors.New("core: transmitter busy with previous message")
 
 // TxOutput collects the output actions of one transmitter input event.
 type TxOutput struct {
-	// Packets are encoded DATA packets to place on the T->R channel.
+	// Packets are encoded DATA packets to place on the T->R channel (at
+	// most one per event), freshly allocated.
 	Packets [][]byte
 	// OK reports that the current message completed (the paper's OK
 	// action); the transmitter is ready for the next SendMsg.
@@ -35,7 +37,8 @@ type TxStats struct {
 // must be called from one goroutine at a time; the type performs no
 // locking or I/O of its own.
 type Transmitter struct {
-	p Params
+	p     Params
+	frame []byte // written ahead of every packet: empty, or a window's slot id
 
 	busy bool   // a message is in flight
 	msg  []byte // the in-flight message
@@ -70,7 +73,7 @@ func NewTransmitter(p Params) (*Transmitter, error) {
 // crash^T action.
 func (tx *Transmitter) reset() {
 	tx.busy = false
-	tx.msg = nil
+	tx.msg = nil // a crash erases the message and gives its memory back
 	tx.tau = bitstr.Empty()
 	tx.tauPrev = bitstr.Empty()
 	tx.hasPrev = false
@@ -107,47 +110,90 @@ func (tx *Transmitter) Level() int { return tx.t }
 // Stats returns a copy of the transmitter's event counters.
 func (tx *Transmitter) Stats() TxStats { return tx.stats }
 
-// SendMsg models the higher layer's send_msg(m) action. It draws a fresh
-// tag for the transfer and, if a receiver challenge is already known,
-// immediately emits the first DATA packet. It returns ErrBusy if called
-// before the previous message's OK (Axiom 1).
-func (tx *Transmitter) SendMsg(m []byte) (TxOutput, error) {
+// maxKeptMsg caps the message buffer an idle transmitter keeps for its
+// next SendMsg: one large message must not pin its memory for good.
+const maxKeptMsg = 2048
+
+// SendMsg is AppendSendMsg returning a freshly allocated packet, for
+// callers that keep packets across events.
+//
+//ghm:hotpath
+func (tx *Transmitter) SendMsg(m []byte) (out TxOutput, err error) {
+	pkt, err := tx.AppendSendMsg(nil, m)
+	out.Packets = packets(pkt)
+	return out, err
+}
+
+// AppendSendMsg models the higher layer's send_msg(m) action. It draws a
+// fresh tag for the transfer and, if a receiver challenge is already
+// known, appends the first DATA packet to dst; it returns dst, extended
+// or not. It returns ErrBusy if called before the previous message's OK
+// (Axiom 1). The transmitter copies m.
+//
+//ghm:hotpath
+func (tx *Transmitter) AppendSendMsg(dst, m []byte) ([]byte, error) {
 	if tx.busy {
-		return TxOutput{}, ErrBusy
+		return dst, ErrBusy
 	}
 	tx.busy = true
-	tx.msg = append([]byte(nil), m...) // copy at the API boundary
+	tx.msg = tx.msg[:0]
+	tx.msg = append(tx.msg, m...) // copy at the API boundary
 	tx.t = 1
 	tx.num = 0
 	tx.tau = newTau(tx.p)
 
-	var out TxOutput
 	if tx.hasRho {
-		out.Packets = append(out.Packets, tx.dataPacket(tx.rho))
+		dst = tx.appendData(dst, tx.rho)
 	}
-	return out, nil
+	return dst, nil
 }
 
-// ReceivePacket models receive_pkt^{R->T}(p). Malformed packets are
-// ignored: the channel model never corrupts packets, but the runtime
-// substrate may hand us anything.
-func (tx *Transmitter) ReceivePacket(p []byte) TxOutput {
+// ReceivePacket is AppendReceivePacket returning a freshly allocated
+// packet.
+//
+//ghm:hotpath
+func (tx *Transmitter) ReceivePacket(p []byte) (out TxOutput) {
+	pkt, ok := tx.AppendReceivePacket(nil, p)
+	out.Packets, out.OK = packets(pkt), ok
+	return out
+}
+
+// AppendReceivePacket models receive_pkt^{R->T}(p): it appends the DATA
+// packet the event emits, if any, to dst and reports whether the current
+// message completed (OK). Malformed packets are ignored: the channel
+// model never corrupts packets, but the runtime substrate may hand us
+// anything.
+//
+//ghm:hotpath
+func (tx *Transmitter) AppendReceivePacket(dst, p []byte) (out []byte, ok bool) {
 	ctl, err := wire.DecodeCtl(p)
 	if err != nil {
 		tx.stats.Ignored++
-		return TxOutput{}
+		return dst, false
 	}
-	return tx.receiveCtl(ctl)
+	return tx.receiveCtl(dst, ctl)
 }
 
-func (tx *Transmitter) receiveCtl(ctl wire.Ctl) TxOutput {
+// packets wraps the packet one event appended to a nil dst (none when
+// empty) the way the output structs carry it.
+func packets(pkt []byte) [][]byte {
+	if len(pkt) == 0 {
+		return nil
+	}
+	//lint:allow hotpathalloc the wrappers' output header: callers of the non-append forms keep the packets
+	return [][]byte{pkt}
+}
+
+func (tx *Transmitter) receiveCtl(dst []byte, ctl wire.Ctl) ([]byte, bool) {
 	// Acknowledgement: the receiver echoes our current tag exactly. This
 	// is checked before the freshness throttle - a duplicated ack is still
 	// an ack, and tau is fresh randomness so old packets cannot carry it
 	// (except with the probability the analysis budgets for).
 	if tx.busy && ctl.Tau.Equal(tx.tau) {
 		tx.busy = false
-		tx.msg = nil
+		if tx.msg = tx.msg[:0]; cap(tx.msg) > maxKeptMsg {
+			tx.msg = nil
+		}
 		tx.tauPrev = tx.tau
 		tx.hasPrev = true
 		tx.rho = ctl.Rho
@@ -155,7 +201,7 @@ func (tx *Transmitter) receiveCtl(ctl wire.Ctl) TxOutput {
 		tx.iT = ctl.I
 		tx.k++
 		tx.stats.OKs++
-		return TxOutput{OK: true}
+		return dst, true
 	}
 
 	if !tx.busy {
@@ -171,7 +217,7 @@ func (tx *Transmitter) receiveCtl(ctl wire.Ctl) TxOutput {
 		} else {
 			tx.stats.Ignored++
 		}
-		return TxOutput{}
+		return dst, false
 	}
 
 	// Busy, not an ack: count adversarial-looking tags. A tag counts as an
@@ -193,17 +239,22 @@ func (tx *Transmitter) receiveCtl(ctl wire.Ctl) TxOutput {
 	// Theorem 9's reply throttle: answer only challenges fresher than any
 	// answered so far, so replayed CTL packets cannot trigger packet
 	// storms and the stable phase sends a single packet value.
-	var out TxOutput
 	if ctl.I > tx.iT {
 		tx.iT = ctl.I
 		tx.rho = ctl.Rho
 		tx.hasRho = true
-		out.Packets = append(out.Packets, tx.dataPacket(ctl.Rho))
+		dst = tx.appendData(dst, ctl.Rho)
 	}
-	return out
+	return dst, false
 }
 
-func (tx *Transmitter) dataPacket(rho bitstr.Str) []byte {
+func (tx *Transmitter) appendData(dst []byte, rho bitstr.Str) []byte {
 	tx.stats.PacketsSent++
-	return wire.Data{Msg: tx.msg, Rho: rho, Tau: tx.tau}.Encode()
+	var d wire.Data
+	d.Msg, d.Rho, d.Tau = tx.msg, rho, tx.tau
+	// Grown once, to the packet's size: a nil dst costs one allocation,
+	// a pooled one none from its second packet on.
+	dst = slices.Grow(dst, len(tx.frame)+d.Size())
+	dst = append(dst, tx.frame...)
+	return wire.AppendData(dst, d)
 }

@@ -35,11 +35,9 @@ var ErrWindowFull = errors.New("core: window full")
 // reorder, with per-slot freshness rather than per-window sequence
 // numbers doing the work sequence numbers cannot do under crashes.
 
-// frameSlot prefixes p with slot's uvarint id.
-func frameSlot(slot int, p []byte) []byte {
-	out := binary.AppendUvarint(make([]byte, 0, len(p)+1), uint64(slot))
-	return append(out, p...)
-}
+// slotFrame is slot's uvarint id: the frame a slot machine writes, in
+// place, ahead of every packet it emits.
+func slotFrame(slot int) []byte { return binary.AppendUvarint(nil, uint64(slot)) }
 
 // unframeSlot splits a slot-framed packet; ok is false when the frame is
 // malformed or names a slot outside [0, k).
@@ -54,7 +52,8 @@ func unframeSlot(p []byte, k int) (int, []byte, bool) {
 // WinTxOutput collects the output actions of one windowed-transmitter
 // input event.
 type WinTxOutput struct {
-	// Packets are slot-framed DATA packets for the T->R channel.
+	// Packets are slot-framed DATA packets for the T->R channel (at most
+	// one per event), freshly allocated.
 	Packets [][]byte
 	// OKs lists the slots whose in-flight message completed on this
 	// event (at most one per inbound packet).
@@ -85,6 +84,7 @@ func NewWindowedTransmitter(window int, p Params) (*WindowedTransmitter, error) 
 		if err != nil {
 			return nil, err
 		}
+		tx.frame = slotFrame(i)
 		w.slots = append(w.slots, tx)
 	}
 	return w, nil
@@ -119,48 +119,55 @@ func (w *WindowedTransmitter) FreeSlot() int {
 	return -1
 }
 
-// SendMsg admits msg into the given slot (the paper's send_msg action on
-// that slot's machine). It returns ErrBusy if the slot is occupied and
-// ErrWindowFull if slot is negative (meaning "any slot") and none is
-// free.
+// SendMsg is AppendSendMsg returning a freshly allocated packet.
 func (w *WindowedTransmitter) SendMsg(slot int, msg []byte) (WinTxOutput, error) {
+	pkt, err := w.AppendSendMsg(nil, slot, msg)
+	return WinTxOutput{Packets: packets(pkt)}, err
+}
+
+// AppendSendMsg admits msg into the given slot (the paper's send_msg
+// action on that slot's machine), appending the slot-framed DATA packet
+// it emits, if any, to dst. It returns ErrBusy if the slot is occupied
+// and ErrWindowFull if slot is negative (meaning "any slot") and none is
+// free.
+func (w *WindowedTransmitter) AppendSendMsg(dst []byte, slot int, msg []byte) ([]byte, error) {
 	if slot < 0 {
 		if slot = w.FreeSlot(); slot < 0 {
-			return WinTxOutput{}, ErrWindowFull
+			return dst, ErrWindowFull
 		}
 	}
 	if slot >= w.k {
-		return WinTxOutput{}, fmt.Errorf("core: slot %d out of window [0, %d)", slot, w.k)
+		return dst, fmt.Errorf("core: slot %d out of window [0, %d)", slot, w.k)
 	}
-	out, err := w.slots[slot].SendMsg(msg)
-	if err != nil {
-		return WinTxOutput{}, err
-	}
-	return w.frameOut(slot, out), nil
+	return w.slots[slot].AppendSendMsg(dst, msg)
 }
 
-// ReceivePacket demultiplexes one slot-framed CTL packet to its slot
-// machine. Malformed frames and out-of-window slot ids are ignored (the
-// runtime substrate may hand us anything).
+// ReceivePacket is AppendReceivePacket returning a freshly allocated
+// packet.
 func (w *WindowedTransmitter) ReceivePacket(p []byte) WinTxOutput {
+	pkt, slot := w.AppendReceivePacket(nil, p)
+	out := WinTxOutput{Packets: packets(pkt)}
+	if slot >= 0 {
+		out.OKs = []int{slot}
+	}
+	return out
+}
+
+// AppendReceivePacket demultiplexes one slot-framed CTL packet to its
+// slot machine, appending the slot-framed DATA packet it emits, if any,
+// to dst; okSlot is the slot whose message completed, or -1. Malformed
+// frames and out-of-window slot ids are ignored (the runtime substrate
+// may hand us anything).
+func (w *WindowedTransmitter) AppendReceivePacket(dst, p []byte) (out []byte, okSlot int) {
 	slot, body, ok := unframeSlot(p, w.k)
 	if !ok {
 		w.ignored++
-		return WinTxOutput{}
+		return dst, -1
 	}
-	return w.frameOut(slot, w.slots[slot].ReceivePacket(body))
-}
-
-// frameOut slot-frames a slot machine's output packets and lifts its OK.
-func (w *WindowedTransmitter) frameOut(slot int, out TxOutput) WinTxOutput {
-	var wout WinTxOutput
-	for _, p := range out.Packets {
-		wout.Packets = append(wout.Packets, frameSlot(slot, p))
+	if out, ok = w.slots[slot].AppendReceivePacket(dst, body); !ok {
+		slot = -1
 	}
-	if out.OK {
-		wout.OKs = append(wout.OKs, slot)
-	}
-	return wout
+	return out, slot
 }
 
 // Crash models crash^T with the window's shared crash semantics: every
@@ -209,9 +216,11 @@ type SlotMsg struct {
 // WinRxOutput collects the output actions of one windowed-receiver input
 // event.
 type WinRxOutput struct {
-	// Delivered holds the receive_msg actions, tagged with their slot.
+	// Delivered holds the receive_msg actions, tagged with their slot;
+	// the messages are fresh copies.
 	Delivered []SlotMsg
-	// Packets are slot-framed CTL packets for the R->T channel.
+	// Packets are slot-framed CTL packets for the R->T channel, freshly
+	// allocated.
 	Packets [][]byte
 }
 
@@ -238,6 +247,7 @@ func NewWindowedReceiver(window int, p Params) (*WindowedReceiver, error) {
 		if err != nil {
 			return nil, err
 		}
+		rx.frame = slotFrame(i)
 		w.slots = append(w.slots, rx)
 	}
 	return w, nil
@@ -246,23 +256,31 @@ func NewWindowedReceiver(window int, p Params) (*WindowedReceiver, error) {
 // Window returns the window depth k.
 func (w *WindowedReceiver) Window() int { return w.k }
 
-// ReceivePacket demultiplexes one slot-framed DATA packet to its slot
-// machine. Malformed frames and out-of-window slot ids are ignored.
+// ReceivePacket is AppendReceivePacket returning a freshly allocated
+// packet and a copy of the delivered message.
 func (w *WindowedReceiver) ReceivePacket(p []byte) WinRxOutput {
+	pkt, d, delivered := w.AppendReceivePacket(nil, p)
+	out := WinRxOutput{Packets: packets(pkt)}
+	if delivered {
+		d.Msg = append([]byte(nil), d.Msg...)
+		out.Delivered = []SlotMsg{d}
+	}
+	return out
+}
+
+// AppendReceivePacket demultiplexes one slot-framed DATA packet to its
+// slot machine, appending the slot-framed CTL packet it emits, if any,
+// to dst. When the event is a receive_msg action it reports delivered,
+// with d.Msg aliasing p. Malformed frames and out-of-window slot ids are
+// ignored.
+func (w *WindowedReceiver) AppendReceivePacket(dst, p []byte) (out []byte, d SlotMsg, delivered bool) {
 	slot, body, ok := unframeSlot(p, w.k)
 	if !ok {
 		w.ignored++
-		return WinRxOutput{}
+		return dst, SlotMsg{}, false
 	}
-	out := w.slots[slot].ReceivePacket(body)
-	var wout WinRxOutput
-	for _, m := range out.Delivered {
-		wout.Delivered = append(wout.Delivered, SlotMsg{Slot: slot, Msg: m})
-	}
-	for _, cp := range out.Packets {
-		wout.Packets = append(wout.Packets, frameSlot(slot, cp))
-	}
-	return wout
+	out, msg, delivered := w.slots[slot].AppendReceivePacket(dst, body)
+	return out, SlotMsg{Slot: slot, Msg: msg}, delivered
 }
 
 // Retry fires the RETRY action on every slot and returns the whole
@@ -270,10 +288,8 @@ func (w *WindowedReceiver) ReceivePacket(p []byte) WinRxOutput {
 // single conn write per wheel firing.
 func (w *WindowedReceiver) Retry() WinRxOutput {
 	var wout WinRxOutput
-	for slot, rx := range w.slots {
-		for _, p := range rx.Retry().Packets {
-			wout.Packets = append(wout.Packets, frameSlot(slot, p))
-		}
+	for _, rx := range w.slots {
+		wout.Packets = append(wout.Packets, rx.AppendRetry(nil))
 	}
 	return wout
 }

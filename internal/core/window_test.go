@@ -143,7 +143,7 @@ func TestWindowOutOfWindowSlotIgnored(t *testing.T) {
 	wt, wr := newWindowPair(t, 2, 4)
 	// A frame naming slot 5 in a 2-slot window must be dropped, counted,
 	// and change nothing.
-	bogus := frameSlot(5, []byte{0x01, 0x02})
+	bogus := append(slotFrame(5), 0x01, 0x02)
 	if out := wt.ReceivePacket(bogus); len(out.Packets) != 0 || len(out.OKs) != 0 {
 		t.Fatalf("transmitter acted on out-of-window frame: %+v", out)
 	}

@@ -116,7 +116,7 @@ func TestAllowInventory(t *testing.T) {
 	want := map[string]int{
 		"cryptorand":         4,
 		"nonblockinghandler": 2,
-		"hotpathalloc":       6,
+		"hotpathalloc":       7,
 	}
 
 	got := make(map[string]int)

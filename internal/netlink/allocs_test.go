@@ -1,0 +1,110 @@
+package netlink_test
+
+import (
+	"bytes"
+	"context"
+	"sync"
+	"testing"
+	"time"
+
+	"ghm/internal/bitstr"
+	"ghm/internal/core"
+	"ghm/internal/netlink"
+	"ghm/internal/testutil"
+)
+
+// ringConn is one end of a link that allocates nothing per packet: Send
+// copies into the next of a fixed ring of slots and hands that slot to the
+// far end's Recv. A slot is reused ringSlots sends later; a closed loop
+// with one message in flight has a handful of packets outstanding at
+// most, so by then the far end is long done with it. The link honours the
+// no-retain contract and adds nothing to the allocations of what it
+// carries.
+type ringConn struct {
+	mu    sync.Mutex // Send is called from Send callers, the pump and the wheel
+	slots [ringSlots][]byte
+	next  int
+	out   chan<- []byte
+	in    <-chan []byte
+	stop  chan struct{}
+	once  *sync.Once
+}
+
+const ringSlots = 64
+
+func ringPipe() (netlink.PacketConn, netlink.PacketConn) {
+	ab, ba := make(chan []byte, ringSlots/2), make(chan []byte, ringSlots/2)
+	stop, once := make(chan struct{}), new(sync.Once)
+	return &ringConn{out: ab, in: ba, stop: stop, once: once}, &ringConn{out: ba, in: ab, stop: stop, once: once}
+}
+
+func (c *ringConn) Send(p []byte) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	slot := append(c.slots[c.next][:0], p...)
+	c.slots[c.next] = slot
+	c.next = (c.next + 1) % ringSlots
+	select {
+	case c.out <- slot:
+	default: // full: drop, as a congested link would
+	}
+	return nil
+}
+
+func (c *ringConn) Recv() ([]byte, error) {
+	select {
+	case p := <-c.in:
+		return p, nil
+	case <-c.stop:
+		return nil, netlink.ErrClosed
+	}
+}
+
+func (c *ringConn) Close() error {
+	c.once.Do(func() { close(c.stop) })
+	return nil
+}
+
+// TestStationRoundAllocBudget pins what one confirmed message costs the
+// single-slot stations themselves, over a link that allocates nothing:
+// the sender's waiter channel (2) and the one copy Recv hands out (1).
+// Strings, packets, the decode and the transmitter's message copy are
+// all free — the protocol core's budget is zero.
+func TestStationRoundAllocBudget(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector's sync.Pool drops buffers at random")
+	}
+	params := func(seed int64) core.Params {
+		return core.Params{Epsilon: 1.0 / (1 << 40), Source: bitstr.NewSeededSource(seed)}
+	}
+	a, b := ringPipe()
+	s, err := netlink.NewSender(a, netlink.SenderConfig{Params: params(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	r, err := netlink.NewReceiver(b, netlink.ReceiverConfig{Params: params(2), RetryInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	msg := bytes.Repeat([]byte("m"), 64)
+	round := func() {
+		if err := s.Send(ctx, msg); err != nil {
+			t.Fatalf("Send: %v", err)
+		}
+		got, err := r.Recv(ctx)
+		if err != nil || !bytes.Equal(got, msg) {
+			t.Fatalf("Recv = %q, %v", got, err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		round() // first challenge learned, pooled buffers grown
+	}
+	if got := testing.AllocsPerRun(200, round); got > 3 {
+		t.Errorf("one Send + Recv round: %v allocs, budget 3", got)
+	}
+}

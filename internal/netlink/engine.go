@@ -1,6 +1,8 @@
 package netlink
 
 import (
+	"sync"
+
 	"ghm/internal/clock"
 	"ghm/internal/engine"
 	"ghm/internal/metrics"
@@ -80,4 +82,28 @@ func stationEndpoint(conn PacketConn, reg *metrics.Registry) stationIO {
 		ep, _ := eng.Endpoint(0)
 		return stationIO{ep: ep, close: eng.Close}
 	}
+}
+
+// packetPool recycles the buffers the single-slot stations have their
+// protocol machines encode outgoing packets into. A buffer belongs to one
+// protocol round: taken for the round, filled under the station lock,
+// written on the conn outside it (PacketConn.Send must not retain its
+// argument), then returned. It is never stored on the station — a Crash
+// followed by a new Send can run while the pump is still writing the
+// previous round's reply — and it starts empty, growing to the packets
+// it carries.
+var packetPool = sync.Pool{New: func() any { return new([]byte) }}
+
+func getPacketBuf() *[]byte { return packetPool.Get().(*[]byte) }
+
+// transmit ends a protocol round: it sends pkt — what the round appended
+// to *buf, possibly nothing — treating transient conn errors as the loss
+// the protocol is built to tolerate, and returns buf, with the capacity
+// pkt grew to, to the pool.
+func (io stationIO) transmit(buf *[]byte, pkt []byte) {
+	if len(pkt) > 0 {
+		sendTolerant(io.ep, pkt)
+	}
+	*buf = pkt[:0]
+	packetPool.Put(buf)
 }

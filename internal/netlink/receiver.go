@@ -243,43 +243,43 @@ func (r *Receiver) handlePacket(p []byte) {
 		r.mu.Unlock()
 		return
 	}
-	out := r.rx.ReceivePacket(p)
+	buf := getPacketBuf()
+	reply, msg, delivered := r.rx.AppendReceivePacket(*buf, p)
 	r.m.packetsReceived.Inc()
-	// Deliveries are committed here, before the replies leave: a tap
-	// always observes receive_msg(m) before any OK it can cause.
-	for _, m := range out.Delivered {
-		r.emit(trace.KindReceiveMsg, string(m))
+	if delivered {
+		// The one copy on the delivery path: msg aliases p, which belongs
+		// to the conn, and the copy is what Recv hands to its caller.
+		msg = append([]byte(nil), msg...)
+		// The delivery is committed here, before the reply leaves: a tap
+		// always observes receive_msg(m) before any OK it can cause.
+		if r.tap != nil {
+			r.emit(trace.KindReceiveMsg, string(msg))
+		}
 	}
 	r.flushStats()
 	r.mu.Unlock()
 
-	for _, cp := range out.Packets {
-		if !sendTolerant(r.io.ep, cp) {
-			break // closed mid-reply; still hand over what committed
-		}
+	// A conn closed mid-reply still gets what committed handed over.
+	r.io.transmit(buf, reply)
+	if delivered {
+		r.handoff(msg)
 	}
-	r.handoff(out.Delivered)
 }
 
-// handoff moves committed deliveries to the layer above. Accept reserved
+// handoff moves a committed delivery to the layer above. Accept reserved
 // the space before the machine ran (and the protocol delivers at most
-// one message per packet), so the pushes cannot block; the default
+// one message per packet), so the push cannot block; the default
 // branch only fires if that invariant is ever broken, and keeps the
 // books balanced (delivered = drained + buffered + dropped) if it does.
-func (r *Receiver) handoff(delivered [][]byte) {
+func (r *Receiver) handoff(msg []byte) {
 	if r.deliver != nil {
-		for _, m := range delivered {
-			r.deliver(m)
-		}
+		r.deliver(msg)
 		return
 	}
-	for i, m := range delivered {
-		select {
-		case r.out <- m:
-		default:
-			r.m.deliveriesDropped.Add(int64(len(delivered) - i))
-			return
-		}
+	select {
+	case r.out <- msg:
+	default:
+		r.m.deliveriesDropped.Inc()
 	}
 }
 
@@ -306,14 +306,10 @@ func (r *Receiver) retryTick() {
 	}
 	r.m.retries.Inc()
 	r.m.retryIntervalMS.Set(float64(r.interval) / float64(time.Millisecond))
-	//lint:allow hotpathalloc retransmit CTL packets are fresh values crossing the conn, built per retry tick (loss-paced), not per packet
-	out := r.rx.Retry()
+	buf := getPacketBuf()
+	pkt := r.rx.AppendRetry(*buf)
 	r.flushStats()
 	r.retry.Reset(r.interval)
 	r.mu.Unlock()
-	for _, p := range out.Packets {
-		if !sendTolerant(r.io.ep, p) {
-			return
-		}
-	}
+	r.io.transmit(buf, pkt)
 }

@@ -146,21 +146,25 @@ func (s *Sender) Send(ctx context.Context, msg []byte) error {
 	s.sendMu.Lock()
 	defer s.sendMu.Unlock()
 
+	buf := getPacketBuf()
 	s.mu.Lock()
-	out, err := s.tx.SendMsg(msg)
+	pkt, err := s.tx.AppendSendMsg(*buf, msg)
 	if err != nil {
 		s.mu.Unlock()
+		s.io.transmit(buf, pkt) // nothing was appended: this only returns buf
 		return fmt.Errorf("netlink: send: %w", err)
 	}
 	s.m.sendMsgs.Inc()
-	s.emit(trace.KindSendMsg, string(msg))
+	if s.tap != nil {
+		s.emit(trace.KindSendMsg, string(msg))
+	}
 	s.flushStats()
 	w := make(chan error, 1)
 	s.waiter = w
 	s.mu.Unlock()
 
 	start := s.io.clock().Now()
-	s.transmit(out.Packets)
+	s.io.transmit(buf, pkt)
 
 	select {
 	case err := <-w:
@@ -235,11 +239,12 @@ func (s *Sender) Close() error {
 // whoever clears it under the lock, so the resolve cannot stall the
 // pump.
 func (s *Sender) handlePacket(p []byte) {
+	buf := getPacketBuf()
 	s.mu.Lock()
-	out := s.tx.ReceivePacket(p)
+	pkt, ok := s.tx.AppendReceivePacket(*buf, p)
 	s.m.packetsReceived.Inc()
 	var w chan error
-	if out.OK {
+	if ok {
 		s.emit(trace.KindOK, "")
 		w = s.waiter
 		s.waiter = nil
@@ -255,15 +260,5 @@ func (s *Sender) handlePacket(p []byte) {
 		//lint:allow nonblockinghandler the waiter channel is buffered (cap 1) and exclusively owned: this send cannot block
 		w <- nil
 	}
-	s.transmit(out.Packets)
-}
-
-// transmit sends protocol packets, treating transient conn errors as the
-// packet loss the protocol is built to tolerate.
-func (s *Sender) transmit(pkts [][]byte) {
-	for _, p := range pkts {
-		if !sendTolerant(s.io.ep, p) {
-			return // closed; the pump will notice
-		}
-	}
+	s.io.transmit(buf, pkt)
 }

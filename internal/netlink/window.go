@@ -299,7 +299,9 @@ func (s *WindowedSender) Send(ctx context.Context, msg []byte) error {
 	}
 	s.m.sendMsgs.Inc()
 	s.m.windowAdmitted.Inc()
-	s.emit(trace.Event{Kind: trace.KindSendMsg, Msg: string(msg), Slot: slot})
+	if s.tap != nil {
+		s.emit(trace.Event{Kind: trace.KindSendMsg, Msg: string(msg), Slot: slot})
+	}
 	s.slotMsg[slot] = append([]byte(nil), msg...)
 	s.slotSeq[slot] = seq
 	w := make(chan error, 1)
@@ -649,7 +651,9 @@ func (r *WindowedReceiver) handlePacket(p []byte) {
 		// The protocol delivery commits here, dup or not: a resubmitted
 		// attempt is a distinct send_msg and verify licenses its delivery.
 		// The seq layer above decides what the application sees.
-		r.emit(trace.Event{Kind: trace.KindReceiveMsg, Msg: string(msg), Slot: d.Slot})
+		if r.tap != nil {
+			r.emit(trace.Event{Kind: trace.KindReceiveMsg, Msg: string(msg), Slot: d.Slot})
+		}
 		switch {
 		case epoch < r.epoch:
 			// A straggler from a dead sender incarnation: its seq space
@@ -753,7 +757,6 @@ func (r *WindowedReceiver) retryTick() {
 	}
 	r.m.retries.Inc()
 	r.m.retryIntervalMS.Set(float64(r.interval) / float64(time.Millisecond))
-	//lint:allow hotpathalloc windowed retransmit CTLs are fresh values crossing the conn, built per retry tick (loss-paced), not per packet
 	out := r.wr.Retry()
 	r.flushStats()
 	r.retry.Reset(r.interval)

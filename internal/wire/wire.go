@@ -38,6 +38,18 @@ const (
 // ErrMalformed reports that a byte slice is not a valid packet encoding.
 var ErrMalformed = errors.New("wire: malformed packet")
 
+// The decoders' errors are built once: packets arrive from a possibly
+// hostile link, and a flood of garbage must not allocate per packet.
+var (
+	errKind     = fmt.Errorf("%w: unknown kind", ErrMalformed)
+	errLength   = fmt.Errorf("%w: byte field length", ErrMalformed)
+	errShort    = fmt.Errorf("%w: short byte field", ErrMalformed)
+	errRho      = fmt.Errorf("%w: rho", ErrMalformed)
+	errTau      = fmt.Errorf("%w: tau", ErrMalformed)
+	errCounter  = fmt.Errorf("%w: retry counter", ErrMalformed)
+	errTrailing = fmt.Errorf("%w: trailing bytes", ErrMalformed)
+)
+
 // maxMessageLen bounds decoded message bodies; it protects the decoder
 // against absurd length prefixes in corrupted or hostile inputs.
 const maxMessageLen = 1 << 26 // 64 MiB
@@ -58,7 +70,7 @@ type Ctl struct {
 
 // Encode serializes d.
 func (d Data) Encode() []byte {
-	return AppendData(make([]byte, 0, d.size()), d)
+	return AppendData(make([]byte, 0, d.Size()), d)
 }
 
 // AppendData appends d's encoding to dst and returns the extended slice.
@@ -72,13 +84,14 @@ func AppendData(dst []byte, d Data) []byte {
 	return dst
 }
 
-func (d Data) size() int {
+// Size returns the length of d's encoding.
+func (d Data) Size() int {
 	return 1 + uvarintLen(uint64(len(d.Msg))) + len(d.Msg) + d.Rho.WireSize() + d.Tau.WireSize()
 }
 
 // Encode serializes c.
 func (c Ctl) Encode() []byte {
-	return AppendCtl(make([]byte, 0, c.size()), c)
+	return AppendCtl(make([]byte, 0, c.Size()), c)
 }
 
 // AppendCtl appends c's encoding to dst and returns the extended slice.
@@ -91,7 +104,8 @@ func AppendCtl(dst []byte, c Ctl) []byte {
 	return dst
 }
 
-func (c Ctl) size() int {
+// Size returns the length of c's encoding.
+func (c Ctl) Size() int {
 	return 1 + c.Rho.WireSize() + c.Tau.WireSize() + uvarintLen(c.I)
 }
 
@@ -102,63 +116,64 @@ func Sniff(p []byte) (Kind, error) {
 	}
 	k := Kind(p[0])
 	if k != KindData && k != KindCtl {
-		return 0, fmt.Errorf("%w: unknown kind %d", ErrMalformed, p[0])
+		return 0, errKind
 	}
 	return k, nil
 }
 
 // DecodeData parses a DATA packet. The returned Msg aliases p; callers that
 // retain it across reuses of p must copy it.
-func DecodeData(p []byte) (Data, error) {
+func DecodeData(p []byte) (d Data, err error) {
 	if k, err := Sniff(p); err != nil || k != KindData {
-		return Data{}, ErrMalformed
+		return d, ErrMalformed
 	}
-	rest := p[1:]
-	msg, rest, err := parseBytes(rest)
+	msg, rest, err := parseBytes(p[1:])
 	if err != nil {
-		return Data{}, err
+		return d, err
 	}
 	rho, rest, err := bitstr.ParseWire(rest)
 	if err != nil {
-		return Data{}, fmt.Errorf("%w: rho: %v", ErrMalformed, err)
+		return d, errRho
 	}
 	tau, rest, err := bitstr.ParseWire(rest)
 	if err != nil {
-		return Data{}, fmt.Errorf("%w: tau: %v", ErrMalformed, err)
+		return d, errTau
 	}
 	if len(rest) != 0 {
-		return Data{}, fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(rest))
+		return d, errTrailing
 	}
-	return Data{Msg: msg, Rho: rho, Tau: tau}, nil
+	d.Msg, d.Rho, d.Tau = msg, rho, tau
+	return d, nil
 }
 
 // DecodeCtl parses a CTL packet.
-func DecodeCtl(p []byte) (Ctl, error) {
+func DecodeCtl(p []byte) (c Ctl, err error) {
 	if k, err := Sniff(p); err != nil || k != KindCtl {
-		return Ctl{}, ErrMalformed
+		return c, ErrMalformed
 	}
-	rest := p[1:]
-	rho, rest, err := bitstr.ParseWire(rest)
+	rho, rest, err := bitstr.ParseWire(p[1:])
 	if err != nil {
-		return Ctl{}, fmt.Errorf("%w: rho: %v", ErrMalformed, err)
+		return c, errRho
 	}
 	tau, rest, err := bitstr.ParseWire(rest)
 	if err != nil {
-		return Ctl{}, fmt.Errorf("%w: tau: %v", ErrMalformed, err)
+		return c, errTau
 	}
 	i, n := binary.Uvarint(rest)
 	if n <= 0 || n != uvarintLen(i) {
-		return Ctl{}, fmt.Errorf("%w: retry counter", ErrMalformed)
+		return c, errCounter
 	}
 	if len(rest) != n {
-		return Ctl{}, fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(rest)-n)
+		return c, errTrailing
 	}
-	return Ctl{Rho: rho, Tau: tau, I: i}, nil
+	c.Rho, c.Tau, c.I = rho, tau, i
+	return c, nil
 }
 
 func appendBytes(dst, b []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
+	dst = append(dst, b...)
+	return dst
 }
 
 func parseBytes(buf []byte) ([]byte, []byte, error) {
@@ -166,11 +181,11 @@ func parseBytes(buf []byte) ([]byte, []byte, error) {
 	if k <= 0 || k != uvarintLen(n) || n > maxMessageLen {
 		// Reject unparsable, non-minimal and oversized length prefixes so
 		// every packet value has exactly one encoding.
-		return nil, nil, fmt.Errorf("%w: byte field length", ErrMalformed)
+		return nil, nil, errLength
 	}
 	buf = buf[k:]
 	if uint64(len(buf)) < n {
-		return nil, nil, fmt.Errorf("%w: short byte field", ErrMalformed)
+		return nil, nil, errShort
 	}
 	return buf[:n], buf[n:], nil
 }
