@@ -36,19 +36,9 @@ func run(args []string, out io.Writer) error {
 
 		metricsOut  = fs.Bool("metrics", false, "print a JSON metrics snapshot when the suite ends")
 		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address while the suite runs")
-
-		benchLabel   = fs.String("bench", "", "run the runtime benchmark and write BENCH_<label>.json instead of the experiment suite")
-		benchLanes   = fs.String("bench-lanes", "1,8,64", "comma-separated lane counts for -bench")
-		benchWindows = fs.String("bench-windows", "", "comma-separated window depths for -bench; when set, the windowed-station bench runs instead of the lane/relay suite")
-		benchMsgs    = fs.Int("bench-msgs", 2000, "confirmed messages per lane configuration for -bench")
-		benchDir     = fs.String("bench-out", ".", "directory BENCH_<label>.json is written to")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	if *benchLabel != "" {
-		return runBench(*benchLabel, *benchLanes, *benchWindows, *benchMsgs, *benchDir, out)
 	}
 
 	if *metricsAddr != "" {

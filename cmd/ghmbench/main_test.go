@@ -2,8 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -61,95 +59,5 @@ func TestRunMetricsFlag(t *testing.T) {
 	var snap map[string]interface{}
 	if err := json.Unmarshal([]byte(s[i+len("metrics:\n"):]), &snap); err != nil {
 		t.Errorf("snapshot is not JSON: %v\n%s", err, s)
-	}
-}
-
-func TestRunBenchWritesJSON(t *testing.T) {
-	dir := t.TempDir()
-	var out strings.Builder
-	if err := run([]string{"-bench", "smoke", "-bench-lanes", "1,2", "-bench-msgs", "50", "-bench-out", dir}, &out); err != nil {
-		t.Fatalf("run: %v\n%s", err, out.String())
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "BENCH_smoke.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Label string `json:"label"`
-		Runs  []struct {
-			Lanes        int     `json:"lanes"`
-			Messages     int     `json:"messages"`
-			MsgsPerSec   float64 `json:"msgs_per_sec"`
-			P50ConfirmMS float64 `json:"p50_confirm_ms"`
-			P99ConfirmMS float64 `json:"p99_confirm_ms"`
-			AllocsPerOp  float64 `json:"allocs_per_op"`
-		} `json:"runs"`
-		Relay struct {
-			Nodes        int     `json:"nodes"`
-			Routes       int     `json:"routes"`
-			Messages     int     `json:"messages"`
-			MsgsPerSec   float64 `json:"msgs_per_sec"`
-			P50DeliverMS float64 `json:"p50_deliver_ms"`
-			P99DeliverMS float64 `json:"p99_deliver_ms"`
-		} `json:"relay"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("report is not JSON: %v\n%s", err, data)
-	}
-	if rep.Label != "smoke" || len(rep.Runs) != 2 {
-		t.Fatalf("report = %+v", rep)
-	}
-	for _, r := range rep.Runs {
-		if r.Messages != 50 || r.MsgsPerSec <= 0 || r.P99ConfirmMS < r.P50ConfirmMS || r.AllocsPerOp <= 0 {
-			t.Errorf("implausible lane result: %+v", r)
-		}
-	}
-	rr := rep.Relay
-	if rr.Nodes != 5 || rr.Routes != 3 || rr.Messages != 50 ||
-		rr.MsgsPerSec <= 0 || rr.P99DeliverMS < rr.P50DeliverMS {
-		t.Errorf("implausible relay result: %+v", rr)
-	}
-}
-
-func TestRunBenchBadLanes(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-bench", "x", "-bench-lanes", "0"}, &out); err == nil {
-		t.Error("lane count 0 accepted")
-	}
-}
-
-func TestRunBenchWindowsWritesJSON(t *testing.T) {
-	dir := t.TempDir()
-	var out strings.Builder
-	if err := run([]string{"-bench", "wsmoke", "-bench-windows", "1,2", "-bench-msgs", "40", "-bench-out", dir}, &out); err != nil {
-		t.Fatalf("run: %v\n%s", err, out.String())
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "BENCH_wsmoke.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Label   string `json:"label"`
-		Runs    []any  `json:"runs"`
-		Windows []struct {
-			Window       int     `json:"window"`
-			Messages     int     `json:"messages"`
-			MsgsPerSec   float64 `json:"msgs_per_sec"`
-			P50ConfirmMS float64 `json:"p50_confirm_ms"`
-			P99ConfirmMS float64 `json:"p99_confirm_ms"`
-			AllocsPerOp  float64 `json:"allocs_per_op"`
-		} `json:"windows"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("report is not JSON: %v\n%s", err, data)
-	}
-	if rep.Label != "wsmoke" || len(rep.Windows) != 2 || len(rep.Runs) != 0 {
-		t.Fatalf("report = %+v", rep)
-	}
-	for i, w := range rep.Windows {
-		if w.Window != i+1 || w.Messages != 40 || w.MsgsPerSec <= 0 ||
-			w.P99ConfirmMS < w.P50ConfirmMS || w.AllocsPerOp <= 0 {
-			t.Errorf("implausible window result: %+v", w)
-		}
 	}
 }

@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"time"
 
-	"ghm/internal/core"
 	"ghm/internal/netlink"
 )
 
@@ -201,51 +200,22 @@ func DialUDP(laddr, raddr string) (PacketConn, error) {
 	return netlink.DialUDP(laddr, raddr)
 }
 
-// txStation is the transmitting station behind a Sender: the single-slot
-// netlink.Sender, or a netlink.WindowedSender when WithWindow raises the
-// depth.
-type txStation interface {
-	Send(ctx context.Context, msg []byte) error
-	Crash()
-	Stats() core.TxStats
-	Close() error
-}
-
-// rxStation is the receiving station behind a Receiver.
-type rxStation interface {
-	Recv(ctx context.Context) ([]byte, error)
-	Crash()
-	Stats() core.RxStats
-	Close() error
-}
-
 // Sender is the transmitting station: it accepts up to WithWindow
 // messages at a time (default one) and confirms each delivery. Create
 // with NewSender; always Close.
 type Sender struct {
-	s txStation
+	s *netlink.Sender
 }
 
 // NewSender starts a transmitting station on conn.
 func NewSender(conn PacketConn, opts ...Option) (*Sender, error) {
 	o := applyOptions(opts)
-	var s txStation
-	var err error
-	if k := o.windowDepth(); k > 1 {
-		s, err = netlink.NewWindowedSender(conn, netlink.WindowedSenderConfig{
-			Window: k,
-			Params: o.params(),
-			Tap:    tapToTrace(o.tap),
-			Epoch:  o.epoch,
-		})
-	} else if k != 1 {
-		err = fmt.Errorf("window depth must be in [1, %d], got %d", MaxWindow, k)
-	} else {
-		s, err = netlink.NewSender(conn, netlink.SenderConfig{
-			Params: o.params(),
-			Tap:    tapToTrace(o.tap),
-		})
-	}
+	s, err := netlink.NewSender(conn, netlink.SenderConfig{
+		Window: o.window,
+		Params: o.params(),
+		Tap:    tapToTrace(o.tap),
+		Epoch:  o.epoch,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("ghm: %w", err)
 	}
@@ -286,32 +256,19 @@ func (s *Sender) Close() error { return s.s.Close() }
 // order, exactly once. Create with NewReceiver; always Close. Its
 // WithWindow depth must match the sender's.
 type Receiver struct {
-	r rxStation
+	r *netlink.Receiver
 }
 
 // NewReceiver starts a receiving station on conn.
 func NewReceiver(conn PacketConn, opts ...Option) (*Receiver, error) {
 	o := applyOptions(opts)
-	var r rxStation
-	var err error
-	if k := o.windowDepth(); k > 1 {
-		r, err = netlink.NewWindowedReceiver(conn, netlink.WindowedReceiverConfig{
-			Window:          k,
-			Params:          o.params(),
-			RetryInterval:   o.retryInterval,
-			RetryBackoffMax: o.retryBackoff,
-			Tap:             tapToTrace(o.tap),
-		})
-	} else if k != 1 {
-		err = fmt.Errorf("window depth must be in [1, %d], got %d", MaxWindow, k)
-	} else {
-		r, err = netlink.NewReceiver(conn, netlink.ReceiverConfig{
-			Params:          o.params(),
-			RetryInterval:   o.retryInterval,
-			RetryBackoffMax: o.retryBackoff,
-			Tap:             tapToTrace(o.tap),
-		})
-	}
+	r, err := netlink.NewReceiver(conn, netlink.ReceiverConfig{
+		Window:          o.window,
+		Params:          o.params(),
+		RetryInterval:   o.retryInterval,
+		RetryBackoffMax: o.retryBackoff,
+		Tap:             tapToTrace(o.tap),
+	})
 	if err != nil {
 		return nil, fmt.Errorf("ghm: %w", err)
 	}

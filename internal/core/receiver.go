@@ -109,12 +109,19 @@ func (rx *Receiver) Retry() (out RxOutput) {
 func (rx *Receiver) AppendRetry(dst []byte) []byte {
 	var c wire.Ctl
 	c.Rho, c.Tau, c.I = rx.rho, rx.tauLast, rx.iR
-	dst = slices.Grow(dst, len(rx.frame)+c.Size())
+	dst = slices.Grow(dst, rx.retrySize())
 	dst = append(dst, rx.frame...)
 	dst = wire.AppendCtl(dst, c)
 	rx.iR++
 	rx.stats.PacketsSent++
 	return dst
+}
+
+// retrySize is the length of the packet the next AppendRetry appends.
+func (rx *Receiver) retrySize() int {
+	var c wire.Ctl
+	c.Rho, c.Tau, c.I = rx.rho, rx.tauLast, rx.iR
+	return len(rx.frame) + c.Size()
 }
 
 // ReceivePacket is AppendReceivePacket returning a freshly allocated

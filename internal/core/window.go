@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // MaxWindow bounds the window depth: the slot id is a uvarint prefix on
@@ -13,7 +14,7 @@ import (
 const MaxWindow = 64
 
 // ErrWindowFull is returned by WindowedTransmitter.SendMsg when every
-// slot has a message in flight. The layer above (netlink.WindowedSender)
+// slot has a message in flight. The layer above (netlink.Sender)
 // serializes admissions with slot tokens, so it never sees this; it
 // exists for direct users of the state machine.
 var ErrWindowFull = errors.New("core: window full")
@@ -35,13 +36,32 @@ var ErrWindowFull = errors.New("core: window full")
 // reorder, with per-slot freshness rather than per-window sequence
 // numbers doing the work sequence numbers cannot do under crashes.
 
-// slotFrame is slot's uvarint id: the frame a slot machine writes, in
-// place, ahead of every packet it emits.
-func slotFrame(slot int) []byte { return binary.AppendUvarint(nil, uint64(slot)) }
+// Framed is the one rule that decides the window's format. The slot id
+// ahead of every packet, and the epoch and admission number the station
+// above puts ahead of every payload (ghm/internal/netlink), exist to tell
+// slots apart and to restore order among them. A window of one slot has
+// nothing to tell apart and nothing to reorder, so it writes neither: at
+// depth 1 the packets are byte for byte the paper's, and a depth-1 window
+// is the paper's station.
+func Framed(window int) bool { return window > 1 }
+
+// slotFrame is the frame a slot machine of a window-k station writes, in
+// place, ahead of every packet it emits: the slot's uvarint id, or
+// nothing when the window is not Framed.
+func slotFrame(slot, k int) []byte {
+	if !Framed(k) {
+		return nil
+	}
+	return binary.AppendUvarint(nil, uint64(slot))
+}
 
 // unframeSlot splits a slot-framed packet; ok is false when the frame is
-// malformed or names a slot outside [0, k).
+// malformed or names a slot outside [0, k). An unframed window's packets
+// all belong to slot 0.
 func unframeSlot(p []byte, k int) (int, []byte, bool) {
+	if !Framed(k) {
+		return 0, p, true
+	}
 	v, n := binary.Uvarint(p)
 	if n <= 0 || v >= uint64(k) {
 		return 0, nil, false
@@ -84,7 +104,7 @@ func NewWindowedTransmitter(window int, p Params) (*WindowedTransmitter, error) 
 		if err != nil {
 			return nil, err
 		}
-		tx.frame = slotFrame(i)
+		tx.frame = slotFrame(i, window)
 		w.slots = append(w.slots, tx)
 	}
 	return w, nil
@@ -226,9 +246,9 @@ type WinRxOutput struct {
 
 // WindowedReceiver is the receiving half of a k-deep window: k per-slot
 // Receiver state machines with a shared crash model. In-order release
-// across slots is the runtime layer's job (netlink.WindowedReceiver
-// resequences by the sender's admission number); this type only
-// guarantees each slot's own exactly-once delivery.
+// across slots is the runtime layer's job (netlink.Receiver resequences
+// by the sender's admission number); this type only guarantees each
+// slot's own exactly-once delivery.
 type WindowedReceiver struct {
 	k       int
 	slots   []*Receiver
@@ -247,7 +267,7 @@ func NewWindowedReceiver(window int, p Params) (*WindowedReceiver, error) {
 		if err != nil {
 			return nil, err
 		}
-		rx.frame = slotFrame(i)
+		rx.frame = slotFrame(i, window)
 		w.slots = append(w.slots, rx)
 	}
 	return w, nil
@@ -277,21 +297,37 @@ func (w *WindowedReceiver) AppendReceivePacket(dst, p []byte) (out []byte, d Slo
 	slot, body, ok := unframeSlot(p, w.k)
 	if !ok {
 		w.ignored++
-		return dst, SlotMsg{}, false
+		return dst, d, false
 	}
-	out, msg, delivered := w.slots[slot].AppendReceivePacket(dst, body)
-	return out, SlotMsg{Slot: slot, Msg: msg}, delivered
+	d.Slot = slot
+	out, d.Msg, delivered = w.slots[slot].AppendReceivePacket(dst, body)
+	return out, d, delivered
 }
 
-// Retry fires the RETRY action on every slot and returns the whole
-// window's CTL packets in one batch — the runtime flushes them with a
-// single conn write per wheel firing.
+// Retry is AppendRetry returning freshly allocated packets.
 func (w *WindowedReceiver) Retry() WinRxOutput {
-	var wout WinRxOutput
+	_, pkts := w.AppendRetry(nil, nil)
+	return WinRxOutput{Packets: pkts}
+}
+
+// AppendRetry fires the RETRY action on every slot, appending the
+// window's CTL packets back to back to dst and each packet, as a slice
+// of the returned buffer, to pkts — one batch the runtime flushes with a
+// single conn write per wheel firing.
+func (w *WindowedReceiver) AppendRetry(dst []byte, pkts [][]byte) ([]byte, [][]byte) {
+	// Grown once, to the whole batch: a later append must not move the
+	// buffer from under the packets already sliced out of it.
+	n := 0
 	for _, rx := range w.slots {
-		wout.Packets = append(wout.Packets, rx.AppendRetry(nil))
+		n += rx.retrySize()
 	}
-	return wout
+	dst = slices.Grow(dst, n)
+	for _, rx := range w.slots {
+		start := len(dst)
+		dst = rx.AppendRetry(dst)
+		pkts = append(pkts, dst[start:len(dst):len(dst)])
+	}
+	return dst, pkts
 }
 
 // Crash models crash^R with shared crash semantics: every slot's memory

@@ -143,7 +143,7 @@ func TestWindowOutOfWindowSlotIgnored(t *testing.T) {
 	wt, wr := newWindowPair(t, 2, 4)
 	// A frame naming slot 5 in a 2-slot window must be dropped, counted,
 	// and change nothing.
-	bogus := append(slotFrame(5), 0x01, 0x02)
+	bogus := append(slotFrame(5, 8), 0x01, 0x02)
 	if out := wt.ReceivePacket(bogus); len(out.Packets) != 0 || len(out.OKs) != 0 {
 		t.Fatalf("transmitter acted on out-of-window frame: %+v", out)
 	}
@@ -227,5 +227,79 @@ func TestWindowSoakManyMessages(t *testing.T) {
 	// Post-crash incarnation alone carries at least the second half.
 	if got := wt.Completed(); got < total/2 {
 		t.Errorf("Completed=%d, want >= %d", got, total/2)
+	}
+}
+
+// TestWindowDepthOneIsThePaperFormat pins the Framed rule: a window of
+// one slot writes no slot id, so with the same coin tosses its packets
+// are byte for byte a plain Transmitter's and Receiver's — and a packet
+// that happens to start with a byte no slot id could be is still slot
+// 0's.
+func TestWindowDepthOneIsThePaperFormat(t *testing.T) {
+	tx, rx := newPair(t, 21)
+	wt, err := NewWindowedTransmitter(1, testParams(21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wr, err := NewWindowedReceiver(1, testParams(21+1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(step string, plain, windowed [][]byte) []byte {
+		t.Helper()
+		if len(plain) != 1 || len(windowed) != 1 || !bytes.Equal(plain[0], windowed[0]) {
+			t.Fatalf("%s: plain %x, depth-1 window %x", step, plain, windowed)
+		}
+		return plain[0]
+	}
+	for i := 0; i < 3; i++ {
+		msg := []byte(fmt.Sprintf("paper-%d", i))
+		if _, err := tx.SendMsg(msg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := wt.SendMsg(0, msg); err != nil {
+			t.Fatal(err)
+		}
+		ctl := same("RETRY", rx.Retry().Packets, wr.Retry().Packets)
+		data := same("DATA", tx.ReceivePacket(ctl).Packets, wt.ReceivePacket(ctl).Packets)
+		pout, wout := rx.ReceivePacket(data), wr.ReceivePacket(data)
+		ack := same("ack", pout.Packets, wout.Packets)
+		if len(wout.Delivered) != 1 || wout.Delivered[0].Slot != 0 || !bytes.Equal(wout.Delivered[0].Msg, msg) {
+			t.Fatalf("depth-1 window delivered %+v, want %q on slot 0", wout.Delivered, msg)
+		}
+		if out := wt.ReceivePacket(ack); len(out.OKs) != 1 || out.OKs[0] != 0 || !tx.ReceivePacket(ack).OK {
+			t.Fatalf("ack did not complete message %d", i)
+		}
+	}
+	if wt.Stats() != tx.Stats() || wr.Stats() != rx.Stats() {
+		t.Errorf("counters differ: tx %+v vs %+v, rx %+v vs %+v", wt.Stats(), tx.Stats(), wr.Stats(), rx.Stats())
+	}
+}
+
+// TestWindowAppendRetryBatch checks the batch form against the slots'
+// own RETRY: same packets, in slot order, sliced out of the one buffer
+// the call returns — including when that buffer had to grow.
+func TestWindowAppendRetryBatch(t *testing.T) {
+	const k = 4
+	_, a := newWindowPair(t, k, 31)
+	_, b := newWindowPair(t, k, 31)
+	want := a.Retry().Packets
+	head := []byte("head")
+	buf, pkts := b.AppendRetry(head[:len(head):len(head)], nil)
+	if len(pkts) != k || len(want) != k {
+		t.Fatalf("batch of %d, Retry of %d, want %d", len(pkts), len(want), k)
+	}
+	at := len(head)
+	for i, p := range pkts {
+		if !bytes.Equal(p, want[i]) {
+			t.Errorf("slot %d: batch %x, Retry %x", i, p, want[i])
+		}
+		if !bytes.Equal(buf[at:at+len(p)], p) || &buf[at] != &p[0] {
+			t.Errorf("slot %d's packet is not buf[%d:%d]", i, at, at+len(p))
+		}
+		at += len(p)
+	}
+	if at != len(buf) || !bytes.Equal(buf[:len(head)], head) {
+		t.Errorf("buffer is %d bytes, packets end at %d; head %q", len(buf), at, buf[:len(head)])
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -160,6 +161,10 @@ func TestE10BurstLatencyClimbs(t *testing.T) {
 	}
 	if !res.LatencyClimbs() {
 		t.Errorf("burst length did not raise per-message latency:\n%s", res.Table())
+	}
+	// A row is a function of the seed alone: virtual clock, no goroutines.
+	if again := E10(small); !reflect.DeepEqual(again, res) {
+		t.Errorf("same seed, different table:\n%s\n%s", res.Table(), again.Table())
 	}
 }
 

@@ -115,8 +115,8 @@ func TestNewAnalyzerAllows(t *testing.T) {
 func TestAllowInventory(t *testing.T) {
 	want := map[string]int{
 		"cryptorand":         4,
-		"nonblockinghandler": 2,
-		"hotpathalloc":       7,
+		"nonblockinghandler": 1,
+		"hotpathalloc":       8,
 	}
 
 	got := make(map[string]int)

@@ -53,19 +53,12 @@ var (
 	errWindow = errors.New("mux: window depth must be in [1, core.MaxWindow]")
 )
 
-// laneSender is the transmitting station a lane runs: the single-slot
-// netlink.Sender or, with a window knob, a netlink.WindowedSender.
-type laneSender interface {
-	Send(ctx context.Context, msg []byte) error
-	Close() error
-}
-
 // Sender pipelines messages across several transmitter lanes. Up to
 // `lanes × window` Send calls proceed concurrently; each blocks until
 // its own message is confirmed.
 type Sender struct {
 	eng   *engine.Engine
-	lanes []laneSender
+	lanes []*netlink.Sender
 
 	mu   sync.Mutex
 	seq  uint64
@@ -83,8 +76,8 @@ func NewSender(conn netlink.PacketConn, lanes int, p core.Params) (*Sender, erro
 
 // NewSenderWindow starts `lanes` transmitter sessions of window depth
 // `window` over conn: up to lanes×window messages in flight. Window 1 is
-// exactly NewSender; deeper windows put a WindowedSender under each lane,
-// multiplying the in-flight budget without multiplying engine endpoints.
+// exactly NewSender; deeper windows multiply the in-flight budget without
+// multiplying engine endpoints.
 func NewSenderWindow(conn netlink.PacketConn, lanes, window int, p core.Params) (*Sender, error) {
 	if lanes < 1 || lanes > MaxLanes {
 		return nil, errLanes
@@ -104,12 +97,7 @@ func NewSenderWindow(conn netlink.PacketConn, lanes, window int, p core.Params) 
 			s.fail()
 			return nil, fmt.Errorf("mux: lane %d: %w", i, err)
 		}
-		var ls laneSender
-		if window == 1 {
-			ls, err = netlink.NewSender(ep, netlink.SenderConfig{Params: p})
-		} else {
-			ls, err = netlink.NewWindowedSender(ep, netlink.WindowedSenderConfig{Window: window, Params: p})
-		}
+		ls, err := netlink.NewSender(ep, netlink.SenderConfig{Window: window, Params: p})
 		if err != nil {
 			s.fail()
 			return nil, fmt.Errorf("mux: lane %d: %w", i, err)
@@ -185,18 +173,10 @@ type item struct {
 	msg []byte
 }
 
-// laneReceiver is the receiving station a lane runs: the single-slot
-// netlink.Receiver or, with a window knob, a netlink.WindowedReceiver.
-// Both push committed deliveries through the shared Deliver callback, so
-// the merge path only needs teardown from the lane itself.
-type laneReceiver interface {
-	Close() error
-}
-
 // Receiver merges lane deliveries back into one ordered stream.
 type Receiver struct {
 	eng   *engine.Engine
-	lanes []laneReceiver
+	lanes []*netlink.Receiver
 
 	merged chan item
 	out    chan []byte
@@ -220,7 +200,9 @@ func NewReceiver(conn netlink.PacketConn, lanes int, cfg netlink.ReceiverConfig)
 
 // NewReceiverWindow starts `lanes` receiver sessions of window depth
 // `window` over conn; lanes and window must match the sender's. Window 1
-// is exactly NewReceiver.
+// is exactly NewReceiver. cfg's own Window, Accept and Deliver are
+// overridden: the depth is the argument and the lanes feed the
+// resequencer.
 func NewReceiverWindow(conn netlink.PacketConn, lanes, window int, cfg netlink.ReceiverConfig) (*Receiver, error) {
 	if lanes < 1 || lanes > MaxLanes {
 		return nil, errLanes
@@ -228,16 +210,12 @@ func NewReceiverWindow(conn netlink.PacketConn, lanes, window int, cfg netlink.R
 	if window < 1 || window > core.MaxWindow {
 		return nil, errWindow
 	}
-	// A plain lane releases exactly one message per accepted packet; a
-	// windowed lane can release a burst — the gap-filling delivery plus
-	// every parked successor (netlink.WindowReleaseBound). The Accept gate
-	// reserves the worst-case burst so laneDeliver stays non-blocking, and
-	// the merge channel is sized so the reservation never starves a
-	// single-lane session.
-	burst := 1
-	if window > 1 {
-		burst = netlink.WindowReleaseBound(window)
-	}
+	// A depth-1 lane releases exactly one message per accepted packet; a
+	// deeper lane can release a burst — the gap-filling delivery plus
+	// every parked successor. The Accept gate reserves the worst-case
+	// burst so laneDeliver stays non-blocking, and the merge channel is
+	// sized so the reservation never starves a single-lane session.
+	burst := netlink.WindowReleaseBound(window)
 	eng := netlink.NewEngine(conn, lanes, nil)
 	r := &Receiver{
 		eng:    eng,
@@ -246,31 +224,16 @@ func NewReceiverWindow(conn netlink.PacketConn, lanes, window int, cfg netlink.R
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	accept := func() bool { return cap(r.merged)-len(r.merged) >= burst }
+	cfg.Window = window
+	cfg.Accept = func() bool { return cap(r.merged)-len(r.merged) >= burst }
+	cfg.Deliver = r.laneDeliver
 	for i := 0; i < lanes; i++ {
 		ep, err := eng.Endpoint(i)
 		if err != nil {
 			r.fail()
 			return nil, fmt.Errorf("mux: lane %d: %w", i, err)
 		}
-		var lr laneReceiver
-		if window == 1 {
-			lcfg := cfg
-			lcfg.Accept = accept
-			lcfg.Deliver = r.laneDeliver
-			lr, err = netlink.NewReceiver(ep, lcfg)
-		} else {
-			lr, err = netlink.NewWindowedReceiver(ep, netlink.WindowedReceiverConfig{
-				Window:          window,
-				Params:          cfg.Params,
-				RetryInterval:   cfg.RetryInterval,
-				RetryBackoffMax: cfg.RetryBackoffMax,
-				Tap:             cfg.Tap,
-				Metrics:         cfg.Metrics,
-				Accept:          accept,
-				Deliver:         r.laneDeliver,
-			})
-		}
+		lr, err := netlink.NewReceiver(ep, cfg)
 		if err != nil {
 			r.fail()
 			return nil, fmt.Errorf("mux: lane %d: %w", i, err)

@@ -3,6 +3,7 @@ package netlink_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -66,24 +67,32 @@ func (c *ringConn) Close() error {
 }
 
 // TestStationRoundAllocBudget pins what one confirmed message costs the
-// single-slot stations themselves, over a link that allocates nothing:
-// the sender's waiter channel (2) and the one copy Recv hands out (1).
-// Strings, packets, the decode and the transmitter's message copy are
-// all free — the protocol core's budget is zero.
+// stations themselves, over a link that allocates nothing: the sender's
+// waiter channel (2) and the one copy Recv hands out (1). Strings,
+// packets, the decode and the transmitter's message copy are all free —
+// the protocol core's budget is zero — and so is the window: at depth 8
+// the admission frame, the slot's payload record and the whole window's
+// retry batch go through buffers the stations keep.
 func TestStationRoundAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector's sync.Pool drops buffers at random")
 	}
+	for _, k := range []int{1, 8} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) { testStationRoundAllocBudget(t, k) })
+	}
+}
+
+func testStationRoundAllocBudget(t *testing.T, k int) {
 	params := func(seed int64) core.Params {
 		return core.Params{Epsilon: 1.0 / (1 << 40), Source: bitstr.NewSeededSource(seed)}
 	}
 	a, b := ringPipe()
-	s, err := netlink.NewSender(a, netlink.SenderConfig{Params: params(1)})
+	s, err := netlink.NewSender(a, netlink.SenderConfig{Window: k, Params: params(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	r, err := netlink.NewReceiver(b, netlink.ReceiverConfig{Params: params(2), RetryInterval: time.Millisecond})
+	r, err := netlink.NewReceiver(b, netlink.ReceiverConfig{Window: k, Params: params(2), RetryInterval: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +110,8 @@ func TestStationRoundAllocBudget(t *testing.T) {
 			t.Fatalf("Recv = %q, %v", got, err)
 		}
 	}
-	for i := 0; i < 10; i++ {
-		round() // first challenge learned, pooled buffers grown
+	for i := 0; i < 10*k; i++ {
+		round() // every slot's first challenge learned, the kept buffers grown
 	}
 	if got := testing.AllocsPerRun(200, round); got > 3 {
 		t.Errorf("one Send + Recv round: %v allocs, budget 3", got)

@@ -8,10 +8,10 @@
 //   - Pipe, an in-process PacketConn pair with configurable loss,
 //     duplication and reordering — the runtime twin of the model
 //     adversaries, useful for tests, examples and benchmarks.
-//   - Sender and Receiver, session loops that own a core.Transmitter or
-//     core.Receiver, a retry timer and the goroutines pumping packets, and
-//     expose blocking Send/Recv with the protocol's exactly-once
-//     semantics.
+//   - Sender and Receiver, the stations: each runs a window of the core
+//     protocol machines (one slot deep by default — the paper's station)
+//     as an endpoint of the conn's engine, and exposes blocking Send/Recv
+//     with the protocol's exactly-once semantics.
 //
 // Every object with background goroutines has a Close method that stops
 // and joins them.
@@ -39,35 +39,6 @@ const transientIODelay = time.Millisecond
 // opposed to a transient fault the protocol should ride out as loss).
 func isClosedErr(err error) bool {
 	return errors.Is(err, ErrClosed) || errors.Is(err, net.ErrClosed)
-}
-
-// sendTolerant sends p, treating transient errors — e.g. UDP
-// ECONNREFUSED while the peer host is down, exactly the crash scenario
-// the protocol exists for — as packet loss. It returns false only when
-// the conn is permanently closed and the calling loop should exit.
-func sendTolerant(conn PacketConn, p []byte) bool {
-	err := conn.Send(p)
-	if err == nil {
-		return true
-	}
-	return !isClosedErr(err)
-}
-
-// batchSender is the send-batching surface of an engine endpoint (or any
-// conn offering one); sendBatchTolerant needs only this.
-type batchSender interface {
-	SendBatch(pkts [][]byte) error
-}
-
-// sendBatchTolerant flushes a burst of packets with the same error
-// semantics as sendTolerant: transient errors are the loss the protocol
-// tolerates; only a permanently closed conn returns false.
-func sendBatchTolerant(conn batchSender, pkts [][]byte) bool {
-	err := conn.SendBatch(pkts)
-	if err == nil {
-		return true
-	}
-	return !isClosedErr(err)
 }
 
 // PacketConn is one endpoint of an unreliable datagram link. The link may

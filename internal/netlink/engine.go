@@ -84,8 +84,8 @@ func stationEndpoint(conn PacketConn, reg *metrics.Registry) stationIO {
 	}
 }
 
-// packetPool recycles the buffers the single-slot stations have their
-// protocol machines encode outgoing packets into. A buffer belongs to one
+// packetPool recycles the buffers the stations have their protocol
+// machines encode outgoing packets into. A buffer belongs to one
 // protocol round: taken for the round, filled under the station lock,
 // written on the conn outside it (PacketConn.Send must not retain its
 // argument), then returned. It is never stored on the station — a Crash
@@ -97,13 +97,29 @@ var packetPool = sync.Pool{New: func() any { return new([]byte) }}
 func getPacketBuf() *[]byte { return packetPool.Get().(*[]byte) }
 
 // transmit ends a protocol round: it sends pkt — what the round appended
-// to *buf, possibly nothing — treating transient conn errors as the loss
-// the protocol is built to tolerate, and returns buf, with the capacity
-// pkt grew to, to the pool.
+// to *buf, possibly nothing — and returns buf, with the capacity pkt grew
+// to, to the pool. A send error is dropped: a transient one (UDP
+// ECONNREFUSED while the peer host is down — exactly the crash scenario
+// the protocol exists for) is the loss the protocol is built to tolerate,
+// and after a permanent one there is nobody to tell: the station learns
+// of a dead conn from its endpoint.
+//
+//ghm:hotpath
 func (io stationIO) transmit(buf *[]byte, pkt []byte) {
 	if len(pkt) > 0 {
-		sendTolerant(io.ep, pkt)
+		_ = io.ep.Send(pkt)
 	}
 	*buf = pkt[:0]
+	packetPool.Put(buf)
+}
+
+// transmitBatch is transmit for the round that emits one packet per window
+// slot: batch holds the packets, slices of what the round appended to
+// *buf, and leaves in one batched conn call.
+//
+//ghm:hotpath
+func (io stationIO) transmitBatch(buf *[]byte, pkts []byte, batch [][]byte) {
+	_ = io.ep.SendBatch(batch)
+	*buf = pkts[:0]
 	packetPool.Put(buf)
 }

@@ -30,14 +30,13 @@ const (
 	mTxOKLatencyMS      = "tx.ok_latency_ms"
 )
 
-// Windowed-station metrics (the k-deep sliding-window stations; see
-// internal/netlink/window.go). tx.* / rx.* base families are shared with
-// the single-slot stations — a windowed station is the same station,
-// k slots deep.
+// The window counters of the same two families. Every station registers
+// them, whatever its depth: a depth-1 station is a window of one slot, so
+// its tx.window_inflight reads 0 or 1 and its rx.window_pending stays 0.
 const (
 	mTxWindowAdmitted   = "tx.window_admitted"    // messages admitted into window slots
 	mTxWindowInflight   = "tx.window_inflight"    // gauge: slots currently occupied
-	mTxWindowWiped      = "tx.window_wiped"       // in-flight messages wiped by a window crash^T
+	mTxWindowWiped      = "tx.window_wiped"       // in-flight messages wiped by a crash^T
 	mRxWindowPending    = "rx.window_pending"     // gauge: deliveries held for in-order release
 	mRxWindowReleased   = "rx.window_released"    // deliveries released in admission order
 	mRxWindowDupDropped = "rx.window_dup_dropped" // resubmission duplicates dropped by seq
@@ -98,6 +97,9 @@ type senderMetrics struct {
 	replayRejections *metrics.Counter // malformed/stale/idle packets ignored
 	ioRetries        *metrics.Counter // transient conn read errors retried
 	okLatencyMS      *metrics.Histogram
+	windowAdmitted   *metrics.Counter // messages admitted into slots
+	windowInflight   *metrics.Gauge   // slots currently occupied
+	windowWiped      *metrics.Counter // in-flight messages lost to a crash^T
 }
 
 func newSenderMetrics(r *metrics.Registry) senderMetrics {
@@ -116,6 +118,9 @@ func newSenderMetrics(r *metrics.Registry) senderMetrics {
 		replayRejections: r.Counter(mTxReplayRejections),
 		ioRetries:        r.Counter(mTxIORetries),
 		okLatencyMS:      r.Histogram(mTxOKLatencyMS),
+		windowAdmitted:   r.Counter(mTxWindowAdmitted),
+		windowInflight:   r.Gauge(mTxWindowInflight),
+		windowWiped:      r.Counter(mTxWindowWiped),
 	}
 }
 
@@ -133,6 +138,9 @@ type receiverMetrics struct {
 	deliveriesDropped *metrics.Counter // committed deliveries lost to Close
 	ingressShed       *metrics.Counter // packets shed unprocessed (delivery buffer full)
 	retryIntervalMS   *metrics.Gauge   // current (possibly backed-off) retry pace
+	windowPending     *metrics.Gauge   // deliveries parked for resequencing
+	windowReleased    *metrics.Counter // deliveries released in admission order
+	windowDupDropped  *metrics.Counter // resubmission duplicates dropped by seq
 }
 
 func newReceiverMetrics(r *metrics.Registry) receiverMetrics {
@@ -152,49 +160,9 @@ func newReceiverMetrics(r *metrics.Registry) receiverMetrics {
 		deliveriesDropped: r.Counter(mRxDeliveriesDropped),
 		ingressShed:       r.Counter(mRxIngressShed),
 		retryIntervalMS:   r.Gauge(mRxRetryIntervalMS),
-	}
-}
-
-// windowSenderMetrics extend senderMetrics with the window-layer
-// counters; a windowed sender shares the base tx.* family with the
-// single-slot station.
-type windowSenderMetrics struct {
-	senderMetrics
-	windowAdmitted *metrics.Counter // messages admitted into slots
-	windowInflight *metrics.Gauge   // slots currently occupied
-	windowWiped    *metrics.Counter // in-flight messages lost to a window wipe
-}
-
-func newWindowSenderMetrics(r *metrics.Registry) windowSenderMetrics {
-	if r == nil {
-		r = metrics.Default()
-	}
-	return windowSenderMetrics{
-		senderMetrics:  newSenderMetrics(r),
-		windowAdmitted: r.Counter(mTxWindowAdmitted),
-		windowInflight: r.Gauge(mTxWindowInflight),
-		windowWiped:    r.Counter(mTxWindowWiped),
-	}
-}
-
-// windowReceiverMetrics extend receiverMetrics with the in-order release
-// bookkeeping.
-type windowReceiverMetrics struct {
-	receiverMetrics
-	windowPending    *metrics.Gauge   // deliveries parked for resequencing
-	windowReleased   *metrics.Counter // deliveries released in admission order
-	windowDupDropped *metrics.Counter // resubmission duplicates dropped by seq
-}
-
-func newWindowReceiverMetrics(r *metrics.Registry) windowReceiverMetrics {
-	if r == nil {
-		r = metrics.Default()
-	}
-	return windowReceiverMetrics{
-		receiverMetrics:  newReceiverMetrics(r),
-		windowPending:    r.Gauge(mRxWindowPending),
-		windowReleased:   r.Counter(mRxWindowReleased),
-		windowDupDropped: r.Counter(mRxWindowDupDropped),
+		windowPending:     r.Gauge(mRxWindowPending),
+		windowReleased:    r.Counter(mRxWindowReleased),
+		windowDupDropped:  r.Counter(mRxWindowDupDropped),
 	}
 }
 

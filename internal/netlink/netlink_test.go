@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ghm/internal/core"
+	"ghm/internal/metrics"
 )
 
 const testRetry = 300 * time.Microsecond
@@ -21,14 +22,28 @@ func testCtx(t *testing.T) context.Context {
 	return ctx
 }
 
-func newSession(t *testing.T, cfg PipeConfig) (*Sender, *Receiver) {
+// depths are the window depths the station suite runs at: the paper's
+// single slot, the smallest real window, and the benchmark's.
+var depths = []int{1, 2, 8}
+
+// forDepths runs fn as one subtest per depth, so no station behaviour is
+// checked at only one.
+func forDepths(t *testing.T, fn func(t *testing.T, k int)) {
+	t.Helper()
+	for _, k := range depths {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) { fn(t, k) })
+	}
+}
+
+// newStations builds a depth-k Sender/Receiver pair over a pipe.
+func newStations(t *testing.T, k int, cfg PipeConfig, reg *metrics.Registry) (*Sender, *Receiver) {
 	t.Helper()
 	a, b := Pipe(cfg)
-	s, err := NewSender(a, SenderConfig{})
+	s, err := NewSender(a, SenderConfig{Window: k, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReceiver(b, ReceiverConfig{RetryInterval: testRetry})
+	r, err := NewReceiver(b, ReceiverConfig{Window: k, RetryInterval: testRetry, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,156 +132,172 @@ func TestPipeCloseUnblocksRecv(t *testing.T) {
 }
 
 func TestSessionPerfectLink(t *testing.T) {
-	s, r := newSession(t, PipeConfig{Seed: 5})
-	ctx := testCtx(t)
-	for i := 0; i < 20; i++ {
-		msg := []byte(fmt.Sprintf("msg-%d", i))
-		if err := s.Send(ctx, msg); err != nil {
-			t.Fatalf("Send %d: %v", i, err)
+	forDepths(t, func(t *testing.T, k int) {
+		s, r := newStations(t, k, PipeConfig{Seed: 5}, nil)
+		ctx := testCtx(t)
+		for i := 0; i < 20; i++ {
+			msg := []byte(fmt.Sprintf("msg-%d", i))
+			if err := s.Send(ctx, msg); err != nil {
+				t.Fatalf("Send %d: %v", i, err)
+			}
+			got, err := r.Recv(ctx)
+			if err != nil || !bytes.Equal(got, msg) {
+				t.Fatalf("Recv %d = %q, %v", i, got, err)
+			}
 		}
-		got, err := r.Recv(ctx)
-		if err != nil || !bytes.Equal(got, msg) {
-			t.Fatalf("Recv %d = %q, %v", i, got, err)
-		}
-	}
+	})
 }
 
 func TestSessionFaultyLink(t *testing.T) {
-	s, r := newSession(t, PipeConfig{
-		Loss: 0.3, DupProb: 0.3, ReorderProb: 0.3, Seed: 6,
-		ReleaseEvery: 50 * time.Microsecond,
-	})
-	ctx := testCtx(t)
-	const n = 30
-	errc := make(chan error, 1)
-	go func() {
+	forDepths(t, func(t *testing.T, k int) {
+		s, r := newStations(t, k, PipeConfig{
+			Loss: 0.3, DupProb: 0.3, ReorderProb: 0.3, Seed: 6,
+			ReleaseEvery: 50 * time.Microsecond,
+		}, nil)
+		ctx := testCtx(t)
+		const n = 30
+		errc := make(chan error, 1)
+		go func() {
+			for i := 0; i < n; i++ {
+				if err := s.Send(ctx, []byte(fmt.Sprintf("msg-%d", i))); err != nil {
+					errc <- fmt.Errorf("send %d: %w", i, err)
+					return
+				}
+			}
+			errc <- nil
+		}()
 		for i := 0; i < n; i++ {
-			if err := s.Send(ctx, []byte(fmt.Sprintf("msg-%d", i))); err != nil {
-				errc <- fmt.Errorf("send %d: %w", i, err)
-				return
+			got, err := r.Recv(ctx)
+			if err != nil {
+				t.Fatalf("Recv %d: %v", i, err)
+			}
+			want := fmt.Sprintf("msg-%d", i)
+			if string(got) != want {
+				t.Fatalf("Recv %d = %q, want %q (order violated)", i, got, want)
 			}
 		}
-		errc <- nil
-	}()
-	for i := 0; i < n; i++ {
-		got, err := r.Recv(ctx)
-		if err != nil {
-			t.Fatalf("Recv %d: %v", i, err)
+		if err := <-errc; err != nil {
+			t.Fatal(err)
 		}
-		want := fmt.Sprintf("msg-%d", i)
-		if string(got) != want {
-			t.Fatalf("Recv %d = %q, want %q (order violated)", i, got, want)
-		}
-	}
-	if err := <-errc; err != nil {
-		t.Fatal(err)
-	}
+	})
 }
 
 func TestSenderCrashFailsPendingSend(t *testing.T) {
-	// A silent link (total loss) guarantees the Send is still pending
-	// when the crash hits.
-	s, _ := newSession(t, PipeConfig{Loss: 1, Seed: 7})
-	ctx := testCtx(t)
-	errc := make(chan error, 1)
-	go func() { errc <- s.Send(ctx, []byte("doomed")) }()
-	time.Sleep(5 * time.Millisecond)
-	s.Crash()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, ErrCrashed) {
-			t.Fatalf("Send after crash = %v, want ErrCrashed", err)
+	forDepths(t, func(t *testing.T, k int) {
+		// A silent link (total loss) guarantees the Send is still pending
+		// when the crash hits.
+		s, _ := newStations(t, k, PipeConfig{Loss: 1, Seed: 7}, nil)
+		ctx := testCtx(t)
+		errc := make(chan error, 1)
+		go func() { errc <- s.Send(ctx, []byte("doomed")) }()
+		time.Sleep(5 * time.Millisecond)
+		s.Crash()
+		select {
+		case err := <-errc:
+			if !errors.Is(err, ErrCrashed) {
+				t.Fatalf("Send after crash = %v, want ErrCrashed", err)
+			}
+		case <-time.After(time.Second):
+			t.Fatal("Send did not fail on crash")
 		}
-	case <-time.After(time.Second):
-		t.Fatal("Send did not fail on crash")
-	}
+	})
 }
 
 func TestSenderRecoversAfterCrash(t *testing.T) {
-	s, r := newSession(t, PipeConfig{Seed: 8})
-	ctx := testCtx(t)
-	if err := s.Send(ctx, []byte("before")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Recv(ctx); err != nil {
-		t.Fatal(err)
-	}
-	s.Crash()
-	if err := s.Send(ctx, []byte("after")); err != nil {
-		t.Fatalf("Send after crash: %v", err)
-	}
-	got, err := r.Recv(ctx)
-	if err != nil || !bytes.Equal(got, []byte("after")) {
-		t.Fatalf("Recv = %q, %v", got, err)
-	}
+	forDepths(t, func(t *testing.T, k int) {
+		s, r := newStations(t, k, PipeConfig{Seed: 8}, nil)
+		ctx := testCtx(t)
+		if err := s.Send(ctx, []byte("before")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Recv(ctx); err != nil {
+			t.Fatal(err)
+		}
+		s.Crash()
+		if err := s.Send(ctx, []byte("after")); err != nil {
+			t.Fatalf("Send after crash: %v", err)
+		}
+		got, err := r.Recv(ctx)
+		if err != nil || !bytes.Equal(got, []byte("after")) {
+			t.Fatalf("Recv = %q, %v", got, err)
+		}
+	})
 }
 
 func TestReceiverCrashRecovery(t *testing.T) {
-	s, r := newSession(t, PipeConfig{Seed: 9})
-	ctx := testCtx(t)
-	if err := s.Send(ctx, []byte("one")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Recv(ctx); err != nil {
-		t.Fatal(err)
-	}
-	r.Crash()
-	if err := s.Send(ctx, []byte("two")); err != nil {
-		t.Fatalf("Send after receiver crash: %v", err)
-	}
-	got, err := r.Recv(ctx)
-	if err != nil || !bytes.Equal(got, []byte("two")) {
-		t.Fatalf("Recv = %q, %v", got, err)
-	}
+	forDepths(t, func(t *testing.T, k int) {
+		s, r := newStations(t, k, PipeConfig{Seed: 9}, nil)
+		ctx := testCtx(t)
+		if err := s.Send(ctx, []byte("one")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Recv(ctx); err != nil {
+			t.Fatal(err)
+		}
+		r.Crash()
+		if err := s.Send(ctx, []byte("two")); err != nil {
+			t.Fatalf("Send after receiver crash: %v", err)
+		}
+		got, err := r.Recv(ctx)
+		if err != nil || !bytes.Equal(got, []byte("two")) {
+			t.Fatalf("Recv = %q, %v", got, err)
+		}
+	})
 }
 
 func TestSendContextCancelCrashesStation(t *testing.T) {
-	s, r := newSession(t, PipeConfig{Loss: 1, Seed: 10})
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	if err := s.Send(ctx, []byte("stuck")); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Send = %v, want deadline exceeded", err)
-	}
-	// The station crashed itself, so the next Send must not see ErrBusy.
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel2()
-	if err := s.Send(ctx2, []byte("next")); errors.Is(err, core.ErrBusy) {
-		t.Fatalf("Send after cancel = %v; station did not reset", err)
-	}
-	_ = r
+	forDepths(t, func(t *testing.T, k int) {
+		s, r := newStations(t, k, PipeConfig{Loss: 1, Seed: 10}, nil)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+		defer cancel()
+		if err := s.Send(ctx, []byte("stuck")); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Send = %v, want deadline exceeded", err)
+		}
+		// The station crashed itself, so the next Send must not see ErrBusy.
+		ctx2, cancel2 := context.WithTimeout(context.Background(), 10*time.Millisecond)
+		defer cancel2()
+		if err := s.Send(ctx2, []byte("next")); errors.Is(err, core.ErrBusy) {
+			t.Fatalf("Send after cancel = %v; station did not reset", err)
+		}
+		_ = r
+	})
 }
 
 func TestCloseSemantics(t *testing.T) {
-	s, r := newSession(t, PipeConfig{Seed: 11})
-	s.Close()
-	r.Close()
-	// Close is idempotent.
-	s.Close()
-	r.Close()
-	ctx := testCtx(t)
-	if err := s.Send(ctx, []byte("x")); err == nil {
-		t.Fatal("Send on closed sender succeeded")
-	}
-	if _, err := r.Recv(ctx); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Recv on closed receiver = %v, want ErrClosed", err)
-	}
+	forDepths(t, func(t *testing.T, k int) {
+		s, r := newStations(t, k, PipeConfig{Seed: 11}, nil)
+		s.Close()
+		r.Close()
+		// Close is idempotent.
+		s.Close()
+		r.Close()
+		ctx := testCtx(t)
+		if err := s.Send(ctx, []byte("x")); err == nil {
+			t.Fatal("Send on closed sender succeeded")
+		}
+		if _, err := r.Recv(ctx); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Recv on closed receiver = %v, want ErrClosed", err)
+		}
+	})
 }
 
 func TestSessionStats(t *testing.T) {
-	s, r := newSession(t, PipeConfig{Seed: 12})
-	ctx := testCtx(t)
-	if err := s.Send(ctx, []byte("counted")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Recv(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if s.Stats().OKs != 1 {
-		t.Errorf("sender OKs = %d", s.Stats().OKs)
-	}
-	if r.Stats().Delivered != 1 {
-		t.Errorf("receiver Delivered = %d", r.Stats().Delivered)
-	}
+	forDepths(t, func(t *testing.T, k int) {
+		s, r := newStations(t, k, PipeConfig{Seed: 12}, nil)
+		ctx := testCtx(t)
+		if err := s.Send(ctx, []byte("counted")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Recv(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if s.Stats().OKs != 1 {
+			t.Errorf("sender OKs = %d", s.Stats().OKs)
+		}
+		if r.Stats().Delivered != 1 {
+			t.Errorf("receiver Delivered = %d", r.Stats().Delivered)
+		}
+	})
 }
 
 func TestUDPSession(t *testing.T) {

@@ -10,6 +10,7 @@ package netlink_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -32,6 +33,15 @@ func wantErr(t *testing.T, name string, want error, fn func() error) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Errorf("%s did not unblock", name)
+	}
+}
+
+// forDepths runs a row once per window depth: the station rows must hold
+// for the paper's single slot and for real windows alike.
+func forDepths(t *testing.T, fn func(t *testing.T, k int)) {
+	t.Helper()
+	for _, k := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) { fn(t, k) })
 	}
 }
 
@@ -123,31 +133,33 @@ func TestClosePropagationParity(t *testing.T) {
 	})
 
 	t.Run("station/conn-kill", func(t *testing.T) {
-		// Both station types on one link; killing the conns unblocks a
-		// pending Send and a pending Recv with ErrClosed. (The pre-engine
-		// stations wedged forever on exactly this.)
-		a, b := netlink.Pipe(netlink.PipeConfig{Loss: 1, Seed: 85})
-		tx, err := netlink.NewSender(a, netlink.SenderConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tx.Close()
-		rx, err := netlink.NewReceiver(b, netlink.ReceiverConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rx.Close()
-		go func() {
-			time.Sleep(5 * time.Millisecond)
-			a.Close()
-			b.Close()
-		}()
-		wantErr(t, "Sender.Send", netlink.ErrClosed, func() error {
-			return tx.Send(context.Background(), []byte("never"))
-		})
-		wantErr(t, "Receiver.Recv", netlink.ErrClosed, func() error {
-			_, err := rx.Recv(context.Background())
-			return err
+		forDepths(t, func(t *testing.T, k int) {
+			// Both stations on one link; killing the conns unblocks a
+			// pending Send and a pending Recv with ErrClosed. (The pre-engine
+			// stations wedged forever on exactly this.)
+			a, b := netlink.Pipe(netlink.PipeConfig{Loss: 1, Seed: 85})
+			tx, err := netlink.NewSender(a, netlink.SenderConfig{Window: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tx.Close()
+			rx, err := netlink.NewReceiver(b, netlink.ReceiverConfig{Window: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rx.Close()
+			go func() {
+				time.Sleep(5 * time.Millisecond)
+				a.Close()
+				b.Close()
+			}()
+			wantErr(t, "Sender.Send", netlink.ErrClosed, func() error {
+				return tx.Send(context.Background(), []byte("never"))
+			})
+			wantErr(t, "Receiver.Recv", netlink.ErrClosed, func() error {
+				_, err := rx.Recv(context.Background())
+				return err
+			})
 		})
 	})
 
@@ -194,87 +206,94 @@ func TestClosePropagationParity(t *testing.T) {
 	})
 
 	t.Run("mux/conn-kill", func(t *testing.T) {
-		a, b := netlink.Pipe(netlink.PipeConfig{Seed: 88})
-		ms, err := mux.NewSender(a, 4, core.Params{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ms.Close()
-		mr, err := mux.NewReceiver(b, 4, netlink.ReceiverConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer mr.Close()
-		go func() {
-			time.Sleep(5 * time.Millisecond)
-			a.Close()
-			b.Close()
-		}()
-		wantErr(t, "mux Recv", mux.ErrClosed, func() error {
-			_, err := mr.Recv(context.Background())
-			return err
-		})
-		wantErr(t, "mux Send", netlink.ErrClosed, func() error {
-			return ms.Send(context.Background(), []byte("never"))
+		forDepths(t, func(t *testing.T, k int) {
+			a, b := netlink.Pipe(netlink.PipeConfig{Seed: 88})
+			ms, err := mux.NewSenderWindow(a, 4, k, core.Params{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ms.Close()
+			mr, err := mux.NewReceiverWindow(b, 4, k, netlink.ReceiverConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mr.Close()
+			go func() {
+				time.Sleep(5 * time.Millisecond)
+				a.Close()
+				b.Close()
+			}()
+			wantErr(t, "mux Recv", mux.ErrClosed, func() error {
+				_, err := mr.Recv(context.Background())
+				return err
+			})
+			wantErr(t, "mux Send", netlink.ErrClosed, func() error {
+				return ms.Send(context.Background(), []byte("never"))
+			})
 		})
 	})
 
 	t.Run("mux/close", func(t *testing.T) {
-		a, b := netlink.Pipe(netlink.PipeConfig{Seed: 89})
-		defer a.Close()
-		mr, err := mux.NewReceiver(b, 4, netlink.ReceiverConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() {
-			time.Sleep(5 * time.Millisecond)
-			mr.Close()
-		}()
-		wantErr(t, "mux Recv", mux.ErrClosed, func() error {
-			_, err := mr.Recv(context.Background())
-			return err
+		forDepths(t, func(t *testing.T, k int) {
+			a, b := netlink.Pipe(netlink.PipeConfig{Seed: 89})
+			defer a.Close()
+			mr, err := mux.NewReceiverWindow(b, 4, k, netlink.ReceiverConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			go func() {
+				time.Sleep(5 * time.Millisecond)
+				mr.Close()
+			}()
+			wantErr(t, "mux Recv", mux.ErrClosed, func() error {
+				_, err := mr.Recv(context.Background())
+				return err
+			})
 		})
 	})
 
 	t.Run("session/close", func(t *testing.T) {
-		// A session over a shared link: Close must stop the supervisor
-		// and fail further Enqueues, and the link views must come down
-		// with the SharedConn, not before.
-		a, b := netlink.Pipe(netlink.PipeConfig{Seed: 90})
-		defer b.Close()
-		sc := netlink.NewSharedConn(a)
-		defer sc.Close()
-		rx, err := netlink.NewReceiver(b, netlink.ReceiverConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rx.Close()
-		go func() {
-			for {
-				if _, err := rx.Recv(context.Background()); err != nil {
-					return
-				}
+		forDepths(t, func(t *testing.T, k int) {
+			// A session over a shared link: Close must stop the supervisor
+			// and fail further Enqueues, and the link views must come down
+			// with the SharedConn, not before.
+			a, b := netlink.Pipe(netlink.PipeConfig{Seed: 90})
+			defer b.Close()
+			sc := netlink.NewSharedConn(a)
+			defer sc.Close()
+			rx, err := netlink.NewReceiver(b, netlink.ReceiverConfig{Window: k})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}()
-		s, err := session.New(session.Config{
-			Dial: func() (netlink.PacketConn, error) { return sc.Attach() },
+			defer rx.Close()
+			go func() {
+				for {
+					if _, err := rx.Recv(context.Background()); err != nil {
+						return
+					}
+				}
+			}()
+			s, err := session.New(session.Config{
+				Dial:   func() (netlink.PacketConn, error) { return sc.Attach() },
+				Window: k,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Enqueue([]byte("one")); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := s.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Enqueue([]byte("late")); err == nil {
+				t.Error("Enqueue after session Close succeeded")
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Enqueue([]byte("one")); err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := s.Flush(ctx); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Enqueue([]byte("late")); err == nil {
-			t.Error("Enqueue after session Close succeeded")
-		}
 	})
 }

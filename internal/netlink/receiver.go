@@ -18,18 +18,24 @@ import (
 // idle links quiet while bounding recovery latency.
 const defaultRetryInterval = 2 * time.Millisecond
 
-// deliveryBuffer is how many delivered messages Recv callers may lag
-// behind before the station sheds inbound packets (see handlePacket):
-// with the buffer full, DATA is dropped as loss, no delivery commits, no
-// OK flows, and the stop-and-wait transmitter stalls — natural flow
-// control, paced by its retries.
+// deliveryBuffer is how many delivered messages per window slot Recv
+// callers may lag behind before the station sheds inbound packets (see
+// handlePacket): with the buffer full, DATA is dropped as loss, no
+// delivery commits, no OK flows, and the transmitter stalls — natural
+// flow control, paced by its retries.
 const deliveryBuffer = 16
 
-// ReceiverConfig parameterizes a Receiver session.
+// ReceiverConfig parameterizes a Receiver.
 type ReceiverConfig struct {
-	// Params configures the protocol receiver.
+	// Window is the depth k (default 1, max core.MaxWindow). It must match
+	// the sender's: the depth decides the packet format (core.Framed), and
+	// a narrower receiver ignores the extra slots' traffic and stalls them.
+	Window int
+	// Params configures each slot's protocol receiver.
 	Params core.Params
-	// RetryInterval paces the RETRY action (default 2ms).
+	// RetryInterval paces the RETRY action across the whole window: one
+	// wheel firing emits every slot's CTL in one batched flush (default
+	// 2ms).
 	RetryInterval time.Duration
 	// RetryBackoffMax, when positive, enables adaptive retry pacing: while
 	// no packet arrives (idle or blacked-out link) the retry interval
@@ -37,50 +43,73 @@ type ReceiverConfig struct {
 	// any arrival. Zero keeps the fixed-interval behaviour.
 	RetryBackoffMax time.Duration
 	// Tap, when non-nil, observes the station's externally visible
-	// actions — receive_msg and crash^R — as trace events, in the order
-	// the station commits them. It is invoked with the station lock held:
-	// callbacks must be fast and must not call back into the station.
+	// actions — receive_msg and crash^R, each carrying its slot — as trace
+	// events, in the order the station commits them. It is invoked with
+	// the station lock held: callbacks must be fast and must not call back
+	// into the station.
 	Tap func(trace.Event)
 	// Metrics receives the station's runtime counters (the rx.* family);
 	// nil uses metrics.Default().
 	Metrics *metrics.Registry
 
-	// Deliver, when non-nil, replaces the Recv mailbox: every committed
-	// delivery is handed to it synchronously on the engine pump, in
-	// commit order. It must not block (a guaranteed-capacity channel
-	// push is the intended shape — pair it with Accept). Recv must not
-	// be used on a Deliver-mode receiver. This is how mux lanes feed the
-	// resequencer without a merge goroutine per lane.
+	// Deliver, when non-nil, replaces the Recv mailbox: every released
+	// message (admission frame already stripped) is handed to it
+	// synchronously on the engine pump, in release order — possibly
+	// several per accepted packet (up to WindowReleaseBound) when a
+	// release run drains parked successors. It must not block (a
+	// guaranteed-capacity channel push is the intended shape — pair it
+	// with Accept). Recv must not be used on a Deliver-mode receiver. This
+	// is how mux lanes feed the resequencer without a merge goroutine per
+	// lane.
 	Deliver func(msg []byte)
 	// Accept, when non-nil, gates packet processing: the handler asks it
 	// before running the protocol machine and sheds the packet as link
-	// loss on false. The default (mailbox mode) accepts while the
-	// delivery buffer has room.
+	// loss on false. It narrows the receiver's own capacity gate (room in
+	// the delivery buffer for everything buffered and parked); it never
+	// widens it.
 	Accept func() bool
 }
 
-// Receiver runs a protocol receiver over a PacketConn and hands delivered
-// messages to Recv in order, exactly once (up to the protocol's epsilon
-// and station crashes).
+// Receiver runs a k-deep window of protocol receivers over a PacketConn
+// and hands delivered messages to Recv in the sender's admission order,
+// exactly once (up to the protocol's epsilon and station crashes). At the
+// default depth 1 it is the paper's receiving station; in a deeper
+// window out-of-order slot completions are parked until the gap fills,
+// and duplicates from crash-resubmission are dropped by their reused seq
+// (see window.go).
 //
 // The station has no goroutines of its own: inbound packets arrive as
 // engine-pump callbacks and the RETRY action rides the engine's shared
 // timer wheel, so lane and session counts no longer multiply goroutines.
 type Receiver struct {
-	io  stationIO
-	tap func(trace.Event)
-	m   receiverMetrics
+	io     stationIO
+	tap    func(trace.Event)
+	m      receiverMetrics
+	framed bool // core.Framed(depth): payloads carry epoch‖seq, see window.go
 
-	mu     sync.Mutex // guards rx, last, closed and the retry pacing state
-	rx     *core.Receiver
+	mu     sync.Mutex // guards wr, last, closed, the retry pacing and release state
+	wr     *core.WindowedReceiver
 	last   core.RxStats // rx stats at the previous flush (delta baseline)
 	closed bool
+
+	// Release state of a framed window; a depth-1 station releases what
+	// it delivers and allocates no pending set.
+	epoch   uint64            // highest sender incarnation seen
+	nextSeq uint64            // release cursor: next seq to hand over
+	pending map[uint64][]byte // delivered, awaiting earlier seqs
 
 	out     chan []byte
 	deliver func([]byte)
 	accept  func() bool
 
 	arrivals atomic.Uint64 // packets seen; read by retryTick for backoff
+	parked   atomic.Int64  // len(pending) mirror, readable without mu by the accept gate
+
+	// Scratch whose contents outlive the unlock their round ends with.
+	// That is safe because each has one user and one goroutine runs it:
+	// the engine pump runs handlePacket, the wheel runs retryTick.
+	release [][]byte // handlePacket: messages to hand over this round
+	batch   [][]byte // retryTick: the window's CTL packets
 
 	// Retry pacing (guarded by mu; retryTick is the only writer after New).
 	retry            *engine.Timer
@@ -92,10 +121,13 @@ type Receiver struct {
 	closeOnce sync.Once
 }
 
-// NewReceiver builds the receiver, attaches it to conn's engine and
+// NewReceiver builds the window, attaches it to conn's engine and
 // schedules its retry timer on the shared wheel.
 func NewReceiver(conn PacketConn, cfg ReceiverConfig) (*Receiver, error) {
-	rx, err := core.NewReceiver(cfg.Params)
+	if cfg.Window == 0 {
+		cfg.Window = 1
+	}
+	wr, err := core.NewWindowedReceiver(cfg.Window, cfg.Params)
 	if err != nil {
 		return nil, fmt.Errorf("netlink: receiver: %w", err)
 	}
@@ -105,24 +137,34 @@ func NewReceiver(conn PacketConn, cfg ReceiverConfig) (*Receiver, error) {
 	r := &Receiver{
 		tap:        cfg.Tap,
 		m:          newReceiverMetrics(cfg.Metrics),
-		rx:         rx,
-		out:        make(chan []byte, deliveryBuffer),
+		framed:     core.Framed(cfg.Window),
+		wr:         wr,
+		out:        make(chan []byte, cfg.Window*deliveryBuffer),
 		deliver:    cfg.Deliver,
-		accept:     cfg.Accept,
 		interval:   cfg.RetryInterval,
 		base:       cfg.RetryInterval,
 		maxBackoff: cfg.RetryBackoffMax,
 		stop:       make(chan struct{}),
 	}
-	if r.accept == nil {
-		if r.deliver != nil {
-			r.accept = func() bool { return true }
-		} else {
-			// Single producer (the pump) means the length check cannot
-			// race into overflow: space observed here is still there at
-			// hand-off time.
-			r.accept = func() bool { return len(r.out) < cap(r.out) }
-		}
+	if r.framed {
+		r.pending = make(map[uint64][]byte)
+	}
+	// One accepted packet commits at most one protocol delivery, which
+	// grows buffered-plus-parked by at most one; keeping that sum below
+	// the buffer capacity guarantees a release burst (1 + drained
+	// pending) always fits without blocking the pump. A single producer
+	// (the pump) means the check cannot race into overflow: space observed
+	// here is still there at hand-off time. The gate runs on the pump
+	// before r.mu is taken, while Close (another goroutine) may be
+	// resetting the pending map under r.mu — so it reads the atomic parked
+	// mirror, never the map. A user Accept narrows this gate, never
+	// replaces it — the parked-set bound is what keeps release bursts
+	// under WindowReleaseBound for the layer above.
+	gate := func() bool { return len(r.out)+int(r.parked.Load()) < cap(r.out) }
+	if user := cfg.Accept; user != nil {
+		r.accept = func() bool { return gate() && user() }
+	} else {
+		r.accept = gate
 	}
 	r.m.retryIntervalMS.Set(float64(r.interval) / float64(time.Millisecond))
 	r.io = stationEndpoint(conn, cfg.Metrics)
@@ -138,17 +180,19 @@ func NewReceiver(conn PacketConn, cfg ReceiverConfig) (*Receiver, error) {
 
 // emit reports one externally visible action; callers hold r.mu so taps
 // observe actions in commit order.
-func (r *Receiver) emit(k trace.Kind, msg string) {
+func (r *Receiver) emit(k trace.Kind, msg string, slot int) {
 	if r.tap != nil {
-		r.tap(trace.Event{Kind: k, Msg: msg})
+		var e trace.Event
+		e.Kind, e.Msg, e.Slot = k, msg, slot
+		r.tap(e)
 	}
 }
 
-// flushStats publishes the receiver's per-incarnation protocol counters
+// flushStats publishes the window's per-incarnation protocol counters
 // into the registry as deltas, keeping the registry cumulative across
-// crashes. Call with r.mu held, and always immediately before rx.Crash().
+// crashes. Call with r.mu held, and always immediately before wr.Crash().
 func (r *Receiver) flushStats() {
-	st := r.rx.Stats()
+	st := r.wr.Stats()
 	r.m.packetsSent.Add(int64(st.PacketsSent - r.last.PacketsSent))
 	r.m.delivered.Add(int64(st.Delivered - r.last.Delivered))
 	r.m.errorsCounted.Add(int64(st.ErrorsCounted - r.last.ErrorsCounted))
@@ -157,7 +201,7 @@ func (r *Receiver) flushStats() {
 	r.last = st
 }
 
-// Recv blocks for the next delivered message.
+// Recv blocks for the next message, in the sender's admission order.
 func (r *Receiver) Recv(ctx context.Context) ([]byte, error) {
 	select {
 	case m := <-r.out:
@@ -165,42 +209,40 @@ func (r *Receiver) Recv(ctx context.Context) ([]byte, error) {
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	case <-r.stop:
-		// Drain deliveries that raced with Close.
-		select {
-		case m := <-r.out:
-			return m, nil
-		default:
-			return nil, ErrClosed
-		}
 	case <-r.io.ep.Dead():
-		// The conn died under us; drain what already committed.
-		select {
-		case m := <-r.out:
-			return m, nil
-		default:
-			return nil, ErrClosed
-		}
+		// The conn died under us.
+	}
+	// Drain what was released before the station stopped.
+	select {
+	case m := <-r.out:
+		return m, nil
+	default:
+		return nil, ErrClosed
 	}
 }
 
-// Crash simulates crash^R: the station's memory is erased. Messages
-// already delivered to the session buffer were already handed to the
-// higher layer in the model's sense and remain readable.
+// Crash simulates crash^R with the shared crash model: every slot's
+// protocol memory is erased at once. Messages already handed to the
+// session buffer were delivered to the higher layer in the model's sense
+// and remain readable. The release cursor and parked deliveries are
+// runtime memory (the hosting process survives a protocol crash) and
+// persist, exactly as the mux resequencer's do — that is what drops the
+// redeliveries the crash licenses.
 func (r *Receiver) Crash() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.flushStats()
-	r.rx.Crash()
+	r.wr.Crash()
 	r.last = core.RxStats{}
 	r.m.crashes.Inc()
-	r.emit(trace.KindCrashR, "")
+	r.emit(trace.KindCrashR, "", 0)
 }
 
-// Stats returns the receiver's protocol counters.
+// Stats returns the window's aggregated protocol counters.
 func (r *Receiver) Stats() core.RxStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.rx.Stats()
+	return r.wr.Stats()
 }
 
 // Close stops the retry timer and detaches the station from its engine
@@ -209,15 +251,24 @@ func (r *Receiver) Stats() core.RxStats {
 // Audit note (the symmetric check to the sender's abandoned-transfer
 // fix): the receiver keeps no waiter, so Close cannot strand one. A
 // delivery is committed — taped as receive_msg, counted — under r.mu
-// before it enters the session buffer, and Recv keeps draining buffered
-// deliveries after Close, so closing cannot un-deliver or double-deliver.
-// The one loss Close can cause is a committed delivery that no Recv call
-// ever drains; those are counted as rx.deliveries_dropped.
+// before it enters the session buffer, and Recv keeps draining released
+// messages after Close, so closing cannot un-deliver or double-deliver.
+// The losses Close can cause are a released message that no Recv call
+// ever drains and a parked out-of-order delivery, which was
+// protocol-committed but can no longer be released in order; both are
+// counted as rx.deliveries_dropped.
 func (r *Receiver) Close() error {
 	r.closeOnce.Do(func() {
 		r.mu.Lock()
 		r.closed = true
+		parked := len(r.pending)
+		clear(r.pending)
+		r.parked.Store(0)
 		r.mu.Unlock()
+		if parked > 0 {
+			r.m.deliveriesDropped.Add(int64(parked))
+			r.m.windowPending.Set(0)
+		}
 		r.retry.Stop()
 		close(r.stop)
 		r.io.close()
@@ -225,13 +276,17 @@ func (r *Receiver) Close() error {
 	return nil
 }
 
-// handlePacket is the engine-pump callback: one protocol round. It never
-// blocks — when the layer above has no room the packet is shed as link
-// loss before the machine runs, so no delivery commits and no OK flows;
-// the stop-and-wait transmitter stalls and its retries pace recovery.
-// (The pre-engine readLoop blocked on the session buffer instead, which
-// a shared pump cannot afford: one slow receiver would stall every
-// endpoint on the conn.)
+// handlePacket is the engine-pump callback: one protocol round for one
+// slot. It never blocks — when the layer above has no room the packet is
+// shed as link loss before the machine runs, so no delivery commits and
+// no OK flows; the transmitter stalls and its retries pace recovery. (A
+// handler that blocked on the session buffer instead would let one slow
+// receiver stall every endpoint on the conn's shared pump.) A delivery is
+// committed — taped, counted — under r.mu before the reply leaves, so a
+// tap always observes receive_msg(m) before any OK it can cause, then
+// goes through the in-order release.
+//
+//ghm:hotpath
 func (r *Receiver) handlePacket(p []byte) {
 	r.arrivals.Add(1)
 	if !r.accept() {
@@ -244,51 +299,139 @@ func (r *Receiver) handlePacket(p []byte) {
 		return
 	}
 	buf := getPacketBuf()
-	reply, msg, delivered := r.rx.AppendReceivePacket(*buf, p)
+	reply, d, delivered := r.wr.AppendReceivePacket(*buf, p)
 	r.m.packetsReceived.Inc()
+	release := r.release[:0]
 	if delivered {
-		// The one copy on the delivery path: msg aliases p, which belongs
-		// to the conn, and the copy is what Recv hands to its caller.
-		msg = append([]byte(nil), msg...)
-		// The delivery is committed here, before the reply leaves: a tap
-		// always observes receive_msg(m) before any OK it can cause.
-		if r.tap != nil {
-			r.emit(trace.KindReceiveMsg, string(msg))
-		}
+		release = r.commit(release, d)
+		r.release = release
 	}
 	r.flushStats()
 	r.mu.Unlock()
 
 	// A conn closed mid-reply still gets what committed handed over.
 	r.io.transmit(buf, reply)
-	if delivered {
-		r.handoff(msg)
-	}
+	r.handoff(release)
+	clear(release) // the scratch must not pin what the layer above now owns
 }
 
-// handoff moves a committed delivery to the layer above. Accept reserved
-// the space before the machine ran (and the protocol delivers at most
-// one message per packet), so the push cannot block; the default
-// branch only fires if that invariant is ever broken, and keeps the
-// books balanced (delivered = drained + buffered + dropped) if it does.
-func (r *Receiver) handoff(msg []byte) {
-	if r.deliver != nil {
-		r.deliver(msg)
-		return
+// copyMsg is the one allocation on the delivery path: msg aliases the
+// inbound packet, which belongs to the conn, and the copy is what Recv
+// hands to its caller.
+func copyMsg(msg []byte) []byte {
+	//lint:allow hotpathalloc the delivery copy: the message outlives the conn's packet buffer
+	return append([]byte(nil), msg...)
+}
+
+// commit runs one protocol delivery through the in-order release and
+// appends what it releases to release. Call with r.mu held.
+func (r *Receiver) commit(release [][]byte, d core.SlotMsg) [][]byte {
+	if !r.framed {
+		if r.tap != nil {
+			r.emit(trace.KindReceiveMsg, string(d.Msg), d.Slot)
+		}
+		r.m.windowReleased.Inc()
+		release = append(release, copyMsg(d.Msg))
+		return release
 	}
-	select {
-	case r.out <- msg:
-	default:
+	epoch, seq, msg, ok := unframeSeq(d.Msg)
+	if !ok {
+		// Only a peer of another depth produces an unframed payload; it
+		// cannot be sequenced, so it is dropped — and counted, never
+		// silently.
 		r.m.deliveriesDropped.Inc()
+		return release
+	}
+	// The protocol delivery commits here, dup or not: a resubmitted
+	// attempt is a distinct send_msg and verify licenses its delivery.
+	// The seq layer decides what the application sees.
+	if r.tap != nil {
+		r.emit(trace.KindReceiveMsg, string(msg), d.Slot)
+	}
+	switch {
+	case epoch < r.epoch:
+		// A straggler from a dead sender incarnation: its seq space was
+		// abandoned when the higher epoch arrived.
+		r.m.windowDupDropped.Inc()
+		return release
+	case epoch > r.epoch:
+		// A rebuilt sender. Its admission seqs restart at zero; adopt the
+		// new incarnation's seq space. Parked deliveries of the old one
+		// can never release in order now — count them out.
+		r.epoch = epoch
+		r.nextSeq = 0
+		if n := len(r.pending); n > 0 {
+			r.m.deliveriesDropped.Add(int64(n))
+			clear(r.pending)
+			r.parked.Store(0)
+		}
+	}
+	release = r.commitSeq(release, seq, msg)
+	r.m.windowPending.Set(float64(len(r.pending)))
+	return release
+}
+
+// commitSeq is the release machine: duplicates (below the cursor, or
+// already parked) are dropped, the cursor's seq releases itself plus
+// every consecutively parked successor, and anything further ahead
+// parks. msg is copied if kept. Call with r.mu held.
+func (r *Receiver) commitSeq(release [][]byte, seq uint64, msg []byte) [][]byte {
+	if _, dup := r.pending[seq]; dup || seq < r.nextSeq {
+		r.m.windowDupDropped.Inc()
+		return release
+	}
+	msg = copyMsg(msg)
+	if seq != r.nextSeq {
+		r.pending[seq] = msg
+		r.parked.Add(1)
+		return release
+	}
+	n := len(release)
+	release = append(release, msg)
+	r.nextSeq++
+	for {
+		m, ok := r.pending[r.nextSeq]
+		if !ok {
+			break
+		}
+		delete(r.pending, r.nextSeq)
+		r.parked.Add(-1)
+		release = append(release, m)
+		r.nextSeq++
+	}
+	r.m.windowReleased.Add(int64(len(release) - n))
+	return release
+}
+
+// handoff moves released messages to the layer above. The accept gate
+// reserved room for the whole burst before the machine ran, so the
+// pushes cannot block; the default branch only fires if that invariant
+// is ever broken, and keeps the books balanced (delivered = drained +
+// buffered + dropped) if it does.
+func (r *Receiver) handoff(release [][]byte) {
+	for i, m := range release {
+		if r.deliver != nil {
+			r.deliver(m)
+			continue
+		}
+		select {
+		case r.out <- m:
+		default:
+			r.m.deliveriesDropped.Add(int64(len(release) - i))
+			return
+		}
 	}
 }
 
-// retryTick fires the RETRY action on the engine's shared timer wheel
-// and re-arms itself. With backoff disabled the interval is fixed; with
-// backoff enabled the interval doubles while the link is silent (idle or
-// blacked out) up to maxBackoff, and snaps back to base on any packet
-// arrival — retry traffic fades on dead links without giving up the
-// "infinitely often" the protocol needs.
+// retryTick fires the RETRY action on every slot in one firing of the
+// engine's shared timer wheel, flushes the window's CTL packets in one
+// batched conn call, and re-arms itself. With backoff disabled the
+// interval is fixed; with backoff enabled the interval doubles while the
+// link is silent (idle or blacked out) up to maxBackoff, and snaps back
+// to base on any packet arrival — retry traffic fades on dead links
+// without giving up the "infinitely often" the protocol needs.
+//
+//ghm:hotpath
 func (r *Receiver) retryTick() {
 	r.mu.Lock()
 	if r.closed {
@@ -307,9 +450,10 @@ func (r *Receiver) retryTick() {
 	r.m.retries.Inc()
 	r.m.retryIntervalMS.Set(float64(r.interval) / float64(time.Millisecond))
 	buf := getPacketBuf()
-	pkt := r.rx.AppendRetry(*buf)
+	pkts, batch := r.wr.AppendRetry(*buf, r.batch[:0])
+	r.batch = batch
 	r.flushStats()
 	r.retry.Reset(r.interval)
 	r.mu.Unlock()
-	r.io.transmit(buf, pkt)
+	r.io.transmitBatch(buf, pkts, batch)
 }

@@ -3,6 +3,7 @@ package netlink
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -35,8 +36,12 @@ func drainAfterClose(t *testing.T, r *Receiver) int {
 // sender's stale-waiter regression: a Recv parked on an idle link must
 // resolve with ErrClosed when Close runs, not wedge.
 func TestReceiverCloseUnblocksRecv(t *testing.T) {
+	forDepths(t, testReceiverCloseUnblocksRecv)
+}
+
+func testReceiverCloseUnblocksRecv(t *testing.T, k int) {
 	_, b := Pipe(PipeConfig{Seed: 1})
-	r, err := NewReceiver(b, ReceiverConfig{Metrics: metrics.New()})
+	r, err := NewReceiver(b, ReceiverConfig{Window: k, Metrics: metrics.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,15 +68,20 @@ func TestReceiverCloseUnblocksRecv(t *testing.T) {
 // rx.delivered) is either drained by post-Close Recv calls or counted in
 // rx.deliveries_dropped. Nothing committed may vanish silently.
 func TestReceiverCloseAccountsCommittedDeliveries(t *testing.T) {
+	forDepths(t, testReceiverCloseAccountsCommittedDeliveries)
+}
+
+func testReceiverCloseAccountsCommittedDeliveries(t *testing.T, k int) {
 	ctx := testCtx(t)
 	a, b := Pipe(PipeConfig{Seed: 2})
 	reg := metrics.New()
-	s, err := NewSender(a, SenderConfig{})
+	s, err := NewSender(a, SenderConfig{Window: k})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	r, err := NewReceiver(b, ReceiverConfig{
+		Window:        k,
 		RetryInterval: 50 * time.Microsecond,
 		Metrics:       reg,
 	})
@@ -108,17 +118,22 @@ func TestReceiverCloseAccountsCommittedDeliveries(t *testing.T) {
 // invariant must hold: rx.delivered = drained + rx.deliveries_dropped,
 // and the receive_msg tap count must equal rx.delivered.
 func TestReceiverCloseVsDeliveryInterleaving(t *testing.T) {
+	forDepths(t, testReceiverCloseVsDeliveryInterleaving)
+}
+
+func testReceiverCloseVsDeliveryInterleaving(t *testing.T, k int) {
 	ctx := testCtx(t)
 	for i := 0; i < 150; i++ {
 		a, b := Pipe(PipeConfig{Seed: int64(9000 + i)})
 		reg := metrics.New()
 		var mu sync.Mutex
 		taped := 0
-		s, err := NewSender(a, SenderConfig{})
+		s, err := NewSender(a, SenderConfig{Window: k})
 		if err != nil {
 			t.Fatal(err)
 		}
 		r, err := NewReceiver(b, ReceiverConfig{
+			Window:        k,
 			RetryInterval: 50 * time.Microsecond,
 			Tap: func(e trace.Event) {
 				if e.Kind == trace.KindReceiveMsg {
@@ -167,4 +182,36 @@ func TestReceiverCloseVsDeliveryInterleaving(t *testing.T) {
 		}
 		mu.Unlock()
 	}
+}
+
+// TestReceiverCloseDuringIngress closes a receiver while traffic is still
+// arriving on the engine pump: the accept gate runs before r.mu is taken,
+// so it must read the atomic parked mirror, not the pending map Close is
+// emptying — the race detector pins the regression.
+func TestReceiverCloseDuringIngress(t *testing.T) {
+	forDepths(t, func(t *testing.T, k int) {
+		const total = 200
+		s, r := newStations(t, k, PipeConfig{Seed: 19}, nil)
+		ctx, cancel := context.WithTimeout(testCtx(t), 200*time.Millisecond)
+		defer cancel()
+		go func() {
+			for {
+				if _, err := r.Recv(ctx); err != nil {
+					return
+				}
+			}
+		}()
+		msgs := make([][]byte, total)
+		for i := range msgs {
+			msgs[i] = []byte(fmt.Sprintf("close-%03d", i))
+		}
+		done := make(chan []error, 1)
+		go func() { done <- sendAll(ctx, s, msgs) }()
+		time.Sleep(2 * time.Millisecond)
+		r.Close()
+		// Sends racing the teardown may have completed, crashed or timed out;
+		// any of those is fine — what the test pins is that the accept gate
+		// and Close never touch the pending map concurrently.
+		<-done
+	})
 }

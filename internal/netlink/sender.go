@@ -11,57 +11,104 @@ import (
 	"ghm/internal/trace"
 )
 
-// SenderConfig parameterizes a Sender session.
+// SenderConfig parameterizes a Sender.
 type SenderConfig struct {
-	// Params configures the protocol transmitter.
+	// Window is the depth k: how many Sends may be in flight at once
+	// (default 1, the paper's stop-and-wait station; max core.MaxWindow).
+	Window int
+	// Params configures each slot's protocol transmitter.
 	Params core.Params
 	// Tap, when non-nil, observes the station's externally visible
-	// actions — send_msg, OK and crash^T — as trace events, in the order
-	// the station commits them. It is invoked with the station lock held:
-	// callbacks must be fast and must not call back into the station.
-	// Feeding both stations' taps into one verify.Live turns any run into
-	// a live check of the paper's Section 2.6 conditions.
+	// actions — send_msg, OK and crash^T, each carrying its slot — as
+	// trace events, in the order the station commits them. It is invoked
+	// with the station lock held: callbacks must be fast and must not call
+	// back into the station. Feeding both stations' taps into one
+	// verify.Live turns any run into a live check of the paper's Section
+	// 2.6 conditions.
 	Tap func(trace.Event)
 	// Metrics receives the station's runtime counters (the tx.* family);
 	// nil uses metrics.Default().
 	Metrics *metrics.Registry
+	// Epoch distinguishes successive sender incarnations talking to one
+	// long-lived receiver: the receiver adopts the highest epoch it sees
+	// and resets its release cursor for it, so a rebuilt sender (whose
+	// admission seqs restart at zero) is not mistaken for a replay of the
+	// old one. Supervised sessions pass their incarnation number; a
+	// single-incarnation pair leaves it 0. Raising the epoch abandons the
+	// previous incarnation's in-order dedup, so delivery across a rebuild
+	// is at-least-once — the session's documented contract. A depth-1
+	// station writes no admission frame (core.Framed) and ignores it.
+	Epoch uint64
 }
 
-// Sender runs a protocol transmitter over a PacketConn and offers blocking
-// exactly-once sends: Send returns nil only after the protocol's OK, i.e.
-// after the message was delivered (with probability at least 1-epsilon)
-// to the receiving station's higher layer.
+// Sender runs a k-deep window of protocol transmitters over a PacketConn
+// and offers blocking exactly-once sends: up to k Send calls proceed
+// concurrently, each owning one slot, and Send returns nil only after
+// that slot's protocol OK, i.e. after the message was delivered (with
+// probability at least 1-epsilon) to the receiving station's higher
+// layer. At the default depth 1 it is the paper's transmitting station.
+// One station, one tap stream, one crash model: cancelling any in-flight
+// Send (or Crash/Close) wipes the whole window, because the model's only
+// abandonment action is crash^T and a crash erases the entire station.
 //
 // The station has no goroutine of its own: inbound packets arrive as
 // engine-pump callbacks (see stationEndpoint), so a thousand senders on
 // one conn still cost one read pump.
 type Sender struct {
-	io  stationIO
-	tap func(trace.Event)
-	m   senderMetrics
+	io     stationIO
+	tap    func(trace.Event)
+	m      senderMetrics
+	k      int
+	framed bool // core.Framed(k): payloads carry epoch‖seq, see window.go
+	epoch  uint64
 
-	mu     sync.Mutex // guards tx, waiter and last
-	tx     *core.Transmitter
-	waiter chan error   // non-nil while a Send awaits its OK
-	last   core.TxStats // tx stats at the previous flush (delta baseline)
+	mu      sync.Mutex // guards everything below
+	wt      *core.WindowedTransmitter
+	waiters []chan error // per slot; non-nil while a Send awaits its OK
+	last    core.TxStats // stats at the previous flush (delta baseline)
 
-	sendMu sync.Mutex // serializes Send callers (Axiom 1)
+	// Admission state of a framed window (see window.go); a depth-1
+	// station allocates none of it.
+	slotMsg  [][]byte            // per slot: the payload in flight, kept for wiped
+	slotSeq  []uint64            // per slot: admission seq of that payload
+	nextSeq  uint64              // next fresh admission seq
+	wiped    map[string][]uint64 // payload bytes -> wiped seqs, for resubmission reuse
+	frameBuf []byte              // scratch: epoch‖seq‖msg on its way into a slot
+	spanWait chan struct{}       // non-nil while a Send waits out the span bound; closed on the next OK
+
+	free chan int // slot tokens; admission waits here, bounding in-flight at k
 
 	stop      chan struct{}
 	closeOnce sync.Once
 }
 
-// NewSender builds the transmitter and attaches it to conn's engine.
+// NewSender builds the window and attaches it to conn's engine.
 func NewSender(conn PacketConn, cfg SenderConfig) (*Sender, error) {
-	tx, err := core.NewTransmitter(cfg.Params)
+	if cfg.Window == 0 {
+		cfg.Window = 1
+	}
+	wt, err := core.NewWindowedTransmitter(cfg.Window, cfg.Params)
 	if err != nil {
 		return nil, fmt.Errorf("netlink: sender: %w", err)
 	}
 	s := &Sender{
-		tap:  cfg.Tap,
-		m:    newSenderMetrics(cfg.Metrics),
-		tx:   tx,
-		stop: make(chan struct{}),
+		tap:     cfg.Tap,
+		m:       newSenderMetrics(cfg.Metrics),
+		k:       cfg.Window,
+		framed:  core.Framed(cfg.Window),
+		epoch:   cfg.Epoch,
+		wt:      wt,
+		waiters: make([]chan error, cfg.Window),
+		free:    make(chan int, cfg.Window),
+		stop:    make(chan struct{}),
+	}
+	if s.framed {
+		s.slotMsg = make([][]byte, cfg.Window)
+		s.slotSeq = make([]uint64, cfg.Window)
+		s.wiped = make(map[string][]uint64)
+	}
+	for i := 0; i < cfg.Window; i++ {
+		s.free <- i
 	}
 	s.io = stationEndpoint(conn, cfg.Metrics)
 	s.io.ep.SetHandler(s.handlePacket)
@@ -70,18 +117,20 @@ func NewSender(conn PacketConn, cfg SenderConfig) (*Sender, error) {
 
 // emit reports one externally visible action; callers hold s.mu so taps
 // observe actions in commit order.
-func (s *Sender) emit(k trace.Kind, msg string) {
+func (s *Sender) emit(k trace.Kind, msg string, slot int) {
 	if s.tap != nil {
-		s.tap(trace.Event{Kind: k, Msg: msg})
+		var e trace.Event
+		e.Kind, e.Msg, e.Slot = k, msg, slot
+		s.tap(e)
 	}
 }
 
-// flushStats publishes the transmitter's per-incarnation protocol
-// counters into the registry as deltas, keeping the registry cumulative
-// across crashes. Call with s.mu held, and always immediately before
-// tx.Crash(), which zeroes the counters the deltas are computed from.
+// flushStats publishes the window's per-incarnation protocol counters
+// into the registry as deltas, keeping the registry cumulative across
+// crashes. Call with s.mu held, and always immediately before wt.Crash(),
+// which zeroes the counters the deltas are computed from.
 func (s *Sender) flushStats() {
-	st := s.tx.Stats()
+	st := s.wt.Stats()
 	s.m.packetsSent.Add(int64(st.PacketsSent - s.last.PacketsSent))
 	s.m.oks.Add(int64(st.OKs - s.last.OKs))
 	s.m.errorsCounted.Add(int64(st.ErrorsCounted - s.last.ErrorsCounted))
@@ -90,30 +139,51 @@ func (s *Sender) flushStats() {
 	s.last = st
 }
 
-// crashLocked performs crash^T with the bookkeeping every crash needs:
-// stats flushed first (the wipe zeroes them), the event taped, the crash
-// counted. Call with s.mu held.
+// crashLocked performs the station's crash^T: stats flushed first (the
+// wipe zeroes them), every slot's memory wiped at once, every in-flight
+// payload of a framed window recorded for seq reuse, every still-parked
+// waiter resolved with ErrCrashed, the event taped, the crash counted.
+// Call with s.mu held. The waiter sends cannot block: each channel is
+// buffered (cap 1) and exclusively owned by whoever cleared it here.
 func (s *Sender) crashLocked() {
 	s.flushStats()
-	s.tx.Crash()
+	for i, w := range s.waiters {
+		if s.wt.SlotBusy(i) {
+			s.m.windowWiped.Inc()
+			if s.framed {
+				// Append, never assign: byte-identical payloads on different
+				// slots each contribute their own seq to the multiset.
+				key := string(s.slotMsg[i])
+				s.wiped[key] = append(s.wiped[key], s.slotSeq[i])
+			}
+		}
+		if w != nil {
+			s.waiters[i] = nil
+			s.m.abandoned.Inc()
+			w <- ErrCrashed
+		}
+	}
+	s.wt.Crash()
 	s.last = core.TxStats{}
 	s.m.crashes.Inc()
-	s.emit(trace.KindCrashT, "")
+	s.m.windowInflight.Set(0)
+	s.emit(trace.KindCrashT, "", 0)
 }
 
-// settle resolves an interrupted Send. If the transfer is still pending,
-// the station crashes itself — the model offers no "cancel" action, so an
-// abandoned transfer is accounted as crash^T, and wiping the transmitter
-// guarantees a stale OK arriving later cannot match it — and settle
-// reports nothing to drain. If the resolution raced ahead and already
-// cleared the waiter, its buffered result is guaranteed to arrive
-// promptly (the resolver sends before touching the conn — see
-// handlePacket); settle drains it and hands it back, so a transfer
-// whose OK beat the cancellation is reported delivered, never failed.
-func (s *Sender) settle(w chan error) (error, bool) {
+// settle resolves an interrupted Send for slot. If the transfer is still
+// pending, the station crashes itself — the model offers no "cancel"
+// action, so an abandoned transfer is accounted as crash^T, and wiping
+// the window guarantees a stale OK arriving later cannot match it — and
+// settle reports nothing to drain. If the OK (or a concurrent crash)
+// raced ahead and already cleared the waiter, its buffered result is
+// guaranteed to arrive promptly (the resolver sends before touching the
+// conn — see handlePacket); settle drains it and hands it back, so a
+// transfer whose OK beat the cancellation is reported delivered, never
+// failed.
+func (s *Sender) settle(slot int, w chan error) (error, bool) {
 	s.mu.Lock()
-	if s.waiter == w {
-		s.waiter = nil
+	if s.waiters[slot] == w {
+		s.waiters[slot] = nil
 		s.m.abandoned.Inc()
 		s.crashLocked()
 		s.mu.Unlock()
@@ -136,96 +206,128 @@ func (s *Sender) finish(start time.Time, err error) error {
 	return err
 }
 
+// await receives from ch unless the Send waiting on it has to give up
+// first: its context ended, or the station was closed, detached from its
+// engine, or left without a conn by a dead pump (surfacing ErrClosed
+// beats leaving the Send parked until its context expires).
+func await[T any](ctx context.Context, s *Sender, ch <-chan T) (v T, err error) {
+	select {
+	case v = <-ch:
+		return v, nil
+	case <-ctx.Done():
+		return v, ctx.Err()
+	case <-s.stop:
+	case <-s.io.ep.Closed():
+	case <-s.io.ep.Dead():
+	}
+	return v, ErrClosed
+}
+
 // Send transfers msg and blocks until the protocol confirms delivery (OK),
-// the context ends, or the sender is closed or crashed. On context
-// cancellation or Close the in-flight transfer cannot be plainly
+// the context ends, or the sender is closed or crashed. Up to k calls
+// proceed concurrently; each waits for a free window slot first. On
+// context cancellation or Close the in-flight transfer cannot be plainly
 // abandoned — the model offers no "cancel" action — so the station
 // crashes itself (memory erased), exactly as a real host would be
-// power-cycled.
+// power-cycled. At depth 1 that is the whole story: the next Send starts
+// fresh. In a deeper window the crash also fails the concurrent Sends
+// with ErrCrashed, and every wiped payload must be resubmitted
+// byte-identical to keep the receiver's in-order release moving
+// (ghm.Session does this automatically; see window.go).
 func (s *Sender) Send(ctx context.Context, msg []byte) error {
-	s.sendMu.Lock()
-	defer s.sendMu.Unlock()
+	var slot int
+	payload := msg
+	for {
+		select {
+		case slot = <-s.free: // the common case, without a five-way select
+		default:
+			var err error
+			if slot, err = await(ctx, s, s.free); err != nil {
+				return err
+			}
+		}
+		s.mu.Lock()
+		if !s.framed {
+			break
+		}
+		seq, wait := s.admitSeq(msg)
+		if wait == nil {
+			s.frameBuf = appendSeqFrame(s.frameBuf[:0], s.epoch, seq, msg)
+			payload = s.frameBuf
+			s.slotMsg[slot] = append(s.slotMsg[slot][:0], msg...)
+			s.slotSeq[slot] = seq
+			break
+		}
+		// Held back by the span bound. Wait without the slot: the
+		// resubmission the span is waiting for may need it.
+		s.mu.Unlock()
+		s.free <- slot
+		if _, err := await(ctx, s, wait); err != nil {
+			return err
+		}
+	}
+	// The token returns unconditionally: cap k and single ownership make
+	// this send non-blocking.
+	defer func() { s.free <- slot }()
 
 	buf := getPacketBuf()
-	s.mu.Lock()
-	pkt, err := s.tx.AppendSendMsg(*buf, msg)
+	pkt, err := s.wt.AppendSendMsg(*buf, slot, payload)
 	if err != nil {
+		// Unreachable while the token invariant holds (a held token means a
+		// free slot); file the seq as wiped so a stray failure cannot poison
+		// the stream with a hole.
+		if s.framed {
+			s.wiped[string(msg)] = append(s.wiped[string(msg)], s.slotSeq[slot])
+		}
 		s.mu.Unlock()
 		s.io.transmit(buf, pkt) // nothing was appended: this only returns buf
 		return fmt.Errorf("netlink: send: %w", err)
 	}
 	s.m.sendMsgs.Inc()
+	s.m.windowAdmitted.Inc()
 	if s.tap != nil {
-		s.emit(trace.KindSendMsg, string(msg))
+		s.emit(trace.KindSendMsg, string(msg), slot)
 	}
-	s.flushStats()
 	w := make(chan error, 1)
-	s.waiter = w
+	s.waiters[slot] = w
+	s.m.windowInflight.Set(float64(s.wt.InFlight()))
+	s.flushStats()
 	s.mu.Unlock()
 
 	start := s.io.clock().Now()
 	s.io.transmit(buf, pkt)
 
-	select {
-	case err := <-w:
-		return s.finish(start, err)
-	case <-ctx.Done():
-		if res, ok := s.settle(w); ok {
-			return s.finish(start, res)
+	res, err := await(ctx, s, w)
+	if err != nil {
+		var drained bool
+		if res, drained = s.settle(slot, w); !drained {
+			return err
 		}
-		return ctx.Err()
-	case <-s.stop:
-		if res, ok := s.settle(w); ok {
-			return s.finish(start, res)
-		}
-		return ErrClosed
-	case <-s.io.ep.Closed():
-		// The endpoint was detached under us.
-		if res, ok := s.settle(w); ok {
-			return s.finish(start, res)
-		}
-		return ErrClosed
-	case <-s.io.ep.Dead():
-		// The engine pump died — the conn is gone. The pre-engine loop
-		// would have left this Send parked until its context expired;
-		// surfacing ErrClosed is the strictly more live behaviour.
-		if res, ok := s.settle(w); ok {
-			return s.finish(start, res)
-		}
-		return ErrClosed
 	}
+	return s.finish(start, res)
 }
 
-// Crash simulates crash^T: the station's memory is erased and any pending
-// Send fails with ErrCrashed.
+// Crash simulates crash^T on the whole station: every slot's memory is
+// erased at once and every pending Send fails with ErrCrashed.
 func (s *Sender) Crash() {
 	s.mu.Lock()
 	s.crashLocked()
-	w := s.waiter
-	s.waiter = nil
 	s.mu.Unlock()
-	if w != nil {
-		// Whoever clears s.waiter under the lock owns the buffered channel
-		// exclusively, so this send cannot block and cannot double-resolve
-		// against a concurrent OK from the packet handler (see the
-		// interleaving tests in waiter_race_test.go).
-		s.m.abandoned.Inc()
-		w <- ErrCrashed
-	}
 }
 
-// Stats returns the transmitter's protocol counters.
+// Stats returns the window's aggregated protocol counters.
 func (s *Sender) Stats() core.TxStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.tx.Stats()
+	return s.wt.Stats()
 }
 
 // Close detaches the station from its engine (closing the conn when the
-// station owns it — see stationEndpoint). A pending Send fails with
-// ErrClosed and its transfer is abandoned via the same crash^T
-// bookkeeping as a context cancellation, so no waiter survives Close to
-// be matched by a stale OK.
+// station owns it — see stationEndpoint). Pending Sends fail with
+// ErrClosed or ErrCrashed (the first to settle crashes the window; the
+// rest observe that crash), their transfers abandoned via the same
+// crash^T bookkeeping as a context cancellation, so no waiter survives
+// Close to be matched by a stale OK.
 func (s *Sender) Close() error {
 	s.closeOnce.Do(func() {
 		close(s.stop)
@@ -234,20 +336,29 @@ func (s *Sender) Close() error {
 	return nil
 }
 
-// handlePacket is the engine-pump callback: one protocol round. It must
-// not block — the waiter channel is buffered and owned exclusively by
-// whoever clears it under the lock, so the resolve cannot stall the
-// pump.
+// handlePacket is the engine-pump callback: one protocol round for one
+// slot. It must not block — the waiter channel is buffered and owned
+// exclusively by whoever clears it under the lock, so the resolve cannot
+// stall the pump.
+//
+//ghm:hotpath
 func (s *Sender) handlePacket(p []byte) {
 	buf := getPacketBuf()
 	s.mu.Lock()
-	pkt, ok := s.tx.AppendReceivePacket(*buf, p)
+	pkt, slot := s.wt.AppendReceivePacket(*buf, p)
 	s.m.packetsReceived.Inc()
 	var w chan error
-	if ok {
-		s.emit(trace.KindOK, "")
-		w = s.waiter
-		s.waiter = nil
+	if slot >= 0 {
+		s.emit(trace.KindOK, "", slot)
+		w = s.waiters[slot]
+		s.waiters[slot] = nil
+		s.m.windowInflight.Set(float64(s.wt.InFlight()))
+		if s.spanWait != nil {
+			// The lowest unconfirmed seq may have moved: let admissions
+			// held by the span bound look again.
+			close(s.spanWait)
+			s.spanWait = nil
+		}
 	}
 	s.flushStats()
 	s.mu.Unlock()

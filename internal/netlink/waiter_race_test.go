@@ -2,12 +2,14 @@ package netlink
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"sync"
 	"testing"
 	"time"
 
 	"ghm/internal/bitstr"
+	"ghm/internal/core"
 	"ghm/internal/metrics"
 	"ghm/internal/trace"
 	"ghm/internal/wire"
@@ -76,6 +78,38 @@ func (c *scriptConn) feed(t *testing.T, p []byte) {
 	}
 }
 
+// slotFramed dresses a hand-built packet the way a depth-k station's peer
+// would: behind slot's id in a framed window, bare at depth 1.
+func slotFramed(k, slot int, p []byte) []byte {
+	if !core.Framed(k) {
+		return p
+	}
+	return append(binary.AppendUvarint(nil, uint64(slot)), p...)
+}
+
+// sentData decodes the next DATA packet a depth-k station put on conn for
+// the given slot.
+func sentData(t *testing.T, k, slot int, conn *scriptConn) wire.Data {
+	t.Helper()
+	select {
+	case p := <-conn.sent:
+		if core.Framed(k) {
+			if len(p) == 0 || int(p[0]) != slot {
+				t.Fatalf("station emitted %x, want a slot-%d frame", p, slot)
+			}
+			p = p[1:]
+		}
+		d, err := wire.DecodeData(p)
+		if err != nil {
+			t.Fatalf("station emitted junk: %v", err)
+		}
+		return d
+	case <-time.After(5 * time.Second):
+		t.Fatal("no DATA packet for the challenge")
+		panic("unreachable")
+	}
+}
+
 // TestCloseAbandonsPendingTransfer is the regression test for the
 // abandoned-transfer bookkeeping bug: Send's Close path used to return
 // ErrClosed while leaving the waiter set and the transmitter un-crashed,
@@ -84,11 +118,16 @@ func (c *scriptConn) feed(t *testing.T, p []byte) {
 // no crash^T accounted for the abandonment. After the fix the abandoned
 // transfer is wiped as crash^T and the stale ack is ignored.
 func TestCloseAbandonsPendingTransfer(t *testing.T) {
+	forDepths(t, testCloseAbandonsPendingTransfer)
+}
+
+func testCloseAbandonsPendingTransfer(t *testing.T, k int) {
 	conn := newScriptConn()
 	reg := metrics.New()
 	var mu sync.Mutex
 	var events []trace.Kind
 	s, err := NewSender(conn, SenderConfig{
+		Window: k,
 		Tap: func(e trace.Event) {
 			mu.Lock()
 			events = append(events, e.Kind)
@@ -109,18 +148,8 @@ func TestCloseAbandonsPendingTransfer(t *testing.T) {
 	// 2. Feed a receiver challenge; the transmitter answers with DATA,
 	// revealing the transfer's tag.
 	rho := bitstr.MustBinary("10110011")
-	conn.feed(t, wire.Ctl{Rho: rho, Tau: bitstr.Empty(), I: 1}.Encode())
-	var tau bitstr.Str
-	select {
-	case p := <-conn.sent:
-		d, err := wire.DecodeData(p)
-		if err != nil {
-			t.Fatalf("station emitted junk: %v", err)
-		}
-		tau = d.Tau
-	case <-time.After(5 * time.Second):
-		t.Fatal("no DATA packet for the challenge")
-	}
+	conn.feed(t, slotFramed(k, 0, wire.Ctl{Rho: rho, Tau: bitstr.Empty(), I: 1}.Encode()))
+	tau := sentData(t, k, 0, conn).Tau
 
 	// 3. Close the sender. Close blocks until the receive loop exits, and
 	// our conn keeps that loop alive, so run it from a goroutine; the
@@ -138,7 +167,7 @@ func TestCloseAbandonsPendingTransfer(t *testing.T) {
 
 	// 4. A perfectly valid — but now stale — OK for the abandoned
 	// transfer arrives while the receive loop is still running.
-	conn.feed(t, wire.Ctl{Rho: bitstr.MustBinary("01011100"), Tau: tau, I: 2}.Encode())
+	conn.feed(t, slotFramed(k, 0, wire.Ctl{Rho: bitstr.MustBinary("01011100"), Tau: tau, I: 2}.Encode()))
 
 	// 5. Let the receive loop observe the close and Close return.
 	close(conn.release)
@@ -188,12 +217,17 @@ func TestCloseAbandonsPendingTransfer(t *testing.T) {
 // iterations, and deterministically when cancel lands in the gap between
 // the waiter being cleared and the buffered send.
 func TestCancelVsOKDeliveredWins(t *testing.T) {
+	forDepths(t, testCancelVsOKDeliveredWins)
+}
+
+func testCancelVsOKDeliveredWins(t *testing.T, k int) {
 	for i := 0; i < 50; i++ {
 		conn := newScriptConn()
 		reg := metrics.New()
 		var mu sync.Mutex
 		var events []trace.Kind
 		s, err := NewSender(conn, SenderConfig{
+			Window: k,
 			Tap: func(e trace.Event) {
 				mu.Lock()
 				events = append(events, e.Kind)
@@ -212,23 +246,13 @@ func TestCancelVsOKDeliveredWins(t *testing.T) {
 
 		// Challenge in, DATA out: the transfer's tag is on the wire.
 		rho := bitstr.MustBinary("10110011")
-		conn.feed(t, wire.Ctl{Rho: rho, Tau: bitstr.Empty(), I: 1}.Encode())
-		var tau bitstr.Str
-		select {
-		case p := <-conn.sent:
-			d, err := wire.DecodeData(p)
-			if err != nil {
-				t.Fatalf("station emitted junk: %v", err)
-			}
-			tau = d.Tau
-		case <-time.After(5 * time.Second):
-			t.Fatal("no DATA packet for the challenge")
-		}
+		conn.feed(t, slotFramed(k, 0, wire.Ctl{Rho: rho, Tau: bitstr.Empty(), I: 1}.Encode()))
+		tau := sentData(t, k, 0, conn).Tau
 
 		// A valid ack: the OK commits (counter flushed under the station
 		// lock, so once tx.oks reads 1 the waiter has been claimed by the
 		// handler) — and only then does the cancellation land.
-		conn.feed(t, wire.Ctl{Rho: bitstr.MustBinary("01011100"), Tau: tau, I: 2}.Encode())
+		conn.feed(t, slotFramed(k, 0, wire.Ctl{Rho: bitstr.MustBinary("01011100"), Tau: tau, I: 2}.Encode()))
 		waitCounter(t, reg, "tx.oks", 1)
 		cancel()
 
@@ -269,12 +293,13 @@ func TestCancelVsOKDeliveredWins(t *testing.T) {
 	}
 }
 
-// raceSession builds a Sender/Receiver pair on a perfect pipe with a tap
-// recording the sender's events.
-func raceSession(t *testing.T, seed int64, events *[]trace.Kind, mu *sync.Mutex) (*Sender, *Receiver) {
+// raceSession builds a depth-k Sender/Receiver pair on a perfect pipe
+// with a tap recording the sender's events.
+func raceSession(t *testing.T, k int, seed int64, events *[]trace.Kind, mu *sync.Mutex) (*Sender, *Receiver) {
 	t.Helper()
 	a, b := Pipe(PipeConfig{Seed: seed})
 	s, err := NewSender(a, SenderConfig{
+		Window: k,
 		Tap: func(e trace.Event) {
 			mu.Lock()
 			*events = append(*events, e.Kind)
@@ -284,7 +309,7 @@ func raceSession(t *testing.T, seed int64, events *[]trace.Kind, mu *sync.Mutex)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReceiver(b, ReceiverConfig{RetryInterval: 50 * time.Microsecond})
+	r, err := NewReceiver(b, ReceiverConfig{Window: k, RetryInterval: 50 * time.Microsecond})
 	if err != nil {
 		s.Close()
 		t.Fatal(err)
@@ -296,11 +321,15 @@ func raceSession(t *testing.T, seed int64, events *[]trace.Kind, mu *sync.Mutex)
 // the receive loop, many times, under -race: the waiter must resolve
 // exactly once, with either nil or ErrCrashed, and never wedge.
 func TestCrashVsOKInterleaving(t *testing.T) {
+	forDepths(t, testCrashVsOKInterleaving)
+}
+
+func testCrashVsOKInterleaving(t *testing.T, k int) {
 	ctx := testCtx(t)
 	for i := 0; i < 150; i++ {
 		var mu sync.Mutex
 		var events []trace.Kind
-		s, r := raceSession(t, int64(1000+i), &events, &mu)
+		s, r := raceSession(t, k, int64(1000+i), &events, &mu)
 
 		errc := make(chan error, 1)
 		go func() { errc <- s.Send(ctx, []byte("racer")) }()
@@ -313,6 +342,13 @@ func TestCrashVsOKInterleaving(t *testing.T) {
 		case err := <-errc:
 			if err != nil && !errors.Is(err, ErrCrashed) {
 				t.Fatalf("iter %d: Send = %v, want nil or ErrCrashed", i, err)
+			}
+			if err != nil && core.Framed(k) {
+				// A framed window's stream contract: the wiped payload is
+				// resubmitted, or release stalls at its seq.
+				if err := s.Send(ctx, []byte("racer")); err != nil {
+					t.Fatalf("iter %d: resubmission = %v", i, err)
+				}
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatalf("iter %d: Send never resolved — waiter lost", i)
@@ -340,11 +376,15 @@ func TestCrashVsOKInterleaving(t *testing.T) {
 // transfer really was pending, crash^T taped). What may never happen is an
 // OK and a crash^T for the same transfer.
 func TestCloseVsOKInterleaving(t *testing.T) {
+	forDepths(t, testCloseVsOKInterleaving)
+}
+
+func testCloseVsOKInterleaving(t *testing.T, k int) {
 	ctx := testCtx(t)
 	for i := 0; i < 150; i++ {
 		var mu sync.Mutex
 		var events []trace.Kind
-		s, r := raceSession(t, int64(5000+i), &events, &mu)
+		s, r := raceSession(t, k, int64(5000+i), &events, &mu)
 
 		errc := make(chan error, 1)
 		go func() { errc <- s.Send(ctx, []byte("racer")) }()

@@ -55,12 +55,12 @@ type Config struct {
 	WALSync     bool
 	MaxAttempts int
 
-	// Window is the station's sliding-window depth (default 1). Depths
-	// above 1 build each incarnation as a netlink.WindowedSender and run
-	// as many outbox workers, so up to Window payloads are in flight at
-	// once; the windowed receiver releases them in admission order, and
-	// the outbox's byte-identical resubmission after a wipe is exactly
-	// the contract the window's exactly-once dedup needs.
+	// Window is the station's sliding-window depth (default 1). Each
+	// incarnation is a netlink.Sender of that depth fed by as many outbox
+	// workers, so up to Window payloads are in flight at once; the
+	// receiver releases them in admission order, and the outbox's
+	// byte-identical resubmission after a wipe is exactly the contract a
+	// deeper window's exactly-once dedup needs.
 	Window int
 
 	// Watchdog, backoff and breaker knobs; see supervise.Config.
@@ -106,28 +106,19 @@ type Stats struct {
 	Health        supervise.Health
 }
 
-// station is one transmitting incarnation: the single-slot
-// netlink.Sender or, with Config.Window above 1, a
-// netlink.WindowedSender.
-type station interface {
-	Send(ctx context.Context, msg []byte) error
-	Crash()
-	Close() error
-}
-
 // Session is the supervised endpoint; see the package comment. Create
 // with New, always Close.
 type Session struct {
 	cfg Config
-	sup *supervise.Supervisor[station]
+	sup *supervise.Supervisor[*netlink.Sender]
 	q   *outbox.Queue
 
 	resubmits *metrics.Counter
 
-	// epoch numbers windowed-station incarnations. Each rebuild frames a
-	// higher epoch into its admission seqs, so a long-lived remote
-	// windowed receiver adopts the fresh stream instead of dropping the
-	// restarted seq space as duplicates.
+	// epoch numbers station incarnations. Each rebuild of a framed window
+	// (depth above 1) frames a higher epoch into its admission seqs, so a
+	// long-lived remote receiver adopts the fresh stream instead of
+	// dropping the restarted seq space as duplicates.
 	epoch atomic.Uint64
 
 	subMu  sync.Mutex
@@ -149,9 +140,9 @@ func New(cfg Config) (*Session, error) {
 	}
 	s := &Session{cfg: cfg, resubmits: reg.Counter(mSessionResubmits)}
 
-	sup, err := supervise.New(supervise.Config[station]{
+	sup, err := supervise.New(supervise.Config[*netlink.Sender]{
 		Start:            s.start,
-		Stop:             func(st station) { st.Close() },
+		Stop:             func(st *netlink.Sender) { st.Close() },
 		Pending:          s.pending,
 		Window:           cfg.WatchdogWindow,
 		Interval:         cfg.WatchdogInterval,
@@ -200,7 +191,7 @@ func New(cfg Config) (*Session, error) {
 // start dials and builds one station incarnation. The tap wrapper feeds
 // every OK to the watchdog as progress before forwarding to the caller's
 // tap.
-func (s *Session) start() (station, error) {
+func (s *Session) start() (*netlink.Sender, error) {
 	conn, err := s.cfg.Dial()
 	if err != nil {
 		return nil, err
@@ -213,22 +204,13 @@ func (s *Session) start() (station, error) {
 			s.cfg.Tap(e)
 		}
 	}
-	var st station
-	if s.cfg.Window > 1 {
-		st, err = netlink.NewWindowedSender(conn, netlink.WindowedSenderConfig{
-			Window:  s.cfg.Window,
-			Epoch:   s.epoch.Add(1),
-			Params:  s.cfg.Params,
-			Tap:     tap,
-			Metrics: s.cfg.Metrics,
-		})
-	} else {
-		st, err = netlink.NewSender(conn, netlink.SenderConfig{
-			Params:  s.cfg.Params,
-			Tap:     tap,
-			Metrics: s.cfg.Metrics,
-		})
-	}
+	st, err := netlink.NewSender(conn, netlink.SenderConfig{
+		Window:  s.cfg.Window,
+		Epoch:   s.epoch.Add(1),
+		Params:  s.cfg.Params,
+		Tap:     tap,
+		Metrics: s.cfg.Metrics,
+	})
 	if err != nil {
 		conn.Close()
 		return nil, err

@@ -404,7 +404,7 @@ func TestWindowedSessionSurvivesCrashesAndRestart(t *testing.T) {
 	shared := netlink.NewSharedConn(a)
 	defer shared.Close()
 
-	r, err := netlink.NewWindowedReceiver(b, netlink.WindowedReceiverConfig{
+	r, err := netlink.NewReceiver(b, netlink.ReceiverConfig{
 		Window:        window,
 		RetryInterval: 200 * time.Microsecond,
 		Metrics:       metrics.New(),
