@@ -142,7 +142,7 @@ func TestChaosWindowedStreamSurvivesCrashes(t *testing.T) {
 		default:
 			return
 		}
-		live.Observe(trace.Event{Kind: k, Msg: string(e.Msg), Slot: e.Slot})
+		live.Observe(k, e.Msg, e.Slot)
 	}
 
 	left, right := ghm.Pipe(chaosFaults(74))

@@ -25,8 +25,9 @@ import (
 // Exit codes: 0 clean (or -escapes-update), 1 regressions, 2 harness error.
 
 // escapePkgs are the packages whose escape behaviour is pinned: the
-// protocol core under the hot roots, and the runtime scope of the
-// whole-program analyzers.
+// protocol core under the hot roots, the runtime scope of the
+// whole-program analyzers, and the conformance checker every mesh hop's
+// taps feed.
 var escapePkgs = []string{
 	"ghm/internal/bitstr",
 	"ghm/internal/wire",
@@ -37,6 +38,7 @@ var escapePkgs = []string{
 	"ghm/internal/supervise",
 	"ghm/internal/relay",
 	"ghm/internal/fabric",
+	"ghm/internal/verify",
 }
 
 // escapeLineRe splits one compiler diagnostic. Positions (line:col) are
@@ -59,6 +61,7 @@ var escapeDirs = []string{
 	"internal/supervise/",
 	"internal/relay/",
 	"internal/fabric/",
+	"internal/verify/",
 }
 
 // normalizeEscapes reduces `go build -gcflags=-m` output to a

@@ -209,7 +209,7 @@ func SupervisedSoak(ctx context.Context, cfg SupervisedSoakConfig) (SupervisedRe
 		BreakerWindow:     30 * time.Second,
 		BreakerCooldown:   250 * time.Millisecond,
 		Seed:              sc.Seed + 4,
-		Clock:             cfg.Clock,
+		Wheel:             wheel,
 		Metrics:           reg,
 	})
 	if err != nil {

@@ -54,8 +54,18 @@ func NewWheel(tick time.Duration, slots int) *Wheel {
 
 // NewWheelOn starts a wheel on clk. A *clock.Virtual wheel spawns no
 // goroutine (see Wheel); any other clock gets the classic ticker loop
-// driven by that clock's ticker and Now.
+// driven by that clock's ticker and Now, until Stop.
 func NewWheelOn(clk clock.Clock, tick time.Duration, slots int) *Wheel {
+	w := newWheel(clk, tick, slots)
+	if !w.virt {
+		go w.run()
+	}
+	return w
+}
+
+// newWheel builds a wheel and leaves starting its goroutine to the caller
+// (see runDefault).
+func newWheel(clk clock.Clock, tick time.Duration, slots int) *Wheel {
 	if clk == nil {
 		clk = clock.System()
 	}
@@ -78,7 +88,6 @@ func NewWheelOn(clk clock.Clock, tick time.Duration, slots int) *Wheel {
 	for i := range w.slots {
 		w.slots[i] = make(map[*Timer]struct{})
 	}
-	go w.run()
 	return w
 }
 
@@ -98,7 +107,8 @@ var (
 // goroutine. Engines without an explicit Config.Wheel use it.
 func DefaultWheel() *Wheel {
 	defaultWheelOnce.Do(func() {
-		defaultWheel = NewWheel(0, 0)
+		defaultWheel = newWheel(clock.System(), 0, 0)
+		go defaultWheel.runDefault()
 	})
 	return defaultWheel
 }
@@ -191,6 +201,12 @@ func (w *Wheel) Stop() {
 		<-w.done
 	})
 }
+
+// runDefault is the process-wide wheel's goroutine. It is run under a
+// name of its own because a goroutine's stack is how the leak guard
+// (internal/testutil) tells that wheel, which may outlive a test, from
+// every other wheel, which may not.
+func (w *Wheel) runDefault() { w.run() }
 
 func (w *Wheel) run() {
 	defer close(w.done)

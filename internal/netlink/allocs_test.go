@@ -12,6 +12,7 @@ import (
 	"ghm/internal/core"
 	"ghm/internal/netlink"
 	"ghm/internal/testutil"
+	"ghm/internal/verify"
 )
 
 // ringConn is one end of a link that allocates nothing per packet: Send
@@ -72,27 +73,37 @@ func (c *ringConn) Close() error {
 // packets, the decode and the transmitter's message copy are all free —
 // the protocol core's budget is zero — and so is the window: at depth 8
 // the admission frame, the slot's payload record and the whole window's
-// retry batch go through buffers the stations keep.
+// retry batch go through buffers the stations keep. Conformance checking
+// is free too: with both stations' taps feeding a verify.Live, as on every
+// mesh hop, the budget is the same 3 — the tap lends the checker the
+// payload bytes and the checker digests them where they lie.
 func TestStationRoundAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector's sync.Pool drops buffers at random")
 	}
 	for _, k := range []int{1, 8} {
-		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) { testStationRoundAllocBudget(t, k) })
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) { testStationRoundAllocBudget(t, k, nil) })
+		t.Run(fmt.Sprintf("k=%d,checked", k), func(t *testing.T) {
+			var live verify.Live
+			testStationRoundAllocBudget(t, k, live.Observe)
+			if r := live.Report(); !r.Clean() || r.OKs == 0 {
+				t.Errorf("conformance report %v", r)
+			}
+		})
 	}
 }
 
-func testStationRoundAllocBudget(t *testing.T, k int) {
+func testStationRoundAllocBudget(t *testing.T, k int, tap netlink.Tap) {
 	params := func(seed int64) core.Params {
 		return core.Params{Epsilon: 1.0 / (1 << 40), Source: bitstr.NewSeededSource(seed)}
 	}
 	a, b := ringPipe()
-	s, err := netlink.NewSender(a, netlink.SenderConfig{Window: k, Params: params(1)})
+	s, err := netlink.NewSender(a, netlink.SenderConfig{Window: k, Params: params(1), Tap: tap})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	r, err := netlink.NewReceiver(b, netlink.ReceiverConfig{Window: k, Params: params(2), RetryInterval: time.Millisecond})
+	r, err := netlink.NewReceiver(b, netlink.ReceiverConfig{Window: k, Params: params(2), RetryInterval: time.Millisecond, Tap: tap})
 	if err != nil {
 		t.Fatal(err)
 	}

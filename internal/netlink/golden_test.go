@@ -62,9 +62,9 @@ func (l *goldenLog) len() int {
 	return len(l.entries)
 }
 
-func (l *goldenLog) tap(station string) func(trace.Event) {
-	return func(e trace.Event) {
-		l.add("tap %s %v %q slot=%d", station, e.Kind, e.Msg, e.Slot)
+func (l *goldenLog) tap(station string) Tap {
+	return func(k trace.Kind, msg []byte, slot int) {
+		l.add("tap %s %v %q slot=%d", station, k, msg, slot)
 	}
 }
 

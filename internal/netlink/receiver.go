@@ -43,11 +43,8 @@ type ReceiverConfig struct {
 	// any arrival. Zero keeps the fixed-interval behaviour.
 	RetryBackoffMax time.Duration
 	// Tap, when non-nil, observes the station's externally visible
-	// actions — receive_msg and crash^R, each carrying its slot — as trace
-	// events, in the order the station commits them. It is invoked with
-	// the station lock held: callbacks must be fast and must not call back
-	// into the station.
-	Tap func(trace.Event)
+	// actions: receive_msg and crash^R, each carrying its slot.
+	Tap Tap
 	// Metrics receives the station's runtime counters (the rx.* family);
 	// nil uses metrics.Default().
 	Metrics *metrics.Registry
@@ -83,7 +80,7 @@ type ReceiverConfig struct {
 // timer wheel, so lane and session counts no longer multiply goroutines.
 type Receiver struct {
 	io     stationIO
-	tap    func(trace.Event)
+	tap    Tap
 	m      receiverMetrics
 	framed bool // core.Framed(depth): payloads carry epoch‖seq, see window.go
 
@@ -180,11 +177,11 @@ func NewReceiver(conn PacketConn, cfg ReceiverConfig) (*Receiver, error) {
 
 // emit reports one externally visible action; callers hold r.mu so taps
 // observe actions in commit order.
-func (r *Receiver) emit(k trace.Kind, msg string, slot int) {
+//
+//ghm:hotpath
+func (r *Receiver) emit(k trace.Kind, msg []byte, slot int) {
 	if r.tap != nil {
-		var e trace.Event
-		e.Kind, e.Msg, e.Slot = k, msg, slot
-		r.tap(e)
+		r.tap(k, msg, slot)
 	}
 }
 
@@ -235,7 +232,7 @@ func (r *Receiver) Crash() {
 	r.wr.Crash()
 	r.last = core.RxStats{}
 	r.m.crashes.Inc()
-	r.emit(trace.KindCrashR, "", 0)
+	r.emit(trace.KindCrashR, nil, 0)
 }
 
 // Stats returns the window's aggregated protocol counters.
@@ -327,9 +324,7 @@ func copyMsg(msg []byte) []byte {
 // appends what it releases to release. Call with r.mu held.
 func (r *Receiver) commit(release [][]byte, d core.SlotMsg) [][]byte {
 	if !r.framed {
-		if r.tap != nil {
-			r.emit(trace.KindReceiveMsg, string(d.Msg), d.Slot)
-		}
+		r.emit(trace.KindReceiveMsg, d.Msg, d.Slot)
 		r.m.windowReleased.Inc()
 		release = append(release, copyMsg(d.Msg))
 		return release
@@ -345,9 +340,7 @@ func (r *Receiver) commit(release [][]byte, d core.SlotMsg) [][]byte {
 	// The protocol delivery commits here, dup or not: a resubmitted
 	// attempt is a distinct send_msg and verify licenses its delivery.
 	// The seq layer decides what the application sees.
-	if r.tap != nil {
-		r.emit(trace.KindReceiveMsg, string(msg), d.Slot)
-	}
+	r.emit(trace.KindReceiveMsg, msg, d.Slot)
 	switch {
 	case epoch < r.epoch:
 		// A straggler from a dead sender incarnation: its seq space was

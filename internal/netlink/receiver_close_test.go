@@ -135,8 +135,8 @@ func testReceiverCloseVsDeliveryInterleaving(t *testing.T, k int) {
 		r, err := NewReceiver(b, ReceiverConfig{
 			Window:        k,
 			RetryInterval: 50 * time.Microsecond,
-			Tap: func(e trace.Event) {
-				if e.Kind == trace.KindReceiveMsg {
+			Tap: func(k trace.Kind, _ []byte, _ int) {
+				if k == trace.KindReceiveMsg {
 					mu.Lock()
 					taped++
 					mu.Unlock()

@@ -11,6 +11,17 @@ import (
 	"ghm/internal/trace"
 )
 
+// Tap observes a station's externally visible actions as the station
+// commits them: the action's kind, the payload of a send_msg or
+// receive_msg (nil otherwise) and the window slot. It is invoked with the
+// station lock held, so callbacks must be fast and must not call back
+// into the station, and msg is the station's own buffer — the caller's
+// message, or the inbound packet — valid only until the callback returns:
+// a tap that keeps the bytes copies them. Feeding both stations' taps
+// into one verify.Live turns any run into a live check of the paper's
+// Section 2.6 conditions, and that checker digests the bytes in place.
+type Tap func(kind trace.Kind, msg []byte, slot int)
+
 // SenderConfig parameterizes a Sender.
 type SenderConfig struct {
 	// Window is the depth k: how many Sends may be in flight at once
@@ -19,13 +30,8 @@ type SenderConfig struct {
 	// Params configures each slot's protocol transmitter.
 	Params core.Params
 	// Tap, when non-nil, observes the station's externally visible
-	// actions — send_msg, OK and crash^T, each carrying its slot — as
-	// trace events, in the order the station commits them. It is invoked
-	// with the station lock held: callbacks must be fast and must not call
-	// back into the station. Feeding both stations' taps into one
-	// verify.Live turns any run into a live check of the paper's Section
-	// 2.6 conditions.
-	Tap func(trace.Event)
+	// actions: send_msg, OK and crash^T, each carrying its slot.
+	Tap Tap
 	// Metrics receives the station's runtime counters (the tx.* family);
 	// nil uses metrics.Default().
 	Metrics *metrics.Registry
@@ -56,7 +62,7 @@ type SenderConfig struct {
 // one conn still cost one read pump.
 type Sender struct {
 	io     stationIO
-	tap    func(trace.Event)
+	tap    Tap
 	m      senderMetrics
 	k      int
 	framed bool // core.Framed(k): payloads carry epoch‖seq, see window.go
@@ -117,11 +123,11 @@ func NewSender(conn PacketConn, cfg SenderConfig) (*Sender, error) {
 
 // emit reports one externally visible action; callers hold s.mu so taps
 // observe actions in commit order.
-func (s *Sender) emit(k trace.Kind, msg string, slot int) {
+//
+//ghm:hotpath
+func (s *Sender) emit(k trace.Kind, msg []byte, slot int) {
 	if s.tap != nil {
-		var e trace.Event
-		e.Kind, e.Msg, e.Slot = k, msg, slot
-		s.tap(e)
+		s.tap(k, msg, slot)
 	}
 }
 
@@ -167,7 +173,7 @@ func (s *Sender) crashLocked() {
 	s.last = core.TxStats{}
 	s.m.crashes.Inc()
 	s.m.windowInflight.Set(0)
-	s.emit(trace.KindCrashT, "", 0)
+	s.emit(trace.KindCrashT, nil, 0)
 }
 
 // settle resolves an interrupted Send for slot. If the transfer is still
@@ -285,9 +291,7 @@ func (s *Sender) Send(ctx context.Context, msg []byte) error {
 	}
 	s.m.sendMsgs.Inc()
 	s.m.windowAdmitted.Inc()
-	if s.tap != nil {
-		s.emit(trace.KindSendMsg, string(msg), slot)
-	}
+	s.emit(trace.KindSendMsg, msg, slot)
 	w := make(chan error, 1)
 	s.waiters[slot] = w
 	s.m.windowInflight.Set(float64(s.wt.InFlight()))
@@ -349,7 +353,7 @@ func (s *Sender) handlePacket(p []byte) {
 	s.m.packetsReceived.Inc()
 	var w chan error
 	if slot >= 0 {
-		s.emit(trace.KindOK, "", slot)
+		s.emit(trace.KindOK, nil, slot)
 		w = s.waiters[slot]
 		s.waiters[slot] = nil
 		s.m.windowInflight.Set(float64(s.wt.InFlight()))

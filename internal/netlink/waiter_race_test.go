@@ -128,9 +128,9 @@ func testCloseAbandonsPendingTransfer(t *testing.T, k int) {
 	var events []trace.Kind
 	s, err := NewSender(conn, SenderConfig{
 		Window: k,
-		Tap: func(e trace.Event) {
+		Tap: func(k trace.Kind, _ []byte, _ int) {
 			mu.Lock()
-			events = append(events, e.Kind)
+			events = append(events, k)
 			mu.Unlock()
 		},
 		Metrics: reg,
@@ -228,9 +228,9 @@ func testCancelVsOKDeliveredWins(t *testing.T, k int) {
 		var events []trace.Kind
 		s, err := NewSender(conn, SenderConfig{
 			Window: k,
-			Tap: func(e trace.Event) {
+			Tap: func(k trace.Kind, _ []byte, _ int) {
 				mu.Lock()
-				events = append(events, e.Kind)
+				events = append(events, k)
 				mu.Unlock()
 			},
 			Metrics: reg,
@@ -300,9 +300,9 @@ func raceSession(t *testing.T, k int, seed int64, events *[]trace.Kind, mu *sync
 	a, b := Pipe(PipeConfig{Seed: seed})
 	s, err := NewSender(a, SenderConfig{
 		Window: k,
-		Tap: func(e trace.Event) {
+		Tap: func(k trace.Kind, _ []byte, _ int) {
 			mu.Lock()
-			*events = append(*events, e.Kind)
+			*events = append(*events, k)
 			mu.Unlock()
 		},
 	})

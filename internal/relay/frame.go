@@ -54,24 +54,60 @@ func (f frame) key() key {
 	return key{kind: f.Kind, src: f.Src, dst: f.Dst, id: f.ID, attempt: f.Attempt}
 }
 
-// endKey identifies one end-to-end payload regardless of attempt; the
-// destination dedups on it for exactly-once delivery.
-type endKey struct {
-	src byte
-	id  uint64
-}
-
-func (f frame) endKey() endKey { return endKey{src: f.Src, id: f.ID} }
-
 // appendFrame encodes f onto b append-style.
 func appendFrame(b []byte, f frame) []byte {
-	b = append(b, f.Kind, f.Src, f.Dst)
-	b = binary.AppendUvarint(b, f.ID)
-	b = binary.AppendUvarint(b, uint64(f.Attempt))
-	b = append(b, byte(len(f.Route)))
+	b = appendHeader(b, f.Kind, f.Src, f.Dst, f.ID, f.Attempt, len(f.Route))
 	b = append(b, f.Route...)
 	b = append(b, f.Payload...)
 	return b
+}
+
+// appendAck encodes the end-to-end ack of data frame f onto b: the same id
+// and attempt, the endpoints swapped, the route written backwards.
+func appendAck(b []byte, f frame) []byte {
+	b = appendHeader(b, frameAck, f.Dst, f.Src, f.ID, f.Attempt, len(f.Route))
+	for i := len(f.Route) - 1; i >= 0; i-- {
+		b = append(b, f.Route[i])
+	}
+	return b
+}
+
+func appendHeader(b []byte, kind, src, dst byte, id uint64, attempt uint32, routeLen int) []byte {
+	b = append(b, kind, src, dst)
+	b = binary.AppendUvarint(b, id)
+	b = binary.AppendUvarint(b, uint64(attempt))
+	return append(b, byte(routeLen))
+}
+
+// idLedger is the destination's exactly-once ledger for one source. Ids
+// are minted sequentially at the source, so "everything below low, plus
+// the sparse set at or above it" is exact and only as large as what is
+// outstanding: it cannot be cleared like a node's seen ledger, and a set
+// of every id ever delivered grows for ever.
+type idLedger struct {
+	low   uint64
+	above map[uint64]struct{}
+}
+
+// add records id and reports whether it is new.
+func (l *idLedger) add(id uint64) bool {
+	if _, dup := l.above[id]; dup || id < l.low {
+		return false
+	}
+	if id != l.low {
+		if l.above == nil {
+			l.above = make(map[uint64]struct{})
+		}
+		l.above[id] = struct{}{}
+		return true
+	}
+	for l.low++; len(l.above) > 0; l.low++ {
+		if _, ok := l.above[l.low]; !ok {
+			break
+		}
+		delete(l.above, l.low)
+	}
+	return true
 }
 
 // parseFrame decodes one frame. The returned Route and Payload alias p.

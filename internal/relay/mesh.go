@@ -223,6 +223,7 @@ type Mesh struct {
 	mt     relayMetrics
 	topo   Topology
 	routes [][]int
+	routeB [][]byte // routes as frame bytes, encoded once
 	wheel  *engine.Wheel
 
 	engines []*engine.Engine // one per conn half, mesh-owned
@@ -231,17 +232,19 @@ type Mesh struct {
 
 	deliveredCh chan []byte
 
-	mu           sync.Mutex
-	cond         *sync.Cond
-	inflight     map[uint64]*entry
-	deliveredSet map[endKey]bool
-	hopHealth    map[hopID]supervise.Health
-	nodeUp       []bool
-	nextID       uint64
-	rr           int // round-robin route cursor
-	parked       int
-	err          error // sticky fatal (MaxAttempts exhausted)
-	closed       bool
+	mu        sync.Mutex
+	cond      *sync.Cond
+	inflight  map[uint64]*entry
+	delivered [256]idLedger // by source byte: the exactly-once ledgers
+	usable    []int         // usableRoutesLocked's result, reused
+	frameBuf  []byte        // dispatchLocked's encode buffer, reused
+	hopHealth map[hopID]supervise.Health
+	nodeUp    []bool
+	nextID    uint64
+	rr        int // round-robin route cursor
+	parked    int
+	err       error // sticky fatal (MaxAttempts exhausted)
+	closed    bool
 
 	st struct {
 		submitted, acked                atomic.Int64
@@ -282,23 +285,29 @@ func New(cfg Config) (*Mesh, error) {
 	}
 
 	m := &Mesh{
-		cfg:          cfg,
-		reg:          reg,
-		mt:           newRelayMetrics(reg),
-		topo:         cfg.Topology,
-		routes:       routes,
-		wheel:        meshWheel(cfg.Clock),
-		hops:         make(map[hopID]*hop),
-		deliveredCh:  make(chan []byte, cfg.DeliveryBuffer),
-		inflight:     make(map[uint64]*entry),
-		deliveredSet: make(map[endKey]bool),
-		hopHealth:    make(map[hopID]supervise.Health),
-		nodeUp:       make([]bool, cfg.Topology.Nodes),
-		wake:         make(chan struct{}, 1),
-		stop:         make(chan struct{}),
-		routerDone:   make(chan struct{}),
+		cfg:         cfg,
+		reg:         reg,
+		mt:          newRelayMetrics(reg),
+		topo:        cfg.Topology,
+		routes:      routes,
+		wheel:       meshWheel(cfg.Clock),
+		hops:        make(map[hopID]*hop),
+		deliveredCh: make(chan []byte, cfg.DeliveryBuffer),
+		inflight:    make(map[uint64]*entry),
+		hopHealth:   make(map[hopID]supervise.Health),
+		nodeUp:      make([]bool, cfg.Topology.Nodes),
+		wake:        make(chan struct{}, 1),
+		stop:        make(chan struct{}),
+		routerDone:  make(chan struct{}),
 	}
 	m.cond = sync.NewCond(&m.mu)
+	for _, r := range routes {
+		rb := make([]byte, len(r))
+		for i, n := range r {
+			rb[i] = byte(n)
+		}
+		m.routeB = append(m.routeB, rb)
+	}
 
 	// Permanent per-node link ends: one framed engine per conn half, two
 	// directional endpoints per link. Endpoint id 0 always carries
@@ -446,15 +455,16 @@ func (m *Mesh) usableLocked(r []int) bool {
 	return true
 }
 
-// usableRoutesLocked lists the indexes of currently usable routes.
+// usableRoutesLocked lists the indexes of currently usable routes, in a
+// slice that is valid until the next call.
 func (m *Mesh) usableRoutesLocked() []int {
-	var out []int
+	m.usable = m.usable[:0]
 	for i, r := range m.routes {
 		if m.usableLocked(r) {
-			out = append(out, i)
+			m.usable = append(m.usable, i)
 		}
 	}
-	return out
+	return m.usable
 }
 
 // dispatchLocked sends (or re-sends) one entry over the next usable
@@ -489,26 +499,23 @@ func (m *Mesh) dispatchLocked(e *entry, now time.Time) {
 		m.mt.parked.Set(float64(m.parked))
 	}
 
-	route := m.routes[idx]
-	rb := make([]byte, len(route))
-	for i, n := range route {
-		rb[i] = byte(n)
-	}
 	f := frame{
 		Kind:    frameData,
 		Src:     byte(m.cfg.Source),
 		Dst:     byte(m.cfg.Dest),
 		ID:      e.id,
 		Attempt: e.attempt,
-		Route:   rb,
+		Route:   m.routeB[idx],
 		Payload: e.payload,
 	}
-	sess := m.nodes[m.cfg.Source].sessionTo(route[1])
+	sess := m.nodes[m.cfg.Source].sessionTo(m.routes[idx][1])
 	if sess == nil {
 		m.parkLocked(e)
 		return
 	}
-	if _, err := sess.Enqueue(appendFrame(nil, f)); err != nil {
+	// Enqueue copies what it keeps, so one buffer serves every dispatch.
+	m.frameBuf = appendFrame(m.frameBuf[:0], f)
+	if _, err := sess.Enqueue(m.frameBuf); err != nil {
 		m.parkLocked(e)
 		return
 	}
@@ -550,24 +557,16 @@ func (m *Mesh) completeAck(id uint64) {
 // the higher layer.
 func (m *Mesh) deliverLocal(n *node, f frame) {
 	m.mu.Lock()
-	ek := f.endKey()
-	first := !m.deliveredSet[ek]
-	if first {
-		m.deliveredSet[ek] = true
-	}
+	first := m.delivered[f.Src].add(f.ID)
 	m.mu.Unlock()
 
-	ack := frame{
-		Kind:    frameAck,
-		Src:     f.Dst,
-		Dst:     f.Src,
-		ID:      f.ID,
-		Attempt: f.Attempt,
-		Route:   reverseRoute(f.Route),
-	}
-	if next, ok := nextHop(ack.Route, n.id); ok {
+	// The ack travels the route backwards, so its next hop is this node's
+	// predecessor on it. A stack buffer holds any ack whose route is not
+	// dozens of hops long, and Enqueue copies what it keeps.
+	if next, ok := prevHop(f.Route, n.id); ok {
 		if sess := n.sessionTo(next); sess != nil {
-			if _, err := sess.Enqueue(appendFrame(nil, ack)); err != nil {
+			var buf [64]byte
+			if _, err := sess.Enqueue(appendAck(buf[:0], f)); err != nil {
 				m.mt.dropped.Inc()
 			}
 		}
@@ -580,9 +579,8 @@ func (m *Mesh) deliverLocal(n *node, f frame) {
 	}
 	m.mt.delivered.Inc()
 	m.st.delivered.Add(1)
-	payload := append([]byte(nil), f.Payload...)
 	select {
-	case m.deliveredCh <- payload:
+	case m.deliveredCh <- f.Payload: // the frame is the receiver's own copy: ours to hand on
 	case <-m.stop:
 	}
 }
@@ -764,6 +762,9 @@ func (m *Mesh) Close() error {
 		}
 		for _, e := range m.engines {
 			e.Close()
+		}
+		if m.cfg.Clock != nil {
+			m.wheel.Stop() // meshWheel made it for that clock; the default wheel is not ours
 		}
 		m.mu.Lock()
 		m.closed = true

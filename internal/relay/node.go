@@ -15,8 +15,11 @@ import (
 // seenCap bounds a node's per-hop dedup ledger. When the ledger fills it
 // is cleared: a later duplicate may then be re-forwarded, which the
 // destination's end-to-end ledger still suppresses — per-hop dedup is a
-// traffic optimization, end-to-end dedup is the guarantee.
-const seenCap = 1 << 16
+// traffic optimization, end-to-end dedup is the guarantee. The duplicates
+// it exists for are a hop session's resubmissions of frames still in
+// flight, so a few thousand entries are a long memory, and five nodes'
+// ledgers together stay near a megabyte.
+const seenCap = 1 << 12
 
 // nodeEnd is one node's attachment to one of its links: the engine
 // owning that side's conn and the two directional endpoint ids. The
@@ -118,7 +121,7 @@ func (n *node) start() error {
 			BreakerThreshold:  m.cfg.BreakerThreshold,
 			BreakerCooldown:   m.cfg.BreakerCooldown,
 			Seed:              m.hopSeed(n.id, i),
-			Clock:             m.wheel.Clock(),
+			Wheel:             m.wheel,
 			Metrics:           m.reg,
 		})
 		if err != nil {
@@ -226,7 +229,7 @@ func (n *node) handleFrame(rt *nodeRuntime, p []byte) {
 		return
 	}
 	if len(rt.seen) >= seenCap {
-		rt.seen = make(map[key]bool)
+		clear(rt.seen)
 	}
 	rt.seen[k] = true
 	rt.seenMu.Unlock()
@@ -272,11 +275,13 @@ func nextHop(route []byte, self int) (int, bool) {
 	return 0, false
 }
 
-// reverseRoute returns a reversed copy of route (for acks).
-func reverseRoute(route []byte) []byte {
-	out := make([]byte, len(route))
-	for i, b := range route {
-		out[len(route)-1-i] = b
+// prevHop finds self in route and returns its predecessor: the next hop
+// of an ack, which travels the route backwards.
+func prevHop(route []byte, self int) (int, bool) {
+	for i := len(route) - 1; i > 0; i-- {
+		if int(route[i]) == self {
+			return int(route[i-1]), true
+		}
 	}
-	return out
+	return 0, false
 }

@@ -22,8 +22,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ghm/internal/clock"
 	"ghm/internal/core"
+	"ghm/internal/engine"
 	"ghm/internal/metrics"
 	"ghm/internal/netlink"
 	"ghm/internal/outbox"
@@ -48,7 +48,7 @@ type Config struct {
 	// every rebuild still gets fresh (but reproducible) randomness.
 	Params core.Params
 	// Tap observes station lifecycle events across all incarnations.
-	Tap func(trace.Event)
+	Tap netlink.Tap
 
 	// WALPath/WALSync/MaxAttempts configure the outbox (see outbox.Config).
 	WALPath     string
@@ -75,12 +75,13 @@ type Config struct {
 
 	// Seed fixes supervisor jitter for reproducible tests (0 = clock).
 	Seed int64
-	// Clock is the session's time source, handed to the supervisor
-	// (watchdog stamps, breaker windows, backoff pacing) — nil keeps the
-	// wall clock. The stations themselves take their clock from the
-	// conn's engine wheel, so virtualizing a session fully means dialing
-	// conns whose engines ride the same clock.
-	Clock clock.Clock
+	// Wheel paces the supervisor (watchdog polls, backoff sleeps, breaker
+	// cooldown) and its clock stamps them — nil keeps the process-wide
+	// wheel on the wall clock. A caller that owns a wheel passes it, so
+	// sessions add no ticker of their own. The stations themselves take
+	// their clock from the conn's engine wheel, so virtualizing a session
+	// fully means dialing conns whose engines ride the same wheel.
+	Wheel *engine.Wheel
 	// Metrics receives the session.* family; nil uses metrics.Default().
 	Metrics *metrics.Registry
 }
@@ -153,7 +154,7 @@ func New(cfg Config) (*Session, error) {
 		BreakerCooldown:  cfg.BreakerCooldown,
 		PartitionAfter:   cfg.PartitionAfter,
 		Seed:             cfg.Seed,
-		Clock:            cfg.Clock,
+		Wheel:            cfg.Wheel,
 		Metrics:          cfg.Metrics,
 		OnTransition:     s.fanout,
 	})
@@ -196,12 +197,12 @@ func (s *Session) start() (*netlink.Sender, error) {
 	if err != nil {
 		return nil, err
 	}
-	tap := func(e trace.Event) {
-		if e.Kind == trace.KindOK {
+	tap := func(k trace.Kind, msg []byte, slot int) {
+		if k == trace.KindOK {
 			s.sup.Progress()
 		}
 		if s.cfg.Tap != nil {
-			s.cfg.Tap(e)
+			s.cfg.Tap(k, msg, slot)
 		}
 	}
 	st, err := netlink.NewSender(conn, netlink.SenderConfig{

@@ -131,9 +131,11 @@ type Config[S any] struct {
 	// Clock.Seed; the resolved value is readable via Seed()).
 	Seed int64
 	// Wheel paces the watchdog poll, the backoff sleeps and the breaker
-	// cooldown (default: a wheel for Clock — engine.DefaultWheel() when
-	// Clock is nil too). Sharing the process-wide wheel keeps supervisors
-	// off runtime timers, like every other retry in the runtime.
+	// cooldown (default: engine.DefaultWheel(), or with a Clock a wheel of
+	// the supervisor's own on it, which Close stops). Sharing a wheel — the
+	// process-wide one, or the caller's — keeps supervisors off runtime
+	// timers and off tickers of their own, like every other retry in the
+	// runtime.
 	Wheel *engine.Wheel
 	// Clock stamps progress, transitions and breaker windows (default:
 	// the Wheel's clock, i.e. the wall clock unless one was injected).
@@ -179,12 +181,10 @@ func (c Config[S]) withDefaults() Config[S] {
 	if c.PartitionAfter <= 0 {
 		c.PartitionAfter = 2
 	}
-	if c.Wheel == nil {
-		if c.Clock != nil {
-			c.Wheel = engine.NewWheelOn(c.Clock, 0, 0)
-		} else {
-			c.Wheel = engine.DefaultWheel()
-		}
+	// A Clock without a Wheel is left for New: the wheel it makes for that
+	// clock is the supervisor's own, and Close has to know to stop it.
+	if c.Wheel == nil && c.Clock == nil {
+		c.Wheel = engine.DefaultWheel()
 	}
 	if c.Clock == nil {
 		c.Clock = c.Wheel.Clock()
@@ -229,7 +229,8 @@ type Supervisor[S any] struct {
 		transitions                             atomic.Int64
 	}
 
-	seed int64 // resolved backoff-jitter seed
+	seed     int64 // resolved backoff-jitter seed
+	ownWheel bool  // cfg.Wheel was made here, for cfg.Clock: Close stops it
 
 	started   bool
 	stop      chan struct{}
@@ -249,15 +250,20 @@ func New[S any](cfg Config[S]) (*Supervisor[S], error) {
 		return nil, fmt.Errorf("supervise: Start and Stop are required")
 	}
 	cfg = cfg.withDefaults()
+	ownWheel := cfg.Wheel == nil
+	if ownWheel {
+		cfg.Wheel = engine.NewWheelOn(cfg.Clock, 0, 0)
+	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = cfg.Clock.Seed()
 	}
 	s := &Supervisor[S]{
-		cfg:  cfg,
-		seed: seed,
-		m:    newSupMetrics(cfg.Metrics),
-		bo:   backoff{base: cfg.BackoffBase, max: cfg.BackoffMax, rng: rand.New(rand.NewSource(seed))},
+		cfg:      cfg,
+		ownWheel: ownWheel,
+		seed:     seed,
+		m:        newSupMetrics(cfg.Metrics),
+		bo:       backoff{base: cfg.BackoffBase, max: cfg.BackoffMax, rng: rand.New(rand.NewSource(seed))},
 		br: breaker{
 			threshold: cfg.BreakerThreshold,
 			window:    cfg.BreakerWindow,
@@ -379,6 +385,9 @@ func (s *Supervisor[S]) Close() error {
 			<-s.done
 		} else {
 			close(s.done)
+		}
+		if s.ownWheel {
+			s.cfg.Wheel.Stop()
 		}
 	})
 	return nil

@@ -16,15 +16,16 @@ import (
 )
 
 // leakAllowlist matches goroutines that may legitimately outlive a test,
-// by their creation site in the stack dump:
+// by a frame or the creation site in their stack dump:
 //
-//   - the process-wide timer wheel (engine.DefaultWheel) is started once
-//     and deliberately never stopped;
+//   - the process-wide timer wheel is started once, by engine.DefaultWheel,
+//     and deliberately never stopped; it alone runs under runDefault —
+//     every other wheel must be stopped by whoever made it;
 //   - the testing package's own machinery (tRunner waiters, parallel
 //     test scaffolding);
 //   - runtime helpers that surface in dumps on some platforms.
 var leakAllowlist = []string{
-	"created by ghm/internal/engine.NewWheel",
+	"ghm/internal/engine.(*Wheel).runDefault(",
 	"created by testing.",
 	"created by runtime.",
 	"created by os/signal.",

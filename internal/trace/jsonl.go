@@ -19,6 +19,11 @@ type jsonEvent struct {
 	Slot   int    `json:"slot,omitempty"`
 }
 
+// maxSlot bounds the window slot a saved trace may name. Stations stop at
+// core.MaxWindow (64); the checker keeps its per-slot state in a slice
+// indexed by slot, so a file must not be able to ask for a billion of them.
+const maxSlot = 1 << 10
+
 var kindToJSON = map[Kind]string{
 	KindSendMsg:    "send_msg",
 	KindOK:         "ok",
@@ -88,6 +93,9 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 		kind, ok := jsonToKind[je.Kind]
 		if !ok {
 			return nil, fmt.Errorf("trace: line %d: unknown kind %q", line, je.Kind)
+		}
+		if je.Slot < 0 || je.Slot >= maxSlot {
+			return nil, fmt.Errorf("trace: line %d: slot %d out of range [0, %d)", line, je.Slot, maxSlot)
 		}
 		e := Event{Step: je.Step, Kind: kind, Msg: je.Msg, PktID: je.PktID, PktLen: je.PktLen, Slot: je.Slot}
 		if je.Dir != "" {

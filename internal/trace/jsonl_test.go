@@ -77,6 +77,8 @@ func TestReadJSONLErrors(t *testing.T) {
 		{name: "bad json", give: "{not json}"},
 		{name: "unknown kind", give: `{"step":1,"kind":"warp"}`},
 		{name: "unknown dir", give: `{"step":1,"kind":"send_pkt","dir":"up"}`},
+		{name: "negative slot", give: `{"step":1,"kind":"ok","slot":-1}`},
+		{name: "absurd slot", give: `{"step":1,"kind":"ok","slot":1000000000}`},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -1,60 +1,32 @@
-// Package verify mechanically checks a recorded execution against the
-// correctness conditions of the paper's Section 2.6.
+// Package verify mechanically checks an execution against the
+// correctness conditions of the paper's Section 2.6. Check walks a
+// recorded ghm/internal/trace log, Live takes the same actions from
+// running stations' taps; both count violations of each condition:
 //
-// The conditions are stated over executions of the composed system
-// (transmitter, receiver, channels, adversary); ghm/internal/sim records
-// such executions as ghm/internal/trace logs, and Check walks one log
-// counting violations of each condition:
-//
-//   - causality: every receive_msg(m) has a unique earlier send_msg(m).
-//   - order: every OK for message m has a receive_msg(m) between the
-//     send_msg(m) and the OK.
+//   - causality: every receive_msg(m) has an earlier send_msg(m).
+//   - order: every OK for m has a receive_msg(m) between send_msg(m) and it.
 //   - no duplication: m is not delivered twice without an intervening
-//     crash^R. Like the replay rule, this is checked per receiver slot:
-//     each send_msg on a slot licenses one delivery there, and each
-//     crash^R additionally licenses one redelivery on each slot that had
-//     m delivered before it — a windowed receiver's slot j redelivering
-//     after the crash says nothing about a fresh attempt's first
-//     delivery on slot i, because attempts never migrate between slots
-//     (the slot index is framed into every packet). At k=1 everything
-//     lands on slot 0 and the rule is the original global one.
+//     crash^R. Checked per receiver slot, as attempts never migrate
+//     between slots: each send_msg on a slot licenses one delivery there,
+//     each crash^R one redelivery on each slot that delivered m before it.
 //   - no replay: a delivery of m is a replay when m was already completed
-//     (OK'd, or abandoned by crash^T) before the delivering slot's most
-//     recent refresh point (that slot's last receive_msg, or any crash^R),
-//     which is the M_alpha formulation of Theorem 7. The refresh point is
-//     per slot because it models the receiving session's challenge
-//     freshness: on a windowed receiver, slot 5 delivering does not
-//     refresh slot 3's challenge, so a straggler delivery on slot 3 from
-//     an attempt crash^T abandoned mid-flight is the licensed M_alpha
-//     case, not a replay. Single-slot traces put everything on slot 0,
-//     where the per-slot rule reduces to the original global one.
+//     (OK'd, or abandoned by crash^T) before the delivering slot's last
+//     refresh point (that slot's last receive_msg, or any crash^R): the
+//     M_alpha formulation of Theorem 7. Until slot 3 refreshes, a straggler
+//     there from an attempt crash^T abandoned is licensed, not a replay.
 //
-// The conditions are per *attempt*, not per payload: the buffering higher
-// layer that Axiom 1 assumes may legitimately resubmit a payload whose
-// earlier attempt was wiped by crash^T (at-least-once across crashes —
-// see ghm/internal/outbox), and a fresh send_msg of the same bytes opens
-// a new attempt rather than flagging the old one's delivery as a
-// duplicate or replay. Concretely, a message sent k times may be
-// delivered up to k times without an intervening crash^R and completed up
-// to k times before a refresh point; only the k+1-th is a violation.
-// When every payload is sent once, the rules reduce exactly to the
-// original per-payload conditions.
-//
-// Windowed stations (ghm/internal/core's WindowedTransmitter) run k
-// slots of the protocol at once; their events carry the slot index, and
-// the checker keys its in-flight attempts by slot so each OK is matched
-// to its own slot's send_msg. Single-slot stations emit slot 0, which is
-// also windowed slot 0 — a window of depth 1 verifies identically to the
-// original checker. One crash^T completes every slot's in-flight attempt
-// at once: the model's crash erases the whole station, never part of it.
-//
-// Liveness is a property of infinite executions; the simulator reports it
-// as "completed within the step budget" instead.
+// The conditions are per attempt, not per payload: the outbox (Axiom 1's
+// buffer) resubmits a payload whose attempt crash^T wiped, so a message
+// sent k times may be delivered and completed k times. A single-slot
+// station emits slot 0, where each rule is the paper's global one; one
+// crash^T completes every slot's attempt. DESIGN.md section 9 has more.
 package verify
 
 import (
 	"fmt"
+	"hash/maphash"
 	"strings"
+	"sync"
 
 	"ghm/internal/trace"
 )
@@ -105,179 +77,214 @@ func (r Report) String() string {
 	return b.String()
 }
 
+// digest keys a payload: two independently seeded 64-bit hashes of its
+// bytes. Collisions are of order 2^-128, and no input can aim for one.
+type digest [2]uint64
+
+var digestSeeds = [2]maphash.Seed{maphash.MakeSeed(), maphash.MakeSeed()}
+
+func digestOf(msg []byte) (d digest) {
+	d[0], d[1] = maphash.Bytes(digestSeeds[0], msg), maphash.Bytes(digestSeeds[1], msg)
+	return d
+}
+
+// budget is one payload's delivery budget on one receiver slot. Event
+// indexes count from 1, so a zero index means "never".
+type budget struct {
+	slot        int
+	sends       int32 // send_msg events on this slot
+	sendUsed    int32 // send licenses consumed
+	crashUsed   int   // index of the last crash^R whose license was consumed
+	deliveredAt int   // index of the last receive_msg
+}
+
+// record tracks one payload across its send attempts; the zero value is
+// "never seen". Slot 0, a depth-1 station's only slot, lives inline.
+type record struct {
+	sends, completions int32 // send_msg events; OK or crash^T completions granted
+	sentAt             int   // index of the most recent send_msg
+	deliveredAt        int   // index of the most recent receive_msg, any slot
+	completedAt        int   // index of the most recent completion
+	zero               budget
+	more               []budget
+}
+
+// on returns the payload's budget on slot, adding it on first touch.
+func (r *record) on(slot int) *budget {
+	if slot == 0 {
+		return &r.zero
+	}
+	for i := range r.more {
+		if r.more[i].slot == slot {
+			return &r.more[i]
+		}
+	}
+	var b budget
+	b.slot = slot
+	r.more = append(r.more, b)
+	return &r.more[len(r.more)-1]
+}
+
+// slotTrack is the checker's state per window slot. refreshed is the
+// slot's last receive_msg index: its session moved on, and older attempts
+// cannot deliver there without a fresh handshake. crash^R refreshes all.
+type slotTrack struct {
+	refreshed int
+	live      bool   // an attempt awaits its OK
+	key       digest // its payload
+	msg       []byte // and the bytes, reused per attempt, for OrderExamples
+}
+
 // Checker verifies an execution incrementally: feed every event to
-// Observe and read the Report at any point. Streaming matters because
-// hostile-adversary executions run to tens of millions of packet events;
-// the checker's state stays proportional to the number of distinct
-// messages. The zero value is ready to use.
+// Observe and read the Report at any point. The zero value keeps one flat
+// record per distinct payload, which suits a finite trace. With a horizon
+// (Live's) it forgets a settled record — every attempt completed, every
+// slot seen so far refreshed since, so any delivery of it is a violation
+// by the replay rule — once horizon other payloads have come by. That
+// violation then counts under Causality: never sent, as far as it knows.
 type Checker struct {
 	r Report
 
 	idx        int
-	msgs       map[string]*msgState
+	slots      []slotTrack
 	lastCrashR int
-	// refreshed holds each receiver slot's last receive_msg index: the
-	// slot's session moved on, so older abandoned attempts on that slot
-	// can no longer deliver without a fresh handshake. crash^R refreshes
-	// every slot at once (the whole station redraws its randomness), so a
-	// slot's effective refresh point is max(refreshed[slot], lastCrashR).
-	refreshed map[int]int
-	inFlight  map[int]string // slot -> payload awaiting its OK
-	init      bool
+
+	// recs holds the records touched in this generation, old the rest of
+	// the previous one; a generation ends after horizon new records.
+	recs, old map[digest]record
+	horizon   int
 }
 
-// msgState tracks one payload across all of its send attempts. Sends and
-// deliveries are additionally keyed by slot: the slot index is framed
-// into every packet, so an attempt admitted on slot s can only ever be
-// delivered by the receiver's slot-s machine, and the no-duplication
-// allowance (k slot-s sends license k slot-s deliveries, plus one
-// crash^R redelivery) is a per-slot budget.
-type msgState struct {
-	sends           int         // send_msg events for this payload
-	slotSends       map[int]int // send_msg events per slot
-	lastSentAt      int         // index of the most recent send_msg
-	deliveredAt     []int       // indices of every receive_msg
-	slotDelivered   map[int][]int
-	slotSendUsed    map[int]int // send licenses consumed per slot
-	slotCrashUsed   map[int]int // index of the last crash^R license consumed per slot
-	completions     int         // OK or crash^T completions granted
-	lastCompletedAt int         // index of the most recent completion
+func (c *Checker) slot(i int) *slotTrack {
+	for len(c.slots) <= i {
+		var t slotTrack
+		c.slots = append(c.slots, t)
+	}
+	return &c.slots[i]
 }
 
-func (c *Checker) ensure() {
-	if c.init {
+func (c *Checker) get(key digest) record {
+	r, ok := c.recs[key]
+	if !ok {
+		r = c.old[key]
+	}
+	return r
+}
+
+// put stores a record and, once the generation has taken horizon new ones,
+// turns the generations: what old still holds went untouched for a whole
+// generation and goes, unless unsettled. Filled and cleared, never deleted
+// from, the two maps keep their size.
+func (c *Checker) put(key digest, r record) {
+	c.recs[key] = r
+	if c.horizon == 0 || len(c.recs) < c.horizon {
 		return
 	}
-	c.msgs = make(map[string]*msgState)
-	c.inFlight = make(map[int]string)
-	c.refreshed = make(map[int]int)
-	c.lastCrashR = -1
-	c.init = true
-}
-
-// complete grants one attempt-completion (OK or crash^T wipe) to a
-// payload, capped at its send count.
-func (c *Checker) complete(st *msgState, i int) {
-	if st.completions < st.sends {
-		st.completions++
-		st.lastCompletedAt = i
+	floor := c.idx // the oldest refresh point over the slots seen so far
+	for s := range c.slots {
+		floor = min(floor, c.slots[s].refreshed)
 	}
-}
-
-func (c *Checker) state(m string) *msgState {
-	st, ok := c.msgs[m]
-	if !ok {
-		st = &msgState{
-			lastSentAt:      -1,
-			lastCompletedAt: -1,
-			slotSends:       make(map[int]int),
-			slotDelivered:   make(map[int][]int),
-			slotSendUsed:    make(map[int]int),
-			slotCrashUsed:   make(map[int]int),
+	floor = max(floor, c.lastCrashR)
+	for k, r := range c.old {
+		if _, fresh := c.recs[k]; !fresh && (r.completions < r.sends || r.completedAt > floor) {
+			c.recs[k] = r
 		}
-		c.msgs[m] = st
 	}
-	return st
+	clear(c.old)
+	c.recs, c.old = c.old, c.recs
 }
 
-// Observe feeds one event. Packet-level events are ignored; only the
-// higher-layer actions participate in the Section 2.6 conditions.
-func (c *Checker) Observe(e trace.Event) {
-	c.ensure()
-	i := c.idx
+// Observe feeds one event; only the higher-layer actions take part.
+func (c *Checker) Observe(e trace.Event) { c.observe(e.Kind, []byte(e.Msg), e.Slot) }
+
+// observe is Observe over payload bytes, which it reads but does not keep.
+func (c *Checker) observe(kind trace.Kind, msg []byte, slot int) {
+	if c.recs == nil {
+		//lint:allow hotpathalloc the two tables are made on the first event of a checker's life
+		c.recs, c.old = make(map[digest]record), make(map[digest]record)
+	}
 	c.idx++
-	switch e.Kind {
+	i := c.idx
+	switch kind {
 	case trace.KindSendMsg:
 		c.r.Sent++
-		st := c.state(e.Msg)
-		st.sends++
-		st.slotSends[e.Slot]++
-		st.lastSentAt = i
-		c.inFlight[e.Slot] = e.Msg
+		key := digestOf(msg)
+		r := c.get(key)
+		r.sends++
+		r.on(slot).sends++
+		r.sentAt = i
+		c.put(key, r)
+		t := c.slot(slot)
+		buf := t.msg[:0]
+		buf = append(buf, msg...)
+		t.live, t.key, t.msg = true, key, buf
 
 	case trace.KindReceiveMsg:
 		c.r.Delivered++
-		st := c.state(e.Msg)
-
-		if st.sends == 0 {
+		key := digestOf(msg)
+		r := c.get(key)
+		if r.sends == 0 {
 			c.r.Causality++
-			c.r.CausalityExamples = addExample(c.r.CausalityExamples, e.Msg)
+			c.r.CausalityExamples = addExample(c.r.CausalityExamples, msg)
 		}
 
-		// No-duplication: every delivery must be licensed, either by a
-		// crash^R that postdates this slot's previous delivery of the
-		// payload (the old packet re-accepted against the fresh challenge —
-		// one redelivery per crash) or by a send_msg on this slot (each
-		// attempt licenses one delivery). The crash license is consumed
-		// first: it expires at the next crash^R or never recurs, while send
-		// licenses keep, so the greedy order never rejects a legal trace. A
-		// crash^R-licensed redelivery on another slot does not touch this
-		// slot's budget (attempts never migrate slots — the slot index is
-		// framed into every packet); with a single slot everything lands on
-		// slot 0 and the rule is the original global one.
-		prev := st.slotDelivered[e.Slot]
+		// No-duplication: a delivery is licensed by a crash^R since this
+		// slot's previous delivery of the payload (one redelivery per crash)
+		// or by a send_msg on this slot. The crash license goes first: it
+		// expires, send licenses keep, so greedy never rejects a legal trace.
+		b := r.on(slot)
 		switch {
-		case len(prev) > 0 && c.lastCrashR > prev[len(prev)-1] &&
-			st.slotCrashUsed[e.Slot] < c.lastCrashR:
-			st.slotCrashUsed[e.Slot] = c.lastCrashR
-		case st.slotSendUsed[e.Slot] < st.slotSends[e.Slot]:
-			st.slotSendUsed[e.Slot]++
-		case len(prev) > 0:
+		case b.deliveredAt > 0 && c.lastCrashR > b.deliveredAt && b.crashUsed < c.lastCrashR:
+			b.crashUsed = c.lastCrashR
+		case b.sendUsed < b.sends:
+			b.sendUsed++
+		case b.deliveredAt > 0:
 			c.r.Duplication++
-			c.r.DuplicationExamples = addExample(c.r.DuplicationExamples, e.Msg)
+			c.r.DuplicationExamples = addExample(c.r.DuplicationExamples, msg)
 		}
 
-		refresh := c.lastCrashR
-		if r, ok := c.refreshed[e.Slot]; ok && r > refresh {
-			refresh = r
-		}
-		if st.completions >= st.sends && st.completions > 0 &&
-			st.lastCompletedAt <= refresh {
-			// Every attempt was completed before this slot's last refresh:
-			// the slot's session had drawn a fresh challenge since, so this
-			// is the replay Theorem 7 makes improbable. The refresh point is
-			// per slot — a windowed receiver's other slots delivering says
-			// nothing about this slot's challenge freshness.
+		// Replay: every attempt completed before this slot's last refresh.
+		t := c.slot(slot)
+		if r.completions >= r.sends && r.completions > 0 && r.completedAt <= max(t.refreshed, c.lastCrashR) {
 			c.r.Replay++
-			c.r.ReplayExamples = addExample(c.r.ReplayExamples, e.Msg)
+			c.r.ReplayExamples = addExample(c.r.ReplayExamples, msg)
 		}
-
-		st.deliveredAt = append(st.deliveredAt, i)
-		st.slotDelivered[e.Slot] = append(st.slotDelivered[e.Slot], i)
-		c.refreshed[e.Slot] = i
+		b.deliveredAt, r.deliveredAt, t.refreshed = i, i, i
+		c.put(key, r)
 
 	case trace.KindOK:
 		c.r.OKs++
-		if m, live := c.inFlight[e.Slot]; live {
-			st := c.state(m)
-			ok := false
-			for _, d := range st.deliveredAt {
-				if d > st.lastSentAt && d < i {
-					ok = true
-					break
-				}
-			}
-			if !ok {
+		if t := c.slot(slot); t.live {
+			r := c.get(t.key)
+			if r.deliveredAt <= r.sentAt {
 				c.r.Order++
-				c.r.OrderExamples = addExample(c.r.OrderExamples, m)
+				c.r.OrderExamples = addExample(c.r.OrderExamples, t.msg)
 			}
-			c.complete(st, i)
-			delete(c.inFlight, e.Slot)
+			c.complete(t, r, i)
 		}
 
 	case trace.KindCrashT:
 		c.r.CrashT++
-		// crash^T erases the whole station: every slot's in-flight attempt
-		// joins M_alpha at once (the shared crash model of windowed
-		// stations; a single-slot station has at most slot 0 live).
-		for slot, m := range c.inFlight {
-			c.complete(c.state(m), i)
-			delete(c.inFlight, slot)
+		for s := range c.slots {
+			if t := &c.slots[s]; t.live {
+				c.complete(t, c.get(t.key), i)
+			}
 		}
 
 	case trace.KindCrashR:
 		c.r.CrashR++
 		c.lastCrashR = i
+	}
+}
+
+// complete grants t's attempt, of the payload with record r, one
+// completion (OK or crash^T wipe), capped at its send count.
+func (c *Checker) complete(t *slotTrack, r record, i int) {
+	t.live = false
+	if r.completions < r.sends {
+		r.completions++
+		r.completedAt = i
+		c.put(t.key, r)
 	}
 }
 
@@ -293,9 +300,42 @@ func Check(events []trace.Event) Report {
 	return c.Report()
 }
 
-func addExample(list []string, m string) []string {
+func addExample(list []string, m []byte) []string {
 	if len(list) < maxExamples {
-		list = append(list, m)
+		list = append(list, string(m))
 	}
 	return list
+}
+
+// liveHorizon is Live's Checker horizon. A constant, like relay's seenCap:
+// it keeps a hop's two tables near 25 KB, twelve hops under 0.5 MB.
+const liveHorizon = 96
+
+// Live adapts Checker for use as the tap of live netlink stations: Observe
+// has the tap's signature, is safe to call from both stations' goroutines
+// at once, and checks events in arrival order — which, as each station
+// emits at the action's commit point (under its lock, before dependent
+// packets leave), is a legitimate interleaving of the real execution. It
+// checks with a horizon: O(window + liveHorizon) records whatever the
+// traffic, no allocation in steady state. The zero value is ready to use.
+type Live struct {
+	mu sync.Mutex
+	c  Checker
+}
+
+// Observe records one station action; msg is digested in place, not kept.
+//
+//ghm:hotpath
+func (l *Live) Observe(kind trace.Kind, msg []byte, slot int) {
+	l.mu.Lock()
+	l.c.horizon = liveHorizon
+	l.c.observe(kind, msg, slot)
+	l.mu.Unlock()
+}
+
+// Report returns the verification state so far.
+func (l *Live) Report() Report {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.c.Report()
 }

@@ -1,6 +1,7 @@
 package ghm
 
 import (
+	"ghm/internal/netlink"
 	"ghm/internal/trace"
 )
 
@@ -55,15 +56,17 @@ type Event struct {
 	Slot int
 }
 
-// tapToTrace adapts a public tap callback to the internal trace schema
-// shared with the model layer's checkers.
-func tapToTrace(fn func(Event)) func(trace.Event) {
+// tapToTrace adapts a public tap callback to the stations' internal tap.
+// The station lends its own buffer for the duration of the call; the
+// public Event owns its Msg, so this — and only this, when a WithTap is
+// installed — copies the payload.
+func tapToTrace(fn func(Event)) netlink.Tap {
 	if fn == nil {
 		return nil
 	}
-	return func(e trace.Event) {
+	return func(kind trace.Kind, msg []byte, slot int) {
 		var k EventKind
-		switch e.Kind {
+		switch kind {
 		case trace.KindSendMsg:
 			k = EventSendMsg
 		case trace.KindOK:
@@ -77,6 +80,6 @@ func tapToTrace(fn func(Event)) func(trace.Event) {
 		default:
 			return
 		}
-		fn(Event{Kind: k, Msg: []byte(e.Msg), Slot: e.Slot})
+		fn(Event{Kind: k, Msg: append([]byte{}, msg...), Slot: slot})
 	}
 }
