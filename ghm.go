@@ -40,11 +40,14 @@ import (
 // PacketConn is one endpoint of an unreliable datagram link: Send may
 // silently lose, duplicate or reorder packets; Recv blocks; Close unblocks
 // pending Recvs. Packet contents must arrive uncorrupted (use a
-// checksumming transport; UDP qualifies).
+// checksumming transport; UDP qualifies). DESIGN.md §4 ("who owns a
+// packet") follows a packet's bytes from Send to the application.
 type PacketConn interface {
 	// Send places one packet on the link; it must not retain p.
 	Send(p []byte) error
-	// Recv blocks for the next packet.
+	// Recv blocks for the next packet. The slice belongs to the conn and
+	// is valid until the next Recv on it, which has one caller at a time;
+	// a conn that returns a fresh slice every time is equally correct.
 	Recv() ([]byte, error)
 	// Close releases the endpoint.
 	Close() error

@@ -53,7 +53,10 @@ const (
 
 // Conn is the transport an Engine owns: an unreliable datagram
 // endpoint, structurally identical to netlink.PacketConn. Send must not
-// retain p; Close must unblock a pending Recv.
+// retain p; Close must unblock a pending Recv. Recv lends: the slice it
+// returns belongs to the conn and is valid until the next Recv, which has
+// one caller at a time — the engine's pump (DESIGN.md, "Who owns a
+// packet").
 type Conn interface {
 	Send(p []byte) error
 	Recv() ([]byte, error)
@@ -292,7 +295,10 @@ func (e *Engine) pump() {
 
 // dispatch routes one inbound packet: parse the id frame, find the
 // endpoint, push or hand to its handler. Every drop is counted — the
-// silent-loss paths of the pre-engine pumps are gone.
+// silent-loss paths of the pre-engine pumps are gone. p is lent by the
+// conn until the pump's next Recv: a handler has it for the length of the
+// call, and the mailbox — the one place a packet outlives that call —
+// gets a copy.
 //
 //ghm:hotpath
 func (e *Engine) dispatch(p []byte) {
@@ -321,12 +327,17 @@ func (e *Engine) dispatch(p []byte) {
 		(*h)(body)
 		return
 	}
-	select {
-	case ep.in <- body:
-	default:
-		s.overflow.Add(1)
-		e.overflowDropped.Inc()
+	if len(ep.in) < cap(ep.in) { // the pump is the only producer: room seen is room kept
+		//lint:allow hotpathalloc the mailbox copy: the packet outlives the conn's receive buffer
+		body = append([]byte(nil), body...)
+		select {
+		case ep.in <- body:
+			return
+		default:
+		}
 	}
+	s.overflow.Add(1)
+	e.overflowDropped.Inc()
 }
 
 // framePool recycles send-path framing buffers: Conn.Send must not
@@ -381,7 +392,8 @@ func (ep *Endpoint) isClosed() bool {
 
 // SetHandler switches the endpoint to push mode: h runs on the pump
 // goroutine for every inbound packet and must not block — a blocking
-// handler stalls every endpoint on the conn. Packets already queued in
+// handler stalls every endpoint on the conn — nor keep p past its return:
+// the packet is the conn's receive buffer. Packets already queued in
 // the mailbox are drained through h first so none are stranded.
 func (ep *Endpoint) SetHandler(h func(p []byte)) {
 	ep.handler.Store(&h)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"sync"
@@ -494,3 +495,52 @@ func TestHotPathAllocs(t *testing.T) {
 type nullBatchConn struct{ nullConn }
 
 func (c *nullBatchConn) SendBatch([][]byte) error { return nil }
+
+// lendingConn is a Conn that takes the Recv contract at its word: every
+// packet is returned in the same buffer, overwritten by the next Recv.
+type lendingConn struct {
+	*chanConn
+	buf []byte
+}
+
+func (c *lendingConn) Recv() ([]byte, error) {
+	p, err := c.chanConn.Recv()
+	if err != nil {
+		return nil, err
+	}
+	c.buf = append(c.buf[:0], p...)
+	return c.buf, nil
+}
+
+// TestMailboxPacketOutlivesConnBuffer pins the one copy dispatch makes: a
+// packet queued in an endpoint's mailbox is read after the pump has gone
+// back to the conn, so it must not alias the conn's receive buffer. Each
+// packet is read from the mailbox only after the pump has taken two more
+// from a conn that reuses one buffer for all of them.
+func TestMailboxPacketOutlivesConnBuffer(t *testing.T) {
+	conn := &lendingConn{chanConn: newChanConn()}
+	e := New(conn, Config{MaxEndpoints: 2, Metrics: metrics.New()})
+	defer e.Close()
+	ep, err := e.Endpoint(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 32
+	body := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 8) }
+	for i := 0; i < n; i++ {
+		conn.inject(1, body(i))
+	}
+	for i := 0; i < n; i++ {
+		// The pump is at least two reads ahead of the mailbox's reader (or
+		// has read everything there is).
+		for deadline := time.Now().Add(2 * time.Second); len(ep.in) < min(2, n-i); {
+			if time.Now().After(deadline) {
+				t.Fatalf("pump stalled at packet %d", i)
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+		if got := recvOne(t, ep); string(got) != string(body(i)) {
+			t.Fatalf("mailbox packet %d = %x, want %x: it aliases the conn's receive buffer", i, got, body(i))
+		}
+	}
+}

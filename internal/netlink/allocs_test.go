@@ -67,37 +67,47 @@ func (c *ringConn) Close() error {
 	return nil
 }
 
-// TestStationRoundAllocBudget pins what one confirmed message costs the
-// stations themselves, over a link that allocates nothing: the sender's
-// waiter channel (2) and the one copy Recv hands out (1). Strings,
-// packets, the decode and the transmitter's message copy are all free —
-// the protocol core's budget is zero — and so is the window: at depth 8
-// the admission frame, the slot's payload record and the whole window's
-// retry batch go through buffers the stations keep. Conformance checking
-// is free too: with both stations' taps feeding a verify.Live, as on every
-// mesh hop, the budget is the same 3 — the tap lends the checker the
-// payload bytes and the checker digests them where they lie.
+// TestStationRoundAllocBudget pins what one confirmed message costs: the
+// one copy Recv hands its caller, which is what lets the message outlive
+// the conn's packet buffer. Strings, packets, the decode and the
+// transmitter's message copy are all free — the protocol core's budget is
+// zero — and so are the hand-offs around it: the Send waits on its slot's
+// own result channel, made once. The window is free too: at depth 8 the
+// admission frame, the slot's payload record and the whole window's retry
+// batch go through buffers the stations keep. So is conformance checking:
+// with both stations' taps feeding a verify.Live, as on every mesh hop,
+// the budget is the same 1 — the tap lends the checker the payload bytes
+// and the checker digests them where they lie. And so is the link, when it
+// is the in-process Pipe: its packet copies come from a free list that
+// Recv refills.
 func TestStationRoundAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector's sync.Pool drops buffers at random")
 	}
-	for _, k := range []int{1, 8} {
-		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) { testStationRoundAllocBudget(t, k, nil) })
-		t.Run(fmt.Sprintf("k=%d,checked", k), func(t *testing.T) {
-			var live verify.Live
-			testStationRoundAllocBudget(t, k, live.Observe)
-			if r := live.Report(); !r.Clean() || r.OKs == 0 {
-				t.Errorf("conformance report %v", r)
-			}
-		})
+	links := map[string]func() (netlink.PacketConn, netlink.PacketConn){
+		"":      ringPipe,
+		"pipe,": func() (netlink.PacketConn, netlink.PacketConn) { return netlink.Pipe(netlink.PipeConfig{Seed: 1}) },
+	}
+	for name, link := range links {
+		for _, k := range []int{1, 8} {
+			t.Run(fmt.Sprintf("%sk=%d", name, k), func(t *testing.T) { testStationRoundAllocBudget(t, k, nil, link) })
+			t.Run(fmt.Sprintf("%sk=%d,checked", name, k), func(t *testing.T) {
+				var live verify.Live
+				testStationRoundAllocBudget(t, k, live.Observe, link)
+				if r := live.Report(); !r.Clean() || r.OKs == 0 {
+					t.Errorf("conformance report %v", r)
+				}
+			})
+		}
 	}
 }
 
-func testStationRoundAllocBudget(t *testing.T, k int, tap netlink.Tap) {
+func testStationRoundAllocBudget(t *testing.T, k int, tap netlink.Tap, link func() (netlink.PacketConn, netlink.PacketConn)) {
+	t.Helper()
 	params := func(seed int64) core.Params {
 		return core.Params{Epsilon: 1.0 / (1 << 40), Source: bitstr.NewSeededSource(seed)}
 	}
-	a, b := ringPipe()
+	a, b := link()
 	s, err := netlink.NewSender(a, netlink.SenderConfig{Window: k, Params: params(1), Tap: tap})
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +134,32 @@ func testStationRoundAllocBudget(t *testing.T, k int, tap netlink.Tap) {
 	for i := 0; i < 10*k; i++ {
 		round() // every slot's first challenge learned, the kept buffers grown
 	}
-	if got := testing.AllocsPerRun(200, round); got > 3 {
-		t.Errorf("one Send + Recv round: %v allocs, budget 3", got)
+	if got := testing.AllocsPerRun(200, round); got > 1 {
+		t.Errorf("one Send + Recv round: %v allocs, budget 1", got)
+	}
+}
+
+// TestPipeRoundAllocatesNothing pins the Pipe's own hand-off at zero in
+// steady state: Send copies into a buffer Recv gave back.
+func TestPipeRoundAllocatesNothing(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts under the race detector measure the detector")
+	}
+	a, b := netlink.Pipe(netlink.PipeConfig{Seed: 1})
+	defer a.Close()
+	pkt := bytes.Repeat([]byte("p"), 96)
+	round := func() {
+		if err := a.Send(pkt); err != nil {
+			t.Fatalf("Send: %v", err)
+		}
+		if got, err := b.Recv(); err != nil || !bytes.Equal(got, pkt) {
+			t.Fatalf("Recv = %q, %v", got, err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		round() // the two buffers the loop keeps in rotation are made here
+	}
+	if got := testing.AllocsPerRun(500, round); got != 0 {
+		t.Errorf("one Pipe Send + Recv: %v allocs, want 0", got)
 	}
 }

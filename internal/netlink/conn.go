@@ -47,11 +47,17 @@ func isClosedErr(err error) bool {
 // provides it).
 //
 // Implementations must allow Send and Recv from different goroutines and
-// must unblock Recv with ErrClosed after Close.
+// must unblock Recv with ErrClosed after Close. Who owns a packet's bytes
+// at each step from Send to the application is stated once, in DESIGN.md
+// §4 ("who owns a packet"); the two method comments are its conn-side
+// half.
 type PacketConn interface {
 	// Send places one packet on the link. It must not retain p.
 	Send(p []byte) error
-	// Recv blocks for the next packet.
+	// Recv blocks for the next packet. The slice it returns belongs to the
+	// conn and is valid until the next Recv on that conn: the caller copies
+	// what it keeps. Recv has one caller at a time. (A conn that never
+	// reuses what it returned satisfies this as it is.)
 	Recv() ([]byte, error)
 	// Close releases the endpoint and unblocks pending Recv calls.
 	Close() error

@@ -1,7 +1,6 @@
 package netlink
 
 import (
-	"container/heap"
 	"math"
 	//lint:allow cryptorand impairment simulation needs seeded, reproducible randomness, not protocol randomness
 	"math/rand"
@@ -100,6 +99,7 @@ type ImpairedConn struct {
 	seed int64          // resolved schedule seed
 
 	in        chan []byte
+	free      bufList // the stage's packet copies, recycled once released or dropped
 	stop      chan struct{}
 	done      chan struct{}
 	closeOnce sync.Once
@@ -137,6 +137,7 @@ func Impair(conn PacketConn, cfg ImpairConfig) *ImpairedConn {
 		clk:  clk,
 		seed: seed,
 		in:   make(chan []byte, cfg.Queue),
+		free: make(bufList, freeBuffers),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -203,7 +204,7 @@ func (c *ImpairedConn) Send(p []byte) error {
 	}
 	c.sent.Add(1)
 	c.m.sent.Inc()
-	cp := append([]byte(nil), p...)
+	cp := c.free.copy(p)
 	select {
 	case c.in <- cp:
 		if c.virt != nil {
@@ -214,6 +215,7 @@ func (c *ImpairedConn) Send(p []byte) error {
 		}
 	default:
 		// Ingress burst beyond the queue cap: the router queue is full.
+		c.free.put(cp)
 		c.dropQueue.Add(1)
 		c.m.dropQueue.Inc()
 	}
@@ -241,19 +243,45 @@ type flight struct {
 	p  []byte
 }
 
-// flightHeap is a min-heap of flights by release time.
+// flightHeap is a binary min-heap of flights by release time, typed so
+// that pushing and popping a flight boxes nothing.
 type flightHeap []flight
 
-func (h flightHeap) Len() int           { return len(h) }
-func (h flightHeap) Less(i, j int) bool { return h[i].at.Before(h[j].at) }
-func (h flightHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *flightHeap) Push(x any)        { *h = append(*h, x.(flight)) }
-func (h *flightHeap) Pop() any {
-	old := *h
-	n := len(old)
-	f := old[n-1]
-	old[n-1] = flight{}
-	*h = old[:n-1]
+func (h *flightHeap) push(f flight) {
+	s := append(*h, f)
+	*h = s
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s[i].at.Before(s[parent].at) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the earliest flight; the heap must not be empty.
+func (h *flightHeap) pop() flight {
+	s := *h
+	f := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s[n] = flight{}
+	s = s[:n]
+	*h = s
+	for i := 0; ; {
+		least := i
+		for c := 2*i + 1; c <= 2*i+2 && c < n; c++ {
+			if s[c].at.Before(s[least].at) {
+				least = c
+			}
+		}
+		if least == i {
+			break
+		}
+		s[i], s[least] = s[least], s[i]
+		i = least
+	}
 	return f
 }
 
@@ -285,6 +313,9 @@ func (c *ImpairedConn) run(rng *rand.Rand) {
 	timer := c.clk.NewTimer(time.Hour)
 	defer timer.Stop()
 
+	// schedule takes ownership of p, a buffer of c.free. A full queue's
+	// drop leaves p to the garbage collector, not the free list: the
+	// caller may still read it to make a duplicate.
 	schedule := func(p []byte, now time.Time) {
 		if len(h) >= c.cfg.Queue {
 			c.dropQueue.Add(1)
@@ -307,15 +338,16 @@ func (c *ImpairedConn) run(rng *rand.Rand) {
 		if release.After(now) {
 			c.m.delayed.Inc()
 		}
-		heap.Push(&h, flight{at: release, p: p})
+		h.push(flight{at: release, p: p})
 	}
 
 	release := func(now time.Time) {
 		for len(h) > 0 && !h[0].at.After(now) {
-			f := heap.Pop(&h).(flight)
+			f := h.pop()
 			// Errors here mean the underlying conn is closing; the
 			// packet is simply lost, which the protocol tolerates.
 			_ = c.conn.Send(f.p)
+			c.free.put(f.p) // Send must not retain: the copy is the stage's again
 			c.delivered.Add(1)
 			c.m.delivered.Inc()
 		}
@@ -340,6 +372,7 @@ func (c *ImpairedConn) run(rng *rand.Rand) {
 			}
 			now := c.clk.Now()
 			if c.blackedOut(now) {
+				c.free.put(p)
 				c.dropBlackout.Add(1)
 				c.m.dropBlackout.Inc()
 				continue
@@ -357,12 +390,14 @@ func (c *ImpairedConn) run(rng *rand.Rand) {
 					stateLoss = ge.LossBad
 				}
 				if rng.Float64() < stateLoss {
+					c.free.put(p)
 					c.dropBurst.Add(1)
 					c.m.dropBurst.Inc()
 					continue
 				}
 			}
 			if rng.Float64() < math.Float64frombits(c.loss.Load()) {
+				c.free.put(p)
 				c.dropIID.Add(1)
 				c.m.dropIID.Inc()
 				continue
@@ -371,7 +406,10 @@ func (c *ImpairedConn) run(rng *rand.Rand) {
 			if rng.Float64() < c.cfg.DupProb {
 				c.duplicated.Add(1)
 				c.m.duplicated.Inc()
-				schedule(p, now)
+				// A copy of its own: the first to be released is recycled
+				// while the other is still in flight. p is still ours to read
+				// here — nothing is released before release below.
+				schedule(c.free.copy(p), now)
 			}
 			// Zero-latency packets are due immediately; releasing them
 			// here keeps the queue from backing up under ingress bursts.

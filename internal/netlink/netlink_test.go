@@ -347,3 +347,137 @@ func TestDialUDPErrors(t *testing.T) {
 		t.Error("bad remote address accepted")
 	}
 }
+
+// TestStationShedAsksAgainAtOnce pins what a full delivery buffer costs:
+// the lag of the Recv caller, not a retry interval on top of it. The
+// buffer is filled by withholding Recv, the next message's DATA is shed,
+// and from the Recv that makes room the message must confirm in a small
+// fraction of a RetryInterval — one second here, so that a confirmation
+// paced by the regular RETRY cannot be mistaken for an early one. Three
+// episodes in a row: a regular firing landing in one episode's window by
+// chance cannot land in all three.
+func TestStationShedAsksAgainAtOnce(t *testing.T) {
+	const interval = time.Second
+	reg := metrics.New()
+	a, b := Pipe(PipeConfig{Seed: 3})
+	s, err := NewSender(a, SenderConfig{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	r, err := NewReceiver(b, ReceiverConfig{RetryInterval: interval, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	ctx := testCtx(t)
+
+	// The first message waits for the first RETRY; after it every reply
+	// carries the next challenge and no message needs the timer again —
+	// until one is shed.
+	sent := 0
+	send := func() error {
+		sent++
+		return s.Send(ctx, []byte(fmt.Sprintf("message %d", sent)))
+	}
+	for i := 0; i < deliveryBuffer; i++ {
+		if err := send(); err != nil {
+			t.Fatalf("Send %d: %v", sent, err)
+		}
+	}
+	received := 0
+	for episode := 1; episode <= 3; episode++ {
+		// The buffer is full: the next message's DATA is shed and its Send
+		// waits.
+		errc := make(chan error, 1)
+		go func() { errc <- send() }()
+		waitCounter(t, reg, mRxIngressShed, int64(episode))
+		select {
+		case err := <-errc:
+			t.Fatalf("episode %d: Send = %v with the delivery buffer full", episode, err)
+		default:
+		}
+
+		start := time.Now()
+		got, err := r.Recv(ctx)
+		received++
+		if want := fmt.Sprintf("message %d", received); err != nil || string(got) != want {
+			t.Fatalf("episode %d: Recv = %q, %v; want %q", episode, got, err, want)
+		}
+		select {
+		case err := <-errc:
+			if err != nil {
+				t.Fatalf("episode %d: Send = %v", episode, err)
+			}
+		case <-time.After(interval / 4):
+			t.Fatalf("episode %d: the shed message was not asked for again within %v of the Recv that made room (RetryInterval %v)", episode, interval/4, interval)
+		}
+		t.Logf("episode %d: confirmed %v after room was made", episode, time.Since(start))
+	}
+	// Everything sent arrives, once, in order.
+	for received < sent {
+		got, err := r.Recv(ctx)
+		received++
+		if want := fmt.Sprintf("message %d", received); err != nil || string(got) != want {
+			t.Fatalf("Recv = %q, %v; want %q", got, err, want)
+		}
+	}
+}
+
+// TestUDPConnDropsStrangers pins the peer filter to the whole address: the
+// data link is a two-station system, so a datagram from another socket on
+// the peer's host — same IP, different port — is not the peer's. The
+// stranger's datagrams reach neither a raw Recv nor a station's counters:
+// the only packet the station ever counts is the one the peer sent after
+// them.
+func TestUDPConnDropsStrangers(t *testing.T) {
+	listen := func() *net.UDPConn {
+		c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Skipf("no loopback UDP: %v", err)
+		}
+		return c
+	}
+	la, lb, stranger := listen(), listen(), listen()
+	defer stranger.Close()
+	bAddr := lb.LocalAddr().(*net.UDPAddr)
+	ca := NewUDPConn(la, bAddr)
+	defer ca.Close()
+	cb := NewUDPConn(lb, la.LocalAddr().(*net.UDPAddr))
+
+	intrude := func() {
+		for i := 0; i < 5; i++ {
+			if _, err := stranger.WriteToUDP([]byte("from a third socket"), bAddr); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Loopback queues datagrams in the order of the send calls, so the
+	// peer's packet arrives behind the stranger's five.
+	intrude()
+	if err := ca.Send([]byte("from the peer")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := recvWithTimeout(t, cb); err != nil || string(got) != "from the peer" {
+		t.Fatalf("Recv = %q, %v; want the peer's packet only", got, err)
+	}
+
+	reg := metrics.New()
+	r, err := NewReceiver(cb, ReceiverConfig{RetryInterval: time.Hour, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	intrude()
+	if err := ca.Send([]byte("not a protocol packet, but the peer's")); err != nil {
+		t.Fatal(err)
+	}
+	waitCounter(t, reg, mRxPacketsReceived, 1)
+	// One packet reached the station (and was rejected as junk): no counter,
+	// the station's or its engine's, can have seen more than one.
+	for name, n := range reg.Snapshot().Counters {
+		if n > 1 {
+			t.Errorf("counter %s = %d after five datagrams from a stranger and one from the peer", name, n)
+		}
+	}
+}

@@ -94,6 +94,41 @@ func Pipe(cfg PipeConfig) (PacketConn, PacketConn) {
 	return Impair(a, ia), Impair(b, ib)
 }
 
+// freeBuffers bounds a free list (one per pipe direction, one per
+// impairment stage). Buffers in flight are not on the list, which only
+// ever holds buffers that were in flight together and are idle now, so the
+// bound is a ceiling on idle memory, not a working-set size: beyond it a
+// burst's extra buffers go back to the garbage collector.
+const freeBuffers = 32
+
+// bufList is a bounded free list of packet buffers shared by the
+// goroutines on both sides of a hand-off: the sending side copies the
+// caller's packet into a recycled buffer (PacketConn.Send must not retain
+// its argument), and whoever is last to hold the copy puts it back. A
+// buffer put back must have no other holder. Both operations are
+// non-blocking; an empty list allocates and a full one lets the buffer go.
+type bufList chan []byte
+
+// copy returns p's bytes in a buffer of the list's, or a fresh one.
+func (l bufList) copy(p []byte) []byte {
+	var b []byte
+	select {
+	case b = <-l:
+	default:
+	}
+	return append(b[:0], p...)
+}
+
+func (l bufList) put(b []byte) {
+	if cap(b) == 0 {
+		return
+	}
+	select {
+	case l <- b:
+	default:
+	}
+}
+
 // pipe owns the shared shutdown state of both directions.
 type pipe struct {
 	stop chan struct{}
@@ -122,10 +157,15 @@ func (p *pipe) close() {
 }
 
 // pipeDir is one direction of the pipe: a goroutine applying the fault
-// schedule between an ingress and an egress queue.
+// schedule between an ingress and an egress queue. Every packet in it is a
+// buffer of the direction's free list, owned by exactly one stage at a
+// time — Send's copy, the queues, the fault goroutine, then the receiving
+// end until its next Recv — and each stage that drops a packet puts the
+// buffer back.
 type pipeDir struct {
 	in   chan []byte
 	out  chan []byte
+	free bufList
 	done chan struct{}
 	virt *clock.Virtual // non-nil under a virtual clock (quiescence barrier)
 }
@@ -151,6 +191,7 @@ func newPipeDir(cfg PipeConfig, clk clock.Clock, rng *rand.Rand, stop chan struc
 		// tradeoff, not a correctness one (the protocol tolerates loss).
 		in:   make(chan []byte, 256),
 		out:  make(chan []byte, 256),
+		free: make(bufList, freeBuffers),
 		done: make(chan struct{}),
 	}
 	d.virt, _ = clk.(*clock.Virtual)
@@ -184,10 +225,23 @@ func (d *pipeDir) run(cfg PipeConfig, clk clock.Clock, rng *rand.Rand, stop chan
 		case d.out <- p:
 		case <-stop:
 			d.release()
+			d.free.put(p)
 		default:
 			// Egress full: the link drops the packet, which the protocol
 			// is built to tolerate.
 			d.release()
+			d.free.put(p)
+		}
+	}
+	// route sends one copy of a packet on its way: held back for a later,
+	// out-of-order release, or delivered now.
+	route := func(p []byte) {
+		if rng.Float64() < cfg.ReorderProb {
+			// Held packets are covered by the release ticker (a clock
+			// deadline), not the barrier.
+			held = append(held, p)
+		} else {
+			deliver(p)
 		}
 	}
 
@@ -196,20 +250,18 @@ func (d *pipeDir) run(cfg PipeConfig, clk clock.Clock, rng *rand.Rand, stop chan
 		case p := <-d.in:
 			if rng.Float64() < cfg.Loss {
 				d.release()
+				d.free.put(p)
 				continue
 			}
-			copies := 1
 			if rng.Float64() < cfg.DupProb {
-				copies = 2
-			}
-			for i := 0; i < copies; i++ {
-				if rng.Float64() < cfg.ReorderProb {
-					// Held packets are covered by the release ticker (a
-					// clock deadline), not the barrier.
-					held = append(held, p)
-				} else {
-					deliver(p)
-				}
+				// The duplicate is a buffer of its own, and copied before
+				// the original is delivered: from then on the original is
+				// the receiving end's to recycle.
+				dup := d.free.copy(p)
+				route(p)
+				route(dup)
+			} else {
+				route(p)
 			}
 			d.release()
 		case <-ticker.C():
@@ -236,6 +288,7 @@ type pipeEnd struct {
 	p    *pipe
 	send *pipeDir
 	recv *pipeDir
+	lent []byte // what Recv last returned: the caller's until the next Recv
 }
 
 var _ PacketConn = (*pipeEnd)(nil)
@@ -249,14 +302,19 @@ func (e *pipeEnd) Send(p []byte) error {
 		return ErrClosed
 	default:
 	}
-	cp := append([]byte(nil), p...)
+	e.send.enqueue(p)
+	return nil
+}
+
+// enqueue puts a copy of p on the direction's ingress queue, or drops it
+// when the queue is full, as a congested link would.
+func (d *pipeDir) enqueue(p []byte) {
+	cp := d.free.copy(p)
 	select {
-	case e.send.in <- cp:
-		e.send.hold()
-		return nil
+	case d.in <- cp:
+		d.hold()
 	default:
-		// Ingress full: drop, as a congested link would.
-		return nil
+		d.free.put(cp)
 	}
 }
 
@@ -270,33 +328,29 @@ func (e *pipeEnd) SendBatch(pkts [][]byte) error {
 	default:
 	}
 	for _, p := range pkts {
-		cp := append([]byte(nil), p...)
-		select {
-		case e.send.in <- cp:
-			e.send.hold()
-		default:
-			// Ingress full: drop, as a congested link would.
-		}
+		e.send.enqueue(p)
 	}
 	return nil
 }
 
-// Recv implements PacketConn.
+// Recv implements PacketConn. The packet it returns is lent (see
+// PacketConn.Recv): the next Recv takes the buffer back for a later Send
+// to fill.
 func (e *pipeEnd) Recv() ([]byte, error) {
+	e.recv.free.put(e.lent)
+	e.lent = nil
 	select {
-	case p := <-e.recv.out:
-		e.recv.release()
-		return p, nil
+	case e.lent = <-e.recv.out:
 	case <-e.p.stop:
 		// Drain anything already queued before reporting closure.
 		select {
-		case p := <-e.recv.out:
-			e.recv.release()
-			return p, nil
+		case e.lent = <-e.recv.out:
 		default:
 			return nil, ErrClosed
 		}
 	}
+	e.recv.release()
+	return e.lent, nil
 }
 
 // Close implements PacketConn; it shuts down both directions.

@@ -22,7 +22,9 @@ const defaultRetryInterval = 2 * time.Millisecond
 // callers may lag behind before the station sheds inbound packets (see
 // handlePacket): with the buffer full, DATA is dropped as loss, no
 // delivery commits, no OK flows, and the transmitter stalls — natural
-// flow control, paced by its retries.
+// flow control. The stall lasts as long as the lag, not a retry interval
+// longer: the Recv that makes room again fires the RETRY action at once
+// (see Recv), which asks for the shed DATA one wheel tick later.
 const deliveryBuffer = 16
 
 // ReceiverConfig parameterizes a Receiver.
@@ -100,7 +102,8 @@ type Receiver struct {
 	accept  func() bool
 
 	arrivals atomic.Uint64 // packets seen; read by retryTick for backoff
-	parked   atomic.Int64  // len(pending) mirror, readable without mu by the accept gate
+	parked   atomic.Int64  // len(pending) mirror, readable without mu by the capacity gate
+	shed     atomic.Bool   // a packet was shed for lack of room and no retry has asked again yet
 
 	// Scratch whose contents outlive the unlock their round ends with.
 	// That is safe because each has one user and one goroutine runs it:
@@ -138,6 +141,7 @@ func NewReceiver(conn PacketConn, cfg ReceiverConfig) (*Receiver, error) {
 		wr:         wr,
 		out:        make(chan []byte, cfg.Window*deliveryBuffer),
 		deliver:    cfg.Deliver,
+		accept:     cfg.Accept,
 		interval:   cfg.RetryInterval,
 		base:       cfg.RetryInterval,
 		maxBackoff: cfg.RetryBackoffMax,
@@ -145,23 +149,6 @@ func NewReceiver(conn PacketConn, cfg ReceiverConfig) (*Receiver, error) {
 	}
 	if r.framed {
 		r.pending = make(map[uint64][]byte)
-	}
-	// One accepted packet commits at most one protocol delivery, which
-	// grows buffered-plus-parked by at most one; keeping that sum below
-	// the buffer capacity guarantees a release burst (1 + drained
-	// pending) always fits without blocking the pump. A single producer
-	// (the pump) means the check cannot race into overflow: space observed
-	// here is still there at hand-off time. The gate runs on the pump
-	// before r.mu is taken, while Close (another goroutine) may be
-	// resetting the pending map under r.mu — so it reads the atomic parked
-	// mirror, never the map. A user Accept narrows this gate, never
-	// replaces it — the parked-set bound is what keeps release bursts
-	// under WindowReleaseBound for the layer above.
-	gate := func() bool { return len(r.out)+int(r.parked.Load()) < cap(r.out) }
-	if user := cfg.Accept; user != nil {
-		r.accept = func() bool { return gate() && user() }
-	} else {
-		r.accept = gate
 	}
 	r.m.retryIntervalMS.Set(float64(r.interval) / float64(time.Millisecond))
 	r.io = stationEndpoint(conn, cfg.Metrics)
@@ -199,9 +186,18 @@ func (r *Receiver) flushStats() {
 }
 
 // Recv blocks for the next message, in the sender's admission order.
+//
+// If the station shed a packet while the buffer was full, the message
+// taken here is the room it was waiting for, and RETRY fires now instead
+// of up to a retry interval from now. The paper lets RETRY fire at any
+// time, so Section 2.6 is untouched, and the flag allows one early firing
+// per shed episode however many packets the episode shed.
 func (r *Receiver) Recv(ctx context.Context) ([]byte, error) {
 	select {
 	case m := <-r.out:
+		if r.shed.CompareAndSwap(true, false) {
+			r.retry.Reset(0)
+		}
 		return m, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
@@ -273,6 +269,19 @@ func (r *Receiver) Close() error {
 	return nil
 }
 
+// room is the station's capacity gate. One accepted packet commits at most
+// one protocol delivery, which grows buffered-plus-parked by at most one;
+// keeping that sum below the buffer capacity guarantees a release burst
+// (1 + drained pending) always fits without blocking the pump. A single
+// producer (the pump) means the check cannot race into overflow: space
+// observed here is still there at hand-off time. The gate runs on the pump
+// before r.mu is taken, while Close (another goroutine) may be resetting
+// the pending map under r.mu — so it reads the atomic parked mirror, never
+// the map. A user Accept narrows this gate, never replaces it — the
+// parked-set bound is what keeps release bursts under WindowReleaseBound
+// for the layer above.
+func (r *Receiver) room() bool { return len(r.out)+int(r.parked.Load()) < cap(r.out) }
+
 // handlePacket is the engine-pump callback: one protocol round for one
 // slot. It never blocks — when the layer above has no room the packet is
 // shed as link loss before the machine runs, so no delivery commits and
@@ -286,7 +295,12 @@ func (r *Receiver) Close() error {
 //ghm:hotpath
 func (r *Receiver) handlePacket(p []byte) {
 	r.arrivals.Add(1)
-	if !r.accept() {
+	if !r.room() {
+		r.m.ingressShed.Inc()
+		r.shed.Store(true)
+		return
+	}
+	if r.accept != nil && !r.accept() {
 		r.m.ingressShed.Inc()
 		return
 	}
@@ -312,9 +326,9 @@ func (r *Receiver) handlePacket(p []byte) {
 	clear(release) // the scratch must not pin what the layer above now owns
 }
 
-// copyMsg is the one allocation on the delivery path: msg aliases the
-// inbound packet, which belongs to the conn, and the copy is what Recv
-// hands to its caller.
+// copyMsg is the one allocation of a confirmed message: msg aliases the
+// inbound packet, which the conn lends only until the pump's next Recv
+// (PacketConn.Recv), and the copy is what Recv hands to its caller.
 func copyMsg(msg []byte) []byte {
 	//lint:allow hotpathalloc the delivery copy: the message outlives the conn's packet buffer
 	return append([]byte(nil), msg...)

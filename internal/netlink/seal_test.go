@@ -67,6 +67,7 @@ func TestSealCiphertextsOfSameMessageDiffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c1 = append([]byte(nil), c1...) // lent until the next Recv
 	c2, err := b.Recv()
 	if err != nil {
 		t.Fatal(err)

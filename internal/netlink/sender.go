@@ -68,9 +68,18 @@ type Sender struct {
 	framed bool // core.Framed(k): payloads carry epoch‖seq, see window.go
 	epoch  uint64
 
+	// results carries each slot's outcome to the Send that holds the slot:
+	// one cap-1 channel per slot, made once. The slot token gives one Send
+	// exclusive use of its channel, and every registration (waiting[slot]
+	// set) gets exactly one resolution — handlePacket or crashLocked
+	// clears the flag and sends — or clears the flag itself in settle; the
+	// Send consumes the resolution before it hands the token back, so the
+	// channel is empty whenever the token is in s.free.
+	results []chan error
+
 	mu      sync.Mutex // guards everything below
 	wt      *core.WindowedTransmitter
-	waiters []chan error // per slot; non-nil while a Send awaits its OK
+	waiting []bool       // per slot; set while a Send awaits its OK
 	last    core.TxStats // stats at the previous flush (delta baseline)
 
 	// Admission state of a framed window (see window.go); a depth-1
@@ -104,7 +113,8 @@ func NewSender(conn PacketConn, cfg SenderConfig) (*Sender, error) {
 		framed:  core.Framed(cfg.Window),
 		epoch:   cfg.Epoch,
 		wt:      wt,
-		waiters: make([]chan error, cfg.Window),
+		results: make([]chan error, cfg.Window),
+		waiting: make([]bool, cfg.Window),
 		free:    make(chan int, cfg.Window),
 		stop:    make(chan struct{}),
 	}
@@ -114,6 +124,7 @@ func NewSender(conn PacketConn, cfg SenderConfig) (*Sender, error) {
 		s.wiped = make(map[string][]uint64)
 	}
 	for i := 0; i < cfg.Window; i++ {
+		s.results[i] = make(chan error, 1)
 		s.free <- i
 	}
 	s.io = stationEndpoint(conn, cfg.Metrics)
@@ -147,13 +158,15 @@ func (s *Sender) flushStats() {
 
 // crashLocked performs the station's crash^T: stats flushed first (the
 // wipe zeroes them), every slot's memory wiped at once, every in-flight
-// payload of a framed window recorded for seq reuse, every still-parked
-// waiter resolved with ErrCrashed, the event taped, the crash counted.
-// Call with s.mu held. The waiter sends cannot block: each channel is
-// buffered (cap 1) and exclusively owned by whoever cleared it here.
+// payload of a framed window recorded for seq reuse, the event taped, the
+// crash counted — and only then every still-parked waiter resolved with
+// ErrCrashed, so a Send that reports the crash finds it on the tape.
+// Call with s.mu held. The result sends cannot block: a set waiting flag
+// means the slot's channel (cap 1) is empty and whoever clears the flag
+// owns its one send.
 func (s *Sender) crashLocked() {
 	s.flushStats()
-	for i, w := range s.waiters {
+	for i := range s.waiting {
 		if s.wt.SlotBusy(i) {
 			s.m.windowWiped.Inc()
 			if s.framed {
@@ -163,17 +176,19 @@ func (s *Sender) crashLocked() {
 				s.wiped[key] = append(s.wiped[key], s.slotSeq[i])
 			}
 		}
-		if w != nil {
-			s.waiters[i] = nil
-			s.m.abandoned.Inc()
-			w <- ErrCrashed
-		}
 	}
 	s.wt.Crash()
 	s.last = core.TxStats{}
 	s.m.crashes.Inc()
 	s.m.windowInflight.Set(0)
 	s.emit(trace.KindCrashT, nil, 0)
+	for i, waiting := range s.waiting {
+		if waiting {
+			s.waiting[i] = false
+			s.m.abandoned.Inc()
+			s.results[i] <- ErrCrashed
+		}
+	}
 }
 
 // settle resolves an interrupted Send for slot. If the transfer is still
@@ -181,22 +196,22 @@ func (s *Sender) crashLocked() {
 // action, so an abandoned transfer is accounted as crash^T, and wiping
 // the window guarantees a stale OK arriving later cannot match it — and
 // settle reports nothing to drain. If the OK (or a concurrent crash)
-// raced ahead and already cleared the waiter, its buffered result is
-// guaranteed to arrive promptly (the resolver sends before touching the
-// conn — see handlePacket); settle drains it and hands it back, so a
+// raced ahead and already cleared the waiting flag, its buffered result
+// is guaranteed to arrive promptly (the resolver sends before touching
+// the conn — see handlePacket); settle drains it and hands it back, so a
 // transfer whose OK beat the cancellation is reported delivered, never
-// failed.
-func (s *Sender) settle(slot int, w chan error) (error, bool) {
+// failed — and the slot's channel is empty again for the next Send.
+func (s *Sender) settle(slot int) (error, bool) {
 	s.mu.Lock()
-	if s.waiters[slot] == w {
-		s.waiters[slot] = nil
+	if s.waiting[slot] {
+		s.waiting[slot] = false
 		s.m.abandoned.Inc()
 		s.crashLocked()
 		s.mu.Unlock()
 		return nil, false
 	}
 	s.mu.Unlock()
-	return <-w, true
+	return <-s.results[slot], true
 }
 
 // finish translates a waiter result into Send's return, observing the
@@ -292,8 +307,7 @@ func (s *Sender) Send(ctx context.Context, msg []byte) error {
 	s.m.sendMsgs.Inc()
 	s.m.windowAdmitted.Inc()
 	s.emit(trace.KindSendMsg, msg, slot)
-	w := make(chan error, 1)
-	s.waiters[slot] = w
+	s.waiting[slot] = true
 	s.m.windowInflight.Set(float64(s.wt.InFlight()))
 	s.flushStats()
 	s.mu.Unlock()
@@ -301,10 +315,10 @@ func (s *Sender) Send(ctx context.Context, msg []byte) error {
 	start := s.io.clock().Now()
 	s.io.transmit(buf, pkt)
 
-	res, err := await(ctx, s, w)
+	res, err := await(ctx, s, s.results[slot])
 	if err != nil {
 		var drained bool
-		if res, drained = s.settle(slot, w); !drained {
+		if res, drained = s.settle(slot); !drained {
 			return err
 		}
 	}
@@ -341,9 +355,9 @@ func (s *Sender) Close() error {
 }
 
 // handlePacket is the engine-pump callback: one protocol round for one
-// slot. It must not block — the waiter channel is buffered and owned
-// exclusively by whoever clears it under the lock, so the resolve cannot
-// stall the pump.
+// slot. It must not block — the slot's result channel is buffered and its
+// one send belongs to whoever clears the waiting flag under the lock, so
+// the resolve cannot stall the pump.
 //
 //ghm:hotpath
 func (s *Sender) handlePacket(p []byte) {
@@ -351,11 +365,11 @@ func (s *Sender) handlePacket(p []byte) {
 	s.mu.Lock()
 	pkt, slot := s.wt.AppendReceivePacket(*buf, p)
 	s.m.packetsReceived.Inc()
-	var w chan error
+	resolve := false
 	if slot >= 0 {
 		s.emit(trace.KindOK, nil, slot)
-		w = s.waiters[slot]
-		s.waiters[slot] = nil
+		resolve = s.waiting[slot]
+		s.waiting[slot] = false
 		s.m.windowInflight.Set(float64(s.wt.InFlight()))
 		if s.spanWait != nil {
 			// The lowest unconfirmed seq may have moved: let admissions
@@ -371,9 +385,9 @@ func (s *Sender) handlePacket(p []byte) {
 	// then bounded by lock handoff alone, never by how long a PacketConn
 	// implementation blocks in Send. The replies tolerate the reordering —
 	// they cross an unreliable link anyway.
-	if w != nil {
-		//lint:allow nonblockinghandler the waiter channel is buffered (cap 1) and exclusively owned: this send cannot block
-		w <- nil
+	if resolve {
+		//lint:allow nonblockinghandler the slot's result channel is buffered (cap 1), empty while its waiting flag is set, and this send is the one the cleared flag licenses: it cannot block
+		s.results[slot] <- nil
 	}
 	s.io.transmit(buf, pkt)
 }

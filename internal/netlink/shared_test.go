@@ -57,7 +57,7 @@ func pumpConn(c PacketConn) <-chan []byte {
 			if err != nil {
 				return
 			}
-			ch <- p
+			ch <- append([]byte(nil), p...) // p is lent until the next Recv
 		}
 	}()
 	return ch

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 )
 
 // maxUDPPacket bounds received datagrams. Protocol packets are a few
@@ -16,6 +17,8 @@ const maxUDPPacket = 64 * 1024
 type UDPConn struct {
 	conn *net.UDPConn
 	peer *net.UDPAddr
+	from netip.AddrPort // peer as Recv compares it: the address unmapped
+	lent []byte         // Recv's result, grown to the largest datagram seen
 }
 
 var _ PacketConn = (*UDPConn)(nil)
@@ -36,14 +39,29 @@ func DialUDP(laddr, raddr string) (*UDPConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netlink: listen %q: %w", laddr, err)
 	}
-	return &UDPConn{conn: conn, peer: remote}, nil
+	return NewUDPConn(conn, remote), nil
 }
 
 // NewUDPConn wraps an already-bound socket talking to peer. It exists for
 // callers that need to bind both stations before either knows the other's
 // ephemeral port.
 func NewUDPConn(conn *net.UDPConn, peer *net.UDPAddr) *UDPConn {
-	return &UDPConn{conn: conn, peer: peer}
+	ap := peer.AddrPort()
+	return &UDPConn{conn: conn, peer: peer, from: netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())}
+}
+
+// fromPeer reports whether a datagram's source is the configured peer:
+// the same address and, when the peer was given with a port, the same
+// port. A peer with an unspecified (or no) address accepts any source.
+func (u *UDPConn) fromPeer(from netip.AddrPort) bool {
+	ip := u.from.Addr()
+	if !ip.IsValid() || ip.IsUnspecified() {
+		return true
+	}
+	if from.Addr().Unmap() != ip {
+		return false
+	}
+	return u.from.Port() == 0 || from.Port() == u.from.Port()
 }
 
 // LocalAddr returns the bound address (useful when laddr used port 0).
@@ -62,27 +80,34 @@ func (u *UDPConn) Send(p []byte) error {
 	return nil
 }
 
-// Recv implements PacketConn. Datagrams from addresses other than the
-// peer are dropped: the data link is a two-station system. Transient read
-// errors (e.g. ICMP-induced ECONNREFUSED while the peer host is down —
-// exactly the crash scenario the protocol exists for) are returned
-// unwrapped-as-closed: the engine pump classifies them via IsFatal,
-// counts an io_retry and paces the retry on the shared timer wheel, so
-// this goroutine never sleeps. Only a closed socket returns ErrClosed.
+// Recv implements PacketConn. Datagrams from anywhere but the peer's
+// address and port are dropped: the data link is a two-station system.
+// The packet returned is lent (see PacketConn.Recv): it is the conn's one
+// receive buffer, refilled by the next Recv. The datagram is read into a
+// buffer on Recv's stack and copied out at its own length, so a conn
+// keeps as many bytes as its largest datagram, not UDP's 64 KiB.
+//
+// Transient read errors (e.g. ICMP-induced ECONNREFUSED while the peer
+// host is down — exactly the crash scenario the protocol exists for) are
+// returned unwrapped-as-closed: the engine pump classifies them via
+// IsFatal, counts an io_retry and paces the retry on the shared timer
+// wheel, so this goroutine never sleeps. Only a closed socket returns
+// ErrClosed.
 func (u *UDPConn) Recv() ([]byte, error) {
 	buf := make([]byte, maxUDPPacket)
 	for {
-		n, from, err := u.conn.ReadFromUDP(buf)
+		n, from, err := u.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			if errors.Is(err, net.ErrClosed) {
 				return nil, ErrClosed
 			}
 			return nil, fmt.Errorf("netlink: udp read: %w", err)
 		}
-		if from == nil || !from.IP.Equal(u.peer.IP) && !u.peer.IP.IsUnspecified() {
+		if !u.fromPeer(from) {
 			continue
 		}
-		return append([]byte(nil), buf[:n]...), nil
+		u.lent = append(u.lent[:0], buf[:n]...)
+		return u.lent, nil
 	}
 }
 

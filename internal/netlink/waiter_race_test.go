@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -419,5 +421,146 @@ func testCloseVsOKInterleaving(t *testing.T, k int) {
 			t.Fatalf("iter %d: Send succeeded but tap saw %d OKs", i, okCount)
 		}
 		r.Close()
+	}
+}
+
+// TestReusedWaiterVsOK holds the per-slot result channels to what lets
+// them be reused: a slot's channel is empty whenever no Send holds the
+// slot, and a Send only ever reads a result produced for itself. Workers
+// keep every slot of the window busy with distinct payloads while one
+// disturbance — a cancelled Send, a Crash, a Close — races the OKs, and
+// each result is checked against what it claims: nil means the receiver
+// has already delivered that very payload (a nil left over from the
+// slot's previous Send would come back before the payload had crossed
+// the link), and ErrCrashed means a crash^T was committed while this Send
+// was in flight (one left over would predate it).
+func TestReusedWaiterVsOK(t *testing.T) {
+	for _, mode := range []string{"cancel", "crash", "close"} {
+		t.Run(mode, func(t *testing.T) {
+			forDepths(t, func(t *testing.T, k int) { testReusedWaiter(t, k, mode) })
+		})
+	}
+}
+
+func testReusedWaiter(t *testing.T, k int, mode string) {
+	ctx := testCtx(t)
+	const perWorker = 6
+	for i := 0; i < 40; i++ {
+		var (
+			mu        sync.Mutex
+			delivered = make(map[string]bool)
+			crashes   atomic.Int64
+		)
+		a, b := Pipe(PipeConfig{Seed: int64(9000 + i)})
+		s, err := NewSender(a, SenderConfig{Window: k, Tap: func(kind trace.Kind, _ []byte, _ int) {
+			if kind == trace.KindCrashT {
+				crashes.Add(1)
+			}
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReceiver(b, ReceiverConfig{Window: k, RetryInterval: 50 * time.Microsecond,
+			Tap: func(kind trace.Kind, msg []byte, _ int) {
+				if kind == trace.KindReceiveMsg {
+					mu.Lock()
+					delivered[string(msg)] = true
+					mu.Unlock()
+				}
+			}})
+		if err != nil {
+			s.Close()
+			t.Fatal(err)
+		}
+		drainCtx, stopDrain := context.WithCancel(ctx)
+		drained := make(chan struct{})
+		go func() {
+			defer close(drained)
+			for {
+				if _, err := r.Recv(drainCtx); err != nil {
+					return
+				}
+			}
+		}()
+
+		victim, cancelVictim := context.WithCancel(ctx)
+		var wg sync.WaitGroup
+		for w := 0; w < k; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for n := 0; n < perWorker; n++ {
+					payload := fmt.Sprintf("iter %d worker %d message %d", i, w, n)
+					// A wiped payload is resubmitted byte-identical: a framed
+					// window's release waits for its seq.
+					for confirmed := false; !confirmed; {
+						sendCtx := ctx
+						if mode == "cancel" && w == 0 && victim.Err() == nil {
+							sendCtx = victim
+						}
+						before := crashes.Load()
+						err := s.Send(sendCtx, []byte(payload))
+						if k == 1 && len(s.results[0]) != 0 {
+							t.Errorf("iter %d: Send(%q) = %v left a result in its slot's channel", i, payload, err)
+						}
+						switch {
+						case err == nil:
+							mu.Lock()
+							ok := delivered[payload]
+							mu.Unlock()
+							if !ok {
+								t.Errorf("iter %d: Send(%q) = nil before the receiver delivered it: a result left over from the slot's previous Send", i, payload)
+							}
+							confirmed = true
+						case errors.Is(err, ErrCrashed):
+							// crashLocked resolves its waiters and tapes crash^T in
+							// one critical section; passing through the lock orders
+							// this read after the tape entry.
+							s.mu.Lock()
+							s.mu.Unlock() //nolint:staticcheck // empty critical section on purpose
+							if crashes.Load() == before {
+								t.Errorf("iter %d: Send(%q) = ErrCrashed with no crash^T during it: a result left over from the slot's previous Send", i, payload)
+							}
+						case errors.Is(err, context.Canceled) && sendCtx == victim:
+						case errors.Is(err, ErrClosed) && mode == "close":
+							return
+						default:
+							t.Errorf("iter %d: Send(%q) = %v", i, payload, err)
+							return
+						}
+					}
+				}
+			}(w)
+		}
+		// Sweep the disturbance across the run of OKs.
+		time.Sleep(time.Duration(i%40) * 10 * time.Microsecond)
+		switch mode {
+		case "cancel":
+			cancelVictim()
+		case "crash":
+			s.Crash()
+		case "close":
+			s.Close()
+		}
+		wg.Wait()
+		cancelVictim()
+
+		s.mu.Lock()
+		for slot := range s.results {
+			if len(s.results[slot]) != 0 || s.waiting[slot] {
+				t.Errorf("iter %d: slot %d at rest: %d buffered results, waiting=%v", i, slot, len(s.results[slot]), s.waiting[slot])
+			}
+		}
+		s.mu.Unlock()
+		if len(s.free) != k {
+			t.Errorf("iter %d: %d of %d slot tokens at rest", i, len(s.free), k)
+		}
+		stopDrain()
+		<-drained
+		s.Close()
+		r.Close()
+		if t.Failed() {
+			return
+		}
 	}
 }
