@@ -26,14 +26,15 @@ import (
 
 // escapePkgs are the packages whose escape behaviour is pinned: the
 // protocol core under the hot roots, the runtime scope of the
-// whole-program analyzers, and the conformance checker every mesh hop's
-// taps feed.
+// whole-program analyzers, the outbox every session and mesh hop enqueues
+// into, and the conformance checker every mesh hop's taps feed.
 var escapePkgs = []string{
 	"ghm/internal/bitstr",
 	"ghm/internal/wire",
 	"ghm/internal/core",
 	"ghm/internal/engine",
 	"ghm/internal/netlink",
+	"ghm/internal/outbox",
 	"ghm/internal/session",
 	"ghm/internal/supervise",
 	"ghm/internal/relay",
@@ -57,6 +58,7 @@ var escapeDirs = []string{
 	"internal/core/",
 	"internal/engine/",
 	"internal/netlink/",
+	"internal/outbox/",
 	"internal/session/",
 	"internal/supervise/",
 	"internal/relay/",

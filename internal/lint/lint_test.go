@@ -116,7 +116,7 @@ func TestAllowInventory(t *testing.T) {
 	want := map[string]int{
 		"cryptorand":         4,
 		"nonblockinghandler": 1,
-		"hotpathalloc":       10,
+		"hotpathalloc":       14,
 	}
 
 	got := make(map[string]int)

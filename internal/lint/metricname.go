@@ -19,10 +19,11 @@ var metricFamilyGrammar = regexp.MustCompile(`^(tx|rx|link|chaos|session|relay|a
 // metricRegistryMethods are the Registry entry points whose name
 // argument the analyzer vets.
 var metricRegistryMethods = map[string]bool{
-	"Counter":   true,
-	"Gauge":     true,
-	"GaugeFunc": true,
-	"Histogram": true,
+	"Counter":      true,
+	"Gauge":        true,
+	"GaugeFunc":    true,
+	"GaugeFuncSum": true,
+	"Histogram":    true,
 }
 
 // MetricName enforces that every name reaching the metrics registry is
@@ -36,7 +37,7 @@ var MetricName = &analysis.Analyzer{
 	Name: "metricname",
 	Doc: `metric names must be declared constants matching the family grammar
 
-Every string reaching Registry.Counter/Gauge/GaugeFunc/Histogram must be
+Every string reaching Registry.Counter/Gauge/GaugeFunc/GaugeFuncSum/Histogram must be
 composed of declared string constants (no raw literals at the call), and
 when the full name is a compile-time constant it must match
 (tx|rx|link|chaos|session|relay|adversary).snake_case. Raw literals

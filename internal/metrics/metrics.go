@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -126,8 +127,13 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	gaugeFuncs map[string]func() float64
+	gaugeSums  map[string][]*sumTerm
 	hists      map[string]*Histogram
 }
+
+// sumTerm is one component's contribution to a summed gauge; the pointer
+// is its identity for removal.
+type sumTerm struct{ fn func() float64 }
 
 // New returns an empty registry.
 func New() *Registry {
@@ -135,6 +141,7 @@ func New() *Registry {
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
 		gaugeFuncs: make(map[string]func() float64),
+		gaugeSums:  make(map[string][]*sumTerm),
 		hists:      make(map[string]*Histogram),
 	}
 }
@@ -178,6 +185,32 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	r.gaugeFuncs[name] = fn
 }
 
+// GaugeFuncSum adds fn to the functions registered under name: the gauge
+// reads their sum at snapshot time, so components sharing a registry and a
+// name share the gauge the way they share a counter. The returned remove
+// takes fn out again — a registry outlives most of what reports to it, and
+// until then it holds fn and everything fn reaches. A name whose last
+// function is removed leaves the snapshot.
+func (r *Registry) GaugeFuncSum(name string, fn func() float64) (remove func()) {
+	t := &sumTerm{fn: fn}
+	r.mu.Lock()
+	r.gaugeSums[name] = append(r.gaugeSums[name], t)
+	r.mu.Unlock()
+	return func() {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		terms := r.gaugeSums[name]
+		if i := slices.Index(terms, t); i >= 0 {
+			terms = slices.Delete(terms, i, i+1)
+		}
+		if len(terms) == 0 {
+			delete(r.gaugeSums, name)
+		} else {
+			r.gaugeSums[name] = terms
+		}
+	}
+}
+
 // Histogram returns the histogram registered under name, creating it if
 // new.
 func (r *Registry) Histogram(name string) *Histogram {
@@ -208,6 +241,10 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range r.gaugeFuncs {
 		gaugeFuncs[k] = v
 	}
+	gaugeSums := make(map[string][]*sumTerm, len(r.gaugeSums))
+	for k, v := range r.gaugeSums {
+		gaugeSums[k] = slices.Clone(v)
+	}
 	hists := make(map[string]*Histogram, len(r.hists))
 	for k, v := range r.hists {
 		hists[k] = v
@@ -216,7 +253,7 @@ func (r *Registry) Snapshot() Snapshot {
 
 	s := Snapshot{
 		Counters:   make(map[string]int64, len(counters)),
-		Gauges:     make(map[string]float64, len(gauges)+len(gaugeFuncs)),
+		Gauges:     make(map[string]float64, len(gauges)+len(gaugeFuncs)+len(gaugeSums)),
 		Histograms: make(map[string]HistogramValue, len(hists)),
 	}
 	for k, c := range counters {
@@ -227,6 +264,13 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for k, fn := range gaugeFuncs {
 		s.Gauges[k] = fn()
+	}
+	for k, terms := range gaugeSums {
+		var sum float64
+		for _, t := range terms {
+			sum += t.fn()
+		}
+		s.Gauges[k] = sum
 	}
 	for k, h := range hists {
 		s.Histograms[k] = h.Value()

@@ -185,3 +185,32 @@ func TestServe(t *testing.T) {
 		t.Errorf("status = %d", resp.StatusCode)
 	}
 }
+
+// TestGaugeFuncSum: functions registered under one name report their sum,
+// each remove takes exactly its own function out, and the name leaves the
+// snapshot — and the registry lets go of the last function — with the
+// last remove.
+func TestGaugeFuncSum(t *testing.T) {
+	r := New()
+	a := r.GaugeFuncSum("q.depth", func() float64 { return 3 })
+	b := r.GaugeFuncSum("q.depth", func() float64 { return 5 })
+	c := r.GaugeFuncSum("q.depth", func() float64 { return 11 })
+	if got := r.Snapshot().Gauges["q.depth"]; got != 19 {
+		t.Errorf("three functions sum to %v, want 19", got)
+	}
+	b()
+	b() // idempotent
+	if got := r.Snapshot().Gauges["q.depth"]; got != 14 {
+		t.Errorf("after removing the 5: %v, want 14", got)
+	}
+	a()
+	c()
+	if got, ok := r.Snapshot().Gauges["q.depth"]; ok {
+		t.Errorf("gauge still reports %v with every function removed", got)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.gaugeSums) != 0 {
+		t.Errorf("registry still holds %v", r.gaugeSums)
+	}
+}

@@ -86,7 +86,7 @@ func TestStationRoundAllocBudget(t *testing.T) {
 	}
 	links := map[string]func() (netlink.PacketConn, netlink.PacketConn){
 		"":      ringPipe,
-		"pipe,": func() (netlink.PacketConn, netlink.PacketConn) { return netlink.Pipe(netlink.PipeConfig{Seed: 1}) },
+		"pipe,": perfectPipe,
 	}
 	for name, link := range links {
 		for _, k := range []int{1, 8} {
@@ -104,21 +104,7 @@ func TestStationRoundAllocBudget(t *testing.T) {
 
 func testStationRoundAllocBudget(t *testing.T, k int, tap netlink.Tap, link func() (netlink.PacketConn, netlink.PacketConn)) {
 	t.Helper()
-	params := func(seed int64) core.Params {
-		return core.Params{Epsilon: 1.0 / (1 << 40), Source: bitstr.NewSeededSource(seed)}
-	}
-	a, b := link()
-	s, err := netlink.NewSender(a, netlink.SenderConfig{Window: k, Params: params(1), Tap: tap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	r, err := netlink.NewReceiver(b, netlink.ReceiverConfig{Window: k, Params: params(2), RetryInterval: time.Millisecond, Tap: tap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-
+	s, r := stationPair(t, k, tap, link)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	msg := bytes.Repeat([]byte("m"), 64)
@@ -137,6 +123,32 @@ func testStationRoundAllocBudget(t *testing.T, k int, tap netlink.Tap, link func
 	if got := testing.AllocsPerRun(200, round); got > 1 {
 		t.Errorf("one Send + Recv round: %v allocs, budget 1", got)
 	}
+}
+
+// stationPair is a sender and a receiver of depth k over link, both on tap,
+// closed with the test.
+func stationPair(t *testing.T, k int, tap netlink.Tap, link func() (netlink.PacketConn, netlink.PacketConn)) (*netlink.Sender, *netlink.Receiver) {
+	t.Helper()
+	params := func(seed int64) core.Params {
+		return core.Params{Epsilon: 1.0 / (1 << 40), Source: bitstr.NewSeededSource(seed)}
+	}
+	a, b := link()
+	s, err := netlink.NewSender(a, netlink.SenderConfig{Window: k, Params: params(1), Tap: tap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	r, err := netlink.NewReceiver(b, netlink.ReceiverConfig{Window: k, Params: params(2), RetryInterval: time.Millisecond, Tap: tap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	return s, r
+}
+
+// perfectPipe is the in-process link with no faults.
+func perfectPipe() (netlink.PacketConn, netlink.PacketConn) {
+	return netlink.Pipe(netlink.PipeConfig{Seed: 1})
 }
 
 // TestPipeRoundAllocatesNothing pins the Pipe's own hand-off at zero in
@@ -161,5 +173,93 @@ func TestPipeRoundAllocatesNothing(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(500, round); got != 0 {
 		t.Errorf("one Pipe Send + Recv: %v allocs, want 0", got)
+	}
+}
+
+// TestReceiverGiveBackAllocBudget: a caller that gives every message back
+// gets its messages for nothing — the delivery copy goes into a message it
+// returned.
+func TestReceiverGiveBackAllocBudget(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector's sync.Pool drops buffers at random")
+	}
+	for _, k := range []int{1, 8} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			s, r := stationPair(t, k, nil, perfectPipe)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			msg := bytes.Repeat([]byte("m"), 64)
+			round := func() {
+				if err := s.Send(ctx, msg); err != nil {
+					t.Fatalf("Send: %v", err)
+				}
+				got, err := r.Recv(ctx)
+				if err != nil || !bytes.Equal(got, msg) {
+					t.Fatalf("Recv = %q, %v", got, err)
+				}
+				r.GiveBack(got)
+			}
+			for i := 0; i < 10*k; i++ {
+				round()
+			}
+			if got := testing.AllocsPerRun(200, round); got != 0 {
+				t.Errorf("one Send + Recv + GiveBack round: %v allocs, want 0", got)
+			}
+		})
+	}
+}
+
+// TestReceiverGiveBackNeverAliasesHeldMessage: Recv gives ownership, and
+// giving back is the caller's choice per message. A caller that gives back
+// two messages in three and holds the third finds every held message
+// byte-identical at the end and in memory of its own — the station reuses
+// only what came back. Under the race detector a reused held message would
+// also be a write by the pump against the reads here.
+func TestReceiverGiveBackNeverAliasesHeldMessage(t *testing.T) {
+	for _, k := range []int{1, 8} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			s, r := stationPair(t, k, nil, perfectPipe)
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			const total = 3000
+			payload := func(i int) []byte { return []byte(fmt.Sprintf("message-%06d-%032d", i, i)) }
+
+			sendErr := make(chan error, 1)
+			go func() {
+				for i := 0; i < total; i++ {
+					if err := s.Send(ctx, payload(i)); err != nil {
+						sendErr <- fmt.Errorf("Send %d: %w", i, err)
+						return
+					}
+				}
+				sendErr <- nil
+			}()
+
+			held := map[int][]byte{}
+			backing := map[*byte]int{}
+			for i := 0; i < total; i++ {
+				got, err := r.Recv(ctx)
+				if err != nil || !bytes.Equal(got, payload(i)) {
+					t.Fatalf("Recv %d = %q, %v", i, got, err)
+				}
+				if prev, ok := backing[&got[0]]; ok {
+					t.Fatalf("message %d arrived in the memory of message %d, which is still held", i, prev)
+				}
+				if i%3 == 0 {
+					held[i] = got
+					backing[&got[0]] = i
+				} else {
+					r.GiveBack(got)
+				}
+			}
+			if err := <-sendErr; err != nil {
+				t.Fatal(err)
+			}
+			for i, m := range held {
+				if !bytes.Equal(m, payload(i)) {
+					t.Fatalf("held message %d now reads %q", i, m)
+				}
+			}
+		})
 	}
 }

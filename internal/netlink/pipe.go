@@ -101,12 +101,13 @@ func Pipe(cfg PipeConfig) (PacketConn, PacketConn) {
 // burst's extra buffers go back to the garbage collector.
 const freeBuffers = 32
 
-// bufList is a bounded free list of packet buffers shared by the
-// goroutines on both sides of a hand-off: the sending side copies the
-// caller's packet into a recycled buffer (PacketConn.Send must not retain
-// its argument), and whoever is last to hold the copy puts it back. A
-// buffer put back must have no other holder. Both operations are
-// non-blocking; an empty list allocates and a full one lets the buffer go.
+// bufList is a bounded free list of buffers shared by the goroutines on
+// both sides of a hand-off: the sending side copies the caller's packet
+// into a recycled buffer (PacketConn.Send must not retain its argument),
+// and whoever is last to hold the copy puts it back. A Receiver keeps its
+// delivered messages the same way (Receiver.GiveBack). A buffer put back
+// must have no other holder. Both operations are non-blocking; an empty
+// list allocates and a full one lets the buffer go.
 type bufList chan []byte
 
 // copy returns p's bytes in a buffer of the list's, or a fresh one.
@@ -116,6 +117,7 @@ func (l bufList) copy(p []byte) []byte {
 	case b = <-l:
 	default:
 	}
+	//lint:allow hotpathalloc allocates only when the list is empty (a nil b): for a Receiver that is the delivery copy, the message that outlives the conn's packet buffer
 	return append(b[:0], p...)
 }
 

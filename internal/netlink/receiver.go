@@ -98,6 +98,7 @@ type Receiver struct {
 	pending map[uint64][]byte // delivered, awaiting earlier seqs
 
 	out     chan []byte
+	spare   bufList // messages given back (GiveBack), for copyMsg to refill
 	deliver func([]byte)
 	accept  func() bool
 
@@ -140,6 +141,7 @@ func NewReceiver(conn PacketConn, cfg ReceiverConfig) (*Receiver, error) {
 		framed:     core.Framed(cfg.Window),
 		wr:         wr,
 		out:        make(chan []byte, cfg.Window*deliveryBuffer),
+		spare:      make(bufList, cfg.Window*deliveryBuffer), // a lagging caller can hold no more than out does
 		deliver:    cfg.Deliver,
 		accept:     cfg.Accept,
 		interval:   cfg.RetryInterval,
@@ -185,7 +187,9 @@ func (r *Receiver) flushStats() {
 	r.last = st
 }
 
-// Recv blocks for the next message, in the sender's admission order.
+// Recv blocks for the next message, in the sender's admission order. The
+// message is the caller's, for good; a caller that is done with it may
+// hand it back (GiveBack) instead of leaving it to the garbage collector.
 //
 // If the station shed a packet while the buffer was full, the message
 // taken here is the room it was waiting for, and RETRY fires now instead
@@ -213,6 +217,15 @@ func (r *Receiver) Recv(ctx context.Context) ([]byte, error) {
 		return nil, ErrClosed
 	}
 }
+
+// GiveBack returns a message obtained from Recv (or Deliver) to the
+// station, which will deliver a later message in its memory. It is
+// optional and for callers that consume a message on the spot, as a relay
+// hop does: the caller must keep no reference to msg, or to any part of
+// it, once it has called. Messages never given back are never reused.
+// Safe from any goroutine; the list is bounded, and a message it has no
+// room for is left to the garbage collector.
+func (r *Receiver) GiveBack(msg []byte) { r.spare.put(msg) }
 
 // Crash simulates crash^R with the shared crash model: every slot's
 // protocol memory is erased at once. Messages already handed to the
@@ -328,11 +341,11 @@ func (r *Receiver) handlePacket(p []byte) {
 
 // copyMsg is the one allocation of a confirmed message: msg aliases the
 // inbound packet, which the conn lends only until the pump's next Recv
-// (PacketConn.Recv), and the copy is what Recv hands to its caller.
-func copyMsg(msg []byte) []byte {
-	//lint:allow hotpathalloc the delivery copy: the message outlives the conn's packet buffer
-	return append([]byte(nil), msg...)
-}
+// (PacketConn.Recv), and the copy is what Recv hands to its caller. The
+// copy goes into a message a caller gave back, when there is one; the
+// allocation, and its hotpathalloc allow, is bufList.copy's empty-list
+// fallback.
+func (r *Receiver) copyMsg(msg []byte) []byte { return r.spare.copy(msg) }
 
 // commit runs one protocol delivery through the in-order release and
 // appends what it releases to release. Call with r.mu held.
@@ -340,7 +353,7 @@ func (r *Receiver) commit(release [][]byte, d core.SlotMsg) [][]byte {
 	if !r.framed {
 		r.emit(trace.KindReceiveMsg, d.Msg, d.Slot)
 		r.m.windowReleased.Inc()
-		release = append(release, copyMsg(d.Msg))
+		release = append(release, r.copyMsg(d.Msg))
 		return release
 	}
 	epoch, seq, msg, ok := unframeSeq(d.Msg)
@@ -387,7 +400,7 @@ func (r *Receiver) commitSeq(release [][]byte, seq uint64, msg []byte) [][]byte 
 		r.m.windowDupDropped.Inc()
 		return release
 	}
-	msg = copyMsg(msg)
+	msg = r.copyMsg(msg)
 	if seq != r.nextSeq {
 		r.pending[seq] = msg
 		r.parked.Add(1)

@@ -4,11 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"testing"
 	"time"
+
+	"ghm/internal/testutil"
 )
 
 // collector is a SendFunc that records messages, with scriptable failures.
@@ -374,5 +378,274 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Send: func(context.Context, []byte) error { return nil },
 		WALPath: filepath.Join(t.TempDir(), "sub", "nope", "x.wal")}); err == nil {
 		t.Error("unwritable WAL path accepted")
+	}
+}
+
+// TestEnqueueCopiesMessage: Enqueue copies in, so a caller that reuses its
+// slice the moment Enqueue returns changes nothing that is sent, with a
+// WAL or without.
+func TestEnqueueCopiesMessage(t *testing.T) {
+	for _, wal := range []bool{false, true} {
+		t.Run(fmt.Sprintf("wal=%v", wal), func(t *testing.T) {
+			release := make(chan struct{})
+			var c collector
+			cfg := Config{Send: func(ctx context.Context, msg []byte) error {
+				<-release // every message is enqueued, and its source scribbled on, before any is sent
+				return c.send(ctx, msg)
+			}}
+			if wal {
+				cfg.WALPath = filepath.Join(t.TempDir(), "outbox.wal")
+			}
+			q, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer q.Close()
+			buf := make([]byte, 16)
+			var want []string
+			for i := 0; i < 100; i++ {
+				copy(buf, fmt.Sprintf("payload-%08d", i))
+				want = append(want, string(buf))
+				if _, err := q.Enqueue(buf); err != nil {
+					t.Fatal(err)
+				}
+				clear(buf)
+			}
+			close(release)
+			if err := q.Flush(testCtx(t)); err != nil {
+				t.Fatal(err)
+			}
+			got := c.messages()
+			if len(got) != len(want) {
+				t.Fatalf("sent %d messages, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("message %d sent as %q, want %q", i, got[i], want[i])
+				}
+			}
+		})
+	}
+}
+
+// TestRingWindowShuffledConfirms drives a Window-8 queue by hand: every
+// Send blocks until the test resolves it, in shuffled order, and a middle
+// entry of the first window crashes once. After each resolution exactly
+// one new Send starts, and it is the oldest message not in flight — the
+// crashed one again, byte-identical, or else the next in enqueue order.
+// The backlog outgrows the ring three times while eight claims are in
+// flight, so the workers' positions survive a resize.
+func TestRingWindowShuffledConfirms(t *testing.T) {
+	const window, total = 8, 40
+	type call struct {
+		msg     string
+		resolve chan error
+	}
+	calls := make(chan call, window)
+	q, err := New(Config{
+		Window:    window,
+		Retryable: func(err error) bool { return errors.Is(err, errCrash) },
+		Send: func(ctx context.Context, msg []byte) error {
+			c := call{msg: string(msg), resolve: make(chan error, 1)}
+			calls <- c
+			return <-c.resolve
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	name := func(i int) string { return fmt.Sprintf("m-%02d", i) }
+	enqueue := func(from, to int) {
+		for i := from; i < to; i++ {
+			if _, err := q.Enqueue([]byte(name(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	next := func() call {
+		select {
+		case c := <-calls:
+			return c
+		case <-time.After(10 * time.Second):
+			t.Fatal("no Send started")
+			panic("unreachable")
+		}
+	}
+
+	enqueue(0, window)
+	inflight := map[string]call{}
+	for len(inflight) < window {
+		c := next()
+		inflight[c.msg] = c
+	}
+	for i := 0; i < window; i++ {
+		if _, ok := inflight[name(i)]; !ok {
+			t.Fatalf("first window in flight is %v, want m-00..m-%02d", inflight, window-1)
+		}
+	}
+	enqueue(window, total) // 8 slots grow to 64 while every slot of the first ring is claimed
+
+	rng := rand.New(rand.NewSource(8))
+	crashed, resubmits, fresh := map[string]bool{}, 0, window
+	for len(inflight) > 0 {
+		keys := make([]string, 0, len(inflight))
+		for k := range inflight {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		k := keys[rng.Intn(len(keys))]
+		c := inflight[k]
+		delete(inflight, k)
+
+		want := ""
+		if (k == name(3) || k == name(20)) && !crashed[k] {
+			crashed[k] = true
+			resubmits++
+			c.resolve <- errCrash
+			want = k // older than anything still queued
+		} else {
+			c.resolve <- nil
+			if fresh < total {
+				want = name(fresh)
+				fresh++
+			}
+		}
+		if want == "" {
+			continue
+		}
+		if got := next(); got.msg != want {
+			t.Fatalf("after resolving %s the next Send carries %q, want %q", k, got.msg, want)
+		} else {
+			inflight[got.msg] = got
+		}
+	}
+	if err := q.Flush(testCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+	want := Stats{Enqueued: total, Sent: total, Resubmits: resubmits}
+	if st := q.Stats(); st != want {
+		t.Errorf("stats %+v, want %+v", st, want)
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.head != q.tail || q.tail != total {
+		t.Errorf("ring head %d tail %d after %d confirms", q.head, q.tail, total)
+	}
+}
+
+// TestRingRetainsConstantAfterBurst: what an idle queue keeps is bounded
+// by ringKeep and maxKeptMsg, not by the deepest backlog or the largest
+// message it carried.
+func TestRingRetainsConstantAfterBurst(t *testing.T) {
+	release := make(chan struct{})
+	q, err := New(Config{Send: func(context.Context, []byte) error { <-release; return nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	msg := make([]byte, 600)
+	for i := 0; i < 10_000; i++ {
+		if _, err := q.Enqueue(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := q.Enqueue(make([]byte, 1<<20)); err != nil {
+		t.Fatal(err)
+	}
+	q.mu.Lock()
+	deep := len(q.ring)
+	q.mu.Unlock()
+	if deep < 10_000 {
+		t.Fatalf("ring of %d slots holds a 10 001-deep backlog", deep)
+	}
+	close(release)
+	if err := q.Flush(testCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if len(q.ring) > ringKeep {
+		t.Errorf("drained queue keeps a ring of %d slots, bound %d", len(q.ring), ringKeep)
+	}
+	kept := 0
+	for _, e := range q.ring {
+		if cap(e.msg) > maxKeptMsg {
+			t.Errorf("drained queue keeps a %d-byte buffer, bound %d", cap(e.msg), maxKeptMsg)
+		}
+		kept += cap(e.msg)
+	}
+	if kept > ringKeep*maxKeptMsg {
+		t.Errorf("drained queue keeps %d bytes of buffers, bound %d", kept, ringKeep*maxKeptMsg)
+	}
+}
+
+// TestOutboxEnqueueAllocBudget pins the queue's steady state at zero
+// allocations per message: Enqueue copies into the ring slot's kept
+// buffer, the worker names its entry by position, and a WAL record's
+// header is built in the log writer's own buffer.
+func TestOutboxEnqueueAllocBudget(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts under the race detector measure the detector")
+	}
+	for _, wal := range []bool{false, true} {
+		t.Run(fmt.Sprintf("wal=%v", wal), func(t *testing.T) {
+			const burst = 4
+			sent := make(chan struct{}, burst)
+			cfg := Config{Send: func(context.Context, []byte) error { sent <- struct{}{}; return nil }}
+			if wal {
+				cfg.WALPath = filepath.Join(t.TempDir(), "outbox.wal")
+			}
+			q, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer q.Close()
+			msg := make([]byte, 64)
+			round := func() {
+				for i := 0; i < burst; i++ {
+					if _, err := q.Enqueue(msg); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := 0; i < burst; i++ {
+					<-sent
+				}
+			}
+			for i := 0; i < 16; i++ {
+				round() // every slot of the ring has its buffer
+			}
+			if got := testing.AllocsPerRun(200, round); got != 0 {
+				t.Errorf("%d Enqueues and confirms: %v allocs, want 0", burst, got)
+			}
+		})
+	}
+}
+
+// TestEnqueueWALFailureAcceptsNothing: the message is copied into the ring
+// before its record is logged (the record is written from the queue's
+// copy), so a log that fails must take the slot back — no entry, no count,
+// nothing for a worker to send.
+func TestEnqueueWALFailureAcceptsNothing(t *testing.T) {
+	var c collector
+	q, err := New(Config{Send: c.send, WALPath: filepath.Join(t.TempDir(), "outbox.wal")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	q.mu.Lock()
+	q.log.f.Close() // the disk goes away
+	q.mu.Unlock()
+	if _, err := q.Enqueue([]byte("lost")); err == nil {
+		t.Fatal("Enqueue succeeded with the log closed")
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.head != q.tail || q.stats != (Stats{}) {
+		t.Errorf("failed Enqueue left head %d tail %d stats %+v", q.head, q.tail, q.stats)
+	}
+	if got := c.messages(); len(got) != 0 {
+		t.Errorf("failed Enqueue was sent: %v", got)
 	}
 }

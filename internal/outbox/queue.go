@@ -7,7 +7,10 @@ import (
 )
 
 // SendFunc transfers one message, blocking until it is confirmed
-// delivered. ghm.Sender.Send and ghm.Peer.Send have this shape.
+// delivered. ghm.Sender.Send and ghm.Peer.Send have this shape. msg is the
+// queue's own buffer, valid until the call returns: an implementation that
+// keeps the bytes longer copies them (the stations do — the transmitter
+// copies the message into its own memory before Send returns).
 type SendFunc func(ctx context.Context, msg []byte) error
 
 // Config parameterizes a Queue.
@@ -43,12 +46,34 @@ type Stats struct {
 	Pending   int // messages not yet confirmed
 }
 
-// entry is one backlog message plus its dispatch state.
+// What an idle queue keeps. The backlog ring doubles while a burst fills
+// it and halves again as the burst drains, down to ringKeep slots; a
+// slot's message buffer is reused by the next message to land there unless
+// it grew beyond maxKeptMsg, in which case it goes back to the garbage
+// collector when its message is confirmed. So an idle queue holds at most
+// ringKeep × maxKeptMsg bytes of buffers (128 KiB), whatever the deepest
+// backlog or the largest message it ever carried.
+const (
+	ringKeep   = 64
+	maxKeptMsg = 2 << 10
+)
+
+// entryState is where a backlog entry stands.
+type entryState uint8
+
+const (
+	queued  entryState = iota // waiting for a worker
+	claimed                   // held by a worker's in-flight Send
+	done                      // confirmed, waiting for the head to pop past it
+)
+
+// entry is one slot of the backlog ring: a message plus its dispatch
+// state.
 type entry struct {
 	id       uint64
-	msg      []byte
-	claimed  bool // held by a worker's in-flight Send
-	attempts int  // failed Sends so far
+	msg      []byte // the slot's own buffer, see maxKeptMsg
+	state    entryState
+	attempts int // failed Sends so far
 }
 
 // Queue is the buffering higher layer: enqueue at will, messages go out
@@ -57,14 +82,20 @@ type entry struct {
 type Queue struct {
 	cfg Config
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	backlog []*entry
-	nextID  uint64
-	log     *wal
-	stats   Stats
-	err     error // sticky fatal error from Send
-	closed  bool
+	mu   sync.Mutex
+	cond *sync.Cond
+	// The backlog is ring[head:tail] in enqueue order. head and tail are
+	// positions that only ever grow; position p lives in slot p mod
+	// len(ring), and len(ring) is a power of two, so a worker can name its
+	// entry by position across a resize. ring[head] is never done: a
+	// confirm pops the head past every done entry.
+	ring       []entry
+	head, tail uint64
+	nextID     uint64
+	log        *wal
+	stats      Stats
+	err        error // sticky fatal error from Send
+	closed     bool
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -91,7 +122,7 @@ func New(cfg Config) (*Queue, error) {
 		}
 		q.log = log
 		for _, e := range backlog {
-			q.backlog = append(q.backlog, &entry{id: e.id, msg: e.msg})
+			q.push(e.id, e.msg)
 		}
 		q.nextID = nextID
 		q.stats.Pending = len(backlog)
@@ -112,10 +143,11 @@ func New(cfg Config) (*Queue, error) {
 }
 
 // Enqueue accepts a message for ordered, confirmed delivery and returns
-// its queue id. With a WAL, the message is durable before Enqueue
-// returns.
+// its queue id. The queue copies msg; the caller may reuse it at once.
+// With a WAL, the message is durable before Enqueue returns.
+//
+//ghm:hotpath
 func (q *Queue) Enqueue(msg []byte) (uint64, error) {
-	cp := append([]byte(nil), msg...)
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -126,12 +158,17 @@ func (q *Queue) Enqueue(msg []byte) (uint64, error) {
 	}
 	id := q.nextID
 	q.nextID++
+	e := q.push(id, msg)
 	if q.log != nil {
-		if err := q.log.appendEnqueue(id, cp); err != nil {
+		// Logged from the queue's copy: the caller's bytes are read by the
+		// copy and nothing else, so a caller's stack buffer stays on its
+		// stack (a log write is an interface call, which would move it to
+		// the heap).
+		if err := q.log.appendEnqueue(id, e.msg); err != nil {
+			q.tail-- // not accepted: the slot is free again
 			return 0, err
 		}
 	}
-	q.backlog = append(q.backlog, &entry{id: id, msg: cp})
 	q.stats.Enqueued++
 	q.stats.Pending++
 	q.cond.Broadcast()
@@ -154,7 +191,7 @@ func (q *Queue) Flush(ctx context.Context) error {
 
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.backlog) > 0 && q.err == nil && !q.closed {
+	for q.head != q.tail && q.err == nil && !q.closed {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
@@ -163,7 +200,7 @@ func (q *Queue) Flush(ctx context.Context) error {
 	if q.err != nil {
 		return q.err
 	}
-	if q.closed && len(q.backlog) > 0 {
+	if q.closed && q.head != q.tail {
 		return errClosed
 	}
 	return ctx.Err()
@@ -204,25 +241,68 @@ func (q *Queue) Close() error {
 	return q.log.close()
 }
 
-// claim returns the oldest unclaimed backlog entry, or nil. Call with
-// q.mu held.
-func (q *Queue) claim() *entry {
-	for _, e := range q.backlog {
-		if !e.claimed {
-			e.claimed = true
-			return e
-		}
+// slot returns the ring slot of position pos. Call with q.mu held; the
+// pointer is good until the next push or confirm, which may resize.
+func (q *Queue) slot(pos uint64) *entry { return &q.ring[pos&uint64(len(q.ring)-1)] }
+
+// resize moves the backlog into a ring of n slots (a power of two no
+// smaller than the backlog). Positions are absolute, so nothing is
+// renumbered; free slots' buffers are left behind. Call with q.mu held.
+func (q *Queue) resize(n int) {
+	//lint:allow hotpathalloc the ring doubles when a burst fills it and halves as it drains: amortized over the burst
+	ring := make([]entry, n)
+	for p := q.head; p != q.tail; p++ {
+		ring[p&uint64(n-1)] = *q.slot(p)
 	}
-	return nil
+	q.ring = ring
 }
 
-// remove drops a confirmed entry from the backlog. Call with q.mu held.
-func (q *Queue) remove(id uint64) {
-	for i, e := range q.backlog {
-		if e.id == id {
-			q.backlog = append(q.backlog[:i], q.backlog[i+1:]...)
-			return
+// push appends a copy of msg to the backlog, in the slot's kept buffer,
+// and returns the slot. Call with q.mu held.
+func (q *Queue) push(id uint64, msg []byte) *entry {
+	if int(q.tail-q.head) == len(q.ring) {
+		q.resize(max(2*len(q.ring), 8))
+	}
+	e := q.slot(q.tail)
+	e.msg = e.msg[:0]
+	e.msg = append(e.msg, msg...)
+	e.id, e.state, e.attempts = id, queued, 0
+	q.tail++
+	return e
+}
+
+// claim marks the oldest queued entry claimed and returns its position
+// and message. The entries ahead of it are the other workers' claims and
+// confirms waiting behind a claim, so the scan is as short as the window
+// is deep. Call with q.mu held.
+func (q *Queue) claim() (pos uint64, msg []byte, ok bool) {
+	for p := q.head; p != q.tail; p++ {
+		if e := q.slot(p); e.state == queued {
+			e.state = claimed
+			return p, e.msg, true
 		}
+	}
+	return 0, nil, false
+}
+
+// confirm marks the entry at pos done and pops the head past every done
+// entry: O(1) for the head itself, and an out-of-order confirm (Window >
+// 1) just waits its turn. Then the ring gives back what a drained burst
+// no longer needs. Call with q.mu held.
+func (q *Queue) confirm(pos uint64) {
+	q.slot(pos).state = done
+	for q.head != q.tail && q.slot(q.head).state == done {
+		if e := q.slot(q.head); cap(e.msg) > maxKeptMsg {
+			e.msg = nil
+		}
+		q.head++
+	}
+	n := len(q.ring)
+	for n > ringKeep && int(q.tail-q.head)*4 <= n {
+		n /= 2
+	}
+	if n != len(q.ring) {
+		q.resize(n)
 	}
 }
 
@@ -235,9 +315,13 @@ func (q *Queue) remove(id uint64) {
 func (q *Queue) worker() {
 	for {
 		q.mu.Lock()
-		var head *entry
+		var (
+			pos uint64
+			msg []byte
+			ok  bool
+		)
 		for {
-			if head = q.claim(); head != nil || q.closed || q.err != nil {
+			if pos, msg, ok = q.claim(); ok || q.closed || q.err != nil {
 				break
 			}
 			q.cond.Wait()
@@ -248,14 +332,18 @@ func (q *Queue) worker() {
 		}
 		q.mu.Unlock()
 
-		err := q.cfg.Send(q.ctx, head.msg)
+		// msg is the claimed slot's buffer: nothing writes it until this
+		// worker confirms the entry, and a resize moves the slice header,
+		// not the bytes.
+		err := q.cfg.Send(q.ctx, msg)
 		if err == nil {
 			q.mu.Lock()
-			q.remove(head.id)
+			id := q.slot(pos).id
+			q.confirm(pos)
 			q.stats.Sent++
 			q.stats.Pending--
 			if q.log != nil {
-				if werr := q.log.appendDone(head.id); werr != nil && q.err == nil {
+				if werr := q.log.appendDone(id); werr != nil && q.err == nil {
 					q.err = werr
 				}
 			}
@@ -268,16 +356,17 @@ func (q *Queue) worker() {
 		}
 
 		q.mu.Lock()
-		head.attempts++
+		e := q.slot(pos)
+		e.attempts++
 		if q.cfg.Retryable != nil && q.cfg.Retryable(err) &&
-			(q.cfg.MaxAttempts == 0 || head.attempts < q.cfg.MaxAttempts) {
-			head.claimed = false
+			(q.cfg.MaxAttempts == 0 || e.attempts < q.cfg.MaxAttempts) {
+			e.state = queued
 			q.stats.Resubmits++
 			q.cond.Broadcast()
 			q.mu.Unlock()
 			continue
 		}
-		q.err = fmt.Errorf("outbox: message %d: %w", head.id, err)
+		q.err = fmt.Errorf("outbox: message %d: %w", e.id, err)
 		q.cond.Broadcast()
 		q.mu.Unlock()
 		return

@@ -160,14 +160,19 @@ done:
 	return entries, nextID, nil
 }
 
-func writeRecord(w io.Writer, kind byte, id uint64, msg []byte) error {
-	var hdr [1 + 2*binary.MaxVarintLen64]byte
-	hdr[0] = kind
-	n := 1 + binary.PutUvarint(hdr[1:], id)
+// writeRecord appends one record to w. The header (21 bytes at most) is
+// built in w's own free space (bufio.Writer.AvailableBuffer), so a record
+// written into a flushed writer — every Enqueue and every confirm — costs
+// no allocation; only compaction's unflushed run of records can find the
+// space short, and then append allocates.
+func writeRecord(w *bufio.Writer, kind byte, id uint64, msg []byte) error {
+	hdr := w.AvailableBuffer()
+	hdr = append(hdr, kind)
+	hdr = binary.AppendUvarint(hdr, id)
 	if kind == recEnqueue {
-		n += binary.PutUvarint(hdr[n:], uint64(len(msg)))
+		hdr = binary.AppendUvarint(hdr, uint64(len(msg)))
 	}
-	if _, err := w.Write(hdr[:n]); err != nil {
+	if _, err := w.Write(hdr); err != nil {
 		return fmt.Errorf("outbox: wal write: %w", err)
 	}
 	if kind == recEnqueue {

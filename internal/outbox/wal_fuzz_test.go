@@ -1,6 +1,7 @@
 package outbox
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"testing"
@@ -10,7 +11,11 @@ import (
 func record(t testing.TB, kind byte, id uint64, msg []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := writeRecord(&buf, kind, id, msg); err != nil {
+	w := bufio.NewWriter(&buf)
+	if err := writeRecord(w, kind, id, msg); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -67,9 +72,7 @@ func FuzzWALReplay(f *testing.F) {
 			if e.id >= nextID {
 				t.Fatalf("nextID %d does not clear recovered id %d", nextID, e.id)
 			}
-			if err := writeRecord(&reser, recEnqueue, e.id, e.msg); err != nil {
-				t.Fatal(err)
-			}
+			reser.Write(record(t, recEnqueue, e.id, e.msg))
 		}
 
 		again, nextID2, err := replayWAL(bytes.NewReader(reser.Bytes()))

@@ -2,7 +2,7 @@ package relay
 
 import (
 	"encoding/binary"
-	"fmt"
+	"errors"
 )
 
 // Frame kinds. Data frames carry a payload from Src toward Dst along
@@ -51,7 +51,9 @@ type key struct {
 }
 
 func (f frame) key() key {
-	return key{kind: f.Kind, src: f.Src, dst: f.Dst, id: f.ID, attempt: f.Attempt}
+	var k key
+	k.kind, k.src, k.dst, k.id, k.attempt = f.Kind, f.Src, f.Dst, f.ID, f.Attempt
+	return k
 }
 
 // appendFrame encodes f onto b append-style.
@@ -76,7 +78,8 @@ func appendHeader(b []byte, kind, src, dst byte, id uint64, attempt uint32, rout
 	b = append(b, kind, src, dst)
 	b = binary.AppendUvarint(b, id)
 	b = binary.AppendUvarint(b, uint64(attempt))
-	return append(b, byte(routeLen))
+	b = append(b, byte(routeLen))
+	return b
 }
 
 // idLedger is the destination's exactly-once ledger for one source. Ids
@@ -96,6 +99,7 @@ func (l *idLedger) add(id uint64) bool {
 	}
 	if id != l.low {
 		if l.above == nil {
+			//lint:allow hotpathalloc a source's first out-of-order id: its sparse set is made once
 			l.above = make(map[uint64]struct{})
 		}
 		l.above[id] = struct{}{}
@@ -110,34 +114,44 @@ func (l *idLedger) add(id uint64) bool {
 	return true
 }
 
+// What parseFrame rejects. A frame comes off the wire, so a malformed one
+// costs its sender's victim nothing: the errors are made once.
+var (
+	errFrameShort   = errors.New("relay: frame too short")
+	errFrameKind    = errors.New("relay: unknown frame kind")
+	errFrameID      = errors.New("relay: truncated frame id")
+	errFrameAttempt = errors.New("relay: bad frame attempt")
+	errFrameRoute   = errors.New("relay: truncated route")
+)
+
 // parseFrame decodes one frame. The returned Route and Payload alias p.
 func parseFrame(p []byte) (frame, error) {
 	var f frame
 	if len(p) < 3 {
-		return f, fmt.Errorf("relay: frame too short (%d bytes)", len(p))
+		return f, errFrameShort
 	}
 	f.Kind, f.Src, f.Dst = p[0], p[1], p[2]
 	if f.Kind != frameData && f.Kind != frameAck {
-		return f, fmt.Errorf("relay: unknown frame kind %d", f.Kind)
+		return f, errFrameKind
 	}
 	rest := p[3:]
 	id, n := binary.Uvarint(rest)
 	if n <= 0 {
-		return f, fmt.Errorf("relay: truncated frame id")
+		return f, errFrameID
 	}
 	rest = rest[n:]
 	attempt, n := binary.Uvarint(rest)
 	if n <= 0 || attempt > 1<<32-1 {
-		return f, fmt.Errorf("relay: bad frame attempt")
+		return f, errFrameAttempt
 	}
 	rest = rest[n:]
 	if len(rest) < 1 {
-		return f, fmt.Errorf("relay: truncated route length")
+		return f, errFrameRoute
 	}
 	rl := int(rest[0])
 	rest = rest[1:]
 	if len(rest) < rl {
-		return f, fmt.Errorf("relay: truncated route (%d of %d hops)", len(rest), rl)
+		return f, errFrameRoute
 	}
 	f.ID = id
 	f.Attempt = uint32(attempt)

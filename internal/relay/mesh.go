@@ -188,10 +188,19 @@ type hop struct {
 	live *verify.Live
 }
 
+// spareEntries bounds the acked entries the source keeps for Submit to
+// refill, and maxKeptPayload the payload buffer an entry may keep with it:
+// what an idle source holds is at most their product (128 KiB), whatever
+// it carried.
+const (
+	spareEntries   = 64
+	maxKeptPayload = 2 << 10
+)
+
 // entry is one in-flight end-to-end payload at the source router.
 type entry struct {
 	id       uint64
-	payload  []byte
+	payload  []byte // the entry's own copy, in a buffer the entry keeps when it is recycled
 	attempt  uint32
 	routeIdx int
 	deadline time.Time
@@ -235,6 +244,8 @@ type Mesh struct {
 	mu        sync.Mutex
 	cond      *sync.Cond
 	inflight  map[uint64]*entry
+	spare     []*entry      // acked entries for Submit to refill, at most spareEntries
+	armed     bool          // the last router pass left the ack-timeout timer armed
 	delivered [256]idLedger // by source byte: the exactly-once ledgers
 	usable    []int         // usableRoutesLocked's result, reused
 	frameBuf  []byte        // dispatchLocked's encode buffer, reused
@@ -294,6 +305,7 @@ func New(cfg Config) (*Mesh, error) {
 		hops:        make(map[hopID]*hop),
 		deliveredCh: make(chan []byte, cfg.DeliveryBuffer),
 		inflight:    make(map[uint64]*entry),
+		spare:       make([]*entry, 0, spareEntries),
 		hopHealth:   make(map[hopID]supervise.Health),
 		nodeUp:      make([]bool, cfg.Topology.Nodes),
 		wake:        make(chan struct{}, 1),
@@ -417,10 +429,18 @@ func (m *Mesh) HopReports() map[string]verify.Report {
 func (m *Mesh) Delivered() <-chan []byte { return m.deliveredCh }
 
 // Submit accepts a payload at the source for end-to-end delivery and
-// returns its mesh id. The payload is dispatched immediately over the
-// healthiest route, or parked if no route is usable right now.
+// returns its mesh id. The mesh copies payload; the caller may reuse it at
+// once. The payload is dispatched immediately over the healthiest route,
+// or parked if no route is usable right now.
+//
+// Submit wakes the router only when it must. Ack deadlines are minted in
+// increasing order, so a timer the router armed already fires no later
+// than this entry's deadline, and the pass it triggers re-arms for the
+// next one; only an unarmed timer (an empty table, or nothing but parked
+// entries) or a parked entry needs a pass now.
+//
+//ghm:hotpath
 func (m *Mesh) Submit(payload []byte) (uint64, error) {
-	cp := append([]byte(nil), payload...)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -431,11 +451,22 @@ func (m *Mesh) Submit(payload []byte) (uint64, error) {
 	}
 	id := m.nextID
 	m.nextID++
-	e := &entry{id: id, payload: cp}
+	var e *entry
+	if n := len(m.spare); n > 0 {
+		e, m.spare = m.spare[n-1], m.spare[:n-1]
+	} else {
+		//lint:allow hotpathalloc no acked entry to refill: the in-flight table is growing
+		e = new(entry)
+	}
+	e.id, e.attempt = id, 0
+	e.payload = e.payload[:0]
+	e.payload = append(e.payload, payload...)
 	m.inflight[id] = e
 	m.st.submitted.Add(1)
 	m.dispatchLocked(e, m.wheel.Clock().Now())
-	m.signal() // re-arm the ack-timeout timer around the new entry
+	if !m.armed || e.parked {
+		m.signal()
+	}
 	return id, nil
 }
 
@@ -447,8 +478,10 @@ func (m *Mesh) usableLocked(r []int) bool {
 			return false
 		}
 	}
+	var h hopID
 	for i := 0; i+1 < len(r); i++ {
-		if m.hopHealth[hopID{From: r[i], To: r[i+1]}] != supervise.Healthy {
+		h.From, h.To = r[i], r[i+1]
+		if m.hopHealth[h] != supervise.Healthy {
 			return false
 		}
 	}
@@ -477,6 +510,7 @@ func (m *Mesh) dispatchLocked(e *entry, now time.Time) {
 		return
 	}
 	if m.cfg.MaxAttempts > 0 && int(e.attempt) >= m.cfg.MaxAttempts {
+		//lint:allow hotpathalloc the sticky fatal error, formatted once in a mesh's life
 		m.err = fmt.Errorf("relay: payload %d exhausted %d dispatch attempts", e.id, m.cfg.MaxAttempts)
 		delete(m.inflight, e.id)
 		if e.parked {
@@ -499,15 +533,10 @@ func (m *Mesh) dispatchLocked(e *entry, now time.Time) {
 		m.mt.parked.Set(float64(m.parked))
 	}
 
-	f := frame{
-		Kind:    frameData,
-		Src:     byte(m.cfg.Source),
-		Dst:     byte(m.cfg.Dest),
-		ID:      e.id,
-		Attempt: e.attempt,
-		Route:   m.routeB[idx],
-		Payload: e.payload,
-	}
+	var f frame
+	f.Kind, f.Src, f.Dst = frameData, byte(m.cfg.Source), byte(m.cfg.Dest)
+	f.ID, f.Attempt = e.id, e.attempt
+	f.Route, f.Payload = m.routeB[idx], e.payload
 	sess := m.nodes[m.cfg.Source].sessionTo(m.routes[idx][1])
 	if sess == nil {
 		m.parkLocked(e)
@@ -521,6 +550,9 @@ func (m *Mesh) dispatchLocked(e *entry, now time.Time) {
 	}
 }
 
+// noDeadline is a parked entry's deadline: the zero time.
+var noDeadline time.Time
+
 // parkLocked parks an entry until some route recovers.
 func (m *Mesh) parkLocked(e *entry) {
 	if !e.parked {
@@ -528,34 +560,43 @@ func (m *Mesh) parkLocked(e *entry) {
 		m.parked++
 		m.mt.parked.Set(float64(m.parked))
 	}
-	e.deadline = time.Time{}
+	e.deadline = noDeadline
 }
 
-// completeAck resolves one end-to-end ack at the source.
+// completeAck resolves one end-to-end ack at the source and keeps the
+// entry, with its payload buffer, for a later Submit. Nothing else holds
+// an entry once it has left the table: the router and dispatchLocked reach
+// entries only through the table, under m.mu. The router is not woken —
+// the timer it armed fires at this entry's deadline at the latest, finds
+// it gone and re-arms for the earliest one left.
+//
+//ghm:hotpath
 func (m *Mesh) completeAck(id uint64) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	e, ok := m.inflight[id]
-	if ok {
-		delete(m.inflight, id)
-		if e.parked {
-			e.parked = false
-			m.parked--
-			m.mt.parked.Set(float64(m.parked))
-		}
-		m.st.acked.Add(1)
-		m.cond.Broadcast()
+	if !ok {
+		return
 	}
-	m.mu.Unlock()
-	if ok {
-		m.signal()
+	delete(m.inflight, id)
+	if e.parked {
+		e.parked = false
+		m.parked--
+		m.mt.parked.Set(float64(m.parked))
 	}
+	if len(m.spare) < spareEntries && cap(e.payload) <= maxKeptPayload {
+		m.spare = append(m.spare, e) // Submit and its dispatch overwrite every other field
+	}
+	m.st.acked.Add(1)
+	m.cond.Broadcast()
 }
 
 // deliverLocal commits one data frame at the destination: end-to-end
 // dedup, ack back over the reversed route (re-acking duplicates, so a
 // lost ack is healed by the next re-dispatch), then hand the payload to
-// the higher layer.
-func (m *Mesh) deliverLocal(n *node, f frame) {
+// the higher layer. It reports whether the payload — part of the frame's
+// message — went to Delivered and is the higher layer's from now on.
+func (m *Mesh) deliverLocal(n *node, f frame) (kept bool) {
 	m.mu.Lock()
 	first := m.delivered[f.Src].add(f.ID)
 	m.mu.Unlock()
@@ -575,21 +616,25 @@ func (m *Mesh) deliverLocal(n *node, f frame) {
 	if !first {
 		m.mt.dupSuppressed.Inc()
 		m.addDup()
-		return
+		return false
 	}
 	m.mt.delivered.Inc()
 	m.st.delivered.Add(1)
 	select {
 	case m.deliveredCh <- f.Payload: // the frame is the receiver's own copy: ours to hand on
+		return true
 	case <-m.stop:
+		return false
 	}
 }
 
-// router is the failover loop: on every wake — a health transition, an
-// ack, a submit, a node stop/restart or an ack-timeout firing — it
-// reconciles the in-flight table against route health, re-dispatching
-// entries whose route worsened or whose ack is overdue and resuming
-// parked ones, then re-arms the timeout timer.
+// router is the failover loop: on every wake — a health transition, a
+// node stop/restart, an ack-timeout firing, or a Submit that found the
+// timer unarmed or parked its entry — it reconciles the in-flight table
+// against route health, re-dispatching entries whose route worsened or
+// whose ack is overdue and resuming parked ones, then re-arms the timeout
+// timer. A pass walks the whole table, so acks and ordinary submits do
+// not cause one.
 func (m *Mesh) router() {
 	defer close(m.routerDone)
 	for {
@@ -604,8 +649,8 @@ func (m *Mesh) router() {
 
 // reconcile is one router pass; see router.
 func (m *Mesh) reconcile() {
-	now := m.wheel.Clock().Now()
 	m.mu.Lock()
+	now := m.wheel.Clock().Now()
 	m.mt.routesUsable.Set(float64(len(m.usableRoutesLocked())))
 	var earliest time.Time
 	for _, e := range m.inflight {
@@ -625,14 +670,13 @@ func (m *Mesh) reconcile() {
 			earliest = e.deadline
 		}
 	}
-	m.mu.Unlock()
-	if !earliest.IsZero() {
-		d := time.Until(earliest)
-		if d < time.Millisecond {
-			d = time.Millisecond
-		}
-		m.timer.Reset(d)
+	// Armed under m.mu, so armed is never true of a timer not yet set; and
+	// on the mesh's clock, like the deadlines: now is this pass's own
+	// reading of it.
+	if m.armed = !earliest.IsZero(); m.armed {
+		m.timer.Reset(max(earliest.Sub(now), time.Millisecond))
 	}
+	m.mu.Unlock()
 }
 
 // StopNode crashes a relay node: its sessions, receivers and in-memory

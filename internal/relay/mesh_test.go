@@ -406,15 +406,13 @@ func TestMeshSubmitAfterClose(t *testing.T) {
 }
 
 // pump keeps `outstanding` payloads in flight through m until n have come
-// out of Delivered, calling at(i) after the i-th delivery.
-func pump(t *testing.T, m *Mesh, n, outstanding int, at func(delivered int)) {
+// out of Delivered, calling at(i, p) with the i-th delivery. Payload j is
+// stamped(j), submitted from one buffer the loop overwrites each time.
+func pump(t *testing.T, m *Mesh, n, outstanding int, at func(delivered int, p []byte)) {
 	t.Helper()
 	payload := make([]byte, 64)
 	submit := func(i int) {
-		for b := range 8 {
-			payload[b] = byte(i >> (8 * b))
-		}
-		if _, err := m.Submit(payload); err != nil {
+		if _, err := m.Submit(stamped(payload, i)); err != nil {
 			t.Fatalf("Submit %d: %v", i, err)
 		}
 	}
@@ -427,8 +425,9 @@ func pump(t *testing.T, m *Mesh, n, outstanding int, at func(delivered int)) {
 	watchdog := time.NewTimer(3 * time.Minute)
 	defer watchdog.Stop()
 	for got := 1; got <= n; got++ {
+		var p []byte
 		select {
-		case <-m.Delivered():
+		case p = <-m.Delivered():
 		case <-watchdog.C:
 			t.Fatalf("%d of %d payloads delivered in 3 minutes (stats %+v)", got-1, n, m.Stats())
 		}
@@ -437,7 +436,7 @@ func pump(t *testing.T, m *Mesh, n, outstanding int, at func(delivered int)) {
 			next++
 		}
 		if at != nil {
-			at(got)
+			at(got, p)
 		}
 	}
 }
@@ -502,7 +501,7 @@ func TestMeshBoundedHeap(t *testing.T) {
 		return int64(ms.HeapAlloc)
 	}
 	var early int64
-	pump(t, m, 50_000, 16, func(delivered int) {
+	pump(t, m, 50_000, 16, func(delivered int, _ []byte) {
 		if delivered == 5_000 {
 			early = heap()
 		}

@@ -165,7 +165,12 @@ func (n *node) start() error {
 				if err != nil {
 					return
 				}
-				n.handleFrame(rt, msg)
+				// A frame forwarded, acked, suppressed or dropped is done
+				// with; only the one whose payload went to Delivered lives
+				// on, in the higher layer's hands.
+				if !n.handleFrame(rt, msg) {
+					r.GiveBack(msg)
+				}
 			}
 		}()
 	}
@@ -209,13 +214,17 @@ func (n *node) stop() {
 }
 
 // handleFrame processes one inbound frame on this node: dedup, then
-// deliver (destination), complete (ack at the source) or forward.
-func (n *node) handleFrame(rt *nodeRuntime, p []byte) {
+// deliver (destination), complete (ack at the source) or forward. It
+// reports whether p was kept — its payload handed to Delivered — rather
+// than finished with: every Enqueue copies what it sends on.
+//
+//ghm:hotpath
+func (n *node) handleFrame(rt *nodeRuntime, p []byte) (kept bool) {
 	m := n.m
 	f, err := parseFrame(p)
 	if err != nil {
 		m.mt.dropped.Inc()
-		return
+		return false
 	}
 
 	// Per-hop dedup: a session resubmission after a hop crash delivers
@@ -226,7 +235,7 @@ func (n *node) handleFrame(rt *nodeRuntime, p []byte) {
 		rt.seenMu.Unlock()
 		m.mt.dupSuppressed.Inc()
 		m.addDup()
-		return
+		return false
 	}
 	if len(rt.seen) >= seenCap {
 		clear(rt.seen)
@@ -238,31 +247,31 @@ func (n *node) handleFrame(rt *nodeRuntime, p []byte) {
 		if f.Kind == frameAck {
 			m.mt.acks.Inc()
 			m.completeAck(f.ID)
-			return
+			return false
 		}
-		m.deliverLocal(n, f)
-		return
+		return m.deliverLocal(n, f)
 	}
 
 	// Forward toward the destination along the embedded route.
 	next, ok := nextHop(f.Route, n.id)
 	if !ok {
 		m.mt.dropped.Inc()
-		return
+		return false
 	}
 	sess := n.sessionTo(next)
 	if sess == nil {
 		// The next-hop session is gone (this node is stopping); the
 		// source's ack timeout re-dispatches the payload.
 		m.mt.dropped.Inc()
-		return
+		return false
 	}
 	if _, err := sess.Enqueue(p); err != nil {
 		m.mt.dropped.Inc()
-		return
+		return false
 	}
 	m.mt.hops.Inc()
 	m.addHop()
+	return false
 }
 
 // nextHop finds self in route and returns its successor.

@@ -1,0 +1,315 @@
+package relay
+
+import (
+	"context"
+	"encoding/binary"
+	"fmt"
+	"testing"
+	"time"
+
+	"ghm/internal/clock"
+	"ghm/internal/metrics"
+	"ghm/internal/netlink"
+	"ghm/internal/testutil"
+)
+
+// pipeLinks realizes a topology over perfect in-process pipes.
+func pipeLinks(topo Topology, seed int64) []LinkConns {
+	var conns []LinkConns
+	for i := range topo.Links {
+		a, b := netlink.Pipe(netlink.PipeConfig{Seed: seed + int64(i) + 1})
+		conns = append(conns, LinkConns{A: a, B: b})
+	}
+	return conns
+}
+
+// stamped is payload i: its index, then bytes that follow from the index,
+// so a payload can be checked against nothing but itself.
+func stamped(buf []byte, i int) []byte {
+	binary.LittleEndian.PutUint64(buf, uint64(i))
+	for b := 8; b < len(buf); b++ {
+		buf[b] = byte(i*31 + b)
+	}
+	return buf
+}
+
+func checkStamped(p []byte) (int, bool) {
+	if len(p) < 8 {
+		return 0, false
+	}
+	i := int(binary.LittleEndian.Uint64(p))
+	for b := 8; b < len(p); b++ {
+		if p[b] != byte(i*31+b) {
+			return i, false
+		}
+	}
+	return i, true
+}
+
+// TestMeshSubmitCopiesPayload: Submit copies in, so a caller that reuses
+// its slice the moment Submit returns changes nothing that is sent — not
+// the first dispatch and not a later re-dispatch, which reads the source's
+// own copy in a recycled entry.
+func TestMeshSubmitCopiesPayload(t *testing.T) {
+	reg := metrics.New()
+	topo := fiveNode()
+	tl := buildLinks(topo, 707, reg, netlink.ImpairConfig{})
+	m := newTestMesh(t, Config{
+		Topology: topo, Links: tl.conns,
+		Source: 0, Dest: 4, Routes: 3,
+		AckTimeout: 30 * time.Millisecond, // short: some payloads go out twice
+		Seed:       707, Metrics: reg,
+	})
+	mu, got, done := drain(m)
+	buf := make([]byte, 24)
+	var want []string
+	submit := func(from, to int) {
+		for i := from; i < to; i++ {
+			copy(buf, fmt.Sprintf("payload-%016d", i))
+			want = append(want, string(buf))
+			if _, err := m.Submit(buf); err != nil {
+				t.Fatalf("Submit %d: %v", i, err)
+			}
+			clear(buf)
+		}
+	}
+	submit(0, 100)
+	// A blackout on one route holds its payloads past the ack timeout (and
+	// well short of the hops' watchdog), so the router re-dispatches them
+	// from the source's copy.
+	tl.imps[0][0].SetBlackout(true)
+	tl.imps[0][1].SetBlackout(true)
+	submit(100, 200)
+	time.Sleep(100 * time.Millisecond)
+	tl.imps[0][0].SetBlackout(false)
+	tl.imps[0][1].SetBlackout(false)
+	submit(200, 300)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := m.Flush(ctx); err != nil {
+		t.Fatalf("Flush: %v (stats %+v)", err, m.Stats())
+	}
+	m.Close()
+	<-done
+	requireExactlyOnce(t, mu, got, want)
+	requireCleanHops(t, m)
+	if st := m.Stats(); st.Reroutes == 0 {
+		t.Errorf("no payload was re-dispatched: %+v", st)
+	}
+}
+
+// TestMeshDeliveredPayloadsStayIntact: what comes out of Delivered is the
+// caller's for good. Payloads read and held stay byte-identical while ten
+// thousand more go through the buffers every hop recycles; a hop that gave
+// back the one frame it had handed to Delivered would show here as torn
+// bytes, and under the race detector as a race.
+func TestMeshDeliveredPayloadsStayIntact(t *testing.T) {
+	if testing.Short() {
+		t.Skip("10k payloads through a mesh")
+	}
+	reg := metrics.New()
+	m := newTestMesh(t, Config{
+		Topology: fiveNode(), Links: pipeLinks(fiveNode(), 808),
+		Source: 0, Dest: 4, Routes: 3, Seed: 808, Metrics: reg,
+	})
+	const hold, total = 200, 10_200
+	var held [][]byte
+	seen := make([]bool, total)
+	pump(t, m, total, 16, func(got int, p []byte) {
+		i, ok := checkStamped(p)
+		if !ok || len(p) != 64 || i >= total || seen[i] {
+			t.Fatalf("delivery %d is %x: torn, foreign or a duplicate", got, p)
+		}
+		seen[i] = true
+		if len(held) < hold {
+			held = append(held, p)
+		}
+	})
+	for _, p := range held {
+		if i, ok := checkStamped(p); !ok {
+			t.Errorf("held payload %d changed after it was delivered: %x", i, p)
+		}
+	}
+	requireCleanHops(t, m)
+}
+
+// TestMeshPayloadAllocBudget pins what a delivered payload costs the whole
+// mesh — source, two hops, the ack's two hops back, twelve stations and
+// their checkers: the one copy the destination hands to Delivered, which
+// the caller owns. The budget of 2 leaves room for the in-flight table's
+// map and the dedup ledgers, which grow now and then.
+func TestMeshPayloadAllocBudget(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector's sync.Pool drops buffers at random")
+	}
+	reg := metrics.New()
+	m := newTestMesh(t, Config{
+		Topology: fiveNode(), Links: pipeLinks(fiveNode(), 909),
+		Source: 0, Dest: 4, Routes: 3, Seed: 909, Epsilon: 1.0 / (1 << 40), Metrics: reg,
+	})
+	buf := make([]byte, 64)
+	n := 0
+	watchdog := time.NewTimer(time.Minute) // one for the run: a time.After per round is three allocations
+	defer watchdog.Stop()
+	round := func() {
+		if _, err := m.Submit(stamped(buf, n)); err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		n++
+		select {
+		case <-m.Delivered():
+		case <-watchdog.C:
+			t.Fatalf("payload %d not delivered (stats %+v)", n, m.Stats())
+		}
+	}
+	for i := 0; i < 3000; i++ {
+		round() // every route's rings, spare lists and checker tables filled
+	}
+	got := testing.AllocsPerRun(3000, round)
+	t.Logf("%v allocs per delivered payload", got)
+	if got > 2 {
+		t.Errorf("one payload through the five-node mesh: %v allocs, budget 2", got)
+	}
+	requireCleanHops(t, m)
+}
+
+// deadConn is a link end that carries nothing: Send succeeds, Recv blocks
+// until Close.
+type deadConn struct{ stop chan struct{} }
+
+func (c deadConn) Send([]byte) error { return nil }
+func (c deadConn) Recv() ([]byte, error) {
+	<-c.stop
+	return nil, netlink.ErrClosed
+}
+func (c deadConn) Close() error {
+	select {
+	case <-c.stop:
+	default:
+		close(c.stop)
+	}
+	return nil
+}
+
+// TestMeshAckTimeoutOnInjectedClock: ack deadlines are minted on the
+// mesh's clock, and the timer that enforces them must be armed on that
+// clock too. The mesh rides a virtual clock set a thousand hours from the
+// wall clock, over links that carry nothing, so every payload's only
+// future is its ack timeout. Armed with time.Until — wall time — the timer
+// of a clock ahead of the wall fired a thousand hours late, and that of a
+// clock behind it every millisecond.
+//
+// The second payload is submitted into a table that is not empty, so
+// Submit leaves the router asleep: it is re-dispatched at its own deadline
+// only because the pass that re-dispatched the first re-armed for it.
+func TestMeshAckTimeoutOnInjectedClock(t *testing.T) {
+	for name, offset := range map[string]time.Duration{"ahead": 1000 * time.Hour, "behind": -1000 * time.Hour} {
+		t.Run(name, func(t *testing.T) {
+			clk := clock.NewVirtual(time.Now().Add(offset), 1)
+			topo := Topology{Nodes: 2, Links: []Link{{A: 0, B: 1}}}
+			m := newTestMesh(t, Config{
+				Topology: topo,
+				Links:    []LinkConns{{A: deadConn{make(chan struct{})}, B: deadConn{make(chan struct{})}}},
+				Source:   0, Dest: 1, Routes: 1,
+				AckTimeout:     time.Second,
+				WatchdogWindow: time.Hour, // no hop is declared wedged: only the deadline re-dispatches
+				RetryInterval:  100 * time.Millisecond, RetryBackoffMax: 100 * time.Millisecond,
+				Clock: clk, Seed: 1, Metrics: metrics.New(),
+			})
+			start := clk.Now()
+			// reroutes waits for the router to have made n re-dispatches,
+			// then a little longer for one it must not make. The last
+			// Stats call waits out a pass in progress (both take m.mu), so
+			// on return the pass that made the n-th has re-armed the timer
+			// — a timer is armed relative to the clock's now, and must not
+			// be armed across the test's next advance.
+			reroutes := func(n int64) {
+				t.Helper()
+				for deadline := time.Now().Add(10 * time.Second); m.Stats().Reroutes < n; {
+					if time.Now().After(deadline) {
+						t.Fatalf("%d re-dispatches at virtual +%v, want %d", m.Stats().Reroutes, clk.Now().Sub(start), n)
+					}
+					time.Sleep(time.Millisecond)
+				}
+				time.Sleep(30 * time.Millisecond)
+				if got := m.Stats().Reroutes; got != n {
+					t.Fatalf("%d re-dispatches at virtual +%v, want %d", got, clk.Now().Sub(start), n)
+				}
+			}
+
+			if _, err := m.Submit([]byte("first")); err != nil { // deadline +1s
+				t.Fatal(err)
+			}
+			// The table was empty, so Submit woke the router: let it arm
+			// before the clock moves, for the same reason.
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+				m.mu.Lock()
+				armed := m.armed
+				m.mu.Unlock()
+				if armed {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("the router never armed the ack timeout of a payload submitted into an empty table")
+				}
+			}
+			clk.AdvanceBy(500 * time.Millisecond)
+			if _, err := m.Submit([]byte("second")); err != nil { // deadline +1.5s
+				t.Fatal(err)
+			}
+			// The margins below allow for a pass that read the clock when
+			// its timer fired and armed the next one after the advance that
+			// fired it had finished: the next firing is that much late.
+			clk.AdvanceBy(400 * time.Millisecond) // +0.9s
+			reroutes(0)
+			clk.AdvanceBy(300 * time.Millisecond) // +1.2s: first re-dispatched, its next deadline +2.0s at the earliest
+			reroutes(1)
+			clk.AdvanceBy(200 * time.Millisecond) // +1.4s
+			reroutes(1)
+			clk.AdvanceBy(500 * time.Millisecond) // +1.9s: second re-dispatched, at +1.7s at the latest
+			reroutes(2)
+		})
+	}
+}
+
+// TestMeshParkedResumesOnHopRecovery: a payload parked because its only
+// route's hop went unhealthy resumes on the hop's recovery alone — the
+// health transition wakes the router; nothing is submitted or acked in
+// between, and the ack timeout is out of reach.
+func TestMeshParkedResumesOnHopRecovery(t *testing.T) {
+	reg := metrics.New()
+	topo := Topology{Nodes: 3, Links: []Link{{A: 0, B: 1}, {A: 1, B: 2}}}
+	tl := buildLinks(topo, 1010, reg, netlink.ImpairConfig{})
+	m := newTestMesh(t, Config{
+		Topology: topo, Links: tl.conns,
+		Source: 0, Dest: 2, Routes: 1,
+		WatchdogWindow: 60 * time.Millisecond,
+		AckTimeout:     time.Hour,
+		Seed:           1010, Metrics: reg,
+	})
+	mu, got, done := drain(m)
+
+	tl.imps[0][0].SetBlackout(true)
+	tl.imps[0][1].SetBlackout(true)
+	if _, err := m.Submit([]byte("held up")); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); m.Stats().Parked != 1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("payload never parked: %+v", m.Stats())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	tl.imps[0][0].SetBlackout(false)
+	tl.imps[0][1].SetBlackout(false)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if err := m.Flush(ctx); err != nil {
+		t.Fatalf("Flush after recovery: %v (stats %+v)", err, m.Stats())
+	}
+	m.Close()
+	<-done
+	requireExactlyOnce(t, mu, got, []string{"held up"})
+	requireCleanHops(t, m)
+}

@@ -115,6 +115,11 @@ type Session struct {
 	q   *outbox.Queue
 
 	resubmits *metrics.Counter
+	// dropBacklog takes this session's queue out of the session.backlog
+	// gauge: the registry is often the process-wide one, and would
+	// otherwise hold a closed session's queue, kept buffers and all, for
+	// the life of the process.
+	dropBacklog func()
 
 	// epoch numbers station incarnations. Each rebuild of a framed window
 	// (depth above 1) frames a higher epoch into its admission seqs, so a
@@ -179,7 +184,9 @@ func New(cfg Config) (*Session, error) {
 	}
 	s.q = q
 
-	reg.GaugeFunc(mSessionBacklog, func() float64 {
+	// Summed: the sessions of a registry — a mesh's twelve hops — report
+	// their total backlog, not whichever registered last.
+	s.dropBacklog = reg.GaugeFuncSum(mSessionBacklog, func() float64 {
 		return float64(q.Stats().Pending)
 	})
 
@@ -263,7 +270,8 @@ func (s *Session) fanout(tr supervise.Transition) {
 }
 
 // Enqueue accepts a payload for supervised delivery and returns its queue
-// id. With a WAL the payload is durable before Enqueue returns.
+// id. The outbox copies msg; the caller may reuse it at once. With a WAL
+// the payload is durable before Enqueue returns.
 func (s *Session) Enqueue(msg []byte) (uint64, error) { return s.q.Enqueue(msg) }
 
 // Flush blocks until the backlog is fully confirmed, the queue fails
@@ -326,6 +334,7 @@ func (s *Session) Close() error {
 	s.closeOnce.Do(func() {
 		s.closeErr = s.q.Close()
 		s.sup.Close()
+		s.dropBacklog()
 		s.subMu.Lock()
 		s.subbed = true
 		for _, c := range s.subs {

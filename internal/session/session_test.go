@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -499,5 +500,97 @@ func TestWindowedSessionSurvivesCrashesAndRestart(t *testing.T) {
 	}
 	if len(got) != n+1 { // the n payloads plus the warmup
 		t.Errorf("delivered %d distinct payloads, want %d", len(got), n+1)
+	}
+}
+
+// stalledSession builds a session on reg whose payloads never confirm:
+// each incarnation dials a pipe of its own (which the station owns and
+// closes) with no station at the far end. The caller closes the session; a
+// t.Cleanup that did would keep it reachable until the test ends.
+func stalledSession(t *testing.T, reg *metrics.Registry) *Session {
+	t.Helper()
+	s, err := New(Config{
+		Dial: func() (netlink.PacketConn, error) {
+			a, _ := netlink.Pipe(netlink.PipeConfig{Seed: 1})
+			return a, nil
+		},
+		WatchdogWindow: time.Hour, Seed: 1, Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestBacklogGaugeSumsSessions: sessions sharing a registry report their
+// total backlog under session.backlog, and a closed session's share goes
+// with it. Registered with GaugeFunc, which replaces by name, the gauge
+// was the depth of whichever session registered last.
+func TestBacklogGaugeSumsSessions(t *testing.T) {
+	reg := metrics.New()
+	s1, s2 := stalledSession(t, reg), stalledSession(t, reg)
+	defer s1.Close()
+	defer s2.Close()
+	for i := 0; i < 8; i++ {
+		s := s1
+		if i >= 3 {
+			s = s2
+		}
+		if _, err := s.Enqueue([]byte("stuck")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := reg.Snapshot().Gauges[mSessionBacklog]; got != 8 {
+		t.Errorf("%s = %v with 3 and 5 payloads pending, want 8", mSessionBacklog, got)
+	}
+	s2.Close()
+	if got := reg.Snapshot().Gauges[mSessionBacklog]; got != 3 {
+		t.Errorf("%s = %v after closing the session holding 5, want 3", mSessionBacklog, got)
+	}
+	s1.Close()
+	if got, ok := reg.Snapshot().Gauges[mSessionBacklog]; ok {
+		t.Errorf("%s = %v with every session closed, want it gone", mSessionBacklog, got)
+	}
+}
+
+// TestCloseReleasesQueueFromRegistry: once a session is closed nothing in
+// its registry reaches its queue, so the queue — ring, kept buffers and
+// all — can be collected while the registry lives on. The queue is part of
+// a cycle (its Send is the session's method), which a finalizer would keep
+// alive by itself, so the finalizer sits on a leaf only the session's
+// config reaches: registry -> gauge function -> queue -> session -> Dial.
+func TestCloseReleasesQueueFromRegistry(t *testing.T) {
+	reg := metrics.New()
+	collected := make(chan struct{})
+	func() {
+		leaf := new([256]byte)
+		runtime.SetFinalizer(leaf, func(*[256]byte) { close(collected) })
+		s, err := New(Config{
+			Dial: func() (netlink.PacketConn, error) {
+				runtime.KeepAlive(leaf)
+				a, _ := netlink.Pipe(netlink.PipeConfig{Seed: 1})
+				return a, nil
+			},
+			WatchdogWindow: time.Hour, Seed: 1, Metrics: reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Enqueue(make([]byte, 1024)); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+	}()
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		runtime.GC()
+		select {
+		case <-collected:
+			reg.Snapshot() // the registry outlived the session
+			return
+		case <-time.After(20 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("a closed session is still reachable")
+		}
 	}
 }

@@ -158,12 +158,14 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 }
 
 // Submit accepts a payload at the source for end-to-end delivery and
-// returns its mesh id. The payload is dispatched immediately over a
-// usable route, or parked until one recovers.
+// returns its mesh id. The mesh copies payload, so the caller may reuse it
+// at once. The payload is dispatched immediately over a usable route, or
+// parked until one recovers.
 func (m *Mesh) Submit(payload []byte) (uint64, error) { return m.m.Submit(payload) }
 
 // Delivered is the destination's higher layer: distinct payloads, each
-// exactly once, in arrival order. Close closes the channel.
+// exactly once, in arrival order, each the receiver's to keep. Close
+// closes the channel.
 func (m *Mesh) Delivered() <-chan []byte { return m.m.Delivered() }
 
 // Flush blocks until every submitted payload is acknowledged end-to-end,

@@ -91,8 +91,9 @@ func NewQueue(s *Sender, opts ...QueueOption) (*Queue, error) {
 }
 
 // Enqueue accepts msg for ordered delivery and returns its queue id (also
-// usable as an application-level dedup key). With a WAL the message is
-// durable before Enqueue returns.
+// usable as an application-level dedup key). The queue copies msg, so the
+// caller may reuse it at once. With a WAL the message is durable before
+// Enqueue returns.
 func (q *Queue) Enqueue(msg []byte) (uint64, error) { return q.q.Enqueue(msg) }
 
 // Flush blocks until every enqueued message is confirmed delivered, the

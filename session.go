@@ -155,8 +155,9 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 }
 
 // Enqueue accepts a payload for supervised in-order delivery and returns
-// its queue id (also usable as an application-level dedup key). With a
-// WAL the payload is durable before Enqueue returns.
+// its queue id (also usable as an application-level dedup key). The
+// session copies msg, so the caller may reuse it at once. With a WAL the
+// payload is durable before Enqueue returns.
 func (s *Session) Enqueue(msg []byte) (uint64, error) { return s.s.Enqueue(msg) }
 
 // Flush blocks until every enqueued payload is confirmed delivered, the
