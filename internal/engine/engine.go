@@ -146,6 +146,7 @@ type slot struct {
 	ep        atomic.Pointer[Endpoint]
 	overflow  atomic.Int64
 	gaugeOnce sync.Once
+	dropGauge func() // set inside gaugeOnce; Engine.Close calls it
 }
 
 // New starts an engine over conn. The engine owns conn: Engine.Close
@@ -226,8 +227,10 @@ func (e *Engine) Endpoint(id int) (*Endpoint, error) {
 	}
 	s.ep.Store(ep)
 	if !e.cfg.Raw {
+		// Summed: engines sharing a registry and a prefix — a mesh's twelve
+		// — report their total for the id, not whichever registered last.
 		s.gaugeOnce.Do(func() {
-			e.reg.GaugeFunc(e.prefix+mEpSegment+strconv.Itoa(id)+mOverflowDropped,
+			s.dropGauge = e.reg.GaugeFuncSum(e.prefix+mEpSegment+strconv.Itoa(id)+mOverflowDropped,
 				func() float64 { return float64(s.overflow.Load()) })
 		})
 	}
@@ -241,6 +244,18 @@ func (e *Engine) Close() error {
 		e.closed.Store(true)
 		close(e.stop)
 		e.closeErr = e.conn.Close()
+		// Out of the registry — often the process-wide one, which would
+		// otherwise hold this engine's slots, and through their endpoints'
+		// handlers the stations, for the life of the process. Going through
+		// the Once waits out an Endpoint call registering right now and
+		// stops a later one from registering at all.
+		for i := range e.slots {
+			s := &e.slots[i]
+			s.gaugeOnce.Do(func() {})
+			if s.dropGauge != nil {
+				s.dropGauge()
+			}
+		}
 	})
 	<-e.done
 	return e.closeErr

@@ -201,6 +201,47 @@ func TestOverflowDropAccounting(t *testing.T) {
 	}
 }
 
+// TestOverflowGaugeSumsEnginesAndLeavesOnClose: engines sharing a registry
+// and a prefix share the per-endpoint gauge names, so a name reports their
+// sum; and an engine's Close takes its share out, the name with the last
+// one, so the registry does not hold a closed engine.
+func TestOverflowGaugeSumsEnginesAndLeavesOnClose(t *testing.T) {
+	const name = "link.ep0.overflow_dropped"
+	reg := metrics.New()
+	connA, connB := newChanConn(), newChanConn()
+	a := New(connA, Config{MaxEndpoints: 2, Buffer: 1, Metrics: reg})
+	b := New(connB, Config{MaxEndpoints: 2, Buffer: 1, Metrics: reg})
+	defer a.Close()
+	defer b.Close()
+	for _, e := range []*Engine{a, b} {
+		if _, err := e.Endpoint(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ { // one fits, two spill
+		connA.inject(0, []byte("a"))
+	}
+	for i := 0; i < 2; i++ { // one fits, one spills
+		connB.inject(0, []byte("b"))
+	}
+	waitCounterAtLeast(t, reg.Counter("link.overflow_dropped"), 3)
+	if g := reg.Snapshot().Gauges[name]; g != 3 {
+		t.Fatalf("two engines' gauge = %v, want 2 + 1", g)
+	}
+
+	a.Close()
+	if g := reg.Snapshot().Gauges[name]; g != 1 {
+		t.Errorf("with the first engine closed the gauge = %v, want 1", g)
+	}
+	if _, err := a.Endpoint(0); err == nil {
+		t.Error("a closed engine registered an endpoint")
+	}
+	b.Close()
+	if g, ok := reg.Snapshot().Gauges[name]; ok {
+		t.Errorf("with both engines closed the gauge still reports %v", g)
+	}
+}
+
 func TestReplaceSemantics(t *testing.T) {
 	conn := newChanConn()
 	e := New(conn, Config{MaxEndpoints: 2, Metrics: metrics.New()})

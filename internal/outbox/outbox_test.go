@@ -1,6 +1,7 @@
 package outbox
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -221,8 +222,10 @@ func TestWALPersistsBacklogAcrossReopen(t *testing.T) {
 
 func TestWALSurvivesTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "outbox.wal")
-	var c collector
-	q, err := New(Config{Send: c.send, WALPath: path})
+	// The first life confirms nothing: a Send that got through before Close
+	// would leave the second life nothing to replay.
+	stuck := func(ctx context.Context, _ []byte) error { <-ctx.Done(); return ctx.Err() }
+	q, err := New(Config{Send: stuck, WALPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,42 +431,48 @@ func TestEnqueueCopiesMessage(t *testing.T) {
 	}
 }
 
-// TestRingWindowShuffledConfirms drives a Window-8 queue by hand: every
-// Send blocks until the test resolves it, in shuffled order, and a middle
-// entry of the first window crashes once. After each resolution exactly
-// one new Send starts, and it is the oldest message not in flight — the
-// crashed one again, byte-identical, or else the next in enqueue order.
-// The backlog outgrows the ring three times while eight claims are in
-// flight, so the workers' positions survive a resize.
-func TestRingWindowShuffledConfirms(t *testing.T) {
-	const window, total = 8, 40
-	type call struct {
-		msg     string
-		resolve chan error
+// joinSameLead is a toy Merge: messages that share a first byte join, with
+// a '+' between them, so a test reads a run's entries back out of it.
+func joinSameLead(run, next []byte) ([]byte, bool) {
+	if run[0] != next[0] {
+		return run, false
 	}
-	calls := make(chan call, window)
-	q, err := New(Config{
-		Window:    window,
-		Retryable: func(err error) bool { return errors.Is(err, errCrash) },
-		Send: func(ctx context.Context, msg []byte) error {
-			c := call{msg: string(msg), resolve: make(chan error, 1)}
-			calls <- c
-			return <-c.resolve
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q.Close()
-	name := func(i int) string { return fmt.Sprintf("m-%02d", i) }
-	enqueue := func(from, to int) {
-		for i := from; i < to; i++ {
-			if _, err := q.Enqueue([]byte(name(i))); err != nil {
-				t.Fatal(err)
-			}
+	run = append(run, '+')
+	return append(run, next...), true
+}
+
+func enqueueAll(t *testing.T, q *Queue, msgs ...string) {
+	t.Helper()
+	for _, m := range msgs {
+		if _, err := q.Enqueue([]byte(m)); err != nil {
+			t.Fatal(err)
 		}
 	}
-	next := func() call {
+}
+
+// heldCall is one Send in progress: what it carries, and where the test
+// says how it ends.
+type heldCall struct {
+	msg     string
+	resolve chan error
+}
+
+// heldSend is a SendFunc whose every call blocks until the test resolves
+// it, and a next that waits for the next call to start.
+func heldSend(depth int) (SendFunc, func(t *testing.T) heldCall) {
+	calls := make(chan heldCall, depth)
+	send := func(ctx context.Context, msg []byte) error {
+		c := heldCall{msg: string(msg), resolve: make(chan error, 1)}
+		calls <- c
+		select {
+		case err := <-c.resolve:
+			return err
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	next := func(t *testing.T) heldCall {
+		t.Helper()
 		select {
 		case c := <-calls:
 			return c
@@ -472,22 +481,99 @@ func TestRingWindowShuffledConfirms(t *testing.T) {
 			panic("unreachable")
 		}
 	}
+	return send, next
+}
+
+// TestRingWindowShuffledConfirms drives a Window-8 queue by hand: every
+// Send blocks until the test resolves it, in shuffled order, and two
+// entries crash once each. After each resolution exactly one new Send
+// starts, and it carries the oldest message not in flight — the crashed
+// one again, byte-identical, or else the next in enqueue order — and, with
+// a Merge, the queued entries directly behind it that Merge takes: a model
+// of the backlog says which. The backlog outgrows the ring three times
+// while eight claims are in flight, so the workers' positions survive a
+// resize; and Stats counts entries, not Sends, whatever the runs were.
+func TestRingWindowShuffledConfirms(t *testing.T) {
+	t.Run("single", func(t *testing.T) { shuffledConfirms(t, nil) })
+	t.Run("runs", func(t *testing.T) { shuffledConfirms(t, joinSameLead) })
+}
+
+func shuffledConfirms(t *testing.T, merge func(run, next []byte) ([]byte, bool)) {
+	const window, total = 8, 40
+	send, next := heldSend(window)
+	q, err := New(Config{
+		Window:    window,
+		Retryable: func(err error) bool { return errors.Is(err, errCrash) },
+		Send:      send,
+		Merge:     merge,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	// The first window's messages have a first byte each, so that no two
+	// join and every worker has a claim before the rest is enqueued.
+	name := func(i int) string {
+		if i < window {
+			return fmt.Sprintf("%c-%02d", 'a'+i, i)
+		}
+		return fmt.Sprintf("m-%02d", i)
+	}
+	enqueue := func(from, to int) {
+		for i := from; i < to; i++ {
+			if _, err := q.Enqueue([]byte(name(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// The model: where each entry stands, and from that the one claim a
+	// free worker makes.
+	const (
+		isQueued = iota
+		inFlight
+		confirmed
+	)
+	state := make([]int, total)
+	type claim struct{ from, to int } // entries [from, to)
+	expect := func() (string, claim) {
+		for i := 0; i < total; i++ {
+			if state[i] != isQueued {
+				continue
+			}
+			j, msg := i+1, name(i)
+			for merge != nil && j < total && state[j] == isQueued && name(j)[0] == name(i)[0] {
+				msg += "+" + name(j)
+				j++
+			}
+			return msg, claim{i, j}
+		}
+		return "", claim{}
+	}
+	mark := func(c claim, to int) {
+		for i := c.from; i < c.to; i++ {
+			state[i] = to
+		}
+	}
 
 	enqueue(0, window)
-	inflight := map[string]call{}
-	for len(inflight) < window {
-		c := next()
+	inflight := map[string]heldCall{}
+	claims := map[string]claim{}
+	for i := 0; i < window; i++ {
+		c := next(t)
 		inflight[c.msg] = c
 	}
 	for i := 0; i < window; i++ {
 		if _, ok := inflight[name(i)]; !ok {
-			t.Fatalf("first window in flight is %v, want m-00..m-%02d", inflight, window-1)
+			t.Fatalf("first window in flight is %v, want %s..%s", inflight, name(0), name(window-1))
 		}
+		claims[name(i)] = claim{i, i + 1}
+		state[i] = inFlight
 	}
 	enqueue(window, total) // 8 slots grow to 64 while every slot of the first ring is claimed
 
 	rng := rand.New(rand.NewSource(8))
-	crashed, resubmits, fresh := map[string]bool{}, 0, window
+	crashed, resubmits, longest := map[string]bool{}, 0, 1
 	for len(inflight) > 0 {
 		keys := make([]string, 0, len(inflight))
 		for k := range inflight {
@@ -495,33 +581,42 @@ func TestRingWindowShuffledConfirms(t *testing.T) {
 		}
 		sort.Strings(keys)
 		k := keys[rng.Intn(len(keys))]
-		c := inflight[k]
+		c, cl := inflight[k], claims[k]
 		delete(inflight, k)
+		delete(claims, k)
 
-		want := ""
-		if (k == name(3) || k == name(20)) && !crashed[k] {
-			crashed[k] = true
-			resubmits++
-			c.resolve <- errCrash
-			want = k // older than anything still queued
-		} else {
-			c.resolve <- nil
-			if fresh < total {
-				want = name(fresh)
-				fresh++
+		outcome := error(nil)
+		for _, victim := range []int{3, 20} {
+			if cl.from <= victim && victim < cl.to && !crashed[name(victim)] {
+				crashed[name(victim)] = true
+				outcome = errCrash
 			}
 		}
+		if outcome != nil {
+			resubmits += cl.to - cl.from
+			mark(cl, isQueued) // older than anything still queued
+		} else {
+			mark(cl, confirmed)
+		}
+		c.resolve <- outcome
+
+		want, wcl := expect()
 		if want == "" {
 			continue
 		}
-		if got := next(); got.msg != want {
+		got := next(t)
+		if got.msg != want {
 			t.Fatalf("after resolving %s the next Send carries %q, want %q", k, got.msg, want)
-		} else {
-			inflight[got.msg] = got
 		}
+		inflight[got.msg], claims[got.msg] = got, wcl
+		mark(wcl, inFlight)
+		longest = max(longest, wcl.to-wcl.from)
 	}
 	if err := q.Flush(testCtx(t)); err != nil {
 		t.Fatal(err)
+	}
+	if merge != nil && longest < 2 {
+		t.Error("no Send carried a run")
 	}
 	want := Stats{Enqueued: total, Sent: total, Resubmits: resubmits}
 	if st := q.Stats(); st != want {
@@ -531,6 +626,147 @@ func TestRingWindowShuffledConfirms(t *testing.T) {
 	defer q.mu.Unlock()
 	if q.head != q.tail || q.tail != total {
 		t.Errorf("ring head %d tail %d after %d confirms", q.head, q.tail, total)
+	}
+}
+
+// TestRunTakesOnlyAdjacentQueued: a run is the oldest queued entry and the
+// queued entries directly behind it that Merge takes. One that Merge
+// refuses ends it, and so does one another worker holds, even with more of
+// the same kind queued beyond.
+func TestRunTakesOnlyAdjacentQueued(t *testing.T) {
+	const window = 8
+	send, next := heldSend(window)
+	q, err := New(Config{
+		Window:    window,
+		Retryable: func(err error) bool { return errors.Is(err, errCrash) },
+		Send:      send,
+		Merge:     joinSameLead,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	enqueue := func(msgs ...string) { enqueueAll(t, q, msgs...) }
+	// Eight messages that cannot join give every worker a claim, so from
+	// here a claim is made only when the test resolves one.
+	held := map[string]heldCall{}
+	enqueue("0", "1", "2", "3", "4", "5", "6", "7")
+	for i := 0; i < window; i++ {
+		c := next(t)
+		held[c.msg] = c
+	}
+	// resolve finishes one held Send and returns the Send its worker starts next.
+	resolve := func(msg string, outcome error, want string) {
+		t.Helper()
+		held[msg].resolve <- outcome
+		delete(held, msg)
+		c := next(t)
+		if c.msg != want {
+			t.Fatalf("after %q resolved the next Send carries %q, want %q", msg, c.msg, want)
+		}
+		held[c.msg] = c
+	}
+
+	enqueue("a1", "a2", "b3", "a4", "a5")
+	resolve("0", nil, "a1+a2") // b3 is refused, and a4 is not directly behind
+	resolve("1", nil, "b3")
+	resolve("2", nil, "a4+a5")
+
+	enqueue("c1")
+	resolve("3", nil, "c1") // nothing queued behind it: it leaves alone
+	enqueue("c2")
+	resolve("4", nil, "c2")
+	enqueue("c3", "c4")
+	resolve("c1", errCrash, "c1") // c2 is another worker's: the run ends before c3
+	resolve("c2", nil, "c3+c4")
+
+	for _, c := range held {
+		c.resolve <- nil
+	}
+	if err := q.Flush(testCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+	want := Stats{Enqueued: 17, Sent: 17, Resubmits: 1}
+	if st := q.Stats(); st != want {
+		t.Errorf("stats %+v, want %+v", st, want)
+	}
+}
+
+// TestRunFailureRequeuesEveryEntry: a retryable failure puts every entry
+// of the run back, each counted, and what goes out next is formed from the
+// entries as they were enqueued — here with one more that arrived since.
+func TestRunFailureRequeuesEveryEntry(t *testing.T) {
+	send, next := heldSend(1)
+	q, err := New(Config{
+		Retryable: func(err error) bool { return errors.Is(err, errCrash) },
+		Send:      send,
+		Merge:     joinSameLead,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	enqueue := func(msgs ...string) { enqueueAll(t, q, msgs...) }
+	step := func(c heldCall, outcome error, want string) heldCall {
+		t.Helper()
+		c.resolve <- outcome
+		n := next(t)
+		if n.msg != want {
+			t.Fatalf("next Send carries %q, want %q", n.msg, want)
+		}
+		return n
+	}
+	enqueue("a1")
+	c := next(t) // the worker is busy: what follows queues up
+	enqueue("a2", "a3")
+	c = step(c, nil, "a2+a3")
+	c = step(c, errCrash, "a2+a3") // the same bytes, entry by entry
+	enqueue("a4")
+	c = step(c, errCrash, "a2+a3+a4")
+	c.resolve <- nil
+	if err := q.Flush(testCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+	want := Stats{Enqueued: 4, Sent: 4, Resubmits: 4}
+	if st := q.Stats(); st != want {
+		t.Errorf("stats %+v, want %+v", st, want)
+	}
+}
+
+// TestWALReplaysEveryEntryOfARun: the log holds one record per entry, run
+// or no run, so a queue closed with a run in flight replays each entry of
+// it — here to a queue with no Merge, which sends them one by one.
+func TestWALReplaysEveryEntryOfARun(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "outbox.wal")
+	send, next := heldSend(1)
+	q, err := New(Config{Send: send, Merge: joinSameLead, WALPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	enqueue := func(msgs ...string) { enqueueAll(t, q, msgs...) }
+	enqueue("a1")
+	first := next(t)
+	enqueue("a2", "a3")
+	first.resolve <- nil
+	if run := next(t); run.msg != "a2+a3" {
+		t.Fatalf("in flight at Close: %q, want the run a2+a3", run.msg)
+	}
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var c collector
+	q2, err := New(Config{Send: c.send, WALPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q2.Close()
+	if err := q2.Flush(testCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.messages(); len(got) != 2 || got[0] != "a2" || got[1] != "a3" {
+		t.Errorf("replayed %q, want a2 and a3", got)
 	}
 }
 
@@ -589,12 +825,29 @@ func TestOutboxEnqueueAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts under the race detector measure the detector")
 	}
-	for _, wal := range []bool{false, true} {
-		t.Run(fmt.Sprintf("wal=%v", wal), func(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		wal   bool
+		merge func(run, next []byte) ([]byte, bool)
+	}{
+		{name: "wal=false"},
+		{name: "wal=true", wal: true},
+		{name: "merge", merge: joinSameLead}, // the worker's run buffer has grown to a burst by the time it counts
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			const burst = 4
-			sent := make(chan struct{}, burst)
-			cfg := Config{Send: func(context.Context, []byte) error { sent <- struct{}{}; return nil }}
-			if wal {
+			// Each Send reports in, waits to be let go, and says how many
+			// entries it carried: the first message of a round is in flight
+			// before the rest are enqueued, so with Merge they are one run
+			// of burst-1, every round.
+			started, release, sent := make(chan struct{}), make(chan struct{}), make(chan int)
+			cfg := Config{Merge: tc.merge, Send: func(_ context.Context, msg []byte) error {
+				started <- struct{}{}
+				<-release
+				sent <- bytes.Count(msg, []byte("+")) + 1
+				return nil
+			}}
+			if tc.wal {
 				cfg.WALPath = filepath.Join(t.TempDir(), "outbox.wal")
 			}
 			q, err := New(cfg)
@@ -603,21 +856,37 @@ func TestOutboxEnqueueAllocBudget(t *testing.T) {
 			}
 			defer q.Close()
 			msg := make([]byte, 64)
+			sends := 0
 			round := func() {
 				for i := 0; i < burst; i++ {
 					if _, err := q.Enqueue(msg); err != nil {
 						t.Fatal(err)
 					}
+					if i == 0 {
+						<-started
+					}
 				}
-				for i := 0; i < burst; i++ {
-					<-sent
+				for n := 0; ; <-started {
+					release <- struct{}{}
+					sends++
+					if n += <-sent; n == burst {
+						return
+					}
 				}
 			}
 			for i := 0; i < 16; i++ {
 				round() // every slot of the ring has its buffer
 			}
+			sends = 0
 			if got := testing.AllocsPerRun(200, round); got != 0 {
 				t.Errorf("%d Enqueues and confirms: %v allocs, want 0", burst, got)
+			}
+			want := 201 * burst // AllocsPerRun makes one run of its own first
+			if tc.merge != nil {
+				want = 201 * 2 // one message alone, burst-1 as a run
+			}
+			if sends != want {
+				t.Errorf("%d Sends for 201 rounds of %d messages, want %d", sends, burst, want)
 			}
 		})
 	}

@@ -8,9 +8,11 @@ import (
 
 // SendFunc transfers one message, blocking until it is confirmed
 // delivered. ghm.Sender.Send and ghm.Peer.Send have this shape. msg is the
-// queue's own buffer, valid until the call returns: an implementation that
-// keeps the bytes longer copies them (the stations do — the transmitter
-// copies the message into its own memory before Send returns).
+// queue's own buffer — a ring slot, or with Config.Merge set the sending
+// worker's run of several — valid until the call returns: an
+// implementation that keeps the bytes longer copies them (the stations do
+// — the transmitter copies the message into its own memory before Send
+// returns).
 type SendFunc func(ctx context.Context, msg []byte) error
 
 // Config parameterizes a Queue.
@@ -36,6 +38,21 @@ type Config struct {
 	// restores admission order — with a plain stop-and-wait station the
 	// extra workers just serialize on it).
 	Window int
+	// Merge, when set, lets a worker send what is already queued as one
+	// message. The worker claims the oldest queued entry as always, then
+	// offers Merge each directly following entry that is still queued:
+	// run is the message so far, in the worker's own buffer, and next the
+	// entry's. Merge returns run with next folded in and true, or false
+	// with run's bytes as they were — the run then ends there. Send gets
+	// the run, its success confirms every entry in it, and a retryable
+	// failure re-queues every one, to be formed into runs again (not
+	// necessarily the same ones: a resubmission is byte-identical entry by
+	// entry, not run by run, so a windowed station's seq reuse does not
+	// survive it — use Merge with a depth-1 station). Nothing waits for a
+	// run to form: an entry with nothing queued behind it leaves alone.
+	// Merge runs under the queue's lock: it must be pure, quick and
+	// allocation-free beyond growing run.
+	Merge func(run, next []byte) ([]byte, bool)
 }
 
 // Stats counts queue activity.
@@ -274,101 +291,135 @@ func (q *Queue) push(id uint64, msg []byte) *entry {
 // claim marks the oldest queued entry claimed and returns its position
 // and message. The entries ahead of it are the other workers' claims and
 // confirms waiting behind a claim, so the scan is as short as the window
-// is deep. Call with q.mu held.
-func (q *Queue) claim() (pos uint64, msg []byte, ok bool) {
-	for p := q.head; p != q.tail; p++ {
-		if e := q.slot(p); e.state == queued {
-			e.state = claimed
-			return p, e.msg, true
-		}
+// is deep. With Merge set it goes on to claim the directly following
+// entries while they are queued and Merge takes them: n is how many
+// positions the run covers, and a run of more than one is built in *run,
+// the calling worker's buffer, and returned as msg. Slot buffers are only
+// read, so a run that fails is formed again from intact entries. Call
+// with q.mu held.
+//
+//ghm:hotpath
+func (q *Queue) claim(run *[]byte) (pos, n uint64, msg []byte, ok bool) {
+	for pos = q.head; pos != q.tail && q.slot(pos).state != queued; pos++ {
 	}
-	return 0, nil, false
+	if pos == q.tail {
+		return 0, 0, nil, false
+	}
+	first := q.slot(pos)
+	first.state = claimed
+	n, msg = 1, first.msg
+	if q.cfg.Merge == nil || pos+1 == q.tail || q.slot(pos+1).state != queued {
+		return pos, n, msg, true
+	}
+	*run = (*run)[:0]
+	*run = append(*run, first.msg...)
+	for p := pos + 1; p != q.tail; p++ {
+		e := q.slot(p)
+		if e.state != queued {
+			break
+		}
+		merged, took := q.cfg.Merge(*run, e.msg)
+		if !took {
+			break
+		}
+		*run, msg = merged, merged
+		e.state = claimed
+		n++
+	}
+	return pos, n, msg, true
 }
 
-// confirm marks the entry at pos done and pops the head past every done
-// entry: O(1) for the head itself, and an out-of-order confirm (Window >
-// 1) just waits its turn. Then the ring gives back what a drained burst
-// no longer needs. Call with q.mu held.
-func (q *Queue) confirm(pos uint64) {
-	q.slot(pos).state = done
+// confirm marks the n entries from pos done, logging each, and pops the
+// head past every done entry: O(1) for the head itself, and an
+// out-of-order confirm (Window > 1) just waits its turn. Then the ring
+// gives back what a drained burst no longer needs. Call with q.mu held.
+func (q *Queue) confirm(pos, n uint64) {
+	for p := pos; p != pos+n; p++ {
+		e := q.slot(p)
+		e.state = done
+		if q.log != nil {
+			if err := q.log.appendDone(e.id); err != nil && q.err == nil {
+				q.err = err
+			}
+		}
+	}
+	q.stats.Sent += int(n)
+	q.stats.Pending -= int(n)
 	for q.head != q.tail && q.slot(q.head).state == done {
 		if e := q.slot(q.head); cap(e.msg) > maxKeptMsg {
 			e.msg = nil
 		}
 		q.head++
 	}
-	n := len(q.ring)
-	for n > ringKeep && int(q.tail-q.head)*4 <= n {
-		n /= 2
+	size := len(q.ring)
+	for size > ringKeep && int(q.tail-q.head)*4 <= size {
+		size /= 2
 	}
-	if n != len(q.ring) {
-		q.resize(n)
+	if size != len(q.ring) {
+		q.resize(size)
 	}
 }
 
-// worker claims backlog messages in enqueue order and drives each
-// through Send. With Window workers, up to Window claims are in flight
-// at once; a failed retryable Send unclaims its message, so any worker
-// — not necessarily the same one — resubmits it, byte-identical (which
-// is what lets a windowed station's receiver drop the duplicate by its
-// reused admission seq).
+// requeue returns the n claimed entries from pos to the backlog after a
+// failed Send, for any worker to send again, or reports the first whose
+// attempts are spent. Call with q.mu held.
+func (q *Queue) requeue(pos, n uint64, err error) error {
+	retry := q.cfg.Retryable != nil && q.cfg.Retryable(err)
+	for p := pos; p != pos+n; p++ {
+		e := q.slot(p)
+		e.attempts++
+		if !retry || (q.cfg.MaxAttempts != 0 && e.attempts >= q.cfg.MaxAttempts) {
+			return fmt.Errorf("outbox: message %d: %w", e.id, err)
+		}
+	}
+	for p := pos; p != pos+n; p++ {
+		q.slot(p).state = queued
+	}
+	q.stats.Resubmits += int(n)
+	return nil
+}
+
+// worker claims backlog messages in enqueue order and drives each claim
+// — one message, or with Merge a run of them — through Send. With Window
+// workers, up to Window claims are in flight at once; a failed retryable
+// Send unclaims its messages, so any worker — not necessarily the same
+// one — resubmits them, byte-identical (which is what lets a windowed
+// station's receiver drop the duplicate by its reused admission seq).
 func (q *Queue) worker() {
+	var run []byte // this worker's buffer for a run of several; grows to the largest, once
 	for {
-		q.mu.Lock()
 		var (
-			pos uint64
-			msg []byte
-			ok  bool
+			pos, n uint64
+			msg    []byte
+			ok     bool
 		)
+		q.mu.Lock()
 		for {
-			if pos, msg, ok = q.claim(); ok || q.closed || q.err != nil {
+			if q.closed || q.err != nil {
+				q.mu.Unlock()
+				return
+			}
+			if pos, n, msg, ok = q.claim(&run); ok {
 				break
 			}
 			q.cond.Wait()
 		}
-		if q.closed || q.err != nil {
-			q.mu.Unlock()
-			return
-		}
 		q.mu.Unlock()
 
-		// msg is the claimed slot's buffer: nothing writes it until this
-		// worker confirms the entry, and a resize moves the slice header,
-		// not the bytes.
+		// msg is the claimed slot's buffer, or this worker's run: nothing
+		// writes either until this worker confirms the claim, and a resize
+		// moves slice headers, not bytes.
 		err := q.cfg.Send(q.ctx, msg)
-		if err == nil {
-			q.mu.Lock()
-			id := q.slot(pos).id
-			q.confirm(pos)
-			q.stats.Sent++
-			q.stats.Pending--
-			if q.log != nil {
-				if werr := q.log.appendDone(id); werr != nil && q.err == nil {
-					q.err = werr
-				}
-			}
-			q.cond.Broadcast()
-			q.mu.Unlock()
-			continue
-		}
-		if q.ctx.Err() != nil {
+		if err != nil && q.ctx.Err() != nil {
 			return // closing
 		}
-
 		q.mu.Lock()
-		e := q.slot(pos)
-		e.attempts++
-		if q.cfg.Retryable != nil && q.cfg.Retryable(err) &&
-			(q.cfg.MaxAttempts == 0 || e.attempts < q.cfg.MaxAttempts) {
-			e.state = queued
-			q.stats.Resubmits++
-			q.cond.Broadcast()
-			q.mu.Unlock()
-			continue
+		if err == nil {
+			q.confirm(pos, n)
+		} else if err = q.requeue(pos, n, err); err != nil {
+			q.err = err // the next pass finds it and stops
 		}
-		q.err = fmt.Errorf("outbox: message %d: %w", e.id, err)
 		q.cond.Broadcast()
 		q.mu.Unlock()
-		return
 	}
 }

@@ -1,0 +1,289 @@
+package relay
+
+import (
+	"bytes"
+	"context"
+	"slices"
+	"testing"
+	"time"
+
+	"ghm/internal/metrics"
+	"ghm/internal/netlink"
+)
+
+// ackOf is the lone ack the destination of route writes for (id, attempt).
+func ackOf(route []byte, id uint64, attempt uint32) []byte {
+	f := frame{Kind: frameData, Src: route[0], Dst: route[len(route)-1], ID: id, Attempt: attempt, Route: route}
+	return appendAck(nil, f)
+}
+
+// ackRun merges the lone acks of ids, attempt 1 each, into one frame.
+func ackRun(t testing.TB, route []byte, ids ...uint64) []byte {
+	t.Helper()
+	run := ackOf(route, ids[0], 1)
+	for _, id := range ids[1:] {
+		var ok bool
+		if run, ok = mergeAcks(run, ackOf(route, id, 1)); !ok {
+			t.Fatalf("mergeAcks refused id %d behind % x", id, run)
+		}
+	}
+	return run
+}
+
+// ackPairs lists every (id, attempt) an ack frame carries, its own first.
+func ackPairs(f frame) (ids []uint64, attempts []uint32) {
+	ids, attempts = append(ids, f.ID), append(attempts, f.Attempt)
+	for tail := f.Payload; len(tail) > 0; {
+		id, attempt, rest, ok := nextAck(tail)
+		if !ok {
+			return nil, nil
+		}
+		ids, attempts, tail = append(ids, id), append(attempts, attempt), rest
+	}
+	return ids, attempts
+}
+
+// TestMergeAcksRoundTrip: a run of n acks parses back to their ids and
+// attempts in order, under the first one's endpoints and route; a run of
+// one is the frame the destination wrote, byte for byte; and runs merge
+// with runs.
+func TestMergeAcksRoundTrip(t *testing.T) {
+	route := []byte{0, 2, 3, 4}
+	wantIDs := []uint64{7, 1 << 40, 0, 300, 8}
+	wantAttempts := []uint32{1, 3, 1 << 31, 2, 1}
+	var run []byte
+	for i := range wantIDs {
+		lone := ackOf(route, wantIDs[i], wantAttempts[i])
+		if i == 0 {
+			run = lone
+			continue
+		}
+		before := bytes.Clone(run)
+		var ok bool
+		if run, ok = mergeAcks(run, lone); !ok {
+			t.Fatalf("mergeAcks refused ack %d", i)
+		}
+		if !bytes.HasPrefix(run, before) {
+			t.Fatalf("merging ack %d rewrote the run: % x, was % x", i, run, before)
+		}
+		f, err := parseFrame(run)
+		if err != nil {
+			t.Fatalf("run of %d: %v", i+1, err)
+		}
+		ids, attempts := ackPairs(f)
+		if f.Kind != frameAck || f.Src != 4 || f.Dst != 0 || !bytes.Equal(f.Route, []byte{4, 3, 2, 0}) ||
+			!slices.Equal(ids, wantIDs[:i+1]) || !slices.Equal(attempts, wantAttempts[:i+1]) {
+			t.Fatalf("run of %d parses to %+v carrying %v / %v", i+1, f, ids, attempts)
+		}
+	}
+
+	a, b := ackRun(t, route, 1, 2, 3), ackRun(t, route, 4, 5)
+	ab, ok := mergeAcks(a, b)
+	if !ok {
+		t.Fatal("mergeAcks refused a run behind a run")
+	}
+	if !bytes.Equal(ab, ackRun(t, route, 1, 2, 3, 4, 5)) {
+		t.Errorf("two runs merge to % x, not to the run of their ids", ab)
+	}
+}
+
+// TestMergeAcksRefuses: only two well-formed acks for one source over one
+// route merge, and only within the byte budget. A refusal hands the run
+// back as it was.
+func TestMergeAcksRefuses(t *testing.T) {
+	route := []byte{0, 2, 4}
+	ack := ackOf(route, 5, 1)
+	data := appendFrame(nil, frame{Kind: frameData, Src: 0, Dst: 4, ID: 5, Attempt: 1, Route: route, Payload: []byte("payload")})
+	otherSrc := appendFrame(nil, frame{Kind: frameAck, Src: 3, Dst: 0, ID: 6, Attempt: 1, Route: []byte{4, 2, 0}})
+	otherDst := appendFrame(nil, frame{Kind: frameAck, Src: 4, Dst: 1, ID: 6, Attempt: 1, Route: []byte{4, 2, 0}})
+	full := ackOf(route, 1<<60, 1)
+	for n := uint64(1); ; n++ {
+		next, ok := mergeAcks(full, ackOf(route, 1<<60+n, 1))
+		if !ok {
+			break
+		}
+		full = next
+	}
+	if len(full) > maxAckRun || len(full) < maxAckRun-16 {
+		t.Errorf("a run filled to refusal is %d bytes, budget %d", len(full), maxAckRun)
+	}
+	if _, err := parseFrame(full); err != nil {
+		t.Errorf("the full run does not parse: %v", err)
+	}
+	for name, c := range map[string][2][]byte{
+		"data behind ack":  {ack, data},
+		"ack behind data":  {data, ack},
+		"data behind data": {data, data},
+		"another route":    {ack, ackOf([]byte{0, 3, 4}, 6, 1)},
+		"a longer route":   {ack, ackOf([]byte{0, 2, 3, 4}, 6, 1)},
+		"another source":   {ack, otherSrc},
+		"another dest":     {ack, otherDst},
+		"over the budget":  {full, ackOf(route, 1<<62, 1)},
+		"truncated next":   {ack, ack[:len(ack)-1]},
+		"truncated run":    {ack[:4], ack},
+		"torn tail":        {ack, append(bytes.Clone(ack), 0x80)},
+		"empty next":       {ack, nil},
+		"empty run":        {nil, ack},
+	} {
+		run := bytes.Clone(c[0])
+		got, ok := mergeAcks(run, c[1])
+		if ok {
+			t.Errorf("%s: merged to % x", name, got)
+		}
+		if !bytes.Equal(got, c[0]) {
+			t.Errorf("%s: refused, but the run came back as % x, was % x", name, got, c[0])
+		}
+	}
+	if mergeAcksAllocs(full, ackOf(route, 1<<62, 1)) != 0 || mergeAcksAllocs(ack, data) != 0 {
+		t.Error("a refusal allocates")
+	}
+	grown := append(make([]byte, 0, maxAckRun), ack...)
+	if mergeAcksAllocs(grown, ack) != 0 {
+		t.Error("a merge into a run buffer with room allocates")
+	}
+}
+
+func mergeAcksAllocs(run, next []byte) float64 {
+	return testing.AllocsPerRun(100, func() { mergeAcks(run, next) })
+}
+
+// ackRunMesh is a four-node diamond, 0–a–2 and 0–b–2, dispersing over one
+// route whose first link carries nothing: submitted payloads sit in the
+// source's table and no ack ever forms on its own. The other side of the
+// diamond is live, so an ack frame written as if the payload had gone that
+// way travels real hops — 2→via→0 — back to the source. The ack timeout
+// and the watchdogs are an hour off: only an ack empties the table.
+type ackRunMesh struct {
+	*Mesh
+	reg   *metrics.Registry
+	tl    testLinks
+	via   int    // the live side's relay
+	route []byte // 0, via, 2: the route the test's acks claim to answer
+}
+
+func newAckRunMesh(t *testing.T, seed int64, payloads int) ackRunMesh {
+	t.Helper()
+	reg := metrics.New()
+	topo := Topology{Nodes: 4, Links: []Link{{A: 0, B: 1}, {A: 1, B: 2}, {A: 0, B: 3}, {A: 3, B: 2}}}
+	tl := buildLinks(topo, seed, reg, netlink.ImpairConfig{})
+	m := newTestMesh(t, Config{
+		Topology: topo, Links: tl.conns,
+		Source: 0, Dest: 2, Routes: 1,
+		AckTimeout: time.Hour, WatchdogWindow: time.Hour,
+		Seed: seed, Metrics: reg,
+	})
+	used := m.Routes()[0][1]
+	am := ackRunMesh{Mesh: m, reg: reg, tl: tl, via: 4 - used}
+	am.route = []byte{0, byte(am.via), 2}
+	am.blackout(0, used, true)
+	for i := 0; i < payloads; i++ {
+		if id, err := m.Submit([]byte("waits for its ack")); err != nil || id != uint64(i) {
+			t.Fatalf("Submit %d = id %d, %v", i, id, err)
+		}
+	}
+	return am
+}
+
+// blackout partitions, or heals, the link between nodes a and b.
+func (am ackRunMesh) blackout(a, b int, on bool) {
+	for li, l := range am.topo.Links {
+		if (l.A == a && l.B == b) || (l.A == b && l.B == a) {
+			am.tl.imps[li][0].SetBlackout(on)
+			am.tl.imps[li][1].SetBlackout(on)
+		}
+	}
+}
+
+// arrive hands node id a frame as its hop receiver would.
+func (am ackRunMesh) arrive(id int, p []byte) {
+	n := am.nodes[id]
+	n.mu.Lock()
+	rt := n.rt
+	n.mu.Unlock()
+	n.handleFrame(rt, bytes.Clone(p))
+}
+
+// acked waits — seconds, against an ack timeout of an hour — for the
+// source to have retired n payloads.
+func (am ackRunMesh) acked(t *testing.T, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); am.Stats().Acked != n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("source retired %d payloads, want %d (stats %+v)", am.Stats().Acked, n, am.Stats())
+		}
+	}
+}
+
+func (am ackRunMesh) flushed(t *testing.T) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := am.Flush(ctx); err != nil {
+		t.Fatalf("Flush: %v (stats %+v)", err, am.Stats())
+	}
+	if st := am.Stats(); st.Pending != 0 || st.Acked != st.Submitted {
+		t.Errorf("after Flush: %+v", st)
+	}
+	requireCleanHops(t, am.Mesh)
+}
+
+// TestMeshAckRunDeliveredTwice: a relay forwards an ack run whole, both
+// times a hop delivers it — acks skip the per-hop ledger — and the source
+// retires every id of the first and shrugs at the second.
+func TestMeshAckRunDeliveredTwice(t *testing.T) {
+	am := newAckRunMesh(t, 2121, 5)
+	run := ackRun(t, am.route, 0, 1, 2, 3, 4)
+	am.arrive(am.via, run)
+	am.arrive(am.via, run)
+	am.flushed(t)
+	for deadline := time.Now().Add(10 * time.Second); am.reg.Counter(mRelayAcks).Value() != 10; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("source counted %d acked ids, want 5 twice", am.reg.Counter(mRelayAcks).Value())
+		}
+	}
+	// Two frames, or one if the second caught up with the first in the
+	// relay's outbox and the two went on as one run of ten.
+	if frames := am.reg.Counter(mRelayAckFrames).Value(); frames != 1 && frames != 2 {
+		t.Errorf("%d ack frames reached the source, want 1 or 2", frames)
+	}
+	if dups := am.Stats().DupSuppressed; dups != 0 {
+		t.Errorf("%d frames suppressed: an ack met the per-hop ledger", dups)
+	}
+}
+
+// TestMeshAckRunFormedAgainAfterCrash: the hop 2→via has delivered the run
+// 0,1,2 but its station crashes before the OK; by the time its outbox
+// resubmits, ack 3 has queued behind, and what goes out is the run 0,1,2,3
+// — a frame with the same first id and attempt as one the relay has
+// already forwarded. A ledger keyed on those would drop it, and payload 3
+// would wait out the ack timeout.
+func TestMeshAckRunFormedAgainAfterCrash(t *testing.T) {
+	am := newAckRunMesh(t, 2222, 4)
+	am.blackout(am.via, 2, true)
+	sess := am.nodes[2].sessionTo(am.via)
+	for id := uint64(0); id < 3; id++ {
+		if _, err := sess.Enqueue(ackOf(am.route, id, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	am.arrive(am.via, ackRun(t, am.route, 0, 1, 2)) // what the hop delivered before its station crashed
+	am.acked(t, 3)
+
+	if _, err := sess.Enqueue(ackOf(am.route, 3, 1)); err != nil {
+		t.Fatal(err)
+	}
+	sess.Crash() // whatever was in flight is back in the queue, with ack 3 behind it
+	am.blackout(am.via, 2, false)
+	am.flushed(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := sess.Flush(ctx); err != nil { // the source has the run; the hop's OK is a packet behind
+		t.Fatal(err)
+	}
+	if st := sess.Stats(); st.Resubmits == 0 || st.Sent != 4 {
+		t.Errorf("hop 2→%d: %+v, want its four acks sent and some of them twice", am.via, st)
+	}
+	if frames, ids := am.reg.Counter(mRelayAckFrames).Value(), am.reg.Counter(mRelayAcks).Value(); frames != 2 || ids != 7 {
+		t.Errorf("source saw %d ids in %d ack frames, want 0,1,2 and then 0,1,2,3", ids, frames)
+	}
+}

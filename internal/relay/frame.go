@@ -1,13 +1,14 @@
 package relay
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 )
 
 // Frame kinds. Data frames carry a payload from Src toward Dst along
-// Route; ack frames confirm one (Src, ID) end to end, travelling the
-// reversed route back to the original source.
+// Route; ack frames confirm one or more (Src, ID) end to end, travelling
+// the reversed route back to the original source.
 const (
 	frameData byte = 1
 	frameAck  byte = 2
@@ -27,6 +28,15 @@ const maxRouteLen = 255
 // Route is the full node path source..destination (never popped), so the
 // destination can reverse it for the ack and any node can locate its
 // successor without per-node state.
+//
+// An ack frame has no payload. What follows its route is a tail of zero
+// or more further (id, attempt) pairs, the ids it confirms besides ID:
+//
+//	2 | src | dst | id | attempt | routeLen | route... | (id | attempt)*
+//
+// The destination writes every ack with an empty tail; a hop outbox that
+// finds several queued behind each other for the same route sends them as
+// one frame (mergeAcks), and a relay forwards that frame whole.
 type frame struct {
 	Kind    byte
 	Src     byte
@@ -41,7 +51,10 @@ type frame struct {
 // dedup keys on it so a session-level resubmission (the same attempt
 // delivered twice by one hop) is suppressed while a deliberate
 // re-dispatch (a new attempt, possibly over a route sharing this node)
-// still propagates.
+// still propagates. Only data frames are looked up by it: a run of acks
+// formed again after a hop crash may be longer than the one already
+// forwarded, and suppressing it by its first id would lose the ids it
+// gained.
 type key struct {
 	kind    byte
 	src     byte
@@ -122,9 +135,12 @@ var (
 	errFrameID      = errors.New("relay: truncated frame id")
 	errFrameAttempt = errors.New("relay: bad frame attempt")
 	errFrameRoute   = errors.New("relay: truncated route")
+	errFrameTail    = errors.New("relay: bad ack tail")
 )
 
-// parseFrame decodes one frame. The returned Route and Payload alias p.
+// parseFrame decodes one frame. The returned Route and Payload alias p. An
+// ack's Payload is its tail, checked here to be whole pairs, so the walk
+// with nextAck cannot fail.
 func parseFrame(p []byte) (frame, error) {
 	var f frame
 	if len(p) < 3 {
@@ -157,5 +173,58 @@ func parseFrame(p []byte) (frame, error) {
 	f.Attempt = uint32(attempt)
 	f.Route = rest[:rl]
 	f.Payload = rest[rl:]
+	if f.Kind == frameAck {
+		for tail, ok := f.Payload, true; len(tail) > 0; {
+			if _, _, tail, ok = nextAck(tail); !ok {
+				return f, errFrameTail
+			}
+		}
+	}
 	return f, nil
+}
+
+// nextAck takes one (id, attempt) pair off an ack frame's tail; ok is
+// false where the tail is malformed, which parseFrame has ruled out for
+// the tail of a frame it returned.
+func nextAck(tail []byte) (id uint64, attempt uint32, rest []byte, ok bool) {
+	id, n := binary.Uvarint(tail)
+	if n <= 0 {
+		return 0, 0, nil, false
+	}
+	a, m := binary.Uvarint(tail[n:])
+	if m <= 0 || a > 1<<32-1 {
+		return 0, 0, nil, false
+	}
+	return id, uint32(a), tail[n+m:], true
+}
+
+// maxAckRun bounds a merged ack frame in bytes: sixty-odd ids once an id
+// takes three bytes, sixteen at the widest, and well inside what one
+// station message carries as cheaply as a lone ack.
+const maxAckRun = 256
+
+// mergeAcks is every hop outbox's Merge: two ack frames for the same
+// source over the same route become one, next's pair and tail appended
+// to run. Anything else — a data frame, another route, a frame that does
+// not parse, a run that would pass maxAckRun — is refused with run
+// untouched, and leaves as a message of its own.
+//
+//ghm:hotpath
+func mergeAcks(run, next []byte) ([]byte, bool) {
+	a, err := parseFrame(run)
+	if err != nil || a.Kind != frameAck {
+		return run, false
+	}
+	b, err := parseFrame(next)
+	if err != nil || b.Kind != frameAck || a.Src != b.Src || a.Dst != b.Dst || !bytes.Equal(a.Route, b.Route) {
+		return run, false
+	}
+	// next's own pair sits between its endpoints and its route length.
+	pair := next[3 : len(next)-len(b.Payload)-len(b.Route)-1]
+	if len(run)+len(pair)+len(b.Payload) > maxAckRun {
+		return run, false
+	}
+	run = append(run, pair...)
+	run = append(run, b.Payload...)
+	return run, true
 }

@@ -27,7 +27,8 @@ const (
 	mRelayDelivered     = "relay.delivered"      // distinct payloads delivered at the destination
 	mRelayDupSuppressed = "relay.dup_suppressed" // duplicates suppressed (per-hop and end-to-end)
 	mRelayReroutes      = "relay.reroutes"       // health- or timeout-driven re-dispatches
-	mRelayAcks          = "relay.acks"           // end-to-end acks received back at the source
+	mRelayAcks          = "relay.acks"           // end-to-end acks (ids) received back at the source
+	mRelayAckFrames     = "relay.ack_frames"     // ack frames that carried them: acks/ack_frames is the mean run
 	mRelayDropped       = "relay.dropped"        // frames dropped (decode/route errors, dying hops)
 	mRelayParked        = "relay.parked"         // gauge: payloads parked with no usable route
 	mRelayRoutesUsable  = "relay.routes_usable"  // gauge: routes with every hop healthy
@@ -41,6 +42,7 @@ type relayMetrics struct {
 	dupSuppressed *metrics.Counter
 	reroutes      *metrics.Counter
 	acks          *metrics.Counter
+	ackFrames     *metrics.Counter
 	dropped       *metrics.Counter
 	parked        *metrics.Gauge
 	routesUsable  *metrics.Gauge
@@ -54,6 +56,7 @@ func newRelayMetrics(r *metrics.Registry) relayMetrics {
 		dupSuppressed: r.Counter(mRelayDupSuppressed),
 		reroutes:      r.Counter(mRelayReroutes),
 		acks:          r.Counter(mRelayAcks),
+		ackFrames:     r.Counter(mRelayAckFrames),
 		dropped:       r.Counter(mRelayDropped),
 		parked:        r.Gauge(mRelayParked),
 		routesUsable:  r.Gauge(mRelayRoutesUsable),

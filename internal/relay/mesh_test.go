@@ -489,9 +489,10 @@ func TestMeshBoundedHeap(t *testing.T) {
 		t.Skip("50k payloads through a mesh")
 	}
 	reg := metrics.New()
+	// ε = 2⁻⁴⁰: at the default 2⁻²⁰ a false OK is a 2⁻²⁵ event per hop message, and this test sends 200 000.
 	m := newTestMesh(t, Config{
 		Topology: fiveNode(), Links: buildLinks(fiveNode(), 77, reg, netlink.ImpairConfig{}).conns,
-		Source: 0, Dest: 4, Routes: 3, Seed: 77, Metrics: reg,
+		Source: 0, Dest: 4, Routes: 3, Seed: 77, Epsilon: 1.0 / (1 << 40), Metrics: reg,
 	})
 	heap := func() int64 {
 		runtime.GC()

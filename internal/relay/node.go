@@ -12,13 +12,13 @@ import (
 	"ghm/internal/supervise"
 )
 
-// seenCap bounds a node's per-hop dedup ledger. When the ledger fills it
-// is cleared: a later duplicate may then be re-forwarded, which the
-// destination's end-to-end ledger still suppresses — per-hop dedup is a
-// traffic optimization, end-to-end dedup is the guarantee. The duplicates
-// it exists for are a hop session's resubmissions of frames still in
-// flight, so a few thousand entries are a long memory, and five nodes'
-// ledgers together stay near a megabyte.
+// seenCap bounds a node's per-hop dedup ledger of data frames. When the
+// ledger fills it is cleared: a later duplicate may then be re-forwarded,
+// which the destination's end-to-end ledger still suppresses — per-hop
+// dedup is a traffic optimization, end-to-end dedup is the guarantee. The
+// duplicates it exists for are a hop session's resubmissions of frames
+// still in flight, so a few thousand entries are a long memory, and five
+// nodes' ledgers together stay near a megabyte.
 const seenCap = 1 << 12
 
 // nodeEnd is one node's attachment to one of its links: the engine
@@ -114,6 +114,7 @@ func (n *node) start() error {
 			Tap:               m.hops[out].live.Observe,
 			WALPath:           n.walPath(end.peer),
 			WALSync:           false,
+			Merge:             mergeAcks,
 			WatchdogWindow:    m.cfg.WatchdogWindow,
 			WatchdogInterval:  m.cfg.WatchdogWindow / 16,
 			RestartBackoff:    m.cfg.RestartBackoff,
@@ -228,28 +229,41 @@ func (n *node) handleFrame(rt *nodeRuntime, p []byte) (kept bool) {
 	}
 
 	// Per-hop dedup: a session resubmission after a hop crash delivers
-	// the same attempt twice; forward it once.
-	k := f.key()
-	rt.seenMu.Lock()
-	if rt.seen[k] {
-		rt.seenMu.Unlock()
-		m.mt.dupSuppressed.Inc()
-		m.addDup()
-		return false
-	}
-	if len(rt.seen) >= seenCap {
-		clear(rt.seen)
-	}
-	rt.seen[k] = true
-	rt.seenMu.Unlock()
-
-	if int(f.Dst) == n.id {
-		if f.Kind == frameAck {
-			m.mt.acks.Inc()
-			m.completeAck(f.ID)
+	// the same attempt twice; forward it once. Data frames only — a
+	// duplicate ack costs one hop message and completeAck takes it in its
+	// stride, where a suppressed ack run could lose ids (see key).
+	if f.Kind == frameData {
+		k := f.key()
+		rt.seenMu.Lock()
+		if rt.seen[k] {
+			rt.seenMu.Unlock()
+			m.mt.dupSuppressed.Inc()
+			m.addDup()
 			return false
 		}
-		return m.deliverLocal(n, f)
+		if len(rt.seen) >= seenCap {
+			clear(rt.seen)
+		}
+		rt.seen[k] = true
+		rt.seenMu.Unlock()
+	}
+
+	if int(f.Dst) == n.id {
+		if f.Kind == frameData {
+			return m.deliverLocal(n, f)
+		}
+		// The frame's own id, then every pair of its tail, which
+		// parseFrame found whole.
+		m.mt.ackFrames.Inc()
+		id, tail := f.ID, f.Payload
+		for {
+			m.mt.acks.Inc()
+			m.completeAck(id)
+			if len(tail) == 0 {
+				return false
+			}
+			id, _, tail, _ = nextAck(tail)
+		}
 	}
 
 	// Forward toward the destination along the embedded route.

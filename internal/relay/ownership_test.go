@@ -108,9 +108,10 @@ func TestMeshDeliveredPayloadsStayIntact(t *testing.T) {
 		t.Skip("10k payloads through a mesh")
 	}
 	reg := metrics.New()
+	// ε = 2⁻⁴⁰: at the default 2⁻²⁰ a false OK is a 2⁻²⁵ event per hop message, and this test sends 40 000.
 	m := newTestMesh(t, Config{
 		Topology: fiveNode(), Links: pipeLinks(fiveNode(), 808),
-		Source: 0, Dest: 4, Routes: 3, Seed: 808, Metrics: reg,
+		Source: 0, Dest: 4, Routes: 3, Seed: 808, Epsilon: 1.0 / (1 << 40), Metrics: reg,
 	})
 	const hold, total = 200, 10_200
 	var held [][]byte

@@ -62,6 +62,11 @@ type Config struct {
 	// byte-identical resubmission after a wipe is exactly the contract a
 	// deeper window's exactly-once dedup needs.
 	Window int
+	// Merge is the outbox's: a worker sends a run of queued payloads it
+	// accepts as one message (see outbox.Config). It needs Window ≤ 1 — a
+	// run formed again after a wipe is not byte-identical to the one
+	// wiped, and a framed window's release would stall on the lost seq.
+	Merge func(run, next []byte) ([]byte, bool)
 
 	// Watchdog, backoff and breaker knobs; see supervise.Config.
 	WatchdogWindow    time.Duration
@@ -140,6 +145,9 @@ func New(cfg Config) (*Session, error) {
 	if cfg.Dial == nil {
 		return nil, fmt.Errorf("session: Dial is required")
 	}
+	if cfg.Merge != nil && core.Framed(cfg.Window) {
+		return nil, fmt.Errorf("session: Merge needs a depth-1 station (Window 1)")
+	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.Default()
@@ -177,6 +185,7 @@ func New(cfg Config) (*Session, error) {
 		WALSync:     cfg.WALSync,
 		MaxAttempts: cfg.MaxAttempts,
 		Window:      cfg.Window,
+		Merge:       cfg.Merge,
 	})
 	if err != nil {
 		sup.Close()
