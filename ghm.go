@@ -114,15 +114,17 @@ type PipeFaults struct {
 // behaviour in each direction. Closing either endpoint closes the pipe.
 func Pipe(f PipeFaults) (PacketConn, PacketConn) {
 	return netlink.Pipe(netlink.PipeConfig{
-		Loss:        f.Loss,
-		DupProb:     f.DupProb,
-		ReorderProb: f.ReorderProb,
-		Seed:        f.Seed,
-		Burst:       f.Burst.netlink(),
-		Latency:     f.Latency,
-		Jitter:      f.Jitter,
-		Bandwidth:   f.Bandwidth,
-		Queue:       f.Queue,
+		LinkModel: netlink.LinkModel{
+			Loss:        f.Loss,
+			DupProb:     f.DupProb,
+			ReorderProb: f.ReorderProb,
+			Burst:       f.Burst.netlink(),
+			Latency:     f.Latency,
+			Jitter:      f.Jitter,
+			Bandwidth:   f.Bandwidth,
+			Queue:       f.Queue,
+		},
+		Seed: f.Seed,
 	})
 }
 
@@ -165,14 +167,16 @@ var _ PacketConn = (*ImpairedConn)(nil)
 // prove exactly that under chaos tests and soak runs.
 func Impair(conn PacketConn, f LinkFaults) *ImpairedConn {
 	return &ImpairedConn{ic: netlink.Impair(conn, netlink.ImpairConfig{
-		Loss:      f.Loss,
-		DupProb:   f.DupProb,
-		Burst:     f.Burst.netlink(),
-		Latency:   f.Latency,
-		Jitter:    f.Jitter,
-		Bandwidth: f.Bandwidth,
-		Queue:     f.Queue,
-		Seed:      f.Seed,
+		LinkModel: netlink.LinkModel{
+			Loss:      f.Loss,
+			DupProb:   f.DupProb,
+			Burst:     f.Burst.netlink(),
+			Latency:   f.Latency,
+			Jitter:    f.Jitter,
+			Bandwidth: f.Bandwidth,
+			Queue:     f.Queue,
+		},
+		Seed: f.Seed,
 	})}
 }
 

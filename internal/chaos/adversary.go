@@ -188,28 +188,7 @@ func AdversarySoak(ctx context.Context, cfg SoakConfig) (AdversarySoakResult, er
 	}
 	start := time.Now()
 
-	// Same link stack as Soak: a reordering base pipe under a counted
-	// impairment stage, so the timeline's knobs and the link.* metrics
-	// stay cross-checkable.
-	a, b := netlink.Pipe(netlink.PipeConfig{
-		ReorderProb: sc.Link.ReorderProb,
-		Seed:        sc.Seed + 1,
-	})
-	ic := netlink.ImpairConfig{
-		Loss:          sc.Link.Loss,
-		DupProb:       sc.Link.DupProb,
-		Burst:         sc.Link.Burst,
-		Latency:       sc.Link.Latency,
-		Jitter:        sc.Link.Jitter,
-		Bandwidth:     sc.Link.Bandwidth,
-		Queue:         sc.Link.Queue,
-		Metrics:       reg,
-		MetricsPrefix: "link",
-	}
-	ia, ib := ic, ic
-	ia.Seed, ib.Seed = sc.Seed+2, sc.Seed+3
-	la := netlink.Impair(a, ia)
-	lb := netlink.Impair(b, ib)
+	la, lb := impairedPipe(sc.Link, sc.Seed+1, reg, nil)
 
 	// The attacker sits between the stations and the impaired link, so
 	// its replays traverse (and are re-impaired by) the same faulty link

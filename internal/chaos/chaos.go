@@ -73,17 +73,9 @@ type Action struct {
 }
 
 // LinkSpec is the impairment profile of the scenario's link, applied
-// symmetrically to both directions.
-type LinkSpec struct {
-	Loss        float64                 `json:"loss,omitempty"`
-	DupProb     float64                 `json:"dupProb,omitempty"`
-	ReorderProb float64                 `json:"reorderProb,omitempty"`
-	Burst       *netlink.GilbertElliott `json:"burst,omitempty"`
-	Latency     time.Duration           `json:"latency,omitempty"`
-	Jitter      time.Duration           `json:"jitter,omitempty"`
-	Bandwidth   int                     `json:"bandwidth,omitempty"`
-	Queue       int                     `json:"queue,omitempty"`
-}
+// symmetrically to both directions: the runtime's one link model, so a
+// scenario's JSON configures a pipe and a fabric link alike.
+type LinkSpec = netlink.LinkModel
 
 // Scenario is one reproducible chaos schedule: a link profile plus a
 // timeline of fault actions. Identical seeds yield identical scenarios.

@@ -244,8 +244,8 @@ func MeshSoak(ctx context.Context, cfg MeshSoakConfig) (MeshResult, error) {
 	}
 	start := time.Now()
 
-	// Realize the topology: per link one reordering pipe, both halves
-	// behind controllable impairment stages, all seeded off the scenario.
+	// Realize the topology: per link one impaired pipe, both halves
+	// controllable, all seeded off the scenario.
 	topo := sc.Mesh.Topology
 	var (
 		conns []relay.LinkConns
@@ -253,26 +253,7 @@ func MeshSoak(ctx context.Context, cfg MeshSoakConfig) (MeshResult, error) {
 		imps  [][2]*netlink.ImpairedConn
 	)
 	for li := range topo.Links {
-		a, b := netlink.Pipe(netlink.PipeConfig{
-			ReorderProb: sc.Link.ReorderProb,
-			Seed:        sc.Seed + int64(3*li) + 1,
-			Clock:       cfg.Clock,
-		})
-		ic := netlink.ImpairConfig{
-			Loss:          sc.Link.Loss,
-			DupProb:       sc.Link.DupProb,
-			Burst:         sc.Link.Burst,
-			Latency:       sc.Link.Latency,
-			Jitter:        sc.Link.Jitter,
-			Bandwidth:     sc.Link.Bandwidth,
-			Queue:         sc.Link.Queue,
-			Metrics:       reg,
-			MetricsPrefix: "link",
-			Clock:         cfg.Clock,
-		}
-		ia, ib := ic, ic
-		ia.Seed, ib.Seed = sc.Seed+int64(3*li)+2, sc.Seed+int64(3*li)+3
-		la, lb := netlink.Impair(a, ia), netlink.Impair(b, ib)
+		la, lb := impairedPipe(sc.Link, sc.Seed+int64(2*li)+1, reg, cfg.Clock)
 		conns = append(conns, relay.LinkConns{A: la, B: lb})
 		ctls = append(ctls, &meshLink{a: la, b: lb})
 		imps = append(imps, [2]*netlink.ImpairedConn{la, lb})

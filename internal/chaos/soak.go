@@ -78,31 +78,7 @@ func Soak(ctx context.Context, cfg SoakConfig) (SoakResult, error) {
 	sc := cfg.Scenario
 	start := time.Now()
 
-	// The base pipe carries reordering only; everything the scenario can
-	// inject or ramp — i.i.d. loss, duplication, burst loss, latency,
-	// jitter, bandwidth — lives in the Impair stage, where it is counted.
-	// That keeps injected faults cross-checkable against the link.*
-	// metrics, and it means a scheduled SetLoss restore of the nominal
-	// loss lands on the same knob the nominal loss started on.
-	a, b := netlink.Pipe(netlink.PipeConfig{
-		ReorderProb: sc.Link.ReorderProb,
-		Seed:        sc.Seed + 1,
-	})
-	ic := netlink.ImpairConfig{
-		Loss:          sc.Link.Loss,
-		DupProb:       sc.Link.DupProb,
-		Burst:         sc.Link.Burst,
-		Latency:       sc.Link.Latency,
-		Jitter:        sc.Link.Jitter,
-		Bandwidth:     sc.Link.Bandwidth,
-		Queue:         sc.Link.Queue,
-		Metrics:       reg,
-		MetricsPrefix: "link", // both directions share it: link totals
-	}
-	ia, ib := ic, ic
-	ia.Seed, ib.Seed = sc.Seed+2, sc.Seed+3
-	la := netlink.Impair(a, ia)
-	lb := netlink.Impair(b, ib)
+	la, lb := impairedPipe(sc.Link, sc.Seed+1, reg, nil)
 
 	live := &verify.Live{}
 	s, err := netlink.NewSender(la, netlink.SenderConfig{

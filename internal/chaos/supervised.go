@@ -49,53 +49,6 @@ type SupervisedSoakConfig struct {
 	Links LinkBuilder
 }
 
-// SoakLinks is one bidirectional chaos link as a soak consumes it: the
-// sender-side (TR) and receiver-side (RT) conns, the per-direction
-// chaos-controllable handles, and the fate counters for the result.
-type SoakLinks struct {
-	TR, RT         netlink.PacketConn
-	CtrlTR, CtrlRT Controllable
-	StatsTR        func() netlink.ImpairStats
-	StatsRT        func() netlink.ImpairStats
-}
-
-// LinkBuilder builds a soak's link pair for a scenario. Implementations
-// must honor the scenario's link impairments and seed so runs stay
-// reproducible, and must put any internal pacing on clk.
-type LinkBuilder func(sc Scenario, reg *metrics.Registry, clk clock.Clock) (SoakLinks, error)
-
-// pipeLinks is the default LinkBuilder: the same pipe-plus-impairment
-// topology Soak uses, with reordering in the pipe and every controllable
-// impairment in the Impair stage where it is counted.
-func pipeLinks(sc Scenario, reg *metrics.Registry, clk clock.Clock) (SoakLinks, error) {
-	a, b := netlink.Pipe(netlink.PipeConfig{
-		ReorderProb: sc.Link.ReorderProb,
-		Seed:        sc.Seed + 1,
-		Clock:       clk,
-	})
-	ic := netlink.ImpairConfig{
-		Loss:          sc.Link.Loss,
-		DupProb:       sc.Link.DupProb,
-		Burst:         sc.Link.Burst,
-		Latency:       sc.Link.Latency,
-		Jitter:        sc.Link.Jitter,
-		Bandwidth:     sc.Link.Bandwidth,
-		Queue:         sc.Link.Queue,
-		Metrics:       reg,
-		MetricsPrefix: "link",
-		Clock:         clk,
-	}
-	ia, ib := ic, ic
-	ia.Seed, ib.Seed = sc.Seed+2, sc.Seed+3
-	la := netlink.Impair(a, ia)
-	lb := netlink.Impair(b, ib)
-	return SoakLinks{
-		TR: la, RT: lb,
-		CtrlTR: la, CtrlRT: lb,
-		StatsTR: la.Stats, StatsRT: lb.Stats,
-	}, nil
-}
-
 // SupervisedResult summarizes a supervised chaos soak.
 type SupervisedResult struct {
 	// Report is the live conformance verdict over the real execution,
@@ -264,7 +217,7 @@ func SupervisedSoak(ctx context.Context, cfg SupervisedSoakConfig) (SupervisedRe
 		timeline <- Run(ctx, sc, Targets{
 			Sender:   sess,
 			Receiver: r,
-			Links:    []Controllable{links.CtrlTR, links.CtrlRT},
+			Links:    []Controllable{links.TR, links.RT},
 			Shared:   shared,
 			Clock:    cfg.Clock,
 			Metrics:  reg,
@@ -341,8 +294,8 @@ func SupervisedSoak(ctx context.Context, cfg SupervisedSoakConfig) (SupervisedRe
 		}
 	}
 	mu.Unlock()
-	res.LinkTR = links.StatsTR()
-	res.LinkRT = links.StatsRT()
+	res.LinkTR = links.TR.Stats()
+	res.LinkRT = links.RT.Stats()
 	res.Report = live.Report()
 	res.Elapsed = time.Since(start)
 	return res, nil

@@ -113,11 +113,21 @@ func splitmix64(x int64) int64 {
 // Hold marks one unit of in-flight work the clock must not advance past
 // — a packet handed to a mailbox whose consumer has not collected it
 // yet. Release retires it. The fabric holds across deliveries to
-// blocking receivers; inline callbacks never need to.
-func (v *Virtual) Hold() { v.held.Add(1) }
+// blocking receivers; inline callbacks never need to. Both are no-ops on
+// a nil *Virtual, which is what a link on the wall clock has: there is no
+// barrier to hold.
+func (v *Virtual) Hold() {
+	if v != nil {
+		v.held.Add(1)
+	}
+}
 
 // Release retires a Hold.
-func (v *Virtual) Release() { v.held.Add(-1) }
+func (v *Virtual) Release() {
+	if v != nil {
+		v.held.Add(-1)
+	}
+}
 
 // vtimer is one virtual timer/ticker: armings are heap entries tagged
 // with the timer's generation, so Stop and Reset invalidate stale

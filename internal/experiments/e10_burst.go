@@ -68,9 +68,11 @@ func runE10Burst(o Options, burstLen, messages int) E10Row {
 
 	v := clock.NewVirtual(time.Time{}, seed)
 	tPort, rPort := fabric.New(fabric.Config{Clock: v, Seed: seed}).Link(fabric.LinkConfig{
-		Burst:   &netlink.GilbertElliott{PGoodBad: pGoodBad, PBadGood: pBadGood, LossBad: 0.8},
-		Latency: 100 * time.Microsecond,
-		Jitter:  200 * time.Microsecond,
+		LinkModel: netlink.LinkModel{
+			Burst:   &netlink.GilbertElliott{PGoodBad: pGoodBad, PBadGood: pBadGood, LossBad: 0.8},
+			Latency: 100 * time.Microsecond,
+			Jitter:  200 * time.Microsecond,
+		},
 	})
 	tx, err := core.NewTransmitter(core.Params{Source: bitstr.NewSeededSource(seed + 1)})
 	if err != nil {

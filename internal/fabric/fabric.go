@@ -1,26 +1,23 @@
 // Package fabric is an in-memory packet network for virtual-time
-// simulation: any number of bidirectional links, each direction with its
-// own seeded impairment model — i.i.d. and Gilbert–Elliott burst loss,
-// duplication, fixed latency, jitter, bandwidth serialization and a
-// bounded queue — matching netlink.Impair semantics knob for knob, so a
-// chaos scenario tuned against impaired pipes drives a fabric link
-// unchanged.
+// simulation: any number of bidirectional links, each direction a
+// netlink.Link — the same seeded fate function netlink.Impair drives, so
+// a chaos scenario tuned against impaired pipes drives a fabric link
+// unchanged, and one seed yields one schedule on either.
 //
-// The difference from netlink.Pipe/Impair is the execution model: a
-// fabric link has no goroutines and no channels of its own. A Send
-// resolves the packet's fate inline (drop, duplicate, delay) and
-// schedules delivery as a clock event; at the release deadline the
-// packet lands in the destination port's mailbox — or directly in its
-// inline handler, the mode the swarm harness uses to run 100k stations
-// on one goroutine. Under a *clock.Virtual the whole network therefore
-// costs exactly one heap event per packet in flight, and a seeded run
-// replays identically.
+// The difference from netlink.Pipe/Impair is the driver: a fabric link
+// has no goroutines and no channels of its own. A Send asks the link for
+// the packet's fate inline (drop, duplicate, delay) and schedules each
+// surviving copy as a clock event; at the release deadline the packet
+// lands in the destination port's mailbox — or directly in its inline
+// handler, the mode the swarm harness uses to run 100k stations on one
+// goroutine. Under a *clock.Virtual the whole network therefore costs
+// exactly one heap event per packet in flight, and a seeded run replays
+// identically.
 package fabric
 
 import (
 	"errors"
 	"sync"
-	"time"
 
 	"ghm/internal/clock"
 	"ghm/internal/netlink"
@@ -28,11 +25,6 @@ import (
 
 // ErrClosed reports use of a closed port.
 var ErrClosed = errors.New("fabric: closed")
-
-// DefaultQueue bounds each direction's in-flight packets plus each
-// port's undrained mailbox when LinkConfig.Queue is zero — the same
-// role (and default) as netlink.DefaultImpairQueue.
-const DefaultQueue = 256
 
 // Config parameterizes a Fabric.
 type Config struct {
@@ -77,29 +69,13 @@ func (f *Fabric) Clock() clock.Clock { return f.clk }
 // the clock-drawn default — for the run's repro output.
 func (f *Fabric) Seed() int64 { return f.seed }
 
-// LinkConfig is one bidirectional link's impairment model, applied
-// independently per direction with decorrelated seed streams. Field
-// semantics match netlink.ImpairConfig.
+// LinkConfig is one bidirectional link: a model applied independently
+// per direction, with decorrelated seed streams.
 type LinkConfig struct {
-	// Loss is an i.i.d. drop probability per packet (runtime-adjustable
-	// via Port.SetLoss).
-	Loss float64
-	// DupProb is the probability a packet is delivered twice.
-	DupProb float64
-	// Burst layers Gilbert–Elliott two-state burst loss on top of Loss.
-	Burst *netlink.GilbertElliott
-	// Latency delays every packet by a fixed amount.
-	Latency time.Duration
-	// Jitter adds a uniform random delay in [0, Jitter) per packet;
-	// independent draws reorder packets.
-	Jitter time.Duration
-	// Bandwidth serializes packets at the given rate in bytes/second
-	// (0 = infinite).
-	Bandwidth int
-	// Queue caps each direction's in-flight packets and each port's
-	// undrained mailbox (0 = DefaultQueue). Overflow drops count as
-	// DropQueue, as a full router queue would.
-	Queue int
+	// LinkModel is what each direction does to packets. Its Queue also
+	// caps each port's undrained mailbox; overflow there counts as
+	// DropQueue too, as a full router queue would.
+	netlink.LinkModel
 	// Seed fixes this link's fault schedule; 0 derives one from the
 	// fabric seed and the link's index, so an all-default fabric is
 	// still fully reproducible from its single base seed.
@@ -108,51 +84,19 @@ type LinkConfig struct {
 
 // Link creates one bidirectional link and returns its two ports. Each
 // port's Send traverses the link toward the other port, through this
-// link's impairment model — a Port is exactly ImpairedConn-shaped:
-// PacketConn plus SetBlackout/SetLoss/Stats/Seed.
+// link's model — a Port is exactly ImpairedConn-shaped: PacketConn plus
+// SetBlackout/SetLoss/Stats/Seed.
 func (f *Fabric) Link(cfg LinkConfig) (*Port, *Port) {
-	if cfg.Queue <= 0 {
-		cfg.Queue = DefaultQueue
-	}
 	f.mu.Lock()
 	idx := f.links
 	f.links++
 	f.mu.Unlock()
 	seed := cfg.Seed
 	if seed == 0 {
-		seed = mix(f.seed, int64(idx)+1)
+		seed = netlink.MixSeed(f.seed, int64(idx)+1)
 	}
-	a := newPort(f, cfg, mix(seed, 1))
-	b := newPort(f, cfg, mix(seed, 2))
+	a := newPort(f, cfg.LinkModel, netlink.MixSeed(seed, 1))
+	b := newPort(f, cfg.LinkModel, netlink.MixSeed(seed, 2))
 	a.peer, b.peer = b, a
 	return a, b
 }
-
-// mix decorrelates derived seeds (SplitMix64 finalizer over a golden-
-// ratio combination).
-func mix(seed, n int64) int64 {
-	z := uint64(seed) + uint64(n)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
-}
-
-// prng is a tiny SplitMix64 stream: a few dozen bytes per link direction
-// where math/rand.Rand would cost ~5KB — the difference between 100k
-// stations fitting in memory or not.
-type prng struct{ s uint64 }
-
-func (r *prng) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// float64 returns a uniform draw in [0, 1).
-func (r *prng) float64() float64 { return float64(r.next()>>11) / (1 << 53) }
-
-// int63n returns a draw in [0, n). The modulo bias is immaterial for
-// jitter-sized n.
-func (r *prng) int63n(n int64) int64 { return int64(r.next() % uint64(n)) }

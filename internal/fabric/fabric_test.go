@@ -20,7 +20,7 @@ func virtualFabric(t *testing.T, seed int64) (*Fabric, *clock.Virtual) {
 
 func TestLinkPerfectDelivery(t *testing.T) {
 	f, v := virtualFabric(t, 7)
-	a, b := f.Link(LinkConfig{Latency: time.Millisecond})
+	a, b := f.Link(LinkConfig{LinkModel: netlink.LinkModel{Latency: time.Millisecond}})
 	var got [][]byte
 	b.SetHandler(func(p []byte) { got = append(got, append([]byte(nil), p...)) })
 	for i := 0; i < 10; i++ {
@@ -45,7 +45,7 @@ func TestLinkPerfectDelivery(t *testing.T) {
 
 func TestLatencyTiming(t *testing.T) {
 	f, v := virtualFabric(t, 7)
-	a, b := f.Link(LinkConfig{Latency: 5 * time.Millisecond})
+	a, b := f.Link(LinkConfig{LinkModel: netlink.LinkModel{Latency: 5 * time.Millisecond}})
 	var arrived []time.Time
 	b.SetHandler(func(p []byte) { arrived = append(arrived, v.Now()) })
 	start := v.Now()
@@ -66,7 +66,7 @@ func TestLatencyTiming(t *testing.T) {
 func TestSeededLossDeterministic(t *testing.T) {
 	run := func() (netlink.ImpairStats, []byte) {
 		f, v := virtualFabric(t, 42)
-		a, b := f.Link(LinkConfig{Loss: 0.3, Jitter: time.Millisecond})
+		a, b := f.Link(LinkConfig{LinkModel: netlink.LinkModel{Loss: 0.3, Jitter: time.Millisecond}})
 		var trace bytes.Buffer
 		b.SetHandler(func(p []byte) {
 			fmt.Fprintf(&trace, "%v %s\n", v.Now().UnixNano(), p)
@@ -95,7 +95,7 @@ func TestSeededLossDeterministic(t *testing.T) {
 
 func TestDirectionsDecorrelated(t *testing.T) {
 	f, v := virtualFabric(t, 42)
-	a, b := f.Link(LinkConfig{Loss: 0.5})
+	a, b := f.Link(LinkConfig{LinkModel: netlink.LinkModel{Loss: 0.5}})
 	if a.Seed() == b.Seed() {
 		t.Fatalf("both directions share seed %d", a.Seed())
 	}
@@ -149,7 +149,7 @@ func TestBlackoutAndLossControls(t *testing.T) {
 
 func TestQueueCapOverflow(t *testing.T) {
 	f, v := virtualFabric(t, 1)
-	a, b := f.Link(LinkConfig{Latency: time.Second, Queue: 4})
+	a, b := f.Link(LinkConfig{LinkModel: netlink.LinkModel{Latency: time.Second, Queue: 4}})
 	b.SetHandler(func(p []byte) {})
 	for i := 0; i < 10; i++ {
 		a.Send([]byte{byte(i)})
@@ -167,7 +167,7 @@ func TestQueueCapOverflow(t *testing.T) {
 func TestBandwidthSerializes(t *testing.T) {
 	f, v := virtualFabric(t, 1)
 	// 1000 B/s, 100-byte packets: each takes 100ms on the wire.
-	a, b := f.Link(LinkConfig{Bandwidth: 1000})
+	a, b := f.Link(LinkConfig{LinkModel: netlink.LinkModel{Bandwidth: 1000}})
 	var arrived []time.Duration
 	start := v.Now()
 	b.SetHandler(func(p []byte) { arrived = append(arrived, v.Now().Sub(start)) })
@@ -187,42 +187,6 @@ func TestBandwidthSerializes(t *testing.T) {
 	}
 }
 
-func TestBurstLoss(t *testing.T) {
-	f, v := virtualFabric(t, 99)
-	a, b := f.Link(LinkConfig{Burst: &netlink.GilbertElliott{
-		PGoodBad: 0.2, PBadGood: 0.2, LossGood: 0, LossBad: 1,
-	}})
-	b.SetHandler(func(p []byte) {})
-	for i := 0; i < 500; i++ {
-		a.Send([]byte{1})
-	}
-	v.AdvanceBy(time.Millisecond)
-	st := a.Stats()
-	if st.DropBurst == 0 {
-		t.Fatalf("burst model never dropped: %+v", st)
-	}
-	if st.Delivered == 0 {
-		t.Fatalf("burst model never delivered: %+v", st)
-	}
-}
-
-func TestDuplication(t *testing.T) {
-	f, v := virtualFabric(t, 5)
-	a, b := f.Link(LinkConfig{DupProb: 1.0})
-	var got int
-	b.SetHandler(func(p []byte) { got++ })
-	for i := 0; i < 10; i++ {
-		a.Send([]byte{byte(i)})
-	}
-	v.AdvanceBy(time.Millisecond)
-	if got != 20 {
-		t.Fatalf("DupProb=1 delivered %d copies of 10 sends, want 20", got)
-	}
-	if d := a.Stats().Duplicated; d != 10 {
-		t.Fatalf("Duplicated = %d, want 10", d)
-	}
-}
-
 // TestMailboxModeUnderVirtualClock exercises goroutine (Recv) mode with
 // the quiescence barrier: a consumer goroutine drains the mailbox while
 // the clock's Run driver advances time.
@@ -230,7 +194,7 @@ func TestMailboxModeUnderVirtualClock(t *testing.T) {
 	v := clock.NewVirtual(time.Time{}, 3)
 	v.SetSettle(4)
 	f := New(Config{Clock: v, Seed: 3})
-	a, b := f.Link(LinkConfig{Latency: time.Millisecond})
+	a, b := f.Link(LinkConfig{LinkModel: netlink.LinkModel{Latency: time.Millisecond}})
 
 	const n = 50
 	done := make(chan [][]byte)
@@ -301,7 +265,7 @@ func TestWallClockFabric(t *testing.T) {
 // an accidental third allocation on the path fails loudly.
 func TestPortSendAllocBudget(t *testing.T) {
 	f, v := virtualFabric(t, 7)
-	a, b := f.Link(LinkConfig{Latency: time.Millisecond})
+	a, b := f.Link(LinkConfig{LinkModel: netlink.LinkModel{Latency: time.Millisecond}})
 	b.SetHandler(func(p []byte) {})
 
 	pkt := []byte("0123456789abcdef")

@@ -2,16 +2,15 @@ package fabric
 
 import (
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"ghm/internal/netlink"
 )
 
 // Port is one end of a fabric link: a netlink.PacketConn whose Send
-// path carries the link's impairment model toward the peer port, with
-// the same runtime controls as netlink.ImpairedConn (SetBlackout,
-// SetLoss) so chaos schedules drive it unchanged.
+// path carries the link's model toward the peer port, with the same
+// runtime controls as netlink.ImpairedConn (SetBlackout, SetLoss) so
+// chaos schedules drive it unchanged. It is the clock-event driver of
+// netlink.Link: no goroutine, one clock event per flight.
 //
 // Ingress has two modes. By default deliveries land in a bounded
 // mailbox drained by Recv (goroutine mode; under a virtual clock each
@@ -21,20 +20,13 @@ import (
 // clock's advancing goroutine.
 type Port struct {
 	f    *Fabric
-	cfg  LinkConfig
 	peer *Port
 	seed int64
 
-	// Egress state: the impairment model for packets this port sends.
-	// Guarded by mu; under the single-threaded swarm harness the lock is
-	// uncontended and costs nanoseconds.
-	mu        sync.Mutex
-	rng       prng
-	bad       bool // Gilbert–Elliott state
-	lastTxEnd time.Time
-	loss      float64
-	blackout  bool
-	inflight  int // scheduled, not yet delivered to the peer
+	// link is the egress model for packets this port sends. Under the
+	// single-threaded swarm harness its lock is uncontended and costs
+	// nanoseconds.
+	link netlink.Link
 
 	// Ingress state. down is mu-guarded and set before closed is
 	// closed, so an ingress holding mu can never enqueue (and hold the
@@ -42,31 +34,17 @@ type Port struct {
 	// allocated on first use under mu: a handler-mode port never pays
 	// for a mailbox, which at swarm scale (hundreds of thousands of
 	// ports) is the difference of gigabytes.
+	mu       sync.Mutex
 	handler  func(p []byte)
 	queue    chan []byte
 	down     bool
 	closed   chan struct{}
 	closeOne sync.Once
-
-	stats portStats
 }
 
-// portStats mirrors netlink.ImpairStats with atomic fields.
-type portStats struct {
-	sent, delivered, duplicated atomic.Int64
-	dropIID, dropBurst          atomic.Int64
-	dropBlackout, dropQueue     atomic.Int64
-}
-
-func newPort(f *Fabric, cfg LinkConfig, seed int64) *Port {
-	p := &Port{
-		f:      f,
-		cfg:    cfg,
-		seed:   seed,
-		rng:    prng{s: uint64(seed)},
-		loss:   cfg.Loss,
-		closed: make(chan struct{}),
-	}
+func newPort(f *Fabric, m netlink.LinkModel, seed int64) *Port {
+	p := &Port{f: f, seed: seed, closed: make(chan struct{})}
+	p.link.Init(m, seed)
 	return p
 }
 
@@ -75,34 +53,16 @@ func (p *Port) Seed() int64 { return p.seed }
 
 // SetLoss replaces the i.i.d. loss probability of this port's egress at
 // runtime (chaos "loss ramp").
-func (p *Port) SetLoss(v float64) {
-	p.mu.Lock()
-	p.loss = v
-	p.mu.Unlock()
-}
+func (p *Port) SetLoss(v float64) { p.link.SetLoss(v) }
 
 // SetBlackout partitions this port's egress while on: packets entering
 // the link are dropped; packets already in flight still arrive, as on a
 // real link.
-func (p *Port) SetBlackout(on bool) {
-	p.mu.Lock()
-	p.blackout = on
-	p.mu.Unlock()
-}
+func (p *Port) SetBlackout(on bool) { p.link.SetBlackout(on) }
 
 // Stats snapshots this port's egress fate counters, in the same shape
 // as an impaired conn's so soak results read identically.
-func (p *Port) Stats() netlink.ImpairStats {
-	return netlink.ImpairStats{
-		Sent:         p.stats.sent.Load(),
-		Delivered:    p.stats.delivered.Load(),
-		Duplicated:   p.stats.duplicated.Load(),
-		DropIID:      p.stats.dropIID.Load(),
-		DropBurst:    p.stats.dropBurst.Load(),
-		DropBlackout: p.stats.dropBlackout.Load(),
-		DropQueue:    p.stats.dropQueue.Load(),
-	}
-}
+func (p *Port) Stats() netlink.ImpairStats { return p.link.Stats() }
 
 // SetHandler switches this port's ingress to inline mode: fn runs at
 // each packet's delivery instant on the clock's driving goroutine, and
@@ -116,9 +76,7 @@ func (p *Port) SetHandler(fn func(pkt []byte)) {
 	for q != nil {
 		select {
 		case pkt := <-q:
-			if p.f.virt != nil {
-				p.f.virt.Release()
-			}
+			p.f.virt.Release()
 			fn(pkt)
 		default:
 			return
@@ -135,83 +93,22 @@ func (p *Port) isClosed() bool {
 	}
 }
 
-// Send implements netlink.PacketConn: the packet's fate is resolved
-// inline against this port's egress model and, if it survives, delivery
-// to the peer is scheduled as a clock event.
+// Send implements netlink.PacketConn: the link resolves the packet's
+// fate inline and, for each copy that survives, delivery to the peer is
+// scheduled as a clock event.
 //
 //ghm:hotpath
 func (p *Port) Send(pkt []byte) error {
 	if p.isClosed() {
 		return ErrClosed
 	}
-	p.mu.Lock()
-	p.stats.sent.Add(1)
-	if p.blackout {
-		p.stats.dropBlackout.Add(1)
-		p.mu.Unlock()
-		return nil
-	}
-	if ge := p.cfg.Burst; ge != nil {
-		if p.bad {
-			if p.rng.float64() < ge.PBadGood {
-				p.bad = false
-			}
-		} else if p.rng.float64() < ge.PGoodBad {
-			p.bad = true
-		}
-		stateLoss := ge.LossGood
-		if p.bad {
-			stateLoss = ge.LossBad
-		}
-		if p.rng.float64() < stateLoss {
-			p.stats.dropBurst.Add(1)
-			p.mu.Unlock()
-			return nil
-		}
-	}
-	if p.rng.float64() < p.loss {
-		p.stats.dropIID.Add(1)
-		p.mu.Unlock()
-		return nil
-	}
-	copies := 1
-	if p.cfg.DupProb > 0 && p.rng.float64() < p.cfg.DupProb {
-		copies = 2
-		p.stats.duplicated.Add(1)
-	}
-	now := p.f.clk.Now()
-	var delays [2]time.Duration
-	n := 0
-	for i := 0; i < copies; i++ {
-		if p.inflight >= p.cfg.Queue {
-			p.stats.dropQueue.Add(1)
-			continue
-		}
-		start := now
-		if p.cfg.Bandwidth > 0 {
-			if p.lastTxEnd.After(start) {
-				start = p.lastTxEnd
-			}
-			tx := time.Duration(float64(len(pkt)) / float64(p.cfg.Bandwidth) * float64(time.Second))
-			p.lastTxEnd = start.Add(tx)
-			start = p.lastTxEnd
-		}
-		release := start.Add(p.cfg.Latency)
-		if p.cfg.Jitter > 0 {
-			release = release.Add(time.Duration(p.rng.int63n(int64(p.cfg.Jitter))))
-		}
-		p.inflight++
-		delays[n] = release.Sub(now)
-		n++
-	}
-	p.mu.Unlock()
-	if n == 0 {
+	f := p.link.Fate(p.f.clk.Now(), len(pkt))
+	if f.N == 0 {
 		return nil
 	}
 	//lint:allow hotpathalloc the copy IS the in-flight packet: the conn contract forbids retaining pkt, so a surviving send must own its bytes
 	cp := append([]byte(nil), pkt...)
-	for i := 0; i < n; i++ {
-		d := delays[i]
+	for _, d := range f.Delay[:f.N] {
 		//lint:allow hotpathalloc one scheduled-delivery closure per surviving flight; the capture carries the owned copy to the peer
 		p.f.clk.AfterFunc(d, func() { p.land(cp) })
 	}
@@ -231,10 +128,7 @@ func (p *Port) SendBatch(pkts [][]byte) error {
 
 // land completes one flight: the packet arrives at the peer port.
 func (p *Port) land(pkt []byte) {
-	p.mu.Lock()
-	p.inflight--
-	p.mu.Unlock()
-	p.stats.delivered.Add(1)
+	p.link.Land()
 	p.peer.ingress(pkt)
 }
 
@@ -250,43 +144,36 @@ func (p *Port) ingress(pkt []byte) {
 		h(pkt)
 		return
 	}
-	if p.queue == nil {
-		p.queue = make(chan []byte, p.cfg.Queue)
-	}
 	select {
-	case p.queue <- pkt:
-		if p.f.virt != nil {
-			// The mailbox packet is in flight between goroutines: hold
-			// the virtual clock until Recv collects it.
-			p.f.virt.Hold()
-		}
+	case p.mailboxLocked() <- pkt:
+		// The mailbox packet is in flight between goroutines: hold the
+		// virtual clock until Recv collects it.
+		p.f.virt.Hold()
 		p.mu.Unlock()
 	default:
 		p.mu.Unlock()
 		// Mailbox overflow is charged to the sending direction, like the
 		// impaired conn's queue cap.
-		p.peer.stats.dropQueue.Add(1)
+		p.peer.link.Overflow()
 	}
 }
 
-// mailbox returns the lazily created Recv queue.
-func (p *Port) mailbox() chan []byte {
-	p.mu.Lock()
+// mailboxLocked returns the Recv queue, made on first use; p.mu is held.
+func (p *Port) mailboxLocked() chan []byte {
 	if p.queue == nil {
-		p.queue = make(chan []byte, p.cfg.Queue)
+		p.queue = make(chan []byte, p.link.Model.Queue)
 	}
-	q := p.queue
-	p.mu.Unlock()
-	return q
+	return p.queue
 }
 
 // Recv implements netlink.PacketConn (mailbox mode).
 func (p *Port) Recv() ([]byte, error) {
+	p.mu.Lock()
+	q := p.mailboxLocked()
+	p.mu.Unlock()
 	select {
-	case pkt := <-p.mailbox():
-		if p.f.virt != nil {
-			p.f.virt.Release()
-		}
+	case pkt := <-q:
+		p.f.virt.Release()
 		return pkt, nil
 	case <-p.closed:
 		return nil, ErrClosed
@@ -315,9 +202,7 @@ func (p *Port) closeSelf() {
 		for p.queue != nil {
 			select {
 			case <-p.queue:
-				if p.f.virt != nil {
-					p.f.virt.Release()
-				}
+				p.f.virt.Release()
 				continue
 			default:
 			}

@@ -33,8 +33,8 @@ are unpredictable to the adversary. In ghm, ghm/internal/core,
 ghm/internal/netlink and ghm/internal/session, importing math/rand (or
 math/rand/v2) and constructing bitstr.NewMathSource are reported;
 randomness flows only through the injected Params.Source, defaulting to
-bitstr.NewCryptoSource. Deliberate deterministic modes (WithSeed,
-impairment simulation) carry a //lint:allow cryptorand directive.`,
+bitstr.NewCryptoSource. The deliberate deterministic mode (WithSeed)
+carries a //lint:allow cryptorand directive.`,
 	Run: runCryptorand,
 }
 

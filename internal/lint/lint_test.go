@@ -114,7 +114,7 @@ func TestNewAnalyzerAllows(t *testing.T) {
 // drift the count.
 func TestAllowInventory(t *testing.T) {
 	want := map[string]int{
-		"cryptorand":         4,
+		"cryptorand":         2,
 		"nonblockinghandler": 1,
 		"hotpathalloc":       14,
 	}

@@ -37,3 +37,9 @@ func badStamps(start time.Time) time.Duration {
 	_ = now
 	return time.Since(start) // want "time.Since"
 }
+
+// A timer armed with time.Until runs on wall time however virtual the
+// deadline was.
+func badDeadline(deadline time.Time) time.Duration {
+	return time.Until(deadline) // want "time.Until"
+}

@@ -27,9 +27,9 @@ var wheelclockScope = map[string]bool{
 // either spawn a runtime timer per call (After/Tick leak them until
 // they fire) or park the calling goroutine — and in engine push
 // handlers the calling goroutine is the shared pump. The read forms
-// (Now/Since) split the component's notion of time from the clock that
-// paces it, which under a virtual clock silently mixes frozen virtual
-// timestamps with advancing wall ones.
+// (Now/Since/Until) split the component's notion of time from the clock
+// that paces it, which under a virtual clock silently mixes frozen
+// virtual timestamps with advancing wall ones.
 var wheelclockBanned = map[string]string{
 	"After":     "time.After leaks a runtime timer per call and blocks the goroutine",
 	"Tick":      "time.Tick leaks a ticker",
@@ -39,6 +39,7 @@ var wheelclockBanned = map[string]string{
 	"AfterFunc": "time.AfterFunc spawns a goroutine per firing outside the wheel",
 	"Now":       "wall-clock reads desync from the injected clock (virtual time stands still)",
 	"Since":     "time.Since reads the wall clock; diff Clock.Now timestamps instead",
+	"Until":     "time.Until reads the wall clock; subtract Clock.Now from the deadline instead",
 }
 
 // Wheelclock enforces PR 4's runtime-layering rule: inside the engine,
@@ -50,7 +51,7 @@ var wheelclockBanned = map[string]string{
 // goroutine-per-lane cost the engine rewrite removed.
 var Wheelclock = &analysis.Analyzer{
 	Name: "wheelclock",
-	Doc: `forbid runtime timers and wall-clock reads (time.Now/After/Sleep/...) in wheel territory
+	Doc: `forbid runtime timers and wall-clock reads (time.Now/Until/After/Sleep/...) in wheel territory
 
 In ghm/internal/engine, ghm/internal/netlink, ghm/internal/supervise,
 ghm/internal/session and ghm/internal/relay, retry and backoff pacing
@@ -58,7 +59,7 @@ must arm the shared timer wheel (engine.Wheel.AfterFunc / Timer.Reset)
 and timestamps must come from the injected clock (clock.Clock.Now) so
 the whole layer runs unmodified under virtual time. time.After,
 time.Tick, time.Sleep, time.NewTimer, time.NewTicker, time.AfterFunc,
-time.Now and time.Since are reported. Code with a documented reason to
+time.Now, time.Since and time.Until are reported. Code with a documented reason to
 touch the runtime clock carries a //lint:allow wheelclock directive.`,
 	Run: runWheelclock,
 }

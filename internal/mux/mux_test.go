@@ -70,8 +70,8 @@ func TestSingleLaneSequential(t *testing.T) {
 func TestConcurrentSendsArriveInSequenceOrder(t *testing.T) {
 	const lanes, n = 4, 40
 	s, r := muxPair(t, lanes, netlink.PipeConfig{
-		Loss: 0.2, DupProb: 0.2, ReorderProb: 0.3, Seed: 3,
-		ReleaseEvery: 50 * time.Microsecond,
+		LinkModel: netlink.LinkModel{Loss: 0.2, DupProb: 0.2, ReorderProb: 0.3, ReleaseEvery: 50 * time.Microsecond},
+		Seed:      3,
 	})
 	ctx := testCtx(t)
 
@@ -143,9 +143,11 @@ func TestPipeliningBeatsSingleLaneOnSlowLink(t *testing.T) {
 	// having several transfers in flight.
 	run := func(lanes int) time.Duration {
 		s, r := muxPair(t, lanes, netlink.PipeConfig{
-			ReorderProb:  0.9, // almost every packet waits for a release tick
-			ReleaseEvery: 300 * time.Microsecond,
-			Seed:         4,
+			LinkModel: netlink.LinkModel{
+				ReorderProb:  0.9, // almost every packet is held back
+				ReleaseEvery: 300 * time.Microsecond,
+			},
+			Seed: 4,
 		})
 		ctx := testCtx(t)
 		const n = 24
@@ -214,7 +216,7 @@ func TestCloseSemantics(t *testing.T) {
 }
 
 func TestRecvContext(t *testing.T) {
-	_, r := muxPair(t, 2, netlink.PipeConfig{Loss: 1, Seed: 6})
+	_, r := muxPair(t, 2, netlink.PipeConfig{LinkModel: netlink.LinkModel{Loss: 1}, Seed: 6})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	if _, err := r.Recv(ctx); !errors.Is(err, context.DeadlineExceeded) {
@@ -229,8 +231,8 @@ func TestRecvContext(t *testing.T) {
 func TestHighLaneMuxSoak(t *testing.T) {
 	const lanes, n = 64, 256
 	s, r := muxPair(t, lanes, netlink.PipeConfig{
-		Loss: 0.15, DupProb: 0.1, ReorderProb: 0.2, Seed: 99,
-		ReleaseEvery: 100 * time.Microsecond,
+		LinkModel: netlink.LinkModel{Loss: 0.15, DupProb: 0.1, ReorderProb: 0.2, ReleaseEvery: 100 * time.Microsecond},
+		Seed:      99,
 	})
 	ctx := testCtx(t)
 

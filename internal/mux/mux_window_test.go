@@ -137,8 +137,8 @@ func TestFailedSendReturnsLaneToken(t *testing.T) {
 func TestWindowedLanesExactlyOnceInOrder(t *testing.T) {
 	const lanes, window, n = 2, 4, 60
 	s, r := windowedMuxPair(t, lanes, window, netlink.PipeConfig{
-		Loss: 0.15, DupProb: 0.15, ReorderProb: 0.25, Seed: 46,
-		ReleaseEvery: 50 * time.Microsecond,
+		LinkModel: netlink.LinkModel{Loss: 0.15, DupProb: 0.15, ReorderProb: 0.25, ReleaseEvery: 50 * time.Microsecond},
+		Seed:      46,
 	})
 	ctx := testCtx(t)
 
@@ -193,7 +193,7 @@ func TestWindowedLanesExactlyOnceInOrder(t *testing.T) {
 // stranded goroutine.
 func TestWindowedLanesCloseWithPendingSends(t *testing.T) {
 	const lanes, window = 2, 3
-	a, b := netlink.Pipe(netlink.PipeConfig{Loss: 1, Seed: 47}) // nothing ever arrives
+	a, b := netlink.Pipe(netlink.PipeConfig{LinkModel: netlink.LinkModel{Loss: 1}, Seed: 47}) // nothing ever arrives
 	defer b.Close()
 	s, err := NewSenderWindow(a, lanes, window, core.Params{})
 	if err != nil {
@@ -242,8 +242,8 @@ func TestWindowedLanesCloseWithPendingSends(t *testing.T) {
 func TestHighLaneWindowedMuxSoak(t *testing.T) {
 	const lanes, window, n = 64, 4, 512
 	s, r := windowedMuxPair(t, lanes, window, netlink.PipeConfig{
-		Loss: 0.1, DupProb: 0.1, ReorderProb: 0.2, Seed: 101,
-		ReleaseEvery: 100 * time.Microsecond,
+		LinkModel: netlink.LinkModel{Loss: 0.1, DupProb: 0.1, ReorderProb: 0.2, ReleaseEvery: 100 * time.Microsecond},
+		Seed:      101,
 	})
 	ctx := testCtx(t)
 

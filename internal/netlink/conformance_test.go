@@ -21,11 +21,11 @@ func conns() map[string]func(t *testing.T) (tx, rx netlink.PacketConn) {
 	return map[string]func(t *testing.T) (tx, rx netlink.PacketConn){
 		"Pipe": func(*testing.T) (netlink.PacketConn, netlink.PacketConn) { return pipe() },
 		"Pipe with an impairment stage": func(*testing.T) (netlink.PacketConn, netlink.PacketConn) {
-			return netlink.Pipe(netlink.PipeConfig{Seed: 1, Latency: time.Millisecond})
+			return netlink.Pipe(netlink.PipeConfig{Seed: 1, LinkModel: netlink.LinkModel{Latency: time.Millisecond}})
 		},
 		"ImpairedConn": func(*testing.T) (netlink.PacketConn, netlink.PacketConn) {
 			a, b := pipe()
-			return netlink.Impair(a, netlink.ImpairConfig{Seed: 1, Latency: time.Millisecond}), b
+			return netlink.Impair(a, netlink.ImpairConfig{Seed: 1, LinkModel: netlink.LinkModel{Latency: time.Millisecond}}), b
 		},
 		"AttackerConn": func(t *testing.T) (netlink.PacketConn, netlink.PacketConn) {
 			a, b := pipe()
@@ -69,7 +69,7 @@ func conns() map[string]func(t *testing.T) (tx, rx netlink.PacketConn) {
 			return as[1], bs[1]
 		},
 		"fabric.Port": func(*testing.T) (netlink.PacketConn, netlink.PacketConn) {
-			return fabric.New(fabric.Config{Seed: 1}).Link(fabric.LinkConfig{Latency: time.Millisecond})
+			return fabric.New(fabric.Config{Seed: 1}).Link(fabric.LinkConfig{LinkModel: netlink.LinkModel{Latency: time.Millisecond}})
 		},
 		"UDPConn": func(t *testing.T) (netlink.PacketConn, netlink.PacketConn) {
 			la, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
@@ -237,11 +237,11 @@ func recvWithin(c netlink.PacketConn, d time.Duration) ([]byte, error) {
 func TestDuplicatesAreSeparateCopies(t *testing.T) {
 	links := map[string]func() (tx, rx netlink.PacketConn){
 		"Pipe": func() (netlink.PacketConn, netlink.PacketConn) {
-			return netlink.Pipe(netlink.PipeConfig{Seed: 5, DupProb: 0.5, ReorderProb: 0.5})
+			return netlink.Pipe(netlink.PipeConfig{Seed: 5, LinkModel: netlink.LinkModel{DupProb: 0.5, ReorderProb: 0.5}})
 		},
 		"ImpairedConn": func() (netlink.PacketConn, netlink.PacketConn) {
 			a, b := netlink.Pipe(netlink.PipeConfig{Seed: 5})
-			return netlink.Impair(a, netlink.ImpairConfig{Seed: 5, DupProb: 0.5, Jitter: 400 * time.Microsecond}), b
+			return netlink.Impair(a, netlink.ImpairConfig{Seed: 5, LinkModel: netlink.LinkModel{DupProb: 0.5, Jitter: 400 * time.Microsecond}}), b
 		},
 	}
 	const n = 200

@@ -1,58 +1,18 @@
 package netlink
 
 import (
-	"math"
-	//lint:allow cryptorand impairment simulation needs seeded, reproducible randomness, not protocol randomness
-	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ghm/internal/clock"
 	"ghm/internal/metrics"
 )
 
-// GilbertElliott parameterizes the classic two-state Markov burst-loss
-// model: the link alternates between a Good and a Bad state, each with its
-// own drop probability, and the state advances once per packet. Long runs
-// in the Bad state produce the correlated loss bursts real radio and
-// congested links exhibit — a strictly harsher regime than the i.i.d.
-// faults of PipeConfig, and exactly the kind of channel the related
-// self-stabilizing data-link literature evaluates against.
-type GilbertElliott struct {
-	// PGoodBad is the per-packet probability of a Good -> Bad transition.
-	PGoodBad float64
-	// PBadGood is the per-packet probability of a Bad -> Good transition.
-	PBadGood float64
-	// LossGood is the drop probability while in the Good state.
-	LossGood float64
-	// LossBad is the drop probability while in the Bad state.
-	LossBad float64
-}
-
 // ImpairConfig configures an Impair wrapper. The zero value forwards
 // packets unchanged.
 type ImpairConfig struct {
-	// Loss is an i.i.d. drop probability applied to every packet (in
-	// addition to Burst, when both are set). It can be changed at runtime
-	// with SetLoss.
-	Loss float64
-	// DupProb is the probability a packet is sent twice.
-	DupProb float64
-	// Burst, when non-nil, applies Gilbert–Elliott two-state burst loss.
-	Burst *GilbertElliott
-	// Latency delays every packet by a fixed amount.
-	Latency time.Duration
-	// Jitter adds a uniform random delay in [0, Jitter) per packet.
-	// Because each packet draws independently, jitter reorders packets.
-	Jitter time.Duration
-	// Bandwidth serializes packets at the given rate in bytes/second
-	// (0 = infinite). Packets queue behind the serialization clock.
-	Bandwidth int
-	// Queue caps packets waiting inside the impairment stage (serialization
-	// backlog plus in-flight latency); beyond it packets are dropped, as a
-	// full router queue would. 0 means DefaultImpairQueue.
-	Queue int
+	// LinkModel is what the link does to packets.
+	LinkModel
 	// Seed fixes the impairment schedule for reproducibility (0 draws
 	// from Clock.Seed; the resolved value is readable via Seed() so it
 	// always lands in repro output).
@@ -70,58 +30,42 @@ type ImpairConfig struct {
 	MetricsPrefix string
 }
 
-// DefaultImpairQueue is the queue cap when ImpairConfig.Queue is zero.
-const DefaultImpairQueue = 256
-
-// ImpairStats counts an impaired link's fate decisions since creation.
-type ImpairStats struct {
-	Sent         int64 // packets accepted from the caller
-	Delivered    int64 // packets released to the underlying conn
-	Duplicated   int64 // extra copies injected
-	DropIID      int64 // drops by the i.i.d. Loss probability
-	DropBurst    int64 // drops by the Gilbert–Elliott state machine
-	DropBlackout int64 // drops during a blackout window
-	DropQueue    int64 // drops because the queue cap was exceeded
-}
-
-// ImpairedConn applies configurable impairments to the egress (Send) path
-// of any PacketConn — pipes and UDP alike — leaving Recv untouched. Wrap
-// both endpoints to impair both directions. Beyond the static
-// ImpairConfig, the connection exposes runtime controls (SetBlackout,
-// Blackout, SetLoss) so a chaos controller can partition the link or ramp
-// loss while traffic flows.
+// ImpairedConn applies a LinkModel to the egress (Send) path of any
+// PacketConn — pipes and UDP alike — leaving Recv untouched. Wrap both
+// endpoints to impair both directions. It is the conn-wrapping driver of
+// Link: Send asks Link.Fate what becomes of the packet and forwards a
+// copy that is due at once; a delayed one goes to the stage's one
+// goroutine, which keeps the flights on a heap and releases them off one
+// timer. Beyond the static ImpairConfig, the connection exposes runtime
+// controls (SetBlackout, Blackout, SetLoss) so a chaos controller can
+// partition the link or ramp loss while traffic flows.
 type ImpairedConn struct {
 	conn PacketConn
-	cfg  ImpairConfig
+	link Link
 	m    linkMetrics
 	clk  clock.Clock
-	virt *clock.Virtual // non-nil when clk is virtual: Send holds the barrier
+	virt *clock.Virtual // nil unless clk is virtual: a flight handed to run holds its barrier
 	seed int64          // resolved schedule seed
 
-	in        chan []byte
-	free      bufList // the stage's packet copies, recycled once released or dropped
+	in        chan flight // Send to run; as deep as the link's queue cap, so never full
+	free      bufList     // the delayed packets' copies, recycled once released
 	stop      chan struct{}
+	ownStop   bool // stop is this stage's to close, not conn's
 	done      chan struct{}
 	closeOnce sync.Once
-
-	loss atomic.Uint64 // math.Float64bits of the current i.i.d. loss
-
-	bkMu     sync.Mutex
-	bkManual bool
-	bkUntil  time.Time
-
-	sent, delivered, duplicated atomic.Int64
-	dropIID, dropBurst          atomic.Int64
-	dropBlackout, dropQueue     atomic.Int64
 }
 
 var _ PacketConn = (*ImpairedConn)(nil)
 
 // Impair wraps conn with cfg's impairments on its Send path.
 func Impair(conn PacketConn, cfg ImpairConfig) *ImpairedConn {
-	if cfg.Queue <= 0 {
-		cfg.Queue = DefaultImpairQueue
-	}
+	return impair(conn, cfg, nil)
+}
+
+// impair is Impair for a conn that closes stop when it closes (nil: the
+// stage makes and closes its own). Sharing it is how closing either end
+// of a Pipe stops the stages of both.
+func impair(conn PacketConn, cfg ImpairConfig, stop chan struct{}) *ImpairedConn {
 	clk := cfg.Clock
 	if clk == nil {
 		clk = clock.System()
@@ -132,18 +76,20 @@ func Impair(conn PacketConn, cfg ImpairConfig) *ImpairedConn {
 	}
 	c := &ImpairedConn{
 		conn: conn,
-		cfg:  cfg,
 		m:    newLinkMetrics(cfg.Metrics, cfg.MetricsPrefix),
 		clk:  clk,
 		seed: seed,
-		in:   make(chan []byte, cfg.Queue),
 		free: make(bufList, freeBuffers),
-		stop: make(chan struct{}),
+		stop: stop,
 		done: make(chan struct{}),
 	}
+	if stop == nil {
+		c.stop, c.ownStop = make(chan struct{}), true
+	}
 	c.virt, _ = clk.(*clock.Virtual)
-	c.loss.Store(math.Float64bits(cfg.Loss))
-	go c.run(rand.New(rand.NewSource(seed)))
+	c.link.Init(cfg.LinkModel, seed)
+	c.in = make(chan flight, c.link.Model.Queue)
+	go c.run()
 	return c
 }
 
@@ -152,74 +98,65 @@ func Impair(conn PacketConn, cfg ImpairConfig) *ImpairedConn {
 // record a replayable seed in its repro output.
 func (c *ImpairedConn) Seed() int64 { return c.seed }
 
-// SetLoss replaces the i.i.d. loss probability at runtime (chaos "loss
-// ramp"). Burst, latency and bandwidth settings are unaffected.
-func (c *ImpairedConn) SetLoss(p float64) { c.loss.Store(math.Float64bits(p)) }
+// SetLoss replaces the i.i.d. loss probability at runtime.
+func (c *ImpairedConn) SetLoss(p float64) { c.link.SetLoss(p) }
 
-// SetBlackout switches a full partition on or off: while on, every packet
-// entering the impairment stage is dropped. Packets already past the stage
-// (in their latency flight) still arrive, as they would on a real link.
-func (c *ImpairedConn) SetBlackout(on bool) {
-	c.bkMu.Lock()
-	c.bkManual = on
-	c.bkMu.Unlock()
-}
+// SetBlackout switches a full partition on or off (see Link.SetBlackout).
+func (c *ImpairedConn) SetBlackout(on bool) { c.link.SetBlackout(on) }
 
 // Blackout partitions the link for the next d, independently of
 // SetBlackout. Overlapping windows extend each other.
-func (c *ImpairedConn) Blackout(d time.Duration) {
-	c.bkMu.Lock()
-	if until := c.clk.Now().Add(d); until.After(c.bkUntil) {
-		c.bkUntil = until
-	}
-	c.bkMu.Unlock()
-}
-
-func (c *ImpairedConn) blackedOut(now time.Time) bool {
-	c.bkMu.Lock()
-	defer c.bkMu.Unlock()
-	return c.bkManual || now.Before(c.bkUntil)
-}
+func (c *ImpairedConn) Blackout(d time.Duration) { c.link.BlackoutUntil(c.clk.Now().Add(d)) }
 
 // Stats returns the impairment counters so far.
-func (c *ImpairedConn) Stats() ImpairStats {
-	return ImpairStats{
-		Sent:         c.sent.Load(),
-		Delivered:    c.delivered.Load(),
-		Duplicated:   c.duplicated.Load(),
-		DropIID:      c.dropIID.Load(),
-		DropBurst:    c.dropBurst.Load(),
-		DropBlackout: c.dropBlackout.Load(),
-		DropQueue:    c.dropQueue.Load(),
-	}
-}
+func (c *ImpairedConn) Stats() ImpairStats { return c.link.Stats() }
 
-// Send implements PacketConn: the packet enters the impairment stage and
-// is released to the underlying conn according to the configured schedule.
+// Send implements PacketConn: the link decides the packet's fate here,
+// before any copy is made. A copy due at once goes straight to the
+// underlying conn; a delayed one is copied and handed to run.
 func (c *ImpairedConn) Send(p []byte) error {
-	select {
-	case <-c.stop:
+	if isClosed(c.stop) {
 		return ErrClosed
-	default:
 	}
-	c.sent.Add(1)
-	c.m.sent.Inc()
-	cp := c.free.copy(p)
-	select {
-	case c.in <- cp:
-		if c.virt != nil {
-			// Virtual time must not advance past a packet sitting in the
-			// ingress channel; the run goroutine releases the hold once it
-			// has scheduled (or dropped) the packet.
-			c.virt.Hold()
+	now := c.clk.Now()
+	f := c.link.Fate(now, len(p))
+	c.m.count(f)
+	for _, d := range f.Delay[:f.N] {
+		if d <= 0 {
+			c.forward(p)
+			continue
 		}
-	default:
-		// Ingress burst beyond the queue cap: the router queue is full.
-		c.free.put(cp)
-		c.dropQueue.Add(1)
-		c.m.dropQueue.Inc()
+		// Virtual time must not advance past a flight sitting in the
+		// hand-off channel; run lets go once its timer covers the flight.
+		c.virt.Hold()
+		c.in <- flight{at: now.Add(d), p: c.free.copy(p)}
+	}
+	if isClosed(c.stop) {
+		c.drain() // run may be gone: nothing may be left holding the barrier
 	}
 	return nil
+}
+
+// forward hands one copy to the underlying conn: it has landed. An error
+// there means the conn is closing; the packet is simply lost, which the
+// protocol tolerates.
+func (c *ImpairedConn) forward(p []byte) {
+	_ = c.conn.Send(p)
+	c.link.Land()
+	c.m.delivered.Inc()
+}
+
+// drain empties the hand-off channel of a closed conn, so that no flight
+// stranded there holds the virtual clock's barrier.
+func (c *ImpairedConn) drain() {
+	for {
+		select {
+		case <-c.in:
+			c.virt.Release()
+		default:
+			return
+		}
+	}
 }
 
 // Recv implements PacketConn by reading the underlying conn directly:
@@ -227,14 +164,63 @@ func (c *ImpairedConn) Send(p []byte) error {
 func (c *ImpairedConn) Recv() ([]byte, error) { return c.conn.Recv() }
 
 // Close implements PacketConn: it stops the impairment engine (dropping
-// anything still queued) and closes the underlying conn.
+// anything still in flight) and closes the underlying conn.
 func (c *ImpairedConn) Close() error {
 	c.closeOnce.Do(func() {
-		close(c.stop)
+		if c.ownStop {
+			close(c.stop)
+		}
 		c.conn.Close()
 		<-c.done
 	})
 	return nil
+}
+
+// run is the driver's goroutine: it owns the heap of delayed flights and
+// its timer, and forwards each flight when it is due.
+func (c *ImpairedConn) run() {
+	defer close(c.done)
+	defer c.drain()
+	var h flightHeap
+	timer := c.clk.NewTimer(time.Hour)
+	defer timer.Stop()
+
+	// held: run holds the virtual clock's barrier — a flight's, taken over
+	// from Send, or its own since its timer woke it — until the timer is
+	// set for what is on the heap now.
+	held := false
+	for {
+		var due <-chan time.Time
+		if len(h) > 0 {
+			if !timer.Stop() {
+				select {
+				case <-timer.C():
+				default:
+				}
+			}
+			timer.Reset(h[0].at.Sub(c.clk.Now()))
+			due = timer.C()
+		}
+		if held {
+			c.virt.Release()
+			held = false
+		}
+		select {
+		case f := <-c.in:
+			held = true
+			h.push(f)
+		case now := <-due:
+			c.virt.Hold()
+			held = true
+			for len(h) > 0 && !h[0].at.After(now) {
+				f := h.pop()
+				c.forward(f.p)
+				c.free.put(f.p) // Send must not retain: the copy is the stage's again
+			}
+		case <-c.stop:
+			return
+		}
+	}
 }
 
 // flight is a packet scheduled for release at a point in time.
@@ -283,141 +269,4 @@ func (h *flightHeap) pop() flight {
 		i = least
 	}
 	return f
-}
-
-// run is the impairment engine: one goroutine owns the RNG, the
-// Gilbert–Elliott state and the serialization clock, so Send stays safe
-// from any number of goroutines.
-func (c *ImpairedConn) run(rng *rand.Rand) {
-	defer close(c.done)
-	defer func() {
-		// Packets stranded in the ingress channel at shutdown must not
-		// leave the virtual clock's barrier held.
-		if c.virt == nil {
-			return
-		}
-		for {
-			select {
-			case <-c.in:
-				c.virt.Release()
-			default:
-				return
-			}
-		}
-	}()
-	var (
-		h         flightHeap
-		bad       bool      // Gilbert–Elliott state
-		lastTxEnd time.Time // serialization clock for Bandwidth
-	)
-	timer := c.clk.NewTimer(time.Hour)
-	defer timer.Stop()
-
-	// schedule takes ownership of p, a buffer of c.free. A full queue's
-	// drop leaves p to the garbage collector, not the free list: the
-	// caller may still read it to make a duplicate.
-	schedule := func(p []byte, now time.Time) {
-		if len(h) >= c.cfg.Queue {
-			c.dropQueue.Add(1)
-			c.m.dropQueue.Inc()
-			return
-		}
-		start := now
-		if c.cfg.Bandwidth > 0 {
-			if lastTxEnd.After(start) {
-				start = lastTxEnd
-			}
-			tx := time.Duration(float64(len(p)) / float64(c.cfg.Bandwidth) * float64(time.Second))
-			lastTxEnd = start.Add(tx)
-			start = lastTxEnd
-		}
-		release := start.Add(c.cfg.Latency)
-		if c.cfg.Jitter > 0 {
-			release = release.Add(time.Duration(rng.Int63n(int64(c.cfg.Jitter))))
-		}
-		if release.After(now) {
-			c.m.delayed.Inc()
-		}
-		h.push(flight{at: release, p: p})
-	}
-
-	release := func(now time.Time) {
-		for len(h) > 0 && !h[0].at.After(now) {
-			f := h.pop()
-			// Errors here mean the underlying conn is closing; the
-			// packet is simply lost, which the protocol tolerates.
-			_ = c.conn.Send(f.p)
-			c.free.put(f.p) // Send must not retain: the copy is the stage's again
-			c.delivered.Add(1)
-			c.m.delivered.Inc()
-		}
-	}
-
-	for {
-		var due <-chan time.Time
-		if len(h) > 0 {
-			if !timer.Stop() {
-				select {
-				case <-timer.C():
-				default:
-				}
-			}
-			timer.Reset(h[0].at.Sub(c.clk.Now()))
-			due = timer.C()
-		}
-		select {
-		case p := <-c.in:
-			if c.virt != nil {
-				c.virt.Release()
-			}
-			now := c.clk.Now()
-			if c.blackedOut(now) {
-				c.free.put(p)
-				c.dropBlackout.Add(1)
-				c.m.dropBlackout.Inc()
-				continue
-			}
-			if ge := c.cfg.Burst; ge != nil {
-				if bad {
-					if rng.Float64() < ge.PBadGood {
-						bad = false
-					}
-				} else if rng.Float64() < ge.PGoodBad {
-					bad = true
-				}
-				stateLoss := ge.LossGood
-				if bad {
-					stateLoss = ge.LossBad
-				}
-				if rng.Float64() < stateLoss {
-					c.free.put(p)
-					c.dropBurst.Add(1)
-					c.m.dropBurst.Inc()
-					continue
-				}
-			}
-			if rng.Float64() < math.Float64frombits(c.loss.Load()) {
-				c.free.put(p)
-				c.dropIID.Add(1)
-				c.m.dropIID.Inc()
-				continue
-			}
-			schedule(p, now)
-			if rng.Float64() < c.cfg.DupProb {
-				c.duplicated.Add(1)
-				c.m.duplicated.Inc()
-				// A copy of its own: the first to be released is recycled
-				// while the other is still in flight. p is still ours to read
-				// here — nothing is released before release below.
-				schedule(c.free.copy(p), now)
-			}
-			// Zero-latency packets are due immediately; releasing them
-			// here keeps the queue from backing up under ingress bursts.
-			release(c.clk.Now())
-		case <-due:
-			release(c.clk.Now())
-		case <-c.stop:
-			return
-		}
-	}
 }

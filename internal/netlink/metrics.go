@@ -225,3 +225,31 @@ func newLinkMetrics(r *metrics.Registry, prefix string) linkMetrics {
 		dropQueue:    r.Counter(prefix + mLinkDropQueue),
 	}
 }
+
+// count mirrors one fate decision into the registry (deliveries are
+// counted as they happen, by the driver).
+func (m *linkMetrics) count(f Fate) {
+	m.sent.Inc()
+	switch f.Drop {
+	case DropIID:
+		m.dropIID.Inc()
+		return
+	case DropBurst:
+		m.dropBurst.Inc()
+		return
+	case DropBlackout:
+		m.dropBlackout.Inc()
+		return
+	}
+	copies := 1
+	if f.Dup {
+		copies = 2
+		m.duplicated.Inc()
+	}
+	m.dropQueue.Add(int64(copies - f.N))
+	for _, d := range f.Delay[:f.N] {
+		if d > 0 {
+			m.delayed.Inc()
+		}
+	}
+}

@@ -6,11 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"ghm/internal/core"
 	"ghm/internal/metrics"
+	"ghm/internal/testutil"
 )
 
 const testRetry = 300 * time.Microsecond
@@ -88,7 +91,7 @@ func TestPipeDoesNotAliasBuffers(t *testing.T) {
 }
 
 func TestPipeTotalLoss(t *testing.T) {
-	a, b := Pipe(PipeConfig{Loss: 1, Seed: 3})
+	a, b := Pipe(PipeConfig{LinkModel: LinkModel{Loss: 1}, Seed: 3})
 	defer a.Close()
 	for i := 0; i < 20; i++ {
 		if err := a.Send([]byte("gone")); err != nil {
@@ -131,6 +134,50 @@ func TestPipeCloseUnblocksRecv(t *testing.T) {
 	}
 }
 
+// goroutinesOf counts the live goroutines started by this package's
+// non-test code.
+func goroutinesOf() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if i := strings.LastIndex(g, "created by ghm/internal/netlink."); i >= 0 && !strings.Contains(g[i:], "_test.go") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestPipeGoroutines pins what a pipe costs in goroutines: a perfect one
+// none at all, a faulty one the impairment stage's one per direction —
+// and closing one end takes them all down.
+func TestPipeGoroutines(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	const ms = time.Millisecond
+	for _, tc := range []struct {
+		name string
+		cfg  PipeConfig
+		want int
+	}{
+		{"perfect", PipeConfig{}, 0},
+		{"lossy", PipeConfig{LinkModel: LinkModel{Loss: 0.1, DupProb: 0.1, ReorderProb: 0.1}, Seed: 1}, 2},
+		{"latent", PipeConfig{LinkModel: LinkModel{Latency: ms, Jitter: ms, Bandwidth: 1 << 20, Burst: &GilbertElliott{PGoodBad: 0.1, PBadGood: 0.5, LossBad: 0.5}}, Seed: 1}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := goroutinesOf()
+			a, b := Pipe(tc.cfg)
+			defer b.Close()           // one end only
+			for i := 0; i < 50; i++ { // anything started lazily has started by now
+				a.Send([]byte("ping"))
+				b.Send([]byte("pong"))
+			}
+			if got := goroutinesOf() - before; got != tc.want {
+				t.Errorf("Pipe started %d goroutines, want %d", got, tc.want)
+			}
+		})
+	}
+}
+
 func TestSessionPerfectLink(t *testing.T) {
 	forDepths(t, func(t *testing.T, k int) {
 		s, r := newStations(t, k, PipeConfig{Seed: 5}, nil)
@@ -151,8 +198,8 @@ func TestSessionPerfectLink(t *testing.T) {
 func TestSessionFaultyLink(t *testing.T) {
 	forDepths(t, func(t *testing.T, k int) {
 		s, r := newStations(t, k, PipeConfig{
-			Loss: 0.3, DupProb: 0.3, ReorderProb: 0.3, Seed: 6,
-			ReleaseEvery: 50 * time.Microsecond,
+			LinkModel: LinkModel{Loss: 0.3, DupProb: 0.3, ReorderProb: 0.3, ReleaseEvery: 50 * time.Microsecond},
+			Seed:      6,
 		}, nil)
 		ctx := testCtx(t)
 		const n = 30
@@ -186,7 +233,7 @@ func TestSenderCrashFailsPendingSend(t *testing.T) {
 	forDepths(t, func(t *testing.T, k int) {
 		// A silent link (total loss) guarantees the Send is still pending
 		// when the crash hits.
-		s, _ := newStations(t, k, PipeConfig{Loss: 1, Seed: 7}, nil)
+		s, _ := newStations(t, k, PipeConfig{LinkModel: LinkModel{Loss: 1}, Seed: 7}, nil)
 		ctx := testCtx(t)
 		errc := make(chan error, 1)
 		go func() { errc <- s.Send(ctx, []byte("doomed")) }()
@@ -247,7 +294,7 @@ func TestReceiverCrashRecovery(t *testing.T) {
 
 func TestSendContextCancelCrashesStation(t *testing.T) {
 	forDepths(t, func(t *testing.T, k int) {
-		s, r := newStations(t, k, PipeConfig{Loss: 1, Seed: 10}, nil)
+		s, r := newStations(t, k, PipeConfig{LinkModel: LinkModel{Loss: 1}, Seed: 10}, nil)
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 		defer cancel()
 		if err := s.Send(ctx, []byte("stuck")); !errors.Is(err, context.DeadlineExceeded) {

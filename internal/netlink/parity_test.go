@@ -137,7 +137,7 @@ func TestClosePropagationParity(t *testing.T) {
 			// Both stations on one link; killing the conns unblocks a
 			// pending Send and a pending Recv with ErrClosed. (The pre-engine
 			// stations wedged forever on exactly this.)
-			a, b := netlink.Pipe(netlink.PipeConfig{Loss: 1, Seed: 85})
+			a, b := netlink.Pipe(netlink.PipeConfig{LinkModel: netlink.LinkModel{Loss: 1}, Seed: 85})
 			tx, err := netlink.NewSender(a, netlink.SenderConfig{Window: k})
 			if err != nil {
 				t.Fatal(err)

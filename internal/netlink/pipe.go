@@ -1,10 +1,7 @@
 package netlink
 
 import (
-	//lint:allow cryptorand pipe fault injection needs seeded, reproducible randomness, not protocol randomness
-	"math/rand"
 	"sync"
-	"time"
 
 	"ghm/internal/clock"
 )
@@ -12,86 +9,48 @@ import (
 // PipeConfig sets the fault behaviour of an in-process pipe. The zero
 // value is a perfect link.
 type PipeConfig struct {
-	// Loss is the probability a packet is silently dropped.
-	Loss float64
-	// DupProb is the probability a packet is delivered twice.
-	DupProb float64
-	// ReorderProb is the probability a packet is held back and released
-	// later, out of order.
-	ReorderProb float64
+	// LinkModel is what each direction does to packets, independently of
+	// the other.
+	LinkModel
 	// Seed makes the fault schedule reproducible; 0 derives a seed from
 	// the clock.
 	Seed int64
-	// ReleaseEvery is how often held-back packets are released (default
-	// 200 microseconds).
-	ReleaseEvery time.Duration
-	// Clock is the pipe's time source: release pacing and any extended
-	// impairments derive from it (nil = wall clock). Under a virtual
+	// Clock is the pipe's time source (nil = wall clock). Under a virtual
 	// clock the pipe participates in the quiescence barrier: packets in
 	// flight between Send and Recv hold the clock still.
 	Clock clock.Clock
-
-	// Burst, when non-nil, layers Gilbert–Elliott two-state burst loss on
-	// each direction, on top of (not instead of) the i.i.d. Loss above.
-	Burst *GilbertElliott
-	// Latency delays every packet by a fixed amount.
-	Latency time.Duration
-	// Jitter adds a uniform random delay in [0, Jitter) per packet, which
-	// also reorders packets whose delays invert.
-	Jitter time.Duration
-	// Bandwidth serializes packets at the given rate in bytes/second
-	// (0 = infinite).
-	Bandwidth int
-	// Queue caps packets queued in the impairment stage of each direction
-	// (0 = DefaultImpairQueue); it only takes effect when some other
-	// extended impairment is set.
-	Queue int
 }
 
-// extended reports whether cfg needs the impairment engine on top of the
-// base pipe faults.
-func (cfg PipeConfig) extended() bool {
-	return cfg.Burst != nil || cfg.Latency > 0 || cfg.Jitter > 0 || cfg.Bandwidth > 0
-}
-
-// Pipe returns two connected PacketConn endpoints with cfg's fault
-// behaviour applied independently in each direction. Closing either
+// Pipe returns two connected PacketConn endpoints. A perfect pipe is a
+// hand-off queue in each direction and no goroutine: Send copies the
+// packet onto the queue and Recv takes it off. A faulty one is that with
+// an impairment stage (Impair, one goroutine) on each endpoint's egress,
+// so each direction gets an independent seeded schedule. Closing either
 // endpoint shuts down the whole pipe.
 func Pipe(cfg PipeConfig) (PacketConn, PacketConn) {
-	if cfg.ReleaseEvery <= 0 {
-		cfg.ReleaseEvery = 200 * time.Microsecond
-	}
-	clk := cfg.Clock
-	if clk == nil {
-		clk = clock.System()
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = clk.Seed()
-	}
+	virt, _ := cfg.Clock.(*clock.Virtual)
 	p := &pipe{stop: make(chan struct{})}
-	ab := newPipeDir(cfg, clk, rand.New(rand.NewSource(seed)), p.stop)
-	ba := newPipeDir(cfg, clk, rand.New(rand.NewSource(seed+1)), p.stop)
-	p.dirs = []*pipeDir{ab, ba}
-	a := &pipeEnd{p: p, send: ab, recv: ba}
-	b := &pipeEnd{p: p, send: ba, recv: ab}
-	if !cfg.extended() {
+	for i := range p.dirs {
+		p.dirs[i] = pipeDir{
+			// Deep enough to absorb a burst while the reader is busy; size
+			// is a latency/memory tradeoff, not a correctness one (the
+			// protocol tolerates loss).
+			q:    make(chan []byte, 512),
+			free: make(bufList, freeBuffers),
+			virt: virt,
+		}
+	}
+	a := &pipeEnd{p: p, send: &p.dirs[0], recv: &p.dirs[1]}
+	b := &pipeEnd{p: p, send: &p.dirs[1], recv: &p.dirs[0]}
+	if !cfg.LinkModel.faulty() {
 		return a, b
 	}
-	// Extended impairments (burst loss, latency, jitter, bandwidth) run in
-	// the shared Impair engine, wrapped around each endpoint's egress so
-	// each direction gets an independent seeded schedule.
-	ic := ImpairConfig{
-		Burst:     cfg.Burst,
-		Latency:   cfg.Latency,
-		Jitter:    cfg.Jitter,
-		Bandwidth: cfg.Bandwidth,
-		Queue:     cfg.Queue,
+	ic := ImpairConfig{LinkModel: cfg.LinkModel, Seed: cfg.Seed, Clock: cfg.Clock}
+	ia := impair(a, ic, p.stop)
+	if ic.Seed != 0 { // 0: each stage draws its own from the clock
+		ic.Seed++
 	}
-	ic.Clock = cfg.Clock
-	ia, ib := ic, ic
-	ia.Seed, ib.Seed = seed+2, seed+3
-	return Impair(a, ia), Impair(b, ib)
+	return ia, impair(b, ic, p.stop)
 }
 
 // freeBuffers bounds a free list (one per pipe direction, one per
@@ -135,151 +94,50 @@ func (l bufList) put(b []byte) {
 type pipe struct {
 	stop chan struct{}
 	once sync.Once
-	dirs []*pipeDir
+	dirs [2]pipeDir
 }
 
 func (p *pipe) close() {
 	p.once.Do(func() {
 		close(p.stop)
-		for _, d := range p.dirs {
-			<-d.done
-			// Undelivered egress packets must not leave the virtual
-			// clock's barrier held.
-			for {
-				select {
-				case <-d.out:
-					d.release()
-					continue
-				default:
-				}
-				break
-			}
+		for i := range p.dirs {
+			p.dirs[i].drain()
 		}
 	})
 }
 
-// pipeDir is one direction of the pipe: a goroutine applying the fault
-// schedule between an ingress and an egress queue. Every packet in it is a
-// buffer of the direction's free list, owned by exactly one stage at a
-// time — Send's copy, the queues, the fault goroutine, then the receiving
-// end until its next Recv — and each stage that drops a packet puts the
-// buffer back.
+// pipeDir is one direction of the pipe: a queue between one end's Send
+// and the other end's Recv. Every packet in it is a buffer of the
+// direction's free list, owned by exactly one stage at a time — Send's
+// copy, the queue, then the receiving end until its next Recv.
 type pipeDir struct {
-	in   chan []byte
-	out  chan []byte
+	q    chan []byte
 	free bufList
-	done chan struct{}
-	virt *clock.Virtual // non-nil under a virtual clock (quiescence barrier)
+	virt *clock.Virtual // nil unless the clock is virtual: a queued packet holds its barrier
 }
 
-// hold/release tick the virtual clock's event-count barrier for packets
-// in flight through this direction; no-ops on the wall clock.
-func (d *pipeDir) hold() {
-	if d.virt != nil {
-		d.virt.Hold()
-	}
-}
-
-func (d *pipeDir) release() {
-	if d.virt != nil {
+// enqueue puts a copy of p on the direction's queue, or drops it when
+// the queue is full, as a congested link would.
+func (d *pipeDir) enqueue(p []byte) {
+	cp := d.free.copy(p)
+	d.virt.Hold() // until Recv collects it, or a drain discards it
+	select {
+	case d.q <- cp:
+	default:
 		d.virt.Release()
+		d.free.put(cp)
 	}
 }
 
-func newPipeDir(cfg PipeConfig, clk clock.Clock, rng *rand.Rand, stop chan struct{}) *pipeDir {
-	d := &pipeDir{
-		// Buffers absorb bursts so a busy fault goroutine does not make
-		// Send block in the common case; size is a latency/memory
-		// tradeoff, not a correctness one (the protocol tolerates loss).
-		in:   make(chan []byte, 256),
-		out:  make(chan []byte, 256),
-		free: make(bufList, freeBuffers),
-		done: make(chan struct{}),
-	}
-	d.virt, _ = clk.(*clock.Virtual)
-	go d.run(cfg, clk, rng, stop)
-	return d
-}
-
-func (d *pipeDir) run(cfg PipeConfig, clk clock.Clock, rng *rand.Rand, stop chan struct{}) {
-	defer close(d.done)
-	defer func() {
-		// Drain ingress holds at shutdown so the barrier is not wedged.
-		for {
-			select {
-			case <-d.in:
-				d.release()
-			default:
-				return
-			}
-		}
-	}()
-	var held [][]byte
-	ticker := clk.NewTicker(cfg.ReleaseEvery)
-	defer ticker.Stop()
-
-	deliver := func(p []byte) {
-		// The egress hold is taken before the ingress hold is released
-		// (see below), so the barrier never dips to zero while a packet
-		// is being moved across the direction.
-		d.hold()
-		select {
-		case d.out <- p:
-		case <-stop:
-			d.release()
-			d.free.put(p)
-		default:
-			// Egress full: the link drops the packet, which the protocol
-			// is built to tolerate.
-			d.release()
-			d.free.put(p)
-		}
-	}
-	// route sends one copy of a packet on its way: held back for a later,
-	// out-of-order release, or delivered now.
-	route := func(p []byte) {
-		if rng.Float64() < cfg.ReorderProb {
-			// Held packets are covered by the release ticker (a clock
-			// deadline), not the barrier.
-			held = append(held, p)
-		} else {
-			deliver(p)
-		}
-	}
-
+// drain discards what is queued on a closed pipe: undelivered packets
+// must not leave the virtual clock's barrier held.
+func (d *pipeDir) drain() {
 	for {
 		select {
-		case p := <-d.in:
-			if rng.Float64() < cfg.Loss {
-				d.release()
-				d.free.put(p)
-				continue
-			}
-			if rng.Float64() < cfg.DupProb {
-				// The duplicate is a buffer of its own, and copied before
-				// the original is delivered: from then on the original is
-				// the receiving end's to recycle.
-				dup := d.free.copy(p)
-				route(p)
-				route(dup)
-			} else {
-				route(p)
-			}
-			d.release()
-		case <-ticker.C():
-			// Release half the held packets (at least one) in random
-			// order: the queue stays bounded even when retries arrive
-			// faster than the release tick, while late packets still
-			// overtake earlier ones.
-			n := (len(held) + 1) / 2
-			for ; n > 0 && len(held) > 0; n-- {
-				i := rng.Intn(len(held))
-				p := held[i]
-				held[i] = held[len(held)-1]
-				held = held[:len(held)-1]
-				deliver(p)
-			}
-		case <-stop:
+		case cp := <-d.q:
+			d.virt.Release()
+			d.free.put(cp)
+		default:
 			return
 		}
 	}
@@ -295,44 +153,48 @@ type pipeEnd struct {
 
 var _ PacketConn = (*pipeEnd)(nil)
 
+func (e *pipeEnd) closed() bool { return isClosed(e.p.stop) }
+
+// isClosed reports whether a stop channel has been closed.
+func isClosed(stop <-chan struct{}) bool {
+	select {
+	case <-stop:
+		return true
+	default:
+		return false
+	}
+}
+
 // Send implements PacketConn.
 func (e *pipeEnd) Send(p []byte) error {
-	// Check closure on its own: in a combined select a ready ingress
-	// buffer could win the race against the closed stop channel.
-	select {
-	case <-e.p.stop:
+	if e.closed() {
 		return ErrClosed
-	default:
 	}
 	e.send.enqueue(p)
+	e.sent()
 	return nil
 }
 
-// enqueue puts a copy of p on the direction's ingress queue, or drops it
-// when the queue is full, as a congested link would.
-func (d *pipeDir) enqueue(p []byte) {
-	cp := d.free.copy(p)
-	select {
-	case d.in <- cp:
-		d.hold()
-	default:
-		d.free.put(cp)
-	}
-}
-
 // SendBatch implements engine.BatchConn: one closure check for the whole
-// burst, then per-packet enqueue with the same full-ingress drop
-// semantics as Send.
+// burst, then per-packet enqueue with the same full-queue drop semantics
+// as Send.
 func (e *pipeEnd) SendBatch(pkts [][]byte) error {
-	select {
-	case <-e.p.stop:
+	if e.closed() {
 		return ErrClosed
-	default:
 	}
 	for _, p := range pkts {
 		e.send.enqueue(p)
 	}
+	e.sent()
 	return nil
+}
+
+// sent ends a Send that may have raced Close: if the pipe closed before
+// the packets were queued, its drain missed them, so drain again.
+func (e *pipeEnd) sent() {
+	if e.closed() {
+		e.send.drain()
+	}
 }
 
 // Recv implements PacketConn. The packet it returns is lent (see
@@ -342,16 +204,11 @@ func (e *pipeEnd) Recv() ([]byte, error) {
 	e.recv.free.put(e.lent)
 	e.lent = nil
 	select {
-	case e.lent = <-e.recv.out:
+	case e.lent = <-e.recv.q:
 	case <-e.p.stop:
-		// Drain anything already queued before reporting closure.
-		select {
-		case e.lent = <-e.recv.out:
-		default:
-			return nil, ErrClosed
-		}
+		return nil, ErrClosed
 	}
-	e.recv.release()
+	e.recv.virt.Release()
 	return e.lent, nil
 }
 

@@ -145,7 +145,7 @@ func TestSealWrongKeyLooksLikeLoss(t *testing.T) {
 func TestSealedSession(t *testing.T) {
 	// Full protocol over a sealed faulty link.
 	key := bytes.Repeat([]byte{3}, 32)
-	ca, cb := sealedPair(t, PipeConfig{Loss: 0.2, DupProb: 0.2, Seed: 7}, key)
+	ca, cb := sealedPair(t, PipeConfig{LinkModel: LinkModel{Loss: 0.2, DupProb: 0.2}, Seed: 7}, key)
 	s, err := NewSender(ca, SenderConfig{})
 	if err != nil {
 		t.Fatal(err)

@@ -91,7 +91,7 @@ func TestWindowedInOrderReleaseUnderReordering(t *testing.T) {
 	// A lossy, reordering, duplicating link completes slots out of order;
 	// the receiver must still release in admission order.
 	const k, total = 4, 60
-	s, r := newStations(t, k, PipeConfig{Loss: 0.2, DupProb: 0.1, ReorderProb: 0.3, Seed: 12}, nil)
+	s, r := newStations(t, k, PipeConfig{LinkModel: LinkModel{Loss: 0.2, DupProb: 0.1, ReorderProb: 0.3}, Seed: 12}, nil)
 	ctx := testCtx(t)
 
 	msgs := make([][]byte, total)
@@ -194,7 +194,7 @@ func TestWindowedCrashWipesAndResubmitHealsStream(t *testing.T) {
 	reg := metrics.New()
 	// Latency keeps transfers in flight long enough for Crash to land on
 	// a busy window.
-	s, r := newStations(t, k, PipeConfig{Latency: 2 * time.Millisecond, Seed: 13}, reg)
+	s, r := newStations(t, k, PipeConfig{LinkModel: LinkModel{Latency: 2 * time.Millisecond}, Seed: 13}, reg)
 	ctx := testCtx(t)
 
 	msgs := make([][]byte, total)
@@ -267,7 +267,7 @@ func testSendAccounting(t *testing.T, k int) {
 	// every depth.
 	const total = 20
 	reg := metrics.New()
-	s, r := newStations(t, k, PipeConfig{Latency: 1 * time.Millisecond, Seed: 14}, reg)
+	s, r := newStations(t, k, PipeConfig{LinkModel: LinkModel{Latency: 1 * time.Millisecond}, Seed: 14}, reg)
 	ctx := testCtx(t)
 	go func() {
 		for {

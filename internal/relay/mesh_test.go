@@ -255,7 +255,7 @@ func TestMeshSlowRouteDuplicateSuppressed(t *testing.T) {
 	// timeout, so the first dispatch always loses the race.
 	tl := buildLinksPer(topo, 404, reg, func(li int) netlink.ImpairConfig {
 		if li == 0 || li == 1 {
-			return netlink.ImpairConfig{Latency: 300 * time.Millisecond}
+			return netlink.ImpairConfig{LinkModel: netlink.LinkModel{Latency: 300 * time.Millisecond}}
 		}
 		return netlink.ImpairConfig{}
 	})

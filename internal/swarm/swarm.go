@@ -31,6 +31,7 @@ import (
 	"ghm/internal/clock"
 	"ghm/internal/core"
 	"ghm/internal/fabric"
+	"ghm/internal/netlink"
 	"ghm/internal/trace"
 	"ghm/internal/verify"
 )
@@ -265,10 +266,12 @@ func (w *world) newPair(i int) (*pair, error) {
 		return nil, fmt.Errorf("swarm: pair %d: %w", i, err)
 	}
 	pt, pr := w.fab.Link(fabric.LinkConfig{
-		Loss:    w.cfg.Link.Loss,
-		DupProb: w.cfg.Link.DupProb,
-		Latency: w.cfg.Link.Latency,
-		Jitter:  w.cfg.Link.Jitter,
+		LinkModel: netlink.LinkModel{
+			Loss:    w.cfg.Link.Loss,
+			DupProb: w.cfg.Link.DupProb,
+			Latency: w.cfg.Link.Latency,
+			Jitter:  w.cfg.Link.Jitter,
+		},
 	})
 	p := &pair{id: i, tx: tx, rx: rx, pt: pt, pr: pr}
 	// Inline ingress: a CTL packet arriving at the transmitter's port or
