@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -304,27 +305,34 @@ func (w *WindowedReceiver) AppendReceivePacket(dst, p []byte) (out []byte, d Slo
 	return out, d, delivered
 }
 
-// Retry is AppendRetry returning freshly allocated packets.
+// Retry fires the RETRY action on every slot, returning freshly allocated
+// packets.
 func (w *WindowedReceiver) Retry() WinRxOutput {
-	_, pkts := w.AppendRetry(nil, nil)
+	_, pkts := w.AppendRetry(nil, nil, ^uint64(0))
 	return WinRxOutput{Packets: pkts}
 }
 
-// AppendRetry fires the RETRY action on every slot, appending the
-// window's CTL packets back to back to dst and each packet, as a slice
-// of the returned buffer, to pkts — one batch the runtime flushes with a
-// single conn write per wheel firing.
-func (w *WindowedReceiver) AppendRetry(dst []byte, pkts [][]byte) ([]byte, [][]byte) {
+// AppendRetry fires the RETRY action on the slots whose bit is set in
+// slots (bit i is slot i; MaxWindow fits a uint64, and bits past the
+// window are ignored), appending their CTL packets back to back to dst, in
+// slot order, and each packet, as a slice of the returned buffer, to pkts
+// — one batch the runtime flushes with a single conn write per wheel
+// firing. RETRY may fire at any time on any slot, so which slots a caller
+// picks is pacing, not protocol.
+func (w *WindowedReceiver) AppendRetry(dst []byte, pkts [][]byte, slots uint64) ([]byte, [][]byte) {
+	if w.k < 64 {
+		slots &= 1<<uint(w.k) - 1
+	}
 	// Grown once, to the whole batch: a later append must not move the
 	// buffer from under the packets already sliced out of it.
 	n := 0
-	for _, rx := range w.slots {
-		n += rx.retrySize()
+	for s := slots; s != 0; s &= s - 1 {
+		n += w.slots[bits.TrailingZeros64(s)].retrySize()
 	}
 	dst = slices.Grow(dst, n)
-	for _, rx := range w.slots {
+	for s := slots; s != 0; s &= s - 1 {
 		start := len(dst)
-		dst = rx.AppendRetry(dst)
+		dst = w.slots[bits.TrailingZeros64(s)].AppendRetry(dst)
 		pkts = append(pkts, dst[start:len(dst):len(dst)])
 	}
 	return dst, pkts

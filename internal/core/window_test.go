@@ -285,7 +285,7 @@ func TestWindowAppendRetryBatch(t *testing.T) {
 	_, b := newWindowPair(t, k, 31)
 	want := a.Retry().Packets
 	head := []byte("head")
-	buf, pkts := b.AppendRetry(head[:len(head):len(head)], nil)
+	buf, pkts := b.AppendRetry(head[:len(head):len(head)], nil, ^uint64(0))
 	if len(pkts) != k || len(want) != k {
 		t.Fatalf("batch of %d, Retry of %d, want %d", len(pkts), len(want), k)
 	}
@@ -301,5 +301,17 @@ func TestWindowAppendRetryBatch(t *testing.T) {
 	}
 	if at != len(buf) || !bytes.Equal(buf[:len(head)], head) {
 		t.Errorf("buffer is %d bytes, packets end at %d; head %q", len(buf), at, buf[:len(head)])
+	}
+
+	// A set of slots fires those slots and no other: the rest keep their
+	// retry counters, so their next CTL is the one they would have sent.
+	a.AppendRetry(nil, nil, 0) // nobody
+	_, some := a.AppendRetry(nil, nil, 1<<1|1<<3|1<<k|1<<63)
+	_, all := b.AppendRetry(nil, nil, ^uint64(0))
+	if len(some) != 2 || !bytes.Equal(some[0], all[1]) || !bytes.Equal(some[1], all[3]) {
+		t.Fatalf("slots {1, 3} fired %x, want %x and %x", some, all[1], all[3])
+	}
+	if got := a.Retry().Packets; !bytes.Equal(got[0], all[0]) || !bytes.Equal(got[2], all[2]) {
+		t.Errorf("slots 0 and 2 did not fire, yet send %x and %x, want %x and %x", got[0], got[2], all[0], all[2])
 	}
 }

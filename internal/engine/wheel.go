@@ -22,8 +22,9 @@ const (
 // [d, d+tick) — which is exactly what retry pacing needs and far cheaper
 // than a runtime timer per station at high lane counts.
 //
-// Callbacks run sequentially on the wheel goroutine and must not block;
-// a blocking callback stalls every other timer on the wheel.
+// Callbacks run sequentially on the wheel goroutine — timers due on one
+// tick in the order they were armed — and must not block; a blocking
+// callback stalls every other timer on the wheel.
 //
 // The wheel rides an injected clock.Clock. On the wall clock it ticks a
 // real ticker exactly as before. On a *clock.Virtual it does not tick at
@@ -38,7 +39,7 @@ type Wheel struct {
 	virt bool // timers delegate to the virtual clock's heap
 
 	mu     sync.Mutex
-	slots  []map[*Timer]struct{}
+	slots  []timerList
 	cursor int
 
 	stop     chan struct{}
@@ -81,14 +82,41 @@ func newWheel(clk clock.Clock, tick time.Duration, slots int) *Wheel {
 	w := &Wheel{
 		tick:  tick,
 		clk:   clk,
-		slots: make([]map[*Timer]struct{}, slots),
+		slots: make([]timerList, slots),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
-	for i := range w.slots {
-		w.slots[i] = make(map[*Timer]struct{})
-	}
 	return w
+}
+
+// timerList is one wheel slot: the timers armed into it, doubly linked
+// through the timers themselves in arming order, so that arming, re-arming
+// and stopping are pointer splices and a slot costs nothing until — and
+// nothing when — a timer first lands in it. Guarded by Wheel.mu.
+type timerList struct{ head, tail *Timer }
+
+func (l *timerList) pushBack(t *Timer) {
+	t.prev, t.next = l.tail, nil
+	if l.tail != nil {
+		l.tail.next = t
+	} else {
+		l.head = t
+	}
+	l.tail = t
+}
+
+func (l *timerList) remove(t *Timer) {
+	if t.prev != nil {
+		t.prev.next = t.next
+	} else {
+		l.head = t.next
+	}
+	if t.next != nil {
+		t.next.prev = t.prev
+	} else {
+		l.tail = t.prev
+	}
+	t.prev, t.next = nil, nil
 }
 
 // Clock returns the clock the wheel rides. Components holding a wheel
@@ -122,10 +150,12 @@ type Timer struct {
 	// Virtual-wheel mode: the clock-heap timer this one delegates to.
 	ct clock.Timer
 
-	// All three fields are guarded by w.mu (ticker mode only).
-	rounds  int
-	slot    int
-	stopped bool
+	// Guarded by w.mu (ticker mode only). A timer that is not stopped is
+	// on the list of w.slots[slot], through prev and next.
+	rounds     int
+	slot       int
+	stopped    bool
+	prev, next *Timer
 }
 
 // AfterFunc schedules fn to run once after roughly d (rounded up to a
@@ -137,7 +167,8 @@ func (w *Wheel) AfterFunc(d time.Duration, fn func()) *Timer {
 }
 
 // Reset re-arms t to fire after roughly d, whether or not it has already
-// fired or been stopped. Safe to call from the timer's own callback.
+// fired or been stopped. Safe to call from the timer's own callback. It
+// allocates nothing, whichever slot of the wheel d lands in.
 //
 //ghm:hotpath
 func (t *Timer) Reset(d time.Duration) {
@@ -158,14 +189,14 @@ func (t *Timer) Reset(d time.Duration) {
 	}
 	w.mu.Lock()
 	if !t.stopped {
-		delete(w.slots[t.slot], t)
+		w.slots[t.slot].remove(t)
 	}
 	t.stopped = false
 	t.slot = (w.cursor + int(ticks)) % len(w.slots)
 	// The slot is first scanned ticks%len(slots) ticks from now; every
 	// further full revolution decrements rounds once.
 	t.rounds = int(ticks-1) / len(w.slots)
-	w.slots[t.slot][t] = struct{}{}
+	w.slots[t.slot].pushBack(t)
 	w.mu.Unlock()
 }
 
@@ -185,7 +216,7 @@ func (t *Timer) Stop() bool {
 		return false
 	}
 	t.stopped = true
-	delete(w.slots[t.slot], t)
+	w.slots[t.slot].remove(t)
 	return true
 }
 
@@ -230,14 +261,16 @@ func (w *Wheel) run() {
 			for processed < target {
 				processed++
 				w.cursor = (w.cursor + 1) % len(w.slots)
-				for t := range w.slots[w.cursor] {
+				for t := w.slots[w.cursor].head; t != nil; {
+					next := t.next // remove clears t's links
 					if t.rounds > 0 {
 						t.rounds--
-						continue
+					} else {
+						w.slots[w.cursor].remove(t)
+						t.stopped = true
+						due = append(due, t.fn)
 					}
-					delete(w.slots[w.cursor], t)
-					t.stopped = true
-					due = append(due, t.fn)
+					t = next
 				}
 			}
 			w.mu.Unlock()

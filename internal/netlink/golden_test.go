@@ -14,7 +14,9 @@ import (
 	"time"
 
 	"ghm/internal/bitstr"
+	"ghm/internal/clock"
 	"ghm/internal/core"
+	"ghm/internal/engine"
 	"ghm/internal/metrics"
 	"ghm/internal/trace"
 )
@@ -28,10 +30,14 @@ import (
 //
 // The run is deterministic by construction. Both stations draw from seeded
 // sources; the conns deliver nothing on their own (Recv blocks until
-// Close) and the retry timer is parked an hour out, so the only inputs a
-// station ever sees are the ones the script hands to handlePacket and
-// retryTick on the test goroutine. A Send runs on a goroutine of its own
-// until it parks or returns; the script waits for the entries it causes.
+// Close) and the stations ride a virtual clock that nobody advances, so no
+// timer ever fires — not the retry timer, and not when a replay extends the
+// challenge and makes RETRY due at once — and the only inputs a station
+// ever sees are the ones the script hands to handlePacket and to the RETRY
+// action (retryLocked: the pacing in retryTick is not the legacy station's,
+// its bytes are) on the test goroutine. A Send runs on a goroutine of its
+// own until it parks or returns; the script waits for the entries it
+// causes.
 
 var updateGolden = flag.Bool("update-golden", false, "re-record testdata/station_k1.golden.json from the stations in this checkout")
 
@@ -99,6 +105,21 @@ func (c *goldenConn) Close() error {
 	return nil
 }
 
+// goldenEndpoint puts a goldenConn under a raw engine of its own — what a
+// station builds over a bare conn, packets unmodified — whose wheel rides
+// clk.
+func goldenEndpoint(t *testing.T, log *goldenLog, dir string, clk clock.Clock, reg *metrics.Registry) *engine.Endpoint {
+	cfg := engineConfig(reg, true, 1)
+	cfg.Clock = clk
+	eng := engine.New(&goldenConn{log: log, dir: dir, closed: make(chan struct{})}, cfg)
+	t.Cleanup(func() { eng.Close() })
+	ep, err := eng.Endpoint(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ep
+}
+
 func TestStationGoldenTraceDepth1(t *testing.T) {
 	var want []goldenStep
 	if !*updateGolden {
@@ -113,7 +134,8 @@ func TestStationGoldenTraceDepth1(t *testing.T) {
 
 	log := &goldenLog{}
 	reg := metrics.New()
-	s, err := NewSender(&goldenConn{log: log, dir: "T>R", closed: make(chan struct{})}, SenderConfig{
+	still := clock.NewVirtual(time.Time{}, 1)
+	s, err := NewSender(goldenEndpoint(t, log, "T>R", still, reg), SenderConfig{
 		Params:  core.Params{Source: bitstr.NewSeededSource(1)},
 		Tap:     log.tap("T"),
 		Metrics: reg,
@@ -122,11 +144,10 @@ func TestStationGoldenTraceDepth1(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	r, err := NewReceiver(&goldenConn{log: log, dir: "R>T", closed: make(chan struct{})}, ReceiverConfig{
-		Params:        core.Params{Source: bitstr.NewSeededSource(2)},
-		RetryInterval: time.Hour,
-		Tap:           log.tap("R"),
-		Metrics:       reg,
+	r, err := NewReceiver(goldenEndpoint(t, log, "R>T", still, reg), ReceiverConfig{
+		Params:  core.Params{Source: bitstr.NewSeededSource(2)},
+		Tap:     log.tap("R"),
+		Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +203,14 @@ func TestStationGoldenTraceDepth1(t *testing.T) {
 	}
 	lastTR := func() []byte { return pkt(&log.tr, -1) }
 	lastRT := func() []byte { return pkt(&log.rt, -1) }
-	retry := func() { step("retry", r.retryTick) }
+	retry := func() {
+		step("retry", func() {
+			r.mu.Lock()
+			buf, pkts, batch := r.retryLocked(1, still.Now())
+			r.mu.Unlock()
+			r.io.transmitBatch(buf, pkts, batch)
+		})
+	}
 	toR := func(name string, p []byte) { step(name, func() { r.handlePacket(p) }) }
 	toT := func(name string, p []byte) { step(name, func() { s.handlePacket(p) }) }
 	sends := make(map[string]chan struct{})

@@ -50,11 +50,13 @@ const (
 	mRxErrorsCounted     = "rx.errors_counted"
 	mRxChallengeExts     = "rx.challenge_extensions"
 	mRxReplayRejections  = "rx.replay_rejections"
-	mRxRetries           = "rx.retries"
+	mRxRetries           = "rx.retries"     // wheel firings that fired RETRY on at least one slot
+	mRxRetryCTLs         = "rx.retry_ctls"  // CTL packets those firings put on the wire
+	mRxRetryEarly        = "rx.retry_early" // firings brought forward by a challenge extension or a shed
 	mRxIORetries         = "rx.io_retries"
 	mRxDeliveriesDropped = "rx.deliveries_dropped"
 	mRxIngressShed       = "rx.ingress_shed"
-	mRxRetryIntervalMS   = "rx.retry_interval_ms"
+	mRxRetryIntervalMS   = "rx.retry_interval_ms" // gauge: the gap to the next RETRY of the slot that fired last
 )
 
 // Adversary metrics (the attacker-in-the-middle; see
@@ -133,11 +135,13 @@ type receiverMetrics struct {
 	errorsCounted     *metrics.Counter // same-length challenge mismatches
 	challengeExts     *metrics.Counter // challenge regenerations (t^R)
 	replayRejections  *metrics.Counter // malformed/stale packets ignored
-	retries           *metrics.Counter // RETRY actions fired
+	retries           *metrics.Counter // wheel firings that fired RETRY on at least one slot
+	retryCTLs         *metrics.Counter // CTL packets RETRY put on the wire
+	retryEarly        *metrics.Counter // firings brought forward by an extension or a shed
 	ioRetries         *metrics.Counter // transient conn read errors retried
 	deliveriesDropped *metrics.Counter // committed deliveries lost to Close
 	ingressShed       *metrics.Counter // packets shed unprocessed (delivery buffer full)
-	retryIntervalMS   *metrics.Gauge   // current (possibly backed-off) retry pace
+	retryIntervalMS   *metrics.Gauge   // the (possibly backed-off) gap of the slot that fired last
 	windowPending     *metrics.Gauge   // deliveries parked for resequencing
 	windowReleased    *metrics.Counter // deliveries released in admission order
 	windowDupDropped  *metrics.Counter // resubmission duplicates dropped by seq
@@ -156,6 +160,8 @@ func newReceiverMetrics(r *metrics.Registry) receiverMetrics {
 		challengeExts:     r.Counter(mRxChallengeExts),
 		replayRejections:  r.Counter(mRxReplayRejections),
 		retries:           r.Counter(mRxRetries),
+		retryCTLs:         r.Counter(mRxRetryCTLs),
+		retryEarly:        r.Counter(mRxRetryEarly),
 		ioRetries:         r.Counter(mRxIORetries),
 		deliveriesDropped: r.Counter(mRxDeliveriesDropped),
 		ingressShed:       r.Counter(mRxIngressShed),

@@ -3,6 +3,7 @@ package netlink
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,9 +14,10 @@ import (
 	"ghm/internal/trace"
 )
 
-// defaultRetryInterval paces the receiver's RETRY action. The protocol
-// needs RETRY to fire "infinitely often"; a couple of milliseconds keeps
-// idle links quiet while bounding recovery latency.
+// defaultRetryInterval paces the receiver's RETRY action: how long a window
+// slot waits after its last CTL before it asks again. The protocol needs
+// RETRY to fire "infinitely often" on a slot that hears nothing; a couple of
+// milliseconds keeps idle links quiet while bounding recovery latency.
 const defaultRetryInterval = 2 * time.Millisecond
 
 // deliveryBuffer is how many delivered messages per window slot Recv
@@ -35,14 +37,18 @@ type ReceiverConfig struct {
 	Window int
 	// Params configures each slot's protocol receiver.
 	Params core.Params
-	// RetryInterval paces the RETRY action across the whole window: one
-	// wheel firing emits every slot's CTL in one batched flush (default
-	// 2ms).
+	// RetryInterval paces the RETRY action, slot by slot: a slot's RETRY is
+	// due this long after the last CTL the slot put on the wire — its reply
+	// to a DATA packet or an earlier RETRY — so a slot whose exchanges are
+	// shorter than the interval never fires it. One wheel timer serves the
+	// window, and a firing emits the CTLs of the slots that are due in one
+	// batched flush (default 2ms).
 	RetryInterval time.Duration
-	// RetryBackoffMax, when positive, enables adaptive retry pacing: while
-	// no packet arrives (idle or blacked-out link) the retry interval
-	// doubles per tick up to this cap, and snaps back to RetryInterval on
-	// any arrival. Zero keeps the fixed-interval behaviour.
+	// RetryBackoffMax, when positive, enables adaptive retry pacing, per
+	// slot: while a slot's CTLs draw no packet (idle or blacked-out link)
+	// the gap to its next RETRY doubles, up to this cap, and the first
+	// packet to arrive for the slot brings it back to RetryInterval. Zero
+	// keeps the fixed-interval behaviour.
 	RetryBackoffMax time.Duration
 	// Tap, when non-nil, observes the station's externally visible
 	// actions: receive_msg and crash^R, each carrying its slot.
@@ -102,24 +108,39 @@ type Receiver struct {
 	deliver func([]byte)
 	accept  func() bool
 
-	arrivals atomic.Uint64 // packets seen; read by retryTick for backoff
-	parked   atomic.Int64  // len(pending) mirror, readable without mu by the capacity gate
-	shed     atomic.Bool   // a packet was shed for lack of room and no retry has asked again yet
+	parked atomic.Int64 // len(pending) mirror, readable without mu by the capacity gate
+	shed   atomic.Bool  // a packet was shed for lack of room and no retry has asked again yet
 
 	// Scratch whose contents outlive the unlock their round ends with.
 	// That is safe because each has one user and one goroutine runs it:
 	// the engine pump runs handlePacket, the wheel runs retryTick.
 	release [][]byte // handlePacket: messages to hand over this round
-	batch   [][]byte // retryTick: the window's CTL packets
+	batch   [][]byte // retryTick: the due slots' CTL packets
 
-	// Retry pacing (guarded by mu; retryTick is the only writer after New).
+	// Retry pacing (guarded by mu): a due time per slot and one wheel timer,
+	// set for armed, which is never later than the earliest of them. A CTL
+	// the slot puts on the wire is the only thing that moves its due time
+	// later — an arrival that earns no reply must not, or a flood of
+	// replays could starve RETRY (SECURITY_MODEL.md V10) — so the timer may
+	// fire with nothing due, and then only re-arms. Due times are read off
+	// the station's clock, one read per packet answered: the wheel's own
+	// tick count is cheaper and goes stale by a millisecond whenever the
+	// process idles (DESIGN §7), which is when RETRY pacing matters.
 	retry            *engine.Timer
-	interval         time.Duration
+	pace             []slotPace
+	armed            time.Time
+	early            bool // a due time was pulled to now (extension, shed) and has not fired yet
 	base, maxBackoff time.Duration
-	lastSeen         uint64
 
 	stop      chan struct{}
 	closeOnce sync.Once
+}
+
+// slotPace is the RETRY pacing of one window slot.
+type slotPace struct {
+	due   time.Time     // when the slot's next RETRY is due
+	gap   time.Duration // how long after its last CTL that is: base, or what back-off has doubled it to
+	heard bool          // a packet has arrived for the slot since its last CTL
 }
 
 // NewReceiver builds the window, attaches it to conn's engine and
@@ -144,7 +165,7 @@ func NewReceiver(conn PacketConn, cfg ReceiverConfig) (*Receiver, error) {
 		spare:      make(bufList, cfg.Window*deliveryBuffer), // a lagging caller can hold no more than out does
 		deliver:    cfg.Deliver,
 		accept:     cfg.Accept,
-		interval:   cfg.RetryInterval,
+		pace:       make([]slotPace, cfg.Window),
 		base:       cfg.RetryInterval,
 		maxBackoff: cfg.RetryBackoffMax,
 		stop:       make(chan struct{}),
@@ -152,15 +173,19 @@ func NewReceiver(conn PacketConn, cfg ReceiverConfig) (*Receiver, error) {
 	if r.framed {
 		r.pending = make(map[uint64][]byte)
 	}
-	r.m.retryIntervalMS.Set(float64(r.interval) / float64(time.Millisecond))
+	r.m.retryIntervalMS.Set(float64(r.base) / float64(time.Millisecond))
 	r.io = stationEndpoint(conn, cfg.Metrics)
-	r.io.ep.SetHandler(r.handlePacket)
-	// Arm under mu: retryTick reads r.retry under the same lock, so the
-	// timer cannot observe the field before this assignment even if it
-	// fires immediately.
+	// Arm under mu, and before the handler can run: both read r.retry under
+	// the same lock, so neither can observe the field before this
+	// assignment even if the timer fires, or a packet arrives, immediately.
 	r.mu.Lock()
-	r.retry = r.io.ep.Wheel().AfterFunc(r.interval, r.retryTick)
+	r.armed = r.io.clock().Now().Add(r.base)
+	for i := range r.pace {
+		r.pace[i].due, r.pace[i].gap = r.armed, r.base
+	}
+	r.retry = r.io.ep.Wheel().AfterFunc(r.base, r.retryTick)
 	r.mu.Unlock()
+	r.io.ep.SetHandler(r.handlePacket)
 	return r, nil
 }
 
@@ -176,15 +201,18 @@ func (r *Receiver) emit(k trace.Kind, msg []byte, slot int) {
 
 // flushStats publishes the window's per-incarnation protocol counters
 // into the registry as deltas, keeping the registry cumulative across
-// crashes. Call with r.mu held, and always immediately before wr.Crash().
-func (r *Receiver) flushStats() {
+// crashes, and reports whether a challenge was extended since the last
+// flush. Call with r.mu held, and always immediately before wr.Crash().
+func (r *Receiver) flushStats() (extended bool) {
 	st := r.wr.Stats()
+	extended = st.Extensions != r.last.Extensions
 	r.m.packetsSent.Add(int64(st.PacketsSent - r.last.PacketsSent))
 	r.m.delivered.Add(int64(st.Delivered - r.last.Delivered))
 	r.m.errorsCounted.Add(int64(st.ErrorsCounted - r.last.ErrorsCounted))
 	r.m.challengeExts.Add(int64(st.Extensions - r.last.Extensions))
 	r.m.replayRejections.Add(int64(st.Ignored - r.last.Ignored))
 	r.last = st
+	return extended
 }
 
 // Recv blocks for the next message, in the sender's admission order. The
@@ -192,15 +220,16 @@ func (r *Receiver) flushStats() {
 // hand it back (GiveBack) instead of leaving it to the garbage collector.
 //
 // If the station shed a packet while the buffer was full, the message
-// taken here is the room it was waiting for, and RETRY fires now instead
-// of up to a retry interval from now. The paper lets RETRY fire at any
-// time, so Section 2.6 is untouched, and the flag allows one early firing
-// per shed episode however many packets the episode shed.
+// taken here is the room it was waiting for, and RETRY fires now, on every
+// slot — the station does not know whose packet it shed — instead of when
+// each slot is next due. The paper lets RETRY fire at any time, so Section
+// 2.6 is untouched, and the flag allows one early firing per shed episode
+// however many packets the episode shed.
 func (r *Receiver) Recv(ctx context.Context) ([]byte, error) {
 	select {
 	case m := <-r.out:
 		if r.shed.CompareAndSwap(true, false) {
-			r.retry.Reset(0)
+			r.askAgain()
 		}
 		return m, nil
 	case <-ctx.Done():
@@ -307,7 +336,6 @@ func (r *Receiver) room() bool { return len(r.out)+int(r.parked.Load()) < cap(r.
 //
 //ghm:hotpath
 func (r *Receiver) handlePacket(p []byte) {
-	r.arrivals.Add(1)
 	if !r.room() {
 		r.m.ingressShed.Inc()
 		r.shed.Store(true)
@@ -330,7 +358,7 @@ func (r *Receiver) handlePacket(p []byte) {
 		release = r.commit(release, d)
 		r.release = release
 	}
-	r.flushStats()
+	r.paceArrival(d.Slot, len(reply) > 0, r.flushStats())
 	r.mu.Unlock()
 
 	// A conn closed mid-reply still gets what committed handed over.
@@ -443,13 +471,64 @@ func (r *Receiver) handoff(release [][]byte) {
 	}
 }
 
-// retryTick fires the RETRY action on every slot in one firing of the
-// engine's shared timer wheel, flushes the window's CTL packets in one
-// batched conn call, and re-arms itself. With backoff disabled the
-// interval is fixed; with backoff enabled the interval doubles while the
-// link is silent (idle or blacked out) up to maxBackoff, and snaps back
-// to base on any packet arrival — retry traffic fades on dead links
-// without giving up the "infinitely often" the protocol needs.
+// paceArrival is what one processed packet does to its slot's RETRY
+// pacing. A reply is a CTL on the wire: the slot asks again one interval
+// from now. An arrival that earned none moves nothing later; it can only
+// bring RETRY forward — to now when it extended the slot's challenge (the
+// transmitter's next DATA would answer a challenge that no longer exists,
+// and nothing else would tell it so before the slot is next due), to one
+// interval from now when the slot had backed off further than that. The
+// common arrival that earns no reply reads no clock. Call with r.mu held.
+func (r *Receiver) paceArrival(slot int, replied, extended bool) {
+	sp := &r.pace[slot]
+	if !replied {
+		sp.heard = true
+		if !extended && sp.gap <= r.base {
+			return
+		}
+	}
+	now := r.io.clock().Now()
+	due := now.Add(r.base)
+	switch {
+	case replied:
+		sp.heard = false
+	case extended:
+		due, r.early = now, true
+	case !due.Before(sp.due):
+		return // backed off, yet due within the interval as it is
+	}
+	sp.due, sp.gap = due, r.base
+	r.pull(due, now)
+}
+
+// pull brings the wheel timer forward to at, if it is set for later. Call
+// with r.mu held.
+func (r *Receiver) pull(at, now time.Time) {
+	if at.Before(r.armed) {
+		r.armed = at
+		r.retry.Reset(at.Sub(now))
+	}
+}
+
+// askAgain makes every slot's RETRY due now; see Recv.
+func (r *Receiver) askAgain() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		return
+	}
+	now := r.io.clock().Now()
+	for i := range r.pace {
+		r.pace[i].due = now
+	}
+	r.early = true
+	r.pull(now, now)
+}
+
+// retryTick is the pacing step, run by the engine's shared timer wheel:
+// it fires the RETRY action on the slots that are due — none, when every
+// due time has moved on since the timer was set, as on a busy link it
+// always has — and sets the timer for the earliest due time there is then.
 //
 //ghm:hotpath
 func (r *Receiver) retryTick() {
@@ -458,22 +537,65 @@ func (r *Receiver) retryTick() {
 		r.mu.Unlock()
 		return
 	}
-	if n := r.arrivals.Load(); n != r.lastSeen {
-		r.lastSeen = n
-		r.interval = r.base
-	} else if r.maxBackoff > r.base {
-		r.interval *= 2
-		if r.interval > r.maxBackoff {
-			r.interval = r.maxBackoff
+	now := r.io.clock().Now()
+	var due uint64
+	for i := range r.pace {
+		if !r.pace[i].due.After(now) {
+			due |= 1 << uint(i)
 		}
 	}
-	r.m.retries.Inc()
-	r.m.retryIntervalMS.Set(float64(r.interval) / float64(time.Millisecond))
-	buf := getPacketBuf()
-	pkts, batch := r.wr.AppendRetry(*buf, r.batch[:0])
-	r.batch = batch
-	r.flushStats()
-	r.retry.Reset(r.interval)
+	early := r.early
+	r.early = false
+	if due == 0 {
+		r.arm(now)
+		r.mu.Unlock()
+		return
+	}
+	if early {
+		r.m.retryEarly.Inc()
+	}
+	buf, pkts, batch := r.retryLocked(due, now)
 	r.mu.Unlock()
 	r.io.transmitBatch(buf, pkts, batch)
+}
+
+// retryLocked is the RETRY action on a set of slots (bit i is slot i), due
+// or not: it encodes their CTL packets, paces each slot
+// from the CTL it just sent — one interval on, or with back-off enabled
+// twice the slot's last gap, up to maxBackoff, when nothing has arrived for
+// the slot since its previous CTL — and re-arms the timer. Retry traffic fades slot by
+// slot on a dead link without giving up the "infinitely often" the
+// protocol needs. Call with r.mu held; the caller flushes what it returns
+// with transmitBatch after unlocking.
+//
+//ghm:hotpath
+func (r *Receiver) retryLocked(slots uint64, now time.Time) (buf *[]byte, pkts []byte, batch [][]byte) {
+	buf = getPacketBuf()
+	pkts, batch = r.wr.AppendRetry(*buf, r.batch[:0], slots)
+	r.batch = batch
+	var gap time.Duration
+	for s := slots; s != 0; s &= s - 1 {
+		sp := &r.pace[bits.TrailingZeros64(s)]
+		if gap = r.base; !sp.heard && r.maxBackoff > r.base {
+			gap = min(2*sp.gap, r.maxBackoff)
+		}
+		sp.due, sp.gap, sp.heard = now.Add(gap), gap, false
+	}
+	r.m.retries.Inc()
+	r.m.retryCTLs.Add(int64(len(batch)))
+	r.m.retryIntervalMS.Set(float64(gap) / float64(time.Millisecond))
+	r.flushStats()
+	r.arm(now)
+	return buf, pkts, batch
+}
+
+// arm sets the wheel timer for the earliest due time. Call with r.mu held.
+func (r *Receiver) arm(now time.Time) {
+	r.armed = r.pace[0].due
+	for i := 1; i < len(r.pace); i++ {
+		if d := r.pace[i].due; d.Before(r.armed) {
+			r.armed = d
+		}
+	}
+	r.retry.Reset(r.armed.Sub(now))
 }

@@ -68,22 +68,28 @@ func WithEpsilon(eps float64) Option { return epsilonOption(eps) }
 
 type retryOption time.Duration
 
-// WithRetryInterval paces the receiving station's retry timer (default
-// 2ms). Shorter intervals recover from loss faster at the cost of idle
-// control traffic. Senders ignore this option: the protocol's transmitter
-// is purely reactive.
+// WithRetryInterval paces the receiving station's RETRY action (default
+// 2ms), counted from the slot's last CTL, so a busy link sends no RETRY at
+// all: each window slot asks again only when this long has passed since the
+// last control packet it sent, be that an acknowledgement or an earlier
+// RETRY. Shorter intervals recover from loss faster at the cost of idle
+// control traffic; an interval above the link's round trip keeps RETRY off
+// exchanges that are merely in flight. Senders ignore this option: the
+// protocol's transmitter is purely reactive.
 func WithRetryInterval(d time.Duration) Option { return retryOption(d) }
 
 func (r retryOption) apply(o *options) { o.retryInterval = time.Duration(r) }
 
 type retryBackoffOption time.Duration
 
-// WithRetryBackoff enables the receiving station's adaptive retry pacing:
-// while the link is silent (idle, or blacked out) the retry interval
-// doubles per tick up to max, and snaps back to the WithRetryInterval
-// base on any packet arrival. Idle links stop burning control traffic
-// without giving up the "infinitely often" retries the protocol's
-// liveness needs. Senders ignore this option.
+// WithRetryBackoff enables the receiving station's adaptive retry pacing,
+// per window slot: while a slot hears nothing (the link is idle, or
+// blacked out) the gap to its next RETRY doubles, up to max, and the first
+// packet to arrive for the slot brings it back to the WithRetryInterval
+// base — a replay aimed at one slot does not reset the pacing of the
+// others. Idle links stop burning control traffic without giving up the
+// "infinitely often" retries the protocol's liveness needs. Senders ignore
+// this option.
 func WithRetryBackoff(max time.Duration) Option { return retryBackoffOption(max) }
 
 func (r retryBackoffOption) apply(o *options) { o.retryBackoff = time.Duration(r) }
