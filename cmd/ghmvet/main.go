@@ -1,112 +1,35 @@
 // Command ghmvet runs the ghm-specific analyzers (see internal/lint)
-// over the module. It speaks two dialects:
-//
-// Standalone, for humans and CI:
+// over the module:
 //
 //	go run ./cmd/ghmvet ./...
 //	go run ./cmd/ghmvet -only wheelclock,metricname ./internal/netlink
 //
-// And the cmd/go vettool protocol, so the same binary slots into the
-// build graph with caching and test-variant coverage:
+// It is the same run internal/lint's TestModuleIsClean makes inside
+// `go test ./...`; the command exists to name a subset or a package
+// while working. Findings go to stderr, one per line, as
+// `file:line:col: [analyzer] message`.
 //
-//	go build -o ghmvet ./cmd/ghmvet
-//	go vet -vettool=$(pwd)/ghmvet ./...
-//
-// The vettool protocol (reverse-engineered from cmd/go/internal/work,
-// since this module takes no dependency on x/tools/go/analysis) has
-// three calls: `ghmvet -V=full` must print a version line ending in a
-// content buildID, `ghmvet -flags` must print a JSON description of the
-// tool's flags, and the real run is `ghmvet [vetflags] <objdir>/vet.cfg`
-// where vet.cfg is a JSON build unit. Findings go to stderr and exit
-// status 2, like vet itself.
-//
-// Exit codes, standalone mode: 0 clean, 1 findings, 2 operational error.
+// Exit codes: 0 clean, 1 findings, 2 operational error.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
 	"ghm/internal/lint"
-	"ghm/internal/lint/analysis"
-	"ghm/internal/lint/loader"
 )
 
 func main() {
-	args := os.Args[1:]
-
-	// cmd/go protocol probes. These must be handled before flag parsing:
-	// cmd/go invokes them with exactly one argument.
-	if len(args) == 1 && strings.HasPrefix(args[0], "-V=") {
-		printVersion()
-		return
-	}
-	if len(args) == 1 && args[0] == "-flags" {
-		// No analyzer flags are exposed through go vet; subset selection
-		// is a standalone-mode affair.
-		fmt.Println("[]")
-		return
-	}
-
-	// Unitchecker mode: the last argument is the vet.cfg path; anything
-	// before it is vet flags cmd/go decided to pass (e.g. -unsafeptr=false
-	// for GOROOT packages), none of which concern these analyzers.
-	if len(args) > 0 && strings.HasSuffix(args[len(args)-1], ".cfg") {
-		os.Exit(unitcheck(args[len(args)-1]))
-	}
-
-	os.Exit(standalone(args))
-}
-
-// printVersion answers `ghmvet -V=full`. cmd/go requires the form
-// `<name> version devel ... buildID=<hex>` and uses the buildID as the
-// tool's cache fingerprint, so it must change when the binary changes:
-// the sha256 of the executable is exactly that.
-func printVersion() {
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if data, err := os.ReadFile(exe); err == nil {
-			h.Write(data)
-		}
-	}
-	fmt.Printf("ghmvet version devel ghm-analyzers buildID=%02x\n", h.Sum(nil))
-}
-
-// jsonDiag is one finding in `ghmvet -json` output: the machine-readable
-// dialect CI tooling and editors consume (the text lines on stderr are
-// what the GitHub problem matcher parses).
-type jsonDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-func standalone(args []string) int {
 	fs := flag.NewFlagSet("ghmvet", flag.ExitOnError)
 	only := fs.String("only", "", "comma-separated subset of analyzers to run (default: all)")
 	list := fs.Bool("list", false, "list analyzers and exit")
-	jsonOut := fs.Bool("json", false, "also emit findings as a JSON array on stdout")
-	lockdot := fs.String("lockdot", "", "write the module-wide lock-order graph as Graphviz DOT to this file (\"-\" for stdout)")
-	escapes := fs.Bool("escapes", false, "run the escape-diff harness instead of the analyzers: compiler heap decisions for the runtime packages vs the committed allowlist")
-	escapesUpdate := fs.Bool("escapes-update", false, "regenerate the escape allowlist from the current tree and exit")
-	escapesAllow := fs.String("escapes-allow", "internal/lint/escapes.allow", "path of the committed escape allowlist")
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: ghmvet [-only a,b] [-list] [-json] [-lockdot file] [-escapes|-escapes-update] packages...\n")
+		fmt.Fprintf(os.Stderr, "usage: ghmvet [-only a,b] [-list] packages...\n")
 		fs.PrintDefaults()
 	}
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-
-	if *escapes || *escapesUpdate {
-		return runEscapes(*escapesUpdate, *escapesAllow)
-	}
+	fs.Parse(os.Args[1:])
 
 	analyzers := lint.All()
 	if *list {
@@ -114,14 +37,14 @@ func standalone(args []string) int {
 			summary, _, _ := strings.Cut(a.Doc, "\n")
 			fmt.Printf("%-20s %s\n", a.Name, summary)
 		}
-		return 0
+		return
 	}
 	if *only != "" {
 		names := strings.Split(*only, ",")
 		analyzers = lint.ByName(names)
 		if len(analyzers) != len(names) {
 			fmt.Fprintf(os.Stderr, "ghmvet: unknown analyzer in -only=%s (use -list)\n", *only)
-			return 2
+			os.Exit(2)
 		}
 	}
 
@@ -129,59 +52,15 @@ func standalone(args []string) int {
 	if len(patterns) == 0 {
 		patterns = []string{"."}
 	}
-	pkgs, err := loader.Load(patterns)
+	findings, err := lint.Check(analyzers, patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ghmvet: %v\n", err)
-		return 2
+		os.Exit(2)
 	}
-
-	var all []jsonDiag
-	store := analysis.NewFactStore()
-	for _, pkg := range pkgs {
-		diags, err := analysis.Run(analyzers, analysis.Unit{
-			Fset:  pkg.Fset,
-			Files: pkg.Syntax,
-			Pkg:   pkg.Types,
-			Info:  pkg.Info,
-			Facts: store,
-			Known: lint.KnownNames(),
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ghmvet: %s: %v\n", pkg.ImportPath, err)
-			return 2
-		}
-		for _, d := range diags {
-			posn := pkg.Fset.Position(d.Pos)
-			fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", posn, d.Analyzer, d.Message)
-			all = append(all, jsonDiag{
-				File: posn.Filename, Line: posn.Line, Col: posn.Column,
-				Analyzer: d.Analyzer, Message: d.Message,
-			})
-		}
+	for _, f := range findings {
+		fmt.Fprintln(os.Stderr, f)
 	}
-
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "\t")
-		if all == nil {
-			all = []jsonDiag{}
-		}
-		if err := enc.Encode(all); err != nil {
-			fmt.Fprintf(os.Stderr, "ghmvet: encoding json: %v\n", err)
-			return 2
-		}
+	if len(findings) > 0 {
+		os.Exit(1)
 	}
-	if *lockdot != "" {
-		dot := lint.LockOrderDOT(store)
-		if *lockdot == "-" {
-			fmt.Print(dot)
-		} else if err := os.WriteFile(*lockdot, []byte(dot), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "ghmvet: writing %s: %v\n", *lockdot, err)
-			return 2
-		}
-	}
-	if len(all) > 0 {
-		return 1
-	}
-	return 0
 }

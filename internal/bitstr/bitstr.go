@@ -67,7 +67,8 @@ func (s *Str) alloc(n int) []byte {
 	}
 	s.n = n
 	if n > inlineBits {
-		//lint:allow hotpathalloc the spill: only a string extended past inlineBits under attack leaves the value
+		// The spill: only a string extended past inlineBits under attack
+		// leaves the value.
 		s.spill = make([]byte, byteLen(n))
 	}
 	return s.bytes()

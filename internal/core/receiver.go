@@ -92,8 +92,6 @@ func (rx *Receiver) Stats() RxStats { return rx.stats }
 
 // Retry is AppendRetry returning a freshly allocated packet, for callers
 // that keep packets across events.
-//
-//ghm:hotpath
 func (rx *Receiver) Retry() (out RxOutput) {
 	out.Packets = packets(rx.AppendRetry(nil))
 	return out
@@ -104,8 +102,6 @@ func (rx *Receiver) Retry() (out RxOutput) {
 // bumps the counter. The protocol's liveness assumes RETRY occurs
 // infinitely often; callers drive it from a timer (runtime) or scheduler
 // (simulator).
-//
-//ghm:hotpath
 func (rx *Receiver) AppendRetry(dst []byte) []byte {
 	var c wire.Ctl
 	c.Rho, c.Tau, c.I = rx.rho, rx.tauLast, rx.iR
@@ -126,8 +122,6 @@ func (rx *Receiver) retrySize() int {
 
 // ReceivePacket is AppendReceivePacket returning a freshly allocated
 // packet and a copy of the delivered message.
-//
-//ghm:hotpath
 func (rx *Receiver) ReceivePacket(p []byte) (out RxOutput) {
 	pkt, msg, delivered := rx.AppendReceivePacket(nil, p)
 	if !delivered {
@@ -135,7 +129,7 @@ func (rx *Receiver) ReceivePacket(p []byte) (out RxOutput) {
 		return out
 	}
 	// A delivery always comes with its ack: one header carries both.
-	//lint:allow hotpathalloc the wrapper's delivery copy and the output header: msg aliases p, which the caller may reuse
+	// The copy is the wrapper's: msg aliases p, which the caller may reuse.
 	both := [][]byte{pkt, append([]byte(nil), msg...)}
 	out.Packets, out.Delivered = both[:1:1], both[1:]
 	return out
@@ -146,8 +140,6 @@ func (rx *Receiver) ReceivePacket(p []byte) (out RxOutput) {
 // the event is a receive_msg action reports delivered with msg aliasing
 // p — the caller copies it before p is reused. Malformed packets are
 // ignored.
-//
-//ghm:hotpath
 func (rx *Receiver) AppendReceivePacket(dst, p []byte) (out, msg []byte, delivered bool) {
 	data, err := wire.DecodeData(p)
 	if err != nil {

@@ -116,8 +116,6 @@ const maxKeptMsg = 2048
 
 // SendMsg is AppendSendMsg returning a freshly allocated packet, for
 // callers that keep packets across events.
-//
-//ghm:hotpath
 func (tx *Transmitter) SendMsg(m []byte) (out TxOutput, err error) {
 	pkt, err := tx.AppendSendMsg(nil, m)
 	out.Packets = packets(pkt)
@@ -129,8 +127,6 @@ func (tx *Transmitter) SendMsg(m []byte) (out TxOutput, err error) {
 // known, appends the first DATA packet to dst; it returns dst, extended
 // or not. It returns ErrBusy if called before the previous message's OK
 // (Axiom 1). The transmitter copies m.
-//
-//ghm:hotpath
 func (tx *Transmitter) AppendSendMsg(dst, m []byte) ([]byte, error) {
 	if tx.busy {
 		return dst, ErrBusy
@@ -150,8 +146,6 @@ func (tx *Transmitter) AppendSendMsg(dst, m []byte) ([]byte, error) {
 
 // ReceivePacket is AppendReceivePacket returning a freshly allocated
 // packet.
-//
-//ghm:hotpath
 func (tx *Transmitter) ReceivePacket(p []byte) (out TxOutput) {
 	pkt, ok := tx.AppendReceivePacket(nil, p)
 	out.Packets, out.OK = packets(pkt), ok
@@ -163,8 +157,6 @@ func (tx *Transmitter) ReceivePacket(p []byte) (out TxOutput) {
 // message completed (OK). Malformed packets are ignored: the channel
 // model never corrupts packets, but the runtime substrate may hand us
 // anything.
-//
-//ghm:hotpath
 func (tx *Transmitter) AppendReceivePacket(dst, p []byte) (out []byte, ok bool) {
 	ctl, err := wire.DecodeCtl(p)
 	if err != nil {
@@ -180,7 +172,8 @@ func packets(pkt []byte) [][]byte {
 	if len(pkt) == 0 {
 		return nil
 	}
-	//lint:allow hotpathalloc the wrappers' output header: callers of the non-append forms keep the packets
+	// The wrappers' output header: callers of the non-append forms keep the
+	// packets.
 	return [][]byte{pkt}
 }
 

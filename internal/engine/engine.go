@@ -314,8 +314,6 @@ func (e *Engine) pump() {
 // conn until the pump's next Recv: a handler has it for the length of the
 // call, and the mailbox — the one place a packet outlives that call —
 // gets a copy.
-//
-//ghm:hotpath
 func (e *Engine) dispatch(p []byte) {
 	id := 0
 	body := p
@@ -343,7 +341,7 @@ func (e *Engine) dispatch(p []byte) {
 		return
 	}
 	if len(ep.in) < cap(ep.in) { // the pump is the only producer: room seen is room kept
-		//lint:allow hotpathalloc the mailbox copy: the packet outlives the conn's receive buffer
+		// The mailbox copy: the packet outlives the conn's receive buffer.
 		body = append([]byte(nil), body...)
 		select {
 		case ep.in <- body:
@@ -430,8 +428,6 @@ func (ep *Endpoint) Wedge(on bool) { ep.wedged.Store(on) }
 // Send frames p with the endpoint id (framed mode) and writes it to the
 // conn. The framing buffer is pooled; the conn contract (must not retain
 // p) makes reuse safe.
-//
-//ghm:hotpath
 func (ep *Endpoint) Send(p []byte) error {
 	if ep.isClosed() {
 		return ep.eng.cfg.ClosedErr
@@ -456,8 +452,6 @@ func (ep *Endpoint) Send(p []byte) error {
 // loop when it does not. Framing shares one pooled buffer across the
 // whole burst, so a k-deep window's flush costs one buffer round-trip
 // instead of k. A nil or empty burst is a no-op.
-//
-//ghm:hotpath
 func (ep *Endpoint) SendBatch(pkts [][]byte) error {
 	switch len(pkts) {
 	case 0:
@@ -489,7 +483,8 @@ func (ep *Endpoint) SendBatch(pkts [][]byte) error {
 	// subslices taken earlier.
 	bufp := framePool.Get().(*[]byte)
 	buf := (*bufp)[:0]
-	//lint:allow hotpathalloc per-flush (not per-packet): one offsets slice amortized over the whole burst; pinned by the escape allowlist
+	// Per flush, not per packet: one offsets slice amortized over the whole
+	// burst (TestHotPathAllocs holds the batch to the budget).
 	offs := make([]int, 0, len(pkts)+1)
 	for _, p := range pkts {
 		offs = append(offs, len(buf))
@@ -499,7 +494,8 @@ func (ep *Endpoint) SendBatch(pkts [][]byte) error {
 	offs = append(offs, len(buf))
 	var err error
 	if batched {
-		//lint:allow hotpathalloc per-flush frame headers for the batched conn call; amortized over the burst and pinned by the escape allowlist
+		// Per-flush frame headers for the batched conn call, amortized over
+		// the burst the same way.
 		frames := make([][]byte, len(pkts))
 		for i := range pkts {
 			frames[i] = buf[offs[i]:offs[i+1]]

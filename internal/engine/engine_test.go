@@ -514,8 +514,8 @@ func TestHotPathAllocs(t *testing.T) {
 		t.Errorf("Engine.dispatch allocs/op = %v, want 0", avg)
 	}
 
-	// SendBatch's budget is per-flush, not per-packet: the two allowed
-	// slices (offset table + frame headers for the batched conn call),
+	// SendBatch's budget is per-flush, not per-packet: two slices
+	// (offset table + frame headers for the batched conn call),
 	// amortized over however many packets the burst carries.
 	bconn := &nullBatchConn{nullConn{closed: make(chan struct{})}}
 	eb := New(bconn, Config{MaxEndpoints: 2, Metrics: metrics.New()})

@@ -169,8 +169,6 @@ func (w *Wheel) AfterFunc(d time.Duration, fn func()) *Timer {
 // Reset re-arms t to fire after roughly d, whether or not it has already
 // fired or been stopped. Safe to call from the timer's own callback. It
 // allocates nothing, whichever slot of the wheel d lands in.
-//
-//ghm:hotpath
 func (t *Timer) Reset(d time.Duration) {
 	w := t.w
 	ticks := int64((d + w.tick - 1) / w.tick)

@@ -160,8 +160,9 @@ func TestWheelTracksRealTimeUnderDroppedTicks(t *testing.T) {
 	}
 }
 
-// TestWheelResetAllocs pins the re-arm path (//ghm:hotpath): a periodic
-// timer re-arming itself with Reset allocates nothing per period.
+// TestWheelResetAllocs is the re-arm path's budget (with
+// TestWheelResetAllocatesNothing below): a periodic timer re-arming
+// itself with Reset allocates nothing per period.
 func TestWheelResetAllocs(t *testing.T) {
 	w := NewWheel(time.Millisecond, 16)
 	defer w.Stop()

@@ -257,12 +257,12 @@ func TestWallClockFabric(t *testing.T) {
 	a.Close()
 }
 
-// TestPortSendAllocBudget pins the fabric send path (//ghm:hotpath).
-// Port.Send is not 0-alloc by design: a surviving flight owns exactly
-// one copy of the packet (the conn contract forbids retaining pkt) and
-// one scheduled-delivery closure — the two //lint:allow hotpathalloc
-// sites. This guard pins that per-send budget, clock event included, so
-// an accidental third allocation on the path fails loudly.
+// TestPortSendAllocBudget is the fabric send path's one allocation
+// check. Port.Send is not 0-alloc by design: a surviving flight owns
+// exactly one copy of the packet (the conn contract forbids retaining
+// pkt) and one scheduled-delivery closure — the two sites Port.Send
+// comments on. This guard pins that per-send budget, clock event
+// included, so an accidental third allocation on the path fails loudly.
 func TestPortSendAllocBudget(t *testing.T) {
 	f, v := virtualFabric(t, 7)
 	a, b := f.Link(LinkConfig{LinkModel: netlink.LinkModel{Latency: time.Millisecond}})

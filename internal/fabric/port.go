@@ -96,8 +96,6 @@ func (p *Port) isClosed() bool {
 // Send implements netlink.PacketConn: the link resolves the packet's
 // fate inline and, for each copy that survives, delivery to the peer is
 // scheduled as a clock event.
-//
-//ghm:hotpath
 func (p *Port) Send(pkt []byte) error {
 	if p.isClosed() {
 		return ErrClosed
@@ -106,10 +104,12 @@ func (p *Port) Send(pkt []byte) error {
 	if f.N == 0 {
 		return nil
 	}
-	//lint:allow hotpathalloc the copy IS the in-flight packet: the conn contract forbids retaining pkt, so a surviving send must own its bytes
+	// The copy IS the in-flight packet: the conn contract forbids retaining
+	// pkt, so a surviving send must own its bytes.
 	cp := append([]byte(nil), pkt...)
 	for _, d := range f.Delay[:f.N] {
-		//lint:allow hotpathalloc one scheduled-delivery closure per surviving flight; the capture carries the owned copy to the peer
+		// One scheduled-delivery closure per surviving flight; the capture
+		// carries the owned copy to the peer.
 		p.f.clk.AfterFunc(d, func() { p.land(cp) })
 	}
 	return nil

@@ -3,16 +3,16 @@
 // library because this repository takes no external dependencies. It
 // defines the Analyzer/Pass/Diagnostic vocabulary the ghmvet suite is
 // written against, plus the //lint:allow suppression directive shared by
-// every driver (the standalone ghmvet binary, the go vet -vettool
-// unitchecker mode, and the linttest fixture harness).
+// the driver (lint.Check, behind both cmd/ghmvet and TestModuleIsClean)
+// and the linttest fixture harness.
 //
 // The deliberate omission relative to x/tools is the Requires graph:
 // every ghmvet analyzer is a single per-package pass. Cross-package
 // state flows through the FactStore (facts.go): an analyzer may export
 // one JSON fact per package and import the facts of the packages
 // analyzed before it, which is how the whole-program analyzers
-// (lockorder, goroutinelife, hotpathalloc) see across package
-// boundaries while the drivers stay unit-at-a-time.
+// (lockorder, boundedqueue) see across package boundaries while the
+// driver stays unit-at-a-time.
 package analysis
 
 import (
@@ -59,9 +59,9 @@ type Pass struct {
 // Allowed reports whether a //lint:allow directive for the running
 // analyzer covers pos (same line or the line above). Fact computation
 // must consult this: a site the author has deliberately allowed must
-// not poison the facts other packages import (e.g. an allowed
-// allocation must not mark the whole function allocating for its
-// hot-path callers). A matching directive is marked used — honoring a
+// not poison the facts other packages import (e.g. an allowed queue
+// growth must not mark the whole function growing for its callers in
+// other packages). A matching directive is marked used — honoring a
 // directive during fact computation is as real a use as suppressing a
 // reported diagnostic, and must not trip the stale-directive check.
 func (p *Pass) Allowed(pos token.Pos) bool {
@@ -275,18 +275,4 @@ func Run(analyzers []*Analyzer, u Unit) ([]Diagnostic, error) {
 		return kept[i].Analyzer < kept[j].Analyzer
 	})
 	return kept, nil
-}
-
-// NewInfo returns a types.Info with every map an analyzer might consult
-// allocated, ready to hand to types.Config.Check.
-func NewInfo() *types.Info {
-	return &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
-		Instances:  make(map[*ast.Ident]types.Instance),
-	}
 }

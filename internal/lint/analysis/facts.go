@@ -10,22 +10,14 @@ import (
 // analyzer may export one JSON-encodable fact value per package, and
 // analyzers running on a downstream package can import the facts of the
 // packages they depend on. It is the minimal analogue of the
-// x/tools/go/analysis fact mechanism, shaped for how the drivers move
-// facts around:
+// x/tools/go/analysis fact mechanism, and it lives in memory only:
 //
-//   - the standalone driver analyzes packages in dependency order (the
-//     order `go list -deps` emits) and threads one in-memory store
-//     through the whole run, so every pass sees the facts of everything
-//     analyzed before it;
-//   - the unitchecker driver serializes the store into the unit's vetx
-//     output file and reconstitutes a fresh store from the dependency
-//     vetx files cmd/go hands it (PackageVetx), so facts ride the build
-//     cache exactly like compiler export data;
+//   - the driver (lint.Check) analyzes packages in dependency order (the
+//     order `go list -deps` emits) and threads one store through the
+//     whole run, so every pass sees the facts of everything analyzed
+//     before it;
 //   - the linttest harness analyzes fixture sub-packages first and lets
 //     the main fixture package import their facts.
-//
-// Facts are JSON rather than gob for diffability: `ghmvet -lockdot` and
-// the journal of a failing CI run are meant to be read by humans.
 type FactStore struct {
 	m map[string]map[string]json.RawMessage // analyzer -> package path -> fact
 }
@@ -55,13 +47,6 @@ func (s *FactStore) get(analyzer, pkgPath string, out any) bool {
 	return json.Unmarshal(data, out) == nil
 }
 
-// Get decodes the fact analyzer exported for pkgPath into out, reporting
-// whether one was present. Drivers use it for whole-module assembly
-// (the lock-order DOT); analyzers go through Pass.ImportFact.
-func (s *FactStore) Get(analyzer, pkgPath string, out any) bool {
-	return s.get(analyzer, pkgPath, out)
-}
-
 // Packages returns the package paths holding a fact for analyzer, in
 // deterministic (sorted) order.
 func (s *FactStore) Packages(analyzer string) []string {
@@ -71,32 +56,6 @@ func (s *FactStore) Packages(analyzer string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// EncodeVetx serializes the whole store for a vetx output file.
-func (s *FactStore) EncodeVetx() ([]byte, error) {
-	return json.MarshalIndent(s.m, "", "\t")
-}
-
-// MergeVetx folds one serialized store (a dependency's vetx file) into
-// this one. Facts already present win: the current package's own facts
-// must not be overwritten by stale dependency copies.
-func (s *FactStore) MergeVetx(data []byte) error {
-	var in map[string]map[string]json.RawMessage
-	if err := json.Unmarshal(data, &in); err != nil {
-		return err
-	}
-	for analyzer, pkgs := range in {
-		if s.m[analyzer] == nil {
-			s.m[analyzer] = make(map[string]json.RawMessage)
-		}
-		for pkg, fact := range pkgs {
-			if _, exists := s.m[analyzer][pkg]; !exists {
-				s.m[analyzer][pkg] = fact
-			}
-		}
-	}
-	return nil
 }
 
 // ExportFact records fact as this package's fact for the running

@@ -8,10 +8,10 @@ import (
 	"ghm/internal/lint/analysis"
 )
 
-// runtimeScope is the set of packages the whole-program analyzers audit:
-// the packages whose goroutines, locks, queues and hot paths carry the
-// runtime guarantees the theorems lean on. Simulation- and tooling-side
-// packages are deliberately out of scope.
+// runtimeScope is the set of packages boundedqueue reports in: the
+// packages whose queues carry the runtime guarantees the theorems lean
+// on. Simulation- and tooling-side packages are deliberately out of
+// scope.
 var runtimeScope = map[string]bool{
 	"ghm/internal/engine":    true,
 	"ghm/internal/netlink":   true,

@@ -5,49 +5,82 @@
 // handful of disciplines that no general-purpose tool knows about;
 // these analyzers make them machine-checkable instead of folklore.
 //
-// The nine analyzers, and what each protects:
+// The six analyzers, and what each protects — each an invariant no
+// test or benchmark pins (DESIGN §5 has the table; allocation-freedom
+// and goroutine lifetime are not here because tests that count
+// allocations and read the goroutine dump enforce them):
 //
 //   - cryptorand: protocol randomness is crypto-quality (Theorems 3/7/8)
 //   - wheelclock: retries ride the shared timer wheel, not runtime timers
 //   - nonblockinghandler: engine push handlers shed, they never block
 //   - metricname: metric names are declared constants in the family grammar
-//   - atomicfield: a field accessed atomically anywhere is atomic everywhere
 //   - lockorder: the module-wide lock-order graph is acyclic (no deadlocks)
-//   - goroutinelife: every runtime goroutine is tied to a lifecycle
-//   - hotpathalloc: annotated hot roots stay allocation-free
 //   - boundedqueue: runtime queues are capacity-bounded and shed with accounting
 //
-// The last four are whole-program: they export per-package facts
+// The last two are whole-program: they export per-package facts
 // through the analysis.FactStore and read the facts of the packages
 // they depend on, so a lock edge taken in internal/relay and its
 // inverse taken in internal/supervise still meet in one graph.
+//
+// Check is the one driver: cmd/ghmvet calls it on the patterns it is
+// given and TestModuleIsClean calls it on ghm/..., so `go test ./...`
+// fails on a finding.
 //
 // All analyzers exempt _test.go files and honor the //lint:allow
 // directive (see the analysis package).
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/types"
 
 	"ghm/internal/lint/analysis"
+	"ghm/internal/lint/loader"
 )
 
-// All returns the full ghmvet suite in reporting order: the five
-// per-package analyzers of PR 5, then the whole-program quartet that
-// rides the cross-package fact store.
+// All returns the full ghmvet suite in reporting order: the four
+// per-package analyzers, then the whole-program pair that rides the
+// cross-package fact store.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		Cryptorand,
 		Wheelclock,
 		NonblockingHandler,
 		MetricName,
-		AtomicField,
 		LockOrder,
-		GoroutineLife,
-		HotPathAlloc,
 		BoundedQueue,
 	}
+}
+
+// Check loads the packages the patterns name, runs the analyzers over
+// them in dependency order with one fact store threaded through, and
+// returns every surviving finding as "file:line:col: [analyzer] message".
+// An error means the run itself failed, not that the code is bad.
+func Check(analyzers []*analysis.Analyzer, patterns []string) ([]string, error) {
+	pkgs, err := loader.Load(patterns)
+	if err != nil {
+		return nil, err
+	}
+	var findings []string
+	store, known := analysis.NewFactStore(), KnownNames()
+	for _, pkg := range pkgs {
+		diags, err := analysis.Run(analyzers, analysis.Unit{
+			Fset:  pkg.Fset,
+			Files: pkg.Syntax,
+			Pkg:   pkg.Types,
+			Info:  pkg.Info,
+			Facts: store,
+			Known: known,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", pkg.ImportPath, err)
+		}
+		for _, d := range diags {
+			findings = append(findings, fmt.Sprintf("%s: [%s] %s", pkg.Fset.Position(d.Pos), d.Analyzer, d.Message))
+		}
+	}
+	return findings, nil
 }
 
 // KnownNames returns every analyzer name the suite recognizes, for the
@@ -79,7 +112,7 @@ func ByName(names []string) []*analysis.Analyzer {
 // under the real package paths the path-scoped analyzers (cryptorand,
 // wheelclock) key on. Empty means: use pass.Pkg.Path() as-is.
 //
-// It is process-global and set only by linttest; the drivers never touch
+// It is process-global and set only by linttest; Check never touches
 // it. Keeping it here (not exported from analysis) confines the hack to
 // the lint tree.
 var pkgPathOverride string
@@ -108,15 +141,6 @@ func funcObjOf(info *types.Info, call *ast.CallExpr) *types.Func {
 		return f
 	}
 	return nil
-}
-
-// isPkgFunc reports whether f is the function pkgPath.name (package
-// level, not a method).
-func isPkgFunc(f *types.Func, pkgPath, name string) bool {
-	if f == nil || f.Pkg() == nil || f.Name() != name {
-		return false
-	}
-	return f.Pkg().Path() == pkgPath && f.Type().(*types.Signature).Recv() == nil
 }
 
 // recvNamed returns the named type of a method's receiver (through one

@@ -13,6 +13,19 @@ import (
 	"ghm/internal/lint/linttest"
 )
 
+// TestModuleIsClean is the suite's enforcement: the driver cmd/ghmvet
+// wraps, run over the whole module inside `go test ./...`. The fixture
+// tests below prove the analyzers bite; this proves the tree is clean.
+func TestModuleIsClean(t *testing.T) {
+	findings, err := lint.Check(lint.All(), []string{"ghm/..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range findings {
+		t.Error(f)
+	}
+}
+
 // Each analyzer is proven twice: a flagged fixture where every
 // violation carries a `// want` expectation, and a clean fixture where
 // the same shapes done right produce zero diagnostics. The harness
@@ -45,12 +58,6 @@ func TestMetricName(t *testing.T) {
 	linttest.Run(t, a, "metricname_clean", "")
 }
 
-func TestAtomicField(t *testing.T) {
-	a := []*analysis.Analyzer{lint.AtomicField}
-	linttest.Run(t, a, "atomicfield_flagged", "")
-	linttest.Run(t, a, "atomicfield_clean", "")
-}
-
 func TestAllowDirective(t *testing.T) {
 	a := []*analysis.Analyzer{lint.Wheelclock}
 	// Used directives silence the named analyzer on their line and the
@@ -71,23 +78,6 @@ func TestLockOrder(t *testing.T) {
 	linttest.Run(t, a, "lockorder_xpkg", "")
 }
 
-func TestGoroutineLife(t *testing.T) {
-	a := []*analysis.Analyzer{lint.GoroutineLife}
-	// Reporting is scoped to the runtime packages; both fixtures run in
-	// scope so the clean one proves the tying shapes are accepted while
-	// the check is live.
-	linttest.Run(t, a, "goroutinelife_flagged", "ghm/internal/relay")
-	linttest.Run(t, a, "goroutinelife_clean", "ghm/internal/relay")
-}
-
-func TestHotPathAlloc(t *testing.T) {
-	a := []*analysis.Analyzer{lint.HotPathAlloc}
-	// Annotated roots are audited anywhere; the flagged fixture runs in
-	// runtime scope so wheel-callback literals become implicit roots too.
-	linttest.Run(t, a, "hotpathalloc_flagged", "ghm/internal/relay")
-	linttest.Run(t, a, "hotpathalloc_clean", "")
-}
-
 func TestBoundedQueue(t *testing.T) {
 	a := []*analysis.Analyzer{lint.BoundedQueue}
 	linttest.Run(t, a, "boundedqueue_flagged", "ghm/internal/relay")
@@ -100,8 +90,6 @@ func TestBoundedQueue(t *testing.T) {
 // directive for each is reported.
 func TestNewAnalyzerAllows(t *testing.T) {
 	linttest.Run(t, []*analysis.Analyzer{lint.LockOrder}, "lockorder_allow", "")
-	linttest.Run(t, []*analysis.Analyzer{lint.GoroutineLife}, "goroutinelife_allow", "ghm/internal/relay")
-	linttest.Run(t, []*analysis.Analyzer{lint.HotPathAlloc}, "hotpathalloc_allow", "")
 	linttest.Run(t, []*analysis.Analyzer{lint.BoundedQueue}, "boundedqueue_allow", "ghm/internal/relay")
 }
 
@@ -116,7 +104,6 @@ func TestAllowInventory(t *testing.T) {
 	want := map[string]int{
 		"cryptorand":         2,
 		"nonblockinghandler": 1,
-		"hotpathalloc":       14,
 	}
 
 	got := make(map[string]int)

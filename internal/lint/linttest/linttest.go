@@ -14,22 +14,16 @@
 // Fixtures import real module packages (ghm/internal/metrics,
 // ghm/internal/engine, ...) so the analyzers' type-based matching is
 // exercised against the genuine types: the harness type-checks fixtures
-// with gc export data resolved through `go list -export`, the same
-// machinery the standalone driver uses.
+// with gc export data resolved through the loader, the same machinery
+// the driver uses.
 package linttest
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"go/ast"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"runtime"
@@ -40,6 +34,7 @@ import (
 
 	"ghm/internal/lint"
 	"ghm/internal/lint/analysis"
+	"ghm/internal/lint/loader"
 )
 
 // wantRe extracts the expectation regexp from a comment. It matches
@@ -49,47 +44,12 @@ import (
 // malformedness is itself the expectation.
 var wantRe = regexp.MustCompile(`want "((?:[^"\\]|\\.)*)"`)
 
-var (
-	exportsOnce sync.Once
-	exports     map[string]string
-	exportsErr  error
-)
-
-// loadExports builds the package-path -> export-data map once per test
-// process, covering the whole module plus the standard library packages
-// fixtures lean on.
-func loadExports() (map[string]string, error) {
-	exportsOnce.Do(func() {
-		args := []string{"list", "-export", "-json", "-deps",
-			"ghm/...", "time", "sync", "sync/atomic", "math/rand", "fmt", "strings", "context"}
-		cmd := exec.Command("go", args...)
-		var stdout, stderr bytes.Buffer
-		cmd.Stdout = &stdout
-		cmd.Stderr = &stderr
-		if err := cmd.Run(); err != nil {
-			exportsErr = fmt.Errorf("go list: %v\n%s", err, stderr.String())
-			return
-		}
-		exports = make(map[string]string)
-		dec := json.NewDecoder(&stdout)
-		for {
-			var p struct {
-				ImportPath string
-				Export     string
-			}
-			if err := dec.Decode(&p); err == io.EOF {
-				break
-			} else if err != nil {
-				exportsErr = fmt.Errorf("go list: decoding: %v", err)
-				return
-			}
-			if p.Export != "" {
-				exports[p.ImportPath] = p.Export
-			}
-		}
-	})
-	return exports, exportsErr
-}
+// exports resolves the whole module plus the standard library packages
+// fixtures lean on, listed once per test process. A fixture that imports
+// anything else fails with "no export data": add the package here.
+var exports = sync.OnceValues(func() (loader.Exports, error) {
+	return loader.ListExports("ghm/...", "time", "sync", "sync/atomic", "math/rand", "fmt", "strings", "context")
+})
 
 // expectation is one `// want` comment.
 type expectation struct {
@@ -113,7 +73,7 @@ type expectation struct {
 func Run(t *testing.T, analyzers []*analysis.Analyzer, dir, pkgPath string) {
 	t.Helper()
 
-	exp, err := loadExports()
+	exp, err := exports()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,13 +128,7 @@ func Run(t *testing.T, analyzers []*analysis.Analyzer, dir, pkgPath string) {
 	// The importer chain: fixture dependency packages (type-checked from
 	// source below) first, then gc export data for real packages.
 	local := make(map[string]*types.Package)
-	gcImp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		f, ok := exp[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q (extend linttest.loadExports)", path)
-		}
-		return os.Open(f)
-	})
+	gcImp := exp.Importer(fset)
 	imp := importerFunc(func(path string) (*types.Package, error) {
 		if p, ok := local[path]; ok {
 			return p, nil
@@ -189,7 +143,7 @@ func Run(t *testing.T, analyzers []*analysis.Analyzer, dir, pkgPath string) {
 		if len(files) == 0 {
 			t.Fatalf("no Go files for %s", importPath)
 		}
-		info := analysis.NewInfo()
+		info := loader.NewInfo()
 		conf := types.Config{Importer: imp, Sizes: types.SizesFor("gc", runtime.GOARCH)}
 		pkg, err := conf.Check(importPath, fset, files, info)
 		if err != nil {

@@ -1,6 +1,6 @@
-// Package loader type-checks Go packages for the standalone ghmvet
-// driver without golang.org/x/tools: it shells out to `go list -export
-// -json -deps`, which compiles (or reuses from the build cache) gc
+// Package loader type-checks Go packages for the ghmvet driver and its
+// fixture harness without golang.org/x/tools: it shells out to `go list
+// -export -json -deps`, which compiles (or reuses from the build cache) gc
 // export data for every dependency, then parses the target packages
 // from source and type-checks them against that export data with the
 // standard library's gc importer. The result is the same
@@ -28,8 +28,6 @@ import (
 // Package is one type-checked target package.
 type Package struct {
 	ImportPath string
-	Dir        string
-	GoFiles    []string // absolute paths, as parsed
 	Fset       *token.FileSet
 	Syntax     []*ast.File
 	Types      *types.Package
@@ -48,9 +46,9 @@ type listPkg struct {
 	Error      *struct{ Err string }
 }
 
-// NewInfo mirrors analysis.NewInfo; duplicated here so the loader has no
-// dependency on the analysis package (it is a generic facility).
-func newInfo() *types.Info {
+// NewInfo returns a types.Info with every map an analyzer might consult
+// allocated, ready to hand to types.Config.Check.
+func NewInfo() *types.Info {
 	return &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -62,21 +60,23 @@ func newInfo() *types.Info {
 	}
 }
 
-// Load resolves patterns (./..., import paths) to type-checked packages.
-// Test files are not loaded: the ghmvet analyzers enforce invariants on
-// production code and exempt _test.go files anyway; the go vet -vettool
-// path covers test variants for the directive checks.
-func Load(patterns []string) ([]*Package, error) {
+// Exports maps an import path to the file holding its gc export data.
+type Exports map[string]string
+
+// list is the one place the tree shells out to `go list -export`: it
+// returns the packages the patterns name and the export data of those
+// and of everything they depend on.
+func list(patterns []string) ([]*listPkg, Exports, error) {
 	args := append([]string{"list", "-export", "-json", "-deps"}, patterns...)
 	cmd := exec.Command("go", args...)
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
 	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, stderr.String())
+		return nil, nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, stderr.String())
 	}
 
-	exports := make(map[string]string) // import path -> export data file
+	exports := make(Exports)
 	var targets []*listPkg
 	dec := json.NewDecoder(&stdout)
 	for {
@@ -84,10 +84,10 @@ func Load(patterns []string) ([]*Package, error) {
 		if err := dec.Decode(&p); err == io.EOF {
 			break
 		} else if err != nil {
-			return nil, fmt.Errorf("go list: decoding output: %v", err)
+			return nil, nil, fmt.Errorf("go list: decoding output: %v", err)
 		}
 		if p.Error != nil {
-			return nil, fmt.Errorf("go list: %s: %s", p.ImportPath, p.Error.Err)
+			return nil, nil, fmt.Errorf("go list: %s: %s", p.ImportPath, p.Error.Err)
 		}
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
@@ -97,15 +97,39 @@ func Load(patterns []string) ([]*Package, error) {
 			targets = append(targets, &q)
 		}
 	}
+	return targets, exports, nil
+}
 
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		f, ok := exports[path]
+// ListExports returns the export data of the packages the patterns name
+// and of their dependencies, for a caller (the fixture harness) that
+// type-checks sources of its own against them.
+func ListExports(patterns ...string) (Exports, error) {
+	_, exports, err := list(patterns)
+	return exports, err
+}
+
+// Importer returns a gc importer that reads from e.
+func (e Exports) Importer(fset *token.FileSet) types.Importer {
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		f, ok := e[path]
 		if !ok {
 			return nil, fmt.Errorf("no export data for %q", path)
 		}
 		return os.Open(f)
 	})
+}
+
+// Load resolves patterns (./..., import paths) to type-checked packages,
+// in dependency order (the order `go list -deps` emits). Test files are
+// not loaded: the ghmvet analyzers enforce invariants on production code
+// and exempt _test.go files anyway.
+func Load(patterns []string) ([]*Package, error) {
+	targets, exports, err := list(patterns)
+	if err != nil {
+		return nil, err
+	}
+	fset := token.NewFileSet()
+	imp := exports.Importer(fset)
 
 	var out []*Package
 	for _, t := range targets {
@@ -125,7 +149,6 @@ func Load(patterns []string) ([]*Package, error) {
 
 func check(fset *token.FileSet, imp types.Importer, t *listPkg) (*Package, error) {
 	var files []*ast.File
-	var paths []string
 	for _, name := range t.GoFiles {
 		path := name
 		if !filepath.IsAbs(path) {
@@ -136,9 +159,8 @@ func check(fset *token.FileSet, imp types.Importer, t *listPkg) (*Package, error
 			return nil, fmt.Errorf("parse %s: %v", path, err)
 		}
 		files = append(files, f)
-		paths = append(paths, path)
 	}
-	info := newInfo()
+	info := NewInfo()
 	conf := types.Config{
 		Importer: imp,
 		Sizes:    types.SizesFor("gc", runtime.GOARCH),
@@ -149,8 +171,6 @@ func check(fset *token.FileSet, imp types.Importer, t *listPkg) (*Package, error
 	}
 	return &Package{
 		ImportPath: t.ImportPath,
-		Dir:        t.Dir,
-		GoFiles:    paths,
 		Fset:       fset,
 		Syntax:     files,
 		Types:      pkg,

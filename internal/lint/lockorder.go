@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -431,7 +430,7 @@ func reportLockCycles(pass *analysis.Pass, local []lockEdge, localPos map[int]to
 		}
 		seen[sig] = true
 		pass.Reportf(localPos[i],
-			"lock-order cycle: %s — acquiring %s while holding %s closes it; a schedule interleaving these acquisitions deadlocks (see the lock-order DOT artifact for the full graph)",
+			"lock-order cycle: %s — acquiring %s while holding %s closes it; a schedule interleaving these acquisitions deadlocks",
 			strings.Join(cycle, " -> "), shortLock(e.To), shortLock(e.From))
 	}
 }
@@ -487,69 +486,4 @@ func sortedKeys(m map[string]bool) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// LockOrderDOT renders the module-wide lock-order graph accumulated in
-// store as Graphviz DOT: one node per lock, one edge per distinct
-// held→acquired pair (labeled with a witness function), cycle members
-// filled red. The standalone driver writes it via -lockdot; CI uploads
-// it as an artifact so a reviewer can see the ordering the module
-// actually implements, not the one the comments claim.
-func LockOrderDOT(store *analysis.FactStore) string {
-	var edges []lockEdge
-	for _, pkg := range store.Packages(LockOrder.Name) {
-		var f lockOrderFact
-		if store.Get(LockOrder.Name, pkg, &f) {
-			edges = append(edges, f.Edges...)
-		}
-	}
-
-	succ := make(map[string]map[string]bool)
-	witness := make(map[string]string) // "from|to" -> func
-	nodes := make(map[string]bool)
-	for _, e := range edges {
-		nodes[e.From], nodes[e.To] = true, true
-		if succ[e.From] == nil {
-			succ[e.From] = make(map[string]bool)
-		}
-		succ[e.From][e.To] = true
-		k := e.From + "|" + e.To
-		if _, ok := witness[k]; !ok {
-			witness[k] = e.Func
-		}
-	}
-
-	// A node is cyclic if it can reach itself.
-	cyclic := make(map[string]bool)
-	for n := range nodes {
-		for next := range succ[n] {
-			if next == n || lockPath(succ, next, n) != nil {
-				cyclic[n] = true
-				break
-			}
-		}
-	}
-
-	var b strings.Builder
-	b.WriteString("// ghmvet lockorder: module-wide lock-order graph.\n")
-	b.WriteString("// An edge A -> B means B was acquired while A was held.\n")
-	b.WriteString("digraph lockorder {\n\trankdir=LR;\n\tnode [shape=box, fontsize=10];\n")
-	for _, n := range sortedKeys(nodes) {
-		attr := ""
-		if cyclic[n] {
-			attr = ", style=filled, fillcolor=\"#ffcccc\""
-		}
-		fmt.Fprintf(&b, "\t%q [label=%q%s];\n", n, shortLock(n), attr)
-	}
-	var pairs []string
-	for k := range witness {
-		pairs = append(pairs, k)
-	}
-	sort.Strings(pairs)
-	for _, k := range pairs {
-		from, to, _ := strings.Cut(k, "|")
-		fmt.Fprintf(&b, "\t%q -> %q [label=%q, fontsize=8];\n", from, to, shortLock(witness[k]))
-	}
-	b.WriteString("}\n")
-	return b.String()
 }

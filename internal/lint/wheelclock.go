@@ -10,7 +10,9 @@ import (
 // wheelclockScope is the set of runtime packages whose pacing and
 // timestamps must ride the injected clock (and its shared timer wheel).
 // The engine owns the wheel; the netlink stations, the session layer,
-// the supervisor and the relay mesh are its clients. Simulation-side
+// the supervisor and the relay mesh are its clients; the outbox, the
+// fabric and the lane mux read no clock at all today and are pinned so
+// the virtual-clock harness can rely on that. Simulation-side
 // packages (chaos, transport, sim) schedule real wall-clock work and
 // are deliberately out of scope, as is ghm/internal/clock itself — it
 // is the one place allowed to touch the runtime clock.
@@ -20,6 +22,9 @@ var wheelclockScope = map[string]bool{
 	"ghm/internal/supervise": true,
 	"ghm/internal/session":   true,
 	"ghm/internal/relay":     true,
+	"ghm/internal/outbox":    true,
+	"ghm/internal/fabric":    true,
+	"ghm/internal/mux":       true,
 }
 
 // wheelclockBanned are the runtime-timer constructors, blockers and
@@ -53,14 +58,14 @@ var Wheelclock = &analysis.Analyzer{
 	Name: "wheelclock",
 	Doc: `forbid runtime timers and wall-clock reads (time.Now/Until/After/Sleep/...) in wheel territory
 
-In ghm/internal/engine, ghm/internal/netlink, ghm/internal/supervise,
-ghm/internal/session and ghm/internal/relay, retry and backoff pacing
-must arm the shared timer wheel (engine.Wheel.AfterFunc / Timer.Reset)
-and timestamps must come from the injected clock (clock.Clock.Now) so
-the whole layer runs unmodified under virtual time. time.After,
-time.Tick, time.Sleep, time.NewTimer, time.NewTicker, time.AfterFunc,
-time.Now, time.Since and time.Until are reported. Code with a documented reason to
-touch the runtime clock carries a //lint:allow wheelclock directive.`,
+In ghm/internal/{engine,netlink,supervise,session,relay,outbox,fabric,mux},
+retry and backoff pacing must arm the shared timer wheel
+(engine.Wheel.AfterFunc / Timer.Reset) and timestamps must come from the
+injected clock (clock.Clock.Now) so the whole layer runs unmodified under
+virtual time. time.After, time.Tick, time.Sleep, time.NewTimer,
+time.NewTicker, time.AfterFunc, time.Now, time.Since and time.Until are
+reported. Code with a documented reason to touch the runtime clock
+carries a //lint:allow wheelclock directive.`,
 	Run: runWheelclock,
 }
 

@@ -21,7 +21,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ghm/internal/stats"
 )
@@ -86,11 +85,6 @@ func (h *Histogram) Observe(x float64) {
 	h.p95.Add(x)
 	h.p99.Add(x)
 	h.mu.Unlock()
-}
-
-// ObserveSince records the elapsed time since start, in milliseconds.
-func (h *Histogram) ObserveSince(start time.Time) {
-	h.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 }
 
 // Value returns the histogram's current summary.

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"ghm/internal/stats"
 )
@@ -107,16 +106,6 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 	}
 	if v.Min < 0 || v.Max > 100 || v.Mean < 45 || v.Mean > 55 {
 		t.Errorf("summary out of range: %+v", v)
-	}
-}
-
-func TestHistogramObserveSince(t *testing.T) {
-	r := New()
-	h := r.Histogram("d_ms")
-	h.ObserveSince(time.Now().Add(-10 * time.Millisecond))
-	v := h.Value()
-	if v.Count != 1 || v.Max < 9 || v.Max > 1000 {
-		t.Errorf("ObserveSince recorded %+v, want ~10ms", v)
 	}
 }
 

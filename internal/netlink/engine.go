@@ -103,8 +103,6 @@ func getPacketBuf() *[]byte { return packetPool.Get().(*[]byte) }
 // the protocol exists for) is the loss the protocol is built to tolerate,
 // and after a permanent one there is nobody to tell: the station learns
 // of a dead conn from its endpoint.
-//
-//ghm:hotpath
 func (io stationIO) transmit(buf *[]byte, pkt []byte) {
 	if len(pkt) > 0 {
 		_ = io.ep.Send(pkt)
@@ -116,8 +114,6 @@ func (io stationIO) transmit(buf *[]byte, pkt []byte) {
 // transmitBatch is transmit for the round that emits one packet per window
 // slot: batch holds the packets, slices of what the round appended to
 // *buf, and leaves in one batched conn call.
-//
-//ghm:hotpath
 func (io stationIO) transmitBatch(buf *[]byte, pkts []byte, batch [][]byte) {
 	_ = io.ep.SendBatch(batch)
 	*buf = pkts[:0]

@@ -142,8 +142,6 @@ func (l *Link) Init(m LinkModel, seed int64) {
 // burst loss, i.i.d. loss, duplication, then per copy jitter and hold —
 // and, the i.i.d. draw apart, draws nothing for a feature that is off, so
 // a seed's schedule does not depend on the features a model leaves out.
-//
-//ghm:hotpath
 func (l *Link) Fate(now time.Time, size int) (f Fate) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

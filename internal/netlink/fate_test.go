@@ -217,6 +217,31 @@ func TestFate(t *testing.T) {
 	}
 }
 
+// TestFateAllocatesNothing is the model's allocation budget: fabric.Port.Send
+// and ImpairedConn ask Fate about every packet, so with every feature on
+// — loss, burst, duplication, reorder, latency, jitter, bandwidth — a
+// Fate and a Land per released copy cost no allocation.
+func TestFateAllocatesNothing(t *testing.T) {
+	var l Link
+	l.Init(LinkModel{
+		Loss: 0.1, DupProb: 0.2, ReorderProb: 0.3,
+		Burst:   &GilbertElliott{PGoodBad: 0.1, PBadGood: 0.3, LossGood: 0.01, LossBad: 0.8},
+		Latency: time.Millisecond, Jitter: time.Millisecond, Bandwidth: 1 << 20,
+	}, 7)
+	now := time.Unix(1_000_000, 0)
+	if got := testing.AllocsPerRun(1000, func() {
+		now = now.Add(100 * time.Microsecond)
+		for f := l.Fate(now, 64); f.N > 0; f.N-- {
+			l.Land()
+		}
+	}); got != 0 {
+		t.Errorf("Fate + Land: %v allocs per packet, want 0", got)
+	}
+	if st := l.Stats(); st.Delivered == 0 || st.Duplicated == 0 || st.DropIID == 0 || st.DropBurst == 0 {
+		t.Errorf("the run did not visit every branch: %+v", st)
+	}
+}
+
 // TestFateBurstsAreBursts checks the one thing about burst loss a pinned
 // row cannot say: over many packets the drops of a Gilbert–Elliott link
 // come in runs of about 1/PBadGood, where i.i.d. loss at the same rate

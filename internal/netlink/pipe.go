@@ -76,7 +76,9 @@ func (l bufList) copy(p []byte) []byte {
 	case b = <-l:
 	default:
 	}
-	//lint:allow hotpathalloc allocates only when the list is empty (a nil b): for a Receiver that is the delivery copy, the message that outlives the conn's packet buffer
+	// Allocates only when the list is empty (a nil b): for a Receiver that
+	// is the delivery copy, the message that outlives the conn's packet
+	// buffer.
 	return append(b[:0], p...)
 }
 

@@ -191,8 +191,6 @@ func NewReceiver(conn PacketConn, cfg ReceiverConfig) (*Receiver, error) {
 
 // emit reports one externally visible action; callers hold r.mu so taps
 // observe actions in commit order.
-//
-//ghm:hotpath
 func (r *Receiver) emit(k trace.Kind, msg []byte, slot int) {
 	if r.tap != nil {
 		r.tap(k, msg, slot)
@@ -333,8 +331,6 @@ func (r *Receiver) room() bool { return len(r.out)+int(r.parked.Load()) < cap(r.
 // committed — taped, counted — under r.mu before the reply leaves, so a
 // tap always observes receive_msg(m) before any OK it can cause, then
 // goes through the in-order release.
-//
-//ghm:hotpath
 func (r *Receiver) handlePacket(p []byte) {
 	if !r.room() {
 		r.m.ingressShed.Inc()
@@ -371,8 +367,9 @@ func (r *Receiver) handlePacket(p []byte) {
 // inbound packet, which the conn lends only until the pump's next Recv
 // (PacketConn.Recv), and the copy is what Recv hands to its caller. The
 // copy goes into a message a caller gave back, when there is one; the
-// allocation, and its hotpathalloc allow, is bufList.copy's empty-list
-// fallback.
+// allocation is bufList.copy's empty-list fallback — the one allocation
+// TestStationRoundAllocBudget allows a round, and none when every message
+// is given back (TestReceiverGiveBackAllocBudget).
 func (r *Receiver) copyMsg(msg []byte) []byte { return r.spare.copy(msg) }
 
 // commit runs one protocol delivery through the in-order release and
@@ -529,8 +526,6 @@ func (r *Receiver) askAgain() {
 // it fires the RETRY action on the slots that are due — none, when every
 // due time has moved on since the timer was set, as on a busy link it
 // always has — and sets the timer for the earliest due time there is then.
-//
-//ghm:hotpath
 func (r *Receiver) retryTick() {
 	r.mu.Lock()
 	if r.closed {
@@ -567,8 +562,6 @@ func (r *Receiver) retryTick() {
 // slot on a dead link without giving up the "infinitely often" the
 // protocol needs. Call with r.mu held; the caller flushes what it returns
 // with transmitBatch after unlocking.
-//
-//ghm:hotpath
 func (r *Receiver) retryLocked(slots uint64, now time.Time) (buf *[]byte, pkts []byte, batch [][]byte) {
 	buf = getPacketBuf()
 	pkts, batch = r.wr.AppendRetry(*buf, r.batch[:0], slots)

@@ -134,8 +134,6 @@ func NewSender(conn PacketConn, cfg SenderConfig) (*Sender, error) {
 
 // emit reports one externally visible action; callers hold s.mu so taps
 // observe actions in commit order.
-//
-//ghm:hotpath
 func (s *Sender) emit(k trace.Kind, msg []byte, slot int) {
 	if s.tap != nil {
 		s.tap(k, msg, slot)
@@ -219,8 +217,8 @@ func (s *Sender) settle(slot int) (error, bool) {
 // by settle after losing the race to a cancellation.
 func (s *Sender) finish(start time.Time, err error) error {
 	if err == nil {
-		// Elapsed on the station's own clock: ObserveSince would re-read
-		// the wall clock, which is wrong under virtual time.
+		// Elapsed on the station's own clock: start was read from it, and
+		// the wall clock stands in no relation to it under virtual time.
 		s.m.okLatencyMS.Observe(float64(s.io.clock().Now().Sub(start)) / float64(time.Millisecond))
 		return nil
 	}
@@ -358,8 +356,6 @@ func (s *Sender) Close() error {
 // slot. It must not block — the slot's result channel is buffered and its
 // one send belongs to whoever clears the waiting flag under the lock, so
 // the resolve cannot stall the pump.
-//
-//ghm:hotpath
 func (s *Sender) handlePacket(p []byte) {
 	buf := getPacketBuf()
 	s.mu.Lock()

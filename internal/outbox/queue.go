@@ -162,8 +162,6 @@ func New(cfg Config) (*Queue, error) {
 // Enqueue accepts a message for ordered, confirmed delivery and returns
 // its queue id. The queue copies msg; the caller may reuse it at once.
 // With a WAL, the message is durable before Enqueue returns.
-//
-//ghm:hotpath
 func (q *Queue) Enqueue(msg []byte) (uint64, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -266,7 +264,8 @@ func (q *Queue) slot(pos uint64) *entry { return &q.ring[pos&uint64(len(q.ring)-
 // smaller than the backlog). Positions are absolute, so nothing is
 // renumbered; free slots' buffers are left behind. Call with q.mu held.
 func (q *Queue) resize(n int) {
-	//lint:allow hotpathalloc the ring doubles when a burst fills it and halves as it drains: amortized over the burst
+	// The ring doubles when a burst fills it and halves as it drains: the
+	// allocation is amortized over the burst.
 	ring := make([]entry, n)
 	for p := q.head; p != q.tail; p++ {
 		ring[p&uint64(n-1)] = *q.slot(p)
@@ -297,8 +296,6 @@ func (q *Queue) push(id uint64, msg []byte) *entry {
 // the calling worker's buffer, and returned as msg. Slot buffers are only
 // read, so a run that fails is formed again from intact entries. Call
 // with q.mu held.
-//
-//ghm:hotpath
 func (q *Queue) claim(run *[]byte) (pos, n uint64, msg []byte, ok bool) {
 	for pos = q.head; pos != q.tail && q.slot(pos).state != queued; pos++ {
 	}

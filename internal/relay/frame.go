@@ -112,7 +112,7 @@ func (l *idLedger) add(id uint64) bool {
 	}
 	if id != l.low {
 		if l.above == nil {
-			//lint:allow hotpathalloc a source's first out-of-order id: its sparse set is made once
+			// A source's first out-of-order id: its sparse set is made once.
 			l.above = make(map[uint64]struct{})
 		}
 		l.above[id] = struct{}{}
@@ -208,8 +208,6 @@ const maxAckRun = 256
 // to run. Anything else — a data frame, another route, a frame that does
 // not parse, a run that would pass maxAckRun — is refused with run
 // untouched, and leaves as a message of its own.
-//
-//ghm:hotpath
 func mergeAcks(run, next []byte) ([]byte, bool) {
 	a, err := parseFrame(run)
 	if err != nil || a.Kind != frameAck {

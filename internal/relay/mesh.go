@@ -441,8 +441,6 @@ func (m *Mesh) Delivered() <-chan []byte { return m.deliveredCh }
 // than this entry's deadline, and the pass it triggers re-arms for the
 // next one; only an unarmed timer (an empty table, or nothing but parked
 // entries) or a parked entry needs a pass now.
-//
-//ghm:hotpath
 func (m *Mesh) Submit(payload []byte) (uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -458,7 +456,7 @@ func (m *Mesh) Submit(payload []byte) (uint64, error) {
 	if n := len(m.spare); n > 0 {
 		e, m.spare = m.spare[n-1], m.spare[:n-1]
 	} else {
-		//lint:allow hotpathalloc no acked entry to refill: the in-flight table is growing
+		// No acked entry to refill: the in-flight table is growing.
 		e = new(entry)
 	}
 	e.id, e.attempt = id, 0
@@ -513,7 +511,7 @@ func (m *Mesh) dispatchLocked(e *entry, now time.Time) {
 		return
 	}
 	if m.cfg.MaxAttempts > 0 && int(e.attempt) >= m.cfg.MaxAttempts {
-		//lint:allow hotpathalloc the sticky fatal error, formatted once in a mesh's life
+		// The sticky fatal error, formatted once in a mesh's life.
 		m.err = fmt.Errorf("relay: payload %d exhausted %d dispatch attempts", e.id, m.cfg.MaxAttempts)
 		delete(m.inflight, e.id)
 		if e.parked {
@@ -572,8 +570,6 @@ func (m *Mesh) parkLocked(e *entry) {
 // entries only through the table, under m.mu. The router is not woken —
 // the timer it armed fires at this entry's deadline at the latest, finds
 // it gone and re-arms for the earliest one left.
-//
-//ghm:hotpath
 func (m *Mesh) completeAck(id uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -218,8 +218,6 @@ func (n *node) stop() {
 // deliver (destination), complete (ack at the source) or forward. It
 // reports whether p was kept — its payload handed to Delivered — rather
 // than finished with: every Enqueue copies what it sends on.
-//
-//ghm:hotpath
 func (n *node) handleFrame(rt *nodeRuntime, p []byte) (kept bool) {
 	m := n.m
 	f, err := parseFrame(p)

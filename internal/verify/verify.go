@@ -200,7 +200,7 @@ func (c *Checker) Observe(e trace.Event) { c.observe(e.Kind, []byte(e.Msg), e.Sl
 // observe is Observe over payload bytes, which it reads but does not keep.
 func (c *Checker) observe(kind trace.Kind, msg []byte, slot int) {
 	if c.recs == nil {
-		//lint:allow hotpathalloc the two tables are made on the first event of a checker's life
+		// The two tables are made on the first event of a checker's life.
 		c.recs, c.old = make(map[digest]record), make(map[digest]record)
 	}
 	c.idx++
@@ -324,8 +324,6 @@ type Live struct {
 }
 
 // Observe records one station action; msg is digested in place, not kept.
-//
-//ghm:hotpath
 func (l *Live) Observe(kind trace.Kind, msg []byte, slot int) {
 	l.mu.Lock()
 	l.c.horizon = liveHorizon
