@@ -84,7 +84,7 @@ func BenchmarkE6Crash(b *testing.B) {
 	}
 }
 
-func BenchmarkE7Transport(b *testing.B) {
+func BenchmarkE7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.E7(benchOptions(i))
 		if len(r.Rows) != 2 {

@@ -229,39 +229,55 @@ type chaosOptions struct {
 	supervised  bool
 }
 
-// runChaos executes one live-station chaos soak: generate (or replay) a
-// scenario, drive its fault timeline against a real Sender/Receiver pair
-// under an impaired link, and fail on any live conformance violation.
-func runChaos(out io.Writer, o chaosOptions) error {
+// scenario gives a live mode its scenario: the -scenario file, which must
+// carry the mode's spec when has is set, or gen's for -seed. It then
+// honours -scenario-out and -v. mode names the mode's flag and prefixes
+// every line it prints.
+func scenario(out io.Writer, o chaosOptions, mode string, gen func(seed int64) chaos.Scenario, spec string, has func(chaos.Scenario) bool) (chaos.Scenario, error) {
 	var sc chaos.Scenario
 	if o.scenarioIn != "" {
 		data, err := os.ReadFile(o.scenarioIn)
 		if err != nil {
-			return err
+			return sc, err
 		}
-		sc, err = chaos.ParseScenario(data)
-		if err != nil {
-			return err
+		if sc, err = chaos.ParseScenario(data); err != nil {
+			return sc, err
 		}
-		fmt.Fprintf(out, "chaos: replaying %s (seed %d)\n", o.scenarioIn, sc.Seed)
+		if has != nil && !has(sc) {
+			return sc, fmt.Errorf("scenario %s has no %s spec; generate one with -%s -scenario-out", o.scenarioIn, spec, mode)
+		}
+		fmt.Fprintf(out, "%s: replaying %s (seed %d)\n", mode, o.scenarioIn, sc.Seed)
 	} else {
+		sc = gen(o.seed)
+		fmt.Fprintf(out, "%s: seed %d (rerun with -%s -seed %d)\n", mode, o.seed, mode, o.seed)
+	}
+	if o.scenarioOut != "" {
+		if err := os.WriteFile(o.scenarioOut, []byte(sc.JSON()+"\n"), 0o644); err != nil {
+			return sc, err
+		}
+		fmt.Fprintf(out, "%s: scenario written to %s\n", mode, o.scenarioOut)
+	}
+	if o.verbose {
+		fmt.Fprintln(out, sc.JSON())
+	}
+	return sc, nil
+}
+
+// runChaos executes one live-station chaos soak: generate (or replay) a
+// scenario, drive its fault timeline against a real Sender/Receiver pair
+// under an impaired link, and fail on any live conformance violation.
+func runChaos(out io.Writer, o chaosOptions) error {
+	sc, err := scenario(out, o, "chaos", func(seed int64) chaos.Scenario {
 		var gen chaos.GenConfig
 		if o.supervised {
 			// The wedge is the supervisor's signature fault: only a
 			// watchdog-driven redial recovers from it.
 			gen.Wedges = 1
 		}
-		sc = chaos.Generate(o.seed, gen)
-		fmt.Fprintf(out, "chaos: seed %d (rerun with -chaos -seed %d)\n", o.seed, o.seed)
-	}
-	if o.scenarioOut != "" {
-		if err := os.WriteFile(o.scenarioOut, []byte(sc.JSON()+"\n"), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "chaos: scenario written to %s\n", o.scenarioOut)
-	}
-	if o.verbose {
-		fmt.Fprintln(out, sc.JSON())
+		return chaos.Generate(seed, gen)
+	}, "", nil)
+	if err != nil {
+		return err
 	}
 	fmt.Fprintf(out, "chaos: %d crashes^T, %d crashes^R, %d blackouts, %d loss ramps, %d wedges over %v\n",
 		sc.Count(chaos.CrashSender), sc.Count(chaos.CrashReceiver),
@@ -385,32 +401,11 @@ func runSweep(out io.Writer, seed int64, artifact string) error {
 // and fail on any live conformance violation. The whole attack replays
 // from the scenario JSON alone.
 func runAdversary(out io.Writer, o chaosOptions) error {
-	var sc chaos.Scenario
-	if o.scenarioIn != "" {
-		data, err := os.ReadFile(o.scenarioIn)
-		if err != nil {
-			return err
-		}
-		sc, err = chaos.ParseScenario(data)
-		if err != nil {
-			return err
-		}
-		if sc.Adversary == nil {
-			return fmt.Errorf("scenario %s has no adversary spec; generate one with -adversary -scenario-out", o.scenarioIn)
-		}
-		fmt.Fprintf(out, "adversary: replaying %s (seed %d)\n", o.scenarioIn, sc.Seed)
-	} else {
-		sc = chaos.GenerateAdversary(o.seed, chaos.GenConfig{})
-		fmt.Fprintf(out, "adversary: seed %d (rerun with -adversary -seed %d)\n", o.seed, o.seed)
-	}
-	if o.scenarioOut != "" {
-		if err := os.WriteFile(o.scenarioOut, []byte(sc.JSON()+"\n"), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "adversary: scenario written to %s\n", o.scenarioOut)
-	}
-	if o.verbose {
-		fmt.Fprintln(out, sc.JSON())
+	sc, err := scenario(out, o, "adversary", func(seed int64) chaos.Scenario {
+		return chaos.GenerateAdversary(seed, chaos.GenConfig{})
+	}, "adversary", func(sc chaos.Scenario) bool { return sc.Adversary != nil })
+	if err != nil {
+		return err
 	}
 	kinds := make([]string, 0, len(sc.Adversary.Strategies))
 	for _, st := range sc.Adversary.Strategies {
@@ -453,32 +448,11 @@ func runAdversary(out io.Writer, o chaosOptions) error {
 // five-node mesh, and fail unless every payload arrives exactly once
 // with every hop's live conformance clean.
 func runRelay(out io.Writer, o chaosOptions) error {
-	var sc chaos.Scenario
-	if o.scenarioIn != "" {
-		data, err := os.ReadFile(o.scenarioIn)
-		if err != nil {
-			return err
-		}
-		sc, err = chaos.ParseScenario(data)
-		if err != nil {
-			return err
-		}
-		if sc.Mesh == nil {
-			return fmt.Errorf("scenario %s has no mesh spec; generate one with -relay -scenario-out", o.scenarioIn)
-		}
-		fmt.Fprintf(out, "relay: replaying %s (seed %d)\n", o.scenarioIn, sc.Seed)
-	} else {
-		sc = chaos.GenerateMesh(o.seed, chaos.MeshGenConfig{})
-		fmt.Fprintf(out, "relay: seed %d (rerun with -relay -seed %d)\n", o.seed, o.seed)
-	}
-	if o.scenarioOut != "" {
-		if err := os.WriteFile(o.scenarioOut, []byte(sc.JSON()+"\n"), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "relay: scenario written to %s\n", o.scenarioOut)
-	}
-	if o.verbose {
-		fmt.Fprintln(out, sc.JSON())
+	sc, err := scenario(out, o, "relay", func(seed int64) chaos.Scenario {
+		return chaos.GenerateMesh(seed, chaos.MeshGenConfig{})
+	}, "mesh", func(sc chaos.Scenario) bool { return sc.Mesh != nil })
+	if err != nil {
+		return err
 	}
 	fmt.Fprintf(out, "relay: %d nodes, %d links, %d disjoint routes %d->%d; %d node crashes, %d link blackouts, %d loss ramps over %v\n",
 		sc.Mesh.Topology.Nodes, len(sc.Mesh.Topology.Links), sc.Mesh.Routes,

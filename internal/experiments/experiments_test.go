@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -106,9 +105,48 @@ func TestE7FloodingCostlier(t *testing.T) {
 		t.Errorf("flooding not costlier than path routing:\n%s", res.Table())
 	}
 	for _, row := range res.Rows {
-		if row.Completed == 0 {
-			t.Errorf("%v completed nothing", row.Mode)
+		if row.Completed != row.Messages {
+			t.Errorf("%s completed %d of %d", row.Mode, row.Completed, row.Messages)
 		}
+	}
+}
+
+// The next four tests were internal/transport's, for the relays E7 now
+// runs inline: each relay carries a packet corner to corner, flooding
+// costs more on every seed, and GHM over either one delivers every
+// message, in order, once, on a grid that really loses packets.
+
+func TestE7FloodingDelivers(t *testing.T)    { e7Delivers(t, "flooding") }
+func TestE7PathRoutingDelivers(t *testing.T) { e7Delivers(t, "path-routing") }
+
+func e7Delivers(t *testing.T, mode string) {
+	t.Helper()
+	if row := runE7Mode(2, mode, 1); row.Completed != 1 || row.Misdelivered != 0 {
+		t.Errorf("one message: %+v", row)
+	}
+}
+
+func TestE7FloodingCostExceedsPathCost(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		flood, path := runE7Mode(seed, "flooding", 20), runE7Mode(seed, "path-routing", 20)
+		if flood.TraversalsPer <= path.TraversalsPer {
+			t.Errorf("seed %d: flooding %.1f traversals/msg not above path routing's %.1f",
+				seed, flood.TraversalsPer, path.TraversalsPer)
+		}
+	}
+}
+
+func TestE7GHMSessionOverNetwork(t *testing.T) {
+	for _, mode := range []string{"flooding", "path-routing"} {
+		t.Run(mode, func(t *testing.T) {
+			row := runE7Mode(6, mode, 10)
+			if row.Completed != 10 || row.Misdelivered != 0 {
+				t.Errorf("completed %d of 10, %d misdelivered", row.Completed, row.Misdelivered)
+			}
+			if row.LostTraversals == 0 {
+				t.Error("the grid lost nothing: no faults to survive")
+			}
+		})
 	}
 }
 
@@ -162,9 +200,15 @@ func TestE10BurstLatencyClimbs(t *testing.T) {
 	if !res.LatencyClimbs() {
 		t.Errorf("burst length did not raise per-message latency:\n%s", res.Table())
 	}
-	// A row is a function of the seed alone: virtual clock, no goroutines.
-	if again := E10(small); !reflect.DeepEqual(again, res) {
-		t.Errorf("same seed, different table:\n%s\n%s", res.Table(), again.Table())
+}
+
+// TestTablesAreSeedExact: every table is a function of its options alone,
+// so EXPERIMENTS.md can quote a run and anyone can regenerate it.
+func TestTablesAreSeedExact(t *testing.T) {
+	for _, e := range All() {
+		if first, again := e.Run(small).String(), e.Run(small).String(); first != again {
+			t.Errorf("%s: same seed, different table:\n%s\n%s", e.ID, first, again)
+		}
 	}
 }
 

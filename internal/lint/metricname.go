@@ -21,7 +21,6 @@ var metricFamilyGrammar = regexp.MustCompile(`^(tx|rx|link|chaos|session|relay|a
 var metricRegistryMethods = map[string]bool{
 	"Counter":      true,
 	"Gauge":        true,
-	"GaugeFunc":    true,
 	"GaugeFuncSum": true,
 	"Histogram":    true,
 }
@@ -37,7 +36,7 @@ var MetricName = &analysis.Analyzer{
 	Name: "metricname",
 	Doc: `metric names must be declared constants matching the family grammar
 
-Every string reaching Registry.Counter/Gauge/GaugeFunc/GaugeFuncSum/Histogram must be
+Every string reaching Registry.Counter/Gauge/GaugeFuncSum/Histogram must be
 composed of declared string constants (no raw literals at the call), and
 when the full name is a compile-time constant it must match
 (tx|rx|link|chaos|session|relay|adversary).snake_case. Raw literals

@@ -19,12 +19,12 @@ const mixed = "tx.CamelCase"
 const nearMiss = "adversarial.attacks_mounted"
 
 func register(reg *metrics.Registry, id int) {
-	reg.Counter("tx.raw_literal")                     // want "metric name literal"
-	reg.Gauge(offFamily)                              // want "does not match the family grammar"
-	reg.Histogram(mixed)                              // want "does not match the family grammar"
-	reg.Counter(nearMiss)                             // want "does not match the family grammar"
-	reg.Counter(fmt.Sprintf("link.ep%d.dropped", id)) // want "metric name literal"
-	reg.GaugeFunc("session.depth", func() float64 {   // want "metric name literal"
+	reg.Counter("tx.raw_literal")                      // want "metric name literal"
+	reg.Gauge(offFamily)                               // want "does not match the family grammar"
+	reg.Histogram(mixed)                               // want "does not match the family grammar"
+	reg.Counter(nearMiss)                              // want "does not match the family grammar"
+	reg.Counter(fmt.Sprintf("link.ep%d.dropped", id))  // want "metric name literal"
+	reg.GaugeFuncSum("session.depth", func() float64 { // want "metric name literal"
 		return 0
 	})
 }

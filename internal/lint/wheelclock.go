@@ -13,9 +13,10 @@ import (
 // the supervisor and the relay mesh are its clients; the outbox, the
 // fabric and the lane mux read no clock at all today and are pinned so
 // the virtual-clock harness can rely on that. Simulation-side
-// packages (chaos, transport, sim) schedule real wall-clock work and
-// are deliberately out of scope, as is ghm/internal/clock itself — it
-// is the one place allowed to touch the runtime clock.
+// packages (chaos schedules real wall-clock work; sim and the
+// experiments keep their own time) are deliberately out of scope, as is
+// ghm/internal/clock itself — it is the one place allowed to touch the
+// runtime clock.
 var wheelclockScope = map[string]bool{
 	"ghm/internal/engine":    true,
 	"ghm/internal/netlink":   true,

@@ -117,12 +117,11 @@ type HistogramValue struct {
 // registered, so independent components sharing a name share the metric
 // (their counts sum — e.g. both directions of a link under "link.").
 type Registry struct {
-	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	gaugeFuncs map[string]func() float64
-	gaugeSums  map[string][]*sumTerm
-	hists      map[string]*Histogram
+	mu        sync.Mutex
+	counters  map[string]*Counter
+	gauges    map[string]*Gauge
+	gaugeSums map[string][]*sumTerm
+	hists     map[string]*Histogram
 }
 
 // sumTerm is one component's contribution to a summed gauge; the pointer
@@ -132,11 +131,10 @@ type sumTerm struct{ fn func() float64 }
 // New returns an empty registry.
 func New() *Registry {
 	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		gaugeFuncs: make(map[string]func() float64),
-		gaugeSums:  make(map[string][]*sumTerm),
-		hists:      make(map[string]*Histogram),
+		counters:  make(map[string]*Counter),
+		gauges:    make(map[string]*Gauge),
+		gaugeSums: make(map[string][]*sumTerm),
+		hists:     make(map[string]*Histogram),
 	}
 }
 
@@ -168,15 +166,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
-}
-
-// GaugeFunc registers fn to be evaluated at snapshot time under name,
-// replacing any previous function with that name. It suits values another
-// component already maintains (queue depths, goroutine counts).
-func (r *Registry) GaugeFunc(name string, fn func() float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.gaugeFuncs[name] = fn
 }
 
 // GaugeFuncSum adds fn to the functions registered under name: the gauge
@@ -231,10 +220,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range r.gauges {
 		gauges[k] = v
 	}
-	gaugeFuncs := make(map[string]func() float64, len(r.gaugeFuncs))
-	for k, v := range r.gaugeFuncs {
-		gaugeFuncs[k] = v
-	}
 	gaugeSums := make(map[string][]*sumTerm, len(r.gaugeSums))
 	for k, v := range r.gaugeSums {
 		gaugeSums[k] = slices.Clone(v)
@@ -247,7 +232,7 @@ func (r *Registry) Snapshot() Snapshot {
 
 	s := Snapshot{
 		Counters:   make(map[string]int64, len(counters)),
-		Gauges:     make(map[string]float64, len(gauges)+len(gaugeFuncs)+len(gaugeSums)),
+		Gauges:     make(map[string]float64, len(gauges)+len(gaugeSums)),
 		Histograms: make(map[string]HistogramValue, len(hists)),
 	}
 	for k, c := range counters {
@@ -255,9 +240,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for k, g := range gauges {
 		s.Gauges[k] = g.Value()
-	}
-	for k, fn := range gaugeFuncs {
-		s.Gauges[k] = fn()
 	}
 	for k, terms := range gaugeSums {
 		var sum float64

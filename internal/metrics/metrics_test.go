@@ -31,7 +31,7 @@ func TestCounterAndGaugeBasics(t *testing.T) {
 	if got := g.Value(); got != 2.5 {
 		t.Errorf("gauge = %v, want 2.5", got)
 	}
-	r.GaugeFunc("a.fn", func() float64 { return 7 })
+	r.GaugeFuncSum("a.fn", func() float64 { return 7 })
 
 	s := r.Snapshot()
 	if s.Counters["a.events"] != 5 || s.Gauges["a.level"] != 2.5 || s.Gauges["a.fn"] != 7 {

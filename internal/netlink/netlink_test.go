@@ -148,11 +148,24 @@ func goroutinesOf() int {
 	return n
 }
 
+// awaitGoroutinesOf waits until goroutinesOf is n. A closed conn's
+// goroutines exit after Close returns, so a count taken at once can still
+// see them.
+func awaitGoroutinesOf(t *testing.T, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); goroutinesOf() != n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of this package's goroutines running after 2s, want %d", goroutinesOf(), n)
+		}
+	}
+}
+
 // TestPipeGoroutines pins what a pipe costs in goroutines: a perfect one
 // none at all, a faulty one the impairment stage's one per direction —
 // and closing one end takes them all down.
 func TestPipeGoroutines(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
+	awaitGoroutinesOf(t, 0) // earlier tests' conns are closed
 	const ms = time.Millisecond
 	for _, tc := range []struct {
 		name string
@@ -164,16 +177,16 @@ func TestPipeGoroutines(t *testing.T) {
 		{"latent", PipeConfig{LinkModel: LinkModel{Latency: ms, Jitter: ms, Bandwidth: 1 << 20, Burst: &GilbertElliott{PGoodBad: 0.1, PBadGood: 0.5, LossBad: 0.5}}, Seed: 1}, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			before := goroutinesOf()
 			a, b := Pipe(tc.cfg)
-			defer b.Close()           // one end only
 			for i := 0; i < 50; i++ { // anything started lazily has started by now
 				a.Send([]byte("ping"))
 				b.Send([]byte("pong"))
 			}
-			if got := goroutinesOf() - before; got != tc.want {
+			if got := goroutinesOf(); got != tc.want {
 				t.Errorf("Pipe started %d goroutines, want %d", got, tc.want)
 			}
+			b.Close()               // one end only
+			awaitGoroutinesOf(t, 0) // the next case counts from zero
 		})
 	}
 }

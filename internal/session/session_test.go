@@ -534,8 +534,8 @@ func stalledSession(t *testing.T, reg *metrics.Registry) *Session {
 
 // TestBacklogGaugeSumsSessions: sessions sharing a registry report their
 // total backlog under session.backlog, and a closed session's share goes
-// with it. Registered with GaugeFunc, which replaces by name, the gauge
-// was the depth of whichever session registered last.
+// with it. A gauge function that replaced its predecessor by name would
+// read the depth of whichever session registered last.
 func TestBacklogGaugeSumsSessions(t *testing.T) {
 	reg := metrics.New()
 	s1, s2 := stalledSession(t, reg), stalledSession(t, reg)

@@ -214,12 +214,12 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	v := clock.NewVirtual(time.Time{}, cfg.Seed)
-	fab := fabric.New(fabric.Config{Clock: v, Seed: mix(cfg.Seed, 0x5a)})
+	fab := fabric.New(fabric.Config{Clock: v, Seed: netlink.MixSeed(cfg.Seed, 0x5a)})
 	w := &world{
 		cfg:    cfg,
 		clk:    v,
 		fab:    fab,
-		rng:    prng{s: uint64(mix(cfg.Seed, 0xfa))},
+		rng:    prng{s: uint64(netlink.MixSeed(cfg.Seed, 0xfa))},
 		hash:   fnv.New64a(),
 		writer: cfg.TraceWriter,
 	}
@@ -251,11 +251,11 @@ func Run(cfg Config) (*Result, error) {
 func (w *world) newPair(i int) (*pair, error) {
 	ptx := core.Params{
 		Epsilon: w.cfg.Epsilon,
-		Source:  bitstr.NewSeededSource(mix(w.cfg.Seed, int64(2*i+1))),
+		Source:  bitstr.NewSeededSource(netlink.MixSeed(w.cfg.Seed, int64(2*i+1))),
 	}
 	prx := core.Params{
 		Epsilon: w.cfg.Epsilon,
-		Source:  bitstr.NewSeededSource(mix(w.cfg.Seed, int64(2*i+2))),
+		Source:  bitstr.NewSeededSource(netlink.MixSeed(w.cfg.Seed, int64(2*i+2))),
 	}
 	tx, err := core.NewTransmitter(ptx)
 	if err != nil {
@@ -302,13 +302,13 @@ func (w *world) newPair(i int) (*pair, error) {
 func (w *world) arm() {
 	for _, p := range w.pairs {
 		p := p
-		msgPhase := time.Duration(uint64(mix(w.cfg.Seed, int64(3*p.id+1))) % uint64(w.cfg.MsgEvery))
+		msgPhase := time.Duration(uint64(netlink.MixSeed(w.cfg.Seed, int64(3*p.id+1))) % uint64(w.cfg.MsgEvery))
 		var mt clock.Timer
 		mt = w.clk.AfterFunc(msgPhase, func() {
 			w.submit(p)
 			mt.Reset(w.cfg.MsgEvery)
 		})
-		retryPhase := time.Duration(uint64(mix(w.cfg.Seed, int64(3*p.id+2))) % uint64(w.cfg.RetryEvery))
+		retryPhase := time.Duration(uint64(netlink.MixSeed(w.cfg.Seed, int64(3*p.id+2))) % uint64(w.cfg.RetryEvery))
 		var rt clock.Timer
 		rt = w.clk.AfterFunc(retryPhase, func() {
 			w.route(p.pr, p.rx.Retry().Packets)
@@ -468,14 +468,6 @@ func (w *world) collect(wall time.Duration) *Result {
 		})
 	}
 	return res
-}
-
-// mix decorrelates derived seeds (SplitMix64 finalizer).
-func mix(seed, n int64) int64 {
-	z := uint64(seed) + uint64(n)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
 }
 
 // prng is a SplitMix64 stream for the fault schedule.
