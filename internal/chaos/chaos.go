@@ -47,7 +47,7 @@ const (
 	WedgeSender ActionKind = "wedge_sender"
 
 	// CrashNode crashes the entire relay node Action.Node: every session,
-	// receiver and in-memory forwarding ledger it hosts is torn down at
+	// receiver and per-hop dedup window it hosts is torn down at
 	// once, not just one link. Requires Targets.Nodes; no-op otherwise.
 	CrashNode ActionKind = "crash_node"
 	// RestartNode rebuilds a previously crashed relay node.

@@ -157,8 +157,9 @@ type ackRunMesh struct {
 	*Mesh
 	reg   *metrics.Registry
 	tl    testLinks
-	via   int    // the live side's relay
-	route []byte // 0, via, 2: the route the test's acks claim to answer
+	via   int          // the live side's relay
+	route []byte       // 0, via, 2: the route the test's acks claim to answer
+	in    *dedupWindow // the window of the hop the test's frames arrive on
 }
 
 func newAckRunMesh(t *testing.T, seed int64, payloads int) ackRunMesh {
@@ -173,7 +174,7 @@ func newAckRunMesh(t *testing.T, seed int64, payloads int) ackRunMesh {
 		Seed: seed, Metrics: reg,
 	})
 	used := m.Routes()[0][1]
-	am := ackRunMesh{Mesh: m, reg: reg, tl: tl, via: 4 - used}
+	am := ackRunMesh{Mesh: m, reg: reg, tl: tl, via: 4 - used, in: new(dedupWindow)}
 	am.route = []byte{0, byte(am.via), 2}
 	am.blackout(0, used, true)
 	for i := 0; i < payloads; i++ {
@@ -194,13 +195,9 @@ func (am ackRunMesh) blackout(a, b int, on bool) {
 	}
 }
 
-// arrive hands node id a frame as its hop receiver would.
+// arrive hands node id a frame as the test's hop receiver would.
 func (am ackRunMesh) arrive(id int, p []byte) {
-	n := am.nodes[id]
-	n.mu.Lock()
-	rt := n.rt
-	n.mu.Unlock()
-	n.handleFrame(rt, bytes.Clone(p))
+	am.nodes[id].handleFrame(am.in, bytes.Clone(p))
 }
 
 // acked waits — seconds, against an ack timeout of an hour — for the
@@ -228,7 +225,7 @@ func (am ackRunMesh) flushed(t *testing.T) {
 }
 
 // TestMeshAckRunDeliveredTwice: a relay forwards an ack run whole, both
-// times a hop delivers it — acks skip the per-hop ledger — and the source
+// times a hop delivers it — acks skip the per-hop dedup — and the source
 // retires every id of the first and shrugs at the second.
 func TestMeshAckRunDeliveredTwice(t *testing.T) {
 	am := newAckRunMesh(t, 2121, 5)
@@ -247,8 +244,66 @@ func TestMeshAckRunDeliveredTwice(t *testing.T) {
 		t.Errorf("%d ack frames reached the source, want 1 or 2", frames)
 	}
 	if dups := am.Stats().DupSuppressed; dups != 0 {
-		t.Errorf("%d frames suppressed: an ack met the per-hop ledger", dups)
+		t.Errorf("%d frames suppressed: an ack met the per-hop dedup window", dups)
 	}
+}
+
+// TestMeshHopDedupWindow: a relay forwards a data frame its inbound hop
+// delivers twice once, and counts the second copy once in
+// relay.dup_suppressed, whether it comes back to back or dedupDepth−1 other
+// data frames later. A copy from further back than the window is forwarded
+// (the destination's ledger is the guarantee), and so are the same id with
+// a bumped attempt — a re-dispatch — and an ack frame each time it comes.
+// The relay's link to the destination is dark, so every data frame it
+// forwards waits in its outbox, counted, and no ack or end-to-end
+// duplicate comes back to move the counters.
+func TestMeshHopDedupWindow(t *testing.T) {
+	am := newAckRunMesh(t, 2323, 0)
+	am.blackout(am.via, 2, true)
+	toDest, toSource := am.nodes[am.via].sessionTo(2), am.nodes[am.via].sessionTo(0)
+	data := func(id uint64, attempt uint32) []byte {
+		return appendFrame(nil, frame{Kind: frameData, Src: 0, Dst: 2, ID: id, Attempt: attempt, Route: am.route, Payload: []byte("hop")})
+	}
+	dups := am.reg.Counter(mRelayDupSuppressed)
+	check := func(step string, wantData, wantAcks int, wantDups int64) {
+		t.Helper()
+		if got := toDest.Stats().Enqueued; got != wantData {
+			t.Errorf("%s: %d data frames forwarded, want %d", step, got, wantData)
+		}
+		if got := toSource.Stats().Enqueued; got != wantAcks {
+			t.Errorf("%s: %d ack frames forwarded, want %d", step, got, wantAcks)
+		}
+		if got := dups.Value(); got != wantDups {
+			t.Errorf("%s: relay.dup_suppressed %d, want %d", step, got, wantDups)
+		}
+	}
+	others := func(from uint64, n int) {
+		for id := from; id < from+uint64(n); id++ {
+			am.arrive(am.via, data(id, 1))
+		}
+	}
+
+	am.arrive(am.via, data(1, 1))
+	am.arrive(am.via, data(1, 1))
+	check("back to back", 1, 0, 1)
+
+	am.arrive(am.via, data(2, 1))
+	others(100, dedupDepth-1)
+	am.arrive(am.via, data(2, 1))
+	check("dedupDepth-1 frames apart", 2+dedupDepth-1, 0, 2)
+
+	am.arrive(am.via, data(3, 1))
+	others(200, dedupDepth)
+	am.arrive(am.via, data(3, 1))
+	check("dedupDepth frames apart", 3+2*dedupDepth, 0, 2)
+
+	am.arrive(am.via, data(1, 2))
+	check("bumped attempt", 4+2*dedupDepth, 0, 2)
+
+	ack := ackOf(am.route, 1, 1)
+	am.arrive(am.via, ack)
+	am.arrive(am.via, ack)
+	check("ack twice", 4+2*dedupDepth, 2, 2)
 }
 
 // TestMeshAckRunFormedAgainAfterCrash: the hop 2→via has delivered the run

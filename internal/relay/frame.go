@@ -98,8 +98,8 @@ func appendHeader(b []byte, kind, src, dst byte, id uint64, attempt uint32, rout
 // idLedger is the destination's exactly-once ledger for one source. Ids
 // are minted sequentially at the source, so "everything below low, plus
 // the sparse set at or above it" is exact and only as large as what is
-// outstanding: it cannot be cleared like a node's seen ledger, and a set
-// of every id ever delivered grows for ever.
+// outstanding: it cannot forget old keys like a node's dedup window, and a
+// set of every id ever delivered grows for ever.
 type idLedger struct {
 	low   uint64
 	above map[uint64]struct{}

@@ -12,14 +12,40 @@ import (
 	"ghm/internal/supervise"
 )
 
-// seenCap bounds a node's per-hop dedup ledger of data frames. When the
-// ledger fills it is cleared: a later duplicate may then be re-forwarded,
-// which the destination's end-to-end ledger still suppresses — per-hop
-// dedup is a traffic optimization, end-to-end dedup is the guarantee. The
-// duplicates it exists for are a hop session's resubmissions of frames
-// still in flight, so a few thousand entries are a long memory, and five
-// nodes' ledgers together stay near a megabyte.
-const seenCap = 1 << 12
+// dedupDepth is R, the data-frame keys a node remembers per inbound hop.
+// The duplicates per-hop dedup exists for are one hop delivering a frame
+// twice: its session restarted after a station crash between delivery and
+// OK, or the upstream node restarted and replayed its forwarding WAL.
+// Relay sessions run at depth 1 (Merge needs Window 1), so the outbox has
+// one claimed entry to re-send and re-sends it before anything queued
+// behind it: the duplicate is the very next delivery on the same receiver.
+// A re-dispatch bumps the attempt, so it is a new key, and ack frames never
+// enter the window (see key). One key would do; sixteen are margin, 384
+// bytes per inbound hop scanned in six cache lines. A duplicate from
+// further back is forwarded, and the destination's idLedger suppresses it:
+// per-hop dedup is a traffic optimization, end-to-end dedup the guarantee.
+const dedupDepth = 16
+
+// dedupWindow is one inbound hop's per-hop dedup memory: the keys of the
+// last dedupDepth data frames it delivered. Its drain goroutine owns it,
+// so it takes no lock, and it is an array, so it never allocates. The zero
+// value is empty: no data frame's key has kind 0.
+type dedupWindow struct {
+	keys [dedupDepth]key
+	next int // the slot the next new key overwrites
+}
+
+// seen reports whether k is in the window, and records it if not.
+func (w *dedupWindow) seen(k key) bool {
+	for i := range w.keys {
+		if w.keys[i] == k {
+			return true
+		}
+	}
+	w.keys[w.next] = k
+	w.next = (w.next + 1) % dedupDepth
+	return false
+}
 
 // nodeEnd is one node's attachment to one of its links: the engine
 // owning that side's conn and the two directional endpoint ids. The
@@ -34,18 +60,16 @@ type nodeEnd struct {
 }
 
 // nodeRuntime is one incarnation of a relay node: the supervised
-// sessions it sends through, the receivers it drains, and the in-memory
-// forwarding dedup ledger. StopNode discards the whole runtime (a node
-// crash erases everything but the WALs); RestartNode builds a fresh one.
+// sessions it sends through and the receivers it drains, each with its
+// drain goroutine's dedup window. StopNode discards the whole runtime (a
+// node crash erases everything but the WALs); RestartNode builds a fresh
+// one.
 type nodeRuntime struct {
 	sessions  map[int]*session.Session // keyed by peer node id
 	receivers []*netlink.Receiver
 
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
-
-	seenMu sync.Mutex
-	seen   map[key]bool
 }
 
 // node is one relay-mesh participant. The node itself (identity, link
@@ -86,10 +110,7 @@ func (n *node) walPath(peer int) string {
 // next hop go out again.
 func (n *node) start() error {
 	m := n.m
-	rt := &nodeRuntime{
-		sessions: make(map[int]*session.Session, len(n.ends)),
-		seen:     make(map[key]bool),
-	}
+	rt := &nodeRuntime{sessions: make(map[int]*session.Session, len(n.ends))}
 	var ctx context.Context
 	ctx, rt.cancel = context.WithCancel(context.Background())
 
@@ -161,6 +182,7 @@ func (n *node) start() error {
 		rt.wg.Add(1)
 		go func() {
 			defer rt.wg.Done()
+			var w dedupWindow
 			for {
 				msg, err := r.Recv(ctx)
 				if err != nil {
@@ -169,7 +191,7 @@ func (n *node) start() error {
 				// A frame forwarded, acked, suppressed or dropped is done
 				// with; only the one whose payload went to Delivered lives
 				// on, in the higher layer's hands.
-				if !n.handleFrame(rt, msg) {
+				if !n.handleFrame(&w, msg) {
 					r.GiveBack(msg)
 				}
 			}
@@ -190,8 +212,8 @@ func (n *node) start() error {
 
 // stop tears the runtime down: a deliberate node crash. Sessions and
 // receivers die (their engine endpoints detach; the links stay up for
-// the next incarnation), drain goroutines exit, and the in-memory
-// forwarding ledger is lost — exactly what a process crash would lose.
+// the next incarnation), drain goroutines exit, and their dedup windows
+// are lost — exactly what a process crash would lose.
 func (n *node) stop() {
 	n.mu.Lock()
 	rt := n.rt
@@ -214,11 +236,12 @@ func (n *node) stop() {
 	rt.wg.Wait()
 }
 
-// handleFrame processes one inbound frame on this node: dedup, then
-// deliver (destination), complete (ack at the source) or forward. It
-// reports whether p was kept — its payload handed to Delivered — rather
-// than finished with: every Enqueue copies what it sends on.
-func (n *node) handleFrame(rt *nodeRuntime, p []byte) (kept bool) {
+// handleFrame processes one inbound frame on this node: dedup against w,
+// the window of the hop it arrived on, then deliver (destination),
+// complete (ack at the source) or forward. It reports whether p was kept —
+// its payload handed to Delivered — rather than finished with: every
+// Enqueue copies what it sends on.
+func (n *node) handleFrame(w *dedupWindow, p []byte) (kept bool) {
 	m := n.m
 	f, err := parseFrame(p)
 	if err != nil {
@@ -230,20 +253,10 @@ func (n *node) handleFrame(rt *nodeRuntime, p []byte) (kept bool) {
 	// the same attempt twice; forward it once. Data frames only — a
 	// duplicate ack costs one hop message and completeAck takes it in its
 	// stride, where a suppressed ack run could lose ids (see key).
-	if f.Kind == frameData {
-		k := f.key()
-		rt.seenMu.Lock()
-		if rt.seen[k] {
-			rt.seenMu.Unlock()
-			m.mt.dupSuppressed.Inc()
-			m.addDup()
-			return false
-		}
-		if len(rt.seen) >= seenCap {
-			clear(rt.seen)
-		}
-		rt.seen[k] = true
-		rt.seenMu.Unlock()
+	if f.Kind == frameData && w.seen(f.key()) {
+		m.mt.dupSuppressed.Inc()
+		m.addDup()
+		return false
 	}
 
 	if int(f.Dst) == n.id {

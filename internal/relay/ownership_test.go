@@ -138,7 +138,7 @@ func TestMeshDeliveredPayloadsStayIntact(t *testing.T) {
 // mesh — source, two hops, the ack's two hops back, twelve stations and
 // their checkers: the one copy the destination hands to Delivered, which
 // the caller owns. The budget of 2 leaves room for the in-flight table's
-// map and the dedup ledgers, which grow now and then.
+// map, which grows now and then.
 func TestMeshPayloadAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector's sync.Pool drops buffers at random")

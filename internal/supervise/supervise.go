@@ -30,7 +30,6 @@ package supervise
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -263,7 +262,7 @@ func New[S any](cfg Config[S]) (*Supervisor[S], error) {
 		ownWheel: ownWheel,
 		seed:     seed,
 		m:        newSupMetrics(cfg.Metrics),
-		bo:       backoff{base: cfg.BackoffBase, max: cfg.BackoffMax, rng: rand.New(rand.NewSource(seed))},
+		bo:       backoff{base: cfg.BackoffBase, max: cfg.BackoffMax, rng: uint64(seed)},
 		br: breaker{
 			threshold: cfg.BreakerThreshold,
 			window:    cfg.BreakerWindow,

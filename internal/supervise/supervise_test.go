@@ -3,7 +3,6 @@ package supervise
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,8 +12,7 @@ import (
 )
 
 func TestBackoffGrowthAndJitter(t *testing.T) {
-	b := backoff{base: 10 * time.Millisecond, max: 400 * time.Millisecond,
-		rng: rand.New(rand.NewSource(1))}
+	b := backoff{base: 10 * time.Millisecond, max: 400 * time.Millisecond, rng: 1}
 	prevCeil := time.Duration(0)
 	for attempt := 1; attempt <= 12; attempt++ {
 		ceil := b.base << (attempt - 1)

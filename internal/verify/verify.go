@@ -307,8 +307,9 @@ func addExample(list []string, m []byte) []string {
 	return list
 }
 
-// liveHorizon is Live's Checker horizon. A constant, like relay's seenCap:
-// it keeps a hop's two tables near 25 KB, twelve hops under 0.5 MB.
+// liveHorizon is Live's Checker horizon. A constant, like the depth of a
+// relay node's per-hop dedup window: it keeps a hop's two tables near
+// 25 KB, twelve hops under 0.5 MB.
 const liveHorizon = 96
 
 // Live adapts Checker for use as the tap of live netlink stations: Observe
