@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -487,12 +488,13 @@ func heldSend(depth int) (SendFunc, func(t *testing.T) heldCall) {
 // TestRingWindowShuffledConfirms drives a Window-8 queue by hand: every
 // Send blocks until the test resolves it, in shuffled order, and two
 // entries crash once each. After each resolution exactly one new Send
-// starts, and it carries the oldest message not in flight — the crashed
-// one again, byte-identical, or else the next in enqueue order — and, with
-// a Merge, the queued entries directly behind it that Merge takes: a model
-// of the backlog says which. The backlog outgrows the ring three times
-// while eight claims are in flight, so the workers' positions survive a
-// resize; and Stats counts entries, not Sends, whatever the runs were.
+// starts, and it carries the oldest entry not in flight — the crashed one
+// again, byte-identical, or else the next in enqueue order — where, with a
+// Merge, an entry is the run its messages formed as they were enqueued: a
+// model of the backlog says which. The backlog outgrows the ring while
+// eight claims are in flight (three times without runs, twice with), so
+// the workers' positions survive a resize; and Stats counts messages, not
+// Sends, whatever the runs were.
 func TestRingWindowShuffledConfirms(t *testing.T) {
 	t.Run("single", func(t *testing.T) { shuffledConfirms(t, nil) })
 	t.Run("runs", func(t *testing.T) { shuffledConfirms(t, joinSameLead) })
@@ -512,48 +514,53 @@ func shuffledConfirms(t *testing.T, merge func(run, next []byte) ([]byte, bool))
 	}
 	defer q.Close()
 	// The first window's messages have a first byte each, so that no two
-	// join and every worker has a claim before the rest is enqueued.
+	// join and every worker has a claim before the rest is enqueued; the
+	// rest alternate their first byte every three, so with Merge they form
+	// runs of up to three.
 	name := func(i int) string {
 		if i < window {
 			return fmt.Sprintf("%c-%02d", 'a'+i, i)
 		}
-		return fmt.Sprintf("m-%02d", i)
-	}
-	enqueue := func(from, to int) {
-		for i := from; i < to; i++ {
-			if _, err := q.Enqueue([]byte(name(i))); err != nil {
-				t.Fatal(err)
-			}
-		}
+		return fmt.Sprintf("%c-%02d", 'm'+i/3%2, i)
 	}
 
-	// The model: where each entry stands, and from that the one claim a
-	// free worker makes.
+	// The model: the entries [from, to) the messages form as they are
+	// enqueued, where each stands, and from that the one entry a free
+	// worker claims.
 	const (
 		isQueued = iota
 		inFlight
 		confirmed
 	)
-	state := make([]int, total)
-	type claim struct{ from, to int } // entries [from, to)
-	expect := func() (string, claim) {
-		for i := 0; i < total; i++ {
-			if state[i] != isQueued {
+	type claim struct{ from, to int } // messages [from, to)
+	var entries []claim
+	enqueue := func(from, to int) {
+		for i := from; i < to; i++ {
+			if _, err := q.Enqueue([]byte(name(i))); err != nil {
+				t.Fatal(err)
+			}
+			if last := len(entries) - 1; merge != nil && i >= window && last >= window && name(entries[last].from)[0] == name(i)[0] {
+				entries[last].to++ // every entry past the first window is queued until all are enqueued
 				continue
 			}
-			j, msg := i+1, name(i)
-			for merge != nil && j < total && state[j] == isQueued && name(j)[0] == name(i)[0] {
-				msg += "+" + name(j)
-				j++
+			entries = append(entries, claim{i, i + 1})
+		}
+	}
+	state := map[claim]int{}
+	message := func(c claim) string {
+		msg := name(c.from)
+		for i := c.from + 1; i < c.to; i++ {
+			msg += "+" + name(i)
+		}
+		return msg
+	}
+	expect := func() (string, claim) {
+		for _, c := range entries {
+			if state[c] == isQueued {
+				return message(c), c
 			}
-			return msg, claim{i, j}
 		}
 		return "", claim{}
-	}
-	mark := func(c claim, to int) {
-		for i := c.from; i < c.to; i++ {
-			state[i] = to
-		}
 	}
 
 	enqueue(0, window)
@@ -567,10 +574,10 @@ func shuffledConfirms(t *testing.T, merge func(run, next []byte) ([]byte, bool))
 		if _, ok := inflight[name(i)]; !ok {
 			t.Fatalf("first window in flight is %v, want %s..%s", inflight, name(0), name(window-1))
 		}
-		claims[name(i)] = claim{i, i + 1}
-		state[i] = inFlight
+		claims[name(i)] = entries[i]
+		state[entries[i]] = inFlight
 	}
-	enqueue(window, total) // 8 slots grow to 64 while every slot of the first ring is claimed
+	enqueue(window, total) // 8 slots grow to 64 (32 with runs) while every slot of the first ring is claimed
 
 	rng := rand.New(rand.NewSource(8))
 	crashed, resubmits, longest := map[string]bool{}, 0, 1
@@ -594,9 +601,9 @@ func shuffledConfirms(t *testing.T, merge func(run, next []byte) ([]byte, bool))
 		}
 		if outcome != nil {
 			resubmits += cl.to - cl.from
-			mark(cl, isQueued) // older than anything still queued
+			state[cl] = isQueued // older than anything still queued
 		} else {
-			mark(cl, confirmed)
+			state[cl] = confirmed
 		}
 		c.resolve <- outcome
 
@@ -609,7 +616,7 @@ func shuffledConfirms(t *testing.T, merge func(run, next []byte) ([]byte, bool))
 			t.Fatalf("after resolving %s the next Send carries %q, want %q", k, got.msg, want)
 		}
 		inflight[got.msg], claims[got.msg] = got, wcl
-		mark(wcl, inFlight)
+		state[wcl] = inFlight
 		longest = max(longest, wcl.to-wcl.from)
 	}
 	if err := q.Flush(testCtx(t)); err != nil {
@@ -624,15 +631,15 @@ func shuffledConfirms(t *testing.T, merge func(run, next []byte) ([]byte, bool))
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.head != q.tail || q.tail != total {
-		t.Errorf("ring head %d tail %d after %d confirms", q.head, q.tail, total)
+	if q.head != q.tail || q.tail != uint64(len(entries)) {
+		t.Errorf("ring head %d tail %d after %d entries confirmed", q.head, q.tail, len(entries))
 	}
 }
 
-// TestRunTakesOnlyAdjacentQueued: a run is the oldest queued entry and the
-// queued entries directly behind it that Merge takes. One that Merge
-// refuses ends it, and so does one another worker holds, even with more of
-// the same kind queued beyond.
+// TestRunTakesOnlyAdjacentQueued: a run is a message and the messages
+// enqueued directly behind it that Merge takes while it is still queued.
+// One that Merge refuses ends it, and so does a worker claiming it: a
+// message enqueued behind a claimed entry starts a run of its own.
 func TestRunTakesOnlyAdjacentQueued(t *testing.T) {
 	const window = 8
 	send, next := heldSend(window)
@@ -668,16 +675,16 @@ func TestRunTakesOnlyAdjacentQueued(t *testing.T) {
 	}
 
 	enqueue("a1", "a2", "b3", "a4", "a5")
-	resolve("0", nil, "a1+a2") // b3 is refused, and a4 is not directly behind
+	resolve("0", nil, "a1+a2") // b3 is refused, and a4 starts a run behind it
 	resolve("1", nil, "b3")
 	resolve("2", nil, "a4+a5")
 
 	enqueue("c1")
 	resolve("3", nil, "c1") // nothing queued behind it: it leaves alone
-	enqueue("c2")
+	enqueue("c2")           // c1 is claimed: a run of its own
 	resolve("4", nil, "c2")
-	enqueue("c3", "c4")
-	resolve("c1", errCrash, "c1") // c2 is another worker's: the run ends before c3
+	enqueue("c3", "c4") // c2 is claimed: c3 starts a run
+	resolve("c1", errCrash, "c1")
 	resolve("c2", nil, "c3+c4")
 
 	for _, c := range held {
@@ -692,9 +699,9 @@ func TestRunTakesOnlyAdjacentQueued(t *testing.T) {
 	}
 }
 
-// TestRunFailureRequeuesEveryEntry: a retryable failure puts every entry
-// of the run back, each counted, and what goes out next is formed from the
-// entries as they were enqueued — here with one more that arrived since.
+// TestRunFailureRequeuesEveryEntry: a retryable failure puts the run back
+// whole, each of its messages counted, and it goes out again byte for
+// byte; a message enqueued while it was in flight waits behind it, alone.
 func TestRunFailureRequeuesEveryEntry(t *testing.T) {
 	send, next := heldSend(1)
 	q, err := New(Config{
@@ -720,9 +727,10 @@ func TestRunFailureRequeuesEveryEntry(t *testing.T) {
 	c := next(t) // the worker is busy: what follows queues up
 	enqueue("a2", "a3")
 	c = step(c, nil, "a2+a3")
-	c = step(c, errCrash, "a2+a3") // the same bytes, entry by entry
+	c = step(c, errCrash, "a2+a3") // the same bytes
 	enqueue("a4")
-	c = step(c, errCrash, "a2+a3+a4")
+	c = step(c, errCrash, "a2+a3")
+	c = step(c, nil, "a4")
 	c.resolve <- nil
 	if err := q.Flush(testCtx(t)); err != nil {
 		t.Fatal(err)
@@ -734,10 +742,13 @@ func TestRunFailureRequeuesEveryEntry(t *testing.T) {
 }
 
 // TestWALReplaysEveryEntryOfARun: the log holds one record per entry, run
-// or no run, so a queue closed with a run in flight replays each entry of
-// it — here to a queue with no Merge, which sends them one by one.
+// or no run, so a queue closed with a run in flight and another queued
+// replays each message of them: to a queue with no Merge, which sends them
+// one by one, and to one with Merge, which folds them again — into the
+// runs its backlog forms now, not the ones it was closed with.
 func TestWALReplaysEveryEntryOfARun(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "outbox.wal")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "outbox.wal")
 	send, next := heldSend(1)
 	q, err := New(Config{Send: send, Merge: joinSameLead, WALPath: path})
 	if err != nil {
@@ -752,21 +763,41 @@ func TestWALReplaysEveryEntryOfARun(t *testing.T) {
 	if run := next(t); run.msg != "a2+a3" {
 		t.Fatalf("in flight at Close: %q, want the run a2+a3", run.msg)
 	}
+	enqueue("a4", "a5")
 	if err := q.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	var c collector
-	q2, err := New(Config{Send: c.send, WALPath: path})
+	log, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer q2.Close()
-	if err := q2.Flush(testCtx(t)); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.messages(); len(got) != 2 || got[0] != "a2" || got[1] != "a3" {
-		t.Errorf("replayed %q, want a2 and a3", got)
+
+	for _, tc := range []struct {
+		merge func(run, next []byte) ([]byte, bool)
+		want  []string
+	}{
+		{want: []string{"a2", "a3", "a4", "a5"}},
+		{merge: joinSameLead, want: []string{"a2+a3+a4+a5"}},
+	} {
+		replay := filepath.Join(dir, fmt.Sprintf("replay-%d.wal", len(tc.want)))
+		if err := os.WriteFile(replay, log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var c collector
+		q2, err := New(Config{Send: c.send, Merge: tc.merge, WALPath: replay})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := q2.Flush(testCtx(t)); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.messages(); !slices.Equal(got, tc.want) {
+			t.Errorf("replayed %q, want %q", got, tc.want)
+		}
+		if st := q2.Stats(); st.Sent != 4 || st.Pending != 0 {
+			t.Errorf("replay of %q: stats %+v, want 4 sent", tc.want, st)
+		}
+		q2.Close()
 	}
 }
 
@@ -819,8 +850,11 @@ func TestRingRetainsConstantAfterBurst(t *testing.T) {
 
 // TestOutboxEnqueueAllocBudget pins the queue's steady state at zero
 // allocations per message: Enqueue copies into the ring slot's kept
+// buffer and, with Merge, folds the copy into the queued tail slot's
 // buffer, the worker names its entry by position, and a WAL record's
-// header is built in the log writer's own buffer.
+// header is built in the log writer's own buffer. The caller's message is
+// on its stack: an Enqueue that handed those bytes to Merge, an indirect
+// call, would move them to the heap, one allocation per message.
 func TestOutboxEnqueueAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts under the race detector measure the detector")
@@ -832,14 +866,15 @@ func TestOutboxEnqueueAllocBudget(t *testing.T) {
 	}{
 		{name: "wal=false"},
 		{name: "wal=true", wal: true},
-		{name: "merge", merge: joinSameLead}, // the worker's run buffer has grown to a burst by the time it counts
+		{name: "merge", merge: joinSameLead}, // the tail slots' buffers have grown to a run by the time it counts
+		{name: "merge,wal=true", wal: true, merge: joinSameLead},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const burst = 4
 			// Each Send reports in, waits to be let go, and says how many
-			// entries it carried: the first message of a round is in flight
-			// before the rest are enqueued, so with Merge they are one run
-			// of burst-1, every round.
+			// messages it carried: the first message of a round is in
+			// flight before the rest are enqueued, so with Merge they fold
+			// into one run of burst-1 as they come, every round.
 			started, release, sent := make(chan struct{}), make(chan struct{}), make(chan int)
 			cfg := Config{Merge: tc.merge, Send: func(_ context.Context, msg []byte) error {
 				started <- struct{}{}
@@ -855,11 +890,11 @@ func TestOutboxEnqueueAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer q.Close()
-			msg := make([]byte, 64)
 			sends := 0
 			round := func() {
+				var msg [64]byte
 				for i := 0; i < burst; i++ {
-					if _, err := q.Enqueue(msg); err != nil {
+					if _, err := q.Enqueue(msg[:]); err != nil {
 						t.Fatal(err)
 					}
 					if i == 0 {

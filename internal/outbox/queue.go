@@ -8,11 +8,10 @@ import (
 
 // SendFunc transfers one message, blocking until it is confirmed
 // delivered. ghm.Sender.Send and ghm.Peer.Send have this shape. msg is the
-// queue's own buffer — a ring slot, or with Config.Merge set the sending
-// worker's run of several — valid until the call returns: an
-// implementation that keeps the bytes longer copies them (the stations do
-// — the transmitter copies the message into its own memory before Send
-// returns).
+// queue's own buffer — a ring slot, holding with Config.Merge set a run of
+// several messages — valid until the call returns: an implementation that
+// keeps the bytes longer copies them (the stations do — the transmitter
+// copies the message into its own memory before Send returns).
 type SendFunc func(ctx context.Context, msg []byte) error
 
 // Config parameterizes a Queue.
@@ -38,18 +37,20 @@ type Config struct {
 	// restores admission order — with a plain stop-and-wait station the
 	// extra workers just serialize on it).
 	Window int
-	// Merge, when set, lets a worker send what is already queued as one
-	// message. The worker claims the oldest queued entry as always, then
-	// offers Merge each directly following entry that is still queued:
-	// run is the message so far, in the worker's own buffer, and next the
-	// entry's. Merge returns run with next folded in and true, or false
-	// with run's bytes as they were — the run then ends there. Send gets
-	// the run, its success confirms every entry in it, and a retryable
-	// failure re-queues every one, to be formed into runs again (not
-	// necessarily the same ones: a resubmission is byte-identical entry by
-	// entry, not run by run, so a windowed station's seq reuse does not
-	// survive it — use Merge with a depth-1 station). Nothing waits for a
-	// run to form: an entry with nothing queued behind it leaves alone.
+	// Merge, when set, folds a message into the one queued ahead of it as
+	// it is enqueued. While the backlog's last slot is still queued — no
+	// worker has claimed it — Enqueue offers Merge that slot's bytes as run
+	// and the new message, already copied into the queue, as next. Merge
+	// returns run with next folded in and true, or false with run's bytes
+	// as they were, and the message takes a slot of its own. A slot is sent
+	// as one message: its success confirms every message in it, and a
+	// retryable failure re-queues it whole, where it may take in messages
+	// enqueued since. The log keeps each message apart, and a reopened
+	// queue folds its backlog again, not necessarily into the same runs. So
+	// a resubmitted run need not be byte-identical, which a windowed
+	// station's seq reuse needs: use Merge with a depth-1 station. Nothing
+	// waits for a run to form: a slot is claimed as soon as a worker is
+	// free, with whatever has folded into it by then.
 	// Merge runs under the queue's lock: it must be pure, quick and
 	// allocation-free beyond growing run.
 	Merge func(run, next []byte) ([]byte, bool)
@@ -84,10 +85,11 @@ const (
 	done                      // confirmed, waiting for the head to pop past it
 )
 
-// entry is one slot of the backlog ring: a message plus its dispatch
-// state.
+// entry is one slot of the backlog ring: the messages with ids id up to
+// id+n-1 — one, or with Merge a run — plus their dispatch state.
 type entry struct {
 	id       uint64
+	n        uint64
 	msg      []byte // the slot's own buffer, see maxKeptMsg
 	state    entryState
 	attempts int // failed Sends so far
@@ -140,6 +142,7 @@ func New(cfg Config) (*Queue, error) {
 		q.log = log
 		for _, e := range backlog {
 			q.push(e.id, e.msg)
+			q.fold()
 		}
 		q.nextID = nextID
 		q.stats.Pending = len(backlog)
@@ -175,15 +178,16 @@ func (q *Queue) Enqueue(msg []byte) (uint64, error) {
 	q.nextID++
 	e := q.push(id, msg)
 	if q.log != nil {
-		// Logged from the queue's copy: the caller's bytes are read by the
-		// copy and nothing else, so a caller's stack buffer stays on its
-		// stack (a log write is an interface call, which would move it to
-		// the heap).
+		// Logged, and below merged, from the queue's copy: the caller's
+		// bytes are read by the copy and nothing else, so a caller's stack
+		// buffer stays on its stack (a log write is an interface call, and
+		// Merge an indirect one, either of which would move it to the heap).
 		if err := q.log.appendEnqueue(id, e.msg); err != nil {
 			q.tail-- // not accepted: the slot is free again
 			return 0, err
 		}
 	}
+	q.fold()
 	q.stats.Enqueued++
 	q.stats.Pending++
 	q.cond.Broadcast()
@@ -282,66 +286,58 @@ func (q *Queue) push(id uint64, msg []byte) *entry {
 	e := q.slot(q.tail)
 	e.msg = e.msg[:0]
 	e.msg = append(e.msg, msg...)
-	e.id, e.state, e.attempts = id, queued, 0
+	e.id, e.n, e.state, e.attempts = id, 1, queued, 0
 	q.tail++
 	return e
 }
 
-// claim marks the oldest queued entry claimed and returns its position
-// and message. The entries ahead of it are the other workers' claims and
-// confirms waiting behind a claim, so the scan is as short as the window
-// is deep. With Merge set it goes on to claim the directly following
-// entries while they are queued and Merge takes them: n is how many
-// positions the run covers, and a run of more than one is built in *run,
-// the calling worker's buffer, and returned as msg. Slot buffers are only
-// read, so a run that fails is formed again from intact entries. Call
-// with q.mu held.
-func (q *Queue) claim(run *[]byte) (pos, n uint64, msg []byte, ok bool) {
+// fold merges the backlog's last entry into the one before it, if that one
+// is still queued, holds the ids just below (a failed Enqueue leaves a
+// gap) and Merge takes it. The freed slot keeps its buffer for the next
+// push. Call with q.mu held.
+func (q *Queue) fold() {
+	if q.cfg.Merge == nil || q.tail-q.head < 2 {
+		return
+	}
+	run, last := q.slot(q.tail-2), q.slot(q.tail-1)
+	if run.state != queued || run.id+run.n != last.id {
+		return
+	}
+	if merged, ok := q.cfg.Merge(run.msg, last.msg); ok {
+		run.msg = merged
+		run.n++
+		q.tail--
+	}
+}
+
+// claim marks the oldest queued entry claimed and returns its position.
+// The entries ahead of it are the other workers' claims and confirms
+// waiting behind a claim, so the scan is as short as the window is deep.
+// Call with q.mu held.
+func (q *Queue) claim() (pos uint64, ok bool) {
 	for pos = q.head; pos != q.tail && q.slot(pos).state != queued; pos++ {
 	}
 	if pos == q.tail {
-		return 0, 0, nil, false
+		return 0, false
 	}
-	first := q.slot(pos)
-	first.state = claimed
-	n, msg = 1, first.msg
-	if q.cfg.Merge == nil || pos+1 == q.tail || q.slot(pos+1).state != queued {
-		return pos, n, msg, true
-	}
-	*run = (*run)[:0]
-	*run = append(*run, first.msg...)
-	for p := pos + 1; p != q.tail; p++ {
-		e := q.slot(p)
-		if e.state != queued {
-			break
-		}
-		merged, took := q.cfg.Merge(*run, e.msg)
-		if !took {
-			break
-		}
-		*run, msg = merged, merged
-		e.state = claimed
-		n++
-	}
-	return pos, n, msg, true
+	q.slot(pos).state = claimed
+	return pos, true
 }
 
-// confirm marks the n entries from pos done, logging each, and pops the
-// head past every done entry: O(1) for the head itself, and an
+// confirm marks the entry at pos done, logging each of its messages, and
+// pops the head past every done entry: O(1) for the head itself, and an
 // out-of-order confirm (Window > 1) just waits its turn. Then the ring
 // gives back what a drained burst no longer needs. Call with q.mu held.
-func (q *Queue) confirm(pos, n uint64) {
-	for p := pos; p != pos+n; p++ {
-		e := q.slot(p)
-		e.state = done
-		if q.log != nil {
-			if err := q.log.appendDone(e.id); err != nil && q.err == nil {
-				q.err = err
-			}
+func (q *Queue) confirm(pos uint64) {
+	e := q.slot(pos)
+	e.state = done
+	for id := e.id; q.log != nil && id != e.id+e.n; id++ {
+		if err := q.log.appendDone(id); err != nil && q.err == nil {
+			q.err = err
 		}
 	}
-	q.stats.Sent += int(n)
-	q.stats.Pending -= int(n)
+	q.stats.Sent += int(e.n)
+	q.stats.Pending -= int(e.n)
 	for q.head != q.tail && q.slot(q.head).state == done {
 		if e := q.slot(q.head); cap(e.msg) > maxKeptMsg {
 			e.msg = nil
@@ -357,63 +353,56 @@ func (q *Queue) confirm(pos, n uint64) {
 	}
 }
 
-// requeue returns the n claimed entries from pos to the backlog after a
-// failed Send, for any worker to send again, or reports the first whose
-// attempts are spent. Call with q.mu held.
-func (q *Queue) requeue(pos, n uint64, err error) error {
-	retry := q.cfg.Retryable != nil && q.cfg.Retryable(err)
-	for p := pos; p != pos+n; p++ {
-		e := q.slot(p)
-		e.attempts++
-		if !retry || (q.cfg.MaxAttempts != 0 && e.attempts >= q.cfg.MaxAttempts) {
-			return fmt.Errorf("outbox: message %d: %w", e.id, err)
-		}
+// requeue returns the claimed entry at pos to the backlog after a failed
+// Send, for any worker to send again, or reports that its attempts are
+// spent. Call with q.mu held.
+func (q *Queue) requeue(pos uint64, err error) error {
+	e := q.slot(pos)
+	e.attempts++
+	if q.cfg.Retryable == nil || !q.cfg.Retryable(err) || (q.cfg.MaxAttempts != 0 && e.attempts >= q.cfg.MaxAttempts) {
+		return fmt.Errorf("outbox: message %d: %w", e.id, err)
 	}
-	for p := pos; p != pos+n; p++ {
-		q.slot(p).state = queued
-	}
-	q.stats.Resubmits += int(n)
+	e.state = queued
+	q.stats.Resubmits += int(e.n)
 	return nil
 }
 
-// worker claims backlog messages in enqueue order and drives each claim
-// — one message, or with Merge a run of them — through Send. With Window
+// worker claims backlog entries in enqueue order and drives each — one
+// message, or with Merge a run of them — through Send. With Window
 // workers, up to Window claims are in flight at once; a failed retryable
-// Send unclaims its messages, so any worker — not necessarily the same
-// one — resubmits them, byte-identical (which is what lets a windowed
-// station's receiver drop the duplicate by its reused admission seq).
+// Send unclaims its entry, so any worker — not necessarily the same one —
+// resubmits it, byte-identical without Merge (which is what lets a
+// windowed station's receiver drop the duplicate by its reused admission
+// seq).
 func (q *Queue) worker() {
-	var run []byte // this worker's buffer for a run of several; grows to the largest, once
 	for {
-		var (
-			pos, n uint64
-			msg    []byte
-			ok     bool
-		)
+		var pos uint64
 		q.mu.Lock()
 		for {
 			if q.closed || q.err != nil {
 				q.mu.Unlock()
 				return
 			}
-			if pos, n, msg, ok = q.claim(&run); ok {
+			var ok bool
+			if pos, ok = q.claim(); ok {
 				break
 			}
 			q.cond.Wait()
 		}
+		msg := q.slot(pos).msg
 		q.mu.Unlock()
 
-		// msg is the claimed slot's buffer, or this worker's run: nothing
-		// writes either until this worker confirms the claim, and a resize
-		// moves slice headers, not bytes.
+		// msg is the claimed slot's buffer: nothing writes it until this
+		// worker confirms the claim (Merge folds only into queued entries),
+		// and a resize moves slice headers, not bytes.
 		err := q.cfg.Send(q.ctx, msg)
 		if err != nil && q.ctx.Err() != nil {
 			return // closing
 		}
 		q.mu.Lock()
 		if err == nil {
-			q.confirm(pos, n)
-		} else if err = q.requeue(pos, n, err); err != nil {
+			q.confirm(pos)
+		} else if err = q.requeue(pos, err); err != nil {
 			q.err = err // the next pass finds it and stops
 		}
 		q.cond.Broadcast()

@@ -8,7 +8,10 @@ import (
 
 // Frame kinds. Data frames carry a payload from Src toward Dst along
 // Route; ack frames confirm one or more (Src, ID) end to end, travelling
-// the reversed route back to the original source.
+// back to the original source over the reverse of one route — the
+// lowest-index usable one, the same for every ack, so acks meet in one
+// hop outbox and go as runs — not necessarily the route their payload
+// took (Mesh.ackRouteLocked).
 const (
 	frameData byte = 1
 	frameAck  byte = 2
@@ -25,18 +28,17 @@ const maxRouteLen = 255
 //
 //	kind(1B) | src(1B) | dst(1B) | id | attempt | routeLen(1B) | route... | payload
 //
-// Route is the full node path source..destination (never popped), so the
-// destination can reverse it for the ack and any node can locate its
-// successor without per-node state.
+// Route is the full node path source..destination (never popped), so any
+// node can locate its successor without per-node state.
 //
 // An ack frame has no payload. What follows its route is a tail of zero
 // or more further (id, attempt) pairs, the ids it confirms besides ID:
 //
 //	2 | src | dst | id | attempt | routeLen | route... | (id | attempt)*
 //
-// The destination writes every ack with an empty tail; a hop outbox that
-// finds several queued behind each other for the same route sends them as
-// one frame (mergeAcks), and a relay forwards that frame whole.
+// The destination writes every ack with an empty tail; a hop outbox folds
+// an ack into the ack frame queued ahead of it for the same route as it is
+// enqueued (mergeAcks), and a relay forwards that frame whole.
 type frame struct {
 	Kind    byte
 	Src     byte
@@ -78,11 +80,12 @@ func appendFrame(b []byte, f frame) []byte {
 }
 
 // appendAck encodes the end-to-end ack of data frame f onto b: the same id
-// and attempt, the endpoints swapped, the route written backwards.
-func appendAck(b []byte, f frame) []byte {
-	b = appendHeader(b, frameAck, f.Dst, f.Src, f.ID, f.Attempt, len(f.Route))
-	for i := len(f.Route) - 1; i >= 0; i-- {
-		b = append(b, f.Route[i])
+// and attempt, the endpoints swapped, and route — a path from f's source
+// to its destination — written backwards.
+func appendAck(b []byte, f frame, route []byte) []byte {
+	b = appendHeader(b, frameAck, f.Dst, f.Src, f.ID, f.Attempt, len(route))
+	for i := len(route) - 1; i >= 0; i-- {
+		b = append(b, route[i])
 	}
 	return b
 }

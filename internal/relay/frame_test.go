@@ -81,19 +81,24 @@ func TestFrameKeys(t *testing.T) {
 }
 
 // TestAckEncoding: appendAck is appendFrame of the ack a copy-and-reverse
-// would have built, and prevHop is nextHop on that reversed route.
+// of the route it is given would have built — the payload's own route or
+// another one — and prevHop is nextHop on that reversed route.
 func TestAckEncoding(t *testing.T) {
 	f := frame{Kind: frameData, Src: 0, Dst: 4, ID: 1 << 40, Attempt: 3, Route: []byte{0, 2, 3, 4}, Payload: []byte("payload")}
-	rev := []byte{4, 3, 2, 0}
-	want := appendFrame(nil, frame{Kind: frameAck, Src: 4, Dst: 0, ID: f.ID, Attempt: 3, Route: rev})
-	if got := appendAck(nil, f); !bytes.Equal(got, want) {
-		t.Errorf("appendAck = % x, want % x", got, want)
-	}
-	for _, self := range []int{4, 3, 2, 0, 9} {
-		gotN, gotOK := prevHop(f.Route, self)
-		wantN, wantOK := nextHop(rev, self)
-		if gotN != wantN || gotOK != wantOK {
-			t.Errorf("prevHop(route, %d) = %d, %v; nextHop(reversed) = %d, %v", self, gotN, gotOK, wantN, wantOK)
+	for _, c := range []struct{ route, rev []byte }{
+		{f.Route, []byte{4, 3, 2, 0}},
+		{[]byte{0, 1, 4}, []byte{4, 1, 0}},
+	} {
+		want := appendFrame(nil, frame{Kind: frameAck, Src: 4, Dst: 0, ID: f.ID, Attempt: 3, Route: c.rev})
+		if got := appendAck(nil, f, c.route); !bytes.Equal(got, want) {
+			t.Errorf("appendAck over % x = % x, want % x", c.route, got, want)
+		}
+		for _, self := range []int{4, 3, 2, 1, 0, 9} {
+			gotN, gotOK := prevHop(c.route, self)
+			wantN, wantOK := nextHop(c.rev, self)
+			if gotN != wantN || gotOK != wantOK {
+				t.Errorf("prevHop(% x, %d) = %d, %v; nextHop(reversed) = %d, %v", c.route, self, gotN, gotOK, wantN, wantOK)
+			}
 		}
 	}
 }

@@ -191,10 +191,11 @@ type hop struct {
 	live *verify.Live
 }
 
-// spareEntries bounds the acked entries the source keeps for Submit to
-// refill, and maxKeptPayload the payload buffer an entry may keep with it:
-// what an idle source holds is at most their product (128 KiB), whatever
-// it carried.
+// spareEntries is the number of acked entries an idle source keeps for
+// Submit to refill, and maxKeptPayload the payload buffer an entry may keep
+// with it: what an idle source holds is at most their product (128 KiB),
+// whatever it carried. A busy one keeps as many as its in-flight table
+// held at its largest since the last router pass (see reconcile).
 const (
 	spareEntries   = 64
 	maxKeptPayload = 2 << 10
@@ -247,7 +248,8 @@ type Mesh struct {
 	mu        sync.Mutex
 	cond      *sync.Cond
 	inflight  map[uint64]*entry
-	spare     []*entry      // acked entries for Submit to refill, at most spareEntries
+	spare     []*entry      // acked entries for Submit to refill, at most max(spareEntries, peak)
+	peak      int           // the largest in-flight table since the last router pass
 	armed     bool          // the last router pass left the ack-timeout timer armed
 	delivered [256]idLedger // by source byte: the exactly-once ledgers
 	usable    []int         // usableRoutesLocked's result, reused
@@ -463,6 +465,7 @@ func (m *Mesh) Submit(payload []byte) (uint64, error) {
 	e.payload = e.payload[:0]
 	e.payload = append(e.payload, payload...)
 	m.inflight[id] = e
+	m.peak = max(m.peak, len(m.inflight))
 	m.st.submitted.Add(1)
 	m.dispatchLocked(e, m.wheel.Clock().Now())
 	if !m.armed || e.parked {
@@ -583,7 +586,7 @@ func (m *Mesh) completeAck(id uint64) {
 		m.parked--
 		m.mt.parked.Set(float64(m.parked))
 	}
-	if len(m.spare) < spareEntries && cap(e.payload) <= maxKeptPayload {
+	if len(m.spare) < max(spareEntries, m.peak) && cap(e.payload) <= maxKeptPayload {
 		m.spare = append(m.spare, e) // Submit and its dispatch overwrite every other field
 	}
 	m.st.acked.Add(1)
@@ -591,25 +594,31 @@ func (m *Mesh) completeAck(id uint64) {
 }
 
 // deliverLocal commits one data frame at the destination: end-to-end
-// dedup, ack back over the reversed route (re-acking duplicates, so a
-// lost ack is healed by the next re-dispatch), then hand the payload to
-// the higher layer. It reports whether the payload — part of the frame's
-// message — went to Delivered and is the higher layer's from now on.
+// dedup, ack back toward the source (re-acking duplicates, so a lost ack
+// is healed by the next re-dispatch), then hand the payload to the higher
+// layer. It reports whether the payload — part of the frame's message —
+// went to Delivered and is the higher layer's from now on.
 func (m *Mesh) deliverLocal(n *node, f frame) (kept bool) {
 	m.mu.Lock()
 	first := m.delivered[f.Src].add(f.ID)
+	route := m.ackRouteLocked(f, n.id)
 	m.mu.Unlock()
 
-	// The ack travels the route backwards, so its next hop is this node's
+	// The ack travels its route backwards, so its next hop is this node's
 	// predecessor on it. A stack buffer holds any ack whose route is not
-	// dozens of hops long, and Enqueue copies what it keeps.
-	if next, ok := prevHop(f.Route, n.id); ok {
+	// dozens of hops long, and Enqueue copies what it keeps. An ack with no
+	// session to leave on (this node is stopping) is dropped: the source's
+	// ack timeout re-dispatches the payload.
+	dropped := true
+	if next, ok := prevHop(route, n.id); ok {
 		if sess := n.sessionTo(next); sess != nil {
 			var buf [64]byte
-			if _, err := sess.Enqueue(appendAck(buf[:0], f)); err != nil {
-				m.mt.dropped.Inc()
-			}
+			_, err := sess.Enqueue(appendAck(buf[:0], f, route))
+			dropped = err != nil
 		}
+	}
+	if dropped {
+		m.mt.dropped.Inc()
 	}
 
 	if !first {
@@ -625,6 +634,26 @@ func (m *Mesh) deliverLocal(n *node, f frame) (kept bool) {
 	case <-m.stop:
 		return false
 	}
+}
+
+// ackRouteLocked is the route the destination acks f over, as a path from
+// f's source to here: the lowest-index route the source would dispatch on
+// (usableLocked), the same for every ack, so acks meet in one hop outbox
+// and leave as runs instead of trickling over every route alone. With no
+// route usable — or for a frame that is not the mesh's own source to
+// destination traffic — it is the payload's own route. Until the
+// watchdog marks a dark ack route down, acks for every route are lost on
+// it, not only those of the payloads it carried (DESIGN §6). Caller holds
+// m.mu.
+func (m *Mesh) ackRouteLocked(f frame, self int) []byte {
+	if int(f.Src) == m.cfg.Source && self == m.cfg.Dest {
+		for i, r := range m.routes {
+			if m.usableLocked(r) {
+				return m.routeB[i]
+			}
+		}
+	}
+	return f.Route
 }
 
 // router is the failover loop: on every wake — a health transition, a
@@ -646,11 +675,22 @@ func (m *Mesh) router() {
 	}
 }
 
-// reconcile is one router pass; see router.
+// reconcile is one router pass; see router. It also sizes the spares:
+// keeping as many as the in-flight table held at its largest since the
+// last pass means a table that grows as far again — acks lagging as much
+// as they did — is refilled without allocating; a table that stays
+// smaller gives the rest back at the next pass. A pass that leaves the
+// table empty with more than spareEntries spares arms the timer once
+// more, so an idle source is down to spareEntries within two AckTimeouts.
 func (m *Mesh) reconcile() {
 	m.mu.Lock()
 	now := m.wheel.Clock().Now()
 	m.mt.routesUsable.Set(float64(len(m.usableRoutesLocked())))
+	if keep := max(spareEntries, m.peak); len(m.spare) > keep {
+		clear(m.spare[keep:]) // for the collector
+		m.spare = m.spare[:keep]
+	}
+	m.peak = len(m.inflight)
 	var earliest time.Time
 	for _, e := range m.inflight {
 		if m.err != nil {
@@ -668,6 +708,9 @@ func (m *Mesh) reconcile() {
 		if !e.parked && !e.deadline.IsZero() && (earliest.IsZero() || e.deadline.Before(earliest)) {
 			earliest = e.deadline
 		}
+	}
+	if len(m.inflight) == 0 && len(m.spare) > spareEntries {
+		earliest = now.Add(m.cfg.AckTimeout) // Submit's deadlines fall no earlier
 	}
 	// Armed under m.mu, so armed is never true of a timer not yet set; and
 	// on the mesh's clock, like the deadlines: now is this pass's own

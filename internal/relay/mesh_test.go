@@ -180,6 +180,16 @@ func TestMeshFailoverOnLinkBlackout(t *testing.T) {
 
 	requireExactlyOnce(t, mu, got, want)
 	requireCleanHops(t, m)
+	// Every ack leaves over route 0 while it looks usable, so until the
+	// watchdog marks it down the acks of all three routes are lost on it and
+	// their payloads re-dispatched at the ack timeout: some thirty reroutes
+	// where acks on their own routes cost a dozen. An ack route blind to
+	// health never recovers (thousands, and Flush times out).
+	st := m.Stats()
+	t.Logf("%d reroutes for %d payloads", st.Reroutes, st.Submitted)
+	if st.Reroutes > int64(st.Submitted) {
+		t.Errorf("%d reroutes for %d payloads: the acks never left the dark route", st.Reroutes, st.Submitted)
+	}
 }
 
 // TestMeshAllRoutesDownParkAndResume covers the only-route-lost edge:

@@ -273,6 +273,78 @@ func TestMeshAckTimeoutOnInjectedClock(t *testing.T) {
 	}
 }
 
+// TestMeshIdleSourceGivesBackSpares: the source keeps an acked entry for
+// a later Submit while it holds fewer spares than its in-flight table held
+// at its largest since the last router pass, so a burst of 1 000 payloads
+// leaves it 1 000 spares; idle, it gives all but spareEntries back within
+// two AckTimeouts. As in TestMeshAckTimeoutOnInjectedClock the mesh rides
+// a virtual clock over links that carry nothing; the acks come from the
+// test, handed to the source as its hop receiver would.
+func TestMeshIdleSourceGivesBackSpares(t *testing.T) {
+	clk := clock.NewVirtual(time.Now(), 1)
+	m := newTestMesh(t, Config{
+		Topology: Topology{Nodes: 2, Links: []Link{{A: 0, B: 1}}},
+		Links:    []LinkConns{{A: deadConn{make(chan struct{})}, B: deadConn{make(chan struct{})}}},
+		Source:   0, Dest: 1, Routes: 1,
+		AckTimeout:     time.Second,
+		WatchdogWindow: time.Hour, // the dead hop is not declared wedged
+		RetryInterval:  100 * time.Millisecond, RetryBackoffMax: 100 * time.Millisecond,
+		Clock: clk, Seed: 1, Metrics: metrics.New(),
+	})
+	// locked reads the source's state as a router pass leaves it: a pass
+	// holds m.mu from start to end.
+	locked := func() (spares, peak int, armed bool) {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return len(m.spare), m.peak, m.armed
+	}
+	waitFor := func(what string, cond func(spares, peak int, armed bool) bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(locked()); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				spares, peak, armed := locked()
+				t.Fatalf("%s: %d spares, in-flight peak %d, armed %v", what, spares, peak, armed)
+			}
+		}
+	}
+
+	const burst = 1000
+	for i := 0; i < burst; i++ {
+		if _, err := m.Submit([]byte("burst")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The first Submit found the table empty and woke the router, which
+	// arms the ack timeout; the clock must not move before it has.
+	waitFor("no router pass armed the ack timeout", func(_, _ int, armed bool) bool { return armed })
+	in := new(dedupWindow)
+	for id := uint64(0); id < burst; id++ {
+		m.nodes[0].handleFrame(in, ackOf([]byte{0, 1}, id, 1))
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := m.Flush(ctx); err != nil {
+		t.Fatalf("Flush: %v (stats %+v)", err, m.Stats())
+	}
+	if spares, _, _ := locked(); spares != burst {
+		t.Fatalf("a burst of %d acked left the source %d spares, want all of them", burst, spares)
+	}
+
+	// The first ack timeout's pass keeps them — the table held 1 000 since
+	// the pass before — restarts the peak at the empty table and arms once
+	// more; the second gives back all but spareEntries.
+	clk.AdvanceBy(time.Second)
+	waitFor("after one ack timeout", func(spares, peak int, armed bool) bool { return peak == 0 && armed })
+	if spares, _, _ := locked(); spares != burst {
+		t.Errorf("one ack timeout on the source holds %d spares, want the %d its last interval needed", spares, burst)
+	}
+	clk.AdvanceBy(time.Second)
+	waitFor("after two ack timeouts", func(spares, _ int, _ bool) bool { return spares <= spareEntries })
+	if st := m.Stats(); st.Acked != burst || st.Reroutes != 0 {
+		t.Errorf("stats %+v, want %d acked and none re-dispatched", st, burst)
+	}
+}
+
 // TestMeshParkedResumesOnHopRecovery: a payload parked because its only
 // route's hop went unhealthy resumes on the hop's recovery alone — the
 // health transition wakes the router; nothing is submitted or acked in

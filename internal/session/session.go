@@ -62,10 +62,13 @@ type Config struct {
 	// byte-identical resubmission after a wipe is exactly the contract a
 	// deeper window's exactly-once dedup needs.
 	Window int
-	// Merge is the outbox's: a worker sends a run of queued payloads it
-	// accepts as one message (see outbox.Config). It needs Window ≤ 1 — a
-	// run formed again after a wipe is not byte-identical to the one
-	// wiped, and a framed window's release would stall on the lost seq.
+	// Merge is the outbox's: Enqueue folds a payload it accepts into the
+	// payload queued ahead of it, and the run goes as one message (see
+	// outbox.Config). It needs Window ≤ 1 — a run re-queued after a wipe
+	// may take in payloads enqueued since, and one replayed from the WAL
+	// may be formed differently, so a resubmission need not be
+	// byte-identical, and a framed window's release would stall on the
+	// lost seq.
 	Merge func(run, next []byte) ([]byte, bool)
 
 	// Watchdog, backoff and breaker knobs; see supervise.Config.
