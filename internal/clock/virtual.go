@@ -129,6 +129,9 @@ func (v *Virtual) Release() {
 	}
 }
 
+// Held reports the Holds not yet released: what the barrier waits for.
+func (v *Virtual) Held() int64 { return v.held.Load() }
+
 // vtimer is one virtual timer/ticker: armings are heap entries tagged
 // with the timer's generation, so Stop and Reset invalidate stale
 // entries lazily instead of searching the heap.

@@ -275,6 +275,7 @@ func (w *Wheel) run() {
 			for _, fn := range due {
 				fn()
 			}
+			clear(due) // a fired callback must not pin what it closed over
 			due = due[:0]
 		case <-w.stop:
 			return

@@ -30,6 +30,38 @@ func TestWheelAfterFuncFires(t *testing.T) {
 	}
 }
 
+// TestWheelLetsGoOfFiredCallbacks: once a callback has run, the wheel
+// holds no reference to it, so what it closed over is garbage. A wheel
+// that kept its last batch of callbacks kept a closed mesh alive on the
+// process-wide wheel until later timers overwrote them.
+func TestWheelLetsGoOfFiredCallbacks(t *testing.T) {
+	w := NewWheel(time.Millisecond, 16)
+	defer w.Stop()
+	fired, collected := make(chan struct{}), make(chan struct{})
+	func() {
+		held := new([1 << 10]byte)
+		runtime.SetFinalizer(held, func(*[1 << 10]byte) { close(collected) })
+		w.AfterFunc(time.Millisecond, func() {
+			held[0]++
+			close(fired)
+		})
+	}()
+	select {
+	case <-fired:
+	case <-time.After(2 * time.Second):
+		t.Fatal("timer never fired")
+	}
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("what a fired callback closed over is still reachable")
+}
+
 func TestWheelRoundsBeyondOneRevolution(t *testing.T) {
 	// 4 slots x 1ms tick = 4ms per revolution; a 10ms delay must ride the
 	// rounds counter and not fire a revolution early.

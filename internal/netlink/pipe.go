@@ -32,12 +32,9 @@ func Pipe(cfg PipeConfig) (PacketConn, PacketConn) {
 	p := &pipe{stop: make(chan struct{})}
 	for i := range p.dirs {
 		p.dirs[i] = pipeDir{
-			// Deep enough to absorb a burst while the reader is busy; size
-			// is a latency/memory tradeoff, not a correctness one (the
-			// protocol tolerates loss).
-			q:    make(chan []byte, 512),
-			free: make(bufList, freeBuffers),
-			virt: virt,
+			ready: make(chan struct{}, 1),
+			free:  make(bufList, freeBuffers),
+			virt:  virt,
 		}
 	}
 	a := &pipeEnd{p: p, send: &p.dirs[0], recv: &p.dirs[1]}
@@ -112,22 +109,74 @@ func (p *pipe) close() {
 // and the other end's Recv. Every packet in it is a buffer of the
 // direction's free list, owned by exactly one stage at a time — Send's
 // copy, the queue, then the receiving end until its next Recv.
+//
+// The queue is a ring that holds up to 512 packets, deep enough to absorb
+// a burst while the reader is busy; beyond that the tail is dropped, as a
+// congested link would (the protocol tolerates loss). 512 is a ceiling,
+// not an allocation: the ring starts at 8 slots, doubles when a packet
+// finds it full, and never shrinks, so a direction holds the slots of its
+// high-water mark and a steady state allocates nothing.
 type pipeDir struct {
-	q    chan []byte
-	free bufList
-	virt *clock.Virtual // nil unless the clock is virtual: a queued packet holds its barrier
+	mu   sync.Mutex
+	ring [][]byte // queued packets from head, n of them; len is a power of two
+	head int
+	n    int
+
+	ready chan struct{} // one token: the queue may be non-empty
+	free  bufList
+	virt  *clock.Virtual // nil unless the clock is virtual: a queued packet holds its barrier
 }
 
 // enqueue puts a copy of p on the direction's queue, or drops it when
-// the queue is full, as a congested link would.
+// the queue is full.
 func (d *pipeDir) enqueue(p []byte) {
 	cp := d.free.copy(p)
+	d.mu.Lock()
+	if d.n == len(d.ring) {
+		if d.n == 512 {
+			d.mu.Unlock()
+			d.free.put(cp) // dropped at the tail
+			return
+		}
+		grown := make([][]byte, max(8, 2*d.n))
+		for i := 0; i < d.n; i++ {
+			grown[i] = d.ring[(d.head+i)&(len(d.ring)-1)]
+		}
+		d.ring, d.head = grown, 0
+	}
+	d.ring[(d.head+d.n)&(len(d.ring)-1)] = cp
+	d.n++
 	d.virt.Hold() // until Recv collects it, or a drain discards it
+	d.mu.Unlock()
+	d.signal()
+}
+
+// dequeue takes the packet at the head of the queue, if there is one. A
+// packet left behind it re-posts the token, so a wake-up is never lost
+// to a second reader.
+func (d *pipeDir) dequeue() ([]byte, bool) {
+	d.mu.Lock()
+	if d.n == 0 {
+		d.mu.Unlock()
+		return nil, false
+	}
+	cp := d.ring[d.head]
+	d.ring[d.head] = nil
+	d.head = (d.head + 1) & (len(d.ring) - 1)
+	d.n--
+	more := d.n > 0
+	d.mu.Unlock()
+	if more {
+		d.signal()
+	}
+	return cp, true
+}
+
+// signal posts the ready token, unless one is already posted.
+func (d *pipeDir) signal() {
 	select {
-	case d.q <- cp:
+	case d.ready <- struct{}{}:
 	default:
-		d.virt.Release()
-		d.free.put(cp)
 	}
 }
 
@@ -135,13 +184,12 @@ func (d *pipeDir) enqueue(p []byte) {
 // must not leave the virtual clock's barrier held.
 func (d *pipeDir) drain() {
 	for {
-		select {
-		case cp := <-d.q:
-			d.virt.Release()
-			d.free.put(cp)
-		default:
+		cp, ok := d.dequeue()
+		if !ok {
 			return
 		}
+		d.virt.Release()
+		d.free.put(cp)
 	}
 }
 
@@ -205,13 +253,20 @@ func (e *pipeEnd) sent() {
 func (e *pipeEnd) Recv() ([]byte, error) {
 	e.recv.free.put(e.lent)
 	e.lent = nil
-	select {
-	case e.lent = <-e.recv.q:
-	case <-e.p.stop:
-		return nil, ErrClosed
+	for {
+		if e.closed() {
+			return nil, ErrClosed
+		}
+		if cp, ok := e.recv.dequeue(); ok {
+			e.recv.virt.Release()
+			e.lent = cp
+			return cp, nil
+		}
+		select {
+		case <-e.recv.ready:
+		case <-e.p.stop:
+		}
 	}
-	e.recv.virt.Release()
-	return e.lent, nil
 }
 
 // Close implements PacketConn; it shuts down both directions.

@@ -596,9 +596,11 @@ func (m *Mesh) completeAck(id uint64) {
 // deliverLocal commits one data frame at the destination: end-to-end
 // dedup, ack back toward the source (re-acking duplicates, so a lost ack
 // is healed by the next re-dispatch), then hand the payload to the higher
-// layer. It reports whether the payload — part of the frame's message —
-// went to Delivered and is the higher layer's from now on.
-func (m *Mesh) deliverLocal(n *node, f frame) (kept bool) {
+// layer. What goes to Delivered is a copy of the payload at its own size,
+// the higher layer's for good: the frame stays the caller's to give back.
+// A payload is counted delivered once Delivered has it, not when a closing
+// mesh drops it.
+func (m *Mesh) deliverLocal(n *node, f frame) {
 	m.mu.Lock()
 	first := m.delivered[f.Src].add(f.ID)
 	route := m.ackRouteLocked(f, n.id)
@@ -624,15 +626,15 @@ func (m *Mesh) deliverLocal(n *node, f frame) (kept bool) {
 	if !first {
 		m.mt.dupSuppressed.Inc()
 		m.addDup()
-		return false
+		return
 	}
-	m.mt.delivered.Inc()
-	m.st.delivered.Add(1)
+	p := make([]byte, len(f.Payload))
+	copy(p, f.Payload)
 	select {
-	case m.deliveredCh <- f.Payload: // the frame is the receiver's own copy: ours to hand on
-		return true
+	case m.deliveredCh <- p:
+		m.mt.delivered.Inc()
+		m.st.delivered.Add(1)
 	case <-m.stop:
-		return false
 	}
 }
 

@@ -188,12 +188,10 @@ func (n *node) start() error {
 				if err != nil {
 					return
 				}
-				// A frame forwarded, acked, suppressed or dropped is done
-				// with; only the one whose payload went to Delivered lives
-				// on, in the higher layer's hands.
-				if !n.handleFrame(&w, msg) {
-					r.GiveBack(msg)
-				}
+				// Forwarded, acked, delivered, suppressed or dropped, a
+				// frame is done with: every hand-on is a copy.
+				n.handleFrame(&w, msg)
+				r.GiveBack(msg)
 			}
 		}()
 	}
@@ -238,15 +236,14 @@ func (n *node) stop() {
 
 // handleFrame processes one inbound frame on this node: dedup against w,
 // the window of the hop it arrived on, then deliver (destination),
-// complete (ack at the source) or forward. It reports whether p was kept —
-// its payload handed to Delivered — rather than finished with: every
-// Enqueue copies what it sends on.
-func (n *node) handleFrame(w *dedupWindow, p []byte) (kept bool) {
+// complete (ack at the source) or forward. It keeps no part of p: Enqueue
+// and Delivered get copies.
+func (n *node) handleFrame(w *dedupWindow, p []byte) {
 	m := n.m
 	f, err := parseFrame(p)
 	if err != nil {
 		m.mt.dropped.Inc()
-		return false
+		return
 	}
 
 	// Per-hop dedup: a session resubmission after a hop crash delivers
@@ -256,12 +253,13 @@ func (n *node) handleFrame(w *dedupWindow, p []byte) (kept bool) {
 	if f.Kind == frameData && w.seen(f.key()) {
 		m.mt.dupSuppressed.Inc()
 		m.addDup()
-		return false
+		return
 	}
 
 	if int(f.Dst) == n.id {
 		if f.Kind == frameData {
-			return m.deliverLocal(n, f)
+			m.deliverLocal(n, f)
+			return
 		}
 		// The frame's own id, then every pair of its tail, which
 		// parseFrame found whole.
@@ -271,7 +269,7 @@ func (n *node) handleFrame(w *dedupWindow, p []byte) (kept bool) {
 			m.mt.acks.Inc()
 			m.completeAck(id)
 			if len(tail) == 0 {
-				return false
+				return
 			}
 			id, _, tail, _ = nextAck(tail)
 		}
@@ -281,22 +279,21 @@ func (n *node) handleFrame(w *dedupWindow, p []byte) (kept bool) {
 	next, ok := nextHop(f.Route, n.id)
 	if !ok {
 		m.mt.dropped.Inc()
-		return false
+		return
 	}
 	sess := n.sessionTo(next)
 	if sess == nil {
 		// The next-hop session is gone (this node is stopping); the
 		// source's ack timeout re-dispatches the payload.
 		m.mt.dropped.Inc()
-		return false
+		return
 	}
 	if _, err := sess.Enqueue(p); err != nil {
 		m.mt.dropped.Inc()
-		return false
+		return
 	}
 	m.mt.hops.Inc()
 	m.addHop()
-	return false
 }
 
 // nextHop finds self in route and returns its successor.

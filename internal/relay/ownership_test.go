@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -138,7 +139,9 @@ func TestMeshDeliveredPayloadsStayIntact(t *testing.T) {
 // mesh — source, two hops, the ack's two hops back, twelve stations and
 // their checkers: the one copy the destination hands to Delivered, which
 // the caller owns. The budget of 2 leaves room for the in-flight table's
-// map, which grows now and then.
+// map, which grows now and then. The copy is the payload's own size, not
+// the frame's: 72 bytes a payload leaves room for the map and nothing for
+// a 64-byte payload kept in the 80-byte frame it arrived in.
 func TestMeshPayloadAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector's sync.Pool drops buffers at random")
@@ -166,12 +169,57 @@ func TestMeshPayloadAllocBudget(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		round() // every route's rings, spare lists and checker tables filled
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	from := n
 	got := testing.AllocsPerRun(3000, round)
-	t.Logf("%v allocs per delivered payload", got)
+	runtime.ReadMemStats(&after)
+	perPayload := float64(after.TotalAlloc-before.TotalAlloc) / float64(n-from)
+	t.Logf("%v allocs, %.1f bytes per delivered payload", got, perPayload)
 	if got > 2 {
 		t.Errorf("one payload through the five-node mesh: %v allocs, budget 2", got)
 	}
+	if perPayload > 72 {
+		t.Errorf("one 64-byte payload through the five-node mesh: %.1f bytes allocated, budget 72", perPayload)
+	}
 	requireCleanHops(t, m)
+}
+
+// TestMeshDeliveredCountsWhatDeliveredGot: Stats().Delivered counts the
+// payloads the higher layer can read from Delivered, not those a closing
+// mesh dropped at the door. With room for one payload and no reader, the
+// destination acks the second and waits; Close turns it away.
+func TestMeshDeliveredCountsWhatDeliveredGot(t *testing.T) {
+	reg := metrics.New()
+	topo := Topology{Nodes: 2, Links: []Link{{A: 0, B: 1}}}
+	m := newTestMesh(t, Config{
+		Topology: topo, Links: pipeLinks(topo, 1111),
+		Source: 0, Dest: 1, Routes: 1, DeliveryBuffer: 1, Seed: 1111, Metrics: reg,
+	})
+	for _, p := range []string{"read", "turned away"} {
+		if _, err := m.Submit([]byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if err := m.Flush(ctx); err != nil { // both acked: the second waits at the full channel
+		t.Fatalf("Flush: %v (stats %+v)", err, m.Stats())
+	}
+	m.Close()
+	var got []string
+	for p := range m.Delivered() {
+		got = append(got, string(p))
+	}
+	if len(got) != 1 || got[0] != "read" {
+		t.Fatalf("Delivered held %q, want the first payload alone", got)
+	}
+	if st := m.Stats(); st.Delivered != 1 {
+		t.Errorf("Stats().Delivered = %d for one payload Delivered held", st.Delivered)
+	}
+	if c := reg.Counter(mRelayDelivered).Value(); c != 1 {
+		t.Errorf("%s = %d for one payload Delivered held", mRelayDelivered, c)
+	}
 }
 
 // deadConn is a link end that carries nothing: Send succeeds, Recv blocks

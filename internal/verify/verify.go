@@ -91,22 +91,31 @@ func digestOf(msg []byte) (d digest) {
 // budget is one payload's delivery budget on one receiver slot. Event
 // indexes count from 1, so a zero index means "never".
 type budget struct {
-	slot        int
 	sends       int32 // send_msg events on this slot
 	sendUsed    int32 // send licenses consumed
 	crashUsed   int   // index of the last crash^R whose license was consumed
 	deliveredAt int   // index of the last receive_msg
 }
 
+// slotBudget is a payload's budget on a slot other than 0, one link of a
+// list hung off its record.
+type slotBudget struct {
+	budget
+	slot int
+	next *slotBudget
+}
+
 // record tracks one payload across its send attempts; the zero value is
-// "never seen". Slot 0, a depth-1 station's only slot, lives inline.
+// "never seen". It is a map value, 64 bytes: slot 0, a depth-1 station's
+// only slot, lives inline, and the other slots out of line behind one
+// pointer, which a depth-1 station leaves nil.
 type record struct {
 	sends, completions int32 // send_msg events; OK or crash^T completions granted
 	sentAt             int   // index of the most recent send_msg
 	deliveredAt        int   // index of the most recent receive_msg, any slot
 	completedAt        int   // index of the most recent completion
 	zero               budget
-	more               []budget
+	more               *slotBudget
 }
 
 // on returns the payload's budget on slot, adding it on first touch.
@@ -114,15 +123,13 @@ func (r *record) on(slot int) *budget {
 	if slot == 0 {
 		return &r.zero
 	}
-	for i := range r.more {
-		if r.more[i].slot == slot {
-			return &r.more[i]
+	for b := r.more; b != nil; b = b.next {
+		if b.slot == slot {
+			return &b.budget
 		}
 	}
-	var b budget
-	b.slot = slot
-	r.more = append(r.more, b)
-	return &r.more[len(r.more)-1]
+	r.more = &slotBudget{slot: slot, next: r.more}
+	return &r.more.budget
 }
 
 // slotTrack is the checker's state per window slot. refreshed is the
@@ -308,8 +315,9 @@ func addExample(list []string, m []byte) []string {
 }
 
 // liveHorizon is Live's Checker horizon. A constant, like the depth of a
-// relay node's per-hop dedup window: it keeps a hop's two tables near
-// 25 KB, twelve hops under 0.5 MB.
+// relay node's per-hop dedup window: each of a hop's two tables holds 128
+// slots of an 80-byte digest and record, so a checker is near 20 KB and
+// twelve hops near 0.25 MB.
 const liveHorizon = 96
 
 // Live adapts Checker for use as the tap of live netlink stations: Observe

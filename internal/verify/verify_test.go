@@ -3,6 +3,7 @@ package verify
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"ghm/internal/trace"
 )
@@ -405,5 +406,13 @@ func TestWindowedPerSlotDupStillCaught(t *testing.T) {
 	r = Check(ev("s2:a", "r2:a", "cr", "r2:a", "r2:a"))
 	if r.Duplication != 1 {
 		t.Fatalf("Duplication after exhausted crash budget = %d, want 1 (%v)", r.Duplication, r)
+	}
+}
+
+// TestRecordIsCompact pins a record, the value in the checker's two maps,
+// at 64 bytes: what a hop's checker holds is two maps of them.
+func TestRecordIsCompact(t *testing.T) {
+	if got := unsafe.Sizeof(record{}); got > 64 {
+		t.Errorf("record is %d bytes, want at most 64", got)
 	}
 }
