@@ -24,10 +24,12 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"time"
 
 	"ghm/internal/adversary"
 	"ghm/internal/baseline"
 	"ghm/internal/core"
+	"ghm/internal/netlink"
 	"ghm/internal/sim"
 	"ghm/internal/trace"
 )
@@ -55,8 +57,8 @@ func run(args []string, out io.Writer) error {
 		deliver    = fs.Float64("deliver", 0.5, "per-step delivery probability")
 		replayRate = fs.Int("replay-rate", 3, "replays per step for replay/guessflood adversaries")
 		latency    = fs.Int("latency", 4, "base delivery delay in steps (netlike)")
-		jitter     = fs.Int("jitter", 4, "extra random delay in steps (netlike)")
-		bandwidth  = fs.Int("bandwidth", 0, "max deliveries per direction per step, 0 = unlimited (netlike)")
+		jitter     = fs.Int("jitter", 4, "extra random delay of up to N steps (netlike)")
+		bandwidth  = fs.Int("bandwidth", 0, "bytes per direction per step, 0 = unlimited (netlike)")
 		crashT     = fs.Int("crash-t", 0, "crash the transmitter every N steps (0 = never)")
 		crashR     = fs.Int("crash-r", 0, "crash the receiver every N steps (0 = never)")
 		seed       = fs.Int64("seed", 1, "random seed")
@@ -169,10 +171,12 @@ func buildAdversary(c advConfig) (adversary.Adversary, error) {
 	case "fair":
 		return base, nil
 	case "netlike":
-		return adversary.NewNetLike(rng(5), adversary.NetLikeConfig{
-			Latency: c.latency, Jitter: c.jitter,
+		// A NetLike step is a second of link time: durations count steps
+		// and Bandwidth is bytes per step.
+		return sim.NewNetLike(netlink.LinkModel{
+			Latency: time.Duration(c.latency) * time.Second, Jitter: time.Duration(c.jitter) * time.Second,
 			Loss: loss, DupProb: dup, Bandwidth: c.bandwidth,
-		}), nil
+		}, seed+5), nil
 	case "replay":
 		return adversary.Compose(base,
 			adversary.NewReplay(rng(1), trace.DirTR, rate),

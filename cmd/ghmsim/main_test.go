@@ -117,7 +117,7 @@ func TestRunNetlikeAdversary(t *testing.T) {
 	var out strings.Builder
 	err := run([]string{
 		"-adversary", "netlike", "-latency", "3", "-jitter", "5",
-		"-bandwidth", "4", "-loss", "0.25", "-retry-every", "12", "-messages", "25",
+		"-bandwidth", "80", "-loss", "0.25", "-retry-every", "12", "-messages", "25",
 	}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())

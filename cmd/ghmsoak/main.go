@@ -79,6 +79,7 @@ import (
 	"ghm/internal/chaos"
 	"ghm/internal/core"
 	"ghm/internal/metrics"
+	"ghm/internal/netlink"
 	"ghm/internal/secmodel"
 	"ghm/internal/sim"
 	"ghm/internal/trace"
@@ -533,12 +534,13 @@ func randomMix(rng *rand.Rand, eps float64) mix {
 		m.desc = fmt.Sprintf("fair(loss=%.2f,dup=%.2f)", loss, dup)
 	} else {
 		lat := 1 + rng.Intn(6)
-		parts = append(parts, adversary.NewNetLike(rand.New(rand.NewSource(rng.Int63())),
-			adversary.NetLikeConfig{
-				Latency: lat, Jitter: rng.Intn(8),
-				Loss: rng.Float64() * 0.5, DupProb: rng.Float64() * 0.4,
-				Bandwidth: rng.Intn(6), // 0 = unlimited
-			}))
+		seed := rng.Int63()
+		parts = append(parts, sim.NewNetLike(netlink.LinkModel{
+			Latency: time.Duration(lat) * time.Second, // a NetLike step is a second
+			Jitter:  time.Duration(rng.Intn(8)) * time.Second,
+			Loss:    rng.Float64() * 0.5, DupProb: rng.Float64() * 0.4,
+			Bandwidth: 20 * rng.Intn(6), // bytes per step, ~a packet per 20; 0 = unlimited
+		}, seed))
 		m.desc = fmt.Sprintf("netlike(lat=%d)", lat)
 		m.retryEvery = 2*lat + 8 // pace retries past the RTT
 	}

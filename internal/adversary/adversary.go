@@ -237,56 +237,6 @@ func (Silence) OnNewPacket(trace.Dir, int64, int) {}
 // Next implements Adversary.
 func (Silence) Next(int) []Action { return nil }
 
-// Partition suppresses an inner adversary's deliveries during the OFF part
-// of each period, modelling transient disconnections. Crash actions pass
-// through.
-type Partition struct {
-	Inner  Adversary
-	Period int // total cycle length in steps
-	Off    int // leading steps of each cycle with no deliveries
-}
-
-// OnNewPacket implements Adversary.
-func (p *Partition) OnNewPacket(dir trace.Dir, id int64, length int) {
-	p.Inner.OnNewPacket(dir, id, length)
-}
-
-// Next implements Adversary.
-func (p *Partition) Next(step int) []Action {
-	acts := p.Inner.Next(step)
-	if p.Period <= 0 || step%p.Period >= p.Off {
-		return acts
-	}
-	kept := acts[:0]
-	for _, a := range acts {
-		if a.Kind != ActDeliver {
-			kept = append(kept, a)
-		}
-	}
-	return kept
-}
-
-// Window activates an inner adversary only for steps in [From, To); it
-// still observes all packets. Useful for bursty attacks ("flood only while
-// message k is in flight").
-type Window struct {
-	Inner    Adversary
-	From, To int
-}
-
-// OnNewPacket implements Adversary.
-func (w *Window) OnNewPacket(dir trace.Dir, id int64, length int) {
-	w.Inner.OnNewPacket(dir, id, length)
-}
-
-// Next implements Adversary.
-func (w *Window) Next(step int) []Action {
-	if step < w.From || step >= w.To {
-		return nil
-	}
-	return w.Inner.Next(step)
-}
-
 // Scripted replays a fixed schedule of actions, for deterministic unit
 // tests.
 type Scripted struct {
@@ -339,8 +289,6 @@ var (
 	_ Adversary = (*GuessFlood)(nil)
 	_ Adversary = (*CrashLoop)(nil)
 	_ Adversary = Silence{}
-	_ Adversary = (*Partition)(nil)
-	_ Adversary = (*Window)(nil)
 	_ Adversary = (*Scripted)(nil)
 	_ Adversary = composite(nil)
 )

@@ -154,23 +154,6 @@ func TestSilence(t *testing.T) {
 	}
 }
 
-func TestPartitionSuppressesDeliveriesNotCrashes(t *testing.T) {
-	inner := &Scripted{Schedule: map[int][]Action{
-		1: {{Kind: ActDeliver, Dir: trace.DirTR, ID: 1}, {Kind: ActCrashR}},
-		7: {{Kind: ActDeliver, Dir: trace.DirTR, ID: 2}},
-	}}
-	p := &Partition{Inner: inner, Period: 10, Off: 5}
-
-	got1 := p.Next(1) // inside OFF window
-	if len(got1) != 1 || got1[0].Kind != ActCrashR {
-		t.Fatalf("OFF window output = %+v, want only crash", got1)
-	}
-	got7 := p.Next(7) // outside OFF window
-	if len(got7) != 1 || got7[0].Kind != ActDeliver {
-		t.Fatalf("ON window output = %+v", got7)
-	}
-}
-
 func TestComposeMergesActionsAndNotifications(t *testing.T) {
 	r1 := NewReplay(rand.New(rand.NewSource(7)), trace.DirTR, 1)
 	r2 := NewReplay(rand.New(rand.NewSource(8)), trace.DirRT, 1)

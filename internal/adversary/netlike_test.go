@@ -1,71 +1,43 @@
-package adversary
+package adversary_test
+
+// Black-box checks of the NetLike adversary as an Adversary. NetLike lives
+// in internal/sim, where it drives netlink.Link; one step there is one
+// second of link time, so Bandwidth is bytes per step.
 
 import (
-	"math/rand"
 	"testing"
+	"time"
 
+	"ghm/internal/netlink"
+	"ghm/internal/sim"
 	"ghm/internal/trace"
 )
 
-func TestNetLikeRespectsLatency(t *testing.T) {
-	n := NewNetLike(rand.New(rand.NewSource(1)), NetLikeConfig{Latency: 5})
-	n.Next(10) // establish "now"
-	n.OnNewPacket(trace.DirTR, 7, 30)
-	for step := 11; step < 15; step++ {
-		if acts := n.Next(step); len(acts) != 0 {
-			t.Fatalf("delivered at step %d, before the 5-step latency", step)
-		}
-	}
-	acts := n.Next(15)
-	if len(acts) != 1 || acts[0].ID != 7 {
-		t.Fatalf("step 15 actions = %+v", acts)
-	}
-}
-
-func TestNetLikeZeroJitterIsFIFO(t *testing.T) {
-	n := NewNetLike(rand.New(rand.NewSource(2)), NetLikeConfig{Latency: 3})
-	n.Next(0)
-	for i := int64(0); i < 10; i++ {
-		n.OnNewPacket(trace.DirTR, i, 10)
-	}
-	acts := n.Next(3)
-	if len(acts) != 10 {
-		t.Fatalf("delivered %d", len(acts))
-	}
-	for i, a := range acts {
-		if a.ID != int64(i) {
-			t.Fatalf("order broken: %+v", acts)
-		}
-	}
-}
+const step = time.Second
 
 func TestNetLikeBandwidthCap(t *testing.T) {
-	n := NewNetLike(rand.New(rand.NewSource(3)), NetLikeConfig{Latency: 1, Bandwidth: 3})
-	n.Next(0)
+	// 30 bytes per step, 10-byte packets: three a step.
+	n := sim.NewNetLike(netlink.LinkModel{Bandwidth: 30}, 3)
 	for i := int64(0); i < 8; i++ {
 		n.OnNewPacket(trace.DirTR, i, 10)
 	}
-	if got := len(n.Next(1)); got != 3 {
-		t.Fatalf("step 1 delivered %d, want 3", got)
-	}
-	if got := len(n.Next(2)); got != 3 {
-		t.Fatalf("step 2 delivered %d, want 3", got)
-	}
-	if got := len(n.Next(3)); got != 2 {
-		t.Fatalf("step 3 delivered %d, want 2", got)
+	for s, want := range []int{0, 3, 3, 2} {
+		if got := len(n.Next(s)); got != want {
+			t.Fatalf("step %d delivered %d, want %d", s, got, want)
+		}
 	}
 }
 
 func TestNetLikeBandwidthPerDirection(t *testing.T) {
-	n := NewNetLike(rand.New(rand.NewSource(4)), NetLikeConfig{Latency: 1, Bandwidth: 2})
-	n.Next(0)
+	// 20 bytes per step, 10-byte packets: two a step on each channel.
+	n := sim.NewNetLike(netlink.LinkModel{Bandwidth: 20}, 4)
 	for i := int64(0); i < 3; i++ {
 		n.OnNewPacket(trace.DirTR, i, 10)
 		n.OnNewPacket(trace.DirRT, i, 10)
 	}
-	acts := n.Next(1)
+	n.Next(0)
 	counts := map[trace.Dir]int{}
-	for _, a := range acts {
+	for _, a := range n.Next(1) {
 		counts[a.Dir]++
 	}
 	if counts[trace.DirTR] != 2 || counts[trace.DirRT] != 2 {
@@ -74,22 +46,26 @@ func TestNetLikeBandwidthPerDirection(t *testing.T) {
 }
 
 func TestNetLikeTotalLoss(t *testing.T) {
-	n := NewNetLike(rand.New(rand.NewSource(5)), NetLikeConfig{Loss: 1})
+	n := sim.NewNetLike(netlink.LinkModel{Loss: 1}, 5)
 	n.OnNewPacket(trace.DirTR, 1, 10)
-	for step := 0; step < 50; step++ {
-		if len(n.Next(step)) != 0 {
+	for s := 0; s < 50; s++ {
+		if len(n.Next(s)) != 0 {
 			t.Fatal("lost packet delivered")
 		}
 	}
 }
 
 func TestNetLikeDuplication(t *testing.T) {
-	n := NewNetLike(rand.New(rand.NewSource(6)), NetLikeConfig{Latency: 1, Jitter: 4, DupProb: 1})
-	n.Next(0)
+	n := sim.NewNetLike(netlink.LinkModel{Latency: step, Jitter: 4 * step, DupProb: 1}, 6)
 	n.OnNewPacket(trace.DirTR, 9, 10)
 	total := 0
-	for step := 1; step < 10; step++ {
-		total += len(n.Next(step))
+	for s := 0; s < 10; s++ {
+		for _, a := range n.Next(s) {
+			if a.ID != 9 {
+				t.Fatalf("delivered unknown packet %+v", a)
+			}
+			total++
+		}
 	}
 	if total != 2 {
 		t.Fatalf("duplicated packet delivered %d times, want 2", total)

@@ -34,6 +34,8 @@ import (
 	"fmt"
 	mathrand "math/rand"
 	"strings"
+
+	"ghm/internal/clock"
 )
 
 // Str is an immutable string of bits.
@@ -362,26 +364,22 @@ func (s *mathSource) Draw(n int) Str {
 	return out
 }
 
-// seededSource draws from a SplitMix64 stream: deterministic like the
+// seededSource draws from a clock.SplitMix stream: deterministic like the
 // math source but a single word of state where math/rand.Rand carries
 // ~5KB — at swarm scale (two sources per station pair, hundreds of
 // thousands of stations) that footprint is the difference between the
 // population fitting in memory or not.
-type seededSource struct{ s uint64 }
+type seededSource struct{ rng clock.SplitMix }
 
 // NewSeededSource returns a deterministic Source seeded with seed,
 // sized for very large simulated populations.
-func NewSeededSource(seed int64) Source { return &seededSource{s: uint64(seed)} }
+func NewSeededSource(seed int64) Source { return &seededSource{rng: clock.SplitMix(seed)} }
 
 func (s *seededSource) Draw(n int) Str {
 	var out Str
 	raw := out.alloc(n)
 	for i := 0; i < len(raw); i += 8 {
-		s.s += 0x9e3779b97f4a7c15
-		z := s.s
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		z ^= z >> 31
+		z := s.rng.Next()
 		for j := 0; j < 8 && i+j < len(raw); j++ {
 			raw[i+j] = byte(z >> (8 * j))
 		}

@@ -1,7 +1,6 @@
 package clock
 
 import (
-	"sync"
 	"testing"
 	"time"
 )
@@ -117,49 +116,6 @@ func TestVirtualSeedDeterministic(t *testing.T) {
 func TestRealSeedDistinct(t *testing.T) {
 	if System().Seed() == System().Seed() {
 		t.Fatal("two Real seed draws collided")
-	}
-}
-
-type fakeSource struct {
-	mu   sync.Mutex
-	due  []time.Time
-	runs []time.Time
-}
-
-func (s *fakeSource) NextDeadline() (time.Time, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.due) == 0 {
-		return time.Time{}, false
-	}
-	return s.due[0], true
-}
-
-func (s *fakeSource) AdvanceTo(now time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for len(s.due) > 0 && !s.due[0].After(now) {
-		s.runs = append(s.runs, s.due[0])
-		s.due = s.due[1:]
-	}
-}
-
-func TestVirtualSource(t *testing.T) {
-	v := NewVirtual(time.Time{}, 1)
-	start := v.Now()
-	src := &fakeSource{due: []time.Time{
-		start.Add(5 * time.Millisecond),
-		start.Add(15 * time.Millisecond),
-	}}
-	v.AddSource(src)
-	hit := false
-	v.AfterFunc(10*time.Millisecond, func() { hit = true })
-	v.AdvanceBy(20 * time.Millisecond)
-	if !hit {
-		t.Fatal("heap event did not fire")
-	}
-	if len(src.runs) != 2 {
-		t.Fatalf("source ran %d deadlines, want 2", len(src.runs))
 	}
 }
 

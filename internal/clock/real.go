@@ -29,7 +29,7 @@ var seedSalt atomic.Int64
 // counter-salted mix keeps two components built in the same nanosecond
 // from sharing a fault schedule.
 func (Real) Seed() int64 {
-	return time.Now().UnixNano() ^ (seedSalt.Add(1) * goldenGamma)
+	return time.Now().UnixNano() ^ int64(uint64(seedSalt.Add(1))*splitMixGamma)
 }
 
 type realTimer struct{ t *time.Timer }

@@ -16,7 +16,7 @@ import (
 // Two modes of use:
 //
 //   - Inline (single-threaded): the swarm simulator arms AfterFunc
-//     callbacks and Sources only; Step runs them inline on the advancing
+//     callbacks only; Step runs them inline on the advancing
 //     goroutine in deterministic (deadline, arm-order) order. With no
 //     other goroutines the quiescence barrier is exact and runs are
 //     byte-for-byte reproducible.
@@ -31,11 +31,10 @@ import (
 //
 // The zero value is not usable; construct with NewVirtual.
 type Virtual struct {
-	mu      sync.Mutex
-	now     time.Time
-	seq     uint64
-	events  eventHeap
-	sources []Source
+	mu     sync.Mutex
+	now    time.Time
+	seq    uint64
+	events eventHeap
 
 	stepMu sync.Mutex // serializes Step/AdvanceUntil/Run drivers
 
@@ -47,20 +46,6 @@ type Virtual struct {
 
 	seed    int64
 	seedCtr atomic.Int64
-}
-
-// Source is a time-driven component that keeps its own timer structure —
-// the engine's hashed wheel — and plugs it into a Virtual clock: the
-// clock advances to the earlier of its own events and every source's
-// NextDeadline, then has the source run its due work inline via
-// AdvanceTo. This keeps wheel timers precise under virtual time without
-// the wheel ticking 10,000 times per virtual second.
-type Source interface {
-	// NextDeadline returns the source's earliest pending deadline, if any.
-	NextDeadline() (time.Time, bool)
-	// AdvanceTo runs all of the source's work due at or before now,
-	// inline on the calling goroutine.
-	AdvanceTo(now time.Time)
 }
 
 // NewVirtual builds a virtual clock starting at start (a zero start
@@ -94,20 +79,8 @@ func (v *Virtual) Now() time.Time {
 // seeds "from the clock" stay replayable. The n-th Seed call of a run
 // always returns the same value.
 func (v *Virtual) Seed() int64 {
-	return splitmix64(v.seed ^ (v.seedCtr.Add(1) * goldenGamma))
-}
-
-// goldenGamma is 0x9e3779b97f4a7c15 (the SplitMix64 increment) as a
-// two's-complement int64.
-const goldenGamma int64 = -0x61c8864680b583eb
-
-// splitmix64 is the SplitMix64 finalizer: a cheap, well-mixed hash used
-// to decorrelate derived seeds.
-func splitmix64(x int64) int64 {
-	z := uint64(x) + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
+	n := uint64(v.seedCtr.Add(1))
+	return MixSeed(v.seed^int64(n*splitMixGamma), 1)
 }
 
 // Hold marks one unit of in-flight work the clock must not advance past
@@ -249,22 +222,6 @@ func (v *Virtual) AfterFunc(d time.Duration, fn func()) Timer {
 	return t
 }
 
-// AddSource registers a wheel-like component; see Source.
-func (v *Virtual) AddSource(s Source) {
-	v.mu.Lock()
-	v.sources = append(v.sources, s)
-	v.mu.Unlock()
-	v.signal()
-}
-
-// snapshotSources copies the source list so deadlines are queried
-// without holding v.mu (sources take their own locks).
-func (v *Virtual) snapshotSources() []Source {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.sources
-}
-
 // dropStale removes invalidated heap heads; call with v.mu held.
 func (v *Virtual) dropStale() {
 	for len(v.events) > 0 {
@@ -276,39 +233,24 @@ func (v *Virtual) dropStale() {
 	}
 }
 
-// nextDeadline returns the earliest pending deadline across the heap and
-// every source.
+// nextDeadline returns the earliest pending deadline.
 func (v *Virtual) nextDeadline() (time.Time, bool) {
 	v.mu.Lock()
+	defer v.mu.Unlock()
 	v.dropStale()
-	var at time.Time
-	have := false
-	if len(v.events) > 0 {
-		at, have = v.events[0].at, true
+	if len(v.events) == 0 {
+		return time.Time{}, false
 	}
-	v.mu.Unlock()
-	for _, s := range v.snapshotSources() {
-		if d, ok := s.NextDeadline(); ok && (!have || d.Before(at)) {
-			at, have = d, true
-		}
-	}
-	return at, have
+	return v.events[0].at, true
 }
 
-// fireAt runs everything due at or before t: sources first (fixed
-// registration order), then heap events in (deadline, arm-order) order,
-// looping until no due work remains — work fired at t may arm more work
-// at t. Reports whether anything fired.
+// fireAt runs everything due at or before t in (deadline, arm-order)
+// order, looping until no due work remains — work fired at t may arm more
+// work at t. Reports whether anything fired.
 func (v *Virtual) fireAt(t time.Time) bool {
 	any := false
 	for {
 		fired := false
-		for _, s := range v.snapshotSources() {
-			if d, ok := s.NextDeadline(); ok && !d.After(t) {
-				s.AdvanceTo(t)
-				fired = true
-			}
-		}
 		for {
 			v.mu.Lock()
 			v.dropStale()

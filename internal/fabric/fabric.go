@@ -93,10 +93,10 @@ func (f *Fabric) Link(cfg LinkConfig) (*Port, *Port) {
 	f.mu.Unlock()
 	seed := cfg.Seed
 	if seed == 0 {
-		seed = netlink.MixSeed(f.seed, int64(idx)+1)
+		seed = clock.MixSeed(f.seed, int64(idx)+1)
 	}
-	a := newPort(f, cfg.LinkModel, netlink.MixSeed(seed, 1))
-	b := newPort(f, cfg.LinkModel, netlink.MixSeed(seed, 2))
+	a := newPort(f, cfg.LinkModel, clock.MixSeed(seed, 1))
+	b := newPort(f, cfg.LinkModel, clock.MixSeed(seed, 2))
 	a.peer, b.peer = b, a
 	return a, b
 }

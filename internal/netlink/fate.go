@@ -3,6 +3,8 @@ package netlink
 import (
 	"sync"
 	"time"
+
+	"ghm/internal/clock"
 )
 
 // GilbertElliott parameterizes the classic two-state Markov burst-loss
@@ -25,9 +27,10 @@ type GilbertElliott struct {
 
 // LinkModel is the paper's channel (§2.3: it may lose, duplicate and
 // reorder packets, nothing else) with numbers on it, for one direction
-// of a link. It is the one impairment vocabulary of the runtime:
-// PipeConfig, ImpairConfig and fabric.LinkConfig embed it, a chaos
-// scenario's link profile is it (hence the JSON names), and Link.Fate is
+// of a link. It is the one impairment vocabulary of the runtime and the
+// simulator: PipeConfig, ImpairConfig and fabric.LinkConfig embed it, a
+// chaos scenario's link profile is it (hence the JSON names),
+// sim.NewNetLike takes it, and Link.Fate is
 // the one place it is acted on. The zero value is a perfect link.
 type LinkModel struct {
 	// Loss is an i.i.d. drop probability applied to every packet, on top
@@ -100,10 +103,10 @@ type Fate struct {
 
 // Link is the state of one link direction — the Gilbert–Elliott bit, the
 // serialization clock, the packets in flight, the blackout and the
-// runtime loss rate — behind one seeded SplitMix64 stream. It has no
+// runtime loss rate — behind one seeded clock.SplitMix stream. It has no
 // clock, goroutine or buffer of its own: a driver (ImpairedConn on a
-// goroutine with a timer, fabric.Port with one clock event a flight)
-// asks Fate what happens to each packet, makes that happen on its clock,
+// goroutine with a timer, fabric.Port with one clock event a flight,
+// sim.NewNetLike on the simulator's steps) asks Fate what happens to each packet, makes that happen on its clock,
 // and reports each arrival with Land. Every method is safe from any
 // goroutine.
 type Link struct {
@@ -113,7 +116,7 @@ type Link struct {
 	Model LinkModel
 
 	mu        sync.Mutex
-	rng       splitMix
+	rng       clock.SplitMix
 	bad       bool      // Gilbert–Elliott state
 	txEnd     time.Time // when the serialization clock is next free
 	loss      float64
@@ -133,7 +136,7 @@ func (l *Link) Init(m LinkModel, seed int64) {
 		m.ReleaseEvery = 200 * time.Microsecond
 	}
 	l.Model = m
-	l.rng.s = uint64(seed)
+	l.rng = clock.SplitMix(seed)
 	l.loss = m.Loss
 }
 
@@ -150,7 +153,7 @@ func (l *Link) Fate(now time.Time, size int) (f Fate) {
 		return f
 	}
 	copies := 1
-	if l.Model.DupProb > 0 && l.rng.float64() < l.Model.DupProb {
+	if l.Model.DupProb > 0 && l.rng.Float64() < l.Model.DupProb {
 		copies, f.Dup = 2, true
 		l.stats.Duplicated++
 	}
@@ -180,18 +183,18 @@ func (l *Link) lose(now time.Time) Cause {
 		if l.bad {
 			flip = ge.PBadGood
 		}
-		if l.rng.float64() < flip {
+		if l.rng.Float64() < flip {
 			l.bad = !l.bad
 		}
 		if l.bad {
 			loss = ge.LossBad
 		}
-		if l.rng.float64() < loss {
+		if l.rng.Float64() < loss {
 			l.stats.DropBurst++
 			return DropBurst
 		}
 	}
-	if l.rng.float64() < l.loss {
+	if l.rng.Float64() < l.loss {
 		l.stats.DropIID++
 		return DropIID
 	}
@@ -211,10 +214,10 @@ func (l *Link) delay(now time.Time, size int) time.Duration {
 	}
 	at = at.Add(l.Model.Latency)
 	if l.Model.Jitter > 0 {
-		at = at.Add(time.Duration(l.rng.int63n(int64(l.Model.Jitter))))
+		at = at.Add(time.Duration(l.rng.Int63n(int64(l.Model.Jitter))))
 	}
-	if l.Model.ReorderProb > 0 && l.rng.float64() < l.Model.ReorderProb {
-		at = at.Add(time.Duration(l.rng.int63n(2 * int64(l.Model.ReleaseEvery))))
+	if l.Model.ReorderProb > 0 && l.rng.Float64() < l.Model.ReorderProb {
+		at = at.Add(time.Duration(l.rng.Int63n(2 * int64(l.Model.ReleaseEvery))))
 	}
 	return at.Sub(now)
 }
@@ -267,35 +270,4 @@ func (l *Link) Stats() ImpairStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.stats
-}
-
-// splitMix is a SplitMix64 stream: eight bytes of state per link
-// direction where a math/rand.Rand would cost ~5KB — the difference
-// between 100k simulated stations fitting in memory or not.
-type splitMix struct{ s uint64 }
-
-const splitMixGamma = 0x9e3779b97f4a7c15
-
-func splitMixFinish(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (r *splitMix) next() uint64 {
-	r.s += splitMixGamma
-	return splitMixFinish(r.s)
-}
-
-// float64 returns a uniform draw in [0, 1).
-func (r *splitMix) float64() float64 { return float64(r.next()>>11) / (1 << 53) }
-
-// int63n returns a draw in [0, n). The modulo bias is immaterial for
-// delay-sized n.
-func (r *splitMix) int63n(n int64) int64 { return int64(r.next() % uint64(n)) }
-
-// MixSeed derives the n-th seed of a family from seed, decorrelated from
-// its siblings: how a fabric gives every link direction its own stream.
-func MixSeed(seed, n int64) int64 {
-	return int64(splitMixFinish(uint64(seed) + uint64(n)*splitMixGamma))
 }

@@ -141,22 +141,84 @@ func TestSilenceNeverCompletes(t *testing.T) {
 	}
 }
 
+// TestPartitionRecovers cuts the link for 1500 of every 2000 steps and
+// crashes the receiver inside the first cut: nothing is delivered while
+// the link is dark, the crash still lands, and the run completes in the
+// light.
 func TestPartitionRecovers(t *testing.T) {
-	adv := &adversary.Partition{
-		Inner:  fair(7, adversary.FairConfig{}),
-		Period: 2000,
-		Off:    1500,
+	cuts := map[int][]adversary.Action{100: {{Kind: adversary.ActCrashR}}}
+	for s := 0; s < 300_000; s += 2000 {
+		cuts[s] = append(cuts[s], adversary.Action{Kind: adversary.ActBlackout, Dur: 1500})
 	}
 	res, err := RunGHM(Config{
 		Messages:  10,
 		MaxSteps:  300_000,
-		Adversary: adv,
+		Adversary: adversary.Compose(&adversary.Scripted{Schedule: cuts}, fair(7, adversary.FairConfig{})),
+		KeepTrace: true,
 	}, core.Params{}, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Done || !res.Report.Clean() {
 		t.Fatalf("partition run: done=%v report=%v", res.Done, res.Report)
+	}
+	if res.Report.CrashR != 1 {
+		t.Errorf("crash^R inside the cut: %d recorded, want 1", res.Report.CrashR)
+	}
+	for _, e := range res.Events {
+		if e.Kind == trace.KindDeliverPkt && e.Step%2000 < 1500 {
+			t.Fatalf("delivery through a dark link: %v", e)
+		}
+	}
+}
+
+// TestSimulatorConformance checks that the simulator schedules the higher
+// layer by the paper's axioms, under benign and hostile adversaries alike:
+// no send_msg while a transfer is pending, i.e. until its OK or crash^T
+// (Axiom 1); every message distinct (Axiom 2); and every deliver_pkt of a
+// packet some send_pkt put on that channel.
+func TestSimulatorConformance(t *testing.T) {
+	adversaries := map[string]adversary.Adversary{
+		"fair": fair(1, adversary.FairConfig{Loss: 0.3, DupProb: 0.3}),
+		"hostile": adversary.Compose(
+			fair(2, adversary.FairConfig{}),
+			adversary.NewReplay(rand.New(rand.NewSource(3)), trace.DirTR, 3),
+			&adversary.CrashLoop{EveryT: 41, EveryR: 67},
+		),
+	}
+	for name, adv := range adversaries {
+		t.Run(name, func(t *testing.T) {
+			res, err := RunGHM(Config{Messages: 30, MaxSteps: 200_000, Adversary: adv, KeepTrace: true}, core.Params{}, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pending := false
+			msgs := map[string]bool{}
+			sent := map[[2]int64]bool{}
+			for i, e := range res.Events {
+				switch e.Kind {
+				case trace.KindSendMsg:
+					if pending {
+						t.Fatalf("event %d: send_msg with a transfer pending (Axiom 1)", i)
+					}
+					if msgs[e.Msg] {
+						t.Fatalf("event %d: message %q sent twice (Axiom 2)", i, e.Msg)
+					}
+					pending, msgs[e.Msg] = true, true
+				case trace.KindOK, trace.KindCrashT:
+					pending = false
+				case trace.KindSendPkt:
+					sent[[2]int64{int64(e.Dir), e.PktID}] = true
+				case trace.KindDeliverPkt:
+					if !sent[[2]int64{int64(e.Dir), e.PktID}] {
+						t.Fatalf("event %d: %v delivers a packet never sent", i, e)
+					}
+				}
+			}
+			if len(msgs) != 30 {
+				t.Errorf("%d messages sent, want 30", len(msgs))
+			}
+		})
 	}
 }
 

@@ -262,7 +262,7 @@ func New[S any](cfg Config[S]) (*Supervisor[S], error) {
 		ownWheel: ownWheel,
 		seed:     seed,
 		m:        newSupMetrics(cfg.Metrics),
-		bo:       backoff{base: cfg.BackoffBase, max: cfg.BackoffMax, rng: uint64(seed)},
+		bo:       backoff{base: cfg.BackoffBase, max: cfg.BackoffMax, rng: clock.SplitMix(seed)},
 		br: breaker{
 			threshold: cfg.BreakerThreshold,
 			window:    cfg.BreakerWindow,

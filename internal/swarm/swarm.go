@@ -197,8 +197,8 @@ type world struct {
 	fab   *fabric.Fabric
 	pairs []*pair
 
-	rng       prng // fault schedule + fault parameter draws
-	faults    int  // fault firings so far (sample targeting alternation)
+	rng       clock.SplitMix // fault schedule + fault parameter draws
+	faults    int            // fault firings so far (sample targeting alternation)
 	blackouts int64
 	pulses    int64
 
@@ -214,12 +214,12 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	v := clock.NewVirtual(time.Time{}, cfg.Seed)
-	fab := fabric.New(fabric.Config{Clock: v, Seed: netlink.MixSeed(cfg.Seed, 0x5a)})
+	fab := fabric.New(fabric.Config{Clock: v, Seed: clock.MixSeed(cfg.Seed, 0x5a)})
 	w := &world{
 		cfg:    cfg,
 		clk:    v,
 		fab:    fab,
-		rng:    prng{s: uint64(netlink.MixSeed(cfg.Seed, 0xfa))},
+		rng:    clock.SplitMix(clock.MixSeed(cfg.Seed, 0xfa)),
 		hash:   fnv.New64a(),
 		writer: cfg.TraceWriter,
 	}
@@ -251,11 +251,11 @@ func Run(cfg Config) (*Result, error) {
 func (w *world) newPair(i int) (*pair, error) {
 	ptx := core.Params{
 		Epsilon: w.cfg.Epsilon,
-		Source:  bitstr.NewSeededSource(netlink.MixSeed(w.cfg.Seed, int64(2*i+1))),
+		Source:  bitstr.NewSeededSource(clock.MixSeed(w.cfg.Seed, int64(2*i+1))),
 	}
 	prx := core.Params{
 		Epsilon: w.cfg.Epsilon,
-		Source:  bitstr.NewSeededSource(netlink.MixSeed(w.cfg.Seed, int64(2*i+2))),
+		Source:  bitstr.NewSeededSource(clock.MixSeed(w.cfg.Seed, int64(2*i+2))),
 	}
 	tx, err := core.NewTransmitter(ptx)
 	if err != nil {
@@ -302,13 +302,13 @@ func (w *world) newPair(i int) (*pair, error) {
 func (w *world) arm() {
 	for _, p := range w.pairs {
 		p := p
-		msgPhase := time.Duration(uint64(netlink.MixSeed(w.cfg.Seed, int64(3*p.id+1))) % uint64(w.cfg.MsgEvery))
+		msgPhase := time.Duration(uint64(clock.MixSeed(w.cfg.Seed, int64(3*p.id+1))) % uint64(w.cfg.MsgEvery))
 		var mt clock.Timer
 		mt = w.clk.AfterFunc(msgPhase, func() {
 			w.submit(p)
 			mt.Reset(w.cfg.MsgEvery)
 		})
-		retryPhase := time.Duration(uint64(netlink.MixSeed(w.cfg.Seed, int64(3*p.id+2))) % uint64(w.cfg.RetryEvery))
+		retryPhase := time.Duration(uint64(clock.MixSeed(w.cfg.Seed, int64(3*p.id+2))) % uint64(w.cfg.RetryEvery))
 		var rt clock.Timer
 		rt = w.clk.AfterFunc(retryPhase, func() {
 			w.route(p.pr, p.rx.Retry().Packets)
@@ -358,17 +358,17 @@ func (w *world) injectFault() {
 	w.faults++
 	var p *pair
 	if w.faults%2 == 0 && w.cfg.Sample > 0 {
-		s := int(w.rng.next() % uint64(w.cfg.Sample))
+		s := int(w.rng.Next() % uint64(w.cfg.Sample))
 		p = w.pairs[s*len(w.pairs)/w.cfg.Sample]
 	} else {
-		p = w.pairs[int(w.rng.next()%uint64(len(w.pairs)))]
+		p = w.pairs[int(w.rng.Next()%uint64(len(w.pairs)))]
 	}
 	span := w.cfg.Faults.BlackoutMax - w.cfg.Faults.Every
 	window := w.cfg.Faults.Every
 	if span > 0 {
-		window += time.Duration(w.rng.next() % uint64(span))
+		window += time.Duration(w.rng.Next() % uint64(span))
 	}
-	switch w.rng.next() % 4 {
+	switch w.rng.Next() % 4 {
 	case 0:
 		p.tx.Crash()
 		p.crashT++
@@ -468,15 +468,4 @@ func (w *world) collect(wall time.Duration) *Result {
 		})
 	}
 	return res
-}
-
-// prng is a SplitMix64 stream for the fault schedule.
-type prng struct{ s uint64 }
-
-func (r *prng) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
