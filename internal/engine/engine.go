@@ -222,7 +222,6 @@ func (e *Engine) Endpoint(id int) (*Endpoint, error) {
 		eng:    e,
 		id:     id,
 		slot:   s,
-		in:     make(chan []byte, e.cfg.Buffer),
 		closed: make(chan struct{}),
 	}
 	s.ep.Store(ep)
@@ -340,18 +339,35 @@ func (e *Engine) dispatch(p []byte) {
 		(*h)(body)
 		return
 	}
-	if len(ep.in) < cap(ep.in) { // the pump is the only producer: room seen is room kept
-		// The mailbox copy: the packet outlives the conn's receive buffer.
-		body = append([]byte(nil), body...)
-		select {
-		case ep.in <- body:
-			return
-		default:
-		}
+	if beforeMailbox != nil {
+		beforeMailbox()
 	}
+	// No handler seen: the mailbox path, under the lock SetHandler holds
+	// while it hands the endpoint over. A handler stored since the load
+	// above gets the packet, after the drain; none can be stored between
+	// this check and the enqueue.
+	ep.mu.Lock()
+	if h := ep.handler.Load(); h != nil {
+		ep.mu.Unlock()
+		(*h)(body)
+		return
+	}
+	in := ep.mailboxLocked()
+	if len(in) < cap(in) { // the pump is the only producer: room seen is room kept
+		// The mailbox copy: the packet outlives the conn's receive buffer.
+		in <- append([]byte(nil), body...)
+		ep.mu.Unlock()
+		return
+	}
+	ep.mu.Unlock()
 	s.overflow.Add(1)
 	e.overflowDropped.Inc()
 }
+
+// beforeMailbox, when set, runs in dispatch between the lock-free handler
+// check and the mailbox path: the window in which SetHandler can race a
+// packet that found no handler. Nil outside the engine's own tests.
+var beforeMailbox func()
 
 // framePool recycles send-path framing buffers: Conn.Send must not
 // retain its argument, so the buffer is safe to reuse the moment Send
@@ -368,12 +384,18 @@ var framePool = sync.Pool{
 // whose Send frames the id and whose Recv reads the demuxed mailbox.
 // Alternatively a layer can register a push handler (SetHandler) and go
 // mailbox-free — that is how the stations lose their private recvLoops.
+// The mailbox is made on first pull-mode use — a Recv, or a packet that
+// arrives while no handler is set — so a push-mode endpoint never has one.
 type Endpoint struct {
 	eng  *Engine
 	id   int
 	slot *slot
 
-	in      chan []byte
+	// mu hands the endpoint from mailbox to handler: SetHandler drains and
+	// stores under it, and dispatch re-checks the handler under it before
+	// it enqueues. The handler fast path does not take it.
+	mu      sync.Mutex
+	in      chan []byte // the mailbox, made by mailboxLocked; mu-guarded
 	handler atomic.Pointer[func(p []byte)]
 	wedged  atomic.Bool
 
@@ -406,18 +428,31 @@ func (ep *Endpoint) isClosed() bool {
 // SetHandler switches the endpoint to push mode: h runs on the pump
 // goroutine for every inbound packet and must not block — a blocking
 // handler stalls every endpoint on the conn — nor keep p past its return:
-// the packet is the conn's receive buffer. Packets already queued in
-// the mailbox are drained through h first so none are stranded.
+// the packet is the conn's receive buffer. Packets already queued in the
+// mailbox are first drained through h on the caller's goroutine, so none
+// are stranded; the pump's first call to h comes after the drain, never
+// during it. The drain runs under the endpoint's lock, so h must not call
+// SetHandler or Recv on its own endpoint. The drained mailbox is let go.
 func (ep *Endpoint) SetHandler(h func(p []byte)) {
-	ep.handler.Store(&h)
-	for {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	for ep.in != nil {
 		select {
 		case p := <-ep.in:
 			h(p)
 		default:
-			return
+			ep.in = nil
 		}
 	}
+	ep.handler.Store(&h)
+}
+
+// mailboxLocked returns the mailbox, made on first use; ep.mu is held.
+func (ep *Endpoint) mailboxLocked() chan []byte {
+	if ep.in == nil {
+		ep.in = make(chan []byte, ep.eng.cfg.Buffer)
+	}
+	return ep.in
 }
 
 // Wedge simulates a half-dead socket while on: sends are swallowed and
@@ -517,14 +552,17 @@ func (ep *Endpoint) SendBatch(pkts [][]byte) error {
 // ClosedErr once the endpoint is closed, and drains remaining buffered
 // packets before reporting a dead engine.
 func (ep *Endpoint) Recv() ([]byte, error) {
+	ep.mu.Lock()
+	in := ep.mailboxLocked()
+	ep.mu.Unlock()
 	select {
-	case p := <-ep.in:
+	case p := <-in:
 		return p, nil
 	case <-ep.closed:
 		return nil, ep.eng.cfg.ClosedErr
 	case <-ep.eng.dead:
 		select {
-		case p := <-ep.in:
+		case p := <-in:
 			return p, nil
 		default:
 			return nil, ep.eng.cfg.ClosedErr

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -394,7 +395,7 @@ func TestSetHandlerDrainsMailbox(t *testing.T) {
 	conn.inject(0, []byte("queued-2"))
 	// Wait for the pump to mailbox both.
 	deadline := time.Now().Add(2 * time.Second)
-	for len(ep.in) < 2 {
+	for mailboxLen(ep) < 2 {
 		if time.Now().After(deadline) {
 			t.Fatal("packets never reached the mailbox")
 		}
@@ -424,6 +425,162 @@ func TestSetHandlerDrainsMailbox(t *testing.T) {
 	defer mu.Unlock()
 	if len(got) != 3 || got[0] != "queued-1" || got[1] != "queued-2" || got[2] != "pushed" {
 		t.Fatalf("handler saw %q", got)
+	}
+}
+
+// mailboxLen is how many packets ep's mailbox holds; 0 when it has none.
+func mailboxLen(ep *Endpoint) int {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	return len(ep.in)
+}
+
+// hasMailbox reports whether ep's mailbox has been made.
+func hasMailbox(ep *Endpoint) bool {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	return ep.in != nil
+}
+
+// TestSetHandlerRacingDispatchStrandsNothing: a packet that found no
+// handler, and meets SetHandler before it reaches the mailbox, is still
+// handled — once, and not while the drain of the packets queued earlier
+// is running. The seam holds the pump at the race: it runs SetHandler to
+// completion on another goroutine, so the handler is stored and the
+// mailbox drained before the packet goes on. Enqueued into the drained
+// mailbox, which a push-mode endpoint never reads again, the packet would
+// be lost.
+func TestSetHandlerRacingDispatchStrandsNothing(t *testing.T) {
+	conn := newChanConn()
+	e := New(conn, Config{MaxEndpoints: 2, Metrics: metrics.New()})
+	defer e.Close()
+	ep, _ := e.Endpoint(0)
+
+	conn.inject(0, []byte("queued"))
+	for deadline := time.Now().Add(2 * time.Second); mailboxLen(ep) < 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("packet never reached the mailbox")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	var (
+		mu       sync.Mutex
+		counts   = map[string]int{}
+		inside   atomic.Int32
+		overlaps atomic.Int32
+	)
+	seen := make(chan struct{}, 8)
+	h := func(p []byte) {
+		if inside.Add(1) > 1 {
+			overlaps.Add(1)
+		}
+		time.Sleep(time.Millisecond) // widen any overlap
+		mu.Lock()
+		counts[string(p)]++
+		mu.Unlock()
+		inside.Add(-1)
+		seen <- struct{}{}
+	}
+	var once sync.Once
+	beforeMailbox = func() {
+		once.Do(func() {
+			set := make(chan struct{})
+			go func() {
+				ep.SetHandler(h)
+				close(set)
+			}()
+			select {
+			case <-set:
+			case <-time.After(time.Second): // a SetHandler waiting on the pump
+			}
+		})
+	}
+	defer func() { beforeMailbox = nil }()
+
+	conn.inject(0, []byte("raced"))
+	conn.inject(0, []byte("pushed"))
+	for i := 0; i < 3; i++ {
+		select {
+		case <-seen:
+		case <-time.After(2 * time.Second):
+			mu.Lock()
+			defer mu.Unlock()
+			t.Fatalf("handler saw %v: a packet was stranded", counts)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, p := range []string{"queued", "raced", "pushed"} {
+		if counts[p] != 1 {
+			t.Errorf("handler saw %q %d times, want once (all: %v)", p, counts[p], counts)
+		}
+	}
+	if n := overlaps.Load(); n != 0 {
+		t.Errorf("%d handler calls overlapped another", n)
+	}
+	if n := mailboxLen(ep); n != 0 {
+		t.Errorf("%d packets left in the mailbox of a push-mode endpoint", n)
+	}
+}
+
+// TestPushEndpointHasNoMailbox: an endpoint that sets its handler before
+// traffic arrives never makes a mailbox, however many packets it handles.
+func TestPushEndpointHasNoMailbox(t *testing.T) {
+	conn := newChanConn()
+	e := New(conn, Config{MaxEndpoints: 2, Metrics: metrics.New()})
+	defer e.Close()
+	ep, _ := e.Endpoint(1)
+	if hasMailbox(ep) {
+		t.Fatal("a new endpoint has a mailbox")
+	}
+	const n = 1000
+	var handled atomic.Int64
+	done := make(chan struct{})
+	ep.SetHandler(func([]byte) {
+		if handled.Add(1) == n {
+			close(done)
+		}
+	})
+	go func() {
+		for i := 0; i < n; i++ {
+			conn.inject(1, []byte("push"))
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("handled %d of %d packets", handled.Load(), n)
+	}
+	if hasMailbox(ep) {
+		t.Errorf("a push-mode endpoint that handled %d packets has a mailbox", n)
+	}
+}
+
+// TestPullEndpointQueuesBeforeFirstRecv: with no handler and no Recv yet,
+// the first packet makes the mailbox; it queues up to Buffer packets and
+// counts the rest as overflow, and the first Recv reads them in order.
+func TestPullEndpointQueuesBeforeFirstRecv(t *testing.T) {
+	conn := newChanConn()
+	reg := metrics.New()
+	e := New(conn, Config{MaxEndpoints: 2, Buffer: 4, Metrics: reg})
+	defer e.Close()
+	ep, _ := e.Endpoint(0)
+
+	for i := 0; i < 6; i++ {
+		conn.inject(0, []byte{byte('a' + i)})
+	}
+	waitCounterAtLeast(t, reg.Counter("link.overflow_dropped"), 2)
+	if n := mailboxLen(ep); n != 4 {
+		t.Fatalf("mailbox holds %d packets, want the Buffer's 4", n)
+	}
+	for i := 0; i < 4; i++ {
+		if got, want := recvOne(t, ep), []byte{byte('a' + i)}; !bytes.Equal(got, want) {
+			t.Fatalf("Recv %d = %q, want %q", i, got, want)
+		}
+	}
+	if g := reg.Snapshot().Gauges["link.ep0.overflow_dropped"]; g != 2 {
+		t.Errorf("per-endpoint overflow gauge = %v, want 2", g)
 	}
 }
 
@@ -574,7 +731,7 @@ func TestMailboxPacketOutlivesConnBuffer(t *testing.T) {
 	for i := 0; i < n; i++ {
 		// The pump is at least two reads ahead of the mailbox's reader (or
 		// has read everything there is).
-		for deadline := time.Now().Add(2 * time.Second); len(ep.in) < min(2, n-i); {
+		for deadline := time.Now().Add(2 * time.Second); mailboxLen(ep) < min(2, n-i); {
 			if time.Now().After(deadline) {
 				t.Fatalf("pump stalled at packet %d", i)
 			}

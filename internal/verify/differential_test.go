@@ -189,7 +189,7 @@ func TestDifferentialExact(t *testing.T) {
 func TestDifferentialHorizon(t *testing.T) {
 	var retired, stricter int
 	for _, k := range []int{1, 2, 8} {
-		for _, h := range []int{2, 16, liveHorizon} {
+		for _, h := range []int{2, 16, 96} {
 			for seed := int64(1); seed <= 40; seed++ {
 				events := genTrace(seed+100, k, 4000, seed%2 == 0)
 				var ref refChecker

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"ghm/internal/testutil"
 	"ghm/internal/trace"
 )
 
@@ -121,5 +122,41 @@ func TestLiveBoundedMemory(t *testing.T) {
 	}
 	if r := l.Report(); r.Causality != ghosts || r.Violations() != ghosts {
 		t.Errorf("report %v, want exactly the %d never-sent deliveries", r, ghosts)
+	}
+}
+
+// TestLiveRetainsLittle: what a Live holds after a long clean run at depth
+// 1 — a relay hop's traffic — is its two generations of liveHorizon
+// records, a few KB. Sixty-four of them, each through a thousand rounds,
+// raise the heap by no more than 6 KB apiece.
+func TestLiveRetainsLittle(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector's shadow state moves the heap")
+	}
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	const lives, rounds = 64, 1000
+	buf := make([]byte, 64)
+	before := heap()
+	ls := make([]*Live, lives)
+	for i := range ls {
+		ls[i] = new(Live)
+		for n := uint64(0); n < rounds; n++ {
+			cycle(ls[i], buf, n)
+		}
+	}
+	per := (heap() - before) / lives
+	t.Logf("a Live after %d rounds: %d bytes", rounds, per)
+	if per > 6<<10 {
+		t.Errorf("a Live after %d clean rounds retains %d bytes, want at most 6 KB", rounds, per)
+	}
+	for _, l := range ls {
+		if r := l.Report(); !r.Clean() || r.OKs != rounds {
+			t.Fatalf("report %v after %d clean rounds", r, rounds)
+		}
 	}
 }

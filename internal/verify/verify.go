@@ -314,11 +314,13 @@ func addExample(list []string, m []byte) []string {
 	return list
 }
 
-// liveHorizon is Live's Checker horizon. A constant, like the depth of a
-// relay node's per-hop dedup window: each of a hop's two tables holds 128
-// slots of an 80-byte digest and record, so a checker is near 20 KB and
-// twelve hops near 0.25 MB.
-const liveHorizon = 96
+// liveHorizon is Live's Checker horizon: the depth R of a relay node's
+// per-hop dedup window (DESIGN.md section 6), so a hop's checker labels a
+// replay as far back as the hop's own dedup remembers it. Each of the two
+// tables holds 16 to 32 records of an 80-byte digest and record, a few KB
+// per checker, and the eight checkers a five-node mesh populates come to
+// some 40 KB. A replay from further back counts as Causality.
+const liveHorizon = 16
 
 // Live adapts Checker for use as the tap of live netlink stations: Observe
 // has the tap's signature, is safe to call from both stations' goroutines
