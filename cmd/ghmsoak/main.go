@@ -7,48 +7,43 @@
 //	ghmsoak -duration 30s
 //	ghmsoak -duration 5m -eps 0.000001 -seed 42
 //
-// With -chaos the soak instead targets the live runtime stations: a
-// seeded chaos scenario (Gilbert–Elliott burst loss, latency, jitter,
-// scheduled station crashes, blackout windows, loss ramps) executes
-// against a real Sender/Receiver pair while messages flow, and the live
-// conformance checker verifies the execution against the same Section
-// 2.6 conditions. The scenario is a pure function of the seed and is
-// printed as JSON; -scenario replays a saved file, -scenario-out saves
-// the generated one.
+// With -chaos the soak instead targets the live runtime: a seeded chaos
+// scenario (Gilbert–Elliott burst loss, latency, jitter, scheduled
+// station crashes, blackout windows, loss ramps) executes against a real
+// Sender/Receiver pair while messages flow, and the live conformance
+// checker verifies the execution against the same Section 2.6
+// conditions. The scenario is a pure function of the seed and is
+// printed as JSON; -scenario-out saves it. The other live modes only
+// choose which generator draws the -seed scenario:
+//
+//   - -chaos -supervised adds a wedge (a half-dead link view only the
+//     progress watchdog can detect), so the sender runs under the
+//     self-healing session supervisor and every enqueued payload must
+//     arrive end-to-end; the run reports the restarts, wedges and
+//     breaker events the session absorbed.
+//   - -adversary mounts an adaptive attacker-in-the-middle on the link:
+//     seeded strategies that observe packet identifiers, lengths and
+//     timing (the paper's oblivious model) and key replay floods,
+//     duplication bursts, crashes and blackouts to the protocol phases
+//     those lengths leak. Its counters are reported, and at least one
+//     attack must be mounted.
+//   - -relay runs a five-node relay mesh instead of a single link: the
+//     scenario impairs a minority of the links (blackouts, loss ramps)
+//     and crashes one intermediate relay node outright while payloads
+//     flow source to destination over link-disjoint routes. Every
+//     payload must arrive exactly once and every hop's live conformance
+//     stay clean.
+//
+// -scenario replays a saved file, and the file alone decides what runs:
+// its mesh spec, adversary spec and wedges are the experiment. A mode
+// flag given with -scenario only checks that the file is of its family
+// (-chaos accepts any).
 //
 //	ghmsoak -chaos -seed 42 -messages 500
-//	ghmsoak -chaos -scenario repro.json
-//
-// With -chaos -supervised the sending station additionally runs under
-// the self-healing session supervisor: the schedule gains a wedge action
-// (a half-dead link view only the progress watchdog can detect), and the
-// run requires every enqueued payload to arrive end-to-end with zero
-// conformance violations and no manual intervention, reporting the
-// restarts, wedges and breaker events the session absorbed.
-//
 //	ghmsoak -chaos -supervised -seed 42 -messages 200
-//
-// With -relay the soak runs a five-node relay mesh instead of a single
-// link: a seeded scenario impairs a minority of the links (blackouts,
-// loss ramps) and crashes one intermediate relay node outright while
-// payloads flow source to destination over link-disjoint routes. The run
-// demands exactly-once end-to-end delivery and clean per-hop live
-// conformance, and the scenario JSON — topology included — replays with
-// -scenario exactly like the single-link modes.
-//
+//	ghmsoak -adversary -seed 42 -messages 300 -scenario-out attack.json
 //	ghmsoak -relay -seed 42 -messages 200
-//	ghmsoak -relay -scenario mesh-repro.json
-//
-// With -adversary the soak mounts an adaptive attacker-in-the-middle on
-// the live link: seeded strategies that observe packet identifiers,
-// lengths and timing (the paper's oblivious model) and key replay
-// floods, duplication bursts, crashes and blackouts to the protocol
-// phases those lengths leak. The attack rides on top of the usual chaos
-// timeline, the attacker's own counters are reported, and the scenario
-// JSON — strategies included — replays with -scenario.
-//
-//	ghmsoak -adversary -seed 42 -messages 300
-//	ghmsoak -adversary -scenario attack-repro.json
+//	ghmsoak -scenario attack.json
 //
 // With -sweep the run measures the empirical security model instead of
 // soaking: the realized per-message failure probability under the full
@@ -102,13 +97,13 @@ func run(args []string, out io.Writer) error {
 		verbose  = fs.Bool("v", false, "log every run")
 
 		chaosMode   = fs.Bool("chaos", false, "run a live-station chaos soak instead of simulator mixes")
-		supervised  = fs.Bool("supervised", false, "chaos: drive a self-healing supervised session (adds a wedge action)")
-		relayMode   = fs.Bool("relay", false, "run a multi-hop relay-mesh chaos soak (five nodes, faulty links, a node crash)")
-		advMode     = fs.Bool("adversary", false, "run a live-station soak with an adaptive attacker-in-the-middle mounted on the link")
+		supervised  = fs.Bool("supervised", false, "chaos: drive a self-healing supervised session (adds a wedge action); with -scenario, require a wedge")
+		relayMode   = fs.Bool("relay", false, "run a multi-hop relay-mesh chaos soak (five nodes, faulty links, a node crash); with -scenario, require a mesh spec")
+		advMode     = fs.Bool("adversary", false, "run a live-station soak with an adaptive attacker-in-the-middle mounted on the link; with -scenario, require an adversary spec")
 		sweepMode   = fs.Bool("sweep", false, "run the empirical security-model sweep and auto-tuner instead of a soak")
 		sweepOut    = fs.String("sweep-out", "", "sweep: write the combined sweep+tuner JSON artifact to this file")
 		chaosMsgs   = fs.Int("messages", 500, "unique messages per chaos soak")
-		scenarioIn  = fs.String("scenario", "", "chaos: replay a scenario JSON file instead of generating one")
+		scenarioIn  = fs.String("scenario", "", "chaos: replay a scenario JSON file instead of generating one; the file decides what runs")
 		scenarioOut = fs.String("scenario-out", "", "chaos: write the scenario JSON to this file")
 
 		metricsOut  = fs.Bool("metrics", false, "print a JSON metrics snapshot when the run ends")
@@ -137,23 +132,11 @@ func run(args []string, out io.Writer) error {
 	if *sweepMode {
 		return runSweep(out, *seed, *sweepOut)
 	}
-	if *advMode {
-		return runAdversary(out, chaosOptions{
+	if *chaosMode || *supervised || *advMode || *relayMode || *scenarioIn != "" {
+		return runLive(out, liveOptions{
 			seed: *seed, messages: *chaosMsgs, eps: *eps, budget: *duration,
 			scenarioIn: *scenarioIn, scenarioOut: *scenarioOut, verbose: *verbose,
-		})
-	}
-	if *relayMode {
-		return runRelay(out, chaosOptions{
-			seed: *seed, messages: *chaosMsgs, eps: *eps, budget: *duration,
-			scenarioIn: *scenarioIn, scenarioOut: *scenarioOut, verbose: *verbose,
-		})
-	}
-	if *chaosMode {
-		return runChaos(out, chaosOptions{
-			seed: *seed, messages: *chaosMsgs, eps: *eps, budget: *duration,
-			scenarioIn: *scenarioIn, scenarioOut: *scenarioOut, verbose: *verbose,
-			supervised: *supervised,
+			supervised: *supervised, adversary: *advMode, relay: *relayMode,
 		})
 	}
 
@@ -218,8 +201,8 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// chaosOptions collects the flag values of the -chaos mode.
-type chaosOptions struct {
+// liveOptions collects the flag values of the live modes.
+type liveOptions struct {
 	seed        int64
 	messages    int
 	eps         float64
@@ -227,80 +210,151 @@ type chaosOptions struct {
 	scenarioIn  string
 	scenarioOut string
 	verbose     bool
-	supervised  bool
+	// The mode flags: which generator draws the -seed scenario, or which
+	// family a -scenario file must be of. -chaos alone is neither.
+	supervised, adversary, relay bool
 }
 
-// scenario gives a live mode its scenario: the -scenario file, which must
-// carry the mode's spec when has is set, or gen's for -seed. It then
-// honours -scenario-out and -v. mode names the mode's flag and prefixes
-// every line it prints.
-func scenario(out io.Writer, o chaosOptions, mode string, gen func(seed int64) chaos.Scenario, spec string, has func(chaos.Scenario) bool) (chaos.Scenario, error) {
-	var sc chaos.Scenario
+// liveScenario gives a live run its scenario: the -scenario file, which
+// must be of the family every mode flag given names, or the one the mode
+// flags' generator draws for -seed.
+func liveScenario(o liveOptions) (chaos.Scenario, error) {
+	if o.scenarioIn == "" {
+		gen := chaos.GenConfig{}
+		if o.supervised {
+			// The wedge is the supervisor's signature fault: only a
+			// watchdog-driven redial recovers from it.
+			gen.Wedges = 1
+		}
+		switch {
+		case o.relay:
+			return chaos.GenerateMesh(o.seed, chaos.MeshGenConfig{}), nil
+		case o.adversary:
+			return chaos.GenerateAdversary(o.seed, gen), nil
+		}
+		return chaos.Generate(o.seed, gen), nil
+	}
+	data, err := os.ReadFile(o.scenarioIn)
+	if err != nil {
+		return chaos.Scenario{}, err
+	}
+	sc, err := chaos.ParseScenario(data)
+	if err != nil {
+		return sc, err
+	}
+	for _, m := range []struct {
+		set, has   bool
+		spec, flag string
+	}{
+		{o.relay, sc.Mesh != nil, "mesh spec", "-relay"},
+		{o.adversary, sc.Adversary != nil, "adversary spec", "-adversary"},
+		{o.supervised, sc.Supervised(), "wedge_sender action", "-chaos -supervised"},
+	} {
+		if m.set && !m.has {
+			return sc, fmt.Errorf("scenario %s has no %s; generate one with %s -scenario-out", o.scenarioIn, m.spec, m.flag)
+		}
+	}
+	return sc, nil
+}
+
+// runLive executes one live chaos run with chaos.Run, prints what its
+// family observed, and returns the run's verdict.
+func runLive(out io.Writer, o liveOptions) error {
+	sc, err := liveScenario(o)
+	if err != nil {
+		return err
+	}
+	// Every line is prefixed with the family's mode flag.
+	mode, flags := "chaos", "-chaos"
+	switch {
+	case sc.Mesh != nil:
+		mode, flags = "relay", "-relay"
+	case sc.Adversary != nil:
+		mode, flags = "adversary", "-adversary"
+	}
+	if sc.Supervised() {
+		flags += " -supervised"
+	}
 	if o.scenarioIn != "" {
-		data, err := os.ReadFile(o.scenarioIn)
-		if err != nil {
-			return sc, err
-		}
-		if sc, err = chaos.ParseScenario(data); err != nil {
-			return sc, err
-		}
-		if has != nil && !has(sc) {
-			return sc, fmt.Errorf("scenario %s has no %s spec; generate one with -%s -scenario-out", o.scenarioIn, spec, mode)
-		}
 		fmt.Fprintf(out, "%s: replaying %s (seed %d)\n", mode, o.scenarioIn, sc.Seed)
 	} else {
-		sc = gen(o.seed)
-		fmt.Fprintf(out, "%s: seed %d (rerun with -%s -seed %d)\n", mode, o.seed, mode, o.seed)
+		fmt.Fprintf(out, "%s: seed %d (rerun with %s -seed %d)\n", mode, o.seed, flags, o.seed)
 	}
 	if o.scenarioOut != "" {
 		if err := os.WriteFile(o.scenarioOut, []byte(sc.JSON()+"\n"), 0o644); err != nil {
-			return sc, err
+			return err
 		}
 		fmt.Fprintf(out, "%s: scenario written to %s\n", mode, o.scenarioOut)
 	}
 	if o.verbose {
 		fmt.Fprintln(out, sc.JSON())
 	}
-	return sc, nil
-}
 
-// runChaos executes one live-station chaos soak: generate (or replay) a
-// scenario, drive its fault timeline against a real Sender/Receiver pair
-// under an impaired link, and fail on any live conformance violation.
-func runChaos(out io.Writer, o chaosOptions) error {
-	sc, err := scenario(out, o, "chaos", func(seed int64) chaos.Scenario {
-		var gen chaos.GenConfig
-		if o.supervised {
-			// The wedge is the supervisor's signature fault: only a
-			// watchdog-driven redial recovers from it.
-			gen.Wedges = 1
+	env := chaos.Env{Messages: o.messages, Epsilon: o.eps}
+	switch {
+	case sc.Mesh != nil:
+		fmt.Fprintf(out, "relay: %d nodes, %d links, %d disjoint routes %d->%d; %d node crashes, %d link blackouts, %d loss ramps over %v\n",
+			sc.Mesh.Topology.Nodes, len(sc.Mesh.Topology.Links), sc.Mesh.Routes,
+			sc.Mesh.Source, sc.Mesh.Dest,
+			sc.Count(chaos.CrashNode), sc.Count(chaos.BlackoutStart),
+			sc.Count(chaos.SetLoss), sc.Duration)
+		if env.WALDir, err = os.MkdirTemp("", "ghmsoak-relay-"); err != nil {
+			return err
 		}
-		return chaos.Generate(seed, gen)
-	}, "", nil)
-	if err != nil {
-		return err
+		defer os.RemoveAll(env.WALDir)
+	case sc.Adversary != nil:
+		kinds := make([]string, 0, len(sc.Adversary.Strategies))
+		for _, st := range sc.Adversary.Strategies {
+			kinds = append(kinds, st.Kind)
+		}
+		fmt.Fprintf(out, "adversary: strategies %v on top of %d crashes^T, %d crashes^R, %d blackouts, %d loss ramps, %d wedges over %v\n",
+			kinds, sc.Count(chaos.CrashSender), sc.Count(chaos.CrashReceiver),
+			sc.Count(chaos.BlackoutStart), sc.Count(chaos.SetLoss),
+			sc.Count(chaos.WedgeSender), sc.Duration)
+	default:
+		fmt.Fprintf(out, "chaos: %d crashes^T, %d crashes^R, %d blackouts, %d loss ramps, %d wedges over %v\n",
+			sc.Count(chaos.CrashSender), sc.Count(chaos.CrashReceiver),
+			sc.Count(chaos.BlackoutStart), sc.Count(chaos.SetLoss),
+			sc.Count(chaos.WedgeSender), sc.Duration)
 	}
-	fmt.Fprintf(out, "chaos: %d crashes^T, %d crashes^R, %d blackouts, %d loss ramps, %d wedges over %v\n",
-		sc.Count(chaos.CrashSender), sc.Count(chaos.CrashReceiver),
-		sc.Count(chaos.BlackoutStart), sc.Count(chaos.SetLoss),
-		sc.Count(chaos.WedgeSender), sc.Duration)
 
 	ctx, cancel := context.WithTimeout(context.Background(), o.budget)
 	defer cancel()
-	if o.supervised {
-		return runSupervised(ctx, out, sc, o)
-	}
-	res, err := chaos.Soak(ctx, chaos.SoakConfig{
-		Scenario: sc,
-		Messages: o.messages,
-		Epsilon:  o.eps,
-	})
+	res, err := chaos.Run(ctx, sc, env)
 	if err != nil {
 		return err
 	}
+	printLive(out, sc, res, o.verbose)
+	return res.Err()
+}
 
-	fmt.Fprintf(out, "done: %d messages delivered, %d sends wiped by crash^T and reissued, %v elapsed\n",
-		res.Delivered, res.Abandoned, res.Elapsed.Round(time.Millisecond))
+// printLive reports what a live run observed, in its family's terms.
+func printLive(out io.Writer, sc chaos.Scenario, res chaos.Result, verbose bool) {
+	elapsed := res.Elapsed.Round(time.Millisecond)
+	if sc.Mesh != nil {
+		st := res.Mesh
+		fmt.Fprintf(out, "done: %d/%d payloads delivered exactly once end-to-end, %v elapsed\n",
+			res.Enqueued-len(res.Missing), res.Enqueued, elapsed)
+		fmt.Fprintf(out, "mesh: hops=%d reroutes=%d dup-suppressed=%d node-restarts=%d routes-usable=%d/%d\n",
+			st.Hops, st.Reroutes, st.DupSuppressed, st.NodeRestarts, st.RoutesUsable, st.Routes)
+		for id, rep := range res.HopReports {
+			if verbose || !rep.Clean() {
+				fmt.Fprintf(out, "hop %s: %s\n", id, rep)
+			}
+		}
+		return
+	}
+	if sc.Supervised() {
+		st := res.Session
+		fmt.Fprintf(out, "done: %d/%d payloads delivered end-to-end, %v elapsed\n",
+			res.Enqueued-len(res.Missing), res.Enqueued, elapsed)
+		fmt.Fprintf(out, "session: restarts=%d wedges=%d start-failures=%d breaker-opens=%d resubmits=%d transitions=%d health=%s\n",
+			st.Restarts, st.Wedges, st.StartFailures, st.BreakerOpens,
+			st.Resubmits, res.Transitions, st.Health)
+	} else {
+		fmt.Fprintf(out, "done: %d messages delivered, %d sends wiped by crash^T and reissued, %v elapsed\n",
+			res.Delivered, res.Abandoned, elapsed)
+	}
 	link := res.LinkTR
 	link.Sent += res.LinkRT.Sent
 	link.Delivered += res.LinkRT.Delivered
@@ -317,41 +371,13 @@ func runChaos(out io.Writer, o chaosOptions) error {
 		link.Sent, link.Delivered, link.Duplicated,
 		link.DropIID, link.DropBurst, link.DropBlackout, link.DropQueue,
 		observed, sc.Link.Loss)
+	if sc.Adversary != nil {
+		st := res.Attacker
+		fmt.Fprintf(out, "attacker: %d packets observed, %d captured; %d attacks mounted, %d landed, %d suppressed (%d replays, %d crashes, %d blackouts)\n",
+			st.Observed, st.Captured, st.Mounted, st.Landed, st.Suppressed,
+			st.Replayed, st.Crashes, st.Blackouts)
+	}
 	fmt.Fprintf(out, "conformance: %s\n", res.Report)
-	if !res.Report.Clean() {
-		return fmt.Errorf("%d conformance violations in a live execution", res.Report.Violations())
-	}
-	return nil
-}
-
-// runSupervised executes the scenario against a self-healing supervised
-// session and demands complete end-to-end delivery on top of the
-// conformance conditions: every fault in the schedule — including the
-// wedge only the progress watchdog can detect — must be absorbed without
-// manual intervention.
-func runSupervised(ctx context.Context, out io.Writer, sc chaos.Scenario, o chaosOptions) error {
-	res, err := chaos.SupervisedSoak(ctx, chaos.SupervisedSoakConfig{
-		Scenario: sc,
-		Messages: o.messages,
-		Epsilon:  o.eps,
-	})
-	if err != nil {
-		return err
-	}
-	st := res.Stats
-	fmt.Fprintf(out, "done: %d/%d payloads delivered end-to-end, %v elapsed\n",
-		res.Enqueued-len(res.Missing), res.Enqueued, res.Elapsed.Round(time.Millisecond))
-	fmt.Fprintf(out, "session: restarts=%d wedges=%d start-failures=%d breaker-opens=%d resubmits=%d transitions=%d health=%s\n",
-		st.Restarts, st.Wedges, st.StartFailures, st.BreakerOpens,
-		st.Resubmits, res.Transitions, st.Health)
-	fmt.Fprintf(out, "conformance: %s\n", res.Report)
-	if !res.Report.Clean() {
-		return fmt.Errorf("%d conformance violations in a supervised execution", res.Report.Violations())
-	}
-	if len(res.Missing) > 0 {
-		return fmt.Errorf("%d enqueued payloads never delivered", len(res.Missing))
-	}
-	return nil
 }
 
 // runSweep executes the empirical security-model sweep (realized failure
@@ -392,111 +418,6 @@ func runSweep(out io.Writer, seed int64, artifact string) error {
 	}
 	if tune.Proposed == "" {
 		return fmt.Errorf("auto-tuner found no admissible schedule")
-	}
-	return nil
-}
-
-// runAdversary executes one live-station adversary soak: generate (or
-// replay) a scenario carrying an adaptive attacker spec, mount the
-// attacker-in-the-middle on the link while the fault timeline executes,
-// and fail on any live conformance violation. The whole attack replays
-// from the scenario JSON alone.
-func runAdversary(out io.Writer, o chaosOptions) error {
-	sc, err := scenario(out, o, "adversary", func(seed int64) chaos.Scenario {
-		return chaos.GenerateAdversary(seed, chaos.GenConfig{})
-	}, "adversary", func(sc chaos.Scenario) bool { return sc.Adversary != nil })
-	if err != nil {
-		return err
-	}
-	kinds := make([]string, 0, len(sc.Adversary.Strategies))
-	for _, st := range sc.Adversary.Strategies {
-		kinds = append(kinds, st.Kind)
-	}
-	fmt.Fprintf(out, "adversary: strategies %v on top of %d crashes^T, %d crashes^R, %d blackouts, %d loss ramps over %v\n",
-		kinds, sc.Count(chaos.CrashSender), sc.Count(chaos.CrashReceiver),
-		sc.Count(chaos.BlackoutStart), sc.Count(chaos.SetLoss), sc.Duration)
-
-	ctx, cancel := context.WithTimeout(context.Background(), o.budget)
-	defer cancel()
-	res, err := chaos.AdversarySoak(ctx, chaos.SoakConfig{
-		Scenario: sc,
-		Messages: o.messages,
-		Epsilon:  o.eps,
-	})
-	if err != nil {
-		return err
-	}
-
-	fmt.Fprintf(out, "done: %d messages delivered, %d sends wiped by crash^T and reissued, %v elapsed\n",
-		res.Delivered, res.Abandoned, res.Elapsed.Round(time.Millisecond))
-	st := res.Attacker
-	fmt.Fprintf(out, "attacker: %d packets observed, %d captured; %d attacks mounted, %d landed, %d suppressed (%d replays, %d crashes, %d blackouts)\n",
-		st.Observed, st.Captured, st.Mounted, st.Landed, st.Suppressed,
-		st.Replayed, st.Crashes, st.Blackouts)
-	fmt.Fprintf(out, "conformance: %s\n", res.Report)
-	if !res.Report.Clean() {
-		return fmt.Errorf("%d conformance violations in an attacked live execution", res.Report.Violations())
-	}
-	if st.Mounted == 0 {
-		return fmt.Errorf("adversary mounted no attacks — the soak tested nothing")
-	}
-	return nil
-}
-
-// runRelay executes one multi-hop relay-mesh chaos soak: generate (or
-// replay) a mesh scenario, drive its fault timeline — link blackouts,
-// loss ramps, a whole relay-node crash and restart — against a live
-// five-node mesh, and fail unless every payload arrives exactly once
-// with every hop's live conformance clean.
-func runRelay(out io.Writer, o chaosOptions) error {
-	sc, err := scenario(out, o, "relay", func(seed int64) chaos.Scenario {
-		return chaos.GenerateMesh(seed, chaos.MeshGenConfig{})
-	}, "mesh", func(sc chaos.Scenario) bool { return sc.Mesh != nil })
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "relay: %d nodes, %d links, %d disjoint routes %d->%d; %d node crashes, %d link blackouts, %d loss ramps over %v\n",
-		sc.Mesh.Topology.Nodes, len(sc.Mesh.Topology.Links), sc.Mesh.Routes,
-		sc.Mesh.Source, sc.Mesh.Dest,
-		sc.Count(chaos.CrashNode), sc.Count(chaos.BlackoutStart),
-		sc.Count(chaos.SetLoss), sc.Duration)
-
-	walDir, err := os.MkdirTemp("", "ghmsoak-relay-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(walDir)
-
-	ctx, cancel := context.WithTimeout(context.Background(), o.budget)
-	defer cancel()
-	res, err := chaos.MeshSoak(ctx, chaos.MeshSoakConfig{
-		Scenario: sc,
-		Messages: o.messages,
-		Epsilon:  o.eps,
-		WALDir:   walDir,
-	})
-	if err != nil {
-		return err
-	}
-
-	st := res.Stats
-	fmt.Fprintf(out, "done: %d/%d payloads delivered exactly once end-to-end, %v elapsed\n",
-		res.Enqueued-len(res.Missing), res.Enqueued, res.Elapsed.Round(time.Millisecond))
-	fmt.Fprintf(out, "mesh: hops=%d reroutes=%d dup-suppressed=%d node-restarts=%d routes-usable=%d/%d\n",
-		st.Hops, st.Reroutes, st.DupSuppressed, st.NodeRestarts, st.RoutesUsable, st.Routes)
-	for id, rep := range res.HopReports {
-		if o.verbose || !rep.Clean() {
-			fmt.Fprintf(out, "hop %s: %s\n", id, rep)
-		}
-	}
-	if res.HopViolations > 0 {
-		return fmt.Errorf("%d per-hop conformance violations in a live mesh execution", res.HopViolations)
-	}
-	if res.Duplicates > 0 {
-		return fmt.Errorf("exactly-once violated: %d duplicate end-to-end deliveries", res.Duplicates)
-	}
-	if len(res.Missing) > 0 {
-		return fmt.Errorf("%d enqueued payloads never delivered", len(res.Missing))
 	}
 	return nil
 }

@@ -319,3 +319,37 @@ func TestSupervisedChaosMode(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayRunsTheRecordedExperiment: a scenario file alone decides
+// what it replays. Each family's emitted file, replayed under plain
+// -chaos and under no mode flag at all, must run that family again —
+// its mesh, its attacker, its supervisor — not a bare link.
+func TestReplayRunsTheRecordedExperiment(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		emit []string
+		want string
+	}{
+		{"mesh", []string{"-relay"}, "exactly once end-to-end"},
+		{"adversary", []string{"-adversary"}, "attacks mounted"},
+		{"supervised", []string{"-chaos", "-supervised"}, "session: restarts="},
+	} {
+		file := filepath.Join(dir, tc.name+".json")
+		var out strings.Builder
+		args := append(tc.emit, "-seed", "42", "-messages", "40", "-duration", "120s", "-scenario-out", file)
+		if err := run(args, &out); err != nil {
+			t.Fatalf("%s: emit failed: %v\n%s", tc.name, err, out.String())
+		}
+		for _, replay := range [][]string{{"-chaos", "-scenario", file}, {"-scenario", file}} {
+			out.Reset()
+			err := run(append(replay, "-messages", "40", "-duration", "120s"), &out)
+			if err != nil {
+				t.Fatalf("%s: %v failed: %v\n%s", tc.name, replay, err, out.String())
+			}
+			if !strings.Contains(out.String(), tc.want) {
+				t.Errorf("%s: %v ran another experiment, no %q:\n%s", tc.name, replay, tc.want, out.String())
+			}
+		}
+	}
+}

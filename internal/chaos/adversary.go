@@ -1,18 +1,12 @@
 package chaos
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"time"
 
 	"ghm/internal/adversary"
-	"ghm/internal/core"
-	"ghm/internal/metrics"
-	"ghm/internal/netlink"
-	"ghm/internal/trace"
-	"ghm/internal/verify"
 )
 
 // The adaptive strategy kinds an AdversarySpec can mount. Each names one
@@ -65,8 +59,8 @@ type StrategySpec struct {
 // bounds. Attached to a Scenario it makes the adversary part of the
 // seeded repro artifact — same scenario file, same attack.
 type AdversarySpec struct {
-	// Tick is the wall-clock duration of one adversary step (default
-	// 500µs).
+	// Tick is the duration of one adversary step on the run's clock
+	// (default 500µs).
 	Tick time.Duration `json:"tick,omitempty"`
 	// Capture bounds the attacker's per-direction replay ring (default
 	// netlink.DefaultAttackerCapture).
@@ -138,177 +132,4 @@ func GenerateAdversary(seed int64, cfg GenConfig) Scenario {
 		},
 	}
 	return sc
-}
-
-// AdversarySoakResult extends SoakResult with the attacker's view of the
-// run.
-type AdversarySoakResult struct {
-	SoakResult
-	// Attacker counts what the attacker-in-the-middle observed, captured,
-	// mounted and landed.
-	Attacker netlink.AttackerStats
-}
-
-// AdversarySoak runs a live Sender/Receiver pair with the scenario's
-// adaptive attacker-in-the-middle mounted between the stations and the
-// impaired link, while the scenario's fault timeline also executes. Both
-// stations' event taps feed a verify.Live checker: the adversary may
-// stall progress (its blackouts and crash timing are not bound by Axiom
-// 3) but a Section 2.6 violation is always a failure.
-//
-// The scenario must carry an AdversarySpec (see GenerateAdversary); the
-// whole attack — strategies, pacing, crash timing — replays from the
-// scenario JSON alone.
-func AdversarySoak(ctx context.Context, cfg SoakConfig) (AdversarySoakResult, error) {
-	var res AdversarySoakResult
-	sc := cfg.Scenario
-	if sc.Adversary == nil {
-		return res, errors.New("chaos: scenario has no adversary spec")
-	}
-	strategy, err := sc.Adversary.Build(sc.Seed)
-	if err != nil {
-		return res, err
-	}
-	if cfg.Messages <= 0 {
-		cfg.Messages = 500
-	}
-	if cfg.RetryInterval <= 0 {
-		cfg.RetryInterval = 300 * time.Microsecond
-	}
-	if cfg.RetryBackoffMax <= 0 {
-		cfg.RetryBackoffMax = 32 * time.Millisecond
-	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.Default()
-	}
-	tick := sc.Adversary.Tick
-	if tick <= 0 {
-		tick = 500 * time.Microsecond
-	}
-	start := time.Now()
-
-	la, lb := impairedPipe(sc.Link, sc.Seed+1, reg, nil)
-
-	// The attacker sits between the stations and the impaired link, so
-	// its replays traverse (and are re-impaired by) the same faulty link
-	// as the originals.
-	att := netlink.NewAttacker(netlink.AttackerConfig{
-		Strategy: strategy,
-		Tick:     tick,
-		Capture:  sc.Adversary.Capture,
-		Metrics:  reg,
-	})
-	defer att.Close()
-	ca := att.Wrap(la, trace.DirTR)
-	cb := att.Wrap(lb, trace.DirRT)
-
-	live := &verify.Live{}
-	s, err := netlink.NewSender(ca, netlink.SenderConfig{
-		Params:  core.Params{Epsilon: cfg.Epsilon},
-		Tap:     live.Observe,
-		Metrics: reg,
-	})
-	if err != nil {
-		la.Close()
-		return res, fmt.Errorf("chaos: %w", err)
-	}
-	r, err := netlink.NewReceiver(cb, netlink.ReceiverConfig{
-		Params:          core.Params{Epsilon: cfg.Epsilon},
-		RetryInterval:   cfg.RetryInterval,
-		RetryBackoffMax: cfg.RetryBackoffMax,
-		Tap:             live.Observe,
-		Metrics:         reg,
-	})
-	if err != nil {
-		s.Close()
-		return res, fmt.Errorf("chaos: %w", err)
-	}
-	defer func() {
-		s.Close()
-		r.Close()
-	}()
-	// Wire the strategy's length-keyed crash timing to the real stations.
-	att.SetCrashHooks(s.Crash, r.Crash)
-
-	drainCtx, stopDrain := context.WithCancel(context.Background())
-	defer stopDrain()
-	drained := make(chan int, 1)
-	go func() {
-		n := 0
-		for {
-			if _, err := r.Recv(drainCtx); err != nil {
-				drained <- n
-				return
-			}
-			n++
-		}
-	}()
-
-	timeline := make(chan error, 1)
-	go func() {
-		timeline <- Run(ctx, sc, Targets{
-			Sender:   s,
-			Receiver: r,
-			Links:    []Controllable{la, lb},
-			Metrics:  reg,
-		})
-	}()
-
-	var (
-		sendsCtr     = reg.Counter(mChaosSends)
-		abandonedCtr = reg.Counter(mChaosAbandoned)
-		deliveredCtr = reg.Counter(mChaosDelivered)
-	)
-	timelineDone := false
-	for i := 0; i < cfg.Messages || !timelineDone; i++ {
-		msg := fmt.Sprintf("m-%08d", i)
-		for attempt := 0; ; attempt++ {
-			sendsCtr.Inc()
-			err := s.Send(ctx, []byte(msg))
-			if err == nil {
-				break
-			}
-			if errors.Is(err, netlink.ErrCrashed) {
-				// Wiped mid-flight — by the timeline or by the adaptive
-				// crash timer; either way the original joins M_alpha and
-				// is reissued under a fresh id.
-				res.Abandoned++
-				abandonedCtr.Inc()
-				msg = fmt.Sprintf("m-%08d.r%d", i, attempt+1)
-				continue
-			}
-			return res, fmt.Errorf("chaos: adversary soak send %d: %w", i, err)
-		}
-		if !timelineDone {
-			select {
-			case err := <-timeline:
-				if err != nil {
-					return res, fmt.Errorf("chaos: timeline: %w", err)
-				}
-				timelineDone = true
-			default:
-			}
-		}
-	}
-	if !timelineDone {
-		if err := <-timeline; err != nil {
-			return res, fmt.Errorf("chaos: timeline: %w", err)
-		}
-	}
-
-	// Stop the attack clock before tearing the stations down, then let
-	// the last deliveries drain and collect the verdict.
-	att.Close()
-	s.Close()
-	r.Close()
-	stopDrain()
-	res.Delivered = <-drained
-	deliveredCtr.Add(int64(res.Delivered))
-	res.LinkTR = la.Stats()
-	res.LinkRT = lb.Stats()
-	res.Attacker = att.Stats()
-	res.Report = live.Report()
-	res.Elapsed = time.Since(start)
-	return res, nil
 }

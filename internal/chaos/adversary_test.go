@@ -44,10 +44,19 @@ func TestAdversarySpecBuildRejectsUnknownKind(t *testing.T) {
 	}
 }
 
+// TestAdversarySoakRequiresSpec: the spec is the attack, so an adversary
+// scenario whose spec builds no attacker is refused before anything
+// runs, whether it arrives as a file or as a value.
 func TestAdversarySoakRequiresSpec(t *testing.T) {
-	sc := Generate(3, GenConfig{Duration: 200 * time.Millisecond})
-	if _, err := AdversarySoak(context.Background(), SoakConfig{Scenario: sc}); err == nil {
-		t.Fatal("spec-less scenario accepted")
+	for _, sp := range []AdversarySpec{{}, {Strategies: []StrategySpec{{Kind: "quantum_mitm"}}}} {
+		sc := Generate(3, GenConfig{Duration: 200 * time.Millisecond})
+		sc.Adversary = &sp
+		if _, err := ParseScenario([]byte(sc.JSON())); err == nil {
+			t.Errorf("spec %+v parsed", sp)
+		}
+		if _, err := Run(context.Background(), sc, Env{Metrics: metrics.New()}); err == nil {
+			t.Errorf("spec %+v ran", sp)
+		}
 	}
 }
 
@@ -65,9 +74,12 @@ func TestAdversarySoakConformance(t *testing.T) {
 	defer cancel()
 
 	reg := metrics.New()
-	res, err := AdversarySoak(ctx, SoakConfig{Scenario: sc, Messages: 300, Metrics: reg})
+	res, err := Run(ctx, sc, Env{Messages: 300, Metrics: reg})
 	if err != nil {
 		t.Fatalf("adversary soak: %v", err)
+	}
+	if err := res.Err(); err != nil {
+		t.Errorf("verdict: %v", err)
 	}
 	t.Logf("soak: %s delivered=%d abandoned=%d attacker=%+v elapsed=%v",
 		res.Report, res.Delivered, res.Abandoned, res.Attacker, res.Elapsed)
@@ -103,7 +115,7 @@ func TestAdversarySoakReplaysFromJSON(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	res, err := AdversarySoak(ctx, SoakConfig{Scenario: parsed, Messages: 80, Metrics: metrics.New()})
+	res, err := Run(ctx, parsed, Env{Messages: 80, Metrics: metrics.New()})
 	if err != nil {
 		t.Fatalf("replayed adversary soak: %v", err)
 	}

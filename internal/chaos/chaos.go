@@ -1,16 +1,22 @@
-// Package chaos drives scripted and randomized fault scenarios against
-// the live runtime stations of ghm/internal/netlink: scheduled station
-// crashes (via the stations' Crash hooks), link blackouts and loss ramps
-// (via netlink.ImpairedConn's runtime controls), all layered over a
-// seeded impaired link with Gilbert–Elliott burst loss, latency and
-// jitter.
+// Package chaos soaks the live runtime under the paper's one fault
+// model: a seeded Scenario loses, duplicates and reorders packets on an
+// impaired link (Gilbert–Elliott burst loss, latency, jitter), and its
+// timeline crashes stations, blacks links out, ramps their loss, wedges
+// a sender's link view and crashes whole relay nodes, while an optional
+// adaptive attacker-in-the-middle rides on top.
 //
-// A Scenario is a deterministic function of its seed, serializes to JSON
-// for reproduction, and can be executed both from tests and from the
-// cmd/ghmsoak chaos mode. Soak additionally wires the stations' event
-// taps into a verify.Live checker, so every chaos run doubles as a
-// mechanical check of the paper's Section 2.6 correctness conditions
-// against a real execution.
+// Run executes one scenario and is the package's only runner. The
+// scenario alone decides the experiment: a Mesh spec makes it a
+// five-node relay mesh; otherwise it is one link, with the attacker
+// mounted when it carries an Adversary spec and the sender run under
+// the self-healing session supervisor when it schedules a WedgeSender.
+// Every run feeds the stations' event taps into verify.Live checkers, so
+// it doubles as a mechanical check of the paper's Section 2.6
+// conditions, and Result.Err states the family's verdict.
+//
+// A Scenario is a pure function of its seed (Generate, GenerateAdversary,
+// GenerateMesh), serializes to JSON, and replays from that file alone
+// (cmd/ghmsoak -scenario).
 package chaos
 
 import (
@@ -43,12 +49,13 @@ const (
 	SetLoss ActionKind = "set_loss"
 	// WedgeSender half-kills the sending station's current link view:
 	// sends vanish silently, no error surfaces — detectable only by a
-	// progress watchdog. Requires a Targets.Shared; no-op otherwise.
+	// progress watchdog, so scheduling one puts the sender under the
+	// session supervisor.
 	WedgeSender ActionKind = "wedge_sender"
 
 	// CrashNode crashes the entire relay node Action.Node: every session,
 	// receiver and per-hop dedup window it hosts is torn down at
-	// once, not just one link. Requires Targets.Nodes; no-op otherwise.
+	// once, not just one link. Mesh scenarios only.
 	CrashNode ActionKind = "crash_node"
 	// RestartNode rebuilds a previously crashed relay node.
 	RestartNode ActionKind = "restart_node"
@@ -67,8 +74,9 @@ type Action struct {
 	// Node is the relay node a node-level action targets (CrashNode,
 	// RestartNode, NodeBlackoutStart/End).
 	Node int `json:"node,omitempty"`
-	// Link narrows BlackoutStart/End and SetLoss to one link of
-	// Targets.Links, 1-based; 0 keeps the legacy every-link behavior.
+	// Link narrows BlackoutStart/End and SetLoss to one link, 1-based: a
+	// mesh's topology link, or a link scenario's direction (1 = TR,
+	// 2 = RT); 0 acts on every one.
 	Link int `json:"link,omitempty"`
 }
 
@@ -85,13 +93,13 @@ type Scenario struct {
 	Duration time.Duration `json:"duration"`
 	Link     LinkSpec      `json:"link"`
 	Actions  []Action      `json:"actions"`
-	// Mesh, when set, makes the scenario a multi-hop one: MeshSoak builds
+	// Mesh, when set, makes the scenario a multi-hop one: Run builds
 	// this relay topology (every link with the Link profile above) and
-	// the actions may target whole nodes. Single-hop runners ignore it.
+	// the actions target whole nodes instead of stations.
 	Mesh *MeshSpec `json:"mesh,omitempty"`
-	// Adversary, when set, mounts an adaptive attacker-in-the-middle on
-	// the link for the scenario's whole run (see AdversarySoak). Runners
-	// without attacker support ignore it.
+	// Adversary, when set, mounts an adaptive attacker-in-the-middle
+	// between a link scenario's stations and its impaired link for the
+	// whole run.
 	Adversary *AdversarySpec `json:"adversary,omitempty"`
 }
 
@@ -115,13 +123,22 @@ func (s Scenario) JSON() string {
 	return string(b)
 }
 
-// ParseScenario decodes a scenario previously rendered with JSON.
+// Supervised reports whether Run puts the scenario's sender under the
+// session supervisor: a link scenario that schedules a WedgeSender, the
+// one fault only the supervisor's watchdog heals.
+func (s Scenario) Supervised() bool { return s.Mesh == nil && s.Count(WedgeSender) > 0 }
+
+// ParseScenario decodes a scenario previously rendered with JSON and
+// rejects one the timeline could not carry out as written.
 func ParseScenario(data []byte) (Scenario, error) {
 	var s Scenario
 	if err := json.Unmarshal(data, &s); err != nil {
 		return Scenario{}, fmt.Errorf("chaos: parse scenario: %w", err)
 	}
 	sort.SliceStable(s.Actions, func(i, j int) bool { return s.Actions[i].At < s.Actions[j].At })
+	if err := s.validate(); err != nil {
+		return Scenario{}, err
+	}
 	return s, nil
 }
 
@@ -142,9 +159,9 @@ type GenConfig struct {
 	LossRamps int
 	// MaxRampLoss caps ramped loss probabilities (default 0.5).
 	MaxRampLoss float64
-	// Wedges schedules this many WedgeSender actions (default 0 — only
-	// supervised scenarios can survive one, since recovery requires a
-	// watchdog-driven redial).
+	// Wedges schedules this many WedgeSender actions (default 0). A
+	// wedge makes the scenario supervised: only a watchdog-driven redial
+	// recovers from one.
 	Wedges int
 }
 
@@ -240,53 +257,6 @@ func Generate(seed int64, cfg GenConfig) Scenario {
 	return sc
 }
 
-// Crasher is a station that can have its memory erased; both
-// netlink.Sender and netlink.Receiver satisfy it.
-type Crasher interface{ Crash() }
-
-// Controllable is a link with runtime impairment controls;
-// netlink.ImpairedConn satisfies it.
-type Controllable interface {
-	SetBlackout(bool)
-	SetLoss(float64)
-}
-
-// Wedger can half-kill the live view of a shared link;
-// netlink.SharedConn satisfies it.
-type Wedger interface{ WedgeCurrent() }
-
-// NodeTarget is one relay node a scenario can act on as a whole: crash
-// it, rebuild it, or partition every link it touches. The mesh soak
-// adapts relay nodes (plus their adjacent impaired links) into this.
-type NodeTarget interface {
-	CrashNode()
-	RestartNode()
-	// SetNodeBlackout partitions (or restores) every adjacent link.
-	SetNodeBlackout(on bool)
-}
-
-// Targets are the live objects a scenario acts on. Nil stations and empty
-// link lists are allowed; the matching actions become no-ops.
-type Targets struct {
-	Sender   Crasher
-	Receiver Crasher
-	Links    []Controllable
-	// Nodes are the relay nodes node-level actions index by Action.Node;
-	// nil or out-of-range makes those actions no-ops.
-	Nodes []NodeTarget
-	// Shared is the sending side's shared link, target of WedgeSender
-	// actions (supervised scenarios only).
-	Shared Wedger
-	// Clock paces the fault timeline (nil = wall clock). Under a virtual
-	// clock the scheduled At offsets fire in virtual time, aligned with
-	// the components under attack.
-	Clock clock.Clock
-	// Metrics counts the injected faults (the chaos.*_injected family),
-	// so a run's reported numbers can be cross-checked against what the
-	// instrumented links and stations observed. Nil uses metrics.Default().
-	Metrics *metrics.Registry
-}
-
 // The chaos.* metric names, declared constants per the metricname
 // invariant: the conformance checks cross-check injected-vs-observed
 // counts by exact name, so a typo'd literal would silently break them.
@@ -307,49 +277,73 @@ const (
 	mChaosDelivered = "chaos.delivered"
 )
 
-// Run executes the scenario's timeline in real time against t, returning
-// when the timeline completes or ctx ends. Actions fire in At order from
-// the moment Run is called.
-func Run(ctx context.Context, sc Scenario, t Targets) error {
-	reg := t.Metrics
-	if reg == nil {
-		reg = metrics.Default()
-	}
-	var (
-		crashTInjected       = reg.Counter(mChaosCrashTInjected)
-		crashRInjected       = reg.Counter(mChaosCrashRInjected)
-		blackoutInjected     = reg.Counter(mChaosBlackoutsInjected)
-		rampInjected         = reg.Counter(mChaosLossRampsInjected)
-		wedgeInjected        = reg.Counter(mChaosWedgesInjected)
-		nodeCrashInjected    = reg.Counter(mChaosNodeCrashesInjected)
-		nodeRestartInjected  = reg.Counter(mChaosNodeRestartsInjected)
-		nodeBlackoutInjected = reg.Counter(mChaosNodeBlackoutsInjected)
-		lossCurrent          = reg.Gauge(mChaosLossCurrent)
-	)
-	lossCurrent.Set(sc.Link.Loss)
+// injected maps every action kind to the counter its injections bump;
+// the ends of windows are not counted. Its keys are the kinds a scenario
+// may schedule.
+var injected = map[ActionKind]string{
+	CrashSender:       mChaosCrashTInjected,
+	CrashReceiver:     mChaosCrashRInjected,
+	BlackoutStart:     mChaosBlackoutsInjected,
+	BlackoutEnd:       "",
+	SetLoss:           mChaosLossRampsInjected,
+	WedgeSender:       mChaosWedgesInjected,
+	CrashNode:         mChaosNodeCrashesInjected,
+	RestartNode:       mChaosNodeRestartsInjected,
+	NodeBlackoutStart: mChaosNodeBlackoutsInjected,
+	NodeBlackoutEnd:   "",
+}
 
-	// linksFor resolves an action's link selector: one specific link
-	// (1-based) or, at zero, every link — the legacy behavior.
-	linksFor := func(a Action) []Controllable {
-		if a.Link > 0 {
-			if a.Link > len(t.Links) {
-				return nil
+// validate rejects what the timeline could not act on: an unknown kind,
+// a Link or Node out of range, an action whose target the scenario's
+// family lacks (stations belong to a link scenario, nodes to a mesh),
+// a mesh with an adversary, and an adversary spec that does not build.
+// Scenario files come from outside the program, so this runs on every
+// parse and every Run, before any fault is counted as injected.
+func (s Scenario) validate() error {
+	if s.Mesh != nil && s.Adversary != nil {
+		return fmt.Errorf("chaos: scenario %q mounts an adversary on a mesh; only a link scenario can", s.Name)
+	}
+	if s.Adversary != nil {
+		if _, err := s.Adversary.Build(s.Seed); err != nil {
+			return err
+		}
+	}
+	links, nodes := 2, 0 // a link scenario's two directions, TR and RT
+	if s.Mesh != nil {
+		links, nodes = len(s.Mesh.Topology.Links), s.Mesh.Topology.Nodes
+	}
+	for i, a := range s.Actions {
+		bad := ""
+		if _, ok := injected[a.Kind]; !ok {
+			bad = "unknown kind"
+		} else if a.Link < 0 || a.Link > links {
+			bad = fmt.Sprintf("link %d out of range [0, %d]", a.Link, links)
+		}
+		switch a.Kind {
+		case CrashSender, CrashReceiver, WedgeSender:
+			if s.Mesh != nil {
+				bad = "a mesh scenario has no single station to act on"
 			}
-			return t.Links[a.Link-1 : a.Link]
+		case CrashNode, RestartNode, NodeBlackoutStart, NodeBlackoutEnd:
+			if s.Mesh == nil {
+				bad = "a link scenario has no relay nodes"
+			} else if a.Node < 0 || a.Node >= nodes {
+				bad = fmt.Sprintf("node %d out of range [0, %d)", a.Node, nodes)
+			}
 		}
-		return t.Links
-	}
-	nodeFor := func(a Action) NodeTarget {
-		if a.Node < 0 || a.Node >= len(t.Nodes) {
-			return nil
+		if bad != "" {
+			return fmt.Errorf("chaos: scenario %q action %d (%q at %v): %s", s.Name, i, a.Kind, a.At, bad)
 		}
-		return t.Nodes[a.Node]
 	}
+	return nil
+}
 
-	clk := t.Clock
-	if clk == nil {
-		clk = clock.System()
-	}
+// timeline executes the scenario's actions in At order on clk, counting
+// each injection under reg's chaos.* names and handing it to apply. It
+// returns when the last action has fired or ctx ends. The scenario must
+// have passed validate.
+func timeline(ctx context.Context, sc Scenario, clk clock.Clock, reg *metrics.Registry, apply func(Action)) error {
+	reg.Gauge(mChaosLossCurrent).Set(sc.Link.Loss)
 	actions := append([]Action(nil), sc.Actions...)
 	sort.SliceStable(actions, func(i, j int) bool { return actions[i].At < actions[j].At })
 	start := clk.Now()
@@ -368,59 +362,13 @@ func Run(ctx context.Context, sc Scenario, t Targets) error {
 		case <-ctx.Done():
 			return ctx.Err()
 		}
-		switch a.Kind {
-		case CrashSender:
-			crashTInjected.Inc()
-			if t.Sender != nil {
-				t.Sender.Crash()
-			}
-		case CrashReceiver:
-			crashRInjected.Inc()
-			if t.Receiver != nil {
-				t.Receiver.Crash()
-			}
-		case BlackoutStart:
-			blackoutInjected.Inc()
-			for _, l := range linksFor(a) {
-				l.SetBlackout(true)
-			}
-		case BlackoutEnd:
-			for _, l := range linksFor(a) {
-				l.SetBlackout(false)
-			}
-		case SetLoss:
-			rampInjected.Inc()
-			lossCurrent.Set(a.Loss)
-			for _, l := range linksFor(a) {
-				l.SetLoss(a.Loss)
-			}
-		case WedgeSender:
-			wedgeInjected.Inc()
-			if t.Shared != nil {
-				t.Shared.WedgeCurrent()
-			}
-		case CrashNode:
-			nodeCrashInjected.Inc()
-			if n := nodeFor(a); n != nil {
-				n.CrashNode()
-			}
-		case RestartNode:
-			nodeRestartInjected.Inc()
-			if n := nodeFor(a); n != nil {
-				n.RestartNode()
-			}
-		case NodeBlackoutStart:
-			nodeBlackoutInjected.Inc()
-			if n := nodeFor(a); n != nil {
-				n.SetNodeBlackout(true)
-			}
-		case NodeBlackoutEnd:
-			if n := nodeFor(a); n != nil {
-				n.SetNodeBlackout(false)
-			}
-		default:
-			return fmt.Errorf("chaos: unknown action kind %q", a.Kind)
+		if name := injected[a.Kind]; name != "" {
+			reg.Counter(name).Inc()
 		}
+		if a.Kind == SetLoss {
+			reg.Gauge(mChaosLossCurrent).Set(a.Loss)
+		}
+		apply(a)
 	}
 	return nil
 }

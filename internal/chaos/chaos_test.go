@@ -5,7 +5,12 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"ghm/internal/metrics"
+	"ghm/internal/testutil"
 )
+
+func TestMain(m *testing.M) { testutil.Main(m) }
 
 func TestGenerateDeterministic(t *testing.T) {
 	a, b := Generate(42, GenConfig{}), Generate(42, GenConfig{})
@@ -54,7 +59,10 @@ func TestRunHonorsContextCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- Run(ctx, sc, Targets{}) }()
+	go func() {
+		_, err := Run(ctx, sc, Env{Metrics: metrics.New()})
+		done <- err
+	}()
 	cancel()
 	select {
 	case err := <-done:
@@ -77,9 +85,12 @@ func TestChaosSoakConformance(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
-	res, err := Soak(ctx, SoakConfig{Scenario: sc, Messages: 500})
+	res, err := Run(ctx, sc, Env{Messages: 500})
 	if err != nil {
 		t.Fatalf("soak: %v", err)
+	}
+	if err := res.Err(); err != nil {
+		t.Errorf("verdict: %v", err)
 	}
 	t.Logf("soak: %s delivered=%d abandoned=%d elapsed=%v",
 		res.Report, res.Delivered, res.Abandoned, res.Elapsed)
@@ -107,7 +118,7 @@ func TestChaosSoakShortSecondSeed(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	res, err := Soak(ctx, SoakConfig{Scenario: sc, Messages: 100})
+	res, err := Run(ctx, sc, Env{Messages: 100})
 	if err != nil {
 		t.Fatalf("soak: %v", err)
 	}

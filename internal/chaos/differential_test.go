@@ -14,7 +14,7 @@ import (
 // pipe, once on a virtual clock over the goroutine-free fabric — and
 // demands the same end-to-end outcome from both: every enqueued payload
 // delivered and a clean Section 2.6 conformance report. Payload names
-// are deterministic (sm-%08d in submission order), so "no Missing" in
+// are deterministic (m-%08d in submission order), so "no Missing" in
 // both runs means the guaranteed-delivery sets agree exactly on the
 // common enqueued prefix; only the filler tail may differ, because the
 // two clocks pace the enqueue loop against different timelines.
@@ -29,11 +29,7 @@ func TestSupervisedSoakDifferentialVirtual(t *testing.T) {
 	defer cancel()
 
 	// Real clock, default pipe links.
-	real, err := SupervisedSoak(ctx, SupervisedSoakConfig{
-		Scenario: sc,
-		Messages: messages,
-		Metrics:  metrics.New(),
-	})
+	real, err := Run(ctx, sc, Env{Messages: messages, Metrics: metrics.New()})
 	if err != nil {
 		t.Fatalf("real-clock soak: %v", err)
 	}
@@ -45,14 +41,13 @@ func TestSupervisedSoakDifferentialVirtual(t *testing.T) {
 	v := clock.NewVirtual(time.Time{}, sc.Seed)
 	v.SetSettle(4)
 	var (
-		virt    SupervisedResult
+		virt    Result
 		virtErr error
 	)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		virt, virtErr = SupervisedSoak(ctx, SupervisedSoakConfig{
-			Scenario: sc,
+		virt, virtErr = Run(ctx, sc, Env{
 			Messages: messages,
 			Metrics:  metrics.New(),
 			Clock:    v,
@@ -67,7 +62,7 @@ func TestSupervisedSoakDifferentialVirtual(t *testing.T) {
 
 	for _, run := range []struct {
 		name string
-		res  SupervisedResult
+		res  Result
 	}{{"real+pipe", real}, {"virtual+fabric", virt}} {
 		if !run.res.Report.Clean() {
 			t.Errorf("%s: conformance violations: %s", run.name, run.res.Report)
@@ -79,8 +74,11 @@ func TestSupervisedSoakDifferentialVirtual(t *testing.T) {
 		if run.res.Enqueued < messages {
 			t.Errorf("%s: enqueued = %d, want >= %d", run.name, run.res.Enqueued, messages)
 		}
-		if run.res.Stats.Pending != 0 {
-			t.Errorf("%s: session did not drain: %+v", run.name, run.res.Stats)
+		if run.res.Session.Pending != 0 {
+			t.Errorf("%s: session did not drain: %+v", run.name, run.res.Session)
+		}
+		if err := run.res.Err(); err != nil {
+			t.Errorf("%s: verdict: %v", run.name, err)
 		}
 	}
 

@@ -28,16 +28,18 @@ func TestSupervisedSoakSelfHeals(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
-	res, err := SupervisedSoak(ctx, SupervisedSoakConfig{
-		Scenario: sc,
-		Messages: 200,
-		Metrics:  reg,
-	})
+	if !sc.Supervised() {
+		t.Fatal("a scenario with a wedge does not run supervised")
+	}
+	res, err := Run(ctx, sc, Env{Messages: 200, Metrics: reg})
 	if err != nil {
 		t.Fatalf("supervised soak: %v", err)
 	}
+	if err := res.Err(); err != nil {
+		t.Errorf("verdict: %v", err)
+	}
 	t.Logf("supervised soak: %s enqueued=%d delivered=%d stats=%+v transitions=%d elapsed=%v",
-		res.Report, res.Enqueued, res.Delivered, res.Stats, res.Transitions, res.Elapsed)
+		res.Report, res.Enqueued, res.Delivered, res.Session, res.Transitions, res.Elapsed)
 
 	if !res.Report.Clean() {
 		t.Errorf("conformance violations in a supervised run: %s", res.Report)
@@ -48,13 +50,13 @@ func TestSupervisedSoakSelfHeals(t *testing.T) {
 	if res.Enqueued < 200 {
 		t.Errorf("enqueued = %d, want >= 200", res.Enqueued)
 	}
-	if res.Stats.Sent != res.Enqueued || res.Stats.Pending != 0 {
-		t.Errorf("session did not drain: %+v", res.Stats)
+	if res.Session.Sent != res.Enqueued || res.Session.Pending != 0 {
+		t.Errorf("session did not drain: %+v", res.Session)
 	}
 
 	// The wedge must have been healed by the watchdog, not luck.
-	if res.Stats.Wedges < 1 || res.Stats.Restarts < 1 {
-		t.Errorf("watchdog never fired: %+v", res.Stats)
+	if res.Session.Wedges < 1 || res.Session.Restarts < 1 {
+		t.Errorf("watchdog never fired: %+v", res.Session)
 	}
 	// Health left Healthy for the restart and came back for the drain.
 	if res.Transitions < 2 {
@@ -88,11 +90,7 @@ func TestSupervisedSoakSecondSeed(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	res, err := SupervisedSoak(ctx, SupervisedSoakConfig{
-		Scenario: sc,
-		Messages: 60,
-		Metrics:  metrics.New(),
-	})
+	res, err := Run(ctx, sc, Env{Messages: 60, Metrics: metrics.New()})
 	if err != nil {
 		t.Fatalf("supervised soak: %v", err)
 	}
