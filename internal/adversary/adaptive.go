@@ -51,17 +51,17 @@ func (w *lenWatch) observe(length int) int {
 	}
 }
 
-// ReplayUnderBound replays same-length history packets while pacing itself
-// to stay just under the victim's bound(t) error budget: the sharpest
-// replay flood the oblivious model admits, because staying below bound(t)
-// keeps the station from extending its string and so keeps the guessing
-// odds at their current-level maximum. The level t is not observable
-// directly; the strategy estimates it from length transitions on the
-// opposite channel (each growth there is an extension, each shrink a
-// restart) and resets its per-level spend accordingly.
+// ReplayUnderBound replays same-length history DATA packets (DirTR: they
+// attack the receiver's challenge) while pacing itself to stay just under
+// the victim's bound(t) error budget: the sharpest replay flood the
+// oblivious model admits, because staying below bound(t) keeps the station
+// from extending its string and so keeps the guessing odds at their
+// current-level maximum. The level t is not observable directly; the
+// strategy estimates it from length transitions on the opposite channel
+// (each growth there is an extension, each shrink a restart) and resets
+// its per-level spend accordingly.
 type ReplayUnderBound struct {
 	rng   *rand.Rand
-	dir   trace.Dir
 	watch lenWatch
 	bound func(int) int
 	rate  int
@@ -77,10 +77,6 @@ type ReplayUnderBound struct {
 // ReplayUnderBoundConfig parameterizes ReplayUnderBound. Zero fields take
 // the documented defaults.
 type ReplayUnderBoundConfig struct {
-	// Dir is the channel to flood (default DirTR: replayed DATA packets
-	// attack the receiver's challenge). Level inference always watches the
-	// opposite channel, where the victim's responses travel.
-	Dir trace.Dir
 	// Bound is the victim's schedule the flood rides under (default the
 	// paper's bound(t) = floor(2^t/4), core.DefaultBound).
 	Bound func(t int) int
@@ -90,9 +86,6 @@ type ReplayUnderBoundConfig struct {
 
 // NewReplayUnderBound returns a ReplayUnderBound adversary driven by rng.
 func NewReplayUnderBound(rng *rand.Rand, cfg ReplayUnderBoundConfig) *ReplayUnderBound {
-	if cfg.Dir == 0 {
-		cfg.Dir = trace.DirTR
-	}
 	if cfg.Bound == nil {
 		cfg.Bound = core.DefaultBound
 	}
@@ -101,7 +94,6 @@ func NewReplayUnderBound(rng *rand.Rand, cfg ReplayUnderBoundConfig) *ReplayUnde
 	}
 	return &ReplayUnderBound{
 		rng:   rng,
-		dir:   cfg.Dir,
 		bound: cfg.Bound,
 		rate:  cfg.Rate,
 		level: 1,
@@ -111,7 +103,7 @@ func NewReplayUnderBound(rng *rand.Rand, cfg ReplayUnderBoundConfig) *ReplayUnde
 
 // OnNewPacket implements Adversary.
 func (a *ReplayUnderBound) OnNewPacket(dir trace.Dir, id int64, length int) {
-	if dir == a.dir {
+	if dir == trace.DirTR {
 		a.byLen[length] = append(a.byLen[length], id)
 		a.lastLen = length
 		return
@@ -148,7 +140,7 @@ func (a *ReplayUnderBound) Next(step int) []Action {
 	}
 	out := make([]Action, 0, n)
 	for i := 0; i < n; i++ {
-		out = append(out, Action{Kind: ActDeliver, Dir: a.dir, ID: ids[a.rng.Intn(len(ids))]})
+		out = append(out, Action{Kind: ActDeliver, Dir: trace.DirTR, ID: ids[a.rng.Intn(len(ids))]})
 	}
 	a.used += n
 	a.mounted += int64(n)
@@ -164,11 +156,10 @@ func (a *ReplayUnderBound) AttackStats() (mounted, suppressed int64) {
 // extension boundaries: when the watched channel's packet length grows
 // (the victim just extended — the moment its counters reset and its
 // freshly lengthened string has seen the fewest guesses), the strategy
-// re-delivers the most recently observed packets on the target channel
-// for a configured number of steps.
+// re-delivers the most recently observed DATA packets (DirTR) for a
+// configured number of steps.
 type ExtensionBurst struct {
 	rng    *rand.Rand
-	dir    trace.Dir
 	watch  lenWatch
 	rate   int
 	steps  int
@@ -183,9 +174,6 @@ type ExtensionBurst struct {
 // ExtensionBurstConfig parameterizes ExtensionBurst. Zero fields take the
 // documented defaults.
 type ExtensionBurstConfig struct {
-	// Dir is the channel whose packets are duplicated (default DirTR);
-	// boundary detection watches the opposite channel.
-	Dir trace.Dir
 	// Rate caps duplicate deliveries per burst step (default 8).
 	Rate int
 	// Steps is the burst duration after each detected boundary (default 4).
@@ -196,9 +184,6 @@ type ExtensionBurstConfig struct {
 
 // NewExtensionBurst returns an ExtensionBurst adversary driven by rng.
 func NewExtensionBurst(rng *rand.Rand, cfg ExtensionBurstConfig) *ExtensionBurst {
-	if cfg.Dir == 0 {
-		cfg.Dir = trace.DirTR
-	}
 	if cfg.Rate <= 0 {
 		cfg.Rate = 8
 	}
@@ -208,12 +193,12 @@ func NewExtensionBurst(rng *rand.Rand, cfg ExtensionBurstConfig) *ExtensionBurst
 	if cfg.Keep <= 0 {
 		cfg.Keep = 32
 	}
-	return &ExtensionBurst{rng: rng, dir: cfg.Dir, rate: cfg.Rate, steps: cfg.Steps, keep: cfg.Keep}
+	return &ExtensionBurst{rng: rng, rate: cfg.Rate, steps: cfg.Steps, keep: cfg.Keep}
 }
 
 // OnNewPacket implements Adversary.
 func (a *ExtensionBurst) OnNewPacket(dir trace.Dir, id int64, length int) {
-	if dir == a.dir {
+	if dir == trace.DirTR {
 		a.recent = append(a.recent, id)
 		if len(a.recent) > a.keep {
 			a.recent = a.recent[len(a.recent)-a.keep:]
@@ -237,7 +222,7 @@ func (a *ExtensionBurst) Next(step int) []Action {
 	a.burstLeft--
 	out := make([]Action, 0, a.rate)
 	for i := 0; i < a.rate; i++ {
-		out = append(out, Action{Kind: ActDeliver, Dir: a.dir, ID: a.recent[a.rng.Intn(len(a.recent))]})
+		out = append(out, Action{Kind: ActDeliver, Dir: trace.DirTR, ID: a.recent[a.rng.Intn(len(a.recent))]})
 	}
 	a.mounted += int64(len(out))
 	return out

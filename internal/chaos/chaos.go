@@ -150,10 +150,9 @@ type GenConfig struct {
 	// CrashesPerSide schedules this many crashes for each station
 	// (default 3).
 	CrashesPerSide int
-	// Blackouts is the number of full-partition windows (default 1).
+	// Blackouts is the number of full-partition windows (default 1), each
+	// up to maxBlackout long.
 	Blackouts int
-	// MaxBlackout caps each blackout window (default 60ms).
-	MaxBlackout time.Duration
 	// LossRamps is how many times the i.i.d. loss is re-drawn (default 2);
 	// the nominal link loss is always restored near the end.
 	LossRamps int
@@ -175,9 +174,6 @@ func (c GenConfig) withDefaults() GenConfig {
 	if c.Blackouts == 0 {
 		c.Blackouts = 1
 	}
-	if c.MaxBlackout <= 0 {
-		c.MaxBlackout = 60 * time.Millisecond
-	}
 	if c.LossRamps == 0 {
 		c.LossRamps = 2
 	}
@@ -186,6 +182,9 @@ func (c GenConfig) withDefaults() GenConfig {
 	}
 	return c
 }
+
+// maxBlackout caps each blackout window both generators schedule.
+const maxBlackout = 60 * time.Millisecond
 
 // Generate draws a randomized scenario: a bursty, jittery link profile
 // and a timeline of crashes, blackouts and loss ramps. The result is a
@@ -232,7 +231,7 @@ func Generate(seed int64, cfg GenConfig) Scenario {
 		slot := d / time.Duration(cfg.Blackouts+1)
 		for i := 0; i < cfg.Blackouts; i++ {
 			start := slot*time.Duration(i) + slot/4 + time.Duration(rng.Int63n(int64(slot/4)))
-			length := cfg.MaxBlackout/4 + time.Duration(rng.Int63n(int64(3*cfg.MaxBlackout/4)))
+			length := maxBlackout/4 + time.Duration(rng.Int63n(int64(3*maxBlackout/4)))
 			sc.Actions = append(sc.Actions,
 				Action{At: start, Kind: BlackoutStart},
 				Action{At: start + length, Kind: BlackoutEnd})

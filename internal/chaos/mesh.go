@@ -21,66 +21,31 @@ type MeshSpec struct {
 	Routes   int            `json:"routes"`
 }
 
-// MeshGenConfig bounds the randomized mesh scenario generator. Zero
-// fields take the defaults noted on each.
+// MeshGenConfig bounds the randomized mesh scenario generator.
 type MeshGenConfig struct {
 	// Duration is the timeline length (default 2s).
 	Duration time.Duration
-	// LinkBlackouts is how many single-link blackout windows to schedule
-	// (default 1). Each targets one link adjacent to the crashed node, so
-	// the set of fully dead links stays a minority even while the node is
-	// down.
-	LinkBlackouts int
-	// MaxBlackout caps each blackout window (default 60ms).
-	MaxBlackout time.Duration
-	// LossRamps is how many times every link's i.i.d. loss is re-drawn
-	// (default 2); nominal loss is restored near the end.
-	LossRamps int
-	// MaxRampLoss caps ramped loss probabilities (default 0.3 — losses
-	// compound across hops, so the mesh ramps gentler than the
-	// single-hop generator).
-	MaxRampLoss float64
-	// NodeCrashes is how many crash+restart pairs to schedule against
-	// one intermediate relay node (default 1).
-	NodeCrashes int
-}
-
-func (c MeshGenConfig) withDefaults() MeshGenConfig {
-	if c.Duration <= 0 {
-		c.Duration = 2 * time.Second
-	}
-	if c.LinkBlackouts == 0 {
-		c.LinkBlackouts = 1
-	}
-	if c.MaxBlackout <= 0 {
-		c.MaxBlackout = 60 * time.Millisecond
-	}
-	if c.LossRamps == 0 {
-		c.LossRamps = 2
-	}
-	if c.MaxRampLoss <= 0 {
-		c.MaxRampLoss = 0.3
-	}
-	if c.NodeCrashes == 0 {
-		c.NodeCrashes = 1
-	}
-	return c
 }
 
 // GenerateMesh draws a randomized multi-hop scenario over the canonical
 // five-node mesh: source 0 and destination 4 joined through three
 // intermediaries, six links, three link-disjoint routes. The timeline
-// impairs a minority of links and crashes one intermediate node outright
-// (restarting it before the tail), so every generated scenario keeps at
-// least one route alive. A pure function of seed and cfg, like Generate.
+// re-draws every link's i.i.d. loss twice (up to 0.3 — losses compound
+// across hops, so the mesh ramps gentler than the single-hop generator),
+// blacks out one link adjacent to one intermediate node and crashes that
+// node outright (restarting it before the tail), so the set of fully dead
+// links stays a minority and every generated scenario keeps at least one
+// route alive. A pure function of seed and cfg, like Generate.
 func GenerateMesh(seed int64, cfg MeshGenConfig) Scenario {
-	cfg = cfg.withDefaults()
+	if cfg.Duration <= 0 {
+		cfg.Duration = 2 * time.Second
+	}
 	sc := Generate(seed, GenConfig{
 		Duration:       cfg.Duration,
 		CrashesPerSide: -1, // station-level crashes don't apply to a mesh
 		Blackouts:      -1, // scheduled below, per link
-		LossRamps:      cfg.LossRamps,
-		MaxRampLoss:    cfg.MaxRampLoss,
+		LossRamps:      2,
+		MaxRampLoss:    0.3,
 	})
 	sc.Name = fmt.Sprintf("mesh-random-%d", seed)
 	sc.Mesh = &MeshSpec{
@@ -107,29 +72,25 @@ func GenerateMesh(seed int64, cfg MeshGenConfig) Scenario {
 	// One intermediate node dies completely and comes back: the headline
 	// fault a single-hop scenario cannot express.
 	victim := 1 + int(rng.Int63n(3))
-	for i := 0; i < cfg.NodeCrashes; i++ {
-		crashAt := mid()
-		downFor := 80*time.Millisecond + time.Duration(rng.Int63n(int64(120*time.Millisecond)))
-		restartAt := crashAt + downFor
-		if restartAt > d*9/10 {
-			restartAt = d * 9 / 10
-		}
-		sc.Actions = append(sc.Actions,
-			Action{At: crashAt, Kind: CrashNode, Node: victim},
-			Action{At: restartAt, Kind: RestartNode, Node: victim})
+	crashAt := mid()
+	downFor := 80*time.Millisecond + time.Duration(rng.Int63n(int64(120*time.Millisecond)))
+	restartAt := crashAt + downFor
+	if restartAt > d*9/10 {
+		restartAt = d * 9 / 10
 	}
+	sc.Actions = append(sc.Actions,
+		Action{At: crashAt, Kind: CrashNode, Node: victim},
+		Action{At: restartAt, Kind: RestartNode, Node: victim})
 
-	// Link blackouts target the victim's own links, so the dead-link set
-	// never exceeds that node's minority share.
+	// The link blackout targets the victim's own links, so the dead-link
+	// set never exceeds that node's minority share.
 	victimLinks := []int{2*victim - 1, 2 * victim} // 1-based: links (0,v) and (v,4)
-	for i := 0; i < cfg.LinkBlackouts; i++ {
-		start := mid()
-		length := cfg.MaxBlackout/4 + time.Duration(rng.Int63n(int64(3*cfg.MaxBlackout/4)))
-		li := victimLinks[int(rng.Int63n(int64(len(victimLinks))))]
-		sc.Actions = append(sc.Actions,
-			Action{At: start, Kind: BlackoutStart, Link: li},
-			Action{At: start + length, Kind: BlackoutEnd, Link: li})
-	}
+	start := mid()
+	length := maxBlackout/4 + time.Duration(rng.Int63n(int64(3*maxBlackout/4)))
+	li := victimLinks[int(rng.Int63n(int64(len(victimLinks))))]
+	sc.Actions = append(sc.Actions,
+		Action{At: start, Kind: BlackoutStart, Link: li},
+		Action{At: start + length, Kind: BlackoutEnd, Link: li})
 	sort.SliceStable(sc.Actions, func(i, j int) bool { return sc.Actions[i].At < sc.Actions[j].At })
 	return sc
 }

@@ -70,16 +70,14 @@ func (f *Fabric) Clock() clock.Clock { return f.clk }
 func (f *Fabric) Seed() int64 { return f.seed }
 
 // LinkConfig is one bidirectional link: a model applied independently
-// per direction, with decorrelated seed streams.
+// per direction, with decorrelated seed streams. The link's fault schedule
+// derives from the fabric seed and the link's index, so a fabric is fully
+// reproducible from its single base seed.
 type LinkConfig struct {
 	// LinkModel is what each direction does to packets. Its Queue also
 	// caps each port's undrained mailbox; overflow there counts as
 	// DropQueue too, as a full router queue would.
 	netlink.LinkModel
-	// Seed fixes this link's fault schedule; 0 derives one from the
-	// fabric seed and the link's index, so an all-default fabric is
-	// still fully reproducible from its single base seed.
-	Seed int64
 }
 
 // Link creates one bidirectional link and returns its two ports. Each
@@ -91,10 +89,7 @@ func (f *Fabric) Link(cfg LinkConfig) (*Port, *Port) {
 	idx := f.links
 	f.links++
 	f.mu.Unlock()
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = clock.MixSeed(f.seed, int64(idx)+1)
-	}
+	seed := clock.MixSeed(f.seed, int64(idx)+1)
 	a := newPort(f, cfg.LinkModel, clock.MixSeed(seed, 1))
 	b := newPort(f, cfg.LinkModel, clock.MixSeed(seed, 2))
 	a.peer, b.peer = b, a

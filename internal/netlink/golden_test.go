@@ -107,10 +107,10 @@ func (c *goldenConn) Close() error {
 
 // goldenEndpoint puts a goldenConn under a raw engine of its own — what a
 // station builds over a bare conn, packets unmodified — whose wheel rides
-// clk.
-func goldenEndpoint(t *testing.T, log *goldenLog, dir string, clk clock.Clock, reg *metrics.Registry) *engine.Endpoint {
+// clk (a virtual wheel has no goroutine to stop).
+func goldenEndpoint(t *testing.T, log *goldenLog, dir string, clk *clock.Virtual, reg *metrics.Registry) *engine.Endpoint {
 	cfg := engineConfig(reg, true, 1)
-	cfg.Clock = clk
+	cfg.Wheel = engine.NewWheelOn(clk, 0, 0)
 	eng := engine.New(&goldenConn{log: log, dir: dir, closed: make(chan struct{})}, cfg)
 	t.Cleanup(func() { eng.Close() })
 	ep, err := eng.Endpoint(0)

@@ -22,12 +22,10 @@ type ImpairConfig struct {
 	Clock clock.Clock
 	// Metrics receives the link's fate counters; nil uses
 	// metrics.Default(). Injected faults become observable numbers here,
-	// so a chaos run can cross-check injected against observed loss.
+	// so a chaos run can cross-check injected against observed loss. The
+	// counters are link.*: links sharing a registry share them, so both
+	// directions registered in one yield link totals.
 	Metrics *metrics.Registry
-	// MetricsPrefix namespaces this link's counters (default "link").
-	// Links sharing a registry and prefix share counters: registering both
-	// directions under one prefix yields link totals.
-	MetricsPrefix string
 }
 
 // ImpairedConn applies a LinkModel to the egress (Send) path of any
@@ -76,7 +74,7 @@ func impair(conn PacketConn, cfg ImpairConfig, stop chan struct{}) *ImpairedConn
 	}
 	c := &ImpairedConn{
 		conn: conn,
-		m:    newLinkMetrics(cfg.Metrics, cfg.MetricsPrefix),
+		m:    newLinkMetrics(cfg.Metrics),
 		clk:  clk,
 		seed: seed,
 		free: make(bufList, freeBuffers),

@@ -73,17 +73,16 @@ const (
 	mAdvBlackouts  = "adversary.blackouts_injected" // blackout windows applied
 )
 
-// Link names are suffixes: each impaired link appends them to its
-// registered prefix ("link" by default).
+// An impaired link's fate counters.
 const (
-	mLinkSent         = ".sent"
-	mLinkDelivered    = ".delivered"
-	mLinkDuplicated   = ".duplicated"
-	mLinkDelayed      = ".delayed"
-	mLinkDropIID      = ".drop_iid"
-	mLinkDropBurst    = ".drop_burst"
-	mLinkDropBlackout = ".drop_blackout"
-	mLinkDropQueue    = ".drop_queue"
+	mLinkSent         = "link.sent"
+	mLinkDelivered    = "link.delivered"
+	mLinkDuplicated   = "link.duplicated"
+	mLinkDelayed      = "link.delayed"
+	mLinkDropIID      = "link.drop_iid"
+	mLinkDropBurst    = "link.drop_burst"
+	mLinkDropBlackout = "link.drop_blackout"
+	mLinkDropQueue    = "link.drop_queue"
 )
 
 // senderMetrics are the transmitting station's registry hooks.
@@ -201,7 +200,7 @@ func newAdversaryMetrics(r *metrics.Registry) adversaryMetrics {
 }
 
 // linkMetrics are an impaired link's registry hooks; links sharing a
-// registry and prefix share the counters (their counts sum).
+// registry share the counters (their counts sum).
 type linkMetrics struct {
 	sent         *metrics.Counter // packets accepted from the caller
 	delivered    *metrics.Counter // packets released to the underlying conn
@@ -213,22 +212,19 @@ type linkMetrics struct {
 	dropQueue    *metrics.Counter // drops past the queue cap
 }
 
-func newLinkMetrics(r *metrics.Registry, prefix string) linkMetrics {
+func newLinkMetrics(r *metrics.Registry) linkMetrics {
 	if r == nil {
 		r = metrics.Default()
 	}
-	if prefix == "" {
-		prefix = "link"
-	}
 	return linkMetrics{
-		sent:         r.Counter(prefix + mLinkSent),
-		delivered:    r.Counter(prefix + mLinkDelivered),
-		duplicated:   r.Counter(prefix + mLinkDuplicated),
-		delayed:      r.Counter(prefix + mLinkDelayed),
-		dropIID:      r.Counter(prefix + mLinkDropIID),
-		dropBurst:    r.Counter(prefix + mLinkDropBurst),
-		dropBlackout: r.Counter(prefix + mLinkDropBlackout),
-		dropQueue:    r.Counter(prefix + mLinkDropQueue),
+		sent:         r.Counter(mLinkSent),
+		delivered:    r.Counter(mLinkDelivered),
+		duplicated:   r.Counter(mLinkDuplicated),
+		delayed:      r.Counter(mLinkDelayed),
+		dropIID:      r.Counter(mLinkDropIID),
+		dropBurst:    r.Counter(mLinkDropBurst),
+		dropBlackout: r.Counter(mLinkDropBlackout),
+		dropQueue:    r.Counter(mLinkDropQueue),
 	}
 }
 

@@ -37,7 +37,6 @@ func buildLinksPer(topo Topology, seed int64, reg *metrics.Registry, specFor fun
 		ica, icb := spec, spec
 		ica.Seed, icb.Seed = seed+int64(3*i)+2, seed+int64(3*i)+3
 		ica.Metrics, icb.Metrics = reg, reg
-		ica.MetricsPrefix, icb.MetricsPrefix = "link", "link"
 		la, lb := netlink.Impair(a, ica), netlink.Impair(b, icb)
 		tl.conns = append(tl.conns, LinkConns{A: la, B: lb})
 		tl.imps = append(tl.imps, [2]*netlink.ImpairedConn{la, lb})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
+	"time"
 
 	"ghm/internal/engine"
 	"ghm/internal/netlink"
@@ -130,18 +131,20 @@ func (n *node) start() error {
 		end := end
 		out := hopID{From: n.id, To: end.peer}
 		sess, err := session.New(session.Config{
-			Dial:              func() (netlink.PacketConn, error) { return end.eng.Endpoint(end.sendID) },
-			Params:            m.params(),
-			Tap:               m.hops[out].live.Observe,
-			WALPath:           n.walPath(end.peer),
-			WALSync:           false,
-			Merge:             mergeAcks,
-			WatchdogWindow:    m.cfg.WatchdogWindow,
-			WatchdogInterval:  m.cfg.WatchdogWindow / 16,
-			RestartBackoff:    m.cfg.RestartBackoff,
-			RestartBackoffMax: m.cfg.RestartBackoffMax,
-			BreakerThreshold:  m.cfg.BreakerThreshold,
-			BreakerCooldown:   m.cfg.BreakerCooldown,
+			Dial:             func() (netlink.PacketConn, error) { return end.eng.Endpoint(end.sendID) },
+			Params:           m.params(),
+			Tap:              m.hops[out].live.Observe,
+			WALPath:          n.walPath(end.peer),
+			WALSync:          false,
+			Merge:            mergeAcks,
+			WatchdogWindow:   m.cfg.WatchdogWindow,
+			WatchdogInterval: m.cfg.WatchdogWindow / 16,
+			// A hop rebuilds 5ms to 80ms after it fails; 25 fruitless
+			// rebuilds open its breaker for 250ms.
+			RestartBackoff:    5 * time.Millisecond,
+			RestartBackoffMax: 80 * time.Millisecond,
+			BreakerThreshold:  25,
+			BreakerCooldown:   250 * time.Millisecond,
 			Seed:              m.hopSeed(n.id, i),
 			Wheel:             m.wheel,
 			Metrics:           m.reg,

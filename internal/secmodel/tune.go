@@ -17,11 +17,6 @@ import (
 
 // TuneConfig bounds one tuning run. Zero fields take the defaults noted.
 type TuneConfig struct {
-	// Epsilon is the target per-message error probability every proposed
-	// schedule must honor (default core-level 2^-12).
-	Epsilon float64
-	// Candidates are the schedules to measure (default DefaultCandidates()).
-	Candidates []Schedule
 	// Messages, Trials, MaxSteps and Seed parameterize the underlying
 	// sweep exactly as in SweepConfig.
 	Messages int
@@ -30,11 +25,15 @@ type TuneConfig struct {
 	Seed     int64
 }
 
-// DefaultCandidates is the E8 ablation family plus the reckless probes:
-// the sound variants compete on cost, the weakened ones calibrate the
-// instrument (they must be measured as broken, or the sweep has no
-// teeth).
-func DefaultCandidates() []Schedule {
+// tuneEpsilon is the target per-message error probability every proposed
+// schedule must honor: core-level 2^-12.
+const tuneEpsilon = 1.0 / (1 << 12)
+
+// candidates are the schedules Tune measures: the E8 ablation family plus
+// the reckless probes. The sound variants compete on cost, the weakened
+// ones calibrate the instrument (they must be measured as broken, or the
+// sweep has no teeth).
+func candidates() []Schedule {
 	return []Schedule{
 		{Name: "paper"},
 		{Name: "eager-bound1", BoundConst: 1},
@@ -90,14 +89,7 @@ func (r TuneResult) JSON() string {
 // target epsilon and proposes the cheapest admissible schedule. The
 // result is a pure function of cfg.
 func Tune(cfg TuneConfig) (TuneResult, error) {
-	if cfg.Epsilon == 0 {
-		cfg.Epsilon = 1.0 / (1 << 12)
-	}
-	cands := cfg.Candidates
-	if len(cands) == 0 {
-		cands = DefaultCandidates()
-	}
-	res := TuneResult{Epsilon: cfg.Epsilon, Seed: cfg.Seed}
+	res := TuneResult{Epsilon: tuneEpsilon, Seed: cfg.Seed}
 	sweepCfg := SweepConfig{
 		Messages: cfg.Messages,
 		Trials:   cfg.Trials,
@@ -106,8 +98,8 @@ func Tune(cfg TuneConfig) (TuneResult, error) {
 	}.withDefaults()
 
 	best := -1
-	for ci, cand := range cands {
-		pt := Point{Schedule: cand, Epsilon: cfg.Epsilon}
+	for ci, cand := range candidates() {
+		pt := Point{Schedule: cand, Epsilon: tuneEpsilon}
 		measured, err := measure(pt, sweepCfg, int64(ci))
 		if err != nil {
 			return res, err

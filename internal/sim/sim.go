@@ -64,11 +64,9 @@ type StorageMeter interface {
 
 // Config parameterizes one simulation run.
 type Config struct {
-	// Messages is the number of unique messages to push through.
+	// Messages is the number of unique messages to push through; the i-th
+	// body is "m-%06d" of i, so bodies are unique (Axiom 2).
 	Messages int
-	// Payload generates the i-th message body; bodies must be unique
-	// (Axiom 2). Defaults to "m-%06d".
-	Payload func(i int) []byte
 	// RetryEvery fires the receiver's RETRY action every so many steps.
 	// Defaults to 1.
 	RetryEvery int
@@ -117,9 +115,6 @@ type Result struct {
 // Run simulates the composed system until all messages complete or the
 // step budget is exhausted.
 func Run(cfg Config, tx TxMachine, rx RxMachine) Result {
-	if cfg.Payload == nil {
-		cfg.Payload = func(i int) []byte { return []byte(fmt.Sprintf("m-%06d", i)) }
-	}
 	if cfg.RetryEvery <= 0 {
 		cfg.RetryEvery = 1
 	}
@@ -214,7 +209,7 @@ func (s *runner) run() Result {
 }
 
 func (s *runner) submit() {
-	m := s.cfg.Payload(s.res.Attempted)
+	m := []byte(fmt.Sprintf("m-%06d", s.res.Attempted))
 	pkts, err := s.tx.SendMsg(m)
 	if err != nil {
 		// Busy was checked; any error here is a machine bug surfaced to
