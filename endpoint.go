@@ -41,7 +41,7 @@ func NewEndpoint(conn PacketConn) *Endpoint {
 	// Two engine ids per slot: one per direction, so a slot can host a
 	// full-duplex Peer. Single-direction instances use the slot's first
 	// id. All ids stay below 128 and therefore one byte on the wire.
-	return &Endpoint{eng: netlink.NewEngine(conn, 2*MaxEndpointSlots, nil)}
+	return &Endpoint{eng: netlink.NewEngine(conn, 2*MaxEndpointSlots, nil, nil)}
 }
 
 func checkSlot(slot int) error {
@@ -91,8 +91,12 @@ func (e *Endpoint) Peer(slot int, role Role, opts ...Option) (*Peer, error) {
 	if err := checkSlot(slot); err != nil {
 		return nil, err
 	}
+	if role != RoleA && role != RoleB {
+		return nil, errPeerRole
+	}
 	// Role A transmits on the slot's first id and receives on the
-	// second; role B mirrors.
+	// second; role B mirrors. The peer borrows the slot: Close detaches
+	// its stations and leaves the link up.
 	sendConn, err := e.slotConn(2*slot + int(role))
 	if err != nil {
 		return nil, err
@@ -101,15 +105,7 @@ func (e *Endpoint) Peer(slot int, role Role, opts ...Option) (*Peer, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := applyOptions(opts)
-	p, err := netlink.NewPeerOn(sendConn, recvConn, netlink.PeerRole(role), o.params(), netlink.ReceiverConfig{
-		RetryInterval:   o.retryInterval,
-		RetryBackoffMax: o.retryBackoff,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("ghm: %w", err)
-	}
-	return &Peer{p: p}, nil
+	return newPeer(nil, sendConn, recvConn, applyOptions(opts))
 }
 
 // Session starts a supervised self-healing session on slot: every

@@ -85,7 +85,7 @@ func NewSenderWindow(conn netlink.PacketConn, lanes, window int, p core.Params) 
 	if window < 1 || window > core.MaxWindow {
 		return nil, errWindow
 	}
-	eng := netlink.NewEngine(conn, lanes, nil)
+	eng := netlink.NewEngine(conn, lanes, nil, nil)
 	s := &Sender{
 		eng:    eng,
 		free:   make(chan int, lanes*window),
@@ -216,7 +216,7 @@ func NewReceiverWindow(conn netlink.PacketConn, lanes, window int, cfg netlink.R
 	// burst so laneDeliver stays non-blocking, and the merge channel is
 	// sized so the reservation never starves a single-lane session.
 	burst := netlink.WindowReleaseBound(window)
-	eng := netlink.NewEngine(conn, lanes, nil)
+	eng := netlink.NewEngine(conn, lanes, nil, nil)
 	r := &Receiver{
 		eng:    eng,
 		merged: make(chan item, lanes*laneDeliveryBuffer*window+burst-1),

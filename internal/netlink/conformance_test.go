@@ -56,17 +56,23 @@ func conns() map[string]func(t *testing.T) (tx, rx netlink.PacketConn) {
 			}
 			return v, b
 		},
-		"Split sub-connection": func(t *testing.T) (netlink.PacketConn, netlink.PacketConn) {
+		"framed engine endpoint": func(t *testing.T) (netlink.PacketConn, netlink.PacketConn) {
+			// What ghm.Endpoint, mux and relay attach their stations to.
 			a, b := pipe()
-			as, err := netlink.Split(a, 2)
+			ea, eb := netlink.NewEngine(a, 2, nil, nil), netlink.NewEngine(b, 2, nil, nil)
+			t.Cleanup(func() {
+				ea.Close()
+				eb.Close()
+			})
+			ta, err := ea.Endpoint(1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bs, err := netlink.Split(b, 2)
+			tb, err := eb.Endpoint(1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return as[1], bs[1]
+			return ta, tb
 		},
 		"fabric.Port": func(*testing.T) (netlink.PacketConn, netlink.PacketConn) {
 			return fabric.New(fabric.Config{Seed: 1}).Link(fabric.LinkConfig{LinkModel: netlink.LinkModel{Latency: time.Millisecond}})

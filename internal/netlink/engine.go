@@ -16,8 +16,8 @@ import (
 // closed-vs-transient split — are injected here.
 
 // engineBacked is implemented by conn types that are views over an
-// engine endpoint (Split subs, SharedConn views). Stations detect it and
-// reuse that engine's pump instead of wrapping the view in another one.
+// engine endpoint (SharedConn views). Stations detect it and reuse that
+// engine's pump instead of wrapping the view in another one.
 type engineBacked interface {
 	engineEndpoint() *engine.Endpoint
 }
@@ -37,15 +37,11 @@ func engineConfig(reg *metrics.Registry, raw bool, maxEndpoints int) engine.Conf
 // NewEngine builds a framed engine over conn with endpoint ids
 // [0, maxEndpoints) and this package's error semantics. The engine owns
 // conn; closing the engine closes it. reg receives the engine's link.*
-// drop counters (nil uses metrics.Default()).
-func NewEngine(conn PacketConn, maxEndpoints int, reg *metrics.Registry) *engine.Engine {
-	return engine.New(conn, engineConfig(reg, false, maxEndpoints))
-}
-
-// NewEngineOn is NewEngine with the engine's timer wheel (and therefore
-// its clock) injected; layers that own several engines — the relay mesh —
-// share one wheel so a single injected clock virtualizes them all.
-func NewEngineOn(conn PacketConn, maxEndpoints int, reg *metrics.Registry, wheel *engine.Wheel) *engine.Engine {
+// drop counters (nil uses metrics.Default()). wheel is the engine's timer
+// wheel, and therefore its clock (nil: engine.DefaultWheel()); layers that
+// own several engines — the relay mesh — share one wheel so a single
+// injected clock virtualizes them all.
+func NewEngine(conn PacketConn, maxEndpoints int, reg *metrics.Registry, wheel *engine.Wheel) *engine.Engine {
 	c := engineConfig(reg, false, maxEndpoints)
 	c.Wheel = wheel
 	return engine.New(conn, c)
@@ -53,9 +49,8 @@ func NewEngineOn(conn PacketConn, maxEndpoints int, reg *metrics.Registry, wheel
 
 // stationIO is a station's attachment to the runtime: the endpoint it
 // sends and receives through, and the close action matching the conn's
-// documented lifetime semantics (cascade for Split subs, detach for
-// views and bare endpoints, full engine close for a privately owned
-// conn).
+// documented lifetime semantics (detach for views and bare endpoints,
+// full engine close for a privately owned conn).
 type stationIO struct {
 	ep    *engine.Endpoint
 	close func() error

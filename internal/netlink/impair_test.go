@@ -330,16 +330,16 @@ func TestImpairedLinkDemuxDropsAreCounted(t *testing.T) {
 	// Garbage arriving through an impaired link (duplicates and all) must
 	// show up in the engine's drop accounting: every copy the link
 	// delivers carries an unknown tag and is counted, never silently
-	// swallowed the way the pre-engine split pump did.
+	// swallowed the way the pre-engine pumps did.
 	a, b := Pipe(PipeConfig{Seed: 68})
 	imp := Impair(a, ImpairConfig{LinkModel: LinkModel{DupProb: 0.3, Queue: 1000}, Seed: 9, Metrics: metrics.New()})
 	defer imp.Close()
 	reg := metrics.New()
-	subsB, err := SplitMetrics(b, 1, reg)
-	if err != nil {
+	eng := NewEngine(b, 1, reg, nil)
+	defer eng.Close()
+	if _, err := eng.Endpoint(0); err != nil {
 		t.Fatal(err)
 	}
-	defer subsB[0].Close()
 
 	const n = 50
 	for i := 0; i < n; i++ {

@@ -46,17 +46,18 @@ func forDepths(t *testing.T, fn func(t *testing.T, k int)) {
 }
 
 func TestClosePropagationParity(t *testing.T) {
-	t.Run("split/conn-kill", func(t *testing.T) {
+	t.Run("engine/conn-kill", func(t *testing.T) {
 		_, b := netlink.Pipe(netlink.PipeConfig{Seed: 81})
-		subs, err := netlink.Split(b, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := netlink.NewEngine(b, 2, nil, nil)
+		defer eng.Close()
 		errc := make(chan error, 2)
-		for _, sub := range subs {
-			sub := sub
+		for id := 0; id < 2; id++ {
+			ep, err := eng.Endpoint(id)
+			if err != nil {
+				t.Fatal(err)
+			}
 			go func() {
-				_, err := sub.Recv()
+				_, err := ep.Recv()
 				errc <- err
 			}()
 		}
@@ -66,28 +67,12 @@ func TestClosePropagationParity(t *testing.T) {
 			select {
 			case err := <-errc:
 				if !errors.Is(err, netlink.ErrClosed) {
-					t.Errorf("sub Recv after conn kill: %v", err)
+					t.Errorf("endpoint Recv after conn kill: %v", err)
 				}
 			case <-time.After(5 * time.Second):
-				t.Fatal("sub Recv did not unblock after conn kill")
+				t.Fatal("endpoint Recv did not unblock after conn kill")
 			}
 		}
-	})
-
-	t.Run("split/endpoint-close", func(t *testing.T) {
-		a, _ := netlink.Pipe(netlink.PipeConfig{Seed: 82})
-		subs, err := netlink.Split(a, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() {
-			time.Sleep(5 * time.Millisecond)
-			subs[0].Close()
-		}()
-		wantErr(t, "sibling Recv", netlink.ErrClosed, func() error {
-			_, err := subs[1].Recv()
-			return err
-		})
 	})
 
 	t.Run("shared/conn-kill", func(t *testing.T) {
@@ -160,48 +145,6 @@ func TestClosePropagationParity(t *testing.T) {
 				_, err := rx.Recv(context.Background())
 				return err
 			})
-		})
-	})
-
-	t.Run("peer/conn-kill", func(t *testing.T) {
-		a, b := netlink.Pipe(netlink.PipeConfig{Seed: 86})
-		pa, err := netlink.NewPeer(a, netlink.RoleA, core.Params{}, netlink.ReceiverConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer pa.Close()
-		pb, err := netlink.NewPeer(b, netlink.RoleB, core.Params{}, netlink.ReceiverConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer pb.Close()
-		go func() {
-			time.Sleep(5 * time.Millisecond)
-			a.Close()
-		}()
-		wantErr(t, "Peer.Recv", netlink.ErrClosed, func() error {
-			_, err := pa.Recv(context.Background())
-			return err
-		})
-		wantErr(t, "Peer.Send", netlink.ErrClosed, func() error {
-			return pa.Send(context.Background(), []byte("never"))
-		})
-	})
-
-	t.Run("peer/close", func(t *testing.T) {
-		a, b := netlink.Pipe(netlink.PipeConfig{Seed: 87})
-		defer b.Close()
-		p, err := netlink.NewPeer(a, netlink.RoleA, core.Params{}, netlink.ReceiverConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() {
-			time.Sleep(5 * time.Millisecond)
-			p.Close()
-		}()
-		wantErr(t, "Peer.Recv", netlink.ErrClosed, func() error {
-			_, err := p.Recv(context.Background())
-			return err
 		})
 	})
 

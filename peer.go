@@ -2,7 +2,9 @@ package ghm
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sync"
 
 	"ghm/internal/netlink"
 )
@@ -18,46 +20,93 @@ const (
 	RoleB
 )
 
+var errPeerRole = errors.New("ghm: peer role must be RoleA or RoleB")
+
 // Peer is a full-duplex reliable session: both ends Send and Recv over a
 // single PacketConn, each direction independently carrying the protocol's
 // ordered, exactly-once, crash-resilient guarantees.
 type Peer struct {
-	p *netlink.Peer
+	// A transmitting station on one engine endpoint and a receiving one on
+	// the other: role A sends on the first id and receives on the second,
+	// role B mirrors.
+	s *netlink.Sender
+	r *netlink.Receiver
+	// closeLink closes the engine, and with it the conn, when the peer
+	// owns them (NewPeer); nil for a peer on an Endpoint's slot.
+	closeLink func() error
+
+	closeOnce sync.Once
 }
 
 // NewPeer starts a full-duplex session on conn. The remote end must call
 // NewPeer on its endpoint with the other Role.
 func NewPeer(conn PacketConn, role Role, opts ...Option) (*Peer, error) {
-	o := applyOptions(opts)
-	p, err := netlink.NewPeer(conn, netlink.PeerRole(role), o.params(), netlink.ReceiverConfig{
+	if role != RoleA && role != RoleB {
+		return nil, errPeerRole
+	}
+	eng := netlink.NewEngine(conn, 2, nil, nil)
+	sendConn, err := eng.Endpoint(int(role))
+	if err != nil {
+		eng.Close()
+		return nil, fmt.Errorf("ghm: %w", err)
+	}
+	recvConn, err := eng.Endpoint(1 - int(role))
+	if err != nil {
+		eng.Close()
+		return nil, fmt.Errorf("ghm: %w", err)
+	}
+	return newPeer(eng.Close, sendConn, recvConn, applyOptions(opts))
+}
+
+// newPeer starts both directions; on failure it closes what it started,
+// and the link too when the peer would have owned it.
+func newPeer(closeLink func() error, sendConn, recvConn PacketConn, o options) (*Peer, error) {
+	// One Params for both directions: a seeded source is shared.
+	p := o.params()
+	s, err := netlink.NewSender(sendConn, netlink.SenderConfig{Params: p})
+	if err != nil {
+		if closeLink != nil {
+			closeLink()
+		}
+		return nil, fmt.Errorf("ghm: %w", err)
+	}
+	r, err := netlink.NewReceiver(recvConn, netlink.ReceiverConfig{
+		Params:          p,
 		RetryInterval:   o.retryInterval,
 		RetryBackoffMax: o.retryBackoff,
 	})
 	if err != nil {
+		s.Close()
+		if closeLink != nil {
+			closeLink()
+		}
 		return nil, fmt.Errorf("ghm: %w", err)
 	}
-	return &Peer{p: p}, nil
+	return &Peer{s: s, r: r, closeLink: closeLink}, nil
 }
 
 // Send transfers msg to the other end and blocks until the protocol
 // confirms delivery.
 func (p *Peer) Send(ctx context.Context, msg []byte) error {
-	return p.p.Send(ctx, msg)
+	return p.s.Send(ctx, msg)
 }
 
 // Recv blocks for the next message from the other end.
 func (p *Peer) Recv(ctx context.Context) ([]byte, error) {
-	return p.p.Recv(ctx)
+	return p.r.Recv(ctx)
 }
 
 // Crash simulates a host crash of this end: both directions' protocol
 // memory is erased; a pending Send fails with ErrCrashed.
-func (p *Peer) Crash() { p.p.Crash() }
+func (p *Peer) Crash() {
+	p.s.Crash()
+	p.r.Crash()
+}
 
 // Stats returns both directions' protocol counters.
 func (p *Peer) Stats() (send SenderStats, recv ReceiverStats) {
-	st := p.p.SendStats()
-	sr := p.p.RecvStats()
+	st := p.s.Stats()
+	sr := p.r.Stats()
 	return SenderStats{
 			PacketsSent:   st.PacketsSent,
 			Completed:     st.OKs,
@@ -74,4 +123,13 @@ func (p *Peer) Stats() (send SenderStats, recv ReceiverStats) {
 }
 
 // Close stops both directions and waits for their goroutines.
-func (p *Peer) Close() error { return p.p.Close() }
+func (p *Peer) Close() error {
+	p.closeOnce.Do(func() {
+		if p.closeLink != nil {
+			p.closeLink()
+		}
+		p.s.Close()
+		p.r.Close()
+	})
+	return nil
+}

@@ -2,6 +2,7 @@ package ghm_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -178,4 +179,65 @@ func TestPeerStreamsCompose(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("stream corrupted: %d bytes in, %d out", len(payload), len(got))
 	}
+}
+
+// TestPeerCloseUnblocks: however a peer's link dies — its conn killed
+// under it, or the peer closed — a blocked Recv and a later Send surface
+// ErrClosed promptly rather than wedge.
+func TestPeerCloseUnblocks(t *testing.T) {
+	wantClosed := func(t *testing.T, name string, fn func() error) {
+		t.Helper()
+		errc := make(chan error, 1)
+		go func() { errc <- fn() }()
+		select {
+		case err := <-errc:
+			if !errors.Is(err, ghm.ErrClosed) {
+				t.Errorf("%s returned %v, want %v", name, err, ghm.ErrClosed)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("%s did not unblock", name)
+		}
+	}
+
+	t.Run("conn-kill", func(t *testing.T) {
+		left, right := ghm.Pipe(ghm.PipeFaults{Seed: 86})
+		pa, err := ghm.NewPeer(left, ghm.RoleA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pa.Close()
+		pb, err := ghm.NewPeer(right, ghm.RoleB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pb.Close()
+		go func() {
+			time.Sleep(5 * time.Millisecond)
+			left.Close()
+		}()
+		wantClosed(t, "Peer.Recv", func() error {
+			_, err := pa.Recv(context.Background())
+			return err
+		})
+		wantClosed(t, "Peer.Send", func() error {
+			return pa.Send(context.Background(), []byte("never"))
+		})
+	})
+
+	t.Run("close", func(t *testing.T) {
+		left, right := ghm.Pipe(ghm.PipeFaults{Seed: 87})
+		defer right.Close()
+		p, err := ghm.NewPeer(left, ghm.RoleA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			time.Sleep(5 * time.Millisecond)
+			p.Close()
+		}()
+		wantClosed(t, "Peer.Recv", func() error {
+			_, err := p.Recv(context.Background())
+			return err
+		})
+	})
 }
