@@ -196,17 +196,14 @@ func (q *Queue) Enqueue(msg []byte) (uint64, error) {
 
 // Flush blocks until the backlog is empty, the queue fails, or ctx ends.
 func (q *Queue) Flush(ctx context.Context) error {
-	// Wake the waiter when ctx ends: Cond has no context support, so a
-	// helper goroutine broadcasts on cancellation.
-	stopWatch := make(chan struct{})
-	defer close(stopWatch)
-	go func() {
-		select {
-		case <-ctx.Done():
-			q.cond.Broadcast()
-		case <-stopWatch:
-		}
-	}()
+	// Wake the waiter when ctx ends: Cond has no context support. The
+	// broadcast takes the lock, so it cannot fall between the loop's
+	// ctx check and its Wait and be lost.
+	defer context.AfterFunc(ctx, func() {
+		q.mu.Lock()
+		q.cond.Broadcast()
+		q.mu.Unlock()
+	})()
 
 	q.mu.Lock()
 	defer q.mu.Unlock()
