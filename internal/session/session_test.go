@@ -199,6 +199,10 @@ func TestWatchdogRestartsWedgedStation(t *testing.T) {
 			break
 		}
 	}
+	// The supervisor counts what a subscriber may drop.
+	if st := g.s.Stats(); st.Transitions < 2 {
+		t.Errorf("Stats().Transitions = %d after a wedge and its heal, want >= 2", st.Transitions)
+	}
 	if rep := g.live.Report(); !rep.Clean() {
 		t.Fatalf("conformance: %v", rep)
 	}
