@@ -104,6 +104,11 @@ func TestFramedRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, id := range []int{-1, 4} {
+		if _, err := e.Endpoint(id); err == nil {
+			t.Errorf("Endpoint(%d) accepted with MaxEndpoints 4", id)
+		}
+	}
 
 	conn.inject(1, []byte("to-one"))
 	conn.inject(0, []byte("to-zero"))
@@ -203,7 +208,7 @@ func TestOverflowDropAccounting(t *testing.T) {
 }
 
 // TestOverflowGaugeSumsEnginesAndLeavesOnClose: engines sharing a registry
-// and a prefix share the per-endpoint gauge names, so a name reports their
+// share the per-endpoint gauge names, so a name reports their
 // sum; and an engine's Close takes its share out, the name with the last
 // one, so the registry does not hold a closed engine.
 func TestOverflowGaugeSumsEnginesAndLeavesOnClose(t *testing.T) {
