@@ -212,9 +212,9 @@ func BenchmarkSimLossyMessage(b *testing.B) {
 	}
 }
 
-// BenchmarkMuxLanes measures confirmed-message throughput as lanes scale
-// on a link with latency (the stop-and-wait bottleneck the mux extension
-// targets).
+// BenchmarkMuxLanes measures confirmed-message throughput as lanes — the
+// station's depth — scale on a link with latency, where one lane is held
+// to stop-and-wait.
 func BenchmarkMuxLanes(b *testing.B) {
 	for _, lanes := range []int{1, 2, 4, 8} {
 		lanes := lanes

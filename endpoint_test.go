@@ -229,16 +229,15 @@ func countPumps() int {
 	return strings.Count(string(buf[:n]), "created by ghm/internal/engine.New in goroutine")
 }
 
-// TestGoroutineBudget is the refactor's acceptance test: 64 mux lanes
-// plus 8 supervised sessions run on exactly one read pump per physical
-// conn — four conns, four pumps — where the pre-engine stack spawned
-// goroutines per lane and per station.
+// TestGoroutineBudget: a 64-lane mux plus 8 supervised sessions run on
+// exactly one read pump per physical conn — four conns, four pumps — and
+// no goroutine per lane or station.
 func TestGoroutineBudget(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	base := countPumps()
 	baseGoroutines := runtime.NumGoroutine()
 
-	// 64-lane mux over one socket pair.
+	// 64-lane mux over one socket pair: one depth-64 station a side.
 	ma, mb := ghm.Pipe(ghm.PipeFaults{Seed: 106})
 	ms, err := ghm.NewMuxSender(ma, 64)
 	if err != nil {
@@ -316,14 +315,66 @@ func TestGoroutineBudget(t *testing.T) {
 	if got := countPumps() - base; got != 4 {
 		t.Errorf("engine pumps after traffic = %d, want 4", got)
 	}
-	// The whole tower — 128 mux lane stations, 8 supervised sessions, 8
-	// receivers — must cost a bounded crew, not goroutines per lane. The
-	// bound is generous (supervisors, outboxes and test goroutines are
-	// all in it); the pre-engine stack's lane goroutines alone exceeded
-	// it several times over.
+	// The whole tower — the two depth-64 lane stations, 8 supervised
+	// sessions, 8 receivers — must cost a bounded crew, not goroutines per
+	// lane or slot. The bound is generous: supervisors, outboxes and test
+	// goroutines are all in it.
 	if grew := runtime.NumGoroutine() - baseGoroutines; grew > 120 {
 		t.Errorf("stack grew by %d goroutines at 64 lanes + 8 sessions", grew)
 	}
+}
+
+// TestEndpoint64SlotSoak fills every slot of an Endpoint pair with a
+// Sender/Receiver over one lossy, duplicating, reordering pipe pair: the
+// engine pump's demux at its widest fan-out, 64 stations on one pump a
+// side. Each slot must deliver its own stream exactly once, in order.
+// Under -race it is also the concurrency check on station handlers that
+// share one pump.
+func TestEndpoint64SlotSoak(t *testing.T) {
+	const perSlot = 4
+	a, b := ghm.Pipe(ghm.PipeFaults{Loss: 0.15, DupProb: 0.1, ReorderProb: 0.2, Seed: 99})
+	ea, eb := ghm.NewEndpoint(a), ghm.NewEndpoint(b)
+	defer ea.Close()
+	defer eb.Close()
+	ctx := testCtx(t)
+	retry := ghm.WithRetryInterval(300 * time.Microsecond)
+
+	var wg sync.WaitGroup
+	for slot := 0; slot < ghm.MaxEndpointSlots; slot++ {
+		tx, err := ea.Sender(slot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rx, err := eb.Receiver(slot, retry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perSlot; i++ {
+				if err := tx.Send(ctx, []byte(fmt.Sprintf("slot-%02d-%d", slot, i))); err != nil {
+					t.Errorf("slot %d send %d: %v", slot, i, err)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perSlot; i++ {
+				m, err := rx.Recv(ctx)
+				if err != nil {
+					t.Errorf("slot %d recv %d: %v", slot, i, err)
+					return
+				}
+				if want := fmt.Sprintf("slot-%02d-%d", slot, i); string(m) != want {
+					t.Errorf("slot %d delivered %q, want %q", slot, m, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestEndpointReplaceSlot(t *testing.T) {

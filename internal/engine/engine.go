@@ -2,8 +2,8 @@
 // physical packet conn with a single read pump, demultiplexing inbound
 // packets to registered Endpoints by a uvarint endpoint-id frame. It
 // subsumes the ad-hoc sharing layers that grew above the stations —
-// SharedConn's attach views, a Peer's two directions and mux's lane ids
-// are all endpoint ids now — so lane, peer and session counts no longer
+// SharedConn's attach views, a Peer's two directions and ghm.Endpoint's
+// slots are all endpoint ids — so station, peer and session counts do not
 // multiply goroutines: the goroutine budget is one pump per physical conn
 // (plus the process-wide timer wheel).
 //
@@ -180,11 +180,6 @@ func New(conn Conn, cfg Config) *Engine {
 
 // Wheel returns the engine's timer wheel.
 func (e *Engine) Wheel() *Wheel { return e.cfg.Wheel }
-
-// Dead is closed when the pump has exited — the conn is gone, whether by
-// Close or by an external kill — so every layer blocked on the engine
-// can surface ClosedErr instead of wedging.
-func (e *Engine) Dead() <-chan struct{} { return e.dead }
 
 // Endpoint registers (or re-registers) id and returns its endpoint.
 // Re-registering routes subsequent inbound packets to the new endpoint;
@@ -392,7 +387,9 @@ func (ep *Endpoint) Wheel() *Wheel { return ep.eng.cfg.Wheel }
 // Closed is closed when this endpoint is closed (detached).
 func (ep *Endpoint) Closed() <-chan struct{} { return ep.closed }
 
-// Dead is closed when the engine's pump has exited; see Engine.Dead.
+// Dead is closed when the engine's pump has exited — the conn is gone,
+// whether by Close or by an external kill — so a layer blocked on the
+// endpoint can surface ClosedErr instead of wedging.
 func (ep *Endpoint) Dead() <-chan struct{} { return ep.eng.dead }
 
 func (ep *Endpoint) isClosed() bool {

@@ -20,7 +20,7 @@ const (
 // any number of timers, replacing the per-station retry goroutines the
 // stations used to spawn. Precision is one tick — a timer fires in
 // [d, d+tick) — which is exactly what retry pacing needs and far cheaper
-// than a runtime timer per station at high lane counts.
+// than a runtime timer per station at high station counts.
 //
 // Callbacks run sequentially on the wheel goroutine — timers due on one
 // tick in the order they were armed — and must not block; a blocking

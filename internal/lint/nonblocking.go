@@ -14,7 +14,7 @@ import (
 // function registered with (*engine.Endpoint).SetHandler — or scheduled
 // as a wheel callback via (*engine.Wheel).AfterFunc — runs on the shared
 // pump (or wheel) goroutine for every endpoint on the conn. If it
-// blocks, every lane, peer and session sharing that conn stalls with it.
+// blocks, every station, peer and session sharing that conn stalls with it.
 // Handlers shed instead: the protocol models shedding as link loss and
 // recovers by design, whereas a stalled pump is a fault outside the
 // model entirely.

@@ -11,8 +11,8 @@ import (
 // timestamps must ride the injected clock (and its shared timer wheel).
 // The engine owns the wheel; the netlink stations, the session layer,
 // the supervisor and the relay mesh are its clients; the outbox, the
-// fabric and the lane mux read no clock at all today and are pinned so
-// the virtual-clock harness can rely on that. Simulation-side
+// fabric and mux (which maps lanes to a station depth) read no clock and
+// are pinned so the virtual-clock harness can rely on that. Simulation-side
 // packages (chaos schedules real wall-clock work; sim and the
 // experiments keep their own time) are deliberately out of scope, as is
 // ghm/internal/clock itself — it is the one place allowed to touch the
@@ -48,13 +48,12 @@ var wheelclockBanned = map[string]string{
 	"Until":     "time.Until reads the wall clock; subtract Clock.Now from the deadline instead",
 }
 
-// Wheelclock enforces PR 4's runtime-layering rule: inside the engine,
-// the netlink stations and the supervisor, all pacing arms the shared
-// hashed timer wheel (engine.Wheel) instead of creating runtime timers.
-// The wheel is one goroutine and one ticker for any number of timers,
-// its clock-derived catch-up keeps pacing faithful under load (the
-// wheel-lag bug), and per-station runtime timers are exactly the
-// goroutine-per-lane cost the engine rewrite removed.
+// Wheelclock enforces the runtime-layering rule: inside the engine, the
+// netlink stations and the supervisor, all pacing arms the shared hashed
+// timer wheel (engine.Wheel) instead of creating runtime timers. The
+// wheel is one goroutine and one ticker for any number of timers, its
+// clock-derived catch-up keeps pacing faithful under load, and
+// per-station runtime timers would cost a goroutine per station.
 var Wheelclock = &analysis.Analyzer{
 	Name: "wheelclock",
 	Doc: `forbid runtime timers and wall-clock reads (time.Now/Until/After/Sleep/...) in wheel territory

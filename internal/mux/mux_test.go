@@ -21,7 +21,7 @@ func testCtx(t *testing.T) context.Context {
 	return ctx
 }
 
-func muxPair(t *testing.T, lanes int, cfg netlink.PipeConfig) (*Sender, *Receiver) {
+func muxPair(t *testing.T, lanes int, cfg netlink.PipeConfig) (*netlink.Sender, *netlink.Receiver) {
 	t.Helper()
 	a, b := netlink.Pipe(cfg)
 	s, err := NewSender(a, lanes, core.Params{})
@@ -207,10 +207,10 @@ func TestCloseSemantics(t *testing.T) {
 	s.Close() // idempotent
 	r.Close()
 	ctx := testCtx(t)
-	if err := s.Send(ctx, []byte("x")); err == nil {
-		t.Error("Send on closed mux sender succeeded")
+	if err := s.Send(ctx, []byte("x")); !errors.Is(err, netlink.ErrClosed) {
+		t.Errorf("Send on closed mux sender = %v", err)
 	}
-	if _, err := r.Recv(ctx); !errors.Is(err, ErrClosed) {
+	if _, err := r.Recv(ctx); !errors.Is(err, netlink.ErrClosed) {
 		t.Errorf("Recv on closed mux receiver = %v", err)
 	}
 }
@@ -221,57 +221,5 @@ func TestRecvContext(t *testing.T) {
 	defer cancel()
 	if _, err := r.Recv(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Recv = %v, want deadline exceeded", err)
-	}
-}
-
-// TestHighLaneMuxSoak drives the full 64-lane configuration over a lossy,
-// duplicating, reordering link — the CI soak for the engine's single-pump
-// demux path at its widest fan-out. Run under -race this doubles as the
-// concurrency check on lane handlers sharing one pump.
-func TestHighLaneMuxSoak(t *testing.T) {
-	const lanes, n = 64, 256
-	s, r := muxPair(t, lanes, netlink.PipeConfig{
-		LinkModel: netlink.LinkModel{Loss: 0.15, DupProb: 0.1, ReorderProb: 0.2, ReleaseEvery: 100 * time.Microsecond},
-		Seed:      99,
-	})
-	ctx := testCtx(t)
-
-	// Concurrent Sends claim sequence numbers in whatever order the
-	// scheduler runs them, so the assertion is exactly-once delivery of
-	// every distinct message, not payload order.
-	recvDone := make(chan error, 1)
-	go func() {
-		seen := make(map[string]bool, n)
-		for i := 0; i < n; i++ {
-			m, err := r.Recv(ctx)
-			if err != nil {
-				recvDone <- fmt.Errorf("recv %d: %w", i, err)
-				return
-			}
-			if seen[string(m)] {
-				recvDone <- fmt.Errorf("duplicate delivery %q", m)
-				return
-			}
-			seen[string(m)] = true
-		}
-		recvDone <- nil
-	}()
-
-	sem := make(chan struct{}, lanes)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if err := s.Send(ctx, []byte(fmt.Sprintf("soak-%03d", i))); err != nil {
-				t.Errorf("send %d: %v", i, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if err := <-recvDone; err != nil {
-		t.Fatal(err)
 	}
 }

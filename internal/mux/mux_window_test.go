@@ -9,14 +9,15 @@ import (
 	"time"
 
 	"ghm/internal/core"
+	"ghm/internal/metrics"
 	"ghm/internal/netlink"
 )
 
 // badParams fails core's validation, forcing station construction to
-// error after the engine and earlier lanes already exist.
+// error.
 var badParams = core.Params{Epsilon: -1}
 
-func windowedMuxPair(t *testing.T, lanes, window int, cfg netlink.PipeConfig) (*Sender, *Receiver) {
+func windowedMuxPair(t *testing.T, lanes, window int, cfg netlink.PipeConfig) (*netlink.Sender, *netlink.Receiver) {
 	t.Helper()
 	a, b := netlink.Pipe(cfg)
 	s, err := NewSenderWindow(a, lanes, window, core.Params{})
@@ -48,17 +49,15 @@ func TestWindowValidation(t *testing.T) {
 	}
 }
 
-// TestConstructionFailureTearsDownCleanly drives the fail() path: lane
-// construction errors after the engine is live, and the partial build
-// must close lanes before the engine without stranding the pump (the
-// suite's leak guard) or wedging the conn teardown.
+// TestConstructionFailureTearsDownCleanly drives the failure path: the
+// station refuses to build, and the conn it would have owned is closed
+// without stranding a goroutine (the suite's leak guard).
 func TestConstructionFailureTearsDownCleanly(t *testing.T) {
 	a, b := netlink.Pipe(netlink.PipeConfig{Seed: 41})
 	defer b.Close()
 	if _, err := NewSender(a, 4, badParams); err == nil {
 		t.Fatal("NewSender accepted invalid params")
 	}
-	// fail() closed the engine and with it the conn it owns.
 	if err := a.Send([]byte("x")); err == nil {
 		t.Error("conn still open after construction failure")
 	}
@@ -84,17 +83,42 @@ func TestConstructionFailureTearsDownCleanly(t *testing.T) {
 	}
 }
 
-// TestFailedSendReturnsLaneToken pins the token-leak fix: a Send that
-// fails (context expires, lane crashes itself) must return its lane
-// token, or repeated failures would permanently shrink the window. The
-// old conditional return (select/default) could silently discard a
-// token; after `capacity` failed sends a leak would leave zero tokens
-// and the probe send would hang on acquisition instead of timing out
-// inside the lane.
+// TestDepthMapsLanesTimesWindow pins the one thing the package decides:
+// lanes × window slots, capped at the deepest station.
+func TestDepthMapsLanesTimesWindow(t *testing.T) {
+	for _, c := range []struct{ lanes, window, want int }{
+		{1, 1, 1}, {8, 1, 8}, {2, 4, 8}, {MaxLanes, 1, core.MaxWindow}, {MaxLanes, 4, core.MaxWindow},
+	} {
+		if got, err := depth(c.lanes, c.window); err != nil || got != c.want {
+			t.Errorf("depth(%d, %d) = %d, %v; want %d", c.lanes, c.window, got, err, c.want)
+		}
+	}
+}
+
+// waitAdmitted waits until n slots of the package's one live sender are
+// in flight at once, read off the station's tx.window_inflight gauge (the
+// mux stations report to the default registry).
+func waitAdmitted(t *testing.T, n int) {
+	t.Helper()
+	inflight := metrics.Default().Gauge("tx.window_inflight")
+	deadline := time.Now().Add(5 * time.Second)
+	for int(inflight.Value()) < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %v of %d Sends in flight", inflight.Value(), n)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestFailedSendReturnsLaneToken: a Send that fails (its context expires
+// and the station crashes itself) must give its slot — a lane's token —
+// back, or repeated failures would shrink the in-flight budget for good.
+// After more failures than there are slots, every slot must still admit
+// a Send at once.
 func TestFailedSendReturnsLaneToken(t *testing.T) {
 	const lanes, window = 2, 2
 	a, b := netlink.Pipe(netlink.PipeConfig{Seed: 45})
-	defer b.Close() // no receiver: every Send times out inside its lane
+	defer b.Close() // no receiver: every Send times out inside its slot
 	s, err := NewSenderWindow(a, lanes, window, core.Params{})
 	if err != nil {
 		t.Fatal(err)
@@ -109,31 +133,24 @@ func TestFailedSendReturnsLaneToken(t *testing.T) {
 		if err == nil {
 			t.Fatalf("send %d with no receiver succeeded", i)
 		}
-		// A token leak shows up as acquisition blocking until ctx expiry
-		// *before* the lane even starts; distinguishing is unnecessary —
-		// the count alone proves tokens came back: after `capacity`
-		// leaks, acquisition would consume the whole 2ms and the lane
-		// would never run, but more importantly the full window is
-		// re-acquirable below.
 	}
 
-	// All capacity tokens must be immediately available again.
+	var wg sync.WaitGroup
 	for i := 0; i < capacity; i++ {
-		select {
-		case <-s.free:
-		default:
-			t.Fatalf("only %d of %d lane tokens returned after failed sends", i, capacity)
-		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			s.Send(context.Background(), []byte(fmt.Sprintf("probe-%d", i)))
+		}(i)
 	}
-	for i := 0; i < capacity; i++ {
-		s.free <- i % lanes
-	}
+	waitAdmitted(t, capacity)
+	s.Close()
+	wg.Wait()
 }
 
 // TestWindowedLanesExactlyOnceInOrder runs lanes×window in-flight
-// transfers over a faulty link and checks the merged stream is the send
-// order, gap-free and duplicate-free — the mux resequencer composing
-// with each lane's windowed in-order release.
+// transfers over a faulty link and checks every message arrives exactly
+// once: the station's in-order release at depth 8.
 func TestWindowedLanesExactlyOnceInOrder(t *testing.T) {
 	const lanes, window, n = 2, 4, 60
 	s, r := windowedMuxPair(t, lanes, window, netlink.PipeConfig{
@@ -187,10 +204,9 @@ func TestWindowedLanesExactlyOnceInOrder(t *testing.T) {
 	}
 }
 
-// TestWindowedLanesCloseWithPendingSends exercises the lanes-then-engine
-// teardown order under load: Close while Sends are parked in every slot
-// must settle each one (ErrClosed or ErrCrashed) without deadlock or a
-// stranded goroutine.
+// TestWindowedLanesCloseWithPendingSends closes a sender while Sends are
+// parked in every slot: each must settle (ErrClosed or ErrCrashed)
+// without deadlock or a stranded goroutine.
 func TestWindowedLanesCloseWithPendingSends(t *testing.T) {
 	const lanes, window = 2, 3
 	a, b := netlink.Pipe(netlink.PipeConfig{LinkModel: netlink.LinkModel{Loss: 1}, Seed: 47}) // nothing ever arrives
@@ -210,76 +226,15 @@ func TestWindowedLanesCloseWithPendingSends(t *testing.T) {
 			errs <- s.Send(ctx, []byte("parked"))
 		}()
 	}
-	// Wait until every token is held, i.e. all Sends are in their lanes.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(s.free) > 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("sends never claimed all lane tokens")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
+	waitAdmitted(t, lanes*window)
 	s.Close()
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		if err == nil {
 			t.Error("parked Send on lossy link reported success after Close")
-		} else if !errors.Is(err, ErrClosed) &&
-			!errors.Is(err, netlink.ErrClosed) && !errors.Is(err, netlink.ErrCrashed) {
+		} else if !errors.Is(err, netlink.ErrClosed) && !errors.Is(err, netlink.ErrCrashed) {
 			t.Errorf("parked Send settled with unexpected error: %v", err)
 		}
-	}
-}
-
-// TestHighLaneWindowedMuxSoak is the windowed counterpart of
-// TestHighLaneMuxSoak: 64 lanes, each a window-4 station pair (256
-// transfers in flight at peak), over a lossy, duplicating, reordering
-// link. Every distinct message must arrive exactly once; within a lane
-// the window releases in admission order, and across lanes the
-// resequencer restores global submission order per sequence number —
-// concurrent Sends claim seqs in scheduler order, so the assertion is
-// exactly-once delivery of the distinct payload set.
-func TestHighLaneWindowedMuxSoak(t *testing.T) {
-	const lanes, window, n = 64, 4, 512
-	s, r := windowedMuxPair(t, lanes, window, netlink.PipeConfig{
-		LinkModel: netlink.LinkModel{Loss: 0.1, DupProb: 0.1, ReorderProb: 0.2, ReleaseEvery: 100 * time.Microsecond},
-		Seed:      101,
-	})
-	ctx := testCtx(t)
-
-	recvDone := make(chan error, 1)
-	go func() {
-		seen := make(map[string]bool, n)
-		for i := 0; i < n; i++ {
-			m, err := r.Recv(ctx)
-			if err != nil {
-				recvDone <- fmt.Errorf("recv %d: %w", i, err)
-				return
-			}
-			if seen[string(m)] {
-				recvDone <- fmt.Errorf("duplicate delivery %q", m)
-				return
-			}
-			seen[string(m)] = true
-		}
-		recvDone <- nil
-	}()
-
-	sem := make(chan struct{}, lanes*window)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if err := s.Send(ctx, []byte(fmt.Sprintf("wsoak-%03d", i))); err != nil {
-				t.Errorf("send %d: %v", i, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if err := <-recvDone; err != nil {
-		t.Fatal(err)
 	}
 }

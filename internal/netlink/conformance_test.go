@@ -57,7 +57,7 @@ func conns() map[string]func(t *testing.T) (tx, rx netlink.PacketConn) {
 			return v, b
 		},
 		"framed engine endpoint": func(t *testing.T) (netlink.PacketConn, netlink.PacketConn) {
-			// What ghm.Endpoint, mux and relay attach their stations to.
+			// What ghm.Endpoint and relay attach their stations to.
 			a, b := pipe()
 			ea, eb := netlink.NewEngine(a, 2, nil, nil), netlink.NewEngine(b, 2, nil, nil)
 			t.Cleanup(func() {

@@ -65,7 +65,7 @@ func (io stationIO) clock() clock.Clock { return io.ep.Wheel().Clock() }
 // backed by an engine reuse its pump; a bare engine endpoint is used
 // directly; any other conn gets a private raw engine — so every physical
 // conn ends up with exactly one read pump regardless of how many
-// stations, lanes or sessions sit above it.
+// stations or sessions sit above it.
 func stationEndpoint(conn PacketConn, reg *metrics.Registry) stationIO {
 	switch c := conn.(type) {
 	case engineBacked:

@@ -148,6 +148,9 @@ func TestClosePropagationParity(t *testing.T) {
 		})
 	})
 
+	// The mux rows build stations of depth 4k (4, 8, 32) through the lane
+	// constructors, which hand back the station itself: a closed or killed
+	// lane pair reports the station's ErrClosed.
 	t.Run("mux/conn-kill", func(t *testing.T) {
 		forDepths(t, func(t *testing.T, k int) {
 			a, b := netlink.Pipe(netlink.PipeConfig{Seed: 88})
@@ -166,7 +169,7 @@ func TestClosePropagationParity(t *testing.T) {
 				a.Close()
 				b.Close()
 			}()
-			wantErr(t, "mux Recv", mux.ErrClosed, func() error {
+			wantErr(t, "mux Recv", netlink.ErrClosed, func() error {
 				_, err := mr.Recv(context.Background())
 				return err
 			})
@@ -188,7 +191,7 @@ func TestClosePropagationParity(t *testing.T) {
 				time.Sleep(5 * time.Millisecond)
 				mr.Close()
 			}()
-			wantErr(t, "mux Recv", mux.ErrClosed, func() error {
+			wantErr(t, "mux Recv", netlink.ErrClosed, func() error {
 				_, err := mr.Recv(context.Background())
 				return err
 			})

@@ -60,19 +60,11 @@ type ReceiverConfig struct {
 	// Deliver, when non-nil, replaces the Recv mailbox: every released
 	// message (admission frame already stripped) is handed to it
 	// synchronously on the engine pump, in release order — possibly
-	// several per accepted packet (up to WindowReleaseBound) when a
-	// release run drains parked successors. It must not block (a
-	// guaranteed-capacity channel push is the intended shape — pair it
-	// with Accept). Recv must not be used on a Deliver-mode receiver. This
-	// is how mux lanes feed the resequencer without a merge goroutine per
-	// lane.
+	// several per accepted packet (up to windowReleaseBound) when a
+	// release run drains parked successors. It must not block: it runs on
+	// the pump every endpoint of the conn shares. Recv must not be used on
+	// a Deliver-mode receiver.
 	Deliver func(msg []byte)
-	// Accept, when non-nil, gates packet processing: the handler asks it
-	// before running the protocol machine and sheds the packet as link
-	// loss on false. It narrows the receiver's own capacity gate (room in
-	// the delivery buffer for everything buffered and parked); it never
-	// widens it.
-	Accept func() bool
 }
 
 // Receiver runs a k-deep window of protocol receivers over a PacketConn
@@ -85,7 +77,7 @@ type ReceiverConfig struct {
 //
 // The station has no goroutines of its own: inbound packets arrive as
 // engine-pump callbacks and the RETRY action rides the engine's shared
-// timer wheel, so lane and session counts no longer multiply goroutines.
+// timer wheel, so station and session counts do not multiply goroutines.
 type Receiver struct {
 	io     stationIO
 	tap    Tap
@@ -106,7 +98,6 @@ type Receiver struct {
 	out     chan []byte
 	spare   bufList // messages given back (GiveBack), for copyMsg to refill
 	deliver func([]byte)
-	accept  func() bool
 
 	parked atomic.Int64 // len(pending) mirror, readable without mu by the capacity gate
 	shed   atomic.Bool  // a packet was shed for lack of room and no retry has asked again yet
@@ -164,7 +155,6 @@ func NewReceiver(conn PacketConn, cfg ReceiverConfig) (*Receiver, error) {
 		out:        make(chan []byte, cfg.Window*deliveryBuffer),
 		spare:      make(bufList, cfg.Window*deliveryBuffer), // a lagging caller can hold no more than out does
 		deliver:    cfg.Deliver,
-		accept:     cfg.Accept,
 		pace:       make([]slotPace, cfg.Window),
 		base:       cfg.RetryInterval,
 		maxBackoff: cfg.RetryBackoffMax,
@@ -259,8 +249,7 @@ func (r *Receiver) GiveBack(msg []byte) { r.spare.put(msg) }
 // session buffer were delivered to the higher layer in the model's sense
 // and remain readable. The release cursor and parked deliveries are
 // runtime memory (the hosting process survives a protocol crash) and
-// persist, exactly as the mux resequencer's do — that is what drops the
-// redeliveries the crash licenses.
+// persist — that is what drops the redeliveries the crash licenses.
 func (r *Receiver) Crash() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -317,9 +306,7 @@ func (r *Receiver) Close() error {
 // observed here is still there at hand-off time. The gate runs on the pump
 // before r.mu is taken, while Close (another goroutine) may be resetting
 // the pending map under r.mu — so it reads the atomic parked mirror, never
-// the map. A user Accept narrows this gate, never replaces it — the
-// parked-set bound is what keeps release bursts under WindowReleaseBound
-// for the layer above.
+// the map.
 func (r *Receiver) room() bool { return len(r.out)+int(r.parked.Load()) < cap(r.out) }
 
 // handlePacket is the engine-pump callback: one protocol round for one
@@ -335,10 +322,6 @@ func (r *Receiver) handlePacket(p []byte) {
 	if !r.room() {
 		r.m.ingressShed.Inc()
 		r.shed.Store(true)
-		return
-	}
-	if r.accept != nil && !r.accept() {
-		r.m.ingressShed.Inc()
 		return
 	}
 	r.mu.Lock()
@@ -448,7 +431,7 @@ func (r *Receiver) commitSeq(release [][]byte, seq uint64, msg []byte) [][]byte 
 	return release
 }
 
-// handoff moves released messages to the layer above. The accept gate
+// handoff moves released messages to the layer above. The capacity gate
 // reserved room for the whole burst before the machine ran, so the
 // pushes cannot block; the default branch only fires if that invariant
 // is ever broken, and keeps the books balanced (delivered = drained +

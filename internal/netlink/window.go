@@ -12,9 +12,9 @@ import (
 // has one slot, so nothing completes out of order and nothing needs a
 // number.
 //
-// Three pieces of runtime memory sit above the protocol machines, and —
-// like the mux resequencer — survive protocol crashes (a crash erases a
-// station's *protocol* state; the process hosting it keeps running):
+// Three pieces of runtime memory sit above the protocol machines and
+// survive protocol crashes (a crash erases a station's *protocol* state;
+// the process hosting it keeps running):
 //
 //   - an admission sequence number, uvarint-framed into each payload
 //     together with the sender incarnation's epoch, by which the receiver
@@ -34,9 +34,9 @@ import (
 //
 // The stream contract this buys: every payload admitted before a wipe
 // must be resubmitted (byte-identical) for the stream to keep releasing
-// — an abandoned hole stalls release at its seq forever, exactly as an
-// abandoned mux lane transfer stalls the mux resequencer. ghm.Session
-// provides that resubmission automatically.
+// — an abandoned hole stalls release at its seq forever. ghm.Session
+// provides that resubmission automatically, and ghm.MuxSender leaves it
+// to its caller.
 
 // appendSeqFrame appends msg to dst behind the sender incarnation's epoch
 // and the payload's admission seq.
@@ -59,17 +59,15 @@ func unframeSeq(p []byte) (epoch, seq uint64, msg []byte, ok bool) {
 	return epoch, seq, p[n+m:], true
 }
 
-// WindowReleaseBound returns the largest in-order release burst one
+// windowReleaseBound returns the largest in-order release burst one
 // accepted packet can produce on a window-k receiver: the gap-filling
 // delivery plus every consecutively parked successor. It is also the
 // span bound — how far the sender lets admission seqs run ahead of the
 // lowest unconfirmed one (admitSeq) — and the two are one number for a
 // reason: the receiver parks only seqs inside the sender's span, so its
 // buffer of this size always has room for the packet that fills the gap.
-// A layer that pushes releases into its own bounded queue (see
-// internal/mux) must keep that much room free per accepted packet. A
-// depth-1 station releases what it delivers, one message per packet.
-func WindowReleaseBound(window int) int {
+// A depth-1 station releases what it delivers, one message per packet.
+func windowReleaseBound(window int) int {
 	if !core.Framed(window) {
 		return 1
 	}
@@ -85,11 +83,11 @@ func WindowReleaseBound(window int) int {
 // order (the outbox's pattern) see each release before issuing the next
 // attempt, instead of parking the early ones behind a seq still unsent.
 //
-// A fresh seq is minted only within WindowReleaseBound of the lowest seq
+// A fresh seq is minted only within windowReleaseBound of the lowest seq
 // not yet confirmed (in flight, or wiped and awaiting resubmission).
 // Without the bound, one slot waiting out a retry interval while the
 // others keep completing lets the receiver's parked set grow until its
-// accept gate sheds everything — the gap-filling packet included — and
+// capacity gate sheds everything — the gap-filling packet included — and
 // the link wedges for good. With it the parked set stays below the
 // receiver's buffer, so the gap filler is always accepted. A reclaimed
 // seq was inside the span when minted and the span only moves up, so
@@ -123,7 +121,7 @@ func (s *Sender) admitSeq(msg []byte) (seq uint64, wait <-chan struct{}) {
 			}
 		}
 	}
-	if s.nextSeq-low >= uint64(WindowReleaseBound(s.k)) {
+	if s.nextSeq-low >= uint64(windowReleaseBound(s.k)) {
 		if s.spanWait == nil {
 			s.spanWait = make(chan struct{})
 		}

@@ -605,7 +605,7 @@ func TestStationWindowZeroLatency(t *testing.T) {
 				}
 			}()
 
-			bound := float64(WindowReleaseBound(k) - 1)
+			bound := float64(windowReleaseBound(k) - 1)
 			next := make([]int, k) // per worker: the index its next release must carry
 			for i := range next {
 				next[i] = i
@@ -635,7 +635,7 @@ func TestStationWindowZeroLatency(t *testing.T) {
 
 // TestStationSpanBoundHoldsAdmission scripts the span bound (admitSeq):
 // with seq 0 unconfirmed on one slot, the other slot may run ahead by
-// WindowReleaseBound admissions and no further; the Send that would
+// windowReleaseBound admissions and no further; the Send that would
 // exceed it waits without a slot, gives up cleanly when its context ends
 // (no crash^T: nothing of it was admitted), and goes through once the
 // lowest seq is confirmed.
@@ -673,7 +673,7 @@ func TestStationSpanBoundHoldsAdmission(t *testing.T) {
 
 	first := send(ctx, "seq-0") // slot 0, seq 0: stays unconfirmed
 	waitCounter(t, reg, mTxSendMsgs, 1)
-	span := WindowReleaseBound(k)
+	span := windowReleaseBound(k)
 	for n := 1; n < span; n++ { // seqs 1..span-1 on slot 1: all inside the span
 		errc := send(ctx, fmt.Sprintf("seq-%d", n))
 		waitCounter(t, reg, mTxSendMsgs, int64(n+1))

@@ -9,56 +9,54 @@ import (
 )
 
 // MaxLanes is the largest lane count accepted by NewMuxSender and
-// NewMuxReceiver.
+// NewMuxReceiver. It is the deepest window a station has: beyond it a
+// lane adds no depth.
 const MaxLanes = mux.MaxLanes
 
-// MuxSender pipelines messages over one link by running several protocol
-// sessions ("lanes") side by side. The single-session protocol is
-// stop-and-wait — one confirmed message per link round trip; with N lanes,
-// up to N Send calls proceed concurrently, each with the full per-message
-// guarantees, and the receiving side restores global send order.
-//
-// This is the conservative take on the paper's "modify the protocol for
-// better efficiency" future-work note: throughput scales with lanes while
-// the verified state machines stay untouched.
+// MuxSender pipelines messages over one link. It is one windowed
+// station, and its depth — min(lanes × window, MaxLanes), window being
+// the WithWindow depth (default 1) — is how many Sends proceed
+// concurrently, each with the full per-message guarantees. The receiving
+// station releases in admission order, which is the global send order.
+// The depth decides the wire format, so both ends must agree on lanes and
+// window, and run the same build.
 type MuxSender struct {
-	m *mux.Sender
+	s *netlink.Sender
 }
 
-// NewMuxSender starts `lanes` transmitter sessions over conn. Both sides
-// must use the same lane count. WithWindow deepens every lane: up to
-// lanes×window messages in flight on one link.
+// NewMuxSender starts the transmitting station over conn. Both sides
+// must use the same lane count and WithWindow depth.
 func NewMuxSender(conn PacketConn, lanes int, opts ...Option) (*MuxSender, error) {
 	o := applyOptions(opts)
-	m, err := mux.NewSenderWindow(conn, lanes, o.windowDepth(), o.params())
+	s, err := mux.NewSenderWindow(conn, lanes, o.windowDepth(), o.params())
 	if err != nil {
 		return nil, fmt.Errorf("ghm: %w", err)
 	}
-	return &MuxSender{m: m}, nil
+	return &MuxSender{s: s}, nil
 }
 
-// Send transfers msg with the next global sequence number and blocks until
-// its lane confirms delivery. Run up to `lanes` Sends concurrently for
-// pipelining. If a Send ultimately fails, the ordered stream has a hole
-// and the receiving side will wait at it — treat that as fatal to the
-// stream.
+// Send transfers msg and blocks until delivery is confirmed; run Sends
+// concurrently for pipelining. Like Sender.Send, a Send whose ctx ends
+// mid-transfer crashes the station, and every Send then in flight fails
+// too. Resubmitting each failed message byte-identical heals the stream;
+// one never resubmitted leaves a hole at which the receiving side waits.
 func (s *MuxSender) Send(ctx context.Context, msg []byte) error {
-	return s.m.Send(ctx, msg)
+	return s.s.Send(ctx, msg)
 }
 
-// Close stops all lanes and the shared link pump.
-func (s *MuxSender) Close() error { return s.m.Close() }
+// Close stops the station; Sends then fail with ErrClosed.
+func (s *MuxSender) Close() error { return s.s.Close() }
 
 // MuxReceiver is the receiving side of a lane-multiplexed session.
 type MuxReceiver struct {
-	m *mux.Receiver
+	r *netlink.Receiver
 }
 
-// NewMuxReceiver starts `lanes` receiver sessions over conn. Lane count
-// and WithWindow depth must match the sender's.
+// NewMuxReceiver starts the receiving station over conn. Lane count and
+// WithWindow depth must match the sender's.
 func NewMuxReceiver(conn PacketConn, lanes int, opts ...Option) (*MuxReceiver, error) {
 	o := applyOptions(opts)
-	m, err := mux.NewReceiverWindow(conn, lanes, o.windowDepth(), netlink.ReceiverConfig{
+	r, err := mux.NewReceiverWindow(conn, lanes, o.windowDepth(), netlink.ReceiverConfig{
 		Params:          o.params(),
 		RetryInterval:   o.retryInterval,
 		RetryBackoffMax: o.retryBackoff,
@@ -66,13 +64,14 @@ func NewMuxReceiver(conn PacketConn, lanes int, opts ...Option) (*MuxReceiver, e
 	if err != nil {
 		return nil, fmt.Errorf("ghm: %w", err)
 	}
-	return &MuxReceiver{m: m}, nil
+	return &MuxReceiver{r: r}, nil
 }
 
 // Recv blocks for the next message in global send order.
 func (r *MuxReceiver) Recv(ctx context.Context) ([]byte, error) {
-	return r.m.Recv(ctx)
+	return r.r.Recv(ctx)
 }
 
-// Close stops all lanes and the resequencer.
-func (r *MuxReceiver) Close() error { return r.m.Close() }
+// Close stops the station; Recv then returns what was already released,
+// and ErrClosed after it.
+func (r *MuxReceiver) Close() error { return r.r.Close() }

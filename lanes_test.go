@@ -1,6 +1,7 @@
 package ghm_test
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -110,5 +111,78 @@ func TestMuxValidation(t *testing.T) {
 	}
 	if _, err := ghm.NewMuxSender(left, 2, ghm.WithEpsilon(3)); err == nil {
 		t.Error("bad epsilon accepted")
+	}
+}
+
+// TestMuxClosedReportsErrClosed: a closed lane pair reports ghm.ErrClosed
+// from both calls, like every other ghm type.
+func TestMuxClosedReportsErrClosed(t *testing.T) {
+	s, r := muxPair(t, 4, ghm.PipeFaults{Seed: 44})
+	s.Close()
+	r.Close()
+	ctx := testCtx(t)
+	if err := s.Send(ctx, []byte("late")); !errors.Is(err, ghm.ErrClosed) {
+		t.Errorf("Send after Close = %v, want ErrClosed", err)
+	}
+	if _, err := r.Recv(ctx); !errors.Is(err, ghm.ErrClosed) {
+		t.Errorf("Recv after Close = %v, want ErrClosed", err)
+	}
+}
+
+// TestHighLaneWindowedMuxSoak runs 64 lanes of window 4 — one station at
+// the deepest window, core.MaxWindow = 64 slots — over a lossy,
+// duplicating, reordering link. Concurrent Sends take admission seqs in
+// whatever order the scheduler runs them, so the assertion is
+// exactly-once delivery of the distinct payload set.
+func TestHighLaneWindowedMuxSoak(t *testing.T) {
+	const lanes, window, n = 64, 4, 512
+	left, right := ghm.Pipe(ghm.PipeFaults{Loss: 0.1, DupProb: 0.1, ReorderProb: 0.2, Seed: 101})
+	opts := []ghm.Option{ghm.WithWindow(window), ghm.WithRetryInterval(300 * time.Microsecond)}
+	s, err := ghm.NewMuxSender(left, lanes, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	r, err := ghm.NewMuxReceiver(right, lanes, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	ctx := testCtx(t)
+
+	recvDone := make(chan error, 1)
+	go func() {
+		seen := make(map[string]bool, n)
+		for i := 0; i < n; i++ {
+			m, err := r.Recv(ctx)
+			if err != nil {
+				recvDone <- fmt.Errorf("recv %d: %w", i, err)
+				return
+			}
+			if seen[string(m)] {
+				recvDone <- fmt.Errorf("duplicate delivery %q", m)
+				return
+			}
+			seen[string(m)] = true
+		}
+		recvDone <- nil
+	}()
+
+	sem := make(chan struct{}, lanes*window)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		sem <- struct{}{}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			if err := s.Send(ctx, []byte(fmt.Sprintf("wsoak-%03d", i))); err != nil {
+				t.Errorf("send %d: %v", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if err := <-recvDone; err != nil {
+		t.Fatal(err)
 	}
 }
