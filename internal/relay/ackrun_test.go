@@ -3,7 +3,7 @@ package relay
 import (
 	"bytes"
 	"context"
-	"slices"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,119 +12,128 @@ import (
 	"ghm/internal/netlink"
 )
 
-// ackOf is the lone ack the destination of route writes for (id, attempt).
-func ackOf(route []byte, id uint64, attempt uint32) []byte {
-	f := frame{Kind: frameData, Src: route[0], Dst: route[len(route)-1], ID: id, Attempt: attempt, Route: route}
-	return appendAck(nil, f, route)
+// ackState is the ack the destination of route writes from a ledger whose
+// watermark is low and which holds the ids above besides.
+func ackState(route []byte, low uint64, above ...uint64) []byte {
+	led := idLedger{low: low}
+	for _, id := range above {
+		led.add(id)
+	}
+	return appendAck(nil, route, &led)
 }
 
-// ackRun merges the lone acks of ids, attempt 1 each, into one frame.
-func ackRun(t testing.TB, route []byte, ids ...uint64) []byte {
+func mustMerge(t *testing.T, run, next []byte) []byte {
 	t.Helper()
-	run := ackOf(route, ids[0], 1)
-	for _, id := range ids[1:] {
-		var ok bool
-		if run, ok = mergeAcks(run, ackOf(route, id, 1)); !ok {
-			t.Fatalf("mergeAcks refused id %d behind % x", id, run)
-		}
+	got, ok := mergeAcks(bytes.Clone(run), next)
+	if !ok {
+		t.Fatalf("mergeAcks refused % x behind % x", next, run)
 	}
-	return run
+	return got
 }
 
-// ackPairs lists every (id, attempt) an ack frame carries, its own first.
-func ackPairs(f frame) (ids []uint64, attempts []uint32) {
-	ids, attempts = append(ids, f.ID), append(attempts, f.Attempt)
-	for tail := f.Payload; len(tail) > 0; {
-		id, attempt, rest, ok := nextAck(tail)
-		if !ok {
-			return nil, nil
-		}
-		ids, attempts, tail = append(ids, id), append(attempts, attempt), rest
-	}
-	return ids, attempts
-}
-
-// TestMergeAcksRoundTrip: a run of n acks parses back to their ids and
-// attempts in order, under the first one's endpoints and route; a run of
-// one is the frame the destination wrote, byte for byte; and runs merge
-// with runs.
+// TestMergeAcksRoundTrip: the destination's successive ledger states,
+// merged in the order they were written or newest first, come to the
+// newest byte for byte — a later state covers every id an earlier one did
+// — and each state is a frame back over the route reversed. Two states
+// neither of which holds the other merge, in either order, to exactly the
+// ids either covers, the watermark moving up past ids the other had.
 func TestMergeAcksRoundTrip(t *testing.T) {
 	route := []byte{0, 2, 3, 4}
-	wantIDs := []uint64{7, 1 << 40, 0, 300, 8}
-	wantAttempts := []uint32{1, 3, 1 << 31, 2, 1}
-	var run []byte
-	for i := range wantIDs {
-		lone := ackOf(route, wantIDs[i], wantAttempts[i])
-		if i == 0 {
-			run = lone
-			continue
+	var led idLedger
+	var states [][]byte
+	for _, id := range rand.New(rand.NewSource(5)).Perm(400) {
+		led.add(uint64(id))
+		states = append(states, appendAck(nil, route, &led))
+	}
+	newest := states[len(states)-1]
+	run, back := states[0], newest
+	for i, s := range states {
+		f, err := parseFrame(s)
+		if err != nil || f.Kind != frameAck || f.src() != 4 || f.dst() != 0 || !bytes.Equal(f.Route, []byte{4, 3, 2, 0}) {
+			t.Fatalf("state %d parses to %+v, %v", i, f, err)
 		}
-		before := bytes.Clone(run)
-		var ok bool
-		if run, ok = mergeAcks(run, lone); !ok {
-			t.Fatalf("mergeAcks refused ack %d", i)
+		if i > 0 {
+			if run = mustMerge(t, run, s); !bytes.Equal(run, s) {
+				t.Fatalf("states 0..%d merge to % x, not to the last of them, % x", i, run, s)
+			}
 		}
-		if !bytes.HasPrefix(run, before) {
-			t.Fatalf("merging ack %d rewrote the run: % x, was % x", i, run, before)
+		if back = mustMerge(t, back, states[len(states)-1-i]); !bytes.Equal(back, newest) {
+			t.Fatalf("the newest state behind state %d merges to % x, not to itself", len(states)-1-i, back)
 		}
-		f, err := parseFrame(run)
-		if err != nil {
-			t.Fatalf("run of %d: %v", i+1, err)
-		}
-		ids, attempts := ackPairs(f)
-		if f.Kind != frameAck || f.Src != 4 || f.Dst != 0 || !bytes.Equal(f.Route, []byte{4, 3, 2, 0}) ||
-			!slices.Equal(ids, wantIDs[:i+1]) || !slices.Equal(attempts, wantAttempts[:i+1]) {
-			t.Fatalf("run of %d parses to %+v carrying %v / %v", i+1, f, ids, attempts)
-		}
+	}
+	if f, _ := parseFrame(newest); f.Low != 400 || len(f.Bits) != 0 {
+		t.Fatalf("400 ids leave the state %+v", f)
 	}
 
-	a, b := ackRun(t, route, 1, 2, 3), ackRun(t, route, 4, 5)
-	ab, ok := mergeAcks(a, b)
-	if !ok {
-		t.Fatal("mergeAcks refused a run behind a run")
-	}
-	if !bytes.Equal(ab, ackRun(t, route, 1, 2, 3, 4, 5)) {
-		t.Errorf("two runs merge to % x, not to the run of their ids", ab)
+	for _, c := range []struct{ a, b, want []byte }{
+		// Each holds ids the other lacks, above the larger watermark.
+		{ackState(route, 5, 7, 9), ackState(route, 3, 4, 6, 8), ackState(route, 5, 6, 7, 8, 9)},
+		// The older state holds the newer one's watermark and the id above.
+		{ackState(route, 5), ackState(route, 3, 5, 6, 9), ackState(route, 7, 9)},
+		{ackState(route, 1<<40, 1<<40+3), ackState(route, 1<<40-2, 1<<40, 1<<40+1), ackState(route, 1<<40+2, 1<<40+3)},
+		// The watermark moves past a uvarint byte boundary.
+		{ackState(route, 127), ackState(route, 100, 127, 128, 200), ackState(route, 129, 200)},
+	} {
+		if got := mustMerge(t, c.a, c.b); !bytes.Equal(got, c.want) {
+			t.Errorf("% x behind % x merges to % x, want % x", c.b, c.a, got, c.want)
+		}
+		if got := mustMerge(t, c.b, c.a); !bytes.Equal(got, c.want) {
+			t.Errorf("% x behind % x merges to % x, want % x", c.a, c.b, got, c.want)
+		}
 	}
 }
 
-// TestMergeAcksRefuses: only two well-formed acks for one source over one
-// route merge, and only within the byte budget. A refusal hands the run
-// back as it was.
+// TestMergeAcksRefuses: only two well-formed acks over one route merge,
+// and only where the route leaves room for a watermark; a union past the
+// budget is cut at it, like the destination's own acks. A refusal hands
+// the run back as it was, and neither a refusal nor a merge into a buffer
+// with room allocates.
 func TestMergeAcksRefuses(t *testing.T) {
 	route := []byte{0, 2, 4}
-	ack := ackOf(route, 5, 1)
-	data := appendFrame(nil, frame{Kind: frameData, Src: 0, Dst: 4, ID: 5, Attempt: 1, Route: route, Payload: []byte("payload")})
-	otherSrc := appendFrame(nil, frame{Kind: frameAck, Src: 3, Dst: 0, ID: 6, Attempt: 1, Route: []byte{4, 2, 0}})
-	otherDst := appendFrame(nil, frame{Kind: frameAck, Src: 4, Dst: 1, ID: 6, Attempt: 1, Route: []byte{4, 2, 0}})
-	full := ackOf(route, 1<<60, 1)
-	for n := uint64(1); ; n++ {
-		next, ok := mergeAcks(full, ackOf(route, 1<<60+n, 1))
-		if !ok {
-			break
+	ack := ackState(route, 5)
+	data := appendFrame(nil, frame{ID: 5, Attempt: 1, Route: route, Payload: []byte("payload")})
+	long := make([]byte, maxRouteLen)
+	for i := range long {
+		long[i] = byte(i)
+	}
+	longAck := ackState(long, 5)
+
+	var odd, even idLedger
+	odd.low, even.low = 5, 5
+	for id := uint64(6); id < 6000; id++ {
+		if id%2 == 1 {
+			odd.add(id)
+		} else {
+			even.add(id)
 		}
-		full = next
 	}
-	if len(full) > maxAckRun || len(full) < maxAckRun-16 {
-		t.Errorf("a run filled to refusal is %d bytes, budget %d", len(full), maxAckRun)
+	full := mustMerge(t, appendAck(nil, route, &odd), appendAck(nil, route, &even))
+	f, err := parseFrame(full)
+	if err != nil || len(full) != maxAckRun || f.Low != 5 {
+		t.Fatalf("two full acks merge to %d bytes, low %d (%v); want %d bytes, low 5", len(full), f.Low, err, maxAckRun)
 	}
-	if _, err := parseFrame(full); err != nil {
-		t.Errorf("the full run does not parse: %v", err)
+	for i, c := range f.Bits {
+		if c != 0xff {
+			t.Fatalf("byte %d of the merged bitmap is %08b: the union of the odd and even ids has a hole", i, c)
+		}
 	}
+
 	for name, c := range map[string][2][]byte{
-		"data behind ack":  {ack, data},
-		"ack behind data":  {data, ack},
-		"data behind data": {data, data},
-		"another route":    {ack, ackOf([]byte{0, 3, 4}, 6, 1)},
-		"a longer route":   {ack, ackOf([]byte{0, 2, 3, 4}, 6, 1)},
-		"another source":   {ack, otherSrc},
-		"another dest":     {ack, otherDst},
-		"over the budget":  {full, ackOf(route, 1<<62, 1)},
-		"truncated next":   {ack, ack[:len(ack)-1]},
-		"truncated run":    {ack[:4], ack},
-		"torn tail":        {ack, append(bytes.Clone(ack), 0x80)},
-		"empty next":       {ack, nil},
-		"empty run":        {nil, ack},
+		"data behind ack":          {ack, data},
+		"ack behind data":          {data, ack},
+		"data behind data":         {data, data},
+		"another route":            {ack, ackState([]byte{0, 3, 4}, 6)},
+		"a longer route":           {ack, ackState([]byte{0, 2, 3, 4}, 6)},
+		"another source":           {ack, ackState([]byte{3, 2, 4}, 6)},
+		"another dest":             {ack, ackState([]byte{0, 2, 1}, 6)},
+		"no room for a watermark":  {longAck, longAck},
+		"truncated next":           {ack, ack[:len(ack)-1]},
+		"truncated run":            {ack[:4], ack},
+		"torn watermark":           {ack, append(bytes.Clone(ack[:len(ack)-1]), 0x80)},
+		"an old-layout ack":        {ack, oldFrame(2, []byte{4, 2, 0}, 6, 1, nil)},
+		"behind an old-layout ack": {oldFrame(2, []byte{4, 2, 0}, 6, 1, nil), ack},
+		"empty next":               {ack, nil},
+		"empty run":                {nil, ack},
 	} {
 		run := bytes.Clone(c[0])
 		got, ok := mergeAcks(run, c[1])
@@ -135,11 +144,11 @@ func TestMergeAcksRefuses(t *testing.T) {
 			t.Errorf("%s: refused, but the run came back as % x, was % x", name, got, c[0])
 		}
 	}
-	if mergeAcksAllocs(full, ackOf(route, 1<<62, 1)) != 0 || mergeAcksAllocs(ack, data) != 0 {
+	if mergeAcksAllocs(longAck, longAck) != 0 || mergeAcksAllocs(ack, data) != 0 {
 		t.Error("a refusal allocates")
 	}
 	grown := append(make([]byte, 0, maxAckRun), ack...)
-	if mergeAcksAllocs(grown, ack) != 0 {
+	if mergeAcksAllocs(grown, ackState(route, 9, 11)) != 0 {
 		t.Error("a merge into a run buffer with room allocates")
 	}
 }
@@ -212,6 +221,21 @@ func (am ackRunMesh) acked(t *testing.T, n int) {
 	}
 }
 
+// retired waits for relay.acks to count n payloads retired, and checks it
+// goes no further: the counter moves just after the retirements it counts.
+func (am ackRunMesh) retired(t *testing.T, n int64) {
+	t.Helper()
+	acks := am.reg.Counter(mRelayAcks)
+	for deadline := time.Now().Add(10 * time.Second); acks.Value() < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			break
+		}
+	}
+	if got := acks.Value(); got != n {
+		t.Errorf("relay.acks counts %d payloads retired, want %d", got, n)
+	}
+}
+
 func (am ackRunMesh) flushed(t *testing.T) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -225,22 +249,28 @@ func (am ackRunMesh) flushed(t *testing.T) {
 	requireCleanHops(t, am.Mesh)
 }
 
-// TestMeshAckRunDeliveredTwice: a relay forwards an ack run whole, both
+// TestMeshAckRunDeliveredTwice: a relay forwards an ack frame whole, both
 // times a hop delivers it — acks skip the per-hop dedup — and the source
-// retires every id of the first and shrugs at the second.
+// retires every payload the first covers and shrugs at the second:
+// relay.acks counts each payload retired once.
 func TestMeshAckRunDeliveredTwice(t *testing.T) {
 	am := newAckRunMesh(t, 2121, 5)
-	run := ackRun(t, am.route, 0, 1, 2, 3, 4)
-	am.arrive(am.via, run)
-	am.arrive(am.via, run)
-	am.flushed(t)
-	for deadline := time.Now().Add(10 * time.Second); am.reg.Counter(mRelayAcks).Value() != 10; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("source counted %d acked ids, want 5 twice", am.reg.Counter(mRelayAcks).Value())
-		}
+	toSource := am.nodes[am.via].sessionTo(0)
+	ack := ackState(am.route, 5)
+	am.arrive(am.via, ack)
+	am.arrive(am.via, ack)
+	if got := toSource.Stats().Enqueued; got != 2 {
+		t.Errorf("the relay forwarded %d of the two copies", got)
 	}
+	am.flushed(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := toSource.Flush(ctx); err != nil { // both copies are at the source
+		t.Fatal(err)
+	}
+	am.retired(t, 5)
 	// Two frames, or one if the second caught up with the first in the
-	// relay's outbox and the two went on as one run of ten.
+	// relay's outbox and the two went on as one.
 	if frames := am.reg.Counter(mRelayAckFrames).Value(); frames != 1 && frames != 2 {
 		t.Errorf("%d ack frames reached the source, want 1 or 2", frames)
 	}
@@ -263,7 +293,7 @@ func TestMeshHopDedupWindow(t *testing.T) {
 	am.blackout(am.via, 2, true)
 	toDest, toSource := am.nodes[am.via].sessionTo(2), am.nodes[am.via].sessionTo(0)
 	data := func(id uint64, attempt uint32) []byte {
-		return appendFrame(nil, frame{Kind: frameData, Src: 0, Dst: 2, ID: id, Attempt: attempt, Route: am.route, Payload: []byte("hop")})
+		return appendFrame(nil, frame{ID: id, Attempt: attempt, Route: am.route, Payload: []byte("hop")})
 	}
 	dups := am.reg.Counter(mRelayDupSuppressed)
 	check := func(step string, wantData, wantAcks int, wantDups int64) {
@@ -301,75 +331,82 @@ func TestMeshHopDedupWindow(t *testing.T) {
 	am.arrive(am.via, data(1, 2))
 	check("bumped attempt", 4+2*dedupDepth, 0, 2)
 
-	ack := ackOf(am.route, 1, 1)
+	ack := ackState(am.route, 2)
 	am.arrive(am.via, ack)
 	am.arrive(am.via, ack)
 	check("ack twice", 4+2*dedupDepth, 2, 2)
 }
 
-// TestMeshAckRunFormedAgainAfterCrash: acks 0, 1 and 2 queue on the dark
-// hop 2→via, where its outbox's worker claims the run they have formed so
-// far — 0, 0,1 or 0,1,2 — and the rest form a run behind it. The hop
-// delivers ack 0 (the test hands it to via, as if the exchange got that
-// far) but its station crashes before the OK, with ack 3 enqueued since.
-// The outbox resubmits its claim whole: a frame with the first id and
-// attempt of one the relay has already forwarded, and, unless the claim
-// was ack 0 alone, ids besides. A ledger keyed on those would drop it, and
-// those payloads would wait out the ack timeout. Every ack reaches the
-// source, counted once per message by the hop's outbox however they ran.
+// TestMeshAckRunFormedAgainAfterCrash: the ledger states after payloads
+// 0, 1 and 2 queue on the dark hop 2→via, where its outbox's worker claims
+// the state folded so far — {0}, {0,1} or {0,1,2} — and the rest fold
+// behind it. The hop delivers state {0} (the test hands it to via, as if
+// the exchange got that far) but its station crashes before the OK, with
+// state {0..3} enqueued since. The outbox resubmits its claim, which may be
+// the very frame the relay has already forwarded. Suppressed as a
+// duplicate, it would leave payloads 1 and 2 to the ack timeout whenever
+// the claim was the state that held them. Every payload's ack reaches the
+// source, and each is retired once, counted once per message by the hop's
+// outbox however the states folded.
 func TestMeshAckRunFormedAgainAfterCrash(t *testing.T) {
 	am := newAckRunMesh(t, 2222, 4)
 	am.blackout(am.via, 2, true)
 	sess := am.nodes[2].sessionTo(am.via)
 	for id := uint64(0); id < 3; id++ {
-		if _, err := sess.Enqueue(ackOf(am.route, id, 1)); err != nil {
+		if _, err := sess.Enqueue(ackState(am.route, id+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	am.arrive(am.via, ackOf(am.route, 0, 1)) // what the hop delivered before its station crashed
+	am.arrive(am.via, ackState(am.route, 1)) // what the hop delivered before its station crashed
 	am.acked(t, 1)
 
-	if _, err := sess.Enqueue(ackOf(am.route, 3, 1)); err != nil {
+	if _, err := sess.Enqueue(ackState(am.route, 4)); err != nil {
 		t.Fatal(err)
 	}
-	sess.Crash() // the claimed run is back in the queue, ahead of the one ack 3 is in
+	sess.Crash() // the claim is back in the queue, ahead of the slot state {0..3} folded into
 	am.blackout(am.via, 2, false)
 	am.flushed(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := sess.Flush(ctx); err != nil { // the source has the runs; the hop's OK is a packet behind
+	if err := sess.Flush(ctx); err != nil { // the source has the states; the hop's OK is a packet behind
 		t.Fatal(err)
 	}
 	if st := sess.Stats(); st.Resubmits == 0 || st.Sent != 4 {
 		t.Errorf("hop 2→%d: %+v, want its four acks sent and some of them twice", am.via, st)
 	}
-	// Ack 0, then the two runs, which the relay's outbox may have folded
-	// into one on their way on.
-	if frames, ids := am.reg.Counter(mRelayAckFrames).Value(), am.reg.Counter(mRelayAcks).Value(); frames < 2 || frames > 3 || ids != 5 {
-		t.Errorf("source saw %d ids in %d ack frames, want 0 and then 0,1,2,3 in one or two", ids, frames)
+	am.retired(t, 4)
+	// State {0}, then the claim and the slot behind it, which the relay's
+	// outbox may have folded into one on their way on.
+	if frames := am.reg.Counter(mRelayAckFrames).Value(); frames < 2 || frames > 3 {
+		t.Errorf("source saw %d ack frames, want state {0} and then one or two", frames)
 	}
 }
 
-// countingConn counts the packets a link end sends.
+// countingConn counts the packets a link end sends, and their bytes.
 type countingConn struct {
 	netlink.PacketConn
-	sent *atomic.Int64
+	sent, bytes *atomic.Int64
 }
 
 func (c countingConn) Send(p []byte) error {
 	c.sent.Add(1)
+	c.bytes.Add(int64(len(p)))
 	return c.PacketConn.Send(p)
 }
 
 // TestMeshPacketBill pins what the five-node mesh sends per payload:
-// every packet on every link, 20 000 payloads at sixteen outstanding over
-// perfect pipes, counted until the last ack is home. A payload's two hops
-// cost four packets; what is left is acks, and they are cheap only when
-// they run: every ack leaves over one route, where it finds the acks
-// queued ahead of it and folds into their frame as it is enqueued — about
-// four ids a frame and 5.0–5.2 packets a payload. Acked over their own
-// routes and merged only as a worker claimed them, they ran 1.5–1.7 ids a
-// frame and the bill was 6.6–6.9. RETRY is paced at 20 ms, not 300 µs:
+// every packet on every link, and its bytes, 20 000 payloads at sixteen
+// outstanding over perfect pipes, counted until the last ack is home. A
+// payload's two hops cost four packets; what is left is acks, and they are
+// cheap only when they fold: every ack leaves over one route, where it
+// finds the ack queued ahead of it and folds into its frame as it is
+// enqueued — an ack frame retires about four payloads, and the bill is
+// 5.0–5.2 packets a payload. Acked over their own routes and merged only
+// as a worker claimed them, they retired 1.5–1.7 a frame and the bill was
+// 6.6–6.9. An ack is the destination's ledger, a watermark and a short
+// bitmap, whatever it retires, and no frame names its endpoints apart from
+// its route: about 235 bytes a payload, where acks that named their ids
+// and attempts came to about 246. RETRY is paced at 20 ms, not 300 µs:
 // the pipes lose nothing, so every RETRY is a slot that went quiet for a
 // while, and under the race detector that is often enough to add a packet
 // per payload.
@@ -377,10 +414,10 @@ func TestMeshPacketBill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("20k payloads through a mesh")
 	}
-	var sent atomic.Int64
+	var sent, wire atomic.Int64
 	var links []LinkConns
 	for _, lc := range pipeLinks(fiveNode(), 1111) {
-		links = append(links, LinkConns{A: countingConn{lc.A, &sent}, B: countingConn{lc.B, &sent}})
+		links = append(links, LinkConns{A: countingConn{lc.A, &sent, &wire}, B: countingConn{lc.B, &sent, &wire}})
 	}
 	reg := metrics.New()
 	m := newTestMesh(t, Config{
@@ -395,14 +432,17 @@ func TestMeshPacketBill(t *testing.T) {
 	if err := m.Flush(ctx); err != nil {
 		t.Fatalf("Flush: %v (stats %+v)", err, m.Stats())
 	}
-	pkts := float64(sent.Load()) / payloads
+	pkts, octets := float64(sent.Load())/payloads, float64(wire.Load())/payloads
 	run := float64(reg.Counter(mRelayAcks).Value()) / float64(reg.Counter(mRelayAckFrames).Value())
-	t.Logf("%.2f packets per payload, %.2f ids per ack frame", pkts, run)
+	t.Logf("%.2f packets and %.1f bytes per payload, %.2f payloads retired per ack frame", pkts, octets, run)
 	if pkts > 5.8 {
 		t.Errorf("%.2f packets per payload, want at most 5.8", pkts)
 	}
+	if octets > 244 {
+		t.Errorf("%.1f bytes per payload, want at most 244", octets)
+	}
 	if run < 3 {
-		t.Errorf("%.2f ids per ack frame, want at least 3", run)
+		t.Errorf("%.2f payloads retired per ack frame, want at least 3", run)
 	}
 	requireCleanHops(t, m)
 }

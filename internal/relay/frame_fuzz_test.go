@@ -2,27 +2,28 @@ package relay
 
 import (
 	"bytes"
-	"slices"
+	"math"
 	"testing"
 )
 
 // frameSeeds are the shapes a hop carries, and near misses of each.
-func frameSeeds(t testing.TB) [][]byte {
+func frameSeeds() [][]byte {
 	route := []byte{0, 2, 4}
-	data := appendFrame(nil, frame{Kind: frameData, Src: 0, Dst: 4, ID: 300, Attempt: 2, Route: route, Payload: []byte("payload")})
-	lone := ackOf(route, 300, 2)
-	run := ackRun(t, route, 1, 1<<40, 3)
+	data := appendFrame(nil, frame{ID: 300, Attempt: 2, Route: route, Payload: []byte("payload")})
+	lone := ackState(route, 300)
+	state := ackState(route, 1, 3, 1<<10, 9)
 	return [][]byte{
 		nil,
 		data,
 		lone,
-		run,
-		ackRun(t, []byte{0, 3, 4}, 9, 10),
-		data[:5],
-		run[:len(run)-1],                // a pair cut short
-		append(bytes.Clone(lone), 0x80), // an id that never ends
-		append(bytes.Clone(lone), 7),    // an id with no attempt
-		append(bytes.Clone(lone), 7, 0xff, 0xff, 0xff, 0xff, 0x7f), // an attempt past 32 bits
+		state,
+		ackState([]byte{0, 3, 4}, 9, 11),
+		data[:4],
+		state[:len(state)-1], // a bitmap cut short
+		append(bytes.Clone(lone[:len(lone)-2]), 0x80), // a watermark that never ends
+		ackState(route, 1<<40, 1<<40+5, 1<<40+700),    // a wide bitmap
+		oldFrame(1, route, 300, 2, []byte("payload")), // the layout kinds 1 and 2 had
+		oldFrame(2, []byte{4, 2, 0}, 300, 2, nil),
 		bytes.Repeat([]byte{0xff}, 40),
 	}
 }
@@ -30,9 +31,10 @@ func frameSeeds(t testing.TB) [][]byte {
 // FuzzParseFrame: arbitrary bytes never panic parseFrame, and a frame it
 // rejects costs nothing — the errors are made once, and a rejected frame
 // is the cheapest thing a hostile neighbour can send. What it accepts
-// lies inside the input, and an accepted ack's tail walks to its end.
+// lies inside the input: a route of two or more nodes after the header,
+// and a data frame's payload or an ack's bitmap at the end.
 func FuzzParseFrame(f *testing.F) {
-	for _, s := range frameSeeds(f) {
+	for _, s := range frameSeeds() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, p []byte) {
@@ -43,24 +45,23 @@ func FuzzParseFrame(f *testing.F) {
 			}
 			return
 		}
-		if len(fr.Route) > maxRouteLen || !bytes.HasSuffix(p, fr.Payload) ||
-			!bytes.HasSuffix(p[:len(p)-len(fr.Payload)], fr.Route) {
-			t.Fatalf("% x parses to route % x, payload % x: not its tail", p, fr.Route, fr.Payload)
-		}
+		tail := fr.Payload
 		if fr.Kind == frameAck {
-			if ids, _ := ackPairs(fr); ids == nil {
-				t.Fatalf("% x accepted as an ack, but its tail does not walk", p)
-			}
+			tail = fr.Bits
+		}
+		if len(fr.Route) < 2 || len(fr.Route) > maxRouteLen || !bytes.HasSuffix(p, tail) ||
+			!bytes.Contains(p[:len(p)-len(tail)], fr.Route) {
+			t.Fatalf("% x parses to route % x, tail % x: not inside it", p, fr.Route, tail)
 		}
 	})
 }
 
-// FuzzMergeAcks: whatever mergeAcks accepts is an ack frame under the
-// budget, for the first frame's source over its route, carrying the first
-// frame's ids and then the second's, in order, and the first frame's bytes
-// are its beginning; whatever it refuses comes back untouched.
+// FuzzMergeAcks: whatever mergeAcks accepts is an ack frame over the
+// route both frames share, at most maxAckRun bytes, covering exactly the
+// ids either frame covers, up to where the cap cuts its bitmap off;
+// whatever it refuses comes back untouched.
 func FuzzMergeAcks(f *testing.F) {
-	seeds := frameSeeds(f)
+	seeds := frameSeeds()
 	for _, a := range seeds {
 		for _, b := range seeds {
 			f.Add(a, b)
@@ -80,25 +81,28 @@ func FuzzMergeAcks(f *testing.F) {
 		}
 		a, errA := parseFrame(was)
 		b, errB := parseFrame(next)
-		if errA != nil || errB != nil || a.Kind != frameAck || b.Kind != frameAck {
+		if errA != nil || errB != nil || a.Kind != frameAck || b.Kind != frameAck || !bytes.Equal(a.Route, b.Route) {
 			t.Fatalf("merged % x (%v) and % x (%v)", was, errA, next, errB)
 		}
 		m, err := parseFrame(got)
-		if err != nil {
-			t.Fatalf("% x + % x = % x, which does not parse: %v", was, next, got, err)
+		if err != nil || m.Kind != frameAck || !bytes.Equal(m.Route, a.Route) || len(got) > maxAckRun {
+			t.Fatalf("% x + % x = % x (%v): not an ack over their route within %d bytes", was, next, got, err, maxAckRun)
 		}
-		if len(got) > maxAckRun || !bytes.HasPrefix(got, was) {
-			t.Fatalf("% x + % x = % x: over %d bytes, or the run was rewritten", was, next, got, maxAckRun)
+		// Below the larger watermark both inputs cover everything, and so
+		// must the merge; from there on the merge is the union, up to the
+		// first id the cap cuts off.
+		hi := max(a.Low, b.Low)
+		if m.Low < hi {
+			t.Fatalf("% x + % x = % x: watermark %d below the inputs' %d", was, next, got, m.Low, hi)
 		}
-		if m.Kind != frameAck || m.Src != a.Src || m.Dst != a.Dst || !bytes.Equal(m.Route, a.Route) ||
-			b.Src != a.Src || b.Dst != a.Dst || !bytes.Equal(b.Route, a.Route) {
-			t.Fatalf("% x + % x = % x: endpoints or routes differ", was, next, got)
+		if hi > math.MaxUint64-16*maxAckRun {
+			return
 		}
-		idsA, attA := ackPairs(a)
-		idsB, attB := ackPairs(b)
-		ids, att := ackPairs(m)
-		if !slices.Equal(ids, append(idsA, idsB...)) || !slices.Equal(att, append(attA, attB...)) {
-			t.Fatalf("% x + % x carries ids %v, want %v then %v", was, next, ids, idsA, idsB)
+		cut := m.Low + 1 + uint64(8*(maxAckRun-2-len(m.Route)-uvarintLen(m.Low)))
+		for id := hi; id < cut; id++ {
+			if u := covers(a, id) || covers(b, id); u != covers(m, id) {
+				t.Fatalf("% x + % x = % x: says %v of id %d, the inputs %v", was, next, got, covers(m, id), id, u)
+			}
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,8 +28,9 @@ const (
 	mRelayDelivered     = "relay.delivered"      // distinct payloads delivered at the destination
 	mRelayDupSuppressed = "relay.dup_suppressed" // duplicates suppressed (per-hop and end-to-end)
 	mRelayReroutes      = "relay.reroutes"       // health- or timeout-driven re-dispatches
-	mRelayAcks          = "relay.acks"           // end-to-end acks (ids) received back at the source
-	mRelayAckFrames     = "relay.ack_frames"     // ack frames that carried them: acks/ack_frames is the mean run
+	mRelayAcks          = "relay.acks"           // payloads an ack frame retired at the source
+	mRelayAckFrames     = "relay.ack_frames"     // ack frames received at the source: acks/ack_frames is payloads retired per frame
+	mRelayAckLatencyMS  = "relay.ack_latency_ms" // dispatch to ack at the source, first dispatches only
 	mRelayDropped       = "relay.dropped"        // frames dropped (decode/route errors, dying hops)
 	mRelayParked        = "relay.parked"         // gauge: payloads parked with no usable route
 	mRelayRoutesUsable  = "relay.routes_usable"  // gauge: routes with every hop healthy
@@ -43,6 +45,7 @@ type relayMetrics struct {
 	reroutes      *metrics.Counter
 	acks          *metrics.Counter
 	ackFrames     *metrics.Counter
+	ackLatencyMS  *metrics.Histogram
 	dropped       *metrics.Counter
 	parked        *metrics.Gauge
 	routesUsable  *metrics.Gauge
@@ -57,6 +60,7 @@ func newRelayMetrics(r *metrics.Registry) relayMetrics {
 		reroutes:      r.Counter(mRelayReroutes),
 		acks:          r.Counter(mRelayAcks),
 		ackFrames:     r.Counter(mRelayAckFrames),
+		ackLatencyMS:  r.Histogram(mRelayAckLatencyMS),
 		dropped:       r.Counter(mRelayDropped),
 		parked:        r.Gauge(mRelayParked),
 		routesUsable:  r.Gauge(mRelayRoutesUsable),
@@ -187,6 +191,7 @@ type entry struct {
 	payload  []byte // the entry's own copy, in a buffer the entry keeps when it is recycled
 	attempt  uint32
 	routeIdx int
+	sent     time.Time // the last dispatch
 	deadline time.Time
 	parked   bool
 }
@@ -225,22 +230,23 @@ type Mesh struct {
 
 	deliveredCh chan []byte
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	inflight  map[uint64]*entry
-	spare     []*entry      // acked entries for Submit to refill, at most max(spareEntries, peak)
-	peak      int           // the largest in-flight table since the last router pass
-	armed     bool          // the last router pass left the ack-timeout timer armed
-	delivered [256]idLedger // by source byte: the exactly-once ledgers
-	usable    []int         // usableRoutesLocked's result, reused
-	frameBuf  []byte        // dispatchLocked's encode buffer, reused
-	hopHealth map[hopID]supervise.Health
-	nodeUp    []bool
-	nextID    uint64
-	rr        int // round-robin route cursor
-	parked    int
-	err       error // sticky fatal (MaxAttempts exhausted)
-	closed    bool
+	mu         sync.Mutex
+	cond       *sync.Cond
+	inflight   map[uint64]*entry
+	spare      []*entry      // acked entries for Submit to refill, at most max(spareEntries, peak)
+	peak       int           // the largest in-flight table since the last router pass
+	armed      bool          // the last router pass left the ack-timeout timer armed
+	delivered  [256]idLedger // by source byte: the exactly-once ledgers
+	ackedBelow uint64        // every id below it has been retired by an ack
+	usable     []int         // usableRoutesLocked's result, reused
+	frameBuf   []byte        // dispatchLocked's encode buffer, reused
+	hopHealth  map[hopID]supervise.Health
+	nodeUp     []bool
+	nextID     uint64
+	rr         int // round-robin route cursor
+	parked     int
+	err        error // sticky fatal (MaxAttempts exhausted)
+	closed     bool
 
 	st struct {
 		submitted, acked                atomic.Int64
@@ -510,7 +516,7 @@ func (m *Mesh) dispatchLocked(e *entry, now time.Time) {
 	m.rr++
 	e.attempt++
 	e.routeIdx = idx
-	e.deadline = now.Add(m.cfg.AckTimeout)
+	e.sent, e.deadline = now, now.Add(m.cfg.AckTimeout)
 	if e.parked {
 		e.parked = false
 		m.parked--
@@ -518,7 +524,6 @@ func (m *Mesh) dispatchLocked(e *entry, now time.Time) {
 	}
 
 	var f frame
-	f.Kind, f.Src, f.Dst = frameData, byte(m.cfg.Source), byte(m.cfg.Dest)
 	f.ID, f.Attempt = e.id, e.attempt
 	f.Route, f.Payload = m.routeB[idx], e.payload
 	sess := m.nodes[m.cfg.Source].sessionTo(m.routes[idx][1])
@@ -547,55 +552,101 @@ func (m *Mesh) parkLocked(e *entry) {
 	e.deadline = noDeadline
 }
 
-// completeAck resolves one end-to-end ack at the source and keeps the
-// entry, with its payload buffer, for a later Submit. Nothing else holds
-// an entry once it has left the table: the router and dispatchLocked reach
-// entries only through the table, under m.mu. The router is not woken —
-// the timer it armed fires at this entry's deadline at the latest, finds
-// it gone and re-arms for the earliest one left.
-func (m *Mesh) completeAck(id uint64) {
+// completeAcks retires every in-flight payload an ack frame's ledger
+// state covers — each id below low, and each id its bitmap sets — and
+// returns how many it retired. ackedBelow keeps the ids below low from
+// being visited twice; ids never minted are not visited at all.
+func (m *Mesh) completeAcks(low uint64, set []byte) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	now := m.wheel.Clock().Now()
+	n := 0
+	for top := min(low, m.nextID); m.ackedBelow < top; m.ackedBelow++ {
+		if m.retireLocked(m.ackedBelow, now) {
+			n++
+		}
+	}
+	if low < m.nextID {
+	scan:
+		for j, c := range set {
+			for ; c != 0; c &= c - 1 {
+				id := low + 1 + uint64(8*j+bits.TrailingZeros8(c))
+				if id >= m.nextID {
+					break scan
+				}
+				if m.retireLocked(id, now) {
+					n++
+				}
+			}
+		}
+	}
+	if n > 0 {
+		m.cond.Broadcast()
+	}
+	return n
+}
+
+// retireLocked resolves one payload's end-to-end ack at the source and
+// keeps its entry, with its payload buffer, for a later Submit; it reports
+// false for an id no longer in flight. Nothing else holds an entry once it
+// has left the table: the router and dispatchLocked reach entries only
+// through the table, under m.mu. The router is not woken — the timer it
+// armed fires at this entry's deadline at the latest, finds it gone and
+// re-arms for the earliest one left. Only a first dispatch times its ack:
+// the ack of a re-dispatched payload may answer any of its attempts.
+// Caller holds m.mu.
+func (m *Mesh) retireLocked(id uint64, now time.Time) bool {
 	e, ok := m.inflight[id]
 	if !ok {
-		return
+		return false
 	}
 	delete(m.inflight, id)
 	if e.parked {
 		e.parked = false
 		m.parked--
 		m.mt.parked.Set(float64(m.parked))
+	} else if e.attempt == 1 {
+		m.mt.ackLatencyMS.Observe(float64(now.Sub(e.sent)) / float64(time.Millisecond))
 	}
 	if len(m.spare) < max(spareEntries, m.peak) && cap(e.payload) <= maxKeptPayload {
 		m.spare = append(m.spare, e) // Submit and its dispatch overwrite every other field
 	}
 	m.st.acked.Add(1)
-	m.cond.Broadcast()
+	return true
 }
 
 // deliverLocal commits one data frame at the destination: end-to-end
-// dedup, ack back toward the source (re-acking duplicates, so a lost ack
-// is healed by the next re-dispatch), then hand the payload to the higher
-// layer. What goes to Delivered is a copy of the payload at its own size,
-// the higher layer's for good: the frame stays the caller's to give back.
-// A payload is counted delivered once Delivered has it, not when a closing
-// mesh drops it.
+// dedup, the ledger's new state back toward the source as its ack
+// (re-acking duplicates, so a lost ack is healed by the next delivery or
+// re-dispatch), then hand the payload to the higher layer. What goes to
+// Delivered is a copy of the payload at its own size, the higher layer's
+// for good: the frame stays the caller's to give back. A payload is
+// counted delivered once Delivered has it, not when a closing mesh drops
+// it. A frame too far ahead of its ledger's watermark to record is
+// dropped unacked.
 func (m *Mesh) deliverLocal(n *node, f frame) {
+	// A stack buffer holds any ack, and Enqueue copies what it keeps.
+	var buf [maxAckRun]byte
 	m.mu.Lock()
-	first := m.delivered[f.Src].add(f.ID)
+	led := &m.delivered[f.src()]
+	if led.beyond(f.ID) {
+		m.mu.Unlock()
+		m.mt.dropped.Inc()
+		return
+	}
+	first := led.add(f.ID)
 	route := m.ackRouteLocked(f, n.id)
+	ack := appendAck(buf[:0], route, led)
 	m.mu.Unlock()
 
 	// The ack travels its route backwards, so its next hop is this node's
-	// predecessor on it. A stack buffer holds any ack whose route is not
-	// dozens of hops long, and Enqueue copies what it keeps. An ack with no
-	// session to leave on (this node is stopping) is dropped: the source's
-	// ack timeout re-dispatches the payload.
+	// predecessor on it. An ack with no session to leave on (this node is
+	// stopping) is dropped: a later ack carries what it said, or the
+	// source's ack timeout re-dispatches the payload.
 	dropped := true
 	if next, ok := prevHop(route, n.id); ok {
 		if sess := n.sessionTo(next); sess != nil {
-			var buf [64]byte
-			_, err := sess.Enqueue(appendAck(buf[:0], f, route))
+			_, err := sess.Enqueue(ack)
 			dropped = err != nil
 		}
 	}
@@ -628,7 +679,7 @@ func (m *Mesh) deliverLocal(n *node, f frame) {
 // it, not only those of the payloads it carried (DESIGN §6). Caller holds
 // m.mu.
 func (m *Mesh) ackRouteLocked(f frame, self int) []byte {
-	if int(f.Src) == m.cfg.Source && self == m.cfg.Dest {
+	if int(f.src()) == m.cfg.Source && self == m.cfg.Dest {
 		for i, r := range m.routes {
 			if m.usableLocked(r) {
 				return m.routeB[i]

@@ -180,14 +180,17 @@ func TestMeshFailoverOnLinkBlackout(t *testing.T) {
 	requireExactlyOnce(t, mu, got, want)
 	requireCleanHops(t, m)
 	// Every ack leaves over route 0 while it looks usable, so until the
-	// watchdog marks it down the acks of all three routes are lost on it and
-	// their payloads re-dispatched at the ack timeout: some thirty reroutes
-	// where acks on their own routes cost a dozen. An ack route blind to
-	// health never recovers (thousands, and Flush times out).
+	// watchdog marks it down the acks of all three routes are lost on it.
+	// Each ack is the destination's whole ledger, so the first one over
+	// another route retires every payload they covered: what is re-dispatched
+	// is the payloads route 0 swallowed, 10–13 in 40 runs, about what acks on
+	// their own routes cost. Acks that named their ids cost 34–39, each lost
+	// one a re-dispatch at the ack timeout; an ack route blind to health never
+	// recovers (thousands, and Flush times out).
 	st := m.Stats()
 	t.Logf("%d reroutes for %d payloads", st.Reroutes, st.Submitted)
-	if st.Reroutes > int64(st.Submitted) {
-		t.Errorf("%d reroutes for %d payloads: the acks never left the dark route", st.Reroutes, st.Submitted)
+	if st.Reroutes > 20 {
+		t.Errorf("%d reroutes for %d payloads, want at most 20: lost acks were not healed by later ones", st.Reroutes, st.Submitted)
 	}
 }
 

@@ -251,31 +251,22 @@ func (n *node) handleFrame(w *dedupWindow, p []byte) {
 
 	// Per-hop dedup: a session resubmission after a hop crash delivers
 	// the same attempt twice; forward it once. Data frames only — a
-	// duplicate ack costs one hop message and completeAck takes it in its
-	// stride, where a suppressed ack run could lose ids (see key).
+	// duplicate ack costs one hop message and completeAcks takes it in its
+	// stride, where a suppressed ack could carry a later state (see key).
 	if f.Kind == frameData && w.seen(f.key()) {
 		m.mt.dupSuppressed.Inc()
 		m.addDup()
 		return
 	}
 
-	if int(f.Dst) == n.id {
+	if int(f.dst()) == n.id {
 		if f.Kind == frameData {
 			m.deliverLocal(n, f)
 			return
 		}
-		// The frame's own id, then every pair of its tail, which
-		// parseFrame found whole.
 		m.mt.ackFrames.Inc()
-		id, tail := f.ID, f.Payload
-		for {
-			m.mt.acks.Inc()
-			m.completeAck(id)
-			if len(tail) == 0 {
-				return
-			}
-			id, _, tail, _ = nextAck(tail)
-		}
+		m.mt.acks.Add(int64(m.completeAcks(f.Low, f.Bits)))
+		return
 	}
 
 	// Forward toward the destination along the embedded route.

@@ -321,6 +321,27 @@ func TestMeshAckTimeoutOnInjectedClock(t *testing.T) {
 	}
 }
 
+// newDeadLinkMesh is a two-node mesh, source 0 and destination 1, on a
+// virtual clock over a link that carries nothing: the ack timeout is a
+// second away in virtual time, which passes only when the test advances
+// it, and what reaches either node comes from the test, handed to it as
+// its hop receiver would.
+func newDeadLinkMesh(t *testing.T) (*Mesh, *clock.Virtual, *metrics.Registry) {
+	t.Helper()
+	clk := clock.NewVirtual(time.Now(), 1)
+	reg := metrics.New()
+	m := newTestMesh(t, Config{
+		Topology: Topology{Nodes: 2, Links: []Link{{A: 0, B: 1}}},
+		Links:    []LinkConns{{A: deadConn{make(chan struct{})}, B: deadConn{make(chan struct{})}}},
+		Source:   0, Dest: 1, Routes: 1,
+		AckTimeout:     time.Second,
+		WatchdogWindow: time.Hour, // the dead hop is not declared wedged
+		RetryInterval:  100 * time.Millisecond, RetryBackoffMax: 100 * time.Millisecond,
+		Clock: clk, Seed: 1, Metrics: reg,
+	})
+	return m, clk, reg
+}
+
 // TestMeshIdleSourceGivesBackSpares: the source keeps an acked entry for
 // a later Submit while it holds fewer spares than its in-flight table held
 // at its largest since the last router pass, so a burst of 1 000 payloads
@@ -329,16 +350,7 @@ func TestMeshAckTimeoutOnInjectedClock(t *testing.T) {
 // a virtual clock over links that carry nothing; the acks come from the
 // test, handed to the source as its hop receiver would.
 func TestMeshIdleSourceGivesBackSpares(t *testing.T) {
-	clk := clock.NewVirtual(time.Now(), 1)
-	m := newTestMesh(t, Config{
-		Topology: Topology{Nodes: 2, Links: []Link{{A: 0, B: 1}}},
-		Links:    []LinkConns{{A: deadConn{make(chan struct{})}, B: deadConn{make(chan struct{})}}},
-		Source:   0, Dest: 1, Routes: 1,
-		AckTimeout:     time.Second,
-		WatchdogWindow: time.Hour, // the dead hop is not declared wedged
-		RetryInterval:  100 * time.Millisecond, RetryBackoffMax: 100 * time.Millisecond,
-		Clock: clk, Seed: 1, Metrics: metrics.New(),
-	})
+	m, clk, _ := newDeadLinkMesh(t)
 	// locked reads the source's state as a router pass leaves it: a pass
 	// holds m.mu from start to end.
 	locked := func() (spares, peak int, armed bool) {
@@ -367,7 +379,7 @@ func TestMeshIdleSourceGivesBackSpares(t *testing.T) {
 	waitFor("no router pass armed the ack timeout", func(_, _ int, armed bool) bool { return armed })
 	in := new(dedupWindow)
 	for id := uint64(0); id < burst; id++ {
-		m.nodes[0].handleFrame(in, ackOf([]byte{0, 1}, id, 1))
+		m.nodes[0].handleFrame(in, ackState([]byte{0, 1}, id+1))
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -390,6 +402,70 @@ func TestMeshIdleSourceGivesBackSpares(t *testing.T) {
 	waitFor("after two ack timeouts", func(spares, _ int, _ bool) bool { return spares <= spareEntries })
 	if st := m.Stats(); st.Acked != burst || st.Reroutes != 0 {
 		t.Errorf("stats %+v, want %d acked and none re-dispatched", st, burst)
+	}
+}
+
+// TestMeshAckStateHealsLostAcks: every ack carries the destination's
+// whole ledger, so acks lost on the way cost nothing once a later one
+// arrives. Of 100 payloads' acks the source gets one late state — every id
+// below 40 and a scatter above — and then the last; it retires what each
+// covers as it arrives, and no payload waits for its ack timeout, which
+// the virtual clock never reaches.
+func TestMeshAckStateHealsLostAcks(t *testing.T) {
+	m, clk, reg := newDeadLinkMesh(t)
+	start := clk.Now()
+	for i := 0; i < 100; i++ {
+		if _, err := m.Submit([]byte("its ack is lost")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	in := new(dedupWindow)
+	m.nodes[0].handleFrame(in, ackState([]byte{0, 1}, 40, 99, 45, 64, 42, 63))
+	if st := m.Stats(); st.Acked != 45 || st.Pending != 55 {
+		t.Fatalf("one late state retired %d payloads, %d pending; want 45 and 55", st.Acked, st.Pending)
+	}
+	m.nodes[0].handleFrame(in, ackState([]byte{0, 1}, 100))
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := m.Flush(ctx); err != nil {
+		t.Fatalf("Flush: %v (stats %+v)", err, m.Stats())
+	}
+	if st := m.Stats(); st.Acked != 100 || st.Reroutes != 0 {
+		t.Errorf("stats %+v, want 100 acked and none re-dispatched", st)
+	}
+	if acks, frames := reg.Counter(mRelayAcks).Value(), reg.Counter(mRelayAckFrames).Value(); acks != 100 || frames != 2 {
+		t.Errorf("relay.acks %d in %d relay.ack_frames, want 100 in 2", acks, frames)
+	}
+	if clk.Now() != start {
+		t.Errorf("the clock moved %v", clk.Now().Sub(start))
+	}
+}
+
+// TestMeshRefusesOldLayoutFrames: a frame in the layout kinds 1 and 2 had
+// — endpoints in bytes of their own, an ack naming (id, attempt) — from an
+// older neighbour or an older forwarding WAL is dropped, not misread:
+// the old data frame delivers nothing at the destination, the old ack
+// retires nothing at the source, and relay.dropped counts both. The
+// payload's ack timeout re-dispatches it in the current layout.
+func TestMeshRefusesOldLayoutFrames(t *testing.T) {
+	m, _, reg := newDeadLinkMesh(t)
+	id, err := m.Submit([]byte("in flight"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := new(dedupWindow)
+	m.nodes[1].handleFrame(in, oldFrame(1, []byte{0, 1}, id, 1, []byte("in flight")))
+	m.nodes[0].handleFrame(in, oldFrame(2, []byte{1, 0}, id, 1, nil))
+	if st := m.Stats(); st.Delivered != 0 || st.Acked != 0 || st.Pending != 1 {
+		t.Errorf("stats %+v after two old-layout frames, want nothing delivered or acked", st)
+	}
+	if got := reg.Counter(mRelayDropped).Value(); got != 2 {
+		t.Errorf("relay.dropped %d, want 2", got)
+	}
+	select {
+	case p := <-m.Delivered():
+		t.Errorf("an old-layout data frame delivered %q", p)
+	default:
 	}
 }
 
