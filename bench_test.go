@@ -212,20 +212,19 @@ func BenchmarkSimLossyMessage(b *testing.B) {
 	}
 }
 
-// BenchmarkMuxLanes measures confirmed-message throughput as lanes — the
-// station's depth — scale on a link with latency, where one lane is held
+// BenchmarkWindowDepth measures confirmed-message throughput as the
+// station's depth k scales on a link with latency, where k = 1 is held
 // to stop-and-wait.
-func BenchmarkMuxLanes(b *testing.B) {
-	for _, lanes := range []int{1, 2, 4, 8} {
-		lanes := lanes
-		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
-			left, right := ghm.Pipe(ghm.PipeFaults{ReorderProb: 0.95, Seed: int64(lanes)})
-			s, err := ghm.NewMuxSender(left, lanes, ghm.WithRetryInterval(500*time.Microsecond))
+func BenchmarkWindowDepth(b *testing.B) {
+	for _, k := range []int{1, 8, 64} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			left, right := ghm.Pipe(ghm.PipeFaults{ReorderProb: 0.95, Seed: int64(k)})
+			s, err := ghm.NewSender(left, ghm.WithWindow(k))
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer s.Close()
-			r, err := ghm.NewMuxReceiver(right, lanes, ghm.WithRetryInterval(500*time.Microsecond))
+			r, err := ghm.NewReceiver(right, ghm.WithWindow(k), ghm.WithRetryInterval(500*time.Microsecond))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -243,9 +242,9 @@ func BenchmarkMuxLanes(b *testing.B) {
 				}
 			}()
 
-			msg := []byte("lane probe")
+			msg := []byte("depth probe")
 			var wg sync.WaitGroup
-			sem := make(chan struct{}, lanes)
+			sem := make(chan struct{}, k)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sem <- struct{}{}

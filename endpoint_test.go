@@ -229,22 +229,22 @@ func countPumps() int {
 	return strings.Count(string(buf[:n]), "created by ghm/internal/engine.New in goroutine")
 }
 
-// TestGoroutineBudget: a 64-lane mux plus 8 supervised sessions run on
-// exactly one read pump per physical conn — four conns, four pumps — and
-// no goroutine per lane or station.
+// TestGoroutineBudget: a depth-64 station pair plus 8 supervised
+// sessions run on exactly one read pump per physical conn — four conns,
+// four pumps — and no goroutine per slot or station.
 func TestGoroutineBudget(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	base := countPumps()
 	baseGoroutines := runtime.NumGoroutine()
 
-	// 64-lane mux over one socket pair: one depth-64 station a side.
+	// One depth-64 station a side over one socket pair.
 	ma, mb := ghm.Pipe(ghm.PipeFaults{Seed: 106})
-	ms, err := ghm.NewMuxSender(ma, 64)
+	ms, err := ghm.NewSender(ma, ghm.WithWindow(64))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ms.Close()
-	mr, err := ghm.NewMuxReceiver(mb, 64)
+	mr, err := ghm.NewReceiver(mb, ghm.WithWindow(64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,14 +290,14 @@ func TestGoroutineBudget(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if err := ms.Send(ctx, []byte(fmt.Sprintf("lane-%d", i))); err != nil {
-				t.Errorf("mux send: %v", err)
+			if err := ms.Send(ctx, []byte(fmt.Sprintf("slot-%d", i))); err != nil {
+				t.Errorf("windowed send: %v", err)
 			}
 		}(i)
 	}
 	for i := 0; i < 64; i++ {
 		if _, err := mr.Recv(ctx); err != nil {
-			t.Fatalf("mux recv: %v", err)
+			t.Fatalf("windowed recv: %v", err)
 		}
 	}
 	wg.Wait()
@@ -315,12 +315,12 @@ func TestGoroutineBudget(t *testing.T) {
 	if got := countPumps() - base; got != 4 {
 		t.Errorf("engine pumps after traffic = %d, want 4", got)
 	}
-	// The whole tower — the two depth-64 lane stations, 8 supervised
+	// The whole tower — the two depth-64 stations, 8 supervised
 	// sessions, 8 receivers — must cost a bounded crew, not goroutines per
-	// lane or slot. The bound is generous: supervisors, outboxes and test
+	// slot. The bound is generous: supervisors, outboxes and test
 	// goroutines are all in it.
 	if grew := runtime.NumGoroutine() - baseGoroutines; grew > 120 {
-		t.Errorf("stack grew by %d goroutines at 64 lanes + 8 sessions", grew)
+		t.Errorf("stack grew by %d goroutines at depth 64 + 8 sessions", grew)
 	}
 }
 

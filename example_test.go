@@ -120,13 +120,14 @@ func ExampleNewQueue() {
 	// second
 }
 
-// ExampleNewMuxSender shows lane multiplexing: concurrent sends over one
-// link, delivered in global order.
-func ExampleNewMuxSender() {
+// ExampleWithWindow builds a depth-4 station pair: up to four concurrent
+// Sends pipeline over one link, and the receiver releases them in
+// admission order, so one producer's messages arrive in its order. Both
+// ends must use the same depth.
+func ExampleWithWindow() {
 	left, right := ghm.Pipe(ghm.PipeFaults{Seed: 7})
-	s, _ := ghm.NewMuxSender(left, 4, ghm.WithSeed(13),
-		ghm.WithRetryInterval(time.Millisecond))
-	r, _ := ghm.NewMuxReceiver(right, 4, ghm.WithSeed(14),
+	s, _ := ghm.NewSender(left, ghm.WithWindow(4), ghm.WithSeed(13))
+	r, _ := ghm.NewReceiver(right, ghm.WithWindow(4), ghm.WithSeed(14),
 		ghm.WithRetryInterval(time.Millisecond))
 	defer s.Close()
 	defer r.Close()

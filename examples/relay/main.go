@@ -44,8 +44,8 @@ func run() error {
 	)
 	for i := range topo.Links {
 		a, b := ghm.Pipe(ghm.PipeFaults{ReorderProb: 0.1, Seed: int64(3*i + 1)})
-		ia := ghm.Impair(a, ghm.LinkFaults{Loss: 0.2, Seed: int64(3*i + 2)})
-		ib := ghm.Impair(b, ghm.LinkFaults{Loss: 0.2, Seed: int64(3*i + 3)})
+		ia := ghm.Impair(a, ghm.PipeFaults{Loss: 0.2, Seed: int64(3*i + 2)})
+		ib := ghm.Impair(b, ghm.PipeFaults{Loss: 0.2, Seed: int64(3*i + 3)})
 		links = append(links, ghm.LinkConns{A: ia, B: ib})
 		impaired = append(impaired, [2]*ghm.ImpairedConn{ia, ib})
 	}

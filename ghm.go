@@ -81,10 +81,12 @@ func (b *BurstLoss) netlink() *netlink.GilbertElliott {
 	}
 }
 
-// PipeFaults configures the in-process test link returned by Pipe. The
-// zero value is a perfect link.
+// PipeFaults is what a faulty link does to packets: each direction of
+// the in-process link Pipe returns, or the Send path of any conn Impair
+// wraps. The zero value is a perfect link.
 type PipeFaults struct {
-	// Loss is the probability a packet is silently dropped.
+	// Loss is the probability a packet is silently dropped; on an Impair
+	// wrapper ImpairedConn.SetLoss changes it at runtime.
 	Loss float64
 	// DupProb is the probability a packet is delivered twice.
 	DupProb float64
@@ -104,51 +106,29 @@ type PipeFaults struct {
 	// Bandwidth serializes packets at the given rate in bytes/second
 	// (0 = infinite); packets queue behind the serialization clock.
 	Bandwidth int
-	// Queue caps packets queued in each direction's impairment stage
-	// (0 = a reasonable default); effective only with Burst, Latency,
-	// Jitter or Bandwidth set.
+	// Queue caps packets held in each direction's impairment stage
+	// (0 = a reasonable default); beyond it packets are dropped.
 	Queue int
+}
+
+// model is f as the link model every link driver acts on.
+func (f PipeFaults) model() netlink.LinkModel {
+	return netlink.LinkModel{
+		Loss:        f.Loss,
+		DupProb:     f.DupProb,
+		ReorderProb: f.ReorderProb,
+		Burst:       f.Burst.netlink(),
+		Latency:     f.Latency,
+		Jitter:      f.Jitter,
+		Bandwidth:   f.Bandwidth,
+		Queue:       f.Queue,
+	}
 }
 
 // Pipe returns two connected in-process endpoints with the given fault
 // behaviour in each direction. Closing either endpoint closes the pipe.
 func Pipe(f PipeFaults) (PacketConn, PacketConn) {
-	return netlink.Pipe(netlink.PipeConfig{
-		LinkModel: netlink.LinkModel{
-			Loss:        f.Loss,
-			DupProb:     f.DupProb,
-			ReorderProb: f.ReorderProb,
-			Burst:       f.Burst.netlink(),
-			Latency:     f.Latency,
-			Jitter:      f.Jitter,
-			Bandwidth:   f.Bandwidth,
-			Queue:       f.Queue,
-		},
-		Seed: f.Seed,
-	})
-}
-
-// LinkFaults configures an Impair wrapper. The zero value forwards
-// packets unchanged.
-type LinkFaults struct {
-	// Loss is an independent per-packet drop probability; it can be
-	// changed at runtime with ImpairedConn.SetLoss.
-	Loss float64
-	// DupProb is the probability a packet is sent twice.
-	DupProb float64
-	// Burst layers Gilbert–Elliott burst loss on the link.
-	Burst *BurstLoss
-	// Latency delays every packet by a fixed amount.
-	Latency time.Duration
-	// Jitter adds a uniform random delay in [0, Jitter) per packet.
-	Jitter time.Duration
-	// Bandwidth serializes packets at the given rate in bytes/second
-	// (0 = infinite).
-	Bandwidth int
-	// Queue caps packets inside the impairment stage (0 = default).
-	Queue int
-	// Seed fixes the impairment schedule for reproducibility (0 = clock).
-	Seed int64
+	return netlink.Pipe(netlink.PipeConfig{LinkModel: f.model(), Seed: f.Seed})
 }
 
 // ImpairedConn is a PacketConn whose Send path passes through a
@@ -165,19 +145,8 @@ var _ PacketConn = (*ImpairedConn)(nil)
 // impairments on its Send path. Wrap both endpoints to impair both
 // directions. The protocol's guarantees hold regardless; Impair exists to
 // prove exactly that under chaos tests and soak runs.
-func Impair(conn PacketConn, f LinkFaults) *ImpairedConn {
-	return &ImpairedConn{ic: netlink.Impair(conn, netlink.ImpairConfig{
-		LinkModel: netlink.LinkModel{
-			Loss:      f.Loss,
-			DupProb:   f.DupProb,
-			Burst:     f.Burst.netlink(),
-			Latency:   f.Latency,
-			Jitter:    f.Jitter,
-			Bandwidth: f.Bandwidth,
-			Queue:     f.Queue,
-		},
-		Seed: f.Seed,
-	})}
+func Impair(conn PacketConn, f PipeFaults) *ImpairedConn {
+	return &ImpairedConn{ic: netlink.Impair(conn, netlink.ImpairConfig{LinkModel: f.model(), Seed: f.Seed})}
 }
 
 // Send implements PacketConn.

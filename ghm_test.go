@@ -200,16 +200,21 @@ func TestWithScheduleAndSeed(t *testing.T) {
 	}
 }
 
+// TestErrClosedExposed: a closed station pair reports ghm.ErrClosed from
+// Send and Recv, at depth 1 and on a windowed station.
 func TestErrClosedExposed(t *testing.T) {
-	left, right := ghm.Pipe(ghm.PipeFaults{Seed: 6})
-	r, err := ghm.NewReceiver(right)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = left
-	r.Close()
-	if _, err := r.Recv(context.Background()); !errors.Is(err, ghm.ErrClosed) {
-		t.Fatalf("Recv after close = %v, want ErrClosed", err)
+	for _, k := range []int{1, 4} {
+		t.Run(fmt.Sprintf("depth=%d", k), func(t *testing.T) {
+			s, r := newPair(t, ghm.PipeFaults{Seed: 6}, ghm.WithWindow(k))
+			s.Close()
+			r.Close()
+			if err := s.Send(context.Background(), []byte("late")); !errors.Is(err, ghm.ErrClosed) {
+				t.Errorf("Send after Close = %v, want ErrClosed", err)
+			}
+			if _, err := r.Recv(context.Background()); !errors.Is(err, ghm.ErrClosed) {
+				t.Errorf("Recv after Close = %v, want ErrClosed", err)
+			}
+		})
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // MaxWindow bounds the window depth: the slot id is a uvarint prefix on
 // every packet and stays a single byte on the wire below 128; 64 is far
 // past the point of diminishing returns (one window fills one RTT's worth
-// of pipeline), and it bounds the lane count too (mux.MaxLanes).
+// of pipeline), and it bounds the lane count too (a lane is a slot).
 const MaxWindow = 64
 
 // ErrWindowFull is returned by WindowedTransmitter.SendMsg when every

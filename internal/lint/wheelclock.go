@@ -11,7 +11,7 @@ import (
 // timestamps must ride the injected clock (and its shared timer wheel).
 // The engine owns the wheel; the netlink stations, the session layer,
 // the supervisor and the relay mesh are its clients; the outbox, the
-// fabric and mux (which maps lanes to a station depth) read no clock and
+// fabric and mux (which builds lanes as one station) read no clock and
 // are pinned so the virtual-clock harness can rely on that. Simulation-side
 // packages (chaos schedules real wall-clock work; sim and the
 // experiments keep their own time) are deliberately out of scope, as is

@@ -1,9 +1,9 @@
-// Package mux maps the lanes of ghm.MuxSender and ghm.MuxReceiver onto
-// one station: `lanes` lanes of window depth `window` are a station of
-// depth min(lanes × window, core.MaxWindow), whose in-order release is
-// the lanes' global send order (DESIGN §7). The station's crash model
-// comes with it: a cancelled or failed Send wipes every Send in flight,
-// and resubmitting the wiped payloads byte-identical heals the stream.
+// Package mux builds lanes as one station: `lanes` lanes are a station of
+// depth `lanes`, whose in-order release is the lanes' global send order
+// (DESIGN §7). The station's crash model comes with it: a cancelled or
+// failed Send wipes every Send in flight, and resubmitting the wiped
+// payloads byte-identical heals the stream. The public API spells the
+// same thing ghm.NewSender(conn, ghm.WithWindow(lanes)).
 package mux
 
 import (
@@ -14,39 +14,15 @@ import (
 	"ghm/internal/netlink"
 )
 
-// MaxLanes bounds the lane count: past the deepest station a lane adds
-// no depth.
-const MaxLanes = core.MaxWindow
+var errLanes = errors.New("mux: lane count must be in [1, core.MaxWindow]")
 
-var (
-	errLanes  = errors.New("mux: lane count must be in [1, MaxLanes]")
-	errWindow = errors.New("mux: window depth must be in [1, core.MaxWindow]")
-)
-
-// depth validates lanes and window and returns the station depth.
-func depth(lanes, window int) (int, error) {
-	if lanes < 1 || lanes > MaxLanes {
-		return 0, errLanes
-	}
-	if window < 1 || window > core.MaxWindow {
-		return 0, errWindow
-	}
-	return min(lanes*window, core.MaxWindow), nil
-}
-
-// NewSender is NewSenderWindow with window 1.
+// NewSender starts the lanes' transmitting station over conn. A station
+// that fails to build closes conn, which it would have owned.
 func NewSender(conn netlink.PacketConn, lanes int, p core.Params) (*netlink.Sender, error) {
-	return NewSenderWindow(conn, lanes, 1, p)
-}
-
-// NewSenderWindow starts the lanes' transmitting station over conn. A
-// station that fails to build closes conn, which it would have owned.
-func NewSenderWindow(conn netlink.PacketConn, lanes, window int, p core.Params) (*netlink.Sender, error) {
-	k, err := depth(lanes, window)
-	if err != nil {
-		return nil, err
+	if lanes < 1 || lanes > core.MaxWindow {
+		return nil, errLanes
 	}
-	s, err := netlink.NewSender(conn, netlink.SenderConfig{Window: k, Params: p})
+	s, err := netlink.NewSender(conn, netlink.SenderConfig{Window: lanes, Params: p})
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("mux: %w", err)
@@ -54,20 +30,14 @@ func NewSenderWindow(conn netlink.PacketConn, lanes, window int, p core.Params) 
 	return s, nil
 }
 
-// NewReceiver is NewReceiverWindow with window 1.
+// NewReceiver starts the lanes' receiving station over conn, with cfg's
+// Window replaced by the lane count, which must match the sender's. A
+// station that fails to build closes conn.
 func NewReceiver(conn netlink.PacketConn, lanes int, cfg netlink.ReceiverConfig) (*netlink.Receiver, error) {
-	return NewReceiverWindow(conn, lanes, 1, cfg)
-}
-
-// NewReceiverWindow starts the lanes' receiving station over conn, with
-// cfg's Window replaced by the depth; lanes and window must match the
-// sender's. A station that fails to build closes conn.
-func NewReceiverWindow(conn netlink.PacketConn, lanes, window int, cfg netlink.ReceiverConfig) (*netlink.Receiver, error) {
-	k, err := depth(lanes, window)
-	if err != nil {
-		return nil, err
+	if lanes < 1 || lanes > core.MaxWindow {
+		return nil, errLanes
 	}
-	cfg.Window = k
+	cfg.Window = lanes
 	r, err := netlink.NewReceiver(conn, cfg)
 	if err != nil {
 		conn.Close()

@@ -148,18 +148,18 @@ func TestClosePropagationParity(t *testing.T) {
 		})
 	})
 
-	// The mux rows build stations of depth 4k (4, 8, 32) through the lane
-	// constructors, which hand back the station itself: a closed or killed
-	// lane pair reports the station's ErrClosed.
+	// The mux rows build stations of depth min(4k, 64) (4, 8, 32) through
+	// the lane constructors, which hand back the station itself: a closed
+	// or killed lane pair reports the station's ErrClosed.
 	t.Run("mux/conn-kill", func(t *testing.T) {
 		forDepths(t, func(t *testing.T, k int) {
 			a, b := netlink.Pipe(netlink.PipeConfig{Seed: 88})
-			ms, err := mux.NewSenderWindow(a, 4, k, core.Params{})
+			ms, err := mux.NewSender(a, min(4*k, core.MaxWindow), core.Params{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer ms.Close()
-			mr, err := mux.NewReceiverWindow(b, 4, k, netlink.ReceiverConfig{})
+			mr, err := mux.NewReceiver(b, min(4*k, core.MaxWindow), netlink.ReceiverConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,7 +183,7 @@ func TestClosePropagationParity(t *testing.T) {
 		forDepths(t, func(t *testing.T, k int) {
 			a, b := netlink.Pipe(netlink.PipeConfig{Seed: 89})
 			defer a.Close()
-			mr, err := mux.NewReceiverWindow(b, 4, k, netlink.ReceiverConfig{})
+			mr, err := mux.NewReceiver(b, min(4*k, core.MaxWindow), netlink.ReceiverConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}

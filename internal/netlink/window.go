@@ -35,8 +35,8 @@ import (
 // The stream contract this buys: every payload admitted before a wipe
 // must be resubmitted (byte-identical) for the stream to keep releasing
 // — an abandoned hole stalls release at its seq forever. ghm.Session
-// provides that resubmission automatically, and ghm.MuxSender leaves it
-// to its caller.
+// provides that resubmission automatically, and a windowed ghm.Sender
+// leaves it to its caller.
 
 // appendSeqFrame appends msg to dst behind the sender incarnation's epoch
 // and the payload's admission seq.

@@ -105,8 +105,9 @@ func (n *node) walPath(peer int) string {
 }
 
 // start builds a fresh runtime: one supervised session and one receiver
-// per link end, a drain goroutine per receiver and a health watcher per
-// session. With a WALDir, each session replays its forwarding backlog —
+// per link end, and a drain goroutine per receiver; each session reports
+// its health transitions straight into the mesh's route-health view.
+// With a WALDir, each session replays its forwarding backlog —
 // frames the previous incarnation accepted but had not yet pushed to the
 // next hop go out again.
 func (n *node) start() error {
@@ -130,6 +131,10 @@ func (n *node) start() error {
 	for i, end := range n.ends {
 		end := end
 		out := hopID{From: n.id, To: end.peer}
+		// A fresh session starts healthy. Publish that before building it,
+		// so a transition the session reports from its first moments is
+		// not overwritten.
+		m.noteHopHealth(out, supervise.Healthy)
 		sess, err := session.New(session.Config{
 			Dial:             func() (netlink.PacketConn, error) { return end.eng.Endpoint(end.sendID) },
 			Params:           m.params(),
@@ -148,22 +153,12 @@ func (n *node) start() error {
 			Seed:              m.hopSeed(n.id, i),
 			Wheel:             m.wheel,
 			Metrics:           m.reg,
+			OnTransition:      func(tr supervise.Transition) { m.noteHopHealth(out, tr.To) },
 		})
 		if err != nil {
 			return fail(fmt.Errorf("relay: node %d session to %d: %w", n.id, end.peer, err))
 		}
 		rt.sessions[end.peer] = sess
-
-		// Health watcher: project this hop's session transitions into the
-		// mesh's route-health view. The channel closes with the session.
-		hc := sess.Subscribe()
-		rt.wg.Add(1)
-		go func() {
-			defer rt.wg.Done()
-			for tr := range hc {
-				m.noteHopHealth(out, tr.To)
-			}
-		}()
 
 		in := hopID{From: end.peer, To: n.id}
 		conn, err := end.eng.Endpoint(end.recvID)
@@ -202,12 +197,6 @@ func (n *node) start() error {
 	n.mu.Lock()
 	n.rt = rt
 	n.mu.Unlock()
-
-	// Fresh sessions start healthy; publish that so parked traffic can
-	// resume the moment a restarted node is back.
-	for _, end := range n.ends {
-		m.noteHopHealth(hopID{From: n.id, To: end.peer}, supervise.Healthy)
-	}
 	return nil
 }
 

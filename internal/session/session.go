@@ -91,6 +91,10 @@ type Config struct {
 	Wheel *engine.Wheel
 	// Metrics receives the session.* family; nil uses metrics.Default().
 	Metrics *metrics.Registry
+	// OnTransition, when non-nil, observes every health change; it is the
+	// supervisor's (see supervise.Config), called from its goroutine, so
+	// keep it fast. No call follows Close.
+	OnTransition func(supervise.Transition)
 }
 
 // The session's own metric names (the supervisor adds the rest of the
@@ -110,7 +114,7 @@ type Stats struct {
 	StartFailures int64  // Dial/build failures
 	Wedges        int64  // watchdog firings
 	BreakerOpens  int64  // circuit-breaker opens
-	Transitions   int64  // health transitions, every one (Subscribe may drop some)
+	Transitions   int64  // health transitions
 	Generation    uint64 // incarnations built so far
 	Health        supervise.Health
 }
@@ -134,10 +138,6 @@ type Session struct {
 	// long-lived remote receiver adopts the fresh stream instead of
 	// dropping the restarted seq space as duplicates.
 	epoch atomic.Uint64
-
-	subMu  sync.Mutex
-	subs   []chan supervise.Transition
-	subbed bool // channels closed after Close
 
 	closeOnce sync.Once
 	closeErr  error
@@ -171,7 +171,7 @@ func New(cfg Config) (*Session, error) {
 		Seed:             cfg.Seed,
 		Wheel:            cfg.Wheel,
 		Metrics:          cfg.Metrics,
-		OnTransition:     s.fanout,
+		OnTransition:     cfg.OnTransition,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("session: %w", err)
@@ -244,7 +244,7 @@ func (s *Session) pending() bool { return s.q.Stats().Pending > 0 }
 // incarnation, translating a teardown mid-transfer into a retryable
 // error.
 func (s *Session) send(ctx context.Context, msg []byte) error {
-	st, _, err := s.sup.Current(ctx)
+	st, gen, err := s.sup.Current(ctx)
 	if err != nil {
 		return err // ctx ended or session stopped while waiting
 	}
@@ -257,26 +257,16 @@ func (s *Session) send(ctx context.Context, msg []byte) error {
 		s.resubmits.Inc()
 		return err
 	case errors.Is(err, netlink.ErrClosed) && ctx.Err() == nil:
-		// The incarnation was torn down under us (watchdog or explicit
-		// restart), not the session: resubmit on the successor.
+		// The incarnation died under us — the watchdog tore it down, or its
+		// conn closed — not the session: resubmit on the successor. A dead
+		// conn stays dead, so have it replaced now rather than resend into
+		// it until the watchdog fires; after a teardown gen is stale and
+		// Fail ignores it.
+		s.sup.Fail(gen)
 		s.resubmits.Inc()
 		return fmt.Errorf("%w: %v", errRestarted, err)
 	default:
 		return err
-	}
-}
-
-// fanout forwards a health transition to every subscriber without
-// blocking the supervisor: a slow subscriber loses old transitions, not
-// the supervisor's time.
-func (s *Session) fanout(tr supervise.Transition) {
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
-	for _, c := range s.subs {
-		select {
-		case c <- tr:
-		default:
-		}
 	}
 }
 
@@ -295,21 +285,6 @@ func (s *Session) Err() error { return s.q.Err() }
 
 // Health returns the supervisor's current health state.
 func (s *Session) Health() supervise.Health { return s.sup.Health() }
-
-// Subscribe registers a health-transition listener. The channel is
-// buffered; transitions overflowing the buffer are dropped. It is closed
-// by Session.Close.
-func (s *Session) Subscribe() <-chan supervise.Transition {
-	c := make(chan supervise.Transition, 16)
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
-	if s.subbed {
-		close(c) // already closed session: a closed channel, not a leak
-		return c
-	}
-	s.subs = append(s.subs, c)
-	return c
-}
 
 // Stats snapshots the session's counters.
 func (s *Session) Stats() Stats {
@@ -340,20 +315,12 @@ func (s *Session) Crash() {
 }
 
 // Close stops the session: the queue first (unblocking any in-flight
-// send), then the supervisor (tearing down the incarnation), then the
-// subscription channels.
+// send), then the supervisor (tearing down the incarnation).
 func (s *Session) Close() error {
 	s.closeOnce.Do(func() {
 		s.closeErr = s.q.Close()
 		s.sup.Close()
 		s.dropBacklog()
-		s.subMu.Lock()
-		s.subbed = true
-		for _, c := range s.subs {
-			close(c)
-		}
-		s.subs = nil
-		s.subMu.Unlock()
 	})
 	return s.closeErr
 }

@@ -231,6 +231,9 @@ type Supervisor[S any] struct {
 	// goroutine; the buffered channel absorbs a firing no one awaits.
 	wake  chan struct{}
 	timer *engine.Timer
+	// failed carries Fail's token: it wakes the watch loop's sleep, and
+	// unlike a wake it survives the pre-arm drain.
+	failed chan struct{}
 }
 
 // New builds a supervisor. It does not start anything: call Run once the
@@ -254,9 +257,10 @@ func New[S any](cfg Config[S]) (*Supervisor[S], error) {
 			window:    cfg.BreakerWindow,
 			cooldown:  cfg.BreakerCooldown,
 		},
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-		wake: make(chan struct{}, 1),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
+		wake:   make(chan struct{}, 1),
+		failed: make(chan struct{}, 1),
 	}
 	s.m.health.Set(float64(Healthy))
 	s.markProgress()
@@ -295,8 +299,8 @@ func (s *Supervisor[S]) Seed() int64 { return s.seed }
 // Current blocks until a live incarnation exists and returns it with its
 // generation number. It fails with ctx's error when ctx ends and with
 // ErrStopped when the supervisor is closed. The caller may race a
-// teardown: always treat the incarnation's "closed" errors as "get the
-// next incarnation and retry".
+// teardown: always treat the incarnation's "closed" errors as "report it
+// with Fail, get the next incarnation and retry".
 func (s *Supervisor[S]) Current(ctx interface {
 	Done() <-chan struct{}
 	Err() error
@@ -321,6 +325,26 @@ func (s *Supervisor[S]) Current(ctx interface {
 		case <-s.stop:
 			return zero, 0, ErrStopped
 		}
+	}
+}
+
+// Fail reports incarnation gen dead — its conn closed under it, say — so
+// the run loop need not wait out the watchdog: Current stops handing it
+// out at once, and the loop replaces it as it would a wedged one. A stale
+// gen, one already replaced, is ignored.
+func (s *Supervisor[S]) Fail(gen uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.has || s.gen != gen {
+		return
+	}
+	var zero S
+	s.cur, s.has = zero, false
+	// Under the lock, so uninstall, which follows, finds the token if no
+	// sleep took it.
+	select {
+	case s.failed <- struct{}{}:
+	default:
 	}
 }
 
@@ -413,19 +437,24 @@ func (s *Supervisor[S]) install(st S) {
 }
 
 // uninstall withdraws the incarnation before tearing it down, so no new
-// Current caller can pick up a dying station.
+// Current caller can pick up a dying station, and takes back a token
+// Fail left that no sleep took, so it cannot cut the backoff short.
 func (s *Supervisor[S]) uninstall() {
 	var zero S
 	s.mu.Lock()
 	s.cur, s.has = zero, false
+	select {
+	case <-s.failed:
+	default:
+	}
 	s.mu.Unlock()
 }
 
-// sleep waits d on the shared wheel, returning false if the supervisor
-// is closed meanwhile. Only the run goroutine calls it, so the one
-// reusable timer and wake channel need no locking; a sleep abandoned via
-// s.stop may leave a stale firing behind, which the pre-arm drain (and
-// the channel's buffer) absorbs.
+// sleep waits d on the shared wheel, or until Fail withdraws the
+// incarnation, returning false if the supervisor is closed meanwhile.
+// Only the run goroutine calls it, so the one reusable timer and wake
+// channel need no locking; a sleep cut short may leave a stale firing
+// behind, which the pre-arm drain (and the channel's buffer) absorbs.
 func (s *Supervisor[S]) sleep(d time.Duration) bool {
 	if d <= 0 {
 		select {
@@ -451,6 +480,8 @@ func (s *Supervisor[S]) sleep(d time.Duration) bool {
 	}
 	select {
 	case <-s.wake:
+		return true
+	case <-s.failed:
 		return true
 	case <-s.stop:
 		return false
@@ -523,12 +554,16 @@ func (s *Supervisor[S]) run() {
 		genProgress := s.progress.Load()
 		rewarded := false // breaker success granted for this incarnation
 
-		wedged := false
-		for !wedged {
+		cause := "watchdog: no progress"
+		for {
 			if !s.sleep(s.cfg.Interval) {
 				s.uninstall()
 				s.cfg.Stop(st)
 				return
+			}
+			if _, live := s.Peek(); !live { // Fail withdrew it
+				cause = "station failed"
+				break
 			}
 			now := s.cfg.Wheel.Clock().Now()
 			if p := s.progress.Load(); p != genProgress {
@@ -570,16 +605,16 @@ func (s *Supervisor[S]) run() {
 				continue
 			}
 			if now.Sub(time.Unix(0, s.lastProgress.Load())) >= s.cfg.Window {
-				wedged = true
+				s.m.wedges.Inc()
+				s.st.wedges.Add(1)
+				break
 			}
 		}
 
-		s.m.wedges.Inc()
-		s.st.wedges.Add(1)
 		s.uninstall()
 		s.cfg.Stop(st)
 		consecutive++
-		s.recordFailure(consecutive, "watchdog: no progress")
+		s.recordFailure(consecutive, cause)
 		if !s.sleep(s.bo.next(consecutive)) {
 			return
 		}

@@ -246,6 +246,56 @@ func TestWatchdogRestartsWedgedStation(t *testing.T) {
 	}
 }
 
+// TestFailReplacesAtOnce: Fail withdraws the named incarnation at once
+// and the loop builds its successor well inside the watchdog window,
+// without counting a wedge; a stale generation is ignored.
+func TestFailReplacesAtOnce(t *testing.T) {
+	f := &fakeFactory{}
+	tl := &transitionLog{}
+	sup, err := New(Config[*fakeStation]{
+		Start:        f.start,
+		Stop:         f.stop,
+		Pending:      func() bool { return true },
+		Window:       time.Hour, // the watchdog never fires here
+		Interval:     time.Hour, // nor polls: only Fail wakes the loop
+		BackoffBase:  time.Millisecond,
+		BackoffMax:   2 * time.Millisecond,
+		Seed:         8,
+		Metrics:      metrics.New(),
+		OnTransition: tl.add,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup.Run()
+	defer sup.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	st1, gen1, err := sup.Current(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup.Fail(gen1)
+	st2, gen2, err := sup.Current(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gen2 != gen1+1 || st2 == st1 || !st1.stopped.Load() {
+		t.Fatalf("successor: gen %d -> %d, first stopped %v", gen1, gen2, st1.stopped.Load())
+	}
+	sup.Fail(gen1) // stale: the live incarnation stays
+	if st, ok := sup.Peek(); !ok || st != st2 {
+		t.Fatal("a stale Fail withdrew the live incarnation")
+	}
+	if st := sup.Stats(); st.Wedges != 0 || st.Restarts != 1 {
+		t.Errorf("stats %+v, want 1 restart and no wedge", st)
+	}
+	if ts := tl.snapshot(); len(ts) == 0 || ts[0].To != Degraded || ts[0].Cause != "station failed" {
+		t.Errorf("transitions %+v, want Degraded on \"station failed\" first", ts)
+	}
+}
+
 func TestIdleStationStaysHealthy(t *testing.T) {
 	f := &fakeFactory{}
 	sup, err := New(Config[*fakeStation]{

@@ -3,6 +3,7 @@ package ghm
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"ghm/internal/netlink"
@@ -113,6 +114,10 @@ type SessionStats struct {
 // Create with NewSession; always Close.
 type Session struct {
 	s *session.Session
+
+	subMu  sync.Mutex
+	subs   []chan HealthTransition
+	closed bool // subscriptions are closed channels from Close on
 }
 
 // NewSession builds and starts a supervised session.
@@ -131,7 +136,9 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		// session is deterministic end to end.
 		seed = o.seed + 1
 	}
-	s, err := session.New(session.Config{
+	s := &Session{}
+	var err error
+	s.s, err = session.New(session.Config{
 		Dial:              dial,
 		Params:            o.params(),
 		Tap:               tapToTrace(o.tap),
@@ -147,11 +154,12 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		BreakerWindow:     cfg.BreakerWindow,
 		BreakerCooldown:   cfg.BreakerCooldown,
 		Seed:              seed,
+		OnTransition:      s.fanout,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("ghm: %w", err)
 	}
-	return &Session{s: s}, nil
+	return s, nil
 }
 
 // Enqueue accepts a payload for supervised in-order delivery and returns
@@ -173,29 +181,40 @@ func (s *Session) Err() error { return s.s.Err() }
 // Health returns the current health state.
 func (s *Session) Health() Health { return Health(s.s.Health()) }
 
-// Subscribe returns a channel of health transitions. The channel is
-// buffered; if the subscriber lags, old transitions are dropped rather
-// than blocking the supervisor. Close closes the channel.
+// Subscribe returns a channel of health transitions. The channel buffers
+// 16; if the subscriber lags, the oldest transitions are dropped rather
+// than blocking the supervisor, so the last one received is the current
+// state. Close closes the channel.
 func (s *Session) Subscribe() <-chan HealthTransition {
-	in := s.s.Subscribe()
-	out := make(chan HealthTransition, cap(in))
-	go func() {
-		defer close(out)
-		for tr := range in {
-			// Non-blocking, like the internal fanout: a subscriber that
-			// stopped draining must not pin this goroutine past Close.
+	// 16 covers a few wedge-and-heal cycles; a longer lag loses only
+	// history, never the current state.
+	c := make(chan HealthTransition, 16)
+	s.subMu.Lock()
+	defer s.subMu.Unlock()
+	if s.closed {
+		close(c)
+		return c
+	}
+	s.subs = append(s.subs, c)
+	return c
+}
+
+// fanout hands a transition to every subscriber from the supervisor's
+// goroutine. A full channel gives up its oldest transition for it; the
+// lock makes fanout the channel's only sender, so the send finds room.
+func (s *Session) fanout(tr supervise.Transition) {
+	ht := HealthTransition{From: Health(tr.From), To: Health(tr.To), Cause: tr.Cause, At: tr.At}
+	s.subMu.Lock()
+	defer s.subMu.Unlock()
+	for _, c := range s.subs {
+		if len(c) == cap(c) {
 			select {
-			case out <- HealthTransition{
-				From:  Health(tr.From),
-				To:    Health(tr.To),
-				Cause: tr.Cause,
-				At:    tr.At,
-			}:
-			default:
+			case <-c:
+			default: // the subscriber made room itself
 			}
 		}
-	}()
-	return out
+		c <- ht
+	}
 }
 
 // Stats snapshots the session's counters.
@@ -220,10 +239,22 @@ func (s *Session) Stats() SessionStats {
 // whatever the wipe interrupted.
 func (s *Session) Crash() { s.s.Crash() }
 
-// Close stops the session: the queue, the supervisor, the station, the
-// subscription channels. With a WAL, the unconfirmed backlog stays
+// Close stops the session: the queue, the supervisor, the station, then
+// the subscription channels. With a WAL, the unconfirmed backlog stays
 // durable for the next session on the same path.
-func (s *Session) Close() error { return s.s.Close() }
+func (s *Session) Close() error {
+	err := s.s.Close() // no transition follows: the supervisor has stopped
+	s.subMu.Lock()
+	defer s.subMu.Unlock()
+	if !s.closed {
+		s.closed = true
+		for _, c := range s.subs {
+			close(c)
+		}
+		s.subs = nil
+	}
+	return err
+}
 
 // SharedLink adapts one long-lived PacketConn into the redialable
 // transport a Session needs: every Dial detaches the previous station's

@@ -1,8 +1,10 @@
 package ghm_test
 
 import (
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -186,9 +188,9 @@ func TestHealthStrings(t *testing.T) {
 
 // TestSessionSubscribeAbandonedDoesNotLeak is the late-unsubscribe leak
 // regression: a subscriber that stops draining while transitions keep
-// flowing must not pin the wrapper's forwarding goroutine past Close.
-// Before the fix the wrapper forwarded with a blocking send, so once the
-// abandoned channel's buffer filled the goroutine hung forever.
+// flowing must neither block the supervisor nor outlive Close. A
+// forwarder that sent with a blocking send once hung forever as soon as
+// the abandoned channel's buffer filled.
 func TestSessionSubscribeAbandonedDoesNotLeak(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	g := newSessionRig(t, func(c *ghm.SessionConfig) {
@@ -207,11 +209,25 @@ func TestSessionSubscribeAbandonedDoesNotLeak(t *testing.T) {
 	abandoned := g.s.Subscribe()
 	_ = abandoned // registered, never drained
 
-	// Drive well over a buffer's worth of transitions: every wedge/heal
-	// cycle degrades and recovers the session's health. The flush at the
-	// end of each cycle proves the successor incarnation attached a live
-	// view, which is what the next Wedge targets.
-	for i := 0; i < 12; i++ {
+	// Drive well over a buffer's worth of transitions.
+	g.wedgeCycles(t, 12)
+	g.s.Close() // must close the abandoned channel
+	select {
+	case _, ok := <-abandoned:
+		if ok {
+			return // buffered transition; fine — channel closes behind it
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("abandoned subscription never closed")
+	}
+}
+
+// wedgeCycles wedges the rig's link n times, waiting each time for the
+// watchdog to fire and for a flush on the successor: every cycle moves
+// the health machine away from Healthy and back.
+func (g *sessionRig) wedgeCycles(t *testing.T, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
 		before := g.s.Stats().Wedges
 		g.link.Wedge()
 		if _, err := g.s.Enqueue([]byte(fmt.Sprintf("wedge-%02d", i))); err != nil {
@@ -228,13 +244,190 @@ func TestSessionSubscribeAbandonedDoesNotLeak(t *testing.T) {
 			t.Fatalf("flush cycle %d: %v (stats %+v)", i, err, g.s.Stats())
 		}
 	}
-	g.s.Close() // must close the abandoned channel and reap its forwarder
-	select {
-	case _, ok := <-abandoned:
-		if ok {
-			return // buffered transition; fine — channel closes behind it
+}
+
+// TestSessionSubscribeLaggingKeepsNewest: a subscriber that never drains
+// loses the oldest transitions, not the newest, so once the session
+// settles the last transition it holds is the current health.
+func TestSessionSubscribeLaggingKeepsNewest(t *testing.T) {
+	g := newSessionRig(t, func(c *ghm.SessionConfig) {
+		c.WatchdogWindow = 50 * time.Millisecond
+		c.WatchdogInterval = 5 * time.Millisecond
+		c.BreakerThreshold = -1 // settle on Partitioned, never Down
+	})
+	if _, err := g.s.Enqueue([]byte("warmup")); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.s.Flush(testCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+	lagging := g.s.Subscribe()
+	g.wedgeCycles(t, 10) // 20 transitions or more: past the buffer
+
+	// A closed link: every rebuild fails, and the health settles on
+	// Partitioned.
+	g.link.Close()
+	if _, err := g.s.Enqueue([]byte("into the void")); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for g.s.Health() != ghm.HealthPartitioned {
+		if time.Now().After(deadline) {
+			t.Fatalf("health %v, want partitioned (stats %+v)", g.s.Health(), g.s.Stats())
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("abandoned subscription never closed")
+		time.Sleep(2 * time.Millisecond)
+	}
+	g.s.Close() // the supervisor stops: every fan-out is done
+
+	var last ghm.HealthTransition
+	held := 0
+	for last = range lagging {
+		held++
+	}
+	if h := g.s.Health(); held == 0 || last.To != h {
+		t.Fatalf("subscriber holds %d transitions ending in %v; health is %v", held, last.To, h)
+	}
+}
+
+// TestSessionSubscribeAfterCloseReturnsClosedChannel: subscribing to a
+// closed session yields a closed channel, not one that never closes.
+func TestSessionSubscribeAfterCloseReturnsClosedChannel(t *testing.T) {
+	g := newSessionRig(t, nil)
+	g.s.Close()
+	select {
+	case _, ok := <-g.s.Subscribe():
+		if ok {
+			t.Fatal("closed-session subscription yielded a transition")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("closed-session subscription not closed")
+	}
+}
+
+// TestSessionSubscribeFanoutDuringProbeRace hammers Subscribe
+// registration and the health fan-out concurrently across a full
+// breaker cycle — open on persistent dial failure, then a probe
+// incarnation that heals. Run under -race it pins the subscriber
+// bookkeeping: the fan-out walks the subscriber list from the
+// supervisor's goroutine while new subscribers register from many
+// others, right through the probe.
+func TestSessionSubscribeFanoutDuringProbeRace(t *testing.T) {
+	var dialOK atomic.Bool
+	g := newSessionRig(t, func(c *ghm.SessionConfig) {
+		dial := c.Dial
+		c.Dial = func() (ghm.PacketConn, error) {
+			if !dialOK.Load() {
+				return nil, errors.New("no route")
+			}
+			return dial()
+		}
+		c.WatchdogWindow = 60 * time.Millisecond
+		c.WatchdogInterval = 5 * time.Millisecond
+		c.RestartBackoff = time.Millisecond
+		c.RestartBackoffMax = 2 * time.Millisecond
+		c.BreakerThreshold = 3
+		c.BreakerCooldown = 30 * time.Millisecond
+	})
+	s := g.s
+
+	// Subscribers churn for the whole breaker cycle: half drain until
+	// their channel closes, half abandon their channel at once — the
+	// abandoned ones must cost nothing.
+	stopChurn := make(chan struct{})
+	var churn, drains sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		churn.Add(1)
+		go func() {
+			defer churn.Done()
+			for {
+				select {
+				case <-stopChurn:
+					return
+				default:
+				}
+				c := s.Subscribe()
+				drains.Add(1)
+				go func() {
+					defer drains.Done()
+					for range c {
+					}
+				}()
+				_ = s.Subscribe() // abandoned on purpose
+				time.Sleep(time.Millisecond)
+			}
+		}()
+	}
+
+	waitFor := func(what string, pred func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !pred() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s (stats %+v)", what, s.Stats())
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	waitFor("breaker open", func() bool { return s.Stats().BreakerOpens >= 1 })
+
+	// Heal the link: the next admitted incarnation is the breaker's
+	// half-open probe; committing a transfer closes the breaker while the
+	// churn keeps registering subscribers.
+	dialOK.Store(true)
+	if _, err := s.Enqueue([]byte("probe-payload")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(testCtx(t)); err != nil {
+		t.Fatalf("flush through probe: %v (stats %+v)", err, s.Stats())
+	}
+	waitFor("healthy", func() bool { return s.Health() == ghm.HealthHealthy })
+
+	close(stopChurn)
+	churn.Wait()
+	s.Close() // closes every subscriber channel; draining goroutines exit
+	drains.Wait()
+}
+
+// TestSessionDeadStationFailsOver: when the live station's conn closes
+// under it, the session replaces the station at once instead of
+// resending into the dead conn until the watchdog fires. MaxAttempts
+// would run out within microseconds of such a spin.
+func TestSessionDeadStationFailsOver(t *testing.T) {
+	var mu sync.Mutex
+	var last ghm.PacketConn
+	g := newSessionRig(t, func(c *ghm.SessionConfig) {
+		dial := c.Dial
+		c.Dial = func() (ghm.PacketConn, error) {
+			conn, err := dial()
+			mu.Lock()
+			last = conn
+			mu.Unlock()
+			return conn, err
+		}
+		c.MaxAttempts = 5
+	})
+	if _, err := g.s.Enqueue([]byte("warmup")); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.s.Flush(testCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+
+	mu.Lock()
+	last.Close() // the live station's view: its Sends now fail closed
+	mu.Unlock()
+	before := g.s.Stats()
+	if _, err := g.s.Enqueue([]byte("after the view died")); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.s.Flush(testCtx(t)); err != nil {
+		t.Fatalf("flush past a dead station: %v (stats %+v)", err, g.s.Stats())
+	}
+	st := g.s.Stats()
+	if st.Restarts <= before.Restarts || st.Wedges != before.Wedges {
+		t.Errorf("want a restart without the watchdog: before %+v, after %+v", before, st)
+	}
+	if n := st.Resubmits - before.Resubmits; n > 2 {
+		t.Errorf("%d resubmits into the dead station, want at most 2", n)
 	}
 }
