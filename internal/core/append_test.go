@@ -126,7 +126,7 @@ func TestGoldenWindowedPackets(t *testing.T) {
 			t.Errorf("retry CTL %d = %s, want %s", i, got, wantRetry[i])
 		}
 	}
-	data, okSlot := wt.AppendReceivePacket(nil, retry[2])
+	data, okSlot, _ := wt.AppendReceivePacket(nil, retry[2])
 	if got, want := hex.EncodeToString(data), "020108736c6f742074776f2d5f847b8efc182df6c780edf208"; got != want || okSlot != -1 {
 		t.Fatalf("slot 2 DATA = %s (ok slot %d), want %s", got, okSlot, want)
 	}

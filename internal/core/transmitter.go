@@ -158,10 +158,19 @@ func (tx *Transmitter) ReceivePacket(p []byte) (out TxOutput) {
 // model never corrupts packets, but the runtime substrate may hand us
 // anything.
 func (tx *Transmitter) AppendReceivePacket(dst, p []byte) (out []byte, ok bool) {
+	out, ok, _ = tx.appendReceive(dst, p)
+	return out, ok
+}
+
+// appendReceive is AppendReceivePacket that also reports whether the CTL
+// vouches: its τ is the current tag (the OK) or the last completed one (a
+// repeat of the last ack), values a blind sender hits with probability at
+// most 2^−|τ|, so what rides a vouching CTL came from the receiver.
+func (tx *Transmitter) appendReceive(dst, p []byte) (out []byte, ok, vouched bool) {
 	ctl, err := wire.DecodeCtl(p)
 	if err != nil {
 		tx.stats.Ignored++
-		return dst, false
+		return dst, false, false
 	}
 	return tx.receiveCtl(dst, ctl)
 }
@@ -177,7 +186,7 @@ func packets(pkt []byte) [][]byte {
 	return [][]byte{pkt}
 }
 
-func (tx *Transmitter) receiveCtl(dst []byte, ctl wire.Ctl) ([]byte, bool) {
+func (tx *Transmitter) receiveCtl(dst []byte, ctl wire.Ctl) (out []byte, ok, vouched bool) {
 	// Acknowledgement: the receiver echoes our current tag exactly. This
 	// is checked before the freshness throttle - a duplicated ack is still
 	// an ack, and tau is fresh randomness so old packets cannot carry it
@@ -194,14 +203,15 @@ func (tx *Transmitter) receiveCtl(dst []byte, ctl wire.Ctl) ([]byte, bool) {
 		tx.iT = ctl.I
 		tx.k++
 		tx.stats.OKs++
-		return dst, true
+		return dst, true, true
 	}
+	vouched = tx.hasPrev && ctl.Tau.Equal(tx.tauPrev)
 
 	if !tx.busy {
 		// Idle: the only packets of interest are duplicate acks of the
 		// completed transfer; they may carry an extended challenge, which
 		// we adopt so the next SendMsg answers the receiver's latest rho.
-		if tx.hasPrev && ctl.Tau.Equal(tx.tauPrev) {
+		if vouched {
 			tx.rho = ctl.Rho
 			tx.hasRho = true
 			if ctl.I > tx.iT {
@@ -210,7 +220,7 @@ func (tx *Transmitter) receiveCtl(dst []byte, ctl wire.Ctl) ([]byte, bool) {
 		} else {
 			tx.stats.Ignored++
 		}
-		return dst, false
+		return dst, false, vouched
 	}
 
 	// Busy, not an ack: count adversarial-looking tags. A tag counts as an
@@ -238,7 +248,7 @@ func (tx *Transmitter) receiveCtl(dst []byte, ctl wire.Ctl) ([]byte, bool) {
 		tx.hasRho = true
 		dst = tx.appendData(dst, ctl.Rho)
 	}
-	return dst, false
+	return dst, false, vouched
 }
 
 func (tx *Transmitter) appendData(dst []byte, rho bitstr.Str) []byte {

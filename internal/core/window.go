@@ -166,7 +166,7 @@ func (w *WindowedTransmitter) AppendSendMsg(dst []byte, slot int, msg []byte) ([
 // ReceivePacket is AppendReceivePacket returning a freshly allocated
 // packet.
 func (w *WindowedTransmitter) ReceivePacket(p []byte) WinTxOutput {
-	pkt, slot := w.AppendReceivePacket(nil, p)
+	pkt, slot, _ := w.AppendReceivePacket(nil, p)
 	out := WinTxOutput{Packets: packets(pkt)}
 	if slot >= 0 {
 		out.OKs = []int{slot}
@@ -176,19 +176,20 @@ func (w *WindowedTransmitter) ReceivePacket(p []byte) WinTxOutput {
 
 // AppendReceivePacket demultiplexes one slot-framed CTL packet to its
 // slot machine, appending the slot-framed DATA packet it emits, if any,
-// to dst; okSlot is the slot whose message completed, or -1. Malformed
-// frames and out-of-window slot ids are ignored (the runtime substrate
-// may hand us anything).
-func (w *WindowedTransmitter) AppendReceivePacket(dst, p []byte) (out []byte, okSlot int) {
+// to dst; okSlot is the slot whose message completed, or -1, and vouched
+// says whether the packet's tag vouches for it (see Transmitter's
+// appendReceive). Malformed frames and out-of-window slot ids are ignored
+// (the runtime substrate may hand us anything).
+func (w *WindowedTransmitter) AppendReceivePacket(dst, p []byte) (out []byte, okSlot int, vouched bool) {
 	slot, body, ok := unframeSlot(p, w.k)
 	if !ok {
 		w.ignored++
-		return dst, -1
+		return dst, -1, false
 	}
-	if out, ok = w.slots[slot].AppendReceivePacket(dst, body); !ok {
+	if out, ok, vouched = w.slots[slot].appendReceive(dst, body); !ok {
 		slot = -1
 	}
-	return out, slot
+	return out, slot, vouched
 }
 
 // Crash models crash^T with the window's shared crash semantics: every

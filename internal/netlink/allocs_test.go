@@ -125,6 +125,53 @@ func testStationRoundAllocBudget(t *testing.T, k int, tap netlink.Tap, link func
 	}
 }
 
+// TestTrailerRoundAllocBudget: the CTL trailer hooks add nothing to a
+// round's budget. The receiver's hook appends into the pooled packet
+// buffer the CTL is already in, and the sender hands the trailer on as a
+// slice of the inbound packet.
+func TestTrailerRoundAllocBudget(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector's sync.Pool drops buffers at random")
+	}
+	for _, k := range []int{1, 8} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			a, b := ringPipe()
+			var heard int
+			s, err := netlink.NewSender(a, netlink.SenderConfig{Window: k, OnTrailer: func(tr []byte) { heard += len(tr) }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			r, err := netlink.NewReceiver(b, netlink.ReceiverConfig{Window: k, RetryInterval: time.Millisecond,
+				CtlTrailer: func(dst []byte) []byte { return append(dst, 0x85, 0x03, 0x01) }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			msg := bytes.Repeat([]byte("m"), 64)
+			round := func() {
+				if err := s.Send(ctx, msg); err != nil {
+					t.Fatalf("Send: %v", err)
+				}
+				if _, err := r.Recv(ctx); err != nil {
+					t.Fatalf("Recv: %v", err)
+				}
+			}
+			for i := 0; i < 10*k; i++ {
+				round()
+			}
+			if got := testing.AllocsPerRun(200, round); got > 1 {
+				t.Errorf("one Send + Recv round with trailers: %v allocs, budget 1", got)
+			}
+			if heard == 0 {
+				t.Error("no trailer reached the sender")
+			}
+		})
+	}
+}
+
 // stationPair is a sender and a receiver of depth k over link, both on tap,
 // closed with the test.
 func stationPair(t *testing.T, k int, tap netlink.Tap, link func() (netlink.PacketConn, netlink.PacketConn)) (*netlink.Sender, *netlink.Receiver) {

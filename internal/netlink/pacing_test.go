@@ -144,7 +144,7 @@ func newPacingRig(t *testing.T, cfg pacingConfig) *pacingRig {
 		}
 	})
 	g.tPort.SetHandler(func(p []byte) {
-		pkt, slot := g.wt.AppendReceivePacket(nil, p)
+		pkt, slot, _ := g.wt.AppendReceivePacket(nil, p)
 		g.transmit(pkt)
 		if slot >= 0 {
 			g.confirmed++

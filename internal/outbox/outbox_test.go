@@ -1,14 +1,12 @@
 package outbox
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -432,16 +430,6 @@ func TestEnqueueCopiesMessage(t *testing.T) {
 	}
 }
 
-// joinSameLead is a toy Merge: messages that share a first byte join, with
-// a '+' between them, so a test reads a run's entries back out of it.
-func joinSameLead(run, next []byte) ([]byte, bool) {
-	if run[0] != next[0] {
-		return run, false
-	}
-	run = append(run, '+')
-	return append(run, next...), true
-}
-
 func enqueueAll(t *testing.T, q *Queue, msgs ...string) {
 	t.Helper()
 	for _, m := range msgs {
@@ -489,40 +477,26 @@ func heldSend(depth int) (SendFunc, func(t *testing.T) heldCall) {
 // Send blocks until the test resolves it, in shuffled order, and two
 // entries crash once each. After each resolution exactly one new Send
 // starts, and it carries the oldest entry not in flight — the crashed one
-// again, byte-identical, or else the next in enqueue order — where, with a
-// Merge, an entry is the run its messages formed as they were enqueued: a
-// model of the backlog says which. The backlog outgrows the ring while
-// eight claims are in flight (three times without runs, twice with), so
-// the workers' positions survive a resize; and Stats counts messages, not
-// Sends, whatever the runs were.
+// again, byte-identical, or else the next in enqueue order: a model of the
+// backlog says which. The backlog outgrows the ring three times while
+// eight claims are in flight, so the workers' positions survive a resize.
 func TestRingWindowShuffledConfirms(t *testing.T) {
-	t.Run("single", func(t *testing.T) { shuffledConfirms(t, nil) })
-	t.Run("runs", func(t *testing.T) { shuffledConfirms(t, joinSameLead) })
+	t.Run("single", shuffledConfirms)
 }
 
-func shuffledConfirms(t *testing.T, merge func(run, next []byte) ([]byte, bool)) {
+func shuffledConfirms(t *testing.T) {
 	const window, total = 8, 40
 	send, next := heldSend(window)
 	q, err := New(Config{
 		Window:    window,
 		Retryable: func(err error) bool { return errors.Is(err, errCrash) },
 		Send:      send,
-		Merge:     merge,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer q.Close()
-	// The first window's messages have a first byte each, so that no two
-	// join and every worker has a claim before the rest is enqueued; the
-	// rest alternate their first byte every three, so with Merge they form
-	// runs of up to three.
-	name := func(i int) string {
-		if i < window {
-			return fmt.Sprintf("%c-%02d", 'a'+i, i)
-		}
-		return fmt.Sprintf("%c-%02d", 'm'+i/3%2, i)
-	}
+	name := func(i int) string { return fmt.Sprintf("m-%02d", i) }
 
 	// The model: the entries [from, to) the messages form as they are
 	// enqueued, where each stands, and from that the one entry a free
@@ -538,10 +512,6 @@ func shuffledConfirms(t *testing.T, merge func(run, next []byte) ([]byte, bool))
 		for i := from; i < to; i++ {
 			if _, err := q.Enqueue([]byte(name(i))); err != nil {
 				t.Fatal(err)
-			}
-			if last := len(entries) - 1; merge != nil && i >= window && last >= window && name(entries[last].from)[0] == name(i)[0] {
-				entries[last].to++ // every entry past the first window is queued until all are enqueued
-				continue
 			}
 			entries = append(entries, claim{i, i + 1})
 		}
@@ -577,10 +547,10 @@ func shuffledConfirms(t *testing.T, merge func(run, next []byte) ([]byte, bool))
 		claims[name(i)] = entries[i]
 		state[entries[i]] = inFlight
 	}
-	enqueue(window, total) // 8 slots grow to 64 (32 with runs) while every slot of the first ring is claimed
+	enqueue(window, total) // 8 slots grow to 64 while every slot of the first ring is claimed
 
 	rng := rand.New(rand.NewSource(8))
-	crashed, resubmits, longest := map[string]bool{}, 0, 1
+	crashed, resubmits := map[string]bool{}, 0
 	for len(inflight) > 0 {
 		keys := make([]string, 0, len(inflight))
 		for k := range inflight {
@@ -617,13 +587,9 @@ func shuffledConfirms(t *testing.T, merge func(run, next []byte) ([]byte, bool))
 		}
 		inflight[got.msg], claims[got.msg] = got, wcl
 		state[wcl] = inFlight
-		longest = max(longest, wcl.to-wcl.from)
 	}
 	if err := q.Flush(testCtx(t)); err != nil {
 		t.Fatal(err)
-	}
-	if merge != nil && longest < 2 {
-		t.Error("no Send carried a run")
 	}
 	want := Stats{Enqueued: total, Sent: total, Resubmits: resubmits}
 	if st := q.Stats(); st != want {
@@ -633,171 +599,6 @@ func shuffledConfirms(t *testing.T, merge func(run, next []byte) ([]byte, bool))
 	defer q.mu.Unlock()
 	if q.head != q.tail || q.tail != uint64(len(entries)) {
 		t.Errorf("ring head %d tail %d after %d entries confirmed", q.head, q.tail, len(entries))
-	}
-}
-
-// TestRunTakesOnlyAdjacentQueued: a run is a message and the messages
-// enqueued directly behind it that Merge takes while it is still queued.
-// One that Merge refuses ends it, and so does a worker claiming it: a
-// message enqueued behind a claimed entry starts a run of its own.
-func TestRunTakesOnlyAdjacentQueued(t *testing.T) {
-	const window = 8
-	send, next := heldSend(window)
-	q, err := New(Config{
-		Window:    window,
-		Retryable: func(err error) bool { return errors.Is(err, errCrash) },
-		Send:      send,
-		Merge:     joinSameLead,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q.Close()
-	enqueue := func(msgs ...string) { enqueueAll(t, q, msgs...) }
-	// Eight messages that cannot join give every worker a claim, so from
-	// here a claim is made only when the test resolves one.
-	held := map[string]heldCall{}
-	enqueue("0", "1", "2", "3", "4", "5", "6", "7")
-	for i := 0; i < window; i++ {
-		c := next(t)
-		held[c.msg] = c
-	}
-	// resolve finishes one held Send and returns the Send its worker starts next.
-	resolve := func(msg string, outcome error, want string) {
-		t.Helper()
-		held[msg].resolve <- outcome
-		delete(held, msg)
-		c := next(t)
-		if c.msg != want {
-			t.Fatalf("after %q resolved the next Send carries %q, want %q", msg, c.msg, want)
-		}
-		held[c.msg] = c
-	}
-
-	enqueue("a1", "a2", "b3", "a4", "a5")
-	resolve("0", nil, "a1+a2") // b3 is refused, and a4 starts a run behind it
-	resolve("1", nil, "b3")
-	resolve("2", nil, "a4+a5")
-
-	enqueue("c1")
-	resolve("3", nil, "c1") // nothing queued behind it: it leaves alone
-	enqueue("c2")           // c1 is claimed: a run of its own
-	resolve("4", nil, "c2")
-	enqueue("c3", "c4") // c2 is claimed: c3 starts a run
-	resolve("c1", errCrash, "c1")
-	resolve("c2", nil, "c3+c4")
-
-	for _, c := range held {
-		c.resolve <- nil
-	}
-	if err := q.Flush(testCtx(t)); err != nil {
-		t.Fatal(err)
-	}
-	want := Stats{Enqueued: 17, Sent: 17, Resubmits: 1}
-	if st := q.Stats(); st != want {
-		t.Errorf("stats %+v, want %+v", st, want)
-	}
-}
-
-// TestRunFailureRequeuesEveryEntry: a retryable failure puts the run back
-// whole, each of its messages counted, and it goes out again byte for
-// byte; a message enqueued while it was in flight waits behind it, alone.
-func TestRunFailureRequeuesEveryEntry(t *testing.T) {
-	send, next := heldSend(1)
-	q, err := New(Config{
-		Retryable: func(err error) bool { return errors.Is(err, errCrash) },
-		Send:      send,
-		Merge:     joinSameLead,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q.Close()
-	enqueue := func(msgs ...string) { enqueueAll(t, q, msgs...) }
-	step := func(c heldCall, outcome error, want string) heldCall {
-		t.Helper()
-		c.resolve <- outcome
-		n := next(t)
-		if n.msg != want {
-			t.Fatalf("next Send carries %q, want %q", n.msg, want)
-		}
-		return n
-	}
-	enqueue("a1")
-	c := next(t) // the worker is busy: what follows queues up
-	enqueue("a2", "a3")
-	c = step(c, nil, "a2+a3")
-	c = step(c, errCrash, "a2+a3") // the same bytes
-	enqueue("a4")
-	c = step(c, errCrash, "a2+a3")
-	c = step(c, nil, "a4")
-	c.resolve <- nil
-	if err := q.Flush(testCtx(t)); err != nil {
-		t.Fatal(err)
-	}
-	want := Stats{Enqueued: 4, Sent: 4, Resubmits: 4}
-	if st := q.Stats(); st != want {
-		t.Errorf("stats %+v, want %+v", st, want)
-	}
-}
-
-// TestWALReplaysEveryEntryOfARun: the log holds one record per entry, run
-// or no run, so a queue closed with a run in flight and another queued
-// replays each message of them: to a queue with no Merge, which sends them
-// one by one, and to one with Merge, which folds them again — into the
-// runs its backlog forms now, not the ones it was closed with.
-func TestWALReplaysEveryEntryOfARun(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "outbox.wal")
-	send, next := heldSend(1)
-	q, err := New(Config{Send: send, Merge: joinSameLead, WALPath: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q.Close()
-	enqueue := func(msgs ...string) { enqueueAll(t, q, msgs...) }
-	enqueue("a1")
-	first := next(t)
-	enqueue("a2", "a3")
-	first.resolve <- nil
-	if run := next(t); run.msg != "a2+a3" {
-		t.Fatalf("in flight at Close: %q, want the run a2+a3", run.msg)
-	}
-	enqueue("a4", "a5")
-	if err := q.Close(); err != nil {
-		t.Fatal(err)
-	}
-	log, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, tc := range []struct {
-		merge func(run, next []byte) ([]byte, bool)
-		want  []string
-	}{
-		{want: []string{"a2", "a3", "a4", "a5"}},
-		{merge: joinSameLead, want: []string{"a2+a3+a4+a5"}},
-	} {
-		replay := filepath.Join(dir, fmt.Sprintf("replay-%d.wal", len(tc.want)))
-		if err := os.WriteFile(replay, log, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		var c collector
-		q2, err := New(Config{Send: c.send, Merge: tc.merge, WALPath: replay})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := q2.Flush(testCtx(t)); err != nil {
-			t.Fatal(err)
-		}
-		if got := c.messages(); !slices.Equal(got, tc.want) {
-			t.Errorf("replayed %q, want %q", got, tc.want)
-		}
-		if st := q2.Stats(); st.Sent != 4 || st.Pending != 0 {
-			t.Errorf("replay of %q: stats %+v, want 4 sent", tc.want, st)
-		}
-		q2.Close()
 	}
 }
 
@@ -850,36 +651,29 @@ func TestRingRetainsConstantAfterBurst(t *testing.T) {
 
 // TestOutboxEnqueueAllocBudget pins the queue's steady state at zero
 // allocations per message: Enqueue copies into the ring slot's kept
-// buffer and, with Merge, folds the copy into the queued tail slot's
 // buffer, the worker names its entry by position, and a WAL record's
 // header is built in the log writer's own buffer. The caller's message is
-// on its stack: an Enqueue that handed those bytes to Merge, an indirect
-// call, would move them to the heap, one allocation per message.
+// on its stack: an Enqueue that handed those bytes to an indirect call
+// would move them to the heap, one allocation per message.
 func TestOutboxEnqueueAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts under the race detector measure the detector")
 	}
 	for _, tc := range []struct {
-		name  string
-		wal   bool
-		merge func(run, next []byte) ([]byte, bool)
+		name string
+		wal  bool
 	}{
 		{name: "wal=false"},
 		{name: "wal=true", wal: true},
-		{name: "merge", merge: joinSameLead}, // the tail slots' buffers have grown to a run by the time it counts
-		{name: "merge,wal=true", wal: true, merge: joinSameLead},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const burst = 4
-			// Each Send reports in, waits to be let go, and says how many
-			// messages it carried: the first message of a round is in
-			// flight before the rest are enqueued, so with Merge they fold
-			// into one run of burst-1 as they come, every round.
-			started, release, sent := make(chan struct{}), make(chan struct{}), make(chan int)
-			cfg := Config{Merge: tc.merge, Send: func(_ context.Context, msg []byte) error {
+			// Each Send reports in and waits to be let go: the first
+			// message of a round is in flight before the rest are enqueued.
+			started, release := make(chan struct{}), make(chan struct{})
+			cfg := Config{Send: func(context.Context, []byte) error {
 				started <- struct{}{}
 				<-release
-				sent <- bytes.Count(msg, []byte("+")) + 1
 				return nil
 			}}
 			if tc.wal {
@@ -901,12 +695,13 @@ func TestOutboxEnqueueAllocBudget(t *testing.T) {
 						<-started
 					}
 				}
-				for n := 0; ; <-started {
+				for n := 1; ; <-started {
 					release <- struct{}{}
 					sends++
-					if n += <-sent; n == burst {
+					if n == burst {
 						return
 					}
+					n++
 				}
 			}
 			for i := 0; i < 16; i++ {
@@ -917,9 +712,6 @@ func TestOutboxEnqueueAllocBudget(t *testing.T) {
 				t.Errorf("%d Enqueues and confirms: %v allocs, want 0", burst, got)
 			}
 			want := 201 * burst // AllocsPerRun makes one run of its own first
-			if tc.merge != nil {
-				want = 201 * 2 // one message alone, burst-1 as a run
-			}
 			if sends != want {
 				t.Errorf("%d Sends for 201 rounds of %d messages, want %d", sends, burst, want)
 			}

@@ -8,8 +8,7 @@ import (
 
 // SendFunc transfers one message, blocking until it is confirmed
 // delivered. ghm.Sender.Send and ghm.Peer.Send have this shape. msg is the
-// queue's own buffer — a ring slot, holding with Config.Merge set a run of
-// several messages — valid until the call returns: an implementation that
+// queue's own buffer — a ring slot — valid until the call returns: an implementation that
 // keeps the bytes longer copies them (the stations do — the transmitter
 // copies the message into its own memory before Send returns).
 type SendFunc func(ctx context.Context, msg []byte) error
@@ -37,23 +36,6 @@ type Config struct {
 	// restores admission order — with a plain stop-and-wait station the
 	// extra workers just serialize on it).
 	Window int
-	// Merge, when set, folds a message into the one queued ahead of it as
-	// it is enqueued. While the backlog's last slot is still queued — no
-	// worker has claimed it — Enqueue offers Merge that slot's bytes as run
-	// and the new message, already copied into the queue, as next. Merge
-	// returns run with next folded in and true, or false with run's bytes
-	// as they were, and the message takes a slot of its own. A slot is sent
-	// as one message: its success confirms every message in it, and a
-	// retryable failure re-queues it whole, where it may take in messages
-	// enqueued since. The log keeps each message apart, and a reopened
-	// queue folds its backlog again, not necessarily into the same runs. So
-	// a resubmitted run need not be byte-identical, which a windowed
-	// station's seq reuse needs: use Merge with a depth-1 station. Nothing
-	// waits for a run to form: a slot is claimed as soon as a worker is
-	// free, with whatever has folded into it by then.
-	// Merge runs under the queue's lock: it must be pure, quick and
-	// allocation-free beyond growing run.
-	Merge func(run, next []byte) ([]byte, bool)
 }
 
 // Stats counts queue activity.
@@ -85,11 +67,9 @@ const (
 	done                      // confirmed, waiting for the head to pop past it
 )
 
-// entry is one slot of the backlog ring: the messages with ids id up to
-// id+n-1 — one, or with Merge a run — plus their dispatch state.
+// entry is one slot of the backlog ring: a message and its dispatch state.
 type entry struct {
 	id       uint64
-	n        uint64
 	msg      []byte // the slot's own buffer, see maxKeptMsg
 	state    entryState
 	attempts int // failed Sends so far
@@ -142,7 +122,6 @@ func New(cfg Config) (*Queue, error) {
 		q.log = log
 		for _, e := range backlog {
 			q.push(e.id, e.msg)
-			q.fold()
 		}
 		q.nextID = nextID
 		q.stats.Pending = len(backlog)
@@ -178,16 +157,15 @@ func (q *Queue) Enqueue(msg []byte) (uint64, error) {
 	q.nextID++
 	e := q.push(id, msg)
 	if q.log != nil {
-		// Logged, and below merged, from the queue's copy: the caller's
-		// bytes are read by the copy and nothing else, so a caller's stack
-		// buffer stays on its stack (a log write is an interface call, and
-		// Merge an indirect one, either of which would move it to the heap).
+		// Logged from the queue's copy: the caller's bytes are read by the
+		// copy and nothing else, so a caller's stack buffer stays on its
+		// stack (a log write is an interface call, which would move it to
+		// the heap).
 		if err := q.log.appendEnqueue(id, e.msg); err != nil {
 			q.tail-- // not accepted: the slot is free again
 			return 0, err
 		}
 	}
-	q.fold()
 	q.stats.Enqueued++
 	q.stats.Pending++
 	q.cond.Broadcast()
@@ -283,28 +261,9 @@ func (q *Queue) push(id uint64, msg []byte) *entry {
 	e := q.slot(q.tail)
 	e.msg = e.msg[:0]
 	e.msg = append(e.msg, msg...)
-	e.id, e.n, e.state, e.attempts = id, 1, queued, 0
+	e.id, e.state, e.attempts = id, queued, 0
 	q.tail++
 	return e
-}
-
-// fold merges the backlog's last entry into the one before it, if that one
-// is still queued, holds the ids just below (a failed Enqueue leaves a
-// gap) and Merge takes it. The freed slot keeps its buffer for the next
-// push. Call with q.mu held.
-func (q *Queue) fold() {
-	if q.cfg.Merge == nil || q.tail-q.head < 2 {
-		return
-	}
-	run, last := q.slot(q.tail-2), q.slot(q.tail-1)
-	if run.state != queued || run.id+run.n != last.id {
-		return
-	}
-	if merged, ok := q.cfg.Merge(run.msg, last.msg); ok {
-		run.msg = merged
-		run.n++
-		q.tail--
-	}
 }
 
 // claim marks the oldest queued entry claimed and returns its position.
@@ -321,20 +280,19 @@ func (q *Queue) claim() (pos uint64, ok bool) {
 	return pos, true
 }
 
-// confirm marks the entry at pos done, logging each of its messages, and
-// pops the head past every done entry: O(1) for the head itself, and an
+// confirm marks the entry at pos done, logging it, and pops the head past every done entry: O(1) for the head itself, and an
 // out-of-order confirm (Window > 1) just waits its turn. Then the ring
 // gives back what a drained burst no longer needs. Call with q.mu held.
 func (q *Queue) confirm(pos uint64) {
 	e := q.slot(pos)
 	e.state = done
-	for id := e.id; q.log != nil && id != e.id+e.n; id++ {
-		if err := q.log.appendDone(id); err != nil && q.err == nil {
+	if q.log != nil {
+		if err := q.log.appendDone(e.id); err != nil && q.err == nil {
 			q.err = err
 		}
 	}
-	q.stats.Sent += int(e.n)
-	q.stats.Pending -= int(e.n)
+	q.stats.Sent++
+	q.stats.Pending--
 	for q.head != q.tail && q.slot(q.head).state == done {
 		if e := q.slot(q.head); cap(e.msg) > maxKeptMsg {
 			e.msg = nil
@@ -360,17 +318,16 @@ func (q *Queue) requeue(pos uint64, err error) error {
 		return fmt.Errorf("outbox: message %d: %w", e.id, err)
 	}
 	e.state = queued
-	q.stats.Resubmits += int(e.n)
+	q.stats.Resubmits++
 	return nil
 }
 
-// worker claims backlog entries in enqueue order and drives each — one
-// message, or with Merge a run of them — through Send. With Window
-// workers, up to Window claims are in flight at once; a failed retryable
-// Send unclaims its entry, so any worker — not necessarily the same one —
-// resubmits it, byte-identical without Merge (which is what lets a
-// windowed station's receiver drop the duplicate by its reused admission
-// seq).
+// worker claims backlog entries in enqueue order and drives each through
+// Send. With Window workers, up to Window claims are in flight at once; a
+// failed retryable Send unclaims its entry, so any worker — not
+// necessarily the same one — resubmits it, byte-identical (which is what
+// lets a windowed station's receiver drop the duplicate by its reused
+// admission seq).
 func (q *Queue) worker() {
 	for {
 		var pos uint64
@@ -390,8 +347,8 @@ func (q *Queue) worker() {
 		q.mu.Unlock()
 
 		// msg is the claimed slot's buffer: nothing writes it until this
-		// worker confirms the claim (Merge folds only into queued entries),
-		// and a resize moves slice headers, not bytes.
+		// worker confirms the claim, and a resize moves slice headers, not
+		// bytes.
 		err := q.cfg.Send(q.ctx, msg)
 		if err != nil && q.ctx.Err() != nil {
 			return // closing

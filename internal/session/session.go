@@ -62,14 +62,8 @@ type Config struct {
 	// byte-identical resubmission after a wipe is exactly the contract a
 	// deeper window's exactly-once dedup needs.
 	Window int
-	// Merge is the outbox's: Enqueue folds a payload it accepts into the
-	// payload queued ahead of it, and the run goes as one message (see
-	// outbox.Config). It needs Window ≤ 1 — a run re-queued after a wipe
-	// may take in payloads enqueued since, and one replayed from the WAL
-	// may be formed differently, so a resubmission need not be
-	// byte-identical, and a framed window's release would stall on the
-	// lost seq.
-	Merge func(run, next []byte) ([]byte, bool)
+	// OnTrailer is every incarnation's netlink.SenderConfig.OnTrailer.
+	OnTrailer func(trailer []byte)
 
 	// Watchdog, backoff and breaker knobs; see supervise.Config.
 	WatchdogWindow    time.Duration
@@ -148,9 +142,6 @@ func New(cfg Config) (*Session, error) {
 	if cfg.Dial == nil {
 		return nil, fmt.Errorf("session: Dial is required")
 	}
-	if cfg.Merge != nil && core.Framed(cfg.Window) {
-		return nil, fmt.Errorf("session: Merge needs a depth-1 station (Window 1)")
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.Default()
@@ -187,7 +178,6 @@ func New(cfg Config) (*Session, error) {
 		WALSync:     cfg.WALSync,
 		MaxAttempts: cfg.MaxAttempts,
 		Window:      cfg.Window,
-		Merge:       cfg.Merge,
 	})
 	if err != nil {
 		sup.Close()
@@ -224,11 +214,12 @@ func (s *Session) start() (*netlink.Sender, error) {
 		}
 	}
 	st, err := netlink.NewSender(conn, netlink.SenderConfig{
-		Window:  s.cfg.Window,
-		Epoch:   s.epoch.Add(1),
-		Params:  s.cfg.Params,
-		Tap:     tap,
-		Metrics: s.cfg.Metrics,
+		Window:    s.cfg.Window,
+		Epoch:     s.epoch.Add(1),
+		Params:    s.cfg.Params,
+		Tap:       tap,
+		Metrics:   s.cfg.Metrics,
+		OnTrailer: s.cfg.OnTrailer,
 	})
 	if err != nil {
 		conn.Close()

@@ -272,16 +272,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("missing Dial accepted")
 	}
-	// A run formed again after a wipe is a new message to the station: a
-	// framed window would wait for ever on the seq of the one it replaced.
-	a, _ := netlink.Pipe(netlink.PipeConfig{Seed: 1})
-	shared := netlink.NewSharedConn(a)
-	defer shared.Close()
-	join := func(run, next []byte) ([]byte, bool) { return append(run, next...), true }
-	if s, err := New(Config{Dial: shared.Attach, Merge: join, Window: 2, Metrics: metrics.New()}); err == nil {
-		s.Close()
-		t.Error("Merge accepted over a framed window")
-	}
 }
 
 // TestWindowedSessionSurvivesCrashesAndRestart runs a Window>1 session
