@@ -12,15 +12,15 @@
 // kept its ids below 64.
 //
 // The engine deliberately knows nothing about the protocol above it; it
-// moves opaque packets. Error identity is injected (Config.ClosedErr,
-// Config.IsFatal) so the layers above keep their own sentinel errors.
+// moves opaque packets, one per Send. It knows one closed error, ErrClosed,
+// which netlink re-exports as its own.
 package engine
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"strconv"
+	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,14 +28,19 @@ import (
 	"ghm/internal/metrics"
 )
 
-// ErrClosed is the default closed-endpoint error; layers usually inject
-// their own via Config.ClosedErr.
-var ErrClosed = errors.New("engine: closed")
+// ErrClosed reports use of a closed endpoint, engine or conn. It is the
+// one closed error of the packet path: netlink.ErrClosed is this value,
+// and a conn's Recv returns it (or net.ErrClosed) once the conn is closed.
+var ErrClosed = errors.New("netlink: closed")
 
-// defaultBuffer is the per-endpoint ingress mailbox depth; overflow is
+// mailboxDepth is the per-endpoint ingress mailbox depth; overflow is
 // shed as link loss (and counted), exactly what the protocol above is
 // built for.
-const defaultBuffer = 64
+const mailboxDepth = 64
+
+// transientDelay paces the pump's retry after a transient read error,
+// bounding the spin if the error persists.
+const transientDelay = time.Millisecond
 
 // Engine metric names. They are declared constants because the registry
 // creates metrics on first use — a typo'd literal silently forks a
@@ -44,15 +49,13 @@ const (
 	mDemuxDropped    = "link.demux_dropped"
 	mOverflowDropped = "link.overflow_dropped"
 	mIORetries       = "link.io_retries"
-	// mEpPrefix and mEpSuffix build the per-endpoint overflow gauge name:
-	// link.ep<id>.overflow_dropped.
-	mEpPrefix = "link.ep"
-	mEpSuffix = ".overflow_dropped"
 )
 
 // Conn is the transport an Engine owns: an unreliable datagram
 // endpoint, structurally identical to netlink.PacketConn. Send must not
-// retain p; Close must unblock a pending Recv. Recv lends: the slice it
+// retain p; Close must unblock a pending Recv with ErrClosed (or
+// net.ErrClosed), and every other Recv error is a transient fault the
+// pump rides out as loss. Recv lends: the slice it
 // returns belongs to the conn and is valid until the next Recv, which has
 // one caller at a time — the engine's pump (DESIGN.md, "Who owns a
 // packet").
@@ -62,42 +65,20 @@ type Conn interface {
 	Close() error
 }
 
-// BatchConn is optionally implemented by conns that can accept several
-// packets in one call (sendmmsg-shaped). Endpoint.SendBatch detects it
-// and flushes a whole burst — a windowed station's wheel firing, a
-// handler invocation's replies — in one conn call instead of one per
-// packet. SendBatch must not retain pkts or any element.
-type BatchConn interface {
-	SendBatch(pkts [][]byte) error
-}
-
 // Config parameterizes New.
 type Config struct {
 	// Raw disables endpoint-id framing: the engine carries exactly one
 	// endpoint (id 0) and packets travel unmodified. This is how a
-	// station that owns a whole conn, or SharedConn's attach views, ride
-	// the engine without changing the wire format.
+	// station that owns a whole conn, or SharedConn's attached endpoints,
+	// ride the engine without changing the wire format.
 	Raw bool
 	// MaxEndpoints bounds endpoint ids to [0, MaxEndpoints). Raw mode
 	// forces 1; framed mode defaults to 128 (ids stay one byte on the
 	// wire below that).
 	MaxEndpoints int
-	// Buffer is the per-endpoint ingress mailbox depth (default 64).
-	Buffer int
-	// ClosedErr is returned by endpoint Send/Recv once the endpoint or
-	// engine is closed (default ErrClosed).
-	ClosedErr error
-	// IsFatal classifies pump read errors: fatal errors kill the pump
-	// (the conn is gone), others are transient faults ridden out with a
-	// TransientDelay backoff. Nil treats every error as fatal.
-	IsFatal func(error) bool
-	// TransientDelay paces pump retries after a transient read error
-	// (default 1ms).
-	TransientDelay time.Duration
 	// Metrics receives the engine's drop accounting (nil uses
-	// metrics.Default()): link.demux_dropped, link.overflow_dropped,
-	// link.io_retries, and per-endpoint overflow gauges
-	// link.ep<id>.overflow_dropped in framed mode.
+	// metrics.Default()): link.demux_dropped, link.overflow_dropped and
+	// link.io_retries.
 	Metrics *metrics.Registry
 	// Wheel is the timer wheel endpoints hand to layers above, and so
 	// their clock (default DefaultWheel(), on the wall clock).
@@ -111,13 +92,12 @@ type Engine struct {
 	conn Conn
 	cfg  Config
 
-	reg *metrics.Registry
 	// Drop accounting: no drop is silent.
 	demuxDropped    *metrics.Counter // unknown/unparsable endpoint id, no endpoint attached
 	overflowDropped *metrics.Counter // endpoint mailbox full
 	ioRetries       *metrics.Counter // transient conn read errors ridden out
 
-	slots []slot
+	slots []atomic.Pointer[Endpoint] // the endpoint registered for each id
 
 	stop chan struct{} // closed by Close
 	dead chan struct{} // closed when the pump exits, however it exits
@@ -128,16 +108,6 @@ type Engine struct {
 	closed    atomic.Bool
 }
 
-// slot is one endpoint id's registration. The overflow counter lives in
-// the slot, not the endpoint, so per-endpoint gauges survive attach
-// views being replaced.
-type slot struct {
-	ep        atomic.Pointer[Endpoint]
-	overflow  atomic.Int64
-	gaugeOnce sync.Once
-	dropGauge func() // set inside gaugeOnce; Engine.Close calls it
-}
-
 // New starts an engine over conn. The engine owns conn: Engine.Close
 // closes it.
 func New(conn Conn, cfg Config) *Engine {
@@ -145,15 +115,6 @@ func New(conn Conn, cfg Config) *Engine {
 		cfg.MaxEndpoints = 1
 	} else if cfg.MaxEndpoints <= 0 {
 		cfg.MaxEndpoints = 128
-	}
-	if cfg.Buffer <= 0 {
-		cfg.Buffer = defaultBuffer
-	}
-	if cfg.ClosedErr == nil {
-		cfg.ClosedErr = ErrClosed
-	}
-	if cfg.TransientDelay <= 0 {
-		cfg.TransientDelay = time.Millisecond
 	}
 	if cfg.Wheel == nil {
 		cfg.Wheel = DefaultWheel()
@@ -165,11 +126,10 @@ func New(conn Conn, cfg Config) *Engine {
 	e := &Engine{
 		conn:            conn,
 		cfg:             cfg,
-		reg:             reg,
 		demuxDropped:    reg.Counter(mDemuxDropped),
 		overflowDropped: reg.Counter(mOverflowDropped),
 		ioRetries:       reg.Counter(mIORetries),
-		slots:           make([]slot, cfg.MaxEndpoints),
+		slots:           make([]atomic.Pointer[Endpoint], cfg.MaxEndpoints),
 		stop:            make(chan struct{}),
 		dead:            make(chan struct{}),
 		done:            make(chan struct{}),
@@ -184,52 +144,31 @@ func (e *Engine) Wheel() *Wheel { return e.cfg.Wheel }
 // Endpoint registers (or re-registers) id and returns its endpoint.
 // Re-registering routes subsequent inbound packets to the new endpoint;
 // the superseded one stays usable for Send but starves on Recv — the
-// exact semantics SharedConn's attach views had.
+// semantics SharedConn.Attach is built on.
 func (e *Engine) Endpoint(id int) (*Endpoint, error) {
 	if e.closed.Load() {
-		return nil, e.cfg.ClosedErr
+		return nil, ErrClosed
 	}
 	if id < 0 || id >= len(e.slots) {
 		return nil, fmt.Errorf("engine: endpoint id %d out of range [0, %d)", id, len(e.slots))
 	}
-	s := &e.slots[id]
 	ep := &Endpoint{
 		eng:    e,
 		id:     id,
-		slot:   s,
+		slot:   &e.slots[id],
 		closed: make(chan struct{}),
 	}
-	s.ep.Store(ep)
-	if !e.cfg.Raw {
-		// Summed: engines sharing a registry — a mesh's twelve — report
-		// their total for the id, not whichever registered last.
-		s.gaugeOnce.Do(func() {
-			s.dropGauge = e.reg.GaugeFuncSum(mEpPrefix+strconv.Itoa(id)+mEpSuffix,
-				func() float64 { return float64(s.overflow.Load()) })
-		})
-	}
+	ep.slot.Store(ep)
 	return ep, nil
 }
 
 // Close stops the pump, closes the conn and unblocks every endpoint's
-// Recv with ClosedErr. Idempotent; every call waits for the pump.
+// Recv with ErrClosed. Idempotent; every call waits for the pump.
 func (e *Engine) Close() error {
 	e.closeOnce.Do(func() {
 		e.closed.Store(true)
 		close(e.stop)
 		e.closeErr = e.conn.Close()
-		// Out of the registry — often the process-wide one, which would
-		// otherwise hold this engine's slots, and through their endpoints'
-		// handlers the stations, for the life of the process. Going through
-		// the Once waits out an Endpoint call registering right now and
-		// stops a later one from registering at all.
-		for i := range e.slots {
-			s := &e.slots[i]
-			s.gaugeOnce.Do(func() {})
-			if s.dropGauge != nil {
-				s.dropGauge()
-			}
-		}
 	})
 	<-e.done
 	return e.closeErr
@@ -253,14 +192,14 @@ func (e *Engine) pump() {
 	for {
 		p, err := e.conn.Recv()
 		if err != nil {
-			if e.cfg.IsFatal == nil || e.cfg.IsFatal(err) {
-				return
+			if errors.Is(err, ErrClosed) || errors.Is(err, net.ErrClosed) {
+				return // the conn is gone
 			}
 			// Transient read fault: indistinguishable from loss, so back
 			// off briefly and keep serving instead of dying.
 			e.ioRetries.Inc()
 			if backoff == nil {
-				backoff = e.cfg.Wheel.AfterFunc(e.cfg.TransientDelay, func() {
+				backoff = e.cfg.Wheel.AfterFunc(transientDelay, func() {
 					select {
 					case wake <- struct{}{}:
 					default:
@@ -269,7 +208,7 @@ func (e *Engine) pump() {
 			} else {
 				// The timer has always fired and wake been drained by the
 				// time we get back here, so Reset is race-free.
-				backoff.Reset(e.cfg.TransientDelay)
+				backoff.Reset(transientDelay)
 			}
 			select {
 			case <-wake:
@@ -299,8 +238,7 @@ func (e *Engine) dispatch(p []byte) {
 		}
 		id, body = int(v), p[n:]
 	}
-	s := &e.slots[id]
-	ep := s.ep.Load()
+	ep := e.slots[id].Load()
 	if ep == nil || ep.isClosed() {
 		e.demuxDropped.Inc()
 		return
@@ -335,7 +273,6 @@ func (e *Engine) dispatch(p []byte) {
 		return
 	}
 	ep.mu.Unlock()
-	s.overflow.Add(1)
 	e.overflowDropped.Inc()
 }
 
@@ -363,7 +300,7 @@ var framePool = sync.Pool{
 type Endpoint struct {
 	eng  *Engine
 	id   int
-	slot *slot
+	slot *atomic.Pointer[Endpoint] // the engine's registration for id
 
 	// mu hands the endpoint from mailbox to handler: SetHandler drains and
 	// stores under it, and dispatch re-checks the handler under it before
@@ -377,9 +314,6 @@ type Endpoint struct {
 	closeOnce sync.Once
 }
 
-// ID returns the endpoint's id.
-func (ep *Endpoint) ID() int { return ep.id }
-
 // Wheel returns the engine's shared timer wheel, for layers that need
 // retry pacing without goroutines of their own.
 func (ep *Endpoint) Wheel() *Wheel { return ep.eng.cfg.Wheel }
@@ -389,7 +323,7 @@ func (ep *Endpoint) Closed() <-chan struct{} { return ep.closed }
 
 // Dead is closed when the engine's pump has exited — the conn is gone,
 // whether by Close or by an external kill — so a layer blocked on the
-// endpoint can surface ClosedErr instead of wedging.
+// endpoint can surface ErrClosed instead of wedging.
 func (ep *Endpoint) Dead() <-chan struct{} { return ep.eng.dead }
 
 func (ep *Endpoint) isClosed() bool {
@@ -426,7 +360,7 @@ func (ep *Endpoint) SetHandler(h func(p []byte)) {
 // mailboxLocked returns the mailbox, made on first use; ep.mu is held.
 func (ep *Endpoint) mailboxLocked() chan []byte {
 	if ep.in == nil {
-		ep.in = make(chan []byte, ep.eng.cfg.Buffer)
+		ep.in = make(chan []byte, mailboxDepth)
 	}
 	return ep.in
 }
@@ -441,7 +375,7 @@ func (ep *Endpoint) Wedge(on bool) { ep.wedged.Store(on) }
 // p) makes reuse safe.
 func (ep *Endpoint) Send(p []byte) error {
 	if ep.isClosed() {
-		return ep.eng.cfg.ClosedErr
+		return ErrClosed
 	}
 	if ep.wedged.Load() {
 		return nil
@@ -458,74 +392,8 @@ func (ep *Endpoint) Send(p []byte) error {
 	return err
 }
 
-// SendBatch sends a burst of packets with at most one conn call when the
-// underlying conn supports batching (BatchConn), and degrades to a Send
-// loop when it does not. Framing shares one pooled buffer across the
-// whole burst, so a k-deep window's flush costs one buffer round-trip
-// instead of k. A nil or empty burst is a no-op.
-func (ep *Endpoint) SendBatch(pkts [][]byte) error {
-	switch len(pkts) {
-	case 0:
-		return nil
-	case 1:
-		return ep.Send(pkts[0])
-	}
-	if ep.isClosed() {
-		return ep.eng.cfg.ClosedErr
-	}
-	if ep.wedged.Load() {
-		return nil
-	}
-	bc, batched := ep.eng.conn.(BatchConn)
-	if ep.eng.cfg.Raw {
-		if batched {
-			return bc.SendBatch(pkts)
-		}
-		for _, p := range pkts {
-			if err := ep.eng.conn.Send(p); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// Framed mode: build every frame in one pooled buffer. Offsets are
-	// recorded during the appends and the frames subsliced only after the
-	// last append — append growth may reallocate, which would invalidate
-	// subslices taken earlier.
-	bufp := framePool.Get().(*[]byte)
-	buf := (*bufp)[:0]
-	// Per flush, not per packet: one offsets slice amortized over the whole
-	// burst (TestHotPathAllocs holds the batch to the budget).
-	offs := make([]int, 0, len(pkts)+1)
-	for _, p := range pkts {
-		offs = append(offs, len(buf))
-		buf = binary.AppendUvarint(buf, uint64(ep.id))
-		buf = append(buf, p...)
-	}
-	offs = append(offs, len(buf))
-	var err error
-	if batched {
-		// Per-flush frame headers for the batched conn call, amortized over
-		// the burst the same way.
-		frames := make([][]byte, len(pkts))
-		for i := range pkts {
-			frames[i] = buf[offs[i]:offs[i+1]]
-		}
-		err = bc.SendBatch(frames)
-	} else {
-		for i := range pkts {
-			if err = ep.eng.conn.Send(buf[offs[i]:offs[i+1]]); err != nil {
-				break
-			}
-		}
-	}
-	*bufp = buf[:0]
-	framePool.Put(bufp)
-	return err
-}
-
 // Recv blocks for the next packet demuxed to this endpoint. It returns
-// ClosedErr once the endpoint is closed, and drains remaining buffered
+// ErrClosed once the endpoint is closed, and drains remaining buffered
 // packets before reporting a dead engine.
 func (ep *Endpoint) Recv() ([]byte, error) {
 	ep.mu.Lock()
@@ -535,27 +403,27 @@ func (ep *Endpoint) Recv() ([]byte, error) {
 	case p := <-in:
 		return p, nil
 	case <-ep.closed:
-		return nil, ep.eng.cfg.ClosedErr
+		return nil, ErrClosed
 	case <-ep.eng.dead:
 		select {
 		case p := <-in:
 			return p, nil
 		default:
-			return nil, ep.eng.cfg.ClosedErr
+			return nil, ErrClosed
 		}
 	}
 }
 
-// Close detaches the endpoint: its Send/Recv fail with ClosedErr and
+// Close detaches the endpoint: its Send/Recv fail with ErrClosed and
 // inbound packets for its id are counted as demux drops. The engine and
-// conn stay up for the other endpoints — detaching is what SharedConn
-// views did; closing the whole conn is Engine.Close.
+// conn stay up for the other endpoints — a SharedConn view's Close is
+// this; closing the whole conn is Engine.Close.
 func (ep *Endpoint) Close() error {
 	ep.closeOnce.Do(func() {
 		close(ep.closed)
 		// Only detach if still the registered endpoint: a superseded
 		// view's Close must not tear down its successor.
-		ep.slot.ep.CompareAndSwap(ep, nil)
+		ep.slot.CompareAndSwap(ep, nil)
 	})
 	return nil
 }

@@ -23,8 +23,6 @@ type chanConn struct {
 	sent [][]byte
 }
 
-var errConnClosed = errors.New("chanConn: closed")
-
 func newChanConn() *chanConn {
 	return &chanConn{in: make(chan []byte, 64), closed: make(chan struct{})}
 }
@@ -32,7 +30,7 @@ func newChanConn() *chanConn {
 func (c *chanConn) Send(p []byte) error {
 	select {
 	case <-c.closed:
-		return errConnClosed
+		return ErrClosed
 	default:
 	}
 	c.mu.Lock()
@@ -46,7 +44,7 @@ func (c *chanConn) Recv() ([]byte, error) {
 	case p := <-c.in:
 		return p, nil
 	case <-c.closed:
-		return nil, errConnClosed
+		return nil, ErrClosed
 	}
 }
 
@@ -187,64 +185,28 @@ func TestDemuxDropAccounting(t *testing.T) {
 	waitCounterAtLeast(t, dropped, 4)
 }
 
+// TestOverflowDropAccounting: a pull-mode endpoint's full mailbox sheds
+// what does not fit, and every shed packet is counted.
 func TestOverflowDropAccounting(t *testing.T) {
 	conn := newChanConn()
 	reg := metrics.New()
-	e := New(conn, Config{MaxEndpoints: 2, Buffer: 1, Metrics: reg})
+	e := New(conn, Config{MaxEndpoints: 2, Metrics: reg})
 	defer e.Close()
-	if _, err := e.Endpoint(0); err != nil {
+	ep, err := e.Endpoint(0)
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	conn.inject(0, []byte("fits"))
-	conn.inject(0, []byte("spills"))
-	conn.inject(0, []byte("spills-too"))
-	waitCounterAtLeast(t, reg.Counter("link.overflow_dropped"), 2)
-
-	snap := reg.Snapshot()
-	if g := snap.Gauges["link.ep0.overflow_dropped"]; g != 2 {
-		t.Fatalf("per-endpoint overflow gauge = %v, want 2", g)
+	for i := 0; i < mailboxDepth+2; i++ {
+		conn.inject(0, []byte("fits-or-spills"))
 	}
-}
-
-// TestOverflowGaugeSumsEnginesAndLeavesOnClose: engines sharing a registry
-// share the per-endpoint gauge names, so a name reports their
-// sum; and an engine's Close takes its share out, the name with the last
-// one, so the registry does not hold a closed engine.
-func TestOverflowGaugeSumsEnginesAndLeavesOnClose(t *testing.T) {
-	const name = "link.ep0.overflow_dropped"
-	reg := metrics.New()
-	connA, connB := newChanConn(), newChanConn()
-	a := New(connA, Config{MaxEndpoints: 2, Buffer: 1, Metrics: reg})
-	b := New(connB, Config{MaxEndpoints: 2, Buffer: 1, Metrics: reg})
-	defer a.Close()
-	defer b.Close()
-	for _, e := range []*Engine{a, b} {
-		if _, err := e.Endpoint(0); err != nil {
-			t.Fatal(err)
-		}
+	overflow := reg.Counter("link.overflow_dropped")
+	waitCounterAtLeast(t, overflow, 2)
+	if n := mailboxLen(ep); n != mailboxDepth {
+		t.Fatalf("mailbox holds %d packets, want %d", n, mailboxDepth)
 	}
-	for i := 0; i < 3; i++ { // one fits, two spill
-		connA.inject(0, []byte("a"))
-	}
-	for i := 0; i < 2; i++ { // one fits, one spills
-		connB.inject(0, []byte("b"))
-	}
-	waitCounterAtLeast(t, reg.Counter("link.overflow_dropped"), 3)
-	if g := reg.Snapshot().Gauges[name]; g != 3 {
-		t.Fatalf("two engines' gauge = %v, want 2 + 1", g)
-	}
-
-	a.Close()
-	if g := reg.Snapshot().Gauges[name]; g != 1 {
-		t.Errorf("with the first engine closed the gauge = %v, want 1", g)
-	}
-	if _, err := a.Endpoint(0); err == nil {
-		t.Error("a closed engine registered an endpoint")
-	}
-	b.Close()
-	if g, ok := reg.Snapshot().Gauges[name]; ok {
-		t.Errorf("with both engines closed the gauge still reports %v", g)
+	if v := overflow.Value(); v != 2 {
+		t.Fatalf("link.overflow_dropped = %d, want 2", v)
 	}
 }
 
@@ -279,8 +241,7 @@ func TestReplaceSemantics(t *testing.T) {
 
 func TestEndpointCloseDetaches(t *testing.T) {
 	conn := newChanConn()
-	myErr := errors.New("layer closed")
-	e := New(conn, Config{MaxEndpoints: 2, ClosedErr: myErr, Metrics: metrics.New()})
+	e := New(conn, Config{MaxEndpoints: 2, Metrics: metrics.New()})
 	defer e.Close()
 
 	ep, err := e.Endpoint(0)
@@ -288,10 +249,10 @@ func TestEndpointCloseDetaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	ep.Close()
-	if _, err := ep.Recv(); !errors.Is(err, myErr) {
+	if _, err := ep.Recv(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Recv on closed endpoint: %v", err)
 	}
-	if err := ep.Send([]byte("x")); !errors.Is(err, myErr) {
+	if err := ep.Send([]byte("x")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Send on closed endpoint: %v", err)
 	}
 	// The engine survives: a fresh registration works.
@@ -563,29 +524,30 @@ func TestPushEndpointHasNoMailbox(t *testing.T) {
 }
 
 // TestPullEndpointQueuesBeforeFirstRecv: with no handler and no Recv yet,
-// the first packet makes the mailbox; it queues up to Buffer packets and
-// counts the rest as overflow, and the first Recv reads them in order.
+// the first packet makes the mailbox; it queues up to mailboxDepth packets
+// and counts the rest as overflow, and the first Recv reads them in order.
 func TestPullEndpointQueuesBeforeFirstRecv(t *testing.T) {
 	conn := newChanConn()
 	reg := metrics.New()
-	e := New(conn, Config{MaxEndpoints: 2, Buffer: 4, Metrics: reg})
+	e := New(conn, Config{MaxEndpoints: 2, Metrics: reg})
 	defer e.Close()
 	ep, _ := e.Endpoint(0)
 
-	for i := 0; i < 6; i++ {
-		conn.inject(0, []byte{byte('a' + i)})
+	for i := 0; i < mailboxDepth+2; i++ {
+		conn.inject(0, []byte{byte(i)})
 	}
-	waitCounterAtLeast(t, reg.Counter("link.overflow_dropped"), 2)
-	if n := mailboxLen(ep); n != 4 {
-		t.Fatalf("mailbox holds %d packets, want the Buffer's 4", n)
+	overflow := reg.Counter("link.overflow_dropped")
+	waitCounterAtLeast(t, overflow, 2)
+	if n := mailboxLen(ep); n != mailboxDepth {
+		t.Fatalf("mailbox holds %d packets, want %d", n, mailboxDepth)
 	}
-	for i := 0; i < 4; i++ {
-		if got, want := recvOne(t, ep), []byte{byte('a' + i)}; !bytes.Equal(got, want) {
+	for i := 0; i < mailboxDepth; i++ {
+		if got, want := recvOne(t, ep), []byte{byte(i)}; !bytes.Equal(got, want) {
 			t.Fatalf("Recv %d = %q, want %q", i, got, want)
 		}
 	}
-	if g := reg.Snapshot().Gauges["link.ep0.overflow_dropped"]; g != 2 {
-		t.Errorf("per-endpoint overflow gauge = %v, want 2", g)
+	if v := overflow.Value(); v != 2 {
+		t.Errorf("link.overflow_dropped = %d, want 2", v)
 	}
 }
 
@@ -612,12 +574,7 @@ func (c *flakyConn) Recv() ([]byte, error) {
 func TestTransientReadErrorsRiddenOut(t *testing.T) {
 	conn := &flakyConn{chanConn: newChanConn(), fails: 3}
 	reg := metrics.New()
-	e := New(conn, Config{
-		MaxEndpoints:   2,
-		Metrics:        reg,
-		IsFatal:        func(err error) bool { return !errors.Is(err, errTransient) },
-		TransientDelay: 100 * time.Microsecond,
-	})
+	e := New(conn, Config{MaxEndpoints: 2, Metrics: reg})
 	defer e.Close()
 	ep, _ := e.Endpoint(0)
 
@@ -636,7 +593,7 @@ type nullConn struct{ closed chan struct{} }
 func (c *nullConn) Send([]byte) error { return nil }
 func (c *nullConn) Recv() ([]byte, error) {
 	<-c.closed
-	return nil, errConnClosed
+	return nil, ErrClosed
 }
 func (c *nullConn) Close() error {
 	select {
@@ -676,28 +633,7 @@ func TestHotPathAllocs(t *testing.T) {
 		t.Errorf("Engine.dispatch allocs/op = %v, want 0", avg)
 	}
 
-	// SendBatch's budget is per-flush, not per-packet: two slices
-	// (offset table + frame headers for the batched conn call),
-	// amortized over however many packets the burst carries.
-	bconn := &nullBatchConn{nullConn{closed: make(chan struct{})}}
-	eb := New(bconn, Config{MaxEndpoints: 2, Metrics: metrics.New()})
-	defer eb.Close()
-	epb, _ := eb.Endpoint(0)
-	batch := [][]byte{msg, msg, msg, msg}
-	epb.SendBatch(batch) // warm the frame pool
-	if avg := testing.AllocsPerRun(200, func() {
-		if err := epb.SendBatch(batch); err != nil {
-			t.Fatal(err)
-		}
-	}); avg > 2 {
-		t.Errorf("Endpoint.SendBatch allocs/flush = %v, budget 2 (offsets + frame headers)", avg)
-	}
 }
-
-// nullBatchConn is a nullConn that also accepts batched sends.
-type nullBatchConn struct{ nullConn }
-
-func (c *nullBatchConn) SendBatch([][]byte) error { return nil }
 
 // lendingConn is a Conn that takes the Recv contract at its word: every
 // packet is returned in the same buffer, overwritten by the next Recv.

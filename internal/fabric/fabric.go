@@ -16,15 +16,11 @@
 package fabric
 
 import (
-	"errors"
 	"sync"
 
 	"ghm/internal/clock"
 	"ghm/internal/netlink"
 )
-
-// ErrClosed reports use of a closed port.
-var ErrClosed = errors.New("fabric: closed")
 
 // Config parameterizes a Fabric.
 type Config struct {

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -235,10 +236,10 @@ func TestCloseUnblocksAndReleasesBarrier(t *testing.T) {
 	a.Send([]byte("queued"))
 	v.AdvanceBy(time.Millisecond) // lands in b's mailbox, holds barrier
 	a.Close()
-	if _, err := b.Recv(); err != ErrClosed {
+	if _, err := b.Recv(); !errors.Is(err, netlink.ErrClosed) {
 		t.Fatalf("Recv on closed port = %v, want ErrClosed", err)
 	}
-	if err := a.Send([]byte("late")); err != ErrClosed {
+	if err := a.Send([]byte("late")); !errors.Is(err, netlink.ErrClosed) {
 		t.Fatalf("Send on closed port = %v, want ErrClosed", err)
 	}
 	// The mailbox packet's barrier hold must have been released by the

@@ -98,7 +98,7 @@ func (p *Port) isClosed() bool {
 // scheduled as a clock event.
 func (p *Port) Send(pkt []byte) error {
 	if p.isClosed() {
-		return ErrClosed
+		return netlink.ErrClosed
 	}
 	f := p.link.Fate(p.f.clk.Now(), len(pkt))
 	if f.N == 0 {
@@ -111,17 +111,6 @@ func (p *Port) Send(pkt []byte) error {
 		// One scheduled-delivery closure per surviving flight; the capture
 		// carries the owned copy to the peer.
 		p.f.clk.AfterFunc(d, func() { p.land(cp) })
-	}
-	return nil
-}
-
-// SendBatch implements engine.BatchConn by resolving each packet's fate
-// in turn — the fate draws must stay per-packet for Impair parity.
-func (p *Port) SendBatch(pkts [][]byte) error {
-	for _, pkt := range pkts {
-		if err := p.Send(pkt); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -176,7 +165,7 @@ func (p *Port) Recv() ([]byte, error) {
 		p.f.virt.Release()
 		return pkt, nil
 	case <-p.closed:
-		return nil, ErrClosed
+		return nil, netlink.ErrClosed
 	}
 }
 

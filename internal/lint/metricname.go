@@ -10,10 +10,9 @@ import (
 
 // metricFamilyGrammar is the documented metric-name grammar: a family
 // prefix (tx., rx., link., chaos., session., relay., adversary.)
-// followed by snake_case segments. Dynamic per-endpoint names
-// (link.ep3.overflow_dropped) are built at runtime from declared
-// constant parts and fall outside the constant check; the literal check
-// still covers their building blocks.
+// followed by snake_case segments. A name built at runtime from declared
+// constant parts (a family prefix, an id and a suffix, say) falls outside
+// the constant check; the literal check still covers its building blocks.
 var metricFamilyGrammar = regexp.MustCompile(`^(tx|rx|link|chaos|session|relay|adversary)\.[a-z0-9_]+(\.[a-z0-9_]+)*$`)
 
 // metricRegistryMethods are the Registry entry points whose name

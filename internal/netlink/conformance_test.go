@@ -3,6 +3,7 @@ package netlink_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -89,6 +90,38 @@ func conns() map[string]func(t *testing.T) (tx, rx netlink.PacketConn) {
 			}
 			return netlink.NewUDPConn(la, lb.LocalAddr().(*net.UDPAddr)), netlink.NewUDPConn(lb, la.LocalAddr().(*net.UDPAddr))
 		},
+	}
+}
+
+// TestConnsRecvErrClosedAfterClose holds every PacketConn in the repo to
+// the closing half of its contract: Close unblocks a pending Recv with
+// ErrClosed — the one error the engine's pump takes for a dead conn; any
+// other it rides out as a transient fault — and a later Send reports the
+// closure or loses the packet, nothing else.
+func TestConnsRecvErrClosedAfterClose(t *testing.T) {
+	for name, build := range conns() {
+		t.Run(name, func(t *testing.T) {
+			tx, rx := build(t)
+			defer rx.Close()
+			errc := make(chan error, 1)
+			go func() {
+				_, err := tx.Recv()
+				errc <- err
+			}()
+			time.Sleep(5 * time.Millisecond) // let Recv block
+			tx.Close()
+			select {
+			case err := <-errc:
+				if !errors.Is(err, netlink.ErrClosed) {
+					t.Errorf("Recv after Close = %v, want ErrClosed", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Recv did not unblock after Close")
+			}
+			if err := tx.Send([]byte("late")); err != nil && !errors.Is(err, netlink.ErrClosed) {
+				t.Errorf("Send after Close = %v, want nil or ErrClosed", err)
+			}
+		})
 	}
 }
 

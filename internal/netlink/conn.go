@@ -19,27 +19,19 @@ package netlink
 
 import (
 	"errors"
-	"net"
-	"time"
+
+	"ghm/internal/engine"
 )
 
 var (
-	// ErrClosed reports use of a closed connection or session.
-	ErrClosed = errors.New("netlink: closed")
+	// ErrClosed reports use of a closed connection or session. It is the
+	// engine's closed error: a conn, an endpoint and a station all report
+	// closure with this one value.
+	ErrClosed = engine.ErrClosed
 	// ErrCrashed reports that a pending Send was wiped by a simulated
 	// station crash.
 	ErrCrashed = errors.New("netlink: station crashed")
 )
-
-// transientIODelay paces a station loop's retry after a transient conn
-// error, bounding the spin if the error persists.
-const transientIODelay = time.Millisecond
-
-// isClosedErr reports whether err means the conn is permanently gone (as
-// opposed to a transient fault the protocol should ride out as loss).
-func isClosedErr(err error) bool {
-	return errors.Is(err, ErrClosed) || errors.Is(err, net.ErrClosed)
-}
 
 // PacketConn is one endpoint of an unreliable datagram link. The link may
 // lose, duplicate and reorder packets but never corrupts them (the model's
@@ -47,7 +39,8 @@ func isClosedErr(err error) bool {
 // provides it).
 //
 // Implementations must allow Send and Recv from different goroutines and
-// must unblock Recv with ErrClosed after Close. Who owns a packet's bytes
+// must unblock Recv with ErrClosed after Close; any other Recv error is a
+// transient fault, ridden out as loss. Who owns a packet's bytes
 // at each step from Send to the application is stated once, in DESIGN.md
 // §4 ("who owns a packet"); the two method comments are its conn-side
 // half.

@@ -11,46 +11,23 @@ import (
 // This file wires the netlink layer onto the runtime engine
 // (ghm/internal/engine): every physical conn gets exactly one read pump,
 // owned by an Engine, and stations attach as engine endpoints instead of
-// spawning private recvLoops. The engine is protocol-agnostic, so the
-// netlink error semantics — ErrClosed identity and the
-// closed-vs-transient split — are injected here.
-
-// engineBacked is implemented by conn types that are views over an
-// engine endpoint (SharedConn views). Stations detect it and reuse that
-// engine's pump instead of wrapping the view in another one.
-type engineBacked interface {
-	engineEndpoint() *engine.Endpoint
-}
-
-// engineConfig carries netlink's error semantics into an engine.
-func engineConfig(reg *metrics.Registry, raw bool, maxEndpoints int) engine.Config {
-	return engine.Config{
-		Raw:            raw,
-		MaxEndpoints:   maxEndpoints,
-		ClosedErr:      ErrClosed,
-		IsFatal:        isClosedErr,
-		TransientDelay: transientIODelay,
-		Metrics:        reg,
-	}
-}
+// spawning private recvLoops.
 
 // NewEngine builds a framed engine over conn with endpoint ids
-// [0, maxEndpoints) and this package's error semantics. The engine owns
+// [0, maxEndpoints). The engine owns
 // conn; closing the engine closes it. reg receives the engine's link.*
 // drop counters (nil uses metrics.Default()). wheel is the engine's timer
 // wheel, and therefore its clock (nil: engine.DefaultWheel()); layers that
 // own several engines — the relay mesh — share one wheel so a single
 // injected clock virtualizes them all.
 func NewEngine(conn PacketConn, maxEndpoints int, reg *metrics.Registry, wheel *engine.Wheel) *engine.Engine {
-	c := engineConfig(reg, false, maxEndpoints)
-	c.Wheel = wheel
-	return engine.New(conn, c)
+	return engine.New(conn, engine.Config{MaxEndpoints: maxEndpoints, Metrics: reg, Wheel: wheel})
 }
 
 // stationIO is a station's attachment to the runtime: the endpoint it
 // sends and receives through, and the close action matching the conn's
-// documented lifetime semantics (detach for views and bare endpoints,
-// full engine close for a privately owned conn).
+// documented lifetime semantics (detach for an engine endpoint, full
+// engine close for a privately owned conn).
 type stationIO struct {
 	ep    *engine.Endpoint
 	close func() error
@@ -61,22 +38,18 @@ type stationIO struct {
 // virtualizes every timestamp the station takes.
 func (io stationIO) clock() clock.Clock { return io.ep.Wheel().Clock() }
 
-// stationEndpoint resolves conn to its engine endpoint. Conns already
-// backed by an engine reuse its pump; a bare engine endpoint is used
-// directly; any other conn gets a private raw engine — so every physical
-// conn ends up with exactly one read pump regardless of how many
-// stations or sessions sit above it.
+// stationEndpoint resolves conn to its engine endpoint. An engine
+// endpoint — a SharedConn attachment, a slot of a framed engine — is used
+// directly, riding its engine's pump; any other conn gets a private raw
+// engine — so every physical conn ends up with exactly one read pump
+// regardless of how many stations or sessions sit above it.
 func stationEndpoint(conn PacketConn, reg *metrics.Registry) stationIO {
-	switch c := conn.(type) {
-	case engineBacked:
-		return stationIO{ep: c.engineEndpoint(), close: conn.Close}
-	case *engine.Endpoint:
-		return stationIO{ep: c, close: conn.Close}
-	default:
-		eng := engine.New(conn, engineConfig(reg, true, 1))
-		ep, _ := eng.Endpoint(0)
-		return stationIO{ep: ep, close: eng.Close}
+	if ep, ok := conn.(*engine.Endpoint); ok {
+		return stationIO{ep: ep, close: ep.Close}
 	}
+	eng := engine.New(conn, engine.Config{Raw: true, Metrics: reg})
+	ep, _ := eng.Endpoint(0)
+	return stationIO{ep: ep, close: eng.Close}
 }
 
 // packetPool recycles the buffers the stations have their protocol
@@ -103,14 +76,5 @@ func (io stationIO) transmit(buf *[]byte, pkt []byte) {
 		_ = io.ep.Send(pkt)
 	}
 	*buf = pkt[:0]
-	packetPool.Put(buf)
-}
-
-// transmitBatch is transmit for the round that emits one packet per window
-// slot: batch holds the packets, slices of what the round appended to
-// *buf, and leaves in one batched conn call.
-func (io stationIO) transmitBatch(buf *[]byte, pkts []byte, batch [][]byte) {
-	_ = io.ep.SendBatch(batch)
-	*buf = pkts[:0]
 	packetPool.Put(buf)
 }

@@ -109,8 +109,7 @@ func (c *goldenConn) Close() error {
 // station builds over a bare conn, packets unmodified — whose wheel rides
 // clk (a virtual wheel has no goroutine to stop).
 func goldenEndpoint(t *testing.T, log *goldenLog, dir string, clk *clock.Virtual, reg *metrics.Registry) *engine.Endpoint {
-	cfg := engineConfig(reg, true, 1)
-	cfg.Wheel = engine.NewWheelOn(clk, 0, 0)
+	cfg := engine.Config{Raw: true, Metrics: reg, Wheel: engine.NewWheelOn(clk, 0, 0)}
 	eng := engine.New(&goldenConn{log: log, dir: dir, closed: make(chan struct{})}, cfg)
 	t.Cleanup(func() { eng.Close() })
 	ep, err := eng.Endpoint(0)
@@ -208,7 +207,7 @@ func TestStationGoldenTraceDepth1(t *testing.T) {
 			r.mu.Lock()
 			buf, pkts, batch := r.retryLocked(1, still.Now())
 			r.mu.Unlock()
-			r.io.transmitBatch(buf, pkts, batch)
+			r.sendRetry(buf, pkts, batch)
 		})
 	}
 	toR := func(name string, p []byte) { step(name, func() { r.handlePacket(p) }) }

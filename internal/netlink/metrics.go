@@ -26,7 +26,6 @@ const (
 	mTxErrorsCounted    = "tx.errors_counted"
 	mTxTagExtensions    = "tx.tag_extensions"
 	mTxReplayRejections = "tx.replay_rejections"
-	mTxIORetries        = "tx.io_retries"
 	mTxOKLatencyMS      = "tx.ok_latency_ms"
 )
 
@@ -53,7 +52,6 @@ const (
 	mRxRetries           = "rx.retries"     // wheel firings that fired RETRY on at least one slot
 	mRxRetryCTLs         = "rx.retry_ctls"  // CTL packets those firings put on the wire
 	mRxRetryEarly        = "rx.retry_early" // firings brought forward by a challenge extension or a shed
-	mRxIORetries         = "rx.io_retries"
 	mRxDeliveriesDropped = "rx.deliveries_dropped"
 	mRxIngressShed       = "rx.ingress_shed"
 	mRxRetryIntervalMS   = "rx.retry_interval_ms" // gauge: the gap to the next RETRY of the slot that fired last
@@ -96,7 +94,6 @@ type senderMetrics struct {
 	errorsCounted    *metrics.Counter // same-length tag mismatches (num^T)
 	tagExtensions    *metrics.Counter // tag regenerations (t^T increments)
 	replayRejections *metrics.Counter // malformed/stale/idle packets ignored
-	ioRetries        *metrics.Counter // transient conn read errors retried
 	okLatencyMS      *metrics.Histogram
 	windowAdmitted   *metrics.Counter // messages admitted into slots
 	windowInflight   *metrics.Gauge   // slots currently occupied
@@ -117,7 +114,6 @@ func newSenderMetrics(r *metrics.Registry) senderMetrics {
 		errorsCounted:    r.Counter(mTxErrorsCounted),
 		tagExtensions:    r.Counter(mTxTagExtensions),
 		replayRejections: r.Counter(mTxReplayRejections),
-		ioRetries:        r.Counter(mTxIORetries),
 		okLatencyMS:      r.Histogram(mTxOKLatencyMS),
 		windowAdmitted:   r.Counter(mTxWindowAdmitted),
 		windowInflight:   r.Gauge(mTxWindowInflight),
@@ -137,7 +133,6 @@ type receiverMetrics struct {
 	retries           *metrics.Counter // wheel firings that fired RETRY on at least one slot
 	retryCTLs         *metrics.Counter // CTL packets RETRY put on the wire
 	retryEarly        *metrics.Counter // firings brought forward by an extension or a shed
-	ioRetries         *metrics.Counter // transient conn read errors retried
 	deliveriesDropped *metrics.Counter // committed deliveries lost to Close
 	ingressShed       *metrics.Counter // packets shed unprocessed (delivery buffer full)
 	retryIntervalMS   *metrics.Gauge   // the (possibly backed-off) gap of the slot that fired last
@@ -161,7 +156,6 @@ func newReceiverMetrics(r *metrics.Registry) receiverMetrics {
 		retries:           r.Counter(mRxRetries),
 		retryCTLs:         r.Counter(mRxRetryCTLs),
 		retryEarly:        r.Counter(mRxRetryEarly),
-		ioRetries:         r.Counter(mRxIORetries),
 		deliveriesDropped: r.Counter(mRxDeliveriesDropped),
 		ingressShed:       r.Counter(mRxIngressShed),
 		retryIntervalMS:   r.Gauge(mRxRetryIntervalMS),

@@ -15,6 +15,8 @@ import (
 	"time"
 
 	"ghm/internal/core"
+	"ghm/internal/fabric"
+	"ghm/internal/metrics"
 	"ghm/internal/mux"
 	"ghm/internal/netlink"
 	"ghm/internal/session"
@@ -145,6 +147,32 @@ func TestClosePropagationParity(t *testing.T) {
 				_, err := rx.Recv(context.Background())
 				return err
 			})
+		})
+	})
+
+	t.Run("station/fabric-kill", func(t *testing.T) {
+		forDepths(t, func(t *testing.T, k int) {
+			// A fabric port reports its closure with the one closed error,
+			// so the pump under the station stops at once instead of riding
+			// the closed link out as a transient fault, a retry a millisecond.
+			reg := metrics.New()
+			a, b := fabric.New(fabric.Config{Seed: 91}).Link(fabric.LinkConfig{})
+			rx, err := netlink.NewReceiver(b, netlink.ReceiverConfig{Window: k, Metrics: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rx.Close()
+			go func() {
+				time.Sleep(5 * time.Millisecond)
+				a.Close() // closes the link: both ports
+			}()
+			wantErr(t, "Receiver.Recv", netlink.ErrClosed, func() error {
+				_, err := rx.Recv(context.Background())
+				return err
+			})
+			if n := reg.Counter("link.io_retries").Value(); n != 0 {
+				t.Errorf("link.io_retries = %d after the link closed, want 0", n)
+			}
 		})
 	})
 

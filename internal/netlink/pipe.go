@@ -221,30 +221,12 @@ func (e *pipeEnd) Send(p []byte) error {
 		return ErrClosed
 	}
 	e.send.enqueue(p)
-	e.sent()
-	return nil
-}
-
-// SendBatch implements engine.BatchConn: one closure check for the whole
-// burst, then per-packet enqueue with the same full-queue drop semantics
-// as Send.
-func (e *pipeEnd) SendBatch(pkts [][]byte) error {
-	if e.closed() {
-		return ErrClosed
-	}
-	for _, p := range pkts {
-		e.send.enqueue(p)
-	}
-	e.sent()
-	return nil
-}
-
-// sent ends a Send that may have raced Close: if the pipe closed before
-// the packets were queued, its drain missed them, so drain again.
-func (e *pipeEnd) sent() {
+	// A Send that raced Close: if the pipe closed before the packet was
+	// queued, its drain missed it, so drain again.
 	if e.closed() {
 		e.send.drain()
 	}
+	return nil
 }
 
 // Recv implements PacketConn. The packet it returns is lent (see

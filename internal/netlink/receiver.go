@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math/bits"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -566,10 +565,27 @@ func (r *Receiver) retryTick() {
 	}
 	buf, pkts, batch := r.retryLocked(due, now)
 	r.mu.Unlock()
-	if r.trailer != nil {
-		buf, pkts = r.trailBatch(buf, pkts, batch)
+	r.sendRetry(buf, pkts, batch)
+}
+
+// sendRetry sends what retryLocked encoded, one CTL per Send, and returns
+// buf to the pool. With a trailer hook each CTL is copied into one second
+// pooled buffer and sealed there to its own trailer before it goes.
+func (r *Receiver) sendRetry(buf *[]byte, pkts []byte, batch [][]byte) {
+	if r.trailer == nil {
+		for _, p := range batch {
+			_ = r.io.ep.Send(p)
+		}
+	} else {
+		out := getPacketBuf()
+		o := *out
+		for _, p := range batch {
+			o = r.trail(append(o[:0], p...))
+			_ = r.io.ep.Send(o)
+		}
+		r.io.transmit(out, o[:0])
 	}
-	r.io.transmitBatch(buf, pkts, batch)
+	r.io.transmit(buf, pkts[:0])
 }
 
 // trail appends the hook's trailer to the CTL pkt and seals it.
@@ -581,36 +597,14 @@ func (r *Receiver) trail(pkt []byte) []byte {
 	return sealTrailer(pkt, 0, n)
 }
 
-// trailBatch re-lays a RETRY batch out in a second pooled buffer, each CTL
-// followed by one trailer, sealed to it, and returns the first buffer to
-// the pool. The trailer is written first, at the head of the buffer, which
-// is grown once to what the batch needs, so the batch's slices all point
-// into its final array.
-func (r *Receiver) trailBatch(buf *[]byte, pkts []byte, batch [][]byte) (*[]byte, []byte) {
-	out := getPacketBuf()
-	o := r.trailer((*out)[:0])
-	if len(o) > MaxTrailer {
-		o = o[:0]
-	}
-	t := len(o)
-	o = slices.Grow(o, len(pkts)+len(batch)*(t+TrailerCheck+1))
-	for i, p := range batch {
-		start := len(o)
-		o = sealTrailer(append(append(o, p...), o[:t]...), start, start+len(p))
-		batch[i] = o[start:]
-	}
-	r.io.transmit(buf, pkts[:0])
-	return out, o
-}
-
 // retryLocked is the RETRY action on a set of slots (bit i is slot i), due
 // or not: it encodes their CTL packets, paces each slot
 // from the CTL it just sent — one interval on, or with back-off enabled
 // twice the slot's last gap, up to maxBackoff, when nothing has arrived for
 // the slot since its previous CTL — and re-arms the timer. Retry traffic fades slot by
 // slot on a dead link without giving up the "infinitely often" the
-// protocol needs. Call with r.mu held; the caller flushes what it returns
-// with transmitBatch after unlocking.
+// protocol needs. Call with r.mu held; the caller sends what it returns
+// with sendRetry after unlocking.
 func (r *Receiver) retryLocked(slots uint64, now time.Time) (buf *[]byte, pkts []byte, batch [][]byte) {
 	buf = getPacketBuf()
 	pkts, batch = r.wr.AppendRetry(*buf, r.batch[:0], slots)

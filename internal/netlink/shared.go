@@ -14,19 +14,19 @@ import (
 // SharedConn keeps the real conn open and hands out lightweight views via
 // Attach; closing a view detaches it without touching the link.
 //
-// SharedConn is a thin skin over a raw-mode runtime engine: Attach is
-// endpoint re-registration, so only the most recently attached view
-// receives inbound packets — earlier incarnations are dead by
-// definition, and the paper's crash model wants their state (including
-// queued packets) erased. WedgeCurrent simulates a half-dead endpoint —
-// the current view's sends vanish and it receives nothing, while the
-// conn itself stays healthy for the next Attach — the failure mode a
-// progress watchdog exists to catch.
+// SharedConn is a thin skin over a raw-mode runtime engine: a view is an
+// engine endpoint and Attach is endpoint re-registration, so only the most
+// recently attached view receives inbound packets — earlier incarnations
+// are dead by definition, and the paper's crash model wants their state
+// (including queued packets) erased. WedgeCurrent simulates a half-dead
+// endpoint — the current view's sends vanish and it receives nothing,
+// while the conn itself stays healthy for the next Attach — the failure
+// mode a progress watchdog exists to catch.
 type SharedConn struct {
 	eng *engine.Engine
 
 	mu     sync.Mutex
-	cur    *sharedView
+	cur    *engine.Endpoint
 	closed bool
 }
 
@@ -39,20 +39,20 @@ func NewSharedConn(under PacketConn) *SharedConn {
 
 // NewSharedConnOn is NewSharedConn with the engine's timer wheel (and so
 // its clock) injected; nil keeps the process-wide default wheel. Views
-// attached to the shared conn are engine-backed, so stations built over
+// attached to the shared conn are engine endpoints, so stations built over
 // them inherit the wheel instead of wrapping the view in another engine
 // — which makes this the standard way to put a station's I/O, retries
 // and timestamps onto a virtual clock.
 func NewSharedConnOn(under PacketConn, wheel *engine.Wheel) *SharedConn {
-	c := engineConfig(nil, true, 1)
-	c.Wheel = wheel
-	return &SharedConn{eng: engine.New(under, c)}
+	return &SharedConn{eng: engine.New(under, engine.Config{Raw: true, Wheel: wheel})}
 }
 
 // Attach hands out a fresh view and routes all subsequent inbound traffic
 // to it. Any previous view stops receiving (but its sends still reach the
-// conn until it is closed). The signature matches what a supervisor's
-// Start callback needs.
+// conn until it is closed). A view is the engine endpoint itself: a wedged
+// one swallows its sends (loss, not error — that is the point of a wedge),
+// and closing it detaches it, leaving the shared conn open for the next
+// Attach. The signature matches what a supervisor's Start callback needs.
 func (s *SharedConn) Attach() (PacketConn, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -63,9 +63,8 @@ func (s *SharedConn) Attach() (PacketConn, error) {
 	if err != nil {
 		return nil, ErrClosed
 	}
-	v := &sharedView{ep: ep}
-	s.cur = v
-	return v, nil
+	s.cur = ep
+	return ep, nil
 }
 
 // WedgeCurrent makes the live view a half-dead socket: its sends are
@@ -77,7 +76,7 @@ func (s *SharedConn) WedgeCurrent() {
 	v := s.cur
 	s.mu.Unlock()
 	if v != nil {
-		v.ep.Wedge(true)
+		v.Wedge(true)
 	}
 }
 
@@ -90,26 +89,3 @@ func (s *SharedConn) Close() error {
 	s.mu.Unlock()
 	return s.eng.Close()
 }
-
-// sharedView is one incarnation's window onto the shared conn: a plain
-// engine endpoint whose Close detaches instead of closing the link.
-type sharedView struct {
-	ep *engine.Endpoint
-}
-
-var _ PacketConn = (*sharedView)(nil)
-
-// Send forwards to the shared conn; a wedged view swallows the packet
-// (loss, not error — that is the point of a wedge).
-func (v *sharedView) Send(p []byte) error { return v.ep.Send(p) }
-
-// Recv blocks for the next packet routed to this view.
-func (v *sharedView) Recv() ([]byte, error) { return v.ep.Recv() }
-
-// Close detaches the view; the shared conn stays open for the next
-// Attach.
-func (v *sharedView) Close() error { return v.ep.Close() }
-
-// engineEndpoint lets stations built on this view attach to the engine
-// directly (see stationEndpoint).
-func (v *sharedView) engineEndpoint() *engine.Endpoint { return v.ep }

@@ -89,10 +89,10 @@ func (u *UDPConn) Send(p []byte) error {
 //
 // Transient read errors (e.g. ICMP-induced ECONNREFUSED while the peer
 // host is down — exactly the crash scenario the protocol exists for) are
-// returned unwrapped-as-closed: the engine pump classifies them via
-// IsFatal, counts an io_retry and paces the retry on the shared timer
-// wheel, so this goroutine never sleeps. Only a closed socket returns
-// ErrClosed.
+// returned as they are: the engine pump takes any error but ErrClosed for
+// a transient fault, counts an io_retry and paces the retry on the shared
+// timer wheel, so this goroutine never sleeps. Only a closed socket
+// returns ErrClosed.
 func (u *UDPConn) Recv() ([]byte, error) {
 	buf := make([]byte, maxUDPPacket)
 	for {
