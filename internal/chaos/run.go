@@ -48,7 +48,7 @@ type Env struct {
 	// Links builds each link the run uses: a link scenario's one link, or
 	// every topology link of a mesh (nil = an impaired in-process pipe).
 	Links LinkBuilder
-	// WALDir, when set, gives every directed hop of a mesh a forwarding
+	// WALDir, when set, gives every hop a mesh's routes use a forwarding
 	// WAL, so a crashed relay node replays its accepted backlog on
 	// restart.
 	WALDir string
@@ -90,8 +90,8 @@ type Result struct {
 	// published.
 	Session     session.Stats
 	Transitions int
-	// Mesh is a mesh's final counters; HopReports is every directed hop's
-	// live Section 2.6 report, keyed "from->to", and HopViolations totals
+	// Mesh is a mesh's final counters; HopReports is the live Section 2.6
+	// report of every hop a route uses, keyed "from->to", and HopViolations totals
 	// their violations.
 	Mesh          relay.Stats
 	HopReports    map[string]verify.Report

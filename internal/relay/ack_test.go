@@ -158,11 +158,11 @@ func TestMergeAcksRefuses(t *testing.T) {
 	}
 }
 
-// hopMesh is a four-node diamond, 0–a–2 and 0–b–2, dispersing over one
-// route whose first link carries nothing: submitted payloads sit in the
-// source's table. The other side of the diamond is live, so a frame
-// handed to its relay travels real hops. The ack timeout and the
-// watchdogs are an hour off.
+// hopMesh is a four-node diamond, 0–a–2 and 0–b–2, dispersing over both
+// sides. One route's first link carries nothing. The other side is live,
+// so a frame handed to its relay travels real hops: stations run only on
+// the hops a route uses. The ack timeout and the watchdogs are an hour
+// off.
 type hopMesh struct {
 	*Mesh
 	reg   *metrics.Registry
@@ -179,14 +179,14 @@ func newHopMesh(t *testing.T, seed int64) hopMesh {
 	tl := buildLinks(topo, seed, reg, netlink.ImpairConfig{})
 	m := newTestMesh(t, Config{
 		Topology: topo, Links: tl.conns,
-		Source: 0, Dest: 2, Routes: 1,
+		Source: 0, Dest: 2, Routes: 2,
 		AckTimeout: time.Hour, WatchdogWindow: time.Hour,
 		Seed: seed, Metrics: reg,
 	})
-	used := m.Routes()[0][1]
-	hm := hopMesh{Mesh: m, reg: reg, tl: tl, via: 4 - used, in: new(dedupWindow)}
+	dark := m.Routes()[0][1]
+	hm := hopMesh{Mesh: m, reg: reg, tl: tl, via: 4 - dark, in: new(dedupWindow)}
 	hm.route = []byte{0, byte(hm.via), 2}
-	hm.blackout(0, used, true)
+	hm.blackout(0, dark, true)
 	return hm
 }
 

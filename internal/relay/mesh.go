@@ -112,7 +112,7 @@ type Config struct {
 	// MaxAttempts bounds dispatch attempts per payload (0 = unlimited);
 	// exhausting it is a sticky fatal error, like an outbox giving up.
 	MaxAttempts int
-	// WALDir, when set, gives every directed hop a forwarding WAL so a
+	// WALDir, when set, gives every hop a route uses a forwarding WAL so a
 	// restarted node resubmits the frames its previous incarnation had
 	// accepted but not yet pushed onward.
 	WALDir string
@@ -203,8 +203,8 @@ type Stats struct {
 	Routes        int   // link-disjoint routes the mesh dispersed over
 }
 
-// Mesh is a multi-hop relay network: every edge a supervised session per
-// direction, source routing over link-disjoint routes, per-hop dedup,
+// Mesh is a multi-hop relay network: a supervised session on every hop a
+// route uses, source routing over link-disjoint routes, per-hop dedup,
 // end-to-end acks and health-driven failover. See the package comment
 // for the guarantee layering. Create with New; always Close.
 type Mesh struct {
@@ -217,7 +217,7 @@ type Mesh struct {
 
 	engines []*engine.Engine // one per conn half, mesh-owned
 	nodes   []*node
-	hops    map[hopID]*verify.Live // every directed hop's conformance checker, shared across node incarnations
+	hops    map[hopID]*verify.Live // every route hop's conformance checker, shared across node incarnations
 
 	deliveredCh chan []byte
 
@@ -261,7 +261,7 @@ type Mesh struct {
 }
 
 // New validates the topology, computes the link-disjoint routes, builds
-// every node's engines, sessions and receivers, and starts the router.
+// the engines and the route hops' stations, and starts the router.
 func New(cfg Config) (*Mesh, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Topology.Validate(); err != nil {
@@ -310,10 +310,15 @@ func New(cfg Config) (*Mesh, error) {
 		routerDone:  make(chan struct{}),
 	}
 	m.cond = sync.NewCond(&m.mu)
+	// Frames, and the acks on their CTLs, travel only along the routes: only
+	// a hop of one (routes are link-disjoint) gets stations and a checker.
 	for _, r := range routes {
 		rb := make([]byte, len(r))
 		for i, n := range r {
 			rb[i] = byte(n)
+			if i > 0 {
+				m.hops[hopID{From: r[i-1], To: n}] = &verify.Live{}
+			}
 		}
 		m.routeB = append(m.routeB, rb)
 	}
@@ -332,8 +337,6 @@ func New(cfg Config) (*Mesh, error) {
 		m.engines = append(m.engines, engA, engB)
 		nodes[l.A].ends = append(nodes[l.A].ends, nodeEnd{peer: l.B, eng: engA, sendID: 0, recvID: 1})
 		nodes[l.B].ends = append(nodes[l.B].ends, nodeEnd{peer: l.A, eng: engB, sendID: 1, recvID: 0})
-		m.hops[hopID{From: l.A, To: l.B}] = &verify.Live{}
-		m.hops[hopID{From: l.B, To: l.A}] = &verify.Live{}
 	}
 	m.nodes = nodes
 
@@ -392,14 +395,6 @@ func (m *Mesh) noteHopHealth(h hopID, to supervise.Health) {
 	m.signal()
 }
 
-// HopHealth returns the mesh's current view of a directed hop (Healthy
-// for unknown hops).
-func (m *Mesh) HopHealth(from, to int) supervise.Health {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hopHealth[hopID{From: from, To: to}]
-}
-
 // Routes returns the link-disjoint node paths the mesh disperses over.
 func (m *Mesh) Routes() [][]int {
 	out := make([][]int, len(m.routes))
@@ -409,8 +404,8 @@ func (m *Mesh) Routes() [][]int {
 	return out
 }
 
-// HopReports returns every directed hop's live Section-2.6 conformance
-// report, keyed "from->to".
+// HopReports returns the live Section-2.6 conformance report of every hop
+// a route uses, keyed "from->to".
 func (m *Mesh) HopReports() map[string]verify.Report {
 	out := make(map[string]verify.Report, len(m.hops))
 	for id, live := range m.hops {
@@ -749,7 +744,9 @@ func (m *Mesh) StopNode(id int) error {
 	m.mu.Lock()
 	m.nodeUp[id] = false
 	for _, end := range m.nodes[id].ends {
-		m.hopHealth[hopID{From: id, To: end.peer}] = supervise.Down
+		if h := (hopID{From: id, To: end.peer}); m.hops[h] != nil {
+			m.hopHealth[h] = supervise.Down
+		}
 	}
 	m.mu.Unlock()
 	m.nodes[id].stop()

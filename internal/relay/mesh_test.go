@@ -8,11 +8,13 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ghm/internal/metrics"
 	"ghm/internal/netlink"
+	"ghm/internal/supervise"
 	"ghm/internal/testutil"
 )
 
@@ -537,16 +539,148 @@ func TestMeshBoundedHeap(t *testing.T) {
 	requireCleanHops(t, m)
 }
 
+// TestMeshStationsOnlyOnRouteHops: frames travel only from source to
+// destination along the routes, and acks ride those hops' CTLs, so the
+// mesh runs stations and checkers on the hops a route uses and on no
+// other. Dispersing over two of the five-node mesh's three routes, it
+// reports exactly the four route hops, and the link no route uses sends
+// not one packet either way, through 300 payloads and 100 ms idle after
+// them. A frame that names a hop off the routes is dropped. A relay on a
+// route and the relay off them, crashed and restarted, come back with
+// their route hops' stations and no others, and a crash marks Down only
+// the route hops out of the node.
+func TestMeshStationsOnlyOnRouteHops(t *testing.T) {
+	topo := fiveNode()
+	sent := make([]atomic.Int64, len(topo.Links))
+	var wire atomic.Int64
+	var links []LinkConns
+	for li, lc := range pipeLinks(topo, 1414) {
+		links = append(links, LinkConns{A: countingConn{lc.A, &sent[li], &wire}, B: countingConn{lc.B, &sent[li], &wire}})
+	}
+	reg := metrics.New()
+	m := newTestMesh(t, Config{
+		Topology: topo, Links: links,
+		Source: 0, Dest: 4, Routes: 2, Seed: 1414, Metrics: reg,
+	})
+	routeHops := map[hopID]bool{}
+	onRoute := map[int]bool{}
+	for _, r := range m.Routes() {
+		for j := 0; j+1 < len(r); j++ {
+			routeHops[hopID{From: r[j], To: r[j+1]}] = true
+			onRoute[r[j]] = true
+		}
+	}
+	if len(routeHops) != 4 {
+		t.Fatalf("routes %v have %d hops, want 4", m.Routes(), len(routeHops))
+	}
+	reports := m.HopReports()
+	for h := range routeHops {
+		if _, ok := reports[h.String()]; !ok {
+			t.Errorf("no report for route hop %s", h)
+		}
+	}
+	if len(reports) != len(routeHops) {
+		t.Errorf("%d hop reports for %d route hops: %v", len(reports), len(routeHops), reports)
+	}
+
+	// stations checks that every node runs a session on each of its
+	// outbound route hops and a receiver on each inbound one, and nothing
+	// else; and that the mesh holds health only for route hops.
+	stations := func(step string) {
+		t.Helper()
+		for _, n := range m.nodes {
+			wantOut, wantIn := map[int]bool{}, 0
+			for _, end := range n.ends {
+				wantOut[end.peer] = routeHops[hopID{From: n.id, To: end.peer}]
+				if routeHops[hopID{From: end.peer, To: n.id}] {
+					wantIn++
+				}
+			}
+			n.mu.Lock()
+			for peer, want := range wantOut {
+				if _, got := n.rt.sessions[peer]; got != want {
+					t.Errorf("%s: node %d has a session to %d: %v, want %v", step, n.id, peer, got, want)
+				}
+			}
+			if got := len(n.rt.receivers); got != wantIn {
+				t.Errorf("%s: node %d runs %d receivers, want %d", step, n.id, got, wantIn)
+			}
+			n.mu.Unlock()
+		}
+		m.mu.Lock()
+		for h := range m.hopHealth {
+			if !routeHops[h] {
+				t.Errorf("%s: the mesh holds health for %s, which no route uses", step, h)
+			}
+		}
+		m.mu.Unlock()
+	}
+	idle := func(step string) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := m.Flush(ctx); err != nil {
+			t.Fatalf("%s: Flush: %v (stats %+v)", step, err, m.Stats())
+		}
+		time.Sleep(100 * time.Millisecond)
+		for li, l := range topo.Links {
+			used := routeHops[hopID{From: l.A, To: l.B}] || routeHops[hopID{From: l.B, To: l.A}]
+			if got := sent[li].Load(); used != (got > 0) {
+				t.Errorf("%s: link %d–%d (on a route: %v) sent %d packets", step, l.A, l.B, used, got)
+			}
+		}
+	}
+
+	stations("built")
+	pump(t, m, 300, 16, nil)
+	idle("300 payloads")
+
+	relayOn := m.Routes()[0][1]
+	relayOff := 6 - m.Routes()[0][1] - m.Routes()[1][1] // relays are 1, 2 and 3
+	if onRoute[relayOff] {
+		t.Fatalf("node %d is on a route %v", relayOff, m.Routes())
+	}
+	dropped := reg.Counter(mRelayDropped)
+	was := dropped.Value()
+	back := frame{ID: 1 << 40, Attempt: 1, Route: []byte{0, byte(relayOn), 0}, Payload: []byte("back")}
+	m.nodes[relayOn].handleFrame(new(dedupWindow), appendFrame(nil, back))
+	if got := dropped.Value() - was; got != 1 {
+		t.Errorf("a frame for hop %d->0, which no route uses, counted %d in relay.dropped, want 1", relayOn, got)
+	}
+	for _, id := range []int{relayOn, relayOff} {
+		if err := m.StopNode(id); err != nil {
+			t.Fatal(err)
+		}
+		m.mu.Lock()
+		for h, health := range m.hopHealth {
+			if h.From == id && health != supervise.Down {
+				t.Errorf("node %d stopped: its hop %s is %v", id, h, health)
+			}
+		}
+		m.mu.Unlock()
+		if err := m.RestartNode(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stations("restarted")
+	pump(t, m, 100, 16, nil)
+	idle("restarts and 100 more payloads")
+	requireCleanHops(t, m)
+}
+
 // TestMeshRestingHeap: what a running mesh holds is what it has in flight.
 // Built over perfect pipes and run through 5 000 payloads at 16
-// outstanding, the five-node mesh — twelve pipe directions, twelve hop
-// sessions and stations, eight hop checkers, the source's table — leaves
-// the heap at most 400 KB above where it stood before the pipes were made.
-// With a 512-deep channel for each pipe direction, 88-byte checker records
-// and deliveries that pinned the frame they came in, it held 610–670 KB;
-// with checkers that kept two generations of 96 records (about 21 KB
-// each, 171 KB for the eight) and a 64-deep mailbox on every station
-// endpoint, which push-mode stations never read, it held 480–490 KB.
+// outstanding, the five-node mesh — twelve pipe directions, a session, a
+// receiver and a checker on each of its three routes' six hops, the
+// source's table — leaves the heap at most 340 KB above where it stood
+// before the pipes were made: 190–205 KB idle, 210–320 KB with the other
+// core busy. With stations on the six hops no route uses as well, it held
+// 240–255 KB idle and 275–330 KB busy. With a 512-deep channel for each
+// pipe direction, 88-byte checker records and deliveries that pinned the
+// frame they came in, it held 610–670 KB; with checkers that kept two
+// generations of 96 records (about 21 KB each) and a 64-deep mailbox on
+// every station endpoint, which push-mode stations never read, it held
+// 480–490 KB.
 // The reading is clean only because the timer wheel lets go of the
 // callbacks it has fired: before, the process-wide wheel kept a closed
 // mesh of an earlier test alive until later timers overwrote them.
@@ -569,8 +703,8 @@ func TestMeshRestingHeap(t *testing.T) {
 	pump(t, m, 5_000, 16, nil)
 	grew := heap() - before
 	t.Logf("a running mesh: %d KB", grew>>10)
-	if grew > 400<<10 {
-		t.Errorf("a mesh at rest after 5 000 payloads holds %d KB, want at most 400 KB", grew>>10)
+	if grew > 340<<10 {
+		t.Errorf("a mesh at rest after 5 000 payloads holds %d KB, want at most 340 KB", grew>>10)
 	}
 	requireCleanHops(t, m)
 }

@@ -61,10 +61,10 @@ type nodeEnd struct {
 }
 
 // nodeRuntime is one incarnation of a relay node: the supervised
-// sessions it sends through and the receivers it drains, each with its
-// drain goroutine's dedup window. StopNode discards the whole runtime (a
-// node crash erases everything but the WALs); RestartNode builds a fresh
-// one.
+// sessions its outbound route hops send through and the receivers of its
+// inbound ones, each receiver with its drain goroutine's dedup window.
+// StopNode discards the whole runtime (a node crash erases everything but
+// the WALs); RestartNode builds a fresh one.
 type nodeRuntime struct {
 	sessions  map[int]*session.Session // keyed by peer node id
 	receivers []*netlink.Receiver
@@ -127,7 +127,7 @@ func (n *node) appendTrailer(dst []byte) []byte {
 }
 
 // sessionTo returns the live session toward peer, or nil while the node
-// is down (or peer is not adjacent). Safe under Mesh.mu: node.mu is a
+// is down (or n -> peer is no route hop). Safe under Mesh.mu: node.mu is a
 // leaf lock.
 func (n *node) sessionTo(peer int) *session.Session {
 	n.mu.Lock()
@@ -146,12 +146,12 @@ func (n *node) walPath(peer int) string {
 	return filepath.Join(n.m.cfg.WALDir, fmt.Sprintf("relay-n%d-to-n%d.wal", n.id, peer))
 }
 
-// start builds a fresh runtime: one supervised session and one receiver
-// per link end, and a drain goroutine per receiver; each session reports
-// its health transitions straight into the mesh's route-health view.
-// With a WALDir, each session replays its forwarding backlog —
-// frames the previous incarnation accepted but had not yet pushed to the
-// next hop go out again.
+// start builds a fresh runtime: one supervised session per outbound route
+// hop, one receiver and drain goroutine per inbound one, and nothing on a
+// hop no route uses. Each session reports its health transitions straight
+// into the mesh's route-health view and, with a WALDir, replays its
+// forwarding backlog: frames the previous incarnation accepted but had
+// not yet pushed to the next hop go out again.
 func (n *node) start() error {
 	m := n.m
 	rt := &nodeRuntime{sessions: make(map[int]*session.Session, len(n.ends))}
@@ -172,38 +172,41 @@ func (n *node) start() error {
 	}
 
 	for i, end := range n.ends {
-		end := end
-		out := hopID{From: n.id, To: end.peer}
-		// A fresh session starts healthy. Publish that before building it,
-		// so a transition the session reports from its first moments is
-		// not overwritten.
-		m.noteHopHealth(out, supervise.Healthy)
-		sess, err := session.New(session.Config{
-			Dial:             func() (netlink.PacketConn, error) { return end.eng.Endpoint(end.sendID) },
-			Params:           params,
-			Tap:              m.hops[out].Observe,
-			WALPath:          n.walPath(end.peer),
-			WALSync:          false,
-			OnTrailer:        n.onTrailer,
-			WatchdogWindow:   m.cfg.WatchdogWindow,
-			WatchdogInterval: m.cfg.WatchdogWindow / 16,
-			// A hop rebuilds 5ms to 80ms after it fails; 25 fruitless
-			// rebuilds open its breaker for 250ms.
-			RestartBackoff:    5 * time.Millisecond,
-			RestartBackoffMax: 80 * time.Millisecond,
-			BreakerThreshold:  25,
-			BreakerCooldown:   250 * time.Millisecond,
-			Seed:              m.hopSeed(n.id, i),
-			Wheel:             m.wheel,
-			Metrics:           m.reg,
-			OnTransition:      func(tr supervise.Transition) { m.noteHopHealth(out, tr.To) },
-		})
-		if err != nil {
-			return fail(fmt.Errorf("relay: node %d session to %d: %w", n.id, end.peer, err))
+		if out := (hopID{From: n.id, To: end.peer}); m.hops[out] != nil {
+			// A fresh session starts healthy. Publish that before building
+			// it, so a transition the session reports from its first
+			// moments is not overwritten.
+			m.noteHopHealth(out, supervise.Healthy)
+			sess, err := session.New(session.Config{
+				Dial:             func() (netlink.PacketConn, error) { return end.eng.Endpoint(end.sendID) },
+				Params:           params,
+				Tap:              m.hops[out].Observe,
+				WALPath:          n.walPath(end.peer),
+				WALSync:          false,
+				OnTrailer:        n.onTrailer,
+				WatchdogWindow:   m.cfg.WatchdogWindow,
+				WatchdogInterval: m.cfg.WatchdogWindow / 16,
+				// A hop rebuilds 5ms to 80ms after it fails; 25 fruitless
+				// rebuilds open its breaker for 250ms.
+				RestartBackoff:    5 * time.Millisecond,
+				RestartBackoffMax: 80 * time.Millisecond,
+				BreakerThreshold:  25,
+				BreakerCooldown:   250 * time.Millisecond,
+				Seed:              m.hopSeed(n.id, i),
+				Wheel:             m.wheel,
+				Metrics:           m.reg,
+				OnTransition:      func(tr supervise.Transition) { m.noteHopHealth(out, tr.To) },
+			})
+			if err != nil {
+				return fail(fmt.Errorf("relay: node %d session to %d: %w", n.id, end.peer, err))
+			}
+			rt.sessions[end.peer] = sess
 		}
-		rt.sessions[end.peer] = sess
 
 		in := hopID{From: end.peer, To: n.id}
+		if m.hops[in] == nil {
+			continue
+		}
 		conn, err := end.eng.Endpoint(end.recvID)
 		if err != nil {
 			return fail(fmt.Errorf("relay: node %d endpoint from %d: %w", n.id, end.peer, err))
@@ -295,9 +298,9 @@ func (n *node) handleFrame(w *dedupWindow, p []byte) {
 	}
 
 	// Forward toward the destination along the embedded route. A route
-	// without this node, or a next-hop session that is gone (this node is
-	// stopping), drops the frame; the source's ack timeout re-dispatches
-	// the payload.
+	// without this node, a next hop no route uses, or a next-hop session
+	// that is gone (this node is stopping) drops the frame; the source's
+	// ack timeout re-dispatches the payload.
 	sess := n.sessionTo(nextHop(f.Route, n.id))
 	if sess == nil {
 		m.mt.dropped.Inc()

@@ -1,6 +1,6 @@
 // Package relay composes supervised ghm sessions into a multi-hop relay
-// mesh: a graph of nodes whose every edge is one self-healing
-// session.Session per direction, with source routing over k
+// mesh: a graph of nodes and links where every hop a route uses is one
+// self-healing session.Session, with source routing over k
 // link-disjoint routes, per-hop duplicate suppression, end-to-end
 // acknowledgement and health-driven failover. The paper solves one hop —
 // transmitter to receiver over a lossy, duplicating, reordering,
@@ -21,8 +21,8 @@ import (
 	"fmt"
 )
 
-// Link is one undirected edge of the mesh; each direction carries an
-// independent supervised session.
+// Link is one undirected edge of the mesh; each direction a route uses
+// carries an independent supervised session.
 type Link struct {
 	A int `json:"a"`
 	B int `json:"b"`

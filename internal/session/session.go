@@ -185,7 +185,7 @@ func New(cfg Config) (*Session, error) {
 	}
 	s.q = q
 
-	// Summed: the sessions of a registry — a mesh's twelve hops — report
+	// Summed: the sessions of a registry — a mesh's route hops — report
 	// their total backlog, not whichever registered last.
 	s.dropBacklog = reg.GaugeFuncSum(mSessionBacklog, func() float64 {
 		return float64(q.Stats().Pending)

@@ -65,7 +65,7 @@ type MeshConfig struct {
 	// MaxAttempts bounds dispatch attempts per payload (0 = unlimited);
 	// exhausting it is a sticky fatal error.
 	MaxAttempts int
-	// WALDir, when set, gives every directed hop a forwarding
+	// WALDir, when set, gives every hop a route uses a forwarding
 	// write-ahead log so a crashed relay node replays the frames it had
 	// accepted but not yet pushed onward.
 	WALDir string
@@ -109,8 +109,8 @@ func (r HopReport) Clean() bool { return r.Violations() == 0 }
 
 // Mesh relays messages from a source node to a destination node across a
 // network of unreliable links and crash-prone intermediate relay nodes.
-// Every edge runs the paper's protocol under a self-healing supervised
-// session per direction; the source disperses payloads over link-disjoint
+// Every hop a route uses runs the paper's protocol under a self-healing
+// supervised session; the source disperses payloads over link-disjoint
 // routes and fails them over when a route degrades; intermediate nodes
 // forward hop by hop with per-hop deduplication; the destination
 // deduplicates end to end and acknowledges back. The result is
@@ -216,8 +216,8 @@ func (m *Mesh) Stats() MeshStats {
 	}
 }
 
-// HopReports returns every directed hop's live conformance report, keyed
-// "from->to" (e.g. "0->1").
+// HopReports returns the live conformance report of every hop a route
+// uses, keyed "from->to" (e.g. "0->1").
 func (m *Mesh) HopReports() map[string]HopReport {
 	in := m.m.HopReports()
 	out := make(map[string]HopReport, len(in))
