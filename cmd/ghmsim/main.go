@@ -9,13 +9,6 @@
 //	ghmsim -protocol stenning -crash-r 100
 //	ghmsim -adversary replay -crash-r 300 -messages 50 -trace 30
 //	ghmsim -protocol naive -naive-bits 8 -adversary replay -crash-r 200
-//
-// With -swarm the command instead boots a large station population on
-// the virtual-time fabric and soaks it through a seeded fault schedule
-// (see ghm/internal/swarm):
-//
-//	ghmsim -swarm -n 100000 -virtual 60s
-//	ghmsim -swarm -n 10000 -seed 7 -swarm-repro repro.json -bench-out BENCH_swarm.json
 package main
 
 import (
@@ -42,9 +35,6 @@ func main() {
 }
 
 func run(args []string, out io.Writer) error {
-	if len(args) > 0 && args[0] == "-swarm" {
-		return runSwarm(args[1:], out)
-	}
 	fs := flag.NewFlagSet("ghmsim", flag.ContinueOnError)
 	var (
 		protocol   = fs.String("protocol", "ghm", "protocol: ghm | abp | nvabp | stenning | naive")

@@ -366,13 +366,10 @@ func (s *mathSource) Draw(n int) Str {
 
 // seededSource draws from a clock.SplitMix stream: deterministic like the
 // math source but a single word of state where math/rand.Rand carries
-// ~5KB — at swarm scale (two sources per station pair, hundreds of
-// thousands of stations) that footprint is the difference between the
-// population fitting in memory or not.
+// ~5KB.
 type seededSource struct{ rng clock.SplitMix }
 
-// NewSeededSource returns a deterministic Source seeded with seed,
-// sized for very large simulated populations.
+// NewSeededSource returns a deterministic Source seeded with seed.
 func NewSeededSource(seed int64) Source { return &seededSource{rng: clock.SplitMix(seed)} }
 
 func (s *seededSource) Draw(n int) Str {

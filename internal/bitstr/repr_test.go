@@ -172,9 +172,9 @@ func TestSpillBoundary(t *testing.T) {
 }
 
 // goldenDraws are the first draws of each seeded source at seed 42, as
-// wire bytes, taken before the inline representation existed. The swarm
-// trace digest, the ladder's core.handshake.{pkts,wire_bytes} and the
-// E1-E10 tables all hang off these streams staying bit-identical.
+// wire bytes, taken before the inline representation existed. The
+// ladder's core.handshake.{pkts,wire_bytes} and the E1-E10 tables all
+// hang off these streams staying bit-identical.
 var goldenDraws = map[string][]struct {
 	n    int
 	wire string

@@ -1,7 +1,7 @@
 // Package clock abstracts time for the whole runtime. Every layer that
 // used to reach for time.Now, time.NewTimer or time.NewTicker takes a
 // Clock instead: real deployments inject Real (the wall clock, identical
-// behavior to the time package), while tests and the swarm simulator
+// behavior to the time package), while tests and experiments E7 and E10
 // inject Virtual — a discrete-event clock that advances only when the
 // system is quiescent, making seeded runs deterministic and letting a
 // 60-second soak finish in milliseconds of wall time.

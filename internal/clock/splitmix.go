@@ -2,10 +2,10 @@ package clock
 
 // SplitMix is a SplitMix64 stream, and its value is the stream's state:
 // SplitMix(seed) starts one. Eight bytes where a math/rand.Rand costs
-// ~5 KB — the difference between 100k simulated stations, or a supervisor
-// per mesh hop, fitting in memory or not. It is the one seeded stream of
-// the runtime: link fates, restart jitter, swarm fault schedules, seeded
-// bit sources and the virtual clock's Seed all draw from it.
+// ~5 KB, paid once per link direction, supervisor and seeded station.
+// It is the one seeded stream of the runtime: link fates, restart
+// jitter, seeded bit sources and the virtual clock's Seed all draw
+// from it.
 type SplitMix uint64
 
 // splitMixGamma is the SplitMix64 increment, 2⁶⁴ over the golden ratio.

@@ -15,11 +15,11 @@ import (
 //
 // Two modes of use:
 //
-//   - Inline (single-threaded): the swarm simulator arms AfterFunc
-//     callbacks only; Step runs them inline on the advancing
-//     goroutine in deterministic (deadline, arm-order) order. With no
-//     other goroutines the quiescence barrier is exact and runs are
-//     byte-for-byte reproducible.
+//   - Inline (single-threaded): the driver arms AfterFunc callbacks
+//     only, as experiments E7 and E10 do; Step runs them inline on the
+//     advancing goroutine in deterministic (deadline, arm-order) order.
+//     With no other goroutines the quiescence barrier is exact and runs
+//     are byte-for-byte reproducible.
 //
 //   - Concurrent: real runtime components (engine pumps, supervisors,
 //     outbox workers) block on virtual timers and fabric receives from
@@ -40,9 +40,8 @@ type Virtual struct {
 
 	wake chan struct{} // signaled when a new event is armed
 
-	held    atomic.Int64 // outstanding deliveries (event-count barrier)
-	settle  int          // quiescent scheduler rounds required between instants
-	stepped atomic.Int64 // instants fired (diagnostics)
+	held   atomic.Int64 // outstanding deliveries (event-count barrier)
+	settle int          // quiescent scheduler rounds required between instants
 
 	seed    int64
 	seedCtr atomic.Int64
@@ -333,7 +332,6 @@ func (v *Virtual) Step() bool {
 	}
 	v.mu.Unlock()
 	v.fireAt(at)
-	v.stepped.Add(1)
 	return true
 }
 
@@ -356,7 +354,6 @@ func (v *Virtual) AdvanceUntil(t time.Time) int {
 		}
 		v.mu.Unlock()
 		v.fireAt(at)
-		v.stepped.Add(1)
 		n++
 	}
 	v.mu.Lock()
@@ -371,9 +368,6 @@ func (v *Virtual) AdvanceUntil(t time.Time) int {
 func (v *Virtual) AdvanceBy(d time.Duration) int {
 	return v.AdvanceUntil(v.Now().Add(d))
 }
-
-// Steps returns how many instants have been fired so far.
-func (v *Virtual) Steps() int64 { return v.stepped.Load() }
 
 // Run drives the clock from a dedicated goroutine until virtual time
 // reaches until or stop closes: it fires pending instants as they

@@ -9,8 +9,8 @@
 // the packet's fate inline (drop, duplicate, delay) and schedules each
 // surviving copy as a clock event; at the release deadline the packet
 // lands in the destination port's mailbox — or directly in its inline
-// handler, the mode the swarm harness uses to run 100k stations on one
-// goroutine. Under a *clock.Virtual the whole network therefore costs
+// handler, the mode experiments E7 and E10 use to run their stations on
+// one goroutine. Under a *clock.Virtual the whole network therefore costs
 // exactly one heap event per packet in flight, and a seeded run replays
 // identically.
 package fabric

@@ -12,7 +12,7 @@ import (
 )
 
 // virtualFabric builds a fabric on a fresh virtual clock in inline
-// (settle 0) mode, the configuration the swarm harness uses.
+// (settle 0) mode, the configuration experiments E7 and E10 use.
 func virtualFabric(t *testing.T, seed int64) (*Fabric, *clock.Virtual) {
 	t.Helper()
 	v := clock.NewVirtual(time.Time{}, seed)

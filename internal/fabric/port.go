@@ -23,8 +23,8 @@ type Port struct {
 	peer *Port
 	seed int64
 
-	// link is the egress model for packets this port sends. Under the
-	// single-threaded swarm harness its lock is uncontended and costs
+	// link is the egress model for packets this port sends. Under an
+	// inline, single-threaded driver its lock is uncontended and costs
 	// nanoseconds.
 	link netlink.Link
 
@@ -32,8 +32,7 @@ type Port struct {
 	// closed, so an ingress holding mu can never enqueue (and hold the
 	// barrier) after closeSelf has drained the mailbox. queue is
 	// allocated on first use under mu: a handler-mode port never pays
-	// for a mailbox, which at swarm scale (hundreds of thousands of
-	// ports) is the difference of gigabytes.
+	// for a mailbox.
 	mu       sync.Mutex
 	handler  func(p []byte)
 	queue    chan []byte

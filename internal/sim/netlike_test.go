@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"ghm/internal/adversary"
 	"ghm/internal/clock"
 	"ghm/internal/core"
 	"ghm/internal/netlink"
@@ -201,24 +202,34 @@ func TestNetLikeBandwidthSerializes(t *testing.T) {
 }
 
 // TestGHMOverNetLike runs the protocol over links with latency, jitter,
-// loss, duplication and a bandwidth cap all at once.
+// loss, duplication and a bandwidth cap all at once, first alone and then
+// with crash^T and crash^R on a loop.
 func TestGHMOverNetLike(t *testing.T) {
-	res, err := RunGHM(Config{
-		Messages:   40,
-		MaxSteps:   500_000,
-		RetryEvery: 12, // pace retries past the ~8-step RTT
-		Adversary: NewNetLike(netlink.LinkModel{
+	for _, crashes := range []*adversary.CrashLoop{nil, {EveryT: 97, EveryR: 151}} {
+		var adv adversary.Adversary = NewNetLike(netlink.LinkModel{
 			Latency: 4 * step, Jitter: 6 * step, Loss: 0.2, DupProb: 0.2,
 			Bandwidth: 80, // about four 20-byte packets a step
-		}, 7),
-	}, core.Params{}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Done {
-		t.Fatalf("did not complete: %+v", res.Report)
-	}
-	if !res.Report.Clean() {
-		t.Fatalf("violations over NetLike: %v", res.Report)
+		}, 7)
+		if crashes != nil {
+			adv = adversary.Compose(adv, crashes)
+		}
+		res, err := RunGHM(Config{
+			Messages:   40,
+			MaxSteps:   500_000,
+			RetryEvery: 12, // pace retries past the ~8-step RTT
+			Adversary:  adv,
+		}, core.Params{}, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Done {
+			t.Fatalf("crashes %+v: did not complete: %+v", crashes, res.Report)
+		}
+		if crashes != nil && (res.Report.CrashT == 0 || res.Report.CrashR == 0) {
+			t.Fatalf("crash loop never fired: %v", res.Report)
+		}
+		if !res.Report.Clean() {
+			t.Fatalf("crashes %+v: violations over NetLike: %v", crashes, res.Report)
+		}
 	}
 }

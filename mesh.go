@@ -14,8 +14,9 @@ type Link struct {
 }
 
 // Topology is a relay graph: Nodes numbered 0..Nodes-1 joined by
-// undirected Links. Each link carries one supervised protocol session per
-// direction once a Mesh realizes it.
+// undirected Links. Once a Mesh realizes it, each hop a route uses runs
+// one supervised protocol session, in the route's direction; a link no
+// route uses carries nothing.
 type Topology struct {
 	Nodes int
 	Links []Link
