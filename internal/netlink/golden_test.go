@@ -105,16 +105,22 @@ func (c *goldenConn) Close() error {
 	return nil
 }
 
-// goldenEndpoint puts a goldenConn under a raw engine of its own — what a
-// station builds over a bare conn, packets unmodified — whose wheel rides
-// clk (a virtual wheel has no goroutine to stop).
+// goldenEndpoint puts a goldenConn under an endpoint whose wheel rides clk.
 func goldenEndpoint(t *testing.T, log *goldenLog, dir string, clk *clock.Virtual, reg *metrics.Registry) *engine.Endpoint {
+	return clockedEndpoint(t, &goldenConn{log: log, dir: dir, closed: make(chan struct{})}, clk, reg)
+}
+
+// clockedEndpoint puts conn under a raw engine of its own — what a station
+// builds over a bare conn, packets unmodified — whose wheel rides clk (a
+// virtual wheel has no goroutine to stop). On a clock nobody advances, a
+// station's timers never fire: what it sends is what the test makes it send.
+func clockedEndpoint(tb testing.TB, conn PacketConn, clk *clock.Virtual, reg *metrics.Registry) *engine.Endpoint {
 	cfg := engine.Config{Raw: true, Metrics: reg, Wheel: engine.NewWheelOn(clk, 0, 0)}
-	eng := engine.New(&goldenConn{log: log, dir: dir, closed: make(chan struct{})}, cfg)
-	t.Cleanup(func() { eng.Close() })
+	eng := engine.New(conn, cfg)
+	tb.Cleanup(func() { eng.Close() })
 	ep, err := eng.Endpoint(0)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return ep
 }

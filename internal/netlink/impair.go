@@ -32,21 +32,25 @@ type ImpairConfig struct {
 // PacketConn — pipes and UDP alike — leaving Recv untouched. Wrap both
 // endpoints to impair both directions. It is the conn-wrapping driver of
 // Link: Send asks Link.Fate what becomes of the packet and forwards a
-// copy that is due at once; a delayed one goes to the stage's one
-// goroutine, which keeps the flights on a heap and releases them off one
-// timer. Beyond the static ImpairConfig, the connection exposes runtime
-// controls (SetBlackout, Blackout, SetLoss) so a chaos controller can
-// partition the link or ramp loss while traffic flows.
+// copy that is due at once; a delayed one goes onto the stage's heap of
+// flights, which its one goroutine releases off one timer. Beyond the
+// static ImpairConfig, the connection exposes runtime controls
+// (SetBlackout, Blackout, SetLoss) so a chaos controller can partition the
+// link or ramp loss while traffic flows.
 type ImpairedConn struct {
 	conn PacketConn
 	link Link
 	m    linkMetrics
 	clk  clock.Clock
-	virt *clock.Virtual // nil unless clk is virtual: a flight handed to run holds its barrier
+	virt *clock.Virtual // nil unless clk is virtual: a new head holds its barrier until run times it
 	seed int64          // resolved schedule seed
 
-	in        chan flight // Send to run; as deep as the link's queue cap, so never full
-	free      bufList     // the delayed packets' copies, recycled once released
+	mu      sync.Mutex
+	flights flightHeap    // delayed copies by release time; Fate's queue cap bounds them
+	woken   bool          // wake is posted for a new head, which holds the barrier until run's timer covers it
+	wake    chan struct{} // one token: the heap has a new head for run to time
+	free    bufList       // the delayed packets' copies, recycled once released
+
 	stop      chan struct{}
 	ownStop   bool // stop is this stage's to close, not conn's
 	done      chan struct{}
@@ -77,7 +81,8 @@ func impair(conn PacketConn, cfg ImpairConfig, stop chan struct{}) *ImpairedConn
 		m:    newLinkMetrics(cfg.Metrics),
 		clk:  clk,
 		seed: seed,
-		free: make(bufList, freeBuffers),
+		wake: make(chan struct{}, 1),
+		free: bufList{max: freeBuffers},
 		stop: stop,
 		done: make(chan struct{}),
 	}
@@ -86,7 +91,6 @@ func impair(conn PacketConn, cfg ImpairConfig, stop chan struct{}) *ImpairedConn
 	}
 	c.virt, _ = clk.(*clock.Virtual)
 	c.link.Init(cfg.LinkModel, seed)
-	c.in = make(chan flight, c.link.Model.Queue)
 	go c.run()
 	return c
 }
@@ -111,7 +115,7 @@ func (c *ImpairedConn) Stats() ImpairStats { return c.link.Stats() }
 
 // Send implements PacketConn: the link decides the packet's fate here,
 // before any copy is made. A copy due at once goes straight to the
-// underlying conn; a delayed one is copied and handed to run.
+// underlying conn; a delayed one is copied onto the heap for run.
 func (c *ImpairedConn) Send(p []byte) error {
 	if isClosed(c.stop) {
 		return ErrClosed
@@ -124,15 +128,34 @@ func (c *ImpairedConn) Send(p []byte) error {
 			c.forward(p)
 			continue
 		}
-		// Virtual time must not advance past a flight sitting in the
-		// hand-off channel; run lets go once its timer covers the flight.
-		c.virt.Hold()
-		c.in <- flight{at: now.Add(d), p: c.free.copy(p)}
+		c.schedule(flight{at: now.Add(d), p: c.free.copy(p)})
 	}
 	if isClosed(c.stop) {
 		c.drain() // run may be gone: nothing may be left holding the barrier
 	}
 	return nil
+}
+
+// schedule puts a delayed copy on the heap. A copy that lands behind the
+// head is covered by the head's release, which comes first; a new head
+// wakes run to re-arm its timer, and until run has, virtual time must not
+// advance past it, so the first unanswered wake holds the barrier for it.
+func (c *ImpairedConn) schedule(f flight) {
+	c.mu.Lock()
+	head := len(c.flights) == 0 || f.at.Before(c.flights[0].at)
+	c.flights.push(f)
+	wake := head && !c.woken
+	if wake {
+		c.woken = true
+		c.virt.Hold() // run lets go once its timer is set for the head
+	}
+	c.mu.Unlock()
+	if wake {
+		select {
+		case c.wake <- struct{}{}:
+		default: // a token run has yet to take: it reads the head after
+		}
+	}
 }
 
 // forward hands one copy to the underlying conn: it has landed. An error
@@ -144,16 +167,17 @@ func (c *ImpairedConn) forward(p []byte) {
 	c.m.delivered.Inc()
 }
 
-// drain empties the hand-off channel of a closed conn, so that no flight
-// stranded there holds the virtual clock's barrier.
+// drain discards the flights of a closed conn, so that none of them is
+// left holding the virtual clock's barrier.
 func (c *ImpairedConn) drain() {
-	for {
-		select {
-		case <-c.in:
-			c.virt.Release()
-		default:
-			return
-		}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for len(c.flights) > 0 {
+		c.free.put(c.flights.pop().p)
+	}
+	if c.woken {
+		c.woken = false
+		c.virt.Release()
 	}
 }
 
@@ -174,44 +198,59 @@ func (c *ImpairedConn) Close() error {
 	return nil
 }
 
-// run is the driver's goroutine: it owns the heap of delayed flights and
-// its timer, and forwards each flight when it is due.
+// run is the driver's goroutine: it owns the timer of the heap's head,
+// and forwards each flight when it is due.
 func (c *ImpairedConn) run() {
 	defer close(c.done)
 	defer c.drain()
-	var h flightHeap
 	timer := c.clk.NewTimer(time.Hour)
 	defer timer.Stop()
 
-	// held: run holds the virtual clock's barrier — a flight's, taken over
-	// from Send, or its own since its timer woke it — until the timer is
-	// set for what is on the heap now.
+	// held: run holds the virtual clock's barrier since its timer woke it,
+	// until the timer is set for what is on the heap now.
 	held := false
 	for {
+		c.mu.Lock()
+		armed := len(c.flights) > 0
+		var at time.Time
+		if armed {
+			at = c.flights[0].at
+		}
+		woken := c.woken
+		c.woken = false
+		c.mu.Unlock()
+
 		var due <-chan time.Time
-		if len(h) > 0 {
+		if armed {
 			if !timer.Stop() {
 				select {
 				case <-timer.C():
 				default:
 				}
 			}
-			timer.Reset(h[0].at.Sub(c.clk.Now()))
+			timer.Reset(at.Sub(c.clk.Now()))
 			due = timer.C()
+		}
+		if woken {
+			c.virt.Release() // the head's hold, taken over by the timer
 		}
 		if held {
 			c.virt.Release()
 			held = false
 		}
 		select {
-		case f := <-c.in:
-			held = true
-			h.push(f)
+		case <-c.wake:
 		case now := <-due:
 			c.virt.Hold()
 			held = true
-			for len(h) > 0 && !h[0].at.After(now) {
-				f := h.pop()
+			for {
+				c.mu.Lock()
+				if len(c.flights) == 0 || c.flights[0].at.After(now) {
+					c.mu.Unlock()
+					break
+				}
+				f := c.flights.pop()
+				c.mu.Unlock()
 				c.forward(f.p)
 				c.free.put(f.p) // Send must not retain: the copy is the stage's again
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -349,4 +350,84 @@ func TestImpairedLinkDemuxDropsAreCounted(t *testing.T) {
 	}
 	st := settle(t, imp, func(st ImpairStats) bool { return st.Delivered >= n })
 	waitCounter(t, reg, "link.demux_dropped", st.Delivered)
+}
+
+// TestImpairRestingHeap: what a faulty link holds is what it has in
+// flight. A pipe shaped like the benchmark's link-wan — 2 ms latency,
+// 2 ms jitter, 0.3 % loss, an impairment stage at each end — between
+// stations at window 8, run through 2 000 messages by eight callers,
+// leaves the heap at most 48 KB above where it stood before the pipe was
+// made; it held 30–33 KB. With a hand-off channel as deep as the model's
+// 256-packet queue cap in each stage and every free list a channel made
+// at its bound, it held 62–71 KB. A first link, run and closed before the
+// reading, keeps what a process makes once (the shared timer wheel, the
+// packet pool) out of it.
+func TestImpairRestingHeap(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector's shadow state and sync.Pool drops move the heap")
+	}
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC() // the second empties what sync.Pool kept through the first
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	link := func(messages int) (closeLink func()) {
+		reg := metrics.New()
+		a, b := Pipe(PipeConfig{LinkModel: LinkModel{Latency: 2 * time.Millisecond, Jitter: 2 * time.Millisecond, Loss: 0.003}, Seed: 54})
+		s, err := NewSender(a, SenderConfig{Window: 8, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReceiver(b, ReceiverConfig{Window: 8, RetryInterval: 9 * time.Millisecond, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		closeLink = func() {
+			s.Close()
+			r.Close()
+		}
+		ctx := testCtx(t)
+		const callers = 8
+		received := make(chan error, 1)
+		go func() {
+			for i := 0; i < messages; i++ {
+				if _, err := r.Recv(ctx); err != nil {
+					received <- err
+					return
+				}
+			}
+			received <- nil
+		}()
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				msg := make([]byte, 64)
+				for i := 0; i < messages/callers; i++ {
+					if err := s.Send(ctx, msg); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if err := <-received; err != nil {
+			closeLink()
+			t.Fatal(err)
+		}
+		return closeLink
+	}
+	link(200)()
+	before := heap()
+	const messages = 2_000
+	defer link(messages)()
+	grew := heap() - before
+	t.Logf("a faulty link at rest: %d KB", grew>>10)
+	if grew > 48<<10 {
+		t.Errorf("a link-wan-shaped link at rest after %d messages holds %d KB, want at most 48 KB", messages, grew>>10)
+	}
 }

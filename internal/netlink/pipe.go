@@ -33,7 +33,7 @@ func Pipe(cfg PipeConfig) (PacketConn, PacketConn) {
 	for i := range p.dirs {
 		p.dirs[i] = pipeDir{
 			ready: make(chan struct{}, 1),
-			free:  make(bufList, freeBuffers),
+			free:  bufList{max: freeBuffers},
 			virt:  virt,
 		}
 	}
@@ -63,30 +63,43 @@ const freeBuffers = 32
 // and whoever is last to hold the copy puts it back. A Receiver keeps its
 // delivered messages the same way (Receiver.GiveBack). A buffer put back
 // must have no other holder. Both operations are non-blocking; an empty
-// list allocates and a full one lets the buffer go.
-type bufList chan []byte
+// list allocates and a full one (max buffers) lets the buffer go.
+//
+// The list is a stack that grows as buffers come back and never shrinks,
+// so it holds the slots of its high-water mark, not of max: a list that
+// never sees a buffer returned costs nothing but its header, and a steady
+// state allocates nothing.
+type bufList struct {
+	mu   sync.Mutex
+	bufs [][]byte
+	max  int
+}
 
 // copy returns p's bytes in a buffer of the list's, or a fresh one.
-func (l bufList) copy(p []byte) []byte {
+func (l *bufList) copy(p []byte) []byte {
 	var b []byte
-	select {
-	case b = <-l:
-	default:
+	l.mu.Lock()
+	if n := len(l.bufs); n > 0 {
+		b = l.bufs[n-1]
+		l.bufs[n-1] = nil
+		l.bufs = l.bufs[:n-1]
 	}
+	l.mu.Unlock()
 	// Allocates only when the list is empty (a nil b): for a Receiver that
 	// is the delivery copy, the message that outlives the conn's packet
 	// buffer.
 	return append(b[:0], p...)
 }
 
-func (l bufList) put(b []byte) {
+func (l *bufList) put(b []byte) {
 	if cap(b) == 0 {
 		return
 	}
-	select {
-	case l <- b:
-	default:
+	l.mu.Lock()
+	if len(l.bufs) < l.max {
+		l.bufs = append(l.bufs, b)
 	}
+	l.mu.Unlock()
 }
 
 // pipe owns the shared shutdown state of both directions.

@@ -122,7 +122,7 @@ type Receiver struct {
 	pending map[uint64][]byte // delivered, awaiting earlier seqs
 
 	out     chan []byte
-	spare   bufList // messages given back (GiveBack), for copyMsg to refill
+	spare   bufList // messages given back (GiveBack), for copyMsg to refill; holds what was given back, at most cap(out)
 	deliver func([]byte)
 	trailer func([]byte) []byte
 
@@ -180,7 +180,7 @@ func NewReceiver(conn PacketConn, cfg ReceiverConfig) (*Receiver, error) {
 		framed:     core.Framed(cfg.Window),
 		wr:         wr,
 		out:        make(chan []byte, cfg.Window*deliveryBuffer),
-		spare:      make(bufList, cfg.Window*deliveryBuffer), // a lagging caller can hold no more than out does
+		spare:      bufList{max: cfg.Window * deliveryBuffer}, // a lagging caller can hold no more than out does
 		deliver:    cfg.Deliver,
 		trailer:    cfg.CtlTrailer,
 		pace:       make([]slotPace, cfg.Window),

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ghm/internal/bitstr"
+	"ghm/internal/clock"
 	"ghm/internal/core"
 	"ghm/internal/metrics"
 )
@@ -164,7 +165,11 @@ func FuzzCtlTrailer(f *testing.F) {
 	// Three station pairs of one seed each, so their protocol states agree:
 	// fs/fr frame with the hooks and record what fs hands on, hs/hr and
 	// ps/pr are the hooked and the hookless twins. Each sender completes
-	// one transfer first, so a CTL repeating its OK vouches.
+	// one transfer first, so a CTL repeating its OK vouches. The stations'
+	// timers ride a virtual clock nobody advances: a reply is only ever
+	// what the packet handed in caused, never a RETRY a challenge
+	// extension brought forward landing between HandlePacket and take.
+	still := clock.NewVirtual(time.Time{}, 1)
 	twin := func(hooked bool, on func([]byte)) (*Sender, *Receiver, *captureConn, *metrics.Registry) {
 		reg := metrics.New()
 		cfg := SenderConfig{Params: params(1), Metrics: reg}
@@ -174,20 +179,21 @@ func FuzzCtlTrailer(f *testing.F) {
 			rcfg.CtlTrailer = func(dst []byte) []byte { return append(dst, "ledger"...) }
 		}
 		sc, rc := newCaptureConn(), newCaptureConn()
-		s, err := NewSender(sc, cfg)
+		s, err := NewSender(clockedEndpoint(f, sc, still, reg), cfg)
 		if err != nil {
 			f.Fatal(err)
 		}
-		r, err := NewReceiver(rc, rcfg)
+		r, err := NewReceiver(clockedEndpoint(f, rc, still, reg), rcfg)
 		if err != nil {
 			f.Fatal(err)
 		}
-		r.askAgain() // a RETRY, on the wheel: the challenge
-		var ask []byte
-		for deadline := time.Now().Add(10 * time.Second); len(ask) == 0; time.Sleep(time.Millisecond) {
-			if ask = rc.take(); time.Now().After(deadline) {
-				f.Fatal("no RETRY")
-			}
+		r.mu.Lock()
+		buf, pkts, batch := r.retryLocked(1, still.Now()) // a RETRY: the challenge
+		r.mu.Unlock()
+		r.sendRetry(buf, pkts, batch)
+		ask := rc.take()
+		if len(ask) == 0 {
+			f.Fatal("no RETRY")
 		}
 		s.mu.Lock()
 		s.wt.AppendSendMsg(nil, 0, []byte("first"))

@@ -672,10 +672,12 @@ func TestMeshStationsOnlyOnRouteHops(t *testing.T) {
 // Built over perfect pipes and run through 5 000 payloads at 16
 // outstanding, the five-node mesh — twelve pipe directions, a session, a
 // receiver and a checker on each of its three routes' six hops, the
-// source's table — leaves the heap at most 340 KB above where it stood
-// before the pipes were made: 190–205 KB idle, 210–320 KB with the other
-// core busy. With stations on the six hops no route uses as well, it held
-// 240–255 KB idle and 275–330 KB busy. With a 512-deep channel for each
+// source's table — leaves the heap at most 330 KB above where it stood
+// before the pipes were made: 130–175 KB idle (median 141 KB over 20
+// runs, the first of a process up to 231 KB), 165–240 KB with the other
+// core busy. With every free list a channel made at its bound it held a
+// median of 152 KB idle; with stations on the six hops no route uses as
+// well, 240–255 KB idle and 275–330 KB busy. With a 512-deep channel for each
 // pipe direction, 88-byte checker records and deliveries that pinned the
 // frame they came in, it held 610–670 KB; with checkers that kept two
 // generations of 96 records (about 21 KB each) and a 64-deep mailbox on
@@ -703,8 +705,8 @@ func TestMeshRestingHeap(t *testing.T) {
 	pump(t, m, 5_000, 16, nil)
 	grew := heap() - before
 	t.Logf("a running mesh: %d KB", grew>>10)
-	if grew > 340<<10 {
-		t.Errorf("a mesh at rest after 5 000 payloads holds %d KB, want at most 340 KB", grew>>10)
+	if grew > 330<<10 {
+		t.Errorf("a mesh at rest after 5 000 payloads holds %d KB, want at most 330 KB", grew>>10)
 	}
 	requireCleanHops(t, m)
 }
