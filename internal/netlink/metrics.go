@@ -51,9 +51,10 @@ const (
 	mRxReplayRejections  = "rx.replay_rejections"
 	mRxRetries           = "rx.retries"     // wheel firings that fired RETRY on at least one slot
 	mRxRetryCTLs         = "rx.retry_ctls"  // CTL packets those firings put on the wire
-	mRxRetryEarly        = "rx.retry_early" // firings brought forward by a challenge extension or a shed
+	mRxRetryEarly        = "rx.retry_early" // firings brought forward by a challenge extension, or room after a held ack
 	mRxDeliveriesDropped = "rx.deliveries_dropped"
-	mRxIngressShed       = "rx.ingress_shed"
+	mRxIngressShed       = "rx.ingress_shed"      // packets the capacity gate refused: 0 unless a delivery was forged on a held slot
+	mRxAcksHeld          = "rx.acks_held"         // replies held back while the delivery buffer was at its mark
 	mRxRetryIntervalMS   = "rx.retry_interval_ms" // gauge: the gap to the next RETRY of the slot that fired last
 )
 
@@ -132,9 +133,10 @@ type receiverMetrics struct {
 	replayRejections  *metrics.Counter // malformed/stale packets ignored
 	retries           *metrics.Counter // wheel firings that fired RETRY on at least one slot
 	retryCTLs         *metrics.Counter // CTL packets RETRY put on the wire
-	retryEarly        *metrics.Counter // firings brought forward by an extension or a shed
+	retryEarly        *metrics.Counter // firings brought forward by an extension, or room after a held ack
 	deliveriesDropped *metrics.Counter // committed deliveries lost to Close
-	ingressShed       *metrics.Counter // packets shed unprocessed (delivery buffer full)
+	ingressShed       *metrics.Counter // packets the capacity gate shed unprocessed
+	acksHeld          *metrics.Counter // replies held back by a full delivery buffer
 	retryIntervalMS   *metrics.Gauge   // the (possibly backed-off) gap of the slot that fired last
 	windowPending     *metrics.Gauge   // deliveries parked for resequencing
 	windowReleased    *metrics.Counter // deliveries released in admission order
@@ -158,6 +160,7 @@ func newReceiverMetrics(r *metrics.Registry) receiverMetrics {
 		retryEarly:        r.Counter(mRxRetryEarly),
 		deliveriesDropped: r.Counter(mRxDeliveriesDropped),
 		ingressShed:       r.Counter(mRxIngressShed),
+		acksHeld:          r.Counter(mRxAcksHeld),
 		retryIntervalMS:   r.Gauge(mRxRetryIntervalMS),
 		windowPending:     r.Gauge(mRxWindowPending),
 		windowReleased:    r.Counter(mRxWindowReleased),

@@ -8,6 +8,7 @@ import (
 	"net"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -408,79 +409,180 @@ func TestDialUDPErrors(t *testing.T) {
 	}
 }
 
-// TestStationShedAsksAgainAtOnce pins what a full delivery buffer costs:
-// the lag of the Recv caller, not a retry interval on top of it. The
-// buffer is filled by withholding Recv, the next message's DATA is shed,
-// and from the Recv that makes room the message must confirm in a small
+// TestStationHoldsAckWhileFull pins what a full delivery buffer costs: the
+// lag of the Recv caller, and not one packet. Recv is withheld for a
+// buffer's worth of messages; the Send whose delivery fills the buffer
+// waits, its ack held, while nothing is shed and no DATA goes out twice;
+// and from the Recv that makes room the Send must confirm in a small
 // fraction of a RetryInterval — one second here, so that a confirmation
-// paced by the regular RETRY cannot be mistaken for an early one. Three
-// episodes in a row: a regular firing landing in one episode's window by
-// chance cannot land in all three.
-func TestStationShedAsksAgainAtOnce(t *testing.T) {
+// paced by the regular RETRY cannot be mistaken for the one the room
+// brings. Three episodes in a row: a regular firing landing in one
+// episode's window by chance cannot land in all three. Then a crash^R, and
+// after it a Close, each while an ack is held: neither strands the Send
+// waiting for it, and every message still arrives in order.
+func TestStationHoldsAckWhileFull(t *testing.T) {
+	for _, k := range []int{1, 8} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) { testStationHoldsAckWhileFull(t, k) })
+	}
+}
+
+func testStationHoldsAckWhileFull(t *testing.T, k int) {
 	const interval = time.Second
 	reg := metrics.New()
 	a, b := Pipe(PipeConfig{Seed: 3})
-	s, err := NewSender(a, SenderConfig{Metrics: reg})
+	s, err := NewSender(a, SenderConfig{Window: k, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	r, err := NewReceiver(b, ReceiverConfig{RetryInterval: interval, Metrics: reg})
+	r, err := NewReceiver(b, ReceiverConfig{Window: k, RetryInterval: interval, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
 	ctx := testCtx(t)
+	counter := func(name string) int64 { return reg.Counter(name).Value() }
 
-	// The first message waits for the first RETRY; after it every reply
-	// carries the next challenge and no message needs the timer again —
-	// until one is shed.
-	sent := 0
-	send := func() error {
-		sent++
-		return s.Send(ctx, []byte(fmt.Sprintf("message %d", sent)))
+	// The first message on each slot waits for the slot's first RETRY (an
+	// idle transmitter adopts only a challenge that vouches for its last
+	// transfer), so the slots are warmed up together; after that every
+	// reply carries the slot's next challenge and no message needs the
+	// timer again — until an ack is held.
+	var warm sync.WaitGroup
+	for i := 0; i < k; i++ {
+		warm.Add(1)
+		go func() {
+			defer warm.Done()
+			if err := s.Send(ctx, []byte("warm-up")); err != nil {
+				t.Errorf("warm-up Send: %v", err)
+			}
+		}()
 	}
-	for i := 0; i < deliveryBuffer; i++ {
-		if err := send(); err != nil {
-			t.Fatalf("Send %d: %v", sent, err)
+	warm.Wait()
+	for i := 0; i < k; i++ {
+		if got, err := r.Recv(ctx); err != nil || string(got) != "warm-up" {
+			t.Fatalf("Recv = %q, %v; want the warm-up message", got, err)
 		}
 	}
-	received := 0
-	for episode := 1; episode <= 3; episode++ {
-		// The buffer is full: the next message's DATA is shed and its Send
-		// waits.
-		errc := make(chan error, 1)
-		go func() { errc <- send() }()
-		waitCounter(t, reg, mRxIngressShed, int64(episode))
+	sent, received := 0, 0
+	next := func() []byte {
+		sent++
+		return []byte(fmt.Sprintf("message %d", sent))
+	}
+	send := func() error { return s.Send(ctx, next()) }
+	sendAsync := func() chan error {
+		errc, msg := make(chan error, 1), next()
+		go func() { errc <- s.Send(ctx, msg) }()
+		return errc
+	}
+	// recv takes the next message, or reports the redelivery of the last
+	// one when dup allows it.
+	recv := func(dup bool) (redelivered bool) {
+		t.Helper()
+		got, err := r.Recv(ctx)
+		if err != nil {
+			t.Fatalf("Recv: %v", err)
+		}
+		if dup && string(got) == fmt.Sprintf("message %d", received) {
+			return true
+		}
+		received++
+		if want := fmt.Sprintf("message %d", received); string(got) != want {
+			t.Fatalf("Recv = %q, want %q", got, want)
+		}
+		return false
+	}
+	fill := func() {
+		t.Helper()
+		for sent-received < k*deliveryBuffer-1 {
+			if err := send(); err != nil {
+				t.Fatalf("Send %d: %v", sent, err)
+			}
+		}
+	}
+	// hold sends the message whose delivery fills the buffer and checks
+	// that its Send waits for the held ack.
+	hold := func() chan error {
+		t.Helper()
+		held := counter(mRxAcksHeld)
+		errc := sendAsync()
+		waitCounter(t, reg, mRxAcksHeld, held+1)
 		select {
 		case err := <-errc:
-			t.Fatalf("episode %d: Send = %v with the delivery buffer full", episode, err)
+			t.Fatalf("Send %d = %v with the delivery buffer full", sent, err)
 		default:
 		}
+		return errc
+	}
 
+	fill()
+	for episode := 1; episode <= 3; episode++ {
+		errc := hold()
 		start := time.Now()
-		got, err := r.Recv(ctx)
-		received++
-		if want := fmt.Sprintf("message %d", received); err != nil || string(got) != want {
-			t.Fatalf("episode %d: Recv = %q, %v; want %q", episode, got, err, want)
-		}
+		recv(false)
 		select {
 		case err := <-errc:
 			if err != nil {
 				t.Fatalf("episode %d: Send = %v", episode, err)
 			}
 		case <-time.After(interval / 4):
-			t.Fatalf("episode %d: the shed message was not asked for again within %v of the Recv that made room (RetryInterval %v)", episode, interval/4, interval)
+			t.Fatalf("episode %d: the held ack did not go within %v of the Recv that made room (RetryInterval %v)", episode, interval/4, interval)
 		}
 		t.Logf("episode %d: confirmed %v after room was made", episode, time.Since(start))
 	}
-	// Everything sent arrives, once, in order.
-	for received < sent {
-		got, err := r.Recv(ctx)
-		received++
-		if want := fmt.Sprintf("message %d", received); err != nil || string(got) != want {
-			t.Fatalf("Recv = %q, %v; want %q", got, err, want)
+	if got := counter(mRxIngressShed); got != 0 {
+		t.Errorf("rx.ingress_shed = %d: a full buffer shed a packet", got)
+	}
+	if got := counter(mTxPacketsSent); got != int64(k+sent) {
+		t.Errorf("tx.packets_sent = %d for %d messages: a held ack cost a DATA", got, k+sent)
+	}
+
+	// A crash^R keeps the held mark: the slot stays silent until there is
+	// room, and its fresh machine's RETRY then asks for the message again.
+	// That redelivery is one the crash licenses; at depth 8 its seq drops
+	// it, and at depth 1, which has no seq, Recv hands it over once. The
+	// waiting Send confirms once the buffer drains.
+	errc := hold()
+	r.Crash()
+	redelivered := 0
+	for received < sent || redelivered < 1 && k == 1 {
+		if recv(k == 1) {
+			redelivered++
 		}
+	}
+	if redelivered > 1 {
+		t.Fatalf("%d redeliveries after one crash^R", redelivered)
+	}
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("Send after crash^R = %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a crash^R while an ack was held stranded the Send waiting for it")
+	}
+
+	// A Close while an ack is held fails the waiting Send with the closed
+	// link, and leaves every delivered message for Recv to drain.
+	fill()
+	errc = hold()
+	r.Close()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("Send after the receiver closed = %v, want ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a Close while an ack was held stranded the Send waiting for it")
+	}
+	for received < sent {
+		recv(false)
+	}
+	if _, err := r.Recv(ctx); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Recv after the drain = %v, want ErrClosed", err)
+	}
+	if got := counter(mRxIngressShed); got != 0 {
+		t.Errorf("rx.ingress_shed = %d: a full buffer shed a packet", got)
 	}
 }
 

@@ -22,12 +22,17 @@ import (
 const defaultRetryInterval = 2 * time.Millisecond
 
 // deliveryBuffer is how many delivered messages per window slot Recv
-// callers may lag behind before the station sheds inbound packets (see
-// handlePacket): with the buffer full, DATA is dropped as loss, no
-// delivery commits, no OK flows, and the transmitter stalls — natural
-// flow control. The stall lasts as long as the lag, not a retry interval
-// longer: the Recv that makes room again fires the RETRY action at once
-// (see Recv), which asks for the shed DATA one wheel tick later.
+// callers may lag behind before the station holds acks (see hold): a
+// delivery that leaves buffered + parked at k × deliveryBuffer or more
+// keeps its slot's reply back, and the slot sends nothing — no reply, no
+// RETRY — until the Recv that brings the count back under the mark. That
+// Recv makes the held slots' RETRY due at once (took), and a RETRY
+// repeats the slot's last CTL, so it is the ack: the transmitter waits as
+// long as the lag and sends no DATA twice. In the model a held ack is a
+// CTL the channel lost, and the RETRY one the receiver may fire at any
+// time. The buffer is one message per slot deeper than the mark: once the
+// hold starts each slot commits at most one more delivery before it is
+// held too, so honest traffic never meets the capacity gate (room).
 const deliveryBuffer = 16
 
 // ReceiverConfig parameterizes a Receiver.
@@ -126,8 +131,12 @@ type Receiver struct {
 	deliver func([]byte)
 	trailer func([]byte) []byte
 
-	parked atomic.Int64 // len(pending) mirror, readable without mu by the capacity gate
-	shed   atomic.Bool  // a packet was shed for lack of room and no retry has asked again yet
+	// The backlog — queued + parked, what the station holds for the layer
+	// above — is read without mu by the capacity gate and by Recv; held
+	// is written under mu and read by Recv without it.
+	queued atomic.Int64  // released for Recv, not yet taken: len(out) plus the pump's hand-off in progress
+	parked atomic.Int64  // len(pending) mirror
+	held   atomic.Uint64 // slots whose ack is held: bit i is slot i (see hold)
 
 	// Scratch whose contents outlive the unlock their round ends with.
 	// That is safe because each has one user and one goroutine runs it:
@@ -147,7 +156,7 @@ type Receiver struct {
 	retry            *engine.Timer
 	pace             []slotPace
 	armed            time.Time
-	early            bool // a due time was pulled to now (extension, shed) and has not fired yet
+	early            bool // a due time was pulled to now (extension, room after a hold) and has not fired yet
 	base, maxBackoff time.Duration
 
 	stop      chan struct{}
@@ -179,8 +188,8 @@ func NewReceiver(conn PacketConn, cfg ReceiverConfig) (*Receiver, error) {
 		m:          newReceiverMetrics(cfg.Metrics),
 		framed:     core.Framed(cfg.Window),
 		wr:         wr,
-		out:        make(chan []byte, cfg.Window*deliveryBuffer),
-		spare:      bufList{max: cfg.Window * deliveryBuffer}, // a lagging caller can hold no more than out does
+		out:        make(chan []byte, cfg.Window*(deliveryBuffer+1)),
+		spare:      bufList{max: cfg.Window * (deliveryBuffer + 1)}, // a lagging caller can hold no more than out does
 		deliver:    cfg.Deliver,
 		trailer:    cfg.CtlTrailer,
 		pace:       make([]slotPace, cfg.Window),
@@ -235,18 +244,12 @@ func (r *Receiver) flushStats() (extended bool) {
 // message is the caller's, for good; a caller that is done with it may
 // hand it back (GiveBack) instead of leaving it to the garbage collector.
 //
-// If the station shed a packet while the buffer was full, the message
-// taken here is the room it was waiting for, and RETRY fires now, on every
-// slot — the station does not know whose packet it shed — instead of when
-// each slot is next due. The paper lets RETRY fire at any time, so Section
-// 2.6 is untouched, and the flag allows one early firing per shed episode
-// however many packets the episode shed.
+// If the station holds acks because the buffer filled, the Recv that
+// brings it back under the mark lets them go (took).
 func (r *Receiver) Recv(ctx context.Context) ([]byte, error) {
 	select {
 	case m := <-r.out:
-		if r.shed.CompareAndSwap(true, false) {
-			r.askAgain()
-		}
+		r.took()
 		return m, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
@@ -257,6 +260,7 @@ func (r *Receiver) Recv(ctx context.Context) ([]byte, error) {
 	// Drain what was released before the station stopped.
 	select {
 	case m := <-r.out:
+		r.took()
 		return m, nil
 	default:
 		return nil, ErrClosed
@@ -275,9 +279,11 @@ func (r *Receiver) GiveBack(msg []byte) { r.spare.put(msg) }
 // Crash simulates crash^R with the shared crash model: every slot's
 // protocol memory is erased at once. Messages already handed to the
 // session buffer were delivered to the higher layer in the model's sense
-// and remain readable. The release cursor and parked deliveries are
-// runtime memory (the hosting process survives a protocol crash) and
-// persist — that is what drops the redeliveries the crash licenses.
+// and remain readable. The release cursor, parked deliveries and held
+// acks are runtime memory (the hosting process survives a protocol crash)
+// and persist — the cursor is what drops the redeliveries the crash
+// licenses, and a held slot stays silent until the buffer has room, when
+// its fresh machine's RETRY asks for the message again.
 func (r *Receiver) Crash() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -326,30 +332,40 @@ func (r *Receiver) Close() error {
 	return nil
 }
 
-// room is the station's capacity gate. One accepted packet commits at most
-// one protocol delivery, which grows buffered-plus-parked by at most one;
-// keeping that sum below the buffer capacity guarantees a release burst
-// (1 + drained pending) always fits without blocking the pump. A single
-// producer (the pump) means the check cannot race into overflow: space
-// observed here is still there at hand-off time. The gate runs on the pump
-// before r.mu is taken, while Close (another goroutine) may be resetting
-// the pending map under r.mu — so it reads the atomic parked mirror, never
-// the map.
-func (r *Receiver) room() bool { return len(r.out)+int(r.parked.Load()) < cap(r.out) }
+// backlog is buffered + parked: the messages the station holds for the
+// layer above. Only the pump adds to it and Recv may take from it at any
+// time, so on the pump a reading can only be high.
+func (r *Receiver) backlog() int64 { return r.queued.Load() + r.parked.Load() }
+
+// full reports whether the backlog has reached the hold mark, k ×
+// deliveryBuffer.
+func (r *Receiver) full() bool { return r.backlog() >= int64(len(r.pace)*deliveryBuffer) }
+
+// room is the station's capacity gate, the guard for what a hold cannot
+// rule out: a delivery forged within the protocol's epsilon on a held
+// slot. One accepted packet commits at most one protocol delivery, which
+// grows the backlog by at most one; keeping it below the buffer capacity
+// guarantees a release burst (1 + drained pending) always fits without
+// blocking the pump. A single producer (the pump) means the check cannot
+// race into overflow: space observed here is still there at hand-off
+// time. The gate runs on the pump before r.mu is taken, while Close
+// (another goroutine) may be resetting the pending map under r.mu — so it
+// reads the atomic mirrors, never the map.
+func (r *Receiver) room() bool { return r.backlog() < int64(cap(r.out)) }
 
 // handlePacket is the engine-pump callback: one protocol round for one
-// slot. It never blocks — when the layer above has no room the packet is
-// shed as link loss before the machine runs, so no delivery commits and
-// no OK flows; the transmitter stalls and its retries pace recovery. (A
-// handler that blocked on the session buffer instead would let one slow
-// receiver stall every endpoint on the conn's shared pump.) A delivery is
-// committed — taped, counted — under r.mu before the reply leaves, so a
-// tap always observes receive_msg(m) before any OK it can cause, then
-// goes through the in-order release.
+// slot. It never blocks: when a delivery fills the buffer to the hold
+// mark, the slot's reply is held back (hold) and the transmitter waits
+// for it, so flow control costs no packet. (A handler that blocked on the
+// session buffer instead would let one slow receiver stall every endpoint
+// on the conn's shared pump.) Only a packet the capacity gate refuses is
+// shed, unprocessed, as link loss. A delivery is committed — taped,
+// counted — under r.mu before the reply leaves, so a tap always observes
+// receive_msg(m) before any OK it can cause, then goes through the
+// in-order release.
 func (r *Receiver) handlePacket(p []byte) {
 	if !r.room() {
 		r.m.ingressShed.Inc()
-		r.shed.Store(true)
 		return
 	}
 	r.mu.Lock()
@@ -364,6 +380,14 @@ func (r *Receiver) handlePacket(p []byte) {
 	if delivered {
 		release = r.commit(release, d)
 		r.release = release
+		if r.deliver == nil {
+			r.queued.Add(int64(len(release)))
+			r.hold(d.Slot)
+		}
+	}
+	if len(reply) > 0 && r.held.Load()&(1<<uint(d.Slot)) != 0 {
+		reply = reply[:0]
+		r.m.acksHeld.Inc()
 	}
 	r.paceArrival(d.Slot, len(reply) > 0, r.flushStats())
 	r.mu.Unlock()
@@ -476,6 +500,7 @@ func (r *Receiver) handoff(release [][]byte) {
 		select {
 		case r.out <- m:
 		default:
+			r.queued.Add(-int64(len(release) - i))
 			r.m.deliveriesDropped.Add(int64(len(release) - i))
 			return
 		}
@@ -512,34 +537,64 @@ func (r *Receiver) paceArrival(slot int, replied, extended bool) {
 	r.pull(due, now)
 }
 
-// pull brings the wheel timer forward to at, if it is set for later. Call
-// with r.mu held.
+// pull brings the wheel timer forward to at, if it is set for later or
+// stopped. Call with r.mu held.
 func (r *Receiver) pull(at, now time.Time) {
-	if at.Before(r.armed) {
+	if r.armed.IsZero() || at.Before(r.armed) {
 		r.armed = at
 		r.retry.Reset(at.Sub(now))
 	}
 }
 
-// askAgain makes every slot's RETRY due now; see Recv.
-func (r *Receiver) askAgain() {
+// hold holds slot's ack when the delivery it just committed leaves the
+// backlog at the hold mark: the reply does not go, and the slot is silent
+// — no reply, no RETRY — until a Recv makes room (took). The mark is set
+// before the backlog is read again, and a Recv takes its message before it
+// reads the mark, so of a hold and a Recv that makes room at the same
+// time at least one sees the other: no hold outlives the room it waits
+// for. Call with r.mu held.
+func (r *Receiver) hold(slot int) {
+	if !r.full() {
+		return
+	}
+	h := r.held.Load()
+	r.held.Store(h | 1<<uint(slot))
+	if !r.full() {
+		r.held.Store(h)
+	}
+}
+
+// took books a message Recv took from the buffer and, when acks are held
+// and the backlog is back under the mark, lets them go: each held slot's
+// RETRY is due now, and a RETRY repeats the slot's last CTL — same ρ,
+// same τ — so it is the ack the slot held back. The paper lets RETRY fire
+// at any time, so Section 2.6 is untouched. While the backlog is still at
+// the mark it does nothing; a later Recv tries again.
+func (r *Receiver) took() {
+	r.queued.Add(-1)
+	if r.held.Load() == 0 {
+		return
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed {
+	h := r.held.Load()
+	if r.closed || h == 0 || r.full() {
 		return
 	}
 	now := r.io.clock().Now()
-	for i := range r.pace {
-		r.pace[i].due = now
+	for s := h; s != 0; s &= s - 1 {
+		r.pace[bits.TrailingZeros64(s)].due = now
 	}
+	r.held.Store(0)
 	r.early = true
 	r.pull(now, now)
 }
 
 // retryTick is the pacing step, run by the engine's shared timer wheel:
-// it fires the RETRY action on the slots that are due — none, when every
-// due time has moved on since the timer was set, as on a busy link it
-// always has — and sets the timer for the earliest due time there is then.
+// it fires the RETRY action on the slots that are due and not held —
+// none, when every due time has moved on since the timer was set, as on a
+// busy link it always has — and sets the timer for the earliest due time
+// there is then.
 func (r *Receiver) retryTick() {
 	r.mu.Lock()
 	if r.closed {
@@ -553,6 +608,7 @@ func (r *Receiver) retryTick() {
 			due |= 1 << uint(i)
 		}
 	}
+	due &^= r.held.Load()
 	early := r.early
 	r.early = false
 	if due == 0 {
@@ -625,13 +681,20 @@ func (r *Receiver) retryLocked(slots uint64, now time.Time) (buf *[]byte, pkts [
 	return buf, pkts, batch
 }
 
-// arm sets the wheel timer for the earliest due time. Call with r.mu held.
+// arm sets the wheel timer for the earliest due time of a slot not held;
+// with every slot held it stops the timer, and the Recv that lets the
+// holds go sets it again (pull). Call with r.mu held.
 func (r *Receiver) arm(now time.Time) {
-	r.armed = r.pace[0].due
-	for i := 1; i < len(r.pace); i++ {
-		if d := r.pace[i].due; d.Before(r.armed) {
+	held := r.held.Load()
+	r.armed = time.Time{}
+	for i := range r.pace {
+		if d := r.pace[i].due; held&(1<<uint(i)) == 0 && (r.armed.IsZero() || d.Before(r.armed)) {
 			r.armed = d
 		}
+	}
+	if r.armed.IsZero() {
+		r.retry.Stop()
+		return
 	}
 	r.retry.Reset(r.armed.Sub(now))
 }

@@ -65,7 +65,8 @@ func unframeSeq(p []byte) (epoch, seq uint64, msg []byte, ok bool) {
 // span bound — how far the sender lets admission seqs run ahead of the
 // lowest unconfirmed one (admitSeq) — and the two are one number for a
 // reason: the receiver parks only seqs inside the sender's span, so its
-// buffer of this size always has room for the packet that fills the gap.
+// parked set stays under its hold mark of this size, and its buffer
+// always has room for the packet that fills the gap.
 // A depth-1 station releases what it delivers, one message per packet.
 func windowReleaseBound(window int) int {
 	if !core.Framed(window) {
@@ -86,12 +87,12 @@ func windowReleaseBound(window int) int {
 // A fresh seq is minted only within windowReleaseBound of the lowest seq
 // not yet confirmed (in flight, or wiped and awaiting resubmission).
 // Without the bound, one slot waiting out a retry interval while the
-// others keep completing lets the receiver's parked set grow until its
-// capacity gate sheds everything — the gap-filling packet included — and
-// the link wedges for good. With it the parked set stays below the
-// receiver's buffer, so the gap filler is always accepted. A reclaimed
-// seq was inside the span when minted and the span only moves up, so
-// reclaiming never waits.
+// others keep completing lets the receiver's parked set grow to its hold
+// mark, and every slot that delivers then has its ack held until the one
+// slot's retry fills the gap. With it the parked set stays below the
+// receiver's mark, so parking alone never holds an ack and the gap filler
+// is always accepted. A reclaimed seq was inside the span when minted and
+// the span only moves up, so reclaiming never waits.
 func (s *Sender) admitSeq(msg []byte) (seq uint64, wait <-chan struct{}) {
 	if seqs := s.wiped[string(msg)]; len(seqs) > 0 {
 		mi := 0
