@@ -20,7 +20,7 @@
 //     progress watchdog can detect), so the sender runs under the
 //     self-healing session supervisor and every enqueued payload must
 //     arrive end-to-end; the run reports the restarts, wedges and
-//     breaker events the session absorbed.
+//     failed starts the session absorbed.
 //   - -adversary mounts an adaptive attacker-in-the-middle on the link:
 //     seeded strategies that observe packet identifiers, lengths and
 //     timing (the paper's oblivious model) and key replay floods,
@@ -348,9 +348,8 @@ func printLive(out io.Writer, sc chaos.Scenario, res chaos.Result, verbose bool)
 		st := res.Session
 		fmt.Fprintf(out, "done: %d/%d payloads delivered end-to-end, %v elapsed\n",
 			res.Enqueued-len(res.Missing), res.Enqueued, elapsed)
-		fmt.Fprintf(out, "session: restarts=%d wedges=%d start-failures=%d breaker-opens=%d resubmits=%d transitions=%d health=%s\n",
-			st.Restarts, st.Wedges, st.StartFailures, st.BreakerOpens,
-			st.Resubmits, res.Transitions, st.Health)
+		fmt.Fprintf(out, "session: restarts=%d wedges=%d start-failures=%d resubmits=%d transitions=%d health=%s\n",
+			st.Restarts, st.Wedges, st.StartFailures, st.Resubmits, res.Transitions, st.Health)
 	} else {
 		fmt.Fprintf(out, "done: %d messages delivered, %d sends wiped by crash^T and reissued, %v elapsed\n",
 			res.Delivered, res.Abandoned, elapsed)

@@ -150,9 +150,6 @@ func newLinkSystem(sc Scenario, env Env) (_ *linkSystem, err error) {
 			WatchdogInterval:  watchdogWindow / 16,
 			RestartBackoff:    5 * time.Millisecond,
 			RestartBackoffMax: 80 * time.Millisecond,
-			BreakerThreshold:  25,
-			BreakerWindow:     30 * time.Second,
-			BreakerCooldown:   250 * time.Millisecond,
 			Seed:              sc.Seed + 4,
 			Wheel:             k.wheel,
 			Metrics:           env.Metrics,

@@ -86,7 +86,7 @@ type Result struct {
 	// observed, captured, mounted and landed.
 	Attacker netlink.AttackerStats
 	// Session is a supervised sender's final counters (restarts, wedges,
-	// breaker events, health) and Transitions the health transitions it
+	// start failures, health) and Transitions the health transitions it
 	// published.
 	Session     session.Stats
 	Transitions int

@@ -13,8 +13,8 @@ import (
 // blackout window and one watchdog-only wedge executes against a
 // supervised session, which must complete every payload end-to-end with
 // zero live conformance violations and no manual intervention, while the
-// session.* metrics report the restarts, health transitions and breaker
-// state the run induced.
+// session.* metrics report the restarts and health transitions the run
+// induced.
 func TestSupervisedSoakSelfHeals(t *testing.T) {
 	sc := Generate(42, GenConfig{Wedges: 1})
 	if n := sc.Count(CrashSender) + sc.Count(CrashReceiver); n < 6 {

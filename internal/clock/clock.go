@@ -10,9 +10,9 @@
 // mechanism for protocol retries; the clock is the layer *under* the
 // wheel — the source its ticks and catch-up arithmetic derive from —
 // and the source of every other timestamp in the runtime: impairment
-// release schedules, watchdog progress stamps, breaker windows, latency
-// histograms, and default RNG seeds (Seed), so that a default-seeded
-// run is still replayable under a virtual clock.
+// release schedules, watchdog progress stamps, latency histograms, and
+// default RNG seeds (Seed), so that a default-seeded run is still
+// replayable under a virtual clock.
 package clock
 
 import "time"

@@ -96,7 +96,7 @@ type Config struct {
 	RetryInterval   time.Duration
 	RetryBackoffMax time.Duration
 	// WatchdogWindow is each hop session's no-progress window (default
-	// 250ms); Degraded/Partitioned/Down transitions drive failover.
+	// 250ms); a hop leaving Healthy drives failover.
 	WatchdogWindow time.Duration
 
 	// AckTimeout is the end-to-end re-dispatch backstop: a payload whose
@@ -743,11 +743,6 @@ func (m *Mesh) StopNode(id int) error {
 	}
 	m.mu.Lock()
 	m.nodeUp[id] = false
-	for _, end := range m.nodes[id].ends {
-		if h := (hopID{From: id, To: end.peer}); m.hops[h] != nil {
-			m.hopHealth[h] = supervise.Down
-		}
-	}
 	m.mu.Unlock()
 	m.nodes[id].stop()
 	m.signal()

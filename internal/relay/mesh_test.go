@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,7 +15,6 @@ import (
 
 	"ghm/internal/metrics"
 	"ghm/internal/netlink"
-	"ghm/internal/supervise"
 	"ghm/internal/testutil"
 )
 
@@ -547,8 +547,8 @@ func TestMeshBoundedHeap(t *testing.T) {
 // not one packet either way, through 300 payloads and 100 ms idle after
 // them. A frame that names a hop off the routes is dropped. A relay on a
 // route and the relay off them, crashed and restarted, come back with
-// their route hops' stations and no others, and a crash marks Down only
-// the route hops out of the node.
+// their route hops' stations and no others, and while a relay is down no
+// route through it is usable.
 func TestMeshStationsOnlyOnRouteHops(t *testing.T) {
 	topo := fiveNode()
 	sent := make([]atomic.Int64, len(topo.Links))
@@ -651,13 +651,15 @@ func TestMeshStationsOnlyOnRouteHops(t *testing.T) {
 		if err := m.StopNode(id); err != nil {
 			t.Fatal(err)
 		}
-		m.mu.Lock()
-		for h, health := range m.hopHealth {
-			if h.From == id && health != supervise.Down {
-				t.Errorf("node %d stopped: its hop %s is %v", id, h, health)
+		want := 0 // routes that avoid the stopped node
+		for _, r := range m.Routes() {
+			if !slices.Contains(r, id) {
+				want++
 			}
 		}
-		m.mu.Unlock()
+		if got := m.Stats().RoutesUsable; got != want {
+			t.Errorf("node %d stopped: %d routes usable, want the %d that avoid it", id, got, want)
+		}
 		if err := m.RestartNode(id); err != nil {
 			t.Fatal(err)
 		}

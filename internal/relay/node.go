@@ -186,12 +186,10 @@ func (n *node) start() error {
 				OnTrailer:        n.onTrailer,
 				WatchdogWindow:   m.cfg.WatchdogWindow,
 				WatchdogInterval: m.cfg.WatchdogWindow / 16,
-				// A hop rebuilds 5ms to 80ms after it fails; 25 fruitless
-				// rebuilds open its breaker for 250ms.
+				// A hop rebuilds 5ms to 80ms after it fails, and keeps
+				// trying at that pace until a rebuild takes.
 				RestartBackoff:    5 * time.Millisecond,
 				RestartBackoffMax: 80 * time.Millisecond,
-				BreakerThreshold:  25,
-				BreakerCooldown:   250 * time.Millisecond,
 				Seed:              m.hopSeed(n.id, i),
 				Wheel:             m.wheel,
 				Metrics:           m.reg,

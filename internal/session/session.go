@@ -65,19 +65,16 @@ type Config struct {
 	// OnTrailer is every incarnation's netlink.SenderConfig.OnTrailer.
 	OnTrailer func(trailer []byte)
 
-	// Watchdog, backoff and breaker knobs; see supervise.Config.
+	// Watchdog and backoff knobs; see supervise.Config.
 	WatchdogWindow    time.Duration
 	WatchdogInterval  time.Duration
 	RestartBackoff    time.Duration
 	RestartBackoffMax time.Duration
-	BreakerThreshold  int
-	BreakerWindow     time.Duration
-	BreakerCooldown   time.Duration
 
 	// Seed fixes supervisor jitter for reproducible tests (0 = clock).
 	Seed int64
-	// Wheel paces the supervisor (watchdog polls, backoff sleeps, breaker
-	// cooldown) and its clock stamps them — nil keeps the process-wide
+	// Wheel paces the supervisor (watchdog polls, backoff sleeps) and its
+	// clock stamps them — nil keeps the process-wide
 	// wheel on the wall clock. A caller that owns a wheel passes it, so
 	// sessions add no ticker of their own. The stations themselves take
 	// their clock from the conn's engine wheel, so virtualizing a session
@@ -107,7 +104,6 @@ type Stats struct {
 	Restarts      int64  // station incarnations built after the first
 	StartFailures int64  // Dial/build failures
 	Wedges        int64  // watchdog firings
-	BreakerOpens  int64  // circuit-breaker opens
 	Transitions   int64  // health transitions
 	Generation    uint64 // incarnations built so far
 	Health        supervise.Health
@@ -149,20 +145,17 @@ func New(cfg Config) (*Session, error) {
 	s := &Session{cfg: cfg, resubmits: reg.Counter(mSessionResubmits)}
 
 	sup, err := supervise.New(supervise.Config[*netlink.Sender]{
-		Start:            s.start,
-		Stop:             func(st *netlink.Sender) { st.Close() },
-		Pending:          s.pending,
-		Window:           cfg.WatchdogWindow,
-		Interval:         cfg.WatchdogInterval,
-		BackoffBase:      cfg.RestartBackoff,
-		BackoffMax:       cfg.RestartBackoffMax,
-		BreakerThreshold: cfg.BreakerThreshold,
-		BreakerWindow:    cfg.BreakerWindow,
-		BreakerCooldown:  cfg.BreakerCooldown,
-		Seed:             cfg.Seed,
-		Wheel:            cfg.Wheel,
-		Metrics:          cfg.Metrics,
-		OnTransition:     cfg.OnTransition,
+		Start:        s.start,
+		Stop:         func(st *netlink.Sender) { st.Close() },
+		Pending:      s.pending,
+		Window:       cfg.WatchdogWindow,
+		Interval:     cfg.WatchdogInterval,
+		BackoffBase:  cfg.RestartBackoff,
+		BackoffMax:   cfg.RestartBackoffMax,
+		Seed:         cfg.Seed,
+		Wheel:        cfg.Wheel,
+		Metrics:      cfg.Metrics,
+		OnTransition: cfg.OnTransition,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("session: %w", err)
@@ -280,6 +273,7 @@ func (s *Session) Health() supervise.Health { return s.sup.Health() }
 // Stats snapshots the session's counters.
 func (s *Session) Stats() Stats {
 	qs := s.q.Stats()
+	gen := s.sup.Generation() // first, so Restarts reads at least gen-1
 	ss := s.sup.Stats()
 	return Stats{
 		Enqueued:      qs.Enqueued,
@@ -289,9 +283,8 @@ func (s *Session) Stats() Stats {
 		Restarts:      ss.Restarts,
 		StartFailures: ss.StartFailures,
 		Wedges:        ss.Wedges,
-		BreakerOpens:  ss.BreakerOpens,
 		Transitions:   ss.Transitions,
-		Generation:    s.sup.Generation(),
+		Generation:    gen,
 		Health:        s.sup.Health(),
 	}
 }

@@ -68,9 +68,6 @@ func newRig(t *testing.T, mut func(*Config)) *rig {
 		WatchdogInterval:  10 * time.Millisecond,
 		RestartBackoff:    5 * time.Millisecond,
 		RestartBackoffMax: 40 * time.Millisecond,
-		BreakerThreshold:  50,
-		BreakerWindow:     10 * time.Second,
-		BreakerCooldown:   100 * time.Millisecond,
 		Seed:              42,
 		Metrics:           metrics.New(),
 	}
@@ -192,7 +189,7 @@ func TestWatchdogRestartsWedgedStation(t *testing.T) {
 	for {
 		select {
 		case tr := <-sub:
-			if tr.To == supervise.Degraded || tr.To == supervise.Partitioned {
+			if tr.To == supervise.Degraded {
 				sawDegraded = true
 			}
 			if sawDegraded && tr.To == supervise.Healthy {
@@ -237,21 +234,17 @@ func TestSessionWALPersistsAcrossSessions(t *testing.T) {
 	}
 }
 
-func TestBreakerOpensWhenDialFails(t *testing.T) {
-	reg := metrics.New()
+// TestSessionDegradedWhileDialFails: a session whose Dial always fails
+// keeps dialing, builds no station and reports itself Degraded.
+func TestSessionDegradedWhileDialFails(t *testing.T) {
 	s, err := New(Config{
 		Dial: func() (netlink.PacketConn, error) {
 			return nil, fmt.Errorf("no route")
 		},
-		WatchdogWindow:    50 * time.Millisecond,
-		WatchdogInterval:  5 * time.Millisecond,
 		RestartBackoff:    time.Millisecond,
 		RestartBackoffMax: 2 * time.Millisecond,
-		BreakerThreshold:  3,
-		BreakerWindow:     10 * time.Second,
-		BreakerCooldown:   10 * time.Second,
 		Seed:              7,
-		Metrics:           reg,
+		Metrics:           metrics.New(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -259,13 +252,15 @@ func TestBreakerOpensWhenDialFails(t *testing.T) {
 	defer s.Close()
 
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if st := s.Stats(); st.BreakerOpens >= 1 && st.Health == supervise.Down {
-			return
+	for s.Stats().StartFailures < 10 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the session stopped dialing: %+v", s.Stats())
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("breaker never opened: %+v", s.Stats())
+	if st := s.Stats(); st.Health != supervise.Degraded || st.Generation != 0 || st.Restarts != 0 {
+		t.Fatalf("stats %+v, want degraded with no station built", st)
+	}
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -322,9 +317,6 @@ func TestWindowedSessionSurvivesCrashesAndRestart(t *testing.T) {
 		WatchdogInterval:  10 * time.Millisecond,
 		RestartBackoff:    5 * time.Millisecond,
 		RestartBackoffMax: 40 * time.Millisecond,
-		BreakerThreshold:  50,
-		BreakerWindow:     10 * time.Second,
-		BreakerCooldown:   100 * time.Millisecond,
 		Seed:              43,
 		Metrics:           metrics.New(),
 	})

@@ -2,29 +2,26 @@
 // built to survive having their memory erased — that is the protocol's
 // whole premise — but nothing in the protocol restarts a station whose
 // host process lost its goroutines, whose socket went half-dead, or whose
-// link partitioned for longer than the application can wait. Supervise is
+// link went dark for longer than the application can wait. Supervise is
 // that missing layer, in the spirit of the self-stabilizing treatments of
 // the same channel model (Dolev et al.): from any fault state, keep
 // converging back toward a working incarnation.
 //
 // A Supervisor owns one restartable incarnation of a component (built by
-// a Start callback, torn down by Stop) and layers three mechanisms on it:
+// a Start callback, torn down by Stop) and layers two mechanisms on it:
 //
 //   - a progress watchdog: while the component has pending work
 //     (Pending() true) but commits no progress (Progress() not called)
 //     for a full Window, the incarnation is declared wedged, torn down
 //     and rebuilt;
-//   - exponential backoff with jitter between consecutive rebuilds, so a
-//     persistent fault does not turn into a restart storm;
-//   - a restart circuit breaker: after Threshold fruitless restarts
-//     inside a rolling window the supervisor stops restarting (open),
-//     waits out a cooldown, then lets a single probe incarnation through
-//     (half-open); the probe's progress closes the breaker, its failure
-//     reopens it.
+//   - exponential backoff with jitter between consecutive rebuilds,
+//     capped at BackoffMax, so a persistent fault does not turn into a
+//     restart storm. The cap is the one bound on the restart rate: the
+//     supervisor never gives up, as the paper's stations never do.
 //
-// The supervisor publishes a four-state health machine — Healthy,
-// Degraded, Partitioned, Down — through Health, an OnTransition callback
-// and the session.* metrics family.
+// The supervisor publishes its health — Healthy, or Degraded while a
+// restart is in flight — through Health, an OnTransition callback and
+// the session.* metrics family.
 package supervise
 
 import (
@@ -45,21 +42,15 @@ var ErrStopped = errors.New("supervise: stopped")
 // Health is the supervisor's coarse view of the supervised endpoint.
 type Health int32
 
-// The health states, ordered by severity.
+// The health states.
 const (
 	// Healthy: the incarnation is up and either committing progress or
-	// idle with nothing pending.
+	// idle with nothing pending for a full Window.
 	Healthy Health = iota
-	// Degraded: a restart is in flight — the watchdog fired or a start
-	// failed — but the evidence still points at the component itself.
+	// Degraded: a restart is in flight — the watchdog fired, Fail
+	// withdrew the incarnation or a start failed — and no incarnation has
+	// committed progress or idled a full Window since.
 	Degraded
-	// Partitioned: consecutive rebuilds changed nothing; fresh
-	// incarnations wedge exactly like their predecessors, which points at
-	// the link rather than the station.
-	Partitioned
-	// Down: the circuit breaker is open; the supervisor has given up
-	// restarting until the cooldown elapses.
-	Down
 )
 
 // String implements fmt.Stringer.
@@ -69,10 +60,6 @@ func (h Health) String() string {
 		return "healthy"
 	case Degraded:
 		return "degraded"
-	case Partitioned:
-		return "partitioned"
-	case Down:
-		return "down"
 	default:
 		return fmt.Sprintf("Health(%d)", int32(h))
 	}
@@ -82,7 +69,7 @@ func (h Health) String() string {
 type Transition struct {
 	From, To Health
 	// Cause is a short human-readable reason ("watchdog: no progress",
-	// "breaker open", "progress", ...).
+	// "start failed: ...", "progress", ...).
 	Cause string
 	At    time.Time
 }
@@ -107,34 +94,19 @@ type Config[S any] struct {
 	Interval time.Duration
 
 	// BackoffBase and BackoffMax bound the jittered exponential delay
-	// between consecutive rebuilds (defaults 50ms and 5s).
+	// between consecutive rebuilds (defaults 50ms and 5s). Under a fault
+	// no rebuild cures, Start runs about once every 3/4 BackoffMax.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-
-	// BreakerThreshold is how many fruitless restarts (failed starts or
-	// watchdog teardowns without intervening progress) inside
-	// BreakerWindow open the breaker (default 5; negative disables).
-	BreakerThreshold int
-	// BreakerWindow is the rolling window failures are counted in
-	// (default 30s).
-	BreakerWindow time.Duration
-	// BreakerCooldown is how long an open breaker blocks restarts before
-	// letting a half-open probe through (default 10s).
-	BreakerCooldown time.Duration
-
-	// PartitionAfter is how many consecutive fruitless restarts move the
-	// health from Degraded to Partitioned (default 2).
-	PartitionAfter int
 
 	// Seed fixes the backoff jitter for reproducible tests (0 draws from
 	// the Wheel's clock; the resolved value is readable via Seed()).
 	Seed int64
-	// Wheel paces the watchdog poll, the backoff sleeps and the breaker
-	// cooldown, and its clock stamps progress, transitions and breaker
-	// windows (default: engine.DefaultWheel()). Sharing a wheel — the
-	// process-wide one, or the caller's — keeps supervisors off runtime
-	// timers and off tickers of their own, like every other retry in the
-	// runtime.
+	// Wheel paces the watchdog poll and the backoff sleeps, and its clock
+	// stamps progress and transitions (default: engine.DefaultWheel()).
+	// Sharing a wheel — the process-wide one, or the caller's — keeps
+	// supervisors off runtime timers and off tickers of their own, like
+	// every other retry in the runtime.
 	Wheel *engine.Wheel
 	// Metrics receives the session.* family; nil uses metrics.Default().
 	Metrics *metrics.Registry
@@ -165,18 +137,6 @@ func (c Config[S]) withDefaults() Config[S] {
 			c.BackoffMax = c.BackoffBase
 		}
 	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerWindow <= 0 {
-		c.BreakerWindow = 30 * time.Second
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 10 * time.Second
-	}
-	if c.PartitionAfter <= 0 {
-		c.PartitionAfter = 2
-	}
 	if c.Wheel == nil {
 		c.Wheel = engine.DefaultWheel()
 	}
@@ -187,12 +147,9 @@ func (c Config[S]) withDefaults() Config[S] {
 // the same numbers under session.*, but a registry may be shared between
 // supervisors; these are this supervisor's alone).
 type Stats struct {
-	Restarts      int64 // incarnations built after the first
+	Restarts      int64 // incarnations built after the first: Generation - 1
 	StartFailures int64 // Start calls that returned an error
 	Wedges        int64 // watchdog firings
-	BreakerOpens  int64 // closed/half-open -> open transitions
-	BreakerProbes int64 // half-open probe incarnations admitted
-	BreakerCloses int64 // probe successes closing the breaker
 	Transitions   int64 // health transitions
 }
 
@@ -202,7 +159,6 @@ type Supervisor[S any] struct {
 	cfg Config[S]
 	m   supMetrics
 	bo  backoff
-	br  breaker
 
 	mu     sync.Mutex
 	cur    S
@@ -215,9 +171,7 @@ type Supervisor[S any] struct {
 	lastProgress atomic.Int64 // unix nanos of the last commit or refresh
 
 	st struct {
-		restarts, startFailures, wedges         atomic.Int64
-		breakerOpens, breakerProbes, breakerClo atomic.Int64
-		transitions                             atomic.Int64
+		startFailures, wedges, transitions atomic.Int64
 	}
 
 	seed int64 // resolved backoff-jitter seed
@@ -248,15 +202,10 @@ func New[S any](cfg Config[S]) (*Supervisor[S], error) {
 		seed = cfg.Wheel.Clock().Seed()
 	}
 	s := &Supervisor[S]{
-		cfg:  cfg,
-		seed: seed,
-		m:    newSupMetrics(cfg.Metrics),
-		bo:   backoff{base: cfg.BackoffBase, max: cfg.BackoffMax, rng: clock.SplitMix(seed)},
-		br: breaker{
-			threshold: cfg.BreakerThreshold,
-			window:    cfg.BreakerWindow,
-			cooldown:  cfg.BreakerCooldown,
-		},
+		cfg:    cfg,
+		seed:   seed,
+		m:      newSupMetrics(cfg.Metrics),
+		bo:     backoff{base: cfg.BackoffBase, max: cfg.BackoffMax, rng: clock.SplitMix(seed)},
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 		wake:   make(chan struct{}, 1),
@@ -369,15 +318,17 @@ func (s *Supervisor[S]) Health() Health {
 	return s.health
 }
 
-// Stats returns this supervisor's lifetime counters.
+// Stats returns this supervisor's lifetime counters. Restarts is read
+// from the generation under the lock install publishes it with, so a
+// caller that got generation g from Current reads at least g-1.
 func (s *Supervisor[S]) Stats() Stats {
+	s.mu.Lock()
+	gen := s.gen
+	s.mu.Unlock()
 	return Stats{
-		Restarts:      s.st.restarts.Load(),
+		Restarts:      int64(max(gen, 1) - 1),
 		StartFailures: s.st.startFailures.Load(),
 		Wedges:        s.st.wedges.Load(),
-		BreakerOpens:  s.st.breakerOpens.Load(),
-		BreakerProbes: s.st.breakerProbes.Load(),
-		BreakerCloses: s.st.breakerClo.Load(),
 		Transitions:   s.st.transitions.Load(),
 	}
 }
@@ -432,7 +383,6 @@ func (s *Supervisor[S]) install(st S) {
 	s.mu.Unlock()
 	if !first {
 		s.m.restarts.Inc()
-		s.st.restarts.Add(1)
 	}
 }
 
@@ -488,24 +438,8 @@ func (s *Supervisor[S]) sleep(d time.Duration) bool {
 	}
 }
 
-// recordFailure accounts one fruitless restart (failed start or watchdog
-// teardown) against the breaker and the health machine.
-func (s *Supervisor[S]) recordFailure(consecutive int, cause string) {
-	if s.br.failure(s.cfg.Wheel.Clock().Now()) {
-		s.m.breakerOpens.Inc()
-		s.st.breakerOpens.Add(1)
-		s.transition(Down, "breaker open: "+cause)
-		return
-	}
-	if consecutive >= s.cfg.PartitionAfter {
-		s.transition(Partitioned, cause)
-	} else {
-		s.transition(Degraded, cause)
-	}
-}
-
-// run is the supervision loop: gate on the breaker, start an incarnation,
-// watch it, tear it down when wedged, back off, repeat.
+// run is the supervision loop: start an incarnation, watch it, tear it
+// down when wedged, back off, repeat.
 func (s *Supervisor[S]) run() {
 	defer close(s.done)
 	defer func() {
@@ -515,34 +449,12 @@ func (s *Supervisor[S]) run() {
 	}()
 	consecutive := 0 // fruitless restarts in a row (backoff exponent)
 	for {
-		// Breaker gate: while open, sleep out the cooldown in slices so
-		// Close stays responsive; a half-open state admits one probe.
-		for {
-			select {
-			case <-s.stop:
-				return
-			default:
-			}
-			verdict, wait := s.br.allow(s.cfg.Wheel.Clock().Now())
-			if verdict == admitProbe {
-				s.m.breakerProbes.Inc()
-				s.st.breakerProbes.Add(1)
-				s.transition(Degraded, "breaker probe")
-			}
-			if verdict != admitNone {
-				break
-			}
-			if !s.sleep(wait) {
-				return
-			}
-		}
-
 		st, err := s.cfg.Start()
 		if err != nil {
 			s.m.startFailures.Inc()
 			s.st.startFailures.Add(1)
 			consecutive++
-			s.recordFailure(consecutive, "start failed: "+err.Error())
+			s.transition(Degraded, "start failed: "+err.Error())
 			if !s.sleep(s.bo.next(consecutive)) {
 				return
 			}
@@ -552,7 +464,6 @@ func (s *Supervisor[S]) run() {
 		s.markProgress() // grace: the window counts from the incarnation's birth
 		born := s.cfg.Wheel.Clock().Now()
 		genProgress := s.progress.Load()
-		rewarded := false // breaker success granted for this incarnation
 
 		cause := "watchdog: no progress"
 		for {
@@ -570,13 +481,6 @@ func (s *Supervisor[S]) run() {
 				// Work is committing: the incarnation earned its keep.
 				genProgress = p
 				consecutive = 0
-				if !rewarded {
-					rewarded = true
-					if s.br.success() {
-						s.m.breakerCloses.Inc()
-						s.st.breakerClo.Add(1)
-					}
-				}
 				s.transition(Healthy, "progress")
 				continue
 			}
@@ -585,21 +489,9 @@ func (s *Supervisor[S]) run() {
 				// instant pending work appears after a quiet stretch.
 				s.markProgress()
 				if now.Sub(born) >= s.cfg.Window {
+					// Surviving a full window with nothing pending is the
+					// absence of the fault the last restart was for.
 					consecutive = 0
-					// An idle probe earns its keep exactly like a
-					// progressing one: surviving a full window with nothing
-					// pending is the absence of the fault the breaker
-					// opened on. Without this the breaker would stay
-					// half-open with the probe ticket out forever, and a
-					// much later unrelated wedge would re-open it instantly
-					// instead of counting toward the threshold.
-					if !rewarded {
-						rewarded = true
-						if s.br.success() {
-							s.m.breakerCloses.Inc()
-							s.st.breakerClo.Add(1)
-						}
-					}
 					s.transition(Healthy, "idle")
 				}
 				continue
@@ -614,7 +506,7 @@ func (s *Supervisor[S]) run() {
 		s.uninstall()
 		s.cfg.Stop(st)
 		consecutive++
-		s.recordFailure(consecutive, cause)
+		s.transition(Degraded, cause)
 		if !s.sleep(s.bo.next(consecutive)) {
 			return
 		}
@@ -628,9 +520,6 @@ const (
 	mSessionRestarts      = "session.restarts"
 	mSessionStartFailures = "session.start_failures"
 	mSessionWedges        = "session.wedges"
-	mSessionBreakerOpens  = "session.breaker_opens"
-	mSessionBreakerProbes = "session.breaker_probes"
-	mSessionBreakerCloses = "session.breaker_closes"
 	mSessionTransitions   = "session.health_transitions"
 	mSessionHealth        = "session.health"
 )
@@ -640,11 +529,8 @@ type supMetrics struct {
 	restarts      *metrics.Counter // incarnations rebuilt after the first
 	startFailures *metrics.Counter // Start errors
 	wedges        *metrics.Counter // watchdog firings
-	breakerOpens  *metrics.Counter // breaker open transitions
-	breakerProbes *metrics.Counter // half-open probes admitted
-	breakerCloses *metrics.Counter // probes that closed the breaker
 	transitions   *metrics.Counter // health transitions
-	health        *metrics.Gauge   // current health (0..3)
+	health        *metrics.Gauge   // current health (0 healthy, 1 degraded)
 }
 
 func newSupMetrics(r *metrics.Registry) supMetrics {
@@ -655,9 +541,6 @@ func newSupMetrics(r *metrics.Registry) supMetrics {
 		restarts:      r.Counter(mSessionRestarts),
 		startFailures: r.Counter(mSessionStartFailures),
 		wedges:        r.Counter(mSessionWedges),
-		breakerOpens:  r.Counter(mSessionBreakerOpens),
-		breakerProbes: r.Counter(mSessionBreakerProbes),
-		breakerCloses: r.Counter(mSessionBreakerCloses),
 		transitions:   r.Counter(mSessionTransitions),
 		health:        r.Gauge(mSessionHealth),
 	}

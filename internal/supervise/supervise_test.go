@@ -36,87 +36,6 @@ func TestBackoffGrowthAndJitter(t *testing.T) {
 	}
 }
 
-func TestBreakerLifecycle(t *testing.T) {
-	now := time.Unix(0, 0)
-	b := breaker{threshold: 3, window: time.Minute, cooldown: 10 * time.Second}
-
-	for i := 0; i < 2; i++ {
-		if v, _ := b.allow(now); v != admitNormal {
-			t.Fatalf("closed breaker refused restart %d", i)
-		}
-		if b.failure(now) {
-			t.Fatalf("failure %d opened breaker before threshold", i)
-		}
-		now = now.Add(time.Second)
-	}
-	if !b.failure(now) {
-		t.Fatal("threshold failure did not open breaker")
-	}
-	if v, wait := b.allow(now); v != admitNone || wait <= 0 {
-		t.Fatalf("open breaker admitted restart: v=%v wait=%v", v, wait)
-	}
-
-	// Cooldown elapses: exactly one probe is admitted.
-	now = now.Add(11 * time.Second)
-	if v, _ := b.allow(now); v != admitProbe {
-		t.Fatal("half-open breaker did not admit a probe")
-	}
-	if v, _ := b.allow(now); v != admitNone {
-		t.Fatal("half-open breaker admitted a second probe")
-	}
-
-	// Probe failure re-opens immediately.
-	if !b.failure(now) {
-		t.Fatal("probe failure did not re-open breaker")
-	}
-	now = now.Add(11 * time.Second)
-	if v, _ := b.allow(now); v != admitProbe {
-		t.Fatal("second cooldown did not admit a probe")
-	}
-	// Probe success closes.
-	if !b.success() {
-		t.Fatal("probe success did not report closing")
-	}
-	if v, _ := b.allow(now); v != admitNormal {
-		t.Fatal("closed breaker refused restart after probe success")
-	}
-	// Success from closed is not a "close" event.
-	if b.success() {
-		t.Fatal("success while closed reported a breaker close")
-	}
-}
-
-func TestBreakerWindowPrunesOldFailures(t *testing.T) {
-	b := breaker{threshold: 3, window: time.Second, cooldown: time.Second}
-	now := time.Unix(0, 0)
-	b.failure(now)
-	b.failure(now.Add(100 * time.Millisecond))
-	// The first two fall out of the window before the next failures.
-	now = now.Add(2 * time.Second)
-	if b.failure(now) {
-		t.Fatal("stale failures counted toward threshold")
-	}
-	if b.failure(now.Add(10 * time.Millisecond)) {
-		t.Fatal("opened with only two in-window failures")
-	}
-	if !b.failure(now.Add(20 * time.Millisecond)) {
-		t.Fatal("three in-window failures did not open")
-	}
-}
-
-func TestBreakerDisabled(t *testing.T) {
-	b := breaker{threshold: -1}
-	now := time.Now()
-	for i := 0; i < 100; i++ {
-		if b.failure(now) {
-			t.Fatal("disabled breaker opened")
-		}
-	}
-	if v, _ := b.allow(now); v != admitNormal {
-		t.Fatal("disabled breaker blocked a restart")
-	}
-}
-
 // fakeStation is a controllable incarnation: progress is committed by the
 // test calling sup.Progress, and the station records its own teardown.
 type fakeStation struct {
@@ -186,17 +105,16 @@ func TestWatchdogRestartsWedgedStation(t *testing.T) {
 	pending.Store(true)
 	tl := &transitionLog{}
 	sup, err := New(Config[*fakeStation]{
-		Start:            f.start,
-		Stop:             f.stop,
-		Pending:          pending.Load,
-		Window:           40 * time.Millisecond,
-		Interval:         5 * time.Millisecond,
-		BackoffBase:      time.Millisecond,
-		BackoffMax:       4 * time.Millisecond,
-		BreakerThreshold: 100, // keep the breaker out of this test
-		Seed:             7,
-		Metrics:          metrics.New(),
-		OnTransition:     tl.add,
+		Start:        f.start,
+		Stop:         f.stop,
+		Pending:      pending.Load,
+		Window:       40 * time.Millisecond,
+		Interval:     5 * time.Millisecond,
+		BackoffBase:  time.Millisecond,
+		BackoffMax:   4 * time.Millisecond,
+		Seed:         7,
+		Metrics:      metrics.New(),
+		OnTransition: tl.add,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +155,7 @@ func TestWatchdogRestartsWedgedStation(t *testing.T) {
 	seen := tl.snapshot()
 	var sawDegraded bool
 	for _, tr := range seen {
-		if tr.To == Degraded || tr.To == Partitioned {
+		if tr.To == Degraded {
 			sawDegraded = true
 		}
 	}
@@ -325,92 +243,6 @@ func TestIdleStationStaysHealthy(t *testing.T) {
 	}
 }
 
-func TestBreakerOpensOnPersistentStartFailure(t *testing.T) {
-	f := &fakeFactory{}
-	f.failNext.Store(1 << 30) // fail every Start until told otherwise
-	tl := &transitionLog{}
-	reg := metrics.New()
-	sup, err := New(Config[*fakeStation]{
-		Start:            f.start,
-		Stop:             f.stop,
-		Pending:          func() bool { return true },
-		Window:           20 * time.Millisecond,
-		Interval:         2 * time.Millisecond,
-		BackoffBase:      time.Millisecond,
-		BackoffMax:       2 * time.Millisecond,
-		BreakerThreshold: 3,
-		BreakerWindow:    10 * time.Second,
-		BreakerCooldown:  50 * time.Millisecond,
-		Seed:             11,
-		Metrics:          reg,
-		OnTransition:     tl.add,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sup.Run()
-	defer sup.Close()
-
-	waitFor(t, "breaker open", func() bool { return sup.Stats().BreakerOpens >= 1 })
-	waitFor(t, "down health", func() bool { return sup.Health() == Down })
-	if sup.Stats().StartFailures < 3 {
-		t.Errorf("start failures not counted: %+v", sup.Stats())
-	}
-
-	// Let the cooldown elapse and the probe succeed: the incarnation
-	// builds, progress closes the breaker, health returns to Healthy.
-	f.failNext.Store(0)
-	waitFor(t, "probe", func() bool { return sup.Stats().BreakerProbes >= 1 })
-	waitFor(t, "incarnation", func() bool { _, ok := sup.Peek(); return ok })
-	sup.Progress()
-	waitFor(t, "breaker close", func() bool { return sup.Stats().BreakerCloses >= 1 })
-	waitFor(t, "healthy", func() bool { return sup.Health() == Healthy })
-
-	var sawDown bool
-	for _, tr := range tl.snapshot() {
-		if tr.To == Down {
-			sawDown = true
-		}
-	}
-	if !sawDown {
-		t.Error("no Down transition recorded")
-	}
-}
-
-func TestPartitionedAfterConsecutiveWedges(t *testing.T) {
-	f := &fakeFactory{}
-	tl := &transitionLog{}
-	sup, err := New(Config[*fakeStation]{
-		Start:            f.start,
-		Stop:             f.stop,
-		Pending:          func() bool { return true },
-		Window:           15 * time.Millisecond,
-		Interval:         2 * time.Millisecond,
-		BackoffBase:      time.Millisecond,
-		BackoffMax:       2 * time.Millisecond,
-		BreakerThreshold: 100,
-		PartitionAfter:   2,
-		Seed:             13,
-		Metrics:          metrics.New(),
-		OnTransition:     tl.add,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sup.Run()
-	defer sup.Close()
-
-	waitFor(t, "two wedges", func() bool { return sup.Stats().Wedges >= 2 })
-	waitFor(t, "partitioned", func() bool {
-		for _, tr := range tl.snapshot() {
-			if tr.To == Partitioned {
-				return true
-			}
-		}
-		return false
-	})
-}
-
 func TestCurrentUnblocksOnClose(t *testing.T) {
 	f := &fakeFactory{}
 	f.failNext.Store(1 << 30)
@@ -484,8 +316,7 @@ func TestCloseBeforeRun(t *testing.T) {
 
 func TestHealthString(t *testing.T) {
 	for h, want := range map[Health]string{
-		Healthy: "healthy", Degraded: "degraded",
-		Partitioned: "partitioned", Down: "down", Health(9): "Health(9)",
+		Healthy: "healthy", Degraded: "degraded", Health(2): "Health(2)",
 	} {
 		if got := h.String(); got != want {
 			t.Errorf("Health(%d).String() = %q, want %q", h, got, want)
@@ -493,29 +324,22 @@ func TestHealthString(t *testing.T) {
 	}
 }
 
-// TestIdleProbeClosesBreaker is the probe-accounting regression: a
-// half-open probe incarnation that comes up with nothing pending must
-// still close the breaker after surviving a full idle window. Before the
-// fix the breaker stayed half-open with the probe ticket out forever,
-// and one later unrelated wedge re-opened it instantly instead of
-// counting toward the threshold.
-func TestIdleProbeClosesBreaker(t *testing.T) {
+// TestStatsRestartsMatchGeneration: Restarts is read with the generation
+// it counts, so from the moment generation g is published Stats reads g-1
+// restarts, never fewer. A count bumped after install had published the
+// incarnation let a caller that had already confirmed work on generation
+// 2 read 0; the test spins on Generation to catch that gap.
+func TestStatsRestartsMatchGeneration(t *testing.T) {
 	f := &fakeFactory{}
-	f.failNext.Store(1 << 30) // fail every Start until told otherwise
-	pending := atomic.Bool{}
 	sup, err := New(Config[*fakeStation]{
-		Start:            f.start,
-		Stop:             f.stop,
-		Pending:          pending.Load,
-		Window:           30 * time.Millisecond,
-		Interval:         3 * time.Millisecond,
-		BackoffBase:      time.Millisecond,
-		BackoffMax:       2 * time.Millisecond,
-		BreakerThreshold: 3,
-		BreakerWindow:    10 * time.Second,
-		BreakerCooldown:  40 * time.Millisecond,
-		Seed:             13,
-		Metrics:          metrics.New(),
+		Start:       f.start,
+		Stop:        f.stop,
+		Window:      time.Hour,
+		Interval:    time.Hour, // only Fail wakes the loop
+		BackoffBase: 100 * time.Microsecond,
+		BackoffMax:  100 * time.Microsecond,
+		Seed:        5,
+		Metrics:     metrics.New(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -523,23 +347,88 @@ func TestIdleProbeClosesBreaker(t *testing.T) {
 	sup.Run()
 	defer sup.Close()
 
-	waitFor(t, "breaker open", func() bool { return sup.Stats().BreakerOpens >= 1 })
+	deadline := time.Now().Add(10 * time.Second)
+	for i := 0; i < 200; i++ {
+		gen := sup.Generation()
+		for gen == uint64(i) {
+			if time.Now().After(deadline) {
+				t.Fatalf("cycle %d: no incarnation (stats %+v)", i, sup.Stats())
+			}
+			gen = sup.Generation()
+		}
+		if st := sup.Stats(); st.Restarts != int64(gen)-1 {
+			t.Fatalf("cycle %d: generation %d, Restarts %d", i, gen, st.Restarts)
+		}
+		sup.Fail(gen)
+	}
+}
 
-	// Heal the fault. The probe incarnation builds, finds nothing
-	// pending, and must close the breaker by sitting idle a full window —
-	// no progress commit ever happens.
+// TestBackoffAloneBoundsRestartRate: under a Start that always fails the
+// capped, jittered backoff is the one governor. Each capped delay lies in
+// [BackoffMax/2, BackoffMax], so past the ramp the attempts run at most
+// two and at least one per BackoffMax; the supervisor never gives up, its
+// health stays Degraded, and once Start heals an incarnation is up within
+// one capped delay. An idle window later it is Healthy again.
+func TestBackoffAloneBoundsRestartRate(t *testing.T) {
+	const (
+		base     = time.Millisecond
+		capped   = 20 * time.Millisecond
+		window   = 100 * time.Millisecond
+		interval = 25 * time.Millisecond
+		run      = 500 * time.Millisecond
+	)
+	f := &fakeFactory{}
+	f.failNext.Store(1 << 30) // fail every Start until told otherwise
+	tl := &transitionLog{}
+	sup, err := New(Config[*fakeStation]{
+		Start:        f.start,
+		Stop:         f.stop,
+		Window:       window,
+		Interval:     interval,
+		BackoffBase:  base,
+		BackoffMax:   capped,
+		Seed:         11,
+		Metrics:      metrics.New(),
+		OnTransition: tl.add,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The ramp: the first attempt and one after each delay below the cap.
+	ramp := int64(1)
+	for d := base; d < capped; d <<= 1 {
+		ramp++
+	}
+
+	began := time.Now()
+	sup.Run()
+	defer sup.Close()
+	time.Sleep(run)
+	before := time.Since(began)
+	n := sup.Stats().StartFailures
+	after := time.Since(began)
+	t.Logf("%d start failures in %v", n, after)
+	if most := ramp + int64(2*after/capped); n > most {
+		t.Errorf("%d start failures in %v, want at most %d", n, after, most)
+	}
+	if least := int64(before / capped); n < least {
+		t.Errorf("%d start failures in %v, want at least %d: the supervisor stopped trying", n, before, least)
+	}
+	if h := sup.Health(); h != Degraded {
+		t.Errorf("health %v under a failing Start, want degraded", h)
+	}
+	if ts := tl.snapshot(); len(ts) != 1 || ts[0].To != Degraded {
+		t.Errorf("transitions %+v, want one, to degraded", ts)
+	}
+
 	f.failNext.Store(0)
-	waitFor(t, "probe", func() bool { return sup.Stats().BreakerProbes >= 1 })
-	waitFor(t, "breaker close", func() bool { return sup.Stats().BreakerCloses >= 1 })
+	ctx, cancel := context.WithTimeout(context.Background(), capped+interval)
+	defer cancel()
+	if _, _, err := sup.Current(ctx); err != nil {
+		t.Fatalf("no incarnation within %v of the heal: %v (stats %+v)", capped+interval, err, sup.Stats())
+	}
 	waitFor(t, "healthy", func() bool { return sup.Health() == Healthy })
-
-	// The breaker must be genuinely closed: a single later wedge counts
-	// toward the threshold instead of re-opening as a failed probe.
-	pending.Store(true)
-	waitFor(t, "wedge", func() bool { return sup.Stats().Wedges >= 1 })
-	pending.Store(false)
-	time.Sleep(60 * time.Millisecond)
-	if n := sup.Stats().BreakerOpens; n != 1 {
-		t.Fatalf("one wedge after a successful idle probe re-opened the breaker: opens=%d", n)
+	if ts := tl.snapshot(); ts[len(ts)-1].Cause != "idle" {
+		t.Errorf("transitions %+v, want the last on \"idle\"", ts)
 	}
 }

@@ -22,12 +22,6 @@ const (
 	// HealthDegraded: a restart is in flight — the progress watchdog
 	// fired or a station failed to start.
 	HealthDegraded Health = Health(supervise.Degraded)
-	// HealthPartitioned: consecutive rebuilds changed nothing — fresh
-	// stations wedge like their predecessors, pointing at the link.
-	HealthPartitioned Health = Health(supervise.Partitioned)
-	// HealthDown: the restart circuit breaker is open; the session has
-	// stopped rebuilding until the cooldown admits a probe.
-	HealthDown Health = Health(supervise.Down)
 )
 
 // String implements fmt.Stringer.
@@ -38,7 +32,7 @@ func (h Health) String() string { return supervise.Health(h).String() }
 type HealthTransition struct {
 	From, To Health
 	// Cause is a short human-readable reason ("watchdog: no progress",
-	// "breaker open", "progress", ...).
+	// "start failed: ...", "progress", ...).
 	Cause string
 	At    time.Time
 }
@@ -73,14 +67,6 @@ type SessionConfig struct {
 	// delay between consecutive rebuilds (defaults 50ms and 5s).
 	RestartBackoff    time.Duration
 	RestartBackoffMax time.Duration
-
-	// BreakerThreshold fruitless restarts within BreakerWindow open the
-	// restart circuit breaker; it stays open for BreakerCooldown, then
-	// admits a single probe station whose progress closes it (defaults
-	// 5, 30s, 10s; a negative threshold disables the breaker).
-	BreakerThreshold int
-	BreakerWindow    time.Duration
-	BreakerCooldown  time.Duration
 }
 
 // SessionStats snapshots a Session's counters.
@@ -92,7 +78,6 @@ type SessionStats struct {
 	Restarts      int64  // stations rebuilt after the first
 	StartFailures int64  // Dial or station-start failures
 	Wedges        int64  // progress-watchdog firings
-	BreakerOpens  int64  // circuit-breaker opens
 	Generation    uint64 // station incarnations built so far
 	Health        Health // current health state
 }
@@ -103,7 +88,7 @@ type SessionStats struct {
 // them in order, and when the station wedges — a half-dead socket, a
 // long partition, a crash — it is torn down and rebuilt with fresh
 // randomness, the unconfirmed backlog resubmitted automatically, under
-// exponential backoff and a restart circuit breaker.
+// capped exponential backoff that never gives up.
 //
 // Delivery is exactly-once while no station crashes and at-least-once
 // across crashes and restarts: a wiped in-flight payload may or may not
@@ -150,9 +135,6 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		WatchdogInterval:  cfg.WatchdogInterval,
 		RestartBackoff:    cfg.RestartBackoff,
 		RestartBackoffMax: cfg.RestartBackoffMax,
-		BreakerThreshold:  cfg.BreakerThreshold,
-		BreakerWindow:     cfg.BreakerWindow,
-		BreakerCooldown:   cfg.BreakerCooldown,
 		Seed:              seed,
 		OnTransition:      s.fanout,
 	})
@@ -174,7 +156,7 @@ func (s *Session) Enqueue(msg []byte) (uint64, error) { return s.s.Enqueue(msg) 
 func (s *Session) Flush(ctx context.Context) error { return s.s.Flush(ctx) }
 
 // Err returns the session's sticky fatal error, if any. Watchdog
-// restarts and breaker openings are not fatal; running out of
+// restarts and failed station starts are not fatal; running out of
 // MaxAttempts or a WAL write failure is.
 func (s *Session) Err() error { return s.s.Err() }
 
@@ -228,7 +210,6 @@ func (s *Session) Stats() SessionStats {
 		Restarts:      st.Restarts,
 		StartFailures: st.StartFailures,
 		Wedges:        st.Wedges,
-		BreakerOpens:  st.BreakerOpens,
 		Generation:    st.Generation,
 		Health:        Health(st.Health),
 	}

@@ -61,9 +61,6 @@ func newSessionRig(t *testing.T, mut func(*ghm.SessionConfig)) *sessionRig {
 		WatchdogInterval:  10 * time.Millisecond,
 		RestartBackoff:    5 * time.Millisecond,
 		RestartBackoffMax: 40 * time.Millisecond,
-		BreakerThreshold:  50,
-		BreakerWindow:     10 * time.Second,
-		BreakerCooldown:   100 * time.Millisecond,
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -155,7 +152,7 @@ func TestSessionHealsWedgedLink(t *testing.T) {
 	for !(sawDegraded && sawHealthy) {
 		select {
 		case tr := <-sub:
-			if tr.To == ghm.HealthDegraded || tr.To == ghm.HealthPartitioned {
+			if tr.To == ghm.HealthDegraded {
 				sawDegraded = true
 			}
 			if sawDegraded && tr.To == ghm.HealthHealthy {
@@ -175,10 +172,8 @@ func TestSessionRequiresDial(t *testing.T) {
 
 func TestHealthStrings(t *testing.T) {
 	for h, want := range map[ghm.Health]string{
-		ghm.HealthHealthy:     "healthy",
-		ghm.HealthDegraded:    "degraded",
-		ghm.HealthPartitioned: "partitioned",
-		ghm.HealthDown:        "down",
+		ghm.HealthHealthy:  "healthy",
+		ghm.HealthDegraded: "degraded",
 	} {
 		if got := h.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", int(h), got, want)
@@ -253,7 +248,6 @@ func TestSessionSubscribeLaggingKeepsNewest(t *testing.T) {
 	g := newSessionRig(t, func(c *ghm.SessionConfig) {
 		c.WatchdogWindow = 50 * time.Millisecond
 		c.WatchdogInterval = 5 * time.Millisecond
-		c.BreakerThreshold = -1 // settle on Partitioned, never Down
 	})
 	if _, err := g.s.Enqueue([]byte("warmup")); err != nil {
 		t.Fatal(err)
@@ -265,15 +259,16 @@ func TestSessionSubscribeLaggingKeepsNewest(t *testing.T) {
 	g.wedgeCycles(t, 10) // 20 transitions or more: past the buffer
 
 	// A closed link: every rebuild fails, and the health settles on
-	// Partitioned.
+	// Degraded.
 	g.link.Close()
 	if _, err := g.s.Enqueue([]byte("into the void")); err != nil {
 		t.Fatal(err)
 	}
+	failures := g.s.Stats().StartFailures
 	deadline := time.Now().Add(10 * time.Second)
-	for g.s.Health() != ghm.HealthPartitioned {
+	for g.s.Stats().StartFailures < failures+3 || g.s.Health() != ghm.HealthDegraded {
 		if time.Now().After(deadline) {
-			t.Fatalf("health %v, want partitioned (stats %+v)", g.s.Health(), g.s.Stats())
+			t.Fatalf("health %v, want degraded after 3 failed starts (stats %+v)", g.s.Health(), g.s.Stats())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -305,18 +300,19 @@ func TestSessionSubscribeAfterCloseReturnsClosedChannel(t *testing.T) {
 }
 
 // TestSessionSubscribeFanoutDuringProbeRace hammers Subscribe
-// registration and the health fan-out concurrently across a full
-// breaker cycle — open on persistent dial failure, then a probe
-// incarnation that heals. Run under -race it pins the subscriber
-// bookkeeping: the fan-out walks the subscriber list from the
+// registration and the health fan-out concurrently across a
+// fail-then-heal cycle: a dial that fails a set number of times, then a
+// first station that probes the healed link. Run under -race it pins the
+// subscriber bookkeeping: the fan-out walks the subscriber list from the
 // supervisor's goroutine while new subscribers register from many
-// others, right through the probe.
+// others, right through the heal.
 func TestSessionSubscribeFanoutDuringProbeRace(t *testing.T) {
-	var dialOK atomic.Bool
+	const failDials = 20
+	var dials atomic.Int64
 	g := newSessionRig(t, func(c *ghm.SessionConfig) {
 		dial := c.Dial
 		c.Dial = func() (ghm.PacketConn, error) {
-			if !dialOK.Load() {
+			if dials.Add(1) <= failDials {
 				return nil, errors.New("no route")
 			}
 			return dial()
@@ -325,12 +321,10 @@ func TestSessionSubscribeFanoutDuringProbeRace(t *testing.T) {
 		c.WatchdogInterval = 5 * time.Millisecond
 		c.RestartBackoff = time.Millisecond
 		c.RestartBackoffMax = 2 * time.Millisecond
-		c.BreakerThreshold = 3
-		c.BreakerCooldown = 30 * time.Millisecond
 	})
 	s := g.s
 
-	// Subscribers churn for the whole breaker cycle: half drain until
+	// Subscribers churn for the whole cycle: half drain until
 	// their channel closes, half abandon their channel at once — the
 	// abandoned ones must cost nothing.
 	stopChurn := make(chan struct{})
@@ -368,12 +362,11 @@ func TestSessionSubscribeFanoutDuringProbeRace(t *testing.T) {
 			time.Sleep(2 * time.Millisecond)
 		}
 	}
-	waitFor("breaker open", func() bool { return s.Stats().BreakerOpens >= 1 })
+	waitFor("failed dials", func() bool { return s.Stats().StartFailures >= failDials })
 
-	// Heal the link: the next admitted incarnation is the breaker's
-	// half-open probe; committing a transfer closes the breaker while the
-	// churn keeps registering subscribers.
-	dialOK.Store(true)
+	// The dial has healed: the first station comes up and committing a
+	// transfer makes the session healthy while the churn keeps
+	// registering subscribers.
 	if _, err := s.Enqueue([]byte("probe-payload")); err != nil {
 		t.Fatal(err)
 	}
