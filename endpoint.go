@@ -105,7 +105,7 @@ func (e *Endpoint) Peer(slot int, role Role, opts ...Option) (*Peer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newPeer(nil, sendConn, recvConn, applyOptions(opts))
+	return newPeer(sendConn, recvConn, applyOptions(opts))
 }
 
 // Session starts a supervised self-healing session on slot: every

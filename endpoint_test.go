@@ -94,6 +94,77 @@ func TestEndpointPeerSlot(t *testing.T) {
 	}
 }
 
+// TestNewPeerIsEndpointSlotZero: a peer from NewPeer and one from an
+// Endpoint's slot 0 are the same end on the wire. Each end is built
+// either way with the same seed, and in every pairing the first DATA
+// and the first CTL each end sends are byte-identical.
+func TestNewPeerIsEndpointSlotZero(t *testing.T) {
+	// first[role][kind-1] is the first packet of that wire kind (DATA 1,
+	// CTL 2) the role's end sent, frame id byte included.
+	type first [2][2][]byte
+	run := func(t *testing.T, viaEndpoint [2]bool) first {
+		left, right := ghm.Pipe(ghm.PipeFaults{Seed: 104})
+		var (
+			mu  sync.Mutex
+			got first
+		)
+		peers := make([]*ghm.Peer, 2)
+		for role, conn := range []ghm.PacketConn{left, right} {
+			role := role
+			conn = countingConn{PacketConn: conn, note: func(p []byte) {
+				if len(p) < 2 || (p[1] != 1 && p[1] != 2) {
+					return
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				if got[role][p[1]-1] == nil {
+					got[role][p[1]-1] = append([]byte(nil), p...)
+				}
+			}}
+			opts := []ghm.Option{ghm.WithSeed(int64(40 + role))}
+			var err error
+			if viaEndpoint[role] {
+				e := ghm.NewEndpoint(conn)
+				t.Cleanup(func() { e.Close() })
+				peers[role], err = e.Peer(0, ghm.Role(role), opts...)
+			} else {
+				peers[role], err = ghm.NewPeer(conn, ghm.Role(role), opts...)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { peers[role].Close() })
+		}
+		// One direction at a time: each end's seeded source is shared by
+		// its two stations, so the draws must not race.
+		ctx := testCtx(t)
+		for i, msg := range []string{"ping", "pong"} {
+			if err := peers[i].Send(ctx, []byte(msg)); err != nil {
+				t.Fatal(err)
+			}
+			if m, err := peers[1-i].Recv(ctx); err != nil || string(m) != msg {
+				t.Fatalf("Recv = %q, %v; want %q", m, err, msg)
+			}
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		return got
+	}
+
+	want := run(t, [2]bool{false, false})
+	for _, via := range [][2]bool{{true, true}, {false, true}, {true, false}} {
+		got := run(t, via)
+		for role := 0; role < 2; role++ {
+			for kind, name := range []string{"DATA", "CTL"} {
+				if want[role][kind] == nil || !bytes.Equal(got[role][kind], want[role][kind]) {
+					t.Errorf("endpoint=%v: role %d's first %s = %x, NewPeer's = %x",
+						via, role, name, got[role][kind], want[role][kind])
+				}
+			}
+		}
+	}
+}
+
 func TestEndpointSlotValidation(t *testing.T) {
 	a, b := ghm.Pipe(ghm.PipeFaults{Seed: 103})
 	defer b.Close()

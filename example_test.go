@@ -93,28 +93,32 @@ func ExampleSender_Crash() {
 	// Output: netlink: station crashed
 }
 
-// ExampleNewQueue shows the buffering higher layer: enqueue at will,
-// messages go out in order with crash resubmission.
-func ExampleNewQueue() {
+// ExampleNewSession shows the buffering higher layer: enqueue at will,
+// messages go out in order with crash resubmission, under a supervisor
+// that rebuilds a wedged station.
+func ExampleNewSession() {
 	left, right := ghm.Pipe(ghm.PipeFaults{Loss: 0.3, Seed: 6})
-	sender, _ := ghm.NewSender(left, ghm.WithSeed(11))
+	link := ghm.Share(left)
 	receiver, _ := ghm.NewReceiver(right, ghm.WithSeed(12),
 		ghm.WithRetryInterval(time.Millisecond))
-	defer sender.Close()
+	defer link.Close()
 	defer receiver.Close()
 
-	queue, _ := ghm.NewQueue(sender)
-	defer queue.Close()
+	session, _ := ghm.NewSession(ghm.SessionConfig{
+		Dial:    link.Dial,
+		Options: []ghm.Option{ghm.WithSeed(11)},
+	})
+	defer session.Close()
 
-	queue.Enqueue([]byte("first"))
-	queue.Enqueue([]byte("second"))
+	session.Enqueue([]byte("first"))
+	session.Enqueue([]byte("second"))
 
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
 		msg, _ := receiver.Recv(ctx)
 		fmt.Println(string(msg))
 	}
-	queue.Flush(ctx)
+	session.Flush(ctx)
 	// Output:
 	// first
 	// second

@@ -162,10 +162,6 @@ func (c *ImpairedConn) Close() error { return c.ic.Close() }
 // off: while on, every packet entering the stage is dropped.
 func (c *ImpairedConn) SetBlackout(on bool) { c.ic.SetBlackout(on) }
 
-// Blackout partitions the impaired direction for the next d; overlapping
-// windows extend each other.
-func (c *ImpairedConn) Blackout(d time.Duration) { c.ic.Blackout(d) }
-
 // SetLoss replaces the independent loss probability at runtime.
 func (c *ImpairedConn) SetLoss(p float64) { c.ic.SetLoss(p) }
 

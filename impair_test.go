@@ -100,7 +100,8 @@ func TestImpairExactlyOnceInOrder(t *testing.T) {
 		case n / 3:
 			data.SetLoss(0.3)
 		case 2 * n / 3:
-			data.Blackout(20 * time.Millisecond)
+			data.SetBlackout(true)
+			time.AfterFunc(20*time.Millisecond, func() { data.SetBlackout(false) })
 		}
 		if err := s.Send(ctx, []byte(fmt.Sprintf("imp-%02d", i))); err != nil {
 			t.Fatalf("send %d: %v", i, err)

@@ -115,15 +115,14 @@ type Link struct {
 	// has room for what Fate releases.
 	Model LinkModel
 
-	mu        sync.Mutex
-	rng       clock.SplitMix
-	bad       bool      // Gilbert–Elliott state
-	txEnd     time.Time // when the serialization clock is next free
-	loss      float64
-	dark      bool      // SetBlackout
-	darkUntil time.Time // BlackoutUntil
-	inflight  int       // released by Fate, not yet landed
-	stats     ImpairStats
+	mu       sync.Mutex
+	rng      clock.SplitMix
+	bad      bool      // Gilbert–Elliott state
+	txEnd    time.Time // when the serialization clock is next free
+	loss     float64
+	dark     bool // SetBlackout
+	inflight int  // released by Fate, not yet landed
+	stats    ImpairStats
 }
 
 // Init readies l to judge packets by m on the stream seed names. Call it
@@ -149,7 +148,7 @@ func (l *Link) Fate(now time.Time, size int) (f Fate) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.stats.Sent++
-	if f.Drop = l.lose(now); f.Drop != 0 {
+	if f.Drop = l.lose(); f.Drop != 0 {
 		return f
 	}
 	copies := 1
@@ -173,8 +172,8 @@ func (l *Link) Fate(now time.Time, size int) (f Fate) {
 }
 
 // lose decides, and counts, whether the link drops the packet outright.
-func (l *Link) lose(now time.Time) Cause {
-	if l.dark || now.Before(l.darkUntil) {
+func (l *Link) lose() Cause {
+	if l.dark {
 		l.stats.DropBlackout++
 		return DropBlackout
 	}
@@ -252,16 +251,6 @@ func (l *Link) SetLoss(p float64) {
 func (l *Link) SetBlackout(on bool) {
 	l.mu.Lock()
 	l.dark = on
-	l.mu.Unlock()
-}
-
-// BlackoutUntil partitions the link until t, independently of
-// SetBlackout. Overlapping windows extend each other.
-func (l *Link) BlackoutUntil(t time.Time) {
-	l.mu.Lock()
-	if t.After(l.darkUntil) {
-		l.darkUntil = t
-	}
 	l.mu.Unlock()
 }
 

@@ -140,16 +140,6 @@ func TestFate(t *testing.T) {
 			stats: ImpairStats{Sent: 5, DropBlackout: 2, DropIID: 2},
 		},
 		{
-			name: "blackout window",
-			steps: script(
-				do(func(l *Link, now time.Time) { l.BlackoutUntil(now.Add(30 * ms)) }),
-				do(func(l *Link, now time.Time) { l.BlackoutUntil(now.Add(10 * ms)) }), // shorter: no effect
-				sends(1, 0, 10), sends(1, 29*ms, 10), sends(1, 30*ms, 10),
-			),
-			want:  "dark dark 0",
-			stats: ImpairStats{Sent: 3, DropBlackout: 2},
-		},
-		{
 			name: "iid loss", model: LinkModel{Loss: 0.3}, seed: 1, steps: sends(32, 0, 10),
 			want:  "0 0 0 0 0 0 0 0 iid 0 0 0 0 0 0 iid 0 0 0 0 iid iid 0 iid iid iid 0 0 iid 0 0 0",
 			stats: ImpairStats{Sent: 32, DropIID: 8},

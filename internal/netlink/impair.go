@@ -17,8 +17,8 @@ type ImpairConfig struct {
 	// from Clock.Seed; the resolved value is readable via Seed() so it
 	// always lands in repro output).
 	Seed int64
-	// Clock is the link's time source: blackout windows, latency flights
-	// and the serialization clock all derive from it (nil = wall clock).
+	// Clock is the link's time source: latency flights and the
+	// serialization clock both derive from it (nil = wall clock).
 	Clock clock.Clock
 	// Metrics receives the link's fate counters; nil uses
 	// metrics.Default(). Injected faults become observable numbers here,
@@ -105,10 +105,6 @@ func (c *ImpairedConn) SetLoss(p float64) { c.link.SetLoss(p) }
 
 // SetBlackout switches a full partition on or off (see Link.SetBlackout).
 func (c *ImpairedConn) SetBlackout(on bool) { c.link.SetBlackout(on) }
-
-// Blackout partitions the link for the next d, independently of
-// SetBlackout. Overlapping windows extend each other.
-func (c *ImpairedConn) Blackout(d time.Duration) { c.link.BlackoutUntil(c.clk.Now().Add(d)) }
 
 // Stats returns the impairment counters so far.
 func (c *ImpairedConn) Stats() ImpairStats { return c.link.Stats() }

@@ -131,18 +131,6 @@ func TestImpairBlackoutAndSetLoss(t *testing.T) {
 	_ = st
 }
 
-func TestImpairBlackoutWindowExpires(t *testing.T) {
-	under := &collectConn{}
-	c := Impair(under, ImpairConfig{Seed: 5})
-	defer c.Close()
-	c.Blackout(30 * time.Millisecond)
-	c.Send([]byte("dropped"))
-	settle(t, c, func(st ImpairStats) bool { return st.DropBlackout == 1 })
-	time.Sleep(40 * time.Millisecond)
-	c.Send([]byte("passes"))
-	settle(t, c, func(st ImpairStats) bool { return st.Delivered == 1 })
-}
-
 func TestImpairBandwidthQueueCap(t *testing.T) {
 	under := &collectConn{}
 	// 1000 B/s and 100-byte packets: 10 packets/second; a burst of 50

@@ -7,10 +7,11 @@ import (
 )
 
 // SendFunc transfers one message, blocking until it is confirmed
-// delivered. ghm.Sender.Send and ghm.Peer.Send have this shape. msg is the
-// queue's own buffer — a ring slot — valid until the call returns: an implementation that
-// keeps the bytes longer copies them (the stations do — the transmitter
-// copies the message into its own memory before Send returns).
+// delivered. netlink.Sender.Send, which session.Session drives, has this
+// shape. msg is the queue's own buffer — a ring slot — valid until the
+// call returns: an implementation that keeps the bytes longer copies
+// them (the stations do — the transmitter copies the message into its
+// own memory before Send returns).
 type SendFunc func(ctx context.Context, msg []byte) error
 
 // Config parameterizes a Queue.

@@ -31,8 +31,8 @@ type Peer struct {
 	// role B mirrors.
 	s *netlink.Sender
 	r *netlink.Receiver
-	// closeLink closes the engine, and with it the conn, when the peer
-	// owns them (NewPeer); nil for a peer on an Endpoint's slot.
+	// closeLink closes the Endpoint, and with it the conn, when the peer
+	// owns them (NewPeer); nil for a peer on a caller's Endpoint.
 	closeLink func() error
 
 	closeOnce sync.Once
@@ -41,33 +41,24 @@ type Peer struct {
 // NewPeer starts a full-duplex session on conn. The remote end must call
 // NewPeer on its endpoint with the other Role.
 func NewPeer(conn PacketConn, role Role, opts ...Option) (*Peer, error) {
-	if role != RoleA && role != RoleB {
-		return nil, errPeerRole
-	}
-	eng := netlink.NewEngine(conn, 2, nil, nil)
-	sendConn, err := eng.Endpoint(int(role))
+	// Slot 0 of an Endpoint the peer owns, so the far end may equally be
+	// an Endpoint's Peer on slot 0; Close closes the Endpoint and conn.
+	e := NewEndpoint(conn)
+	p, err := e.Peer(0, role, opts...)
 	if err != nil {
-		eng.Close()
-		return nil, fmt.Errorf("ghm: %w", err)
+		e.Close()
+		return nil, err
 	}
-	recvConn, err := eng.Endpoint(1 - int(role))
-	if err != nil {
-		eng.Close()
-		return nil, fmt.Errorf("ghm: %w", err)
-	}
-	return newPeer(eng.Close, sendConn, recvConn, applyOptions(opts))
+	p.closeLink = e.Close
+	return p, nil
 }
 
-// newPeer starts both directions; on failure it closes what it started,
-// and the link too when the peer would have owned it.
-func newPeer(closeLink func() error, sendConn, recvConn PacketConn, o options) (*Peer, error) {
+// newPeer starts both directions; on failure it closes what it started.
+func newPeer(sendConn, recvConn PacketConn, o options) (*Peer, error) {
 	// One Params for both directions: a seeded source is shared.
 	p := o.params()
 	s, err := netlink.NewSender(sendConn, netlink.SenderConfig{Params: p})
 	if err != nil {
-		if closeLink != nil {
-			closeLink()
-		}
 		return nil, fmt.Errorf("ghm: %w", err)
 	}
 	r, err := netlink.NewReceiver(recvConn, netlink.ReceiverConfig{
@@ -77,12 +68,9 @@ func newPeer(closeLink func() error, sendConn, recvConn PacketConn, o options) (
 	})
 	if err != nil {
 		s.Close()
-		if closeLink != nil {
-			closeLink()
-		}
 		return nil, fmt.Errorf("ghm: %w", err)
 	}
-	return &Peer{s: s, r: r, closeLink: closeLink}, nil
+	return &Peer{s: s, r: r}, nil
 }
 
 // Send transfers msg to the other end and blocks until the protocol

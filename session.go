@@ -48,9 +48,13 @@ type SessionConfig struct {
 	// WithTap, ...), exactly as for NewSender.
 	Options []Option
 
-	// WAL persists the backlog to a write-ahead log at the given path, so
-	// the session's queue survives process restarts (see WithWAL for the
-	// durability contract). WALSync upgrades it to fsync-per-record.
+	// WAL persists the backlog to a write-ahead log at this path: a
+	// session reopened on it retransfers the unconfirmed suffix. Each
+	// record reaches the operating system before Enqueue returns, so an
+	// accepted payload survives a process crash; WALSync also fsyncs it
+	// to the device, surviving power loss at one fsync per payload. A
+	// crash mid-write tears at most the last record; reopening keeps the
+	// longest consistent prefix and compacts the log.
 	WAL     string
 	WALSync bool
 	// MaxAttempts bounds resubmissions per message (0 = unlimited).

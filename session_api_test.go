@@ -3,6 +3,8 @@ package ghm_test
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,7 +15,7 @@ import (
 )
 
 // sessionRig wires a supervised Session to a plain Receiver over a
-// shared in-memory pipe.
+// shared in-memory pipe with faults f.
 type sessionRig struct {
 	link  *ghm.SharedLink
 	r     *ghm.Receiver
@@ -30,9 +32,9 @@ func (g *sessionRig) delivered() []string {
 	return append([]string(nil), g.got...)
 }
 
-func newSessionRig(t *testing.T, mut func(*ghm.SessionConfig)) *sessionRig {
+func newSessionRig(t *testing.T, f ghm.PipeFaults, mut func(*ghm.SessionConfig)) *sessionRig {
 	t.Helper()
-	a, b := ghm.Pipe(ghm.PipeFaults{Seed: 1})
+	a, b := ghm.Pipe(f)
 	g := &sessionRig{link: ghm.Share(a)}
 
 	var err error
@@ -78,36 +80,93 @@ func newSessionRig(t *testing.T, mut func(*ghm.SessionConfig)) *sessionRig {
 	return g
 }
 
-func TestSessionDelivers(t *testing.T) {
-	g := newSessionRig(t, nil)
-	for i := 0; i < 5; i++ {
-		if _, err := g.s.Enqueue([]byte(fmt.Sprintf("s-%d", i))); err != nil {
+// waitDelivered waits up to 5 s for the rig's receiver to have delivered
+// n payloads and returns what it delivered.
+func (g *sessionRig) waitDelivered(t *testing.T, n int) []string {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for len(g.delivered()) < n && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	return g.delivered()
+}
+
+// waitFirstOccurrences waits up to 5 s for the rig's receiver to have
+// delivered n distinct payloads and returns the first occurrence of each,
+// in delivery order.
+func (g *sessionRig) waitFirstOccurrences(t *testing.T, n int) []string {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		seen := make(map[string]bool)
+		var first []string
+		for _, m := range g.delivered() {
+			if !seen[m] {
+				seen[m] = true
+				first = append(first, m)
+			}
+		}
+		if len(first) >= n || time.Now().After(deadline) {
+			return first
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// enqueueAll enqueues n payloads named prefix-00, prefix-01, ... and
+// returns them in order.
+func (g *sessionRig) enqueueAll(t *testing.T, prefix string, n int) []string {
+	t.Helper()
+	want := make([]string, n)
+	for i := range want {
+		want[i] = fmt.Sprintf("%s-%02d", prefix, i)
+		if _, err := g.s.Enqueue([]byte(want[i])); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := g.s.Flush(testCtx(t)); err != nil {
-		t.Fatal(err)
-	}
-	st := g.s.Stats()
-	if st.Sent != 5 || st.Pending != 0 {
-		t.Fatalf("stats: %+v", st)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for len(g.delivered()) < 5 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if d := g.delivered(); len(d) != 5 || d[0] != "s-0" || d[4] != "s-4" {
-		t.Fatalf("delivered %v", d)
-	}
-	if h := g.s.Health(); h != ghm.HealthHealthy {
-		t.Fatalf("health %v", h)
+	return want
+}
+
+func TestSessionDelivers(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		f    ghm.PipeFaults
+	}{
+		{"perfect", ghm.PipeFaults{Seed: 1}},
+		{"lossy-dup", ghm.PipeFaults{Loss: 0.25, DupProb: 0.2, Seed: 71}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := newSessionRig(t, tc.f, nil)
+			const n = 15
+			want := g.enqueueAll(t, "s", n)
+			if err := g.s.Flush(testCtx(t)); err != nil {
+				t.Fatal(err)
+			}
+			if st := g.s.Stats(); st.Sent != n || st.Pending != 0 {
+				t.Fatalf("stats: %+v", st)
+			}
+			// No station crashed, so delivery is exactly once, in order.
+			if d := g.waitDelivered(t, n); !slices.Equal(d, want) {
+				t.Fatalf("delivered %v, want %v", d, want)
+			}
+			if h := g.s.Health(); h != ghm.HealthHealthy {
+				t.Fatalf("health %v", h)
+			}
+		})
 	}
 }
 
 func TestSessionRecoversFromCrashes(t *testing.T) {
-	g := newSessionRig(t, nil)
-	for i := 0; i < 10; i++ {
-		if _, err := g.s.Enqueue([]byte(fmt.Sprintf("c-%d", i))); err != nil {
+	// Crashes land mid-transfer on a lossy link while the rig's receiver
+	// drains concurrently. Across crashes delivery is at-least-once, so a
+	// wiped payload may arrive twice; the first occurrences must be every
+	// payload, in order.
+	g := newSessionRig(t, ghm.PipeFaults{Loss: 0.3, Seed: 72}, nil)
+	const n = 20
+	want := make([]string, n)
+	for i := range want {
+		want[i] = fmt.Sprintf("c-%02d", i)
+		if _, err := g.s.Enqueue([]byte(want[i])); err != nil {
 			t.Fatal(err)
 		}
 		if i%3 == 0 {
@@ -117,13 +176,116 @@ func TestSessionRecoversFromCrashes(t *testing.T) {
 	if err := g.s.Flush(testCtx(t)); err != nil {
 		t.Fatal(err)
 	}
-	if st := g.s.Stats(); st.Sent != 10 {
+	if st := g.s.Stats(); st.Sent != n {
 		t.Fatalf("stats: %+v", st)
+	}
+	if first := g.waitFirstOccurrences(t, n); !slices.Equal(first, want) {
+		t.Fatalf("first occurrences %v, want %v", first, want)
+	}
+}
+
+func TestQueueResubmitsAcrossCrash(t *testing.T) {
+	// Crashes come from another goroutine while payloads are enqueued and
+	// flushed on a lossy link, so some land mid-transfer; the session's
+	// queue must resubmit what they wiped. Delivery is at-least-once: the
+	// first occurrences must be every payload, in order.
+	g := newSessionRig(t, ghm.PipeFaults{Loss: 0.3, Seed: 72}, nil)
+	const n = 20
+	crashed := make(chan struct{})
+	go func() {
+		defer close(crashed)
+		for i := 0; i < 3; i++ {
+			time.Sleep(2 * time.Millisecond)
+			g.s.Crash()
+		}
+	}()
+	want := g.enqueueAll(t, "c", n)
+	if err := g.s.Flush(testCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+	<-crashed
+	if err := g.s.Flush(testCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+	if first := g.waitFirstOccurrences(t, n); !slices.Equal(first, want) {
+		t.Fatalf("first occurrences %v, want %v", first, want)
+	}
+	if st := g.s.Stats(); st.Resubmits == 0 {
+		t.Log("note: no crash landed mid-transfer this run")
+	}
+}
+
+func TestSessionWALSurvivesReopen(t *testing.T) {
+	wal := filepath.Join(t.TempDir(), "session.wal")
+
+	// First life: a silent link delivers nothing. Every payload Enqueue
+	// accepted is in the WAL (fsynced, with WALSync) when the session
+	// closes.
+	g1 := newSessionRig(t, ghm.PipeFaults{Loss: 1, Seed: 73}, func(c *ghm.SessionConfig) {
+		c.WAL, c.WALSync = wal, true
+	})
+	want := g1.enqueueAll(t, "w", 5)
+	if err := g1.s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := g1.delivered(); len(d) != 0 {
+		t.Fatalf("a silent link delivered %v", d)
+	}
+
+	// Second life: a session on the same path over a working link drains
+	// the recovered backlog, in order.
+	g2 := newSessionRig(t, ghm.PipeFaults{Seed: 74}, func(c *ghm.SessionConfig) { c.WAL = wal })
+	if err := g2.s.Flush(testCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+	if st := g2.s.Stats(); st.Sent != len(want) || st.Pending != 0 {
+		t.Fatalf("stats: %+v", st)
+	}
+	if d := g2.waitDelivered(t, len(want)); !slices.Equal(d, want) {
+		t.Fatalf("recovered %v, want %v", d, want)
+	}
+}
+
+func TestSessionMaxAttempts(t *testing.T) {
+	// A dead link and a crash loop: every transfer fails with a crash, and
+	// MaxAttempts 2 must turn that into a fatal error that stays set.
+	g := newSessionRig(t, ghm.PipeFaults{Loss: 1, Seed: 75}, func(c *ghm.SessionConfig) {
+		c.MaxAttempts = 2
+	})
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(2 * time.Millisecond):
+				g.s.Crash()
+			}
+		}
+	}()
+	if _, err := g.s.Enqueue([]byte("hopeless")); err != nil {
+		t.Fatal(err)
+	}
+	err := g.s.Flush(testCtx(t))
+	close(stop)
+	<-stopped
+	if err == nil {
+		t.Fatal("Flush succeeded on a dead link with bounded attempts")
+	}
+	if g.s.Err() == nil {
+		t.Fatal("Err is nil after Flush failed fatally")
+	}
+	if err := g.s.Flush(testCtx(t)); err == nil {
+		t.Fatal("a second Flush succeeded after the fatal error")
+	}
+	if g.s.Err() == nil {
+		t.Fatal("Err was cleared")
 	}
 }
 
 func TestSessionHealsWedgedLink(t *testing.T) {
-	g := newSessionRig(t, nil)
+	g := newSessionRig(t, ghm.PipeFaults{Seed: 1}, nil)
 
 	// Confirm one message so the first incarnation is demonstrably live.
 	if _, err := g.s.Enqueue([]byte("warmup")); err != nil {
@@ -188,7 +350,7 @@ func TestHealthStrings(t *testing.T) {
 // the abandoned channel's buffer filled.
 func TestSessionSubscribeAbandonedDoesNotLeak(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
-	g := newSessionRig(t, func(c *ghm.SessionConfig) {
+	g := newSessionRig(t, ghm.PipeFaults{Seed: 1}, func(c *ghm.SessionConfig) {
 		c.WatchdogWindow = 50 * time.Millisecond
 		c.WatchdogInterval = 5 * time.Millisecond
 	})
@@ -245,7 +407,7 @@ func (g *sessionRig) wedgeCycles(t *testing.T, n int) {
 // loses the oldest transitions, not the newest, so once the session
 // settles the last transition it holds is the current health.
 func TestSessionSubscribeLaggingKeepsNewest(t *testing.T) {
-	g := newSessionRig(t, func(c *ghm.SessionConfig) {
+	g := newSessionRig(t, ghm.PipeFaults{Seed: 1}, func(c *ghm.SessionConfig) {
 		c.WatchdogWindow = 50 * time.Millisecond
 		c.WatchdogInterval = 5 * time.Millisecond
 	})
@@ -287,7 +449,7 @@ func TestSessionSubscribeLaggingKeepsNewest(t *testing.T) {
 // TestSessionSubscribeAfterCloseReturnsClosedChannel: subscribing to a
 // closed session yields a closed channel, not one that never closes.
 func TestSessionSubscribeAfterCloseReturnsClosedChannel(t *testing.T) {
-	g := newSessionRig(t, nil)
+	g := newSessionRig(t, ghm.PipeFaults{Seed: 1}, nil)
 	g.s.Close()
 	select {
 	case _, ok := <-g.s.Subscribe():
@@ -309,7 +471,7 @@ func TestSessionSubscribeAfterCloseReturnsClosedChannel(t *testing.T) {
 func TestSessionSubscribeFanoutDuringProbeRace(t *testing.T) {
 	const failDials = 20
 	var dials atomic.Int64
-	g := newSessionRig(t, func(c *ghm.SessionConfig) {
+	g := newSessionRig(t, ghm.PipeFaults{Seed: 1}, func(c *ghm.SessionConfig) {
 		dial := c.Dial
 		c.Dial = func() (ghm.PacketConn, error) {
 			if dials.Add(1) <= failDials {
@@ -388,7 +550,7 @@ func TestSessionSubscribeFanoutDuringProbeRace(t *testing.T) {
 func TestSessionDeadStationFailsOver(t *testing.T) {
 	var mu sync.Mutex
 	var last ghm.PacketConn
-	g := newSessionRig(t, func(c *ghm.SessionConfig) {
+	g := newSessionRig(t, ghm.PipeFaults{Seed: 1}, func(c *ghm.SessionConfig) {
 		dial := c.Dial
 		c.Dial = func() (ghm.PacketConn, error) {
 			conn, err := dial()
