@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ghm/internal/engine"
-	"ghm/internal/netlink"
 )
 
 // MaxEndpointSlots is the number of independent slots an Endpoint hosts.
@@ -41,7 +40,7 @@ func NewEndpoint(conn PacketConn) *Endpoint {
 	// Two engine ids per slot: one per direction, so a slot can host a
 	// full-duplex Peer. Single-direction instances use the slot's first
 	// id. All ids stay below 128 and therefore one byte on the wire.
-	return &Endpoint{eng: netlink.NewEngine(conn, 2*MaxEndpointSlots, nil, nil)}
+	return &Endpoint{eng: engine.New(conn, engine.Config{MaxEndpoints: 2 * MaxEndpointSlots})}
 }
 
 func checkSlot(slot int) error {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ghm/internal/engine"
 	"ghm/internal/fabric"
 	"ghm/internal/netlink"
 	"ghm/internal/trace"
@@ -60,7 +61,7 @@ func conns() map[string]func(t *testing.T) (tx, rx netlink.PacketConn) {
 		"framed engine endpoint": func(t *testing.T) (netlink.PacketConn, netlink.PacketConn) {
 			// What ghm.Endpoint and relay attach their stations to.
 			a, b := pipe()
-			ea, eb := netlink.NewEngine(a, 2, nil, nil), netlink.NewEngine(b, 2, nil, nil)
+			ea, eb := engine.New(a, engine.Config{MaxEndpoints: 2}), engine.New(b, engine.Config{MaxEndpoints: 2})
 			t.Cleanup(func() {
 				ea.Close()
 				eb.Close()

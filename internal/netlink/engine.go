@@ -13,17 +13,6 @@ import (
 // owned by an Engine, and stations attach as engine endpoints instead of
 // spawning private recvLoops.
 
-// NewEngine builds a framed engine over conn with endpoint ids
-// [0, maxEndpoints). The engine owns
-// conn; closing the engine closes it. reg receives the engine's link.*
-// drop counters (nil uses metrics.Default()). wheel is the engine's timer
-// wheel, and therefore its clock (nil: engine.DefaultWheel()); layers that
-// own several engines — the relay mesh — share one wheel so a single
-// injected clock virtualizes them all.
-func NewEngine(conn PacketConn, maxEndpoints int, reg *metrics.Registry, wheel *engine.Wheel) *engine.Engine {
-	return engine.New(conn, engine.Config{MaxEndpoints: maxEndpoints, Metrics: reg, Wheel: wheel})
-}
-
 // stationIO is a station's attachment to the runtime: the endpoint it
 // sends and receives through, and the close action matching the conn's
 // documented lifetime semantics (detach for an engine endpoint, full

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"ghm/internal/engine"
 	"ghm/internal/metrics"
 	"ghm/internal/testutil"
 )
@@ -324,7 +325,7 @@ func TestImpairedLinkDemuxDropsAreCounted(t *testing.T) {
 	imp := Impair(a, ImpairConfig{LinkModel: LinkModel{DupProb: 0.3, Queue: 1000}, Seed: 9, Metrics: metrics.New()})
 	defer imp.Close()
 	reg := metrics.New()
-	eng := NewEngine(b, 1, reg, nil)
+	eng := engine.New(b, engine.Config{MaxEndpoints: 1, Metrics: reg})
 	defer eng.Close()
 	if _, err := eng.Endpoint(0); err != nil {
 		t.Fatal(err)

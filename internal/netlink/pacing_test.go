@@ -115,7 +115,7 @@ func newPacingRig(t *testing.T, cfg pacingConfig) *pacingRig {
 	if g.wt, err = core.NewWindowedTransmitter(cfg.window, core.Params{Source: bitstr.NewSeededSource(cfg.seed)}); err != nil {
 		t.Fatal(err)
 	}
-	eng := netlink.NewEngine(&wireConn{rig: g, closed: make(chan struct{})}, 1, g.reg, engine.NewWheelOn(v, 0, 0))
+	eng := engine.New(&wireConn{rig: g, closed: make(chan struct{})}, engine.Config{MaxEndpoints: 1, Metrics: g.reg, Wheel: engine.NewWheelOn(v, 0, 0)})
 	t.Cleanup(func() { eng.Close() })
 	ep, err := eng.Endpoint(0)
 	if err != nil {

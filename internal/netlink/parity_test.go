@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"ghm/internal/core"
+	"ghm/internal/engine"
 	"ghm/internal/fabric"
 	"ghm/internal/metrics"
 	"ghm/internal/mux"
@@ -50,7 +51,7 @@ func forDepths(t *testing.T, fn func(t *testing.T, k int)) {
 func TestClosePropagationParity(t *testing.T) {
 	t.Run("engine/conn-kill", func(t *testing.T) {
 		_, b := netlink.Pipe(netlink.PipeConfig{Seed: 81})
-		eng := netlink.NewEngine(b, 2, nil, nil)
+		eng := engine.New(b, engine.Config{MaxEndpoints: 2})
 		defer eng.Close()
 		errc := make(chan error, 2)
 		for id := 0; id < 2; id++ {

@@ -74,16 +74,17 @@ type ReceiverConfig struct {
 
 	// CtlTrailer, when non-nil, appends a trailer of at most MaxTrailer
 	// bytes to dst for every CTL the station sends — replies and RETRYs —
-	// which goes out sealed to its CTL, ctl ‖ trailer ‖ check ‖
-	// len(trailer) (TrailerCheck), for the sender's OnTrailer. It runs on
-	// the engine pump or the wheel, outside the station lock, and must not
-	// block; a longer trailer is sent empty.
+	// which goes out sealed to its CTL, ctl ‖ trailer ‖ check
+	// (TrailerCheck), for the sender's OnTrailer, which finds the CTL's end
+	// by parsing it. It runs on the engine pump or the wheel, outside the
+	// station lock, and must not block; a longer trailer is sent empty.
 	CtlTrailer func(dst []byte) []byte
 }
 
-// MaxTrailer bounds a CTL trailer, and TrailerCheck is the length of the
-// check that seals it to its CTL: the first bytes of SHA-256(ctl ‖
-// trailer). The hash covers the CTL's τ, which an adversary blind to
+// MaxTrailer bounds the trailer a receiver puts on a CTL, and
+// TrailerCheck is the length of the check that seals it to its CTL and
+// ends the packet: the first bytes of SHA-256 over everything before it,
+// ctl ‖ trailer. The hash covers the CTL's τ, which an adversary blind to
 // contents does not know, so a trailer put onto a genuine CTL — even one
 // whose τ vouches — passes with probability 2^−64 a try.
 const (
@@ -91,11 +92,10 @@ const (
 	TrailerCheck = 8
 )
 
-// sealTrailer ends the framed CTL at the tail of b — the CTL from b[ctl:],
-// its trailer from b[tr:] — with its check and length byte.
-func sealTrailer(b []byte, ctl, tr int) []byte {
-	sum := sha256.Sum256(b[ctl:])
-	return append(append(b, sum[:TrailerCheck]...), byte(len(b)-tr))
+// sealTrailer ends b, a CTL and its trailer, with their check.
+func sealTrailer(b []byte) []byte {
+	sum := sha256.Sum256(b)
+	return append(b, sum[:TrailerCheck]...)
 }
 
 // Receiver runs a k-deep window of protocol receivers over a PacketConn
@@ -650,7 +650,7 @@ func (r *Receiver) trail(pkt []byte) []byte {
 	if pkt = r.trailer(pkt); len(pkt)-n > MaxTrailer {
 		pkt = pkt[:n]
 	}
-	return sealTrailer(pkt, 0, n)
+	return sealTrailer(pkt)
 }
 
 // retryLocked is the RETRY action on a set of slots (bit i is slot i), due

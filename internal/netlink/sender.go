@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"ghm/internal/core"
 	"ghm/internal/metrics"
 	"ghm/internal/trace"
+	"ghm/internal/wire"
 )
 
 // Tap observes a station's externally visible actions as the station
@@ -52,10 +54,10 @@ type SenderConfig struct {
 	// off every CTL before the protocol sees it, and is handed the trailer
 	// of each CTL whose τ vouches for it (core: the current tag or the last
 	// completed one), on the engine pump, outside the station lock: it must
-	// not block, and trailer is valid only during the call. A CTL whose
-	// length byte overruns it, or whose check (TrailerCheck) does not
-	// match, is dropped, counted in tx.replay_rejections. Both ends of a
-	// link set the hooks or neither.
+	// not block, and trailer is valid only during the call. A packet with
+	// no CTL to parse, fewer than TrailerCheck bytes after it, or a check
+	// that does not match is dropped, counted in tx.replay_rejections.
+	// Both ends of a link set the hooks or neither.
 	OnTrailer func(trailer []byte)
 }
 
@@ -375,7 +377,7 @@ func (s *Sender) handlePacket(p []byte) {
 	var trailer []byte
 	if s.onTrailer != nil {
 		var ok bool
-		if p, trailer, ok = splitTrailer(p); !ok {
+		if p, trailer, ok = splitTrailer(p, s.framed); !ok {
 			s.m.replayRejections.Inc()
 			return
 		}
@@ -414,17 +416,24 @@ func (s *Sender) handlePacket(p []byte) {
 	s.io.transmit(buf, pkt)
 }
 
-// splitTrailer splits a CTL sealTrailer framed into the CTL and its
-// trailer; ok is false when the length byte claims more than the packet
-// holds or the check does not match.
-func splitTrailer(p []byte) (ctl, trailer []byte, ok bool) {
-	end := len(p) - 1 - TrailerCheck
-	if end < 0 || int(p[len(p)-1]) > end {
+// splitTrailer splits ctl ‖ trailer ‖ check, as sealTrailer sealed it,
+// where the CTL (behind its slot frame when framed) ends as it parses; ok
+// is false when no CTL parses, or no check follows it, or it does not match.
+func splitTrailer(p []byte, framed bool) (ctl, trailer []byte, ok bool) {
+	n := 0
+	if framed {
+		if _, n = binary.Uvarint(p); n <= 0 {
+			return nil, nil, false
+		}
+	}
+	_, rest, err := wire.ParseCtl(p[n:])
+	if err != nil || len(rest) < TrailerCheck {
 		return nil, nil, false
 	}
-	if sum := sha256.Sum256(p[:end]); !bytes.Equal(sum[:TrailerCheck], p[end:len(p)-1]) {
+	end := len(p) - TrailerCheck
+	if sum := sha256.Sum256(p[:end]); !bytes.Equal(sum[:TrailerCheck], p[end:]) {
 		return nil, nil, false
 	}
-	start := end - int(p[len(p)-1])
+	start := len(p) - len(rest)
 	return p[:start], p[start:end], true
 }

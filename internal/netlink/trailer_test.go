@@ -11,6 +11,7 @@ import (
 	"ghm/internal/clock"
 	"ghm/internal/core"
 	"ghm/internal/metrics"
+	"ghm/internal/wire"
 )
 
 // TestCtlTrailerRidesEveryCTL: with the hooks set on both ends, every CTL
@@ -41,7 +42,7 @@ func TestCtlTrailerRidesEveryCTL(t *testing.T) {
 		var ctls, misframed atomic.Int64
 		check := checkConn{PacketConn: b, check: func(p []byte) {
 			ctls.Add(1)
-			if _, tr, ok := splitTrailer(p); !ok || string(tr) != "ledger" {
+			if _, tr, ok := splitTrailer(p, core.Framed(k)); !ok || string(tr) != "ledger" {
 				misframed.Add(1)
 			}
 		}}
@@ -135,30 +136,36 @@ func (c *captureConn) take() []byte {
 }
 
 // FuzzCtlTrailer: splitting a trailer off a CTL never panics and gives
-// back exactly what framing put on; a length byte that overruns its packet,
-// or a check that does not match the CTL and trailer before it, drops the
-// packet, counted in tx.replay_rejections, and OnTrailer is handed only
-// the bytes the length byte names. A station without the hooks is the
-// station with them minus the trailer: a hookless receiver answers any
-// packet with the hooked twin's reply less its sealed trailer, and a
-// hookless sender handles p exactly as its hooked twin handles p sealed
-// with an empty trailer.
+// back exactly what sealing put on; a packet with no CTL at its front,
+// fewer than TrailerCheck bytes after that CTL, or a check that does not
+// match everything before it is dropped, counted in tx.replay_rejections,
+// and OnTrailer is handed only the bytes between the CTL's end and the
+// check. A station without the hooks is the station with them minus the
+// trailer: a hookless receiver answers any packet with the hooked twin's
+// reply less its sealed trailer, and a hookless sender handles a CTL
+// exactly as its hooked twin handles that CTL sealed with whatever
+// followed it as its trailer, and ignores what has no CTL at its front,
+// which the hooked twin's protocol never sees.
 func FuzzCtlTrailer(f *testing.F) {
 	params := func(seed int64) core.Params {
 		return core.Params{Epsilon: 1.0 / (1 << 20), Source: bitstr.NewSeededSource(seed)}
 	}
-	// Seeds: a genuine DATA packet, the CTL that answers it, that CTL with
-	// a trailer, and near misses.
+	// Seeds: a genuine DATA packet, the CTL that answers it, that CTL
+	// sealed with a trailer and with none, and near misses: the check cut
+	// short, the trailer grown under the old check, a byte after the
+	// check, and a CTL followed by too few bytes or by a wrong check.
 	tx, _ := core.NewTransmitter(params(9))
 	rx, _ := core.NewReceiver(params(10))
 	retry := rx.Retry().Packets[0]
 	tx.SendMsg([]byte("seed"))
 	data := tx.ReceivePacket(retry).Packets[0]
 	ctl := rx.ReceivePacket(data).Packets[0]
-	framed := sealTrailer(append(bytes.Clone(ctl), "ack"...), 0, len(ctl))
-	forged := append(bytes.Clone(framed[:len(framed)-1-TrailerCheck]), "ck"...)
-	forged = append(append(forged, framed[len(framed)-1-TrailerCheck:len(framed)-1]...), 5)
-	for _, s := range [][]byte{nil, {0}, {1}, {0xff}, data, ctl, retry, framed, framed[:len(framed)-1], forged, append(bytes.Clone(framed), 0), append(bytes.Clone(ctl), 0), append(bytes.Clone(ctl), byte(len(ctl)+1))} {
+	sealed := sealTrailer(append(bytes.Clone(ctl), "ack"...))
+	check := sealed[len(sealed)-TrailerCheck:]
+	forged := append(append(bytes.Clone(ctl), "ackck"...), check...)
+	for _, s := range [][]byte{nil, {0}, {1}, {0xff}, data, ctl, retry, sealed, sealTrailer(bytes.Clone(ctl)),
+		sealed[:len(sealed)-1], forged, append(bytes.Clone(sealed), 0), append(bytes.Clone(ctl), 0),
+		append(bytes.Clone(ctl), make([]byte, TrailerCheck)...)} {
 		f.Add(s)
 	}
 
@@ -217,15 +224,16 @@ func FuzzCtlTrailer(f *testing.F) {
 			c.Close()
 		}
 	}()
+	var skew int // packets the hookless sender ignored and its hooked twin refused
 	f.Fuzz(func(t *testing.T, p []byte) {
 		p = bytes.Clone(p) // the engine's []byte arguments can share one backing array
-		c, tr, ok := splitTrailer(p)
-		end := len(p) - 1 - TrailerCheck
+		c, tr, ok := splitTrailer(p, false)
+		_, rest, err := wire.ParseCtl(p)
 		if !ok {
-			if end >= 0 && int(p[len(p)-1]) <= end && bytes.Equal(sealTrailer(bytes.Clone(p[:end]), 0, end-int(p[len(p)-1])), p) {
-				t.Fatalf("% x refused, but its length byte fits and its check matches", p)
+			if err == nil && len(rest) >= TrailerCheck && bytes.Equal(sealTrailer(bytes.Clone(p[:len(p)-TrailerCheck])), p) {
+				t.Fatalf("% x refused, but a CTL heads it and its check matches", p)
 			}
-		} else if back := sealTrailer(append(bytes.Clone(c), tr...), 0, len(c)); !bytes.Equal(back, p) || len(tr) != int(p[len(p)-1]) {
+		} else if _, derr := wire.DecodeCtl(c); derr != nil || !bytes.Equal(sealTrailer(append(bytes.Clone(c), tr...)), p) {
 			t.Fatalf("% x splits into % x and % x", p, c, tr)
 		}
 
@@ -240,17 +248,23 @@ func FuzzCtlTrailer(f *testing.F) {
 		case len(handed) > 1 || len(handed) == 1 && !bytes.Equal(handed[0], tr):
 			t.Fatalf("% x handed on %q, its trailer is % x", p, handed, tr)
 		}
-		ps.handlePacket(p)
-		hs.handlePacket(sealTrailer(bytes.Clone(p), 0, len(p)))
-		if hst, pst := hs.Stats(), ps.Stats(); hst != pst {
-			t.Fatalf("after % x the hookless sender's stats are %+v, the hooked one's %+v", p, pst, hst)
+		if err == nil {
+			ps.handlePacket(p[:len(p)-len(rest)])
+		} else {
+			ps.handlePacket(p)
+			skew++
+		}
+		hs.handlePacket(sealTrailer(bytes.Clone(p)))
+		hst, pst := hs.Stats(), ps.Stats()
+		if pst.Ignored -= skew; hst != pst {
+			t.Fatalf("after % x the hookless sender's stats are %+v (%d ignored packets had no CTL), the hooked one's %+v", p, pst, skew, hst)
 		}
 
 		hr.HandlePacket(p)
 		pr.HandlePacket(p)
 		got, want := hrc.take(), prc.take()
 		if len(want) > 0 {
-			want = sealTrailer(append(want, "ledger"...), 0, len(want))
+			want = sealTrailer(append(want, "ledger"...))
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("% x: the hooked receiver replied % x, the hookless one plus its sealed trailer % x", p, got, want)

@@ -3,6 +3,7 @@ package relay
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"ghm/internal/metrics"
 	"ghm/internal/netlink"
+	"ghm/internal/wire"
 )
 
 // stateOf is the ack a ledger whose watermark is low and which holds the
@@ -271,9 +273,10 @@ func (c countingConn) Send(p []byte) error {
 // payload's two hops cost four packets, and its ack costs none of its own:
 // the destination's ledger rides the CTLs the hops send back anyway, a
 // watermark and a short bitmap on each, sealed by an 8-byte check. What is
-// left is RETRY: 4.00 packets and about 240 bytes a payload (224 before
-// the check), where ack frames folded four payloads to a frame cost
-// 5.0–5.2 packets and about 235 bytes. No payload is re-dispatched. RETRY is paced at 20 ms, not 300 µs: the
+// left is RETRY: 4.00 packets and about 234 bytes a payload (240 while
+// each hop packet carried an endpoint id and each CTL a trailer length,
+// 224 before the check), where ack frames folded four payloads to a frame
+// cost 5.0–5.2 packets and about 235 bytes. No payload is re-dispatched. RETRY is paced at 20 ms, not 300 µs: the
 // pipes lose nothing, so every RETRY is a slot that went quiet for a
 // while, and under the race detector that is often enough to add a packet
 // per payload.
@@ -304,13 +307,70 @@ func TestMeshPacketBill(t *testing.T) {
 	if pkts > 4.3 {
 		t.Errorf("%.2f packets per payload, want at most 4.3", pkts)
 	}
-	if octets > 248 {
-		t.Errorf("%.1f bytes per payload, want at most 248", octets)
+	if octets > 242 {
+		t.Errorf("%.1f bytes per payload, want at most 242", octets)
 	}
 	if st := m.Stats(); st.Reroutes != 0 {
 		t.Errorf("%d payloads re-dispatched: an ack did not come home in time", st.Reroutes)
 	}
 	requireCleanHops(t, m)
+}
+
+// TestMeshHopPacketLayout: a hop packet is the protocol's packet and, on
+// a CTL, the ack trailer and the check that seals it — nothing the peer
+// already knows. A link carries at most one route hop, so no endpoint id
+// rides with them, and a CTL delimits itself, so no trailer length does.
+// On each route hop's link of a five-node mesh, every packet the sending
+// end puts on the wire is one DATA packet with no byte before or after
+// it, and every packet the receiving end puts there is ctl ‖ trailer ‖
+// check: a whole CTL, then the trailer, then the first TrailerCheck bytes
+// of SHA-256 over both.
+func TestMeshHopPacketLayout(t *testing.T) {
+	topo := fiveNode()
+	ends := make([][2]*recordingConn, len(topo.Links))
+	var links []LinkConns
+	for li, lc := range pipeLinks(topo, 1515) {
+		ends[li] = [2]*recordingConn{{PacketConn: lc.A}, {PacketConn: lc.B}}
+		links = append(links, LinkConns{A: ends[li][0], B: ends[li][1]})
+	}
+	m := newTestMesh(t, Config{
+		Topology: topo, Links: links,
+		Source: 0, Dest: 4, Routes: 3, Seed: 1515, Metrics: metrics.New(),
+	})
+	pump(t, m, 200, 16, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := m.Flush(ctx); err != nil {
+		t.Fatalf("Flush: %v (stats %+v)", err, m.Stats())
+	}
+	m.Close()
+	for _, r := range m.Routes() {
+		for j := 1; j < len(r); j++ {
+			li, from := topo.linkIndex(r[j-1], r[j]), 0
+			if topo.Links[li].A != r[j-1] {
+				from = 1
+			}
+			data, ctls := ends[li][from].recorded(), ends[li][1-from].recorded()
+			if len(data) == 0 || len(ctls) == 0 {
+				t.Fatalf("hop %d->%d sent %d DATA and %d CTL packets", r[j-1], r[j], len(data), len(ctls))
+			}
+			for _, p := range data {
+				if _, err := wire.DecodeData(p); err != nil {
+					t.Fatalf("hop %d->%d sent % x, not one DATA packet: %v", r[j-1], r[j], p, err)
+				}
+			}
+			for _, p := range ctls {
+				ctl, _, check, ok := splitCTL(p)
+				if !ok {
+					t.Fatalf("hop %d->%d sent % x, not a CTL and %d bytes after it", r[j-1], r[j], p, netlink.TrailerCheck)
+				}
+				sum := sha256.Sum256(p[:len(p)-len(check)])
+				if _, err := wire.DecodeCtl(ctl); err != nil || !bytes.Equal(check, sum[:netlink.TrailerCheck]) {
+					t.Fatalf("hop %d->%d sent % x: CTL % x (%v), check % x, want % x", r[j-1], r[j], p, ctl, err, check, sum[:netlink.TrailerCheck])
+				}
+			}
+		}
+	}
 }
 
 // TestMeshIdleTailAcksRideRetries: after the last Submit nothing goes to

@@ -16,9 +16,9 @@ import (
 	"ghm/internal/wire"
 )
 
-// recordingConn keeps a copy of every packet its station end sends to
-// the far end's endpoint 0 — the CTLs of the hop toward this link's A
-// node — and lets the test send packets of its own through it.
+// recordingConn keeps a copy of every packet its station end sends — the
+// CTLs of the hop toward this link's A node, the one station on the link
+// — and lets the test send packets of its own through it.
 type recordingConn struct {
 	netlink.PacketConn
 	mu   sync.Mutex
@@ -26,11 +26,9 @@ type recordingConn struct {
 }
 
 func (c *recordingConn) Send(p []byte) error {
-	if len(p) > 0 && p[0] == 0 {
-		c.mu.Lock()
-		c.ctls = append(c.ctls, bytes.Clone(p[1:]))
-		c.mu.Unlock()
-	}
+	c.mu.Lock()
+	c.ctls = append(c.ctls, bytes.Clone(p))
+	c.mu.Unlock()
 	return c.PacketConn.Send(p)
 }
 
@@ -42,7 +40,7 @@ func (c *recordingConn) recorded() [][]byte {
 }
 
 // inject puts ctl on the wire toward the source's sender, unrecorded.
-func (c *recordingConn) inject(ctl []byte) { c.PacketConn.Send(append([]byte{0}, ctl...)) }
+func (c *recordingConn) inject(ctl []byte) { c.PacketConn.Send(ctl) }
 
 // TestMeshAckTrailerAttacks is SECURITY_MODEL.md's V12: forged, corrupted
 // or replayed ack trailers. A three-node line, source 0, relay 1,
@@ -58,8 +56,9 @@ func (c *recordingConn) inject(ctl []byte) { c.PacketConn.Send(append([]byte{0},
 //     whole packet can do that, and only the vouch rule stops it;
 //   - every recorded CTL replayed as it was;
 //   - every recorded CTL with its trailer swapped for F, check kept;
-//   - each CTL recorded since the relay got the 10 — they vouch — with F
-//     and one more length byte appended, for all 256 values of it.
+//   - each CTL recorded since the relay got the 10 — they vouch — with one
+//     byte appended after its check, for all 256 values of it, and with F
+//     appended after its check under 16 guessed checks of F's own.
 //
 // None may retire a payload the destination has not got: Stats().Acked
 // stays at 20, and every swapped or appended CTL fails its check and is
@@ -165,16 +164,21 @@ func TestMeshAckTrailerAttacks(t *testing.T) {
 	var swapped, appended [][]byte
 	for _, p := range all {
 		if ctl, _, check, ok := splitCTL(p); ok {
-			swapped = append(swapped, append(append(append(bytes.Clone(ctl), forged...), check...), byte(len(forged))))
+			swapped = append(swapped, append(append(bytes.Clone(ctl), forged...), check...))
 		}
 	}
 	refuses("recorded CTLs with their trailers swapped", swapped)
 	for _, p := range recent {
 		for l := 0; l < 256; l++ {
-			appended = append(appended, append(append(bytes.Clone(p), forged...), byte(l)))
+			appended = append(appended, append(bytes.Clone(p), byte(l)))
+		}
+		for range 16 {
+			guess := make([]byte, netlink.TrailerCheck)
+			rng.Read(guess)
+			appended = append(appended, append(append(bytes.Clone(p), forged...), guess...))
 		}
 	}
-	refuses("vouching CTLs with a trailer appended", appended)
+	refuses("vouching CTLs with bytes appended", appended)
 
 	dark[0].SetBlackout(false)
 	dark[1].SetBlackout(false)
@@ -190,15 +194,15 @@ func TestMeshAckTrailerAttacks(t *testing.T) {
 	requireCleanHops(t, m)
 }
 
-// splitCTL splits a recorded CTL, ctl ‖ trailer ‖ check ‖ len(trailer),
-// into its parts without checking the check.
+// splitCTL splits a recorded CTL, ctl ‖ trailer ‖ check, into its parts
+// without checking the check: the CTL ends where it parses.
 func splitCTL(p []byte) (ctl, trailer, check []byte, ok bool) {
-	end := len(p) - 1 - netlink.TrailerCheck
-	if end < 0 || int(p[len(p)-1]) > end {
+	_, rest, err := wire.ParseCtl(p)
+	if err != nil || len(rest) < netlink.TrailerCheck {
 		return nil, nil, nil, false
 	}
-	start := end - int(p[len(p)-1])
-	return p[:start], p[start:end], p[end : len(p)-1], true
+	end := len(p) - netlink.TrailerCheck
+	return p[:len(p)-len(rest)], p[len(p)-len(rest) : end], p[end:], true
 }
 
 // seal frames ctl with trailer tr as a hop receiver does — as any forger
@@ -206,5 +210,5 @@ func splitCTL(p []byte) (ctl, trailer, check []byte, ok bool) {
 func seal(ctl, tr []byte) []byte {
 	p := append(bytes.Clone(ctl), tr...)
 	sum := sha256.Sum256(p)
-	return append(append(p, sum[:netlink.TrailerCheck]...), byte(len(tr)))
+	return append(p, sum[:netlink.TrailerCheck]...)
 }

@@ -280,6 +280,25 @@ func New(cfg Config) (*Mesh, error) {
 	if len(routes) == 0 {
 		return nil, fmt.Errorf("relay: no route from %d to %d", cfg.Source, cfg.Dest)
 	}
+	// Frames, and the acks on their CTLs, travel only along the routes: only
+	// a hop of one gets stations and a checker. A link carries at most one
+	// route hop, so its ends need no endpoint ids: their engines are raw.
+	hopSet := make(map[hopID]*verify.Live)
+	routeB := make([][]byte, len(routes))
+	for ri, r := range routes {
+		routeB[ri] = make([]byte, len(r))
+		for i, n := range r {
+			routeB[ri][i] = byte(n)
+			if i == 0 {
+				continue
+			}
+			h := hopID{From: r[i-1], To: n}
+			if hopSet[h] != nil || hopSet[hopID{From: n, To: h.From}] != nil {
+				return nil, fmt.Errorf("relay: link %d-%d carries two route hops", h.From, n)
+			}
+			hopSet[h] = &verify.Live{}
+		}
+	}
 	hops := len(routes[len(routes)-1]) - 1 // shortest first
 	switch trip := time.Duration(hops) * cfg.RetryBackoffMax; {
 	case cfg.AckTimeout <= 0:
@@ -298,7 +317,8 @@ func New(cfg Config) (*Mesh, error) {
 		mt:          newRelayMetrics(reg),
 		routes:      routes,
 		wheel:       meshWheel(cfg.Clock),
-		hops:        make(map[hopID]*verify.Live),
+		routeB:      routeB,
+		hops:        hopSet,
 		deliveredCh: make(chan []byte, cfg.DeliveryBuffer),
 		inflight:    make(map[uint64]*entry),
 		spare:       make([]*entry, 0, spareEntries),
@@ -310,33 +330,18 @@ func New(cfg Config) (*Mesh, error) {
 		routerDone:  make(chan struct{}),
 	}
 	m.cond = sync.NewCond(&m.mu)
-	// Frames, and the acks on their CTLs, travel only along the routes: only
-	// a hop of one (routes are link-disjoint) gets stations and a checker.
-	for _, r := range routes {
-		rb := make([]byte, len(r))
-		for i, n := range r {
-			rb[i] = byte(n)
-			if i > 0 {
-				m.hops[hopID{From: r[i-1], To: n}] = &verify.Live{}
-			}
-		}
-		m.routeB = append(m.routeB, rb)
-	}
 
-	// Permanent per-node link ends: one framed engine per conn half, two
-	// directional endpoints per link. Endpoint id 0 always carries
-	// Link.A -> Link.B, id 1 the reverse, so both sides agree on the
-	// wire tags.
+	// Permanent per-node link ends: one raw engine per conn half.
 	nodes := make([]*node, cfg.Topology.Nodes)
 	for i := range nodes {
 		nodes[i] = &node{m: m, id: i}
 	}
 	for li, l := range cfg.Topology.Links {
-		engA := netlink.NewEngine(cfg.Links[li].A, 2, reg, m.wheel)
-		engB := netlink.NewEngine(cfg.Links[li].B, 2, reg, m.wheel)
+		engA := engine.New(cfg.Links[li].A, engine.Config{Raw: true, Metrics: reg, Wheel: m.wheel})
+		engB := engine.New(cfg.Links[li].B, engine.Config{Raw: true, Metrics: reg, Wheel: m.wheel})
 		m.engines = append(m.engines, engA, engB)
-		nodes[l.A].ends = append(nodes[l.A].ends, nodeEnd{peer: l.B, eng: engA, sendID: 0, recvID: 1})
-		nodes[l.B].ends = append(nodes[l.B].ends, nodeEnd{peer: l.A, eng: engB, sendID: 1, recvID: 0})
+		nodes[l.A].ends = append(nodes[l.A].ends, nodeEnd{peer: l.B, eng: engA})
+		nodes[l.B].ends = append(nodes[l.B].ends, nodeEnd{peer: l.A, eng: engB})
 	}
 	m.nodes = nodes
 

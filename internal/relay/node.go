@@ -49,15 +49,14 @@ func (w *dedupWindow) seen(k key) bool {
 	return false
 }
 
-// nodeEnd is one node's attachment to one of its links: the engine
-// owning that side's conn and the two directional endpoint ids. The
-// engine outlives node crashes — a crashed node loses its stations and
-// its forwarding state, not the physical link.
+// nodeEnd is one node's attachment to one of its links: the raw engine
+// owning that side's conn, whose one endpoint carries the station of the
+// link's route hop, if it has one. The engine outlives node crashes — a
+// crashed node loses its stations and its forwarding state, not the
+// physical link.
 type nodeEnd struct {
-	peer   int // neighbor node id
-	eng    *engine.Engine
-	sendID int // engine endpoint carrying me -> peer
-	recvID int // engine endpoint carrying peer -> me
+	peer int // neighbor node id
+	eng  *engine.Engine
 }
 
 // nodeRuntime is one incarnation of a relay node: the supervised
@@ -178,7 +177,7 @@ func (n *node) start() error {
 			// moments is not overwritten.
 			m.noteHopHealth(out, supervise.Healthy)
 			sess, err := session.New(session.Config{
-				Dial:             func() (netlink.PacketConn, error) { return end.eng.Endpoint(end.sendID) },
+				Dial:             func() (netlink.PacketConn, error) { return end.eng.Endpoint(0) },
 				Params:           params,
 				Tap:              m.hops[out].Observe,
 				WALPath:          n.walPath(end.peer),
@@ -205,7 +204,7 @@ func (n *node) start() error {
 		if m.hops[in] == nil {
 			continue
 		}
-		conn, err := end.eng.Endpoint(end.recvID)
+		conn, err := end.eng.Endpoint(0)
 		if err != nil {
 			return fail(fmt.Errorf("relay: node %d endpoint from %d: %w", n.id, end.peer, err))
 		}

@@ -30,8 +30,20 @@ func FuzzDecodeCtl(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{byte(KindCtl)})
 	f.Add(Ctl{Rho: bitstr.MustBinary("101"), Tau: bitstr.MustBinary("0110"), I: 42}.Encode())
+	f.Add(append(Ctl{Rho: bitstr.One(), Tau: bitstr.One(), I: 1}.Encode(), "tail"...))
 	f.Fuzz(func(t *testing.T, in []byte) {
+		// ParseCtl takes the one CTL encoding at the front of in, and
+		// DecodeCtl is ParseCtl with nothing after it.
+		pc, rest, perr := ParseCtl(in)
 		c, err := DecodeCtl(in)
+		if (err == nil) != (perr == nil && len(rest) == 0) {
+			t.Fatalf("% x: DecodeCtl err %v, ParseCtl err %v with %d bytes after", in, err, perr, len(rest))
+		}
+		if perr == nil {
+			if got := append(pc.Encode(), rest...); !bytes.Equal(got, in) {
+				t.Fatalf("prefix re-encode mismatch:\n in=%x\nout=%x", in, got)
+			}
+		}
 		if err != nil {
 			return
 		}

@@ -146,28 +146,34 @@ func DecodeData(p []byte) (d Data, err error) {
 	return d, nil
 }
 
-// DecodeCtl parses a CTL packet.
-func DecodeCtl(p []byte) (c Ctl, err error) {
+// DecodeCtl parses a CTL packet: a CTL with nothing after it.
+func DecodeCtl(p []byte) (Ctl, error) {
+	if c, rest, err := ParseCtl(p); err != nil || len(rest) == 0 {
+		return c, err
+	}
+	return Ctl{}, errTrailing
+}
+
+// ParseCtl decodes the CTL at the front of p and returns the bytes after
+// it: a CTL delimits itself, so whatever follows it needs no length.
+func ParseCtl(p []byte) (c Ctl, rest []byte, err error) {
 	if k, err := Sniff(p); err != nil || k != KindCtl {
-		return c, ErrMalformed
+		return c, nil, ErrMalformed
 	}
 	rho, rest, err := bitstr.ParseWire(p[1:])
 	if err != nil {
-		return c, errRho
+		return c, nil, errRho
 	}
 	tau, rest, err := bitstr.ParseWire(rest)
 	if err != nil {
-		return c, errTau
+		return c, nil, errTau
 	}
 	i, n := binary.Uvarint(rest)
 	if n <= 0 || n != uvarintLen(i) {
-		return c, errCounter
-	}
-	if len(rest) != n {
-		return c, errTrailing
+		return c, nil, errCounter
 	}
 	c.Rho, c.Tau, c.I = rho, tau, i
-	return c, nil
+	return c, rest[n:], nil
 }
 
 func appendBytes(dst, b []byte) []byte {
