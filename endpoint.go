@@ -24,10 +24,11 @@ const MaxEndpointSlots = 64
 // Role, a Session on slot k to a Receiver on slot k. Slots are
 // independent: each carries the protocol's full per-message guarantees.
 //
-// Attaching a slot again replaces the previous attachment (inbound
-// routing moves to the new instance — the semantics Share's views have),
-// which is also how Session rebuilds station incarnations through the
-// endpoint. Closing an attached instance frees its slot without
+// Attaching a slot again replaces the previous attachment: inbound
+// routing moves to the new instance and the previous one's conn is
+// closed, so an instance left on it sends nothing more — the semantics
+// Share's views have. That is also how Session rebuilds station
+// incarnations through the endpoint. Closing an attached instance frees its slot without
 // touching the conn; closing the Endpoint closes the conn and unblocks
 // every instance.
 type Endpoint struct {

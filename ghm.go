@@ -133,8 +133,8 @@ func Pipe(f PipeFaults) (PacketConn, PacketConn) {
 
 // ImpairedConn is a PacketConn whose Send path passes through a
 // configurable impairment stage, with runtime controls for chaos testing:
-// SetBlackout fully partitions the link, Blackout partitions it for a
-// window, SetLoss ramps the independent loss rate while traffic flows.
+// SetBlackout fully partitions the link, SetLoss ramps the independent
+// loss rate while traffic flows.
 type ImpairedConn struct {
 	ic *netlink.ImpairedConn
 }

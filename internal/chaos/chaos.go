@@ -81,8 +81,8 @@ type Action struct {
 }
 
 // LinkSpec is the impairment profile of the scenario's link, applied
-// symmetrically to both directions: the runtime's one link model, so a
-// scenario's JSON configures a pipe and a fabric link alike.
+// symmetrically to both directions: the runtime's one link model, the
+// one the impaired pipe of every run acts on.
 type LinkSpec = netlink.LinkModel
 
 // Scenario is one reproducible chaos schedule: a link profile plus a

@@ -10,9 +10,9 @@ import (
 )
 
 // TestSupervisedSoakDifferentialVirtual runs the same seeded chaos
-// scenario twice — once on the wall clock over the classic impaired
-// pipe, once on a virtual clock over the goroutine-free fabric — and
-// demands the same end-to-end outcome from both: every enqueued payload
+// scenario twice over the same links — once on the wall clock, where each
+// impairment stage runs its delays off a goroutine's timer, once on a
+// virtual clock, where they are clock events — and demands the same end-to-end outcome from both: every enqueued payload
 // delivered and a clean Section 2.6 conformance report. Payload names
 // are deterministic (m-%08d in submission order), so "no Missing" in
 // both runs means the guaranteed-delivery sets agree exactly on the
@@ -28,13 +28,13 @@ func TestSupervisedSoakDifferentialVirtual(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
-	// Real clock, default pipe links.
+	// Real clock.
 	real, err := Run(ctx, sc, Env{Messages: messages, Metrics: metrics.New()})
 	if err != nil {
 		t.Fatalf("real-clock soak: %v", err)
 	}
 
-	// Virtual clock, fabric links. The soak's goroutines block on
+	// Virtual clock. The soak's goroutines block on
 	// virtual timers; a driver advances the clock until the soak
 	// returns. The horizon is generous — the soak finishes long before
 	// and closes done, which stops the driver.
@@ -51,7 +51,6 @@ func TestSupervisedSoakDifferentialVirtual(t *testing.T) {
 			Messages: messages,
 			Metrics:  metrics.New(),
 			Clock:    v,
-			Links:    FabricLinks,
 		})
 	}()
 	v.Run(v.Now().Add(time.Hour), done)
@@ -63,7 +62,7 @@ func TestSupervisedSoakDifferentialVirtual(t *testing.T) {
 	for _, run := range []struct {
 		name string
 		res  Result
-	}{{"real+pipe", real}, {"virtual+fabric", virt}} {
+	}{{"real clock", real}, {"virtual clock", virt}} {
 		if !run.res.Report.Clean() {
 			t.Errorf("%s: conformance violations: %s", run.name, run.res.Report)
 		}
@@ -89,6 +88,6 @@ func TestSupervisedSoakDifferentialVirtual(t *testing.T) {
 	}
 	if virt.LinkTR.DropIID+virt.LinkTR.DropBurst+virt.LinkTR.DropBlackout == 0 &&
 		sc.Link.Loss > 0 {
-		t.Errorf("virtual fabric dropped nothing under loss %v: %+v", sc.Link.Loss, virt.LinkTR)
+		t.Errorf("virtual link dropped nothing under loss %v: %+v", sc.Link.Loss, virt.LinkTR)
 	}
 }

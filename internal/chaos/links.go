@@ -9,7 +9,6 @@ import (
 	"ghm/internal/clock"
 	"ghm/internal/core"
 	"ghm/internal/engine"
-	"ghm/internal/fabric"
 	"ghm/internal/metrics"
 	"ghm/internal/netlink"
 	"ghm/internal/session"
@@ -17,54 +16,23 @@ import (
 	"ghm/internal/verify"
 )
 
-// SoakLink is one direction of a chaos link as a run consumes it: the
-// conn a station sends on, the runtime controls the fault timeline
-// drives, and the fate counters for the result. netlink.ImpairedConn and
-// fabric.Port both are one.
-type SoakLink interface {
-	netlink.PacketConn
-	SetBlackout(on bool)
-	SetLoss(p float64)
-	Stats() netlink.ImpairStats
-}
-
-// SoakLinks is one bidirectional chaos link: the sender-side (TR) and
-// receiver-side (RT) ends.
-type SoakLinks struct{ TR, RT SoakLink }
-
-// LinkBuilder builds one link of a run for a scenario. Implementations
-// must honor the scenario's link impairments and seed so runs stay
-// reproducible, and must put any internal pacing on clk. A mesh calls it
-// once per topology link, with the scenario's seed advanced by two per
-// link.
-type LinkBuilder func(sc Scenario, reg *metrics.Registry, clk clock.Clock) (SoakLinks, error)
-
-// pipeLinks is the default LinkBuilder: a perfect in-process pipe with
-// the scenario's profile on a seeded impairment stage at each end.
-// Everything a scenario can inject or ramp lives in those stages, where
-// it is counted under reg's "link." prefix (both directions share it:
-// link totals) — so injected faults stay cross-checkable against the
-// link.* metrics, and a scheduled SetLoss restore of the nominal loss
-// lands on the knob the nominal loss started on.
-func pipeLinks(sc Scenario, reg *metrics.Registry, clk clock.Clock) (SoakLinks, error) {
+// newLink builds one link of a run: a perfect in-process pipe with the
+// scenario's profile on a seeded impairment stage at each end, tr the
+// sender's side and rt the receiver's. Everything a scenario can inject or
+// ramp lives in those stages, where it is counted under reg's "link."
+// prefix (both directions share it: link totals) — so injected faults stay
+// cross-checkable against the link.* metrics, and a scheduled SetLoss
+// restore of the nominal loss lands on the knob the nominal loss started
+// on. clk alone decides how the stages run their delays: as events on a
+// *clock.Virtual, off a goroutine's timer on any other clock (nil = the
+// wall clock). A mesh builds one per topology link, with the scenario's
+// seed advanced by two per link.
+func newLink(sc Scenario, reg *metrics.Registry, clk clock.Clock) (tr, rt *netlink.ImpairedConn) {
 	pa, pb := netlink.Pipe(netlink.PipeConfig{Clock: clk})
 	ic := netlink.ImpairConfig{LinkModel: sc.Link, Seed: sc.Seed + 1, Clock: clk, Metrics: reg}
-	a := netlink.Impair(pa, ic)
+	tr = netlink.Impair(pa, ic)
 	ic.Seed++
-	return SoakLinks{TR: a, RT: netlink.Impair(pb, ic)}, nil
-}
-
-// FabricLinks is a LinkBuilder backed by the in-memory fabric: the same
-// link model as the default pipe, run by the fabric's driver — no
-// goroutines of its own, every delivery a clock event. Under a
-// *clock.Virtual the whole link runs in virtual time, which is what the
-// differential tests exercise: a scenario run on real pipes and on the
-// virtual fabric must deliver the same payloads and verify equally
-// clean.
-func FabricLinks(sc Scenario, reg *metrics.Registry, clk clock.Clock) (SoakLinks, error) {
-	f := fabric.New(fabric.Config{Clock: clk, Seed: sc.Seed + 1})
-	a, b := f.Link(fabric.LinkConfig{LinkModel: sc.Link})
-	return SoakLinks{TR: a, RT: b}, nil
+	return tr, netlink.Impair(pb, ic)
 }
 
 // linkSystem is a link scenario's live system: a Sender and a Receiver,
@@ -75,8 +43,8 @@ func FabricLinks(sc Scenario, reg *metrics.Registry, clk clock.Clock) (SoakLinks
 // conns and the impaired link, so its replays traverse (and are
 // re-impaired by) the same faulty link as the originals.
 type linkSystem struct {
-	links  SoakLinks
-	wheel  *engine.Wheel // nil = the process-wide wheel
+	tr, rt *netlink.ImpairedConn // the link's two ends
+	wheel  *engine.Wheel         // nil = the process-wide wheel
 	att    *netlink.Attacker
 	tx, rx *netlink.SharedConn
 	r      *netlink.Receiver
@@ -105,10 +73,8 @@ func newLinkSystem(sc Scenario, env Env) (_ *linkSystem, err error) {
 	if env.Clock != nil {
 		k.wheel = engine.NewWheelOn(env.Clock, 0, 0)
 	}
-	if k.links, err = env.Links(sc, env.Metrics, env.Clock); err != nil {
-		return nil, fmt.Errorf("links: %w", err)
-	}
-	var tr, rt netlink.PacketConn = k.links.TR, k.links.RT
+	k.tr, k.rt = newLink(sc, env.Metrics, env.Clock)
+	var tr, rt netlink.PacketConn = k.tr, k.rt
 	if strategy != nil {
 		tick := sc.Adversary.Tick
 		if tick <= 0 {
@@ -219,19 +185,19 @@ func (k *linkSystem) apply(a Action) {
 	case WedgeSender:
 		k.tx.WedgeCurrent()
 	case BlackoutStart, BlackoutEnd:
-		k.each(a, func(l SoakLink) { l.SetBlackout(a.Kind == BlackoutStart) })
+		k.each(a, func(l *netlink.ImpairedConn) { l.SetBlackout(a.Kind == BlackoutStart) })
 	case SetLoss:
-		k.each(a, func(l SoakLink) { l.SetLoss(a.Loss) })
+		k.each(a, func(l *netlink.ImpairedConn) { l.SetLoss(a.Loss) })
 	}
 }
 
 // each applies f to the directions a selects: 1 = TR, 2 = RT, 0 = both.
-func (k *linkSystem) each(a Action, f func(SoakLink)) {
+func (k *linkSystem) each(a Action, f func(*netlink.ImpairedConn)) {
 	if a.Link != 2 {
-		f(k.links.TR)
+		f(k.tr)
 	}
 	if a.Link != 1 {
-		f(k.links.RT)
+		f(k.rt)
 	}
 }
 
@@ -261,7 +227,7 @@ func (k *linkSystem) close() {
 
 func (k *linkSystem) result(res *Result) {
 	res.Report = k.live.Report()
-	res.LinkTR, res.LinkRT = k.links.TR.Stats(), k.links.RT.Stats()
+	res.LinkTR, res.LinkRT = k.tr.Stats(), k.rt.Stats()
 	if k.att != nil {
 		res.Attacker = k.att.Stats()
 	}

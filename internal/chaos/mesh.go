@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"ghm/internal/netlink"
 	"ghm/internal/relay"
 	"ghm/internal/verify"
 )
@@ -101,7 +102,7 @@ func GenerateMesh(seed int64, cfg MeshGenConfig) Scenario {
 type meshSystem struct {
 	mesh  *relay.Mesh
 	topo  relay.Topology
-	links []SoakLinks // by topology link
+	links [][2]*netlink.ImpairedConn // by topology link: the A and B ends
 
 	stats relay.Stats // recorded by close, before the mesh dies
 	hops  map[string]verify.Report
@@ -120,12 +121,9 @@ func newMeshSystem(sc Scenario, env Env) (_ *meshSystem, err error) {
 		// no two links (nor a link's two directions) share a stream.
 		lsc := sc
 		lsc.Seed += int64(2 * li)
-		l, err := env.Links(lsc, env.Metrics, env.Clock)
-		if err != nil {
-			return nil, fmt.Errorf("links: %w", err)
-		}
-		m.links = append(m.links, l)
-		conns[li] = relay.LinkConns{A: l.TR, B: l.RT}
+		a, b := newLink(lsc, env.Metrics, env.Clock)
+		m.links = append(m.links, [2]*netlink.ImpairedConn{a, b})
+		conns[li] = relay.LinkConns{A: a, B: b}
 	}
 	m.mesh, err = relay.New(relay.Config{
 		Topology: m.topo,
@@ -180,8 +178,9 @@ func (m *meshSystem) apply(a Action) {
 		// goes dark in both directions.
 		for li, l := range m.topo.Links {
 			if l.A == a.Node || l.B == a.Node {
-				m.links[li].TR.SetBlackout(a.Kind == NodeBlackoutStart)
-				m.links[li].RT.SetBlackout(a.Kind == NodeBlackoutStart)
+				for _, d := range m.links[li] {
+					d.SetBlackout(a.Kind == NodeBlackoutStart)
+				}
 			}
 		}
 	case BlackoutStart, BlackoutEnd, SetLoss:
@@ -189,7 +188,7 @@ func (m *meshSystem) apply(a Action) {
 			if a.Link != 0 && a.Link != li+1 {
 				continue
 			}
-			for _, d := range []SoakLink{l.TR, l.RT} {
+			for _, d := range l {
 				if a.Kind == SetLoss {
 					d.SetLoss(a.Loss)
 				} else {
@@ -207,8 +206,9 @@ func (m *meshSystem) close() {
 	}
 	// The mesh closed its conns; a mesh that never came up did not.
 	for _, l := range m.links {
-		l.TR.Close()
-		l.RT.Close()
+		for _, d := range l {
+			d.Close()
+		}
 	}
 }
 

@@ -39,15 +39,13 @@ type Env struct {
 	// Epsilon is the per-message (per hop, in a mesh) error probability;
 	// 0 is the protocol default.
 	Epsilon float64
-	// Clock virtualizes the run: link fault schedules, station retries,
-	// watchdog windows, the attacker's steps, the submission pace and
-	// the fault timeline all ride it (nil = wall clock). A
+	// Clock virtualizes the run: link delays and fault schedules, station
+	// retries, watchdog windows, the attacker's steps, the submission pace
+	// and the fault timeline all ride it (nil = wall clock). A
 	// *clock.Virtual needs a driver goroutine advancing it
-	// (clock.Virtual.Run) for the run to make progress.
+	// (clock.Virtual.Run) for the run to make progress. Every link is an
+	// impaired in-process pipe (newLink) whichever the clock.
 	Clock clock.Clock
-	// Links builds each link the run uses: a link scenario's one link, or
-	// every topology link of a mesh (nil = an impaired in-process pipe).
-	Links LinkBuilder
 	// WALDir, when set, gives every hop a mesh's routes use a forwarding
 	// WAL, so a crashed relay node replays its accepted backlog on
 	// restart.
@@ -172,9 +170,6 @@ func Run(ctx context.Context, sc Scenario, env Env) (Result, error) {
 	}
 	if env.Metrics == nil {
 		env.Metrics = metrics.Default()
-	}
-	if env.Links == nil {
-		env.Links = pipeLinks
 	}
 	clk := env.Clock
 	if clk == nil {

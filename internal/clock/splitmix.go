@@ -31,7 +31,8 @@ func (r *SplitMix) Float64() float64 { return float64(r.Next()>>11) / (1 << 53) 
 func (r *SplitMix) Int63n(n int64) int64 { return int64(r.Next() % uint64(n)) }
 
 // MixSeed derives the n-th seed of a family from seed, decorrelated from
-// its siblings: how a fabric gives every link direction its own stream.
+// its siblings: how a virtual-time run gives every link direction its own
+// stream.
 func MixSeed(seed, n int64) int64 {
 	return int64(splitMixFinish(uint64(seed) + uint64(n)*splitMixGamma))
 }

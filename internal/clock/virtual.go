@@ -22,7 +22,7 @@ import (
 //     are byte-for-byte reproducible.
 //
 //   - Concurrent: real runtime components (engine pumps, supervisors,
-//     outbox workers) block on virtual timers and fabric receives from
+//     outbox workers) block on virtual timers and pipe receives from
 //     their own goroutines while a driver goroutine calls Run. Advancing
 //     waits for the event-count barrier — every packet handed to a
 //     blocked receiver must be collected (Hold/Release) — plus a
@@ -84,7 +84,7 @@ func (v *Virtual) Seed() int64 {
 
 // Hold marks one unit of in-flight work the clock must not advance past
 // — a packet handed to a mailbox whose consumer has not collected it
-// yet. Release retires it. The fabric holds across deliveries to
+// yet. Release retires it. A netlink pipe holds across deliveries to
 // blocking receivers; inline callbacks never need to. Both are no-ops on
 // a nil *Virtual, which is what a link on the wall clock has: there is no
 // barrier to hold.

@@ -142,9 +142,12 @@ func New(conn Conn, cfg Config) *Engine {
 func (e *Engine) Wheel() *Wheel { return e.cfg.Wheel }
 
 // Endpoint registers (or re-registers) id and returns its endpoint.
-// Re-registering routes subsequent inbound packets to the new endpoint;
-// the superseded one stays usable for Send but starves on Recv — the
-// semantics SharedConn.Attach is built on.
+// Re-registering routes subsequent inbound packets to the new endpoint
+// and closes the superseded one, as its Close would: its Send and Recv
+// report ErrClosed and its Closed channel is closed, so a station still
+// on it sends nothing more (a receiver's RETRY stops at its next wheel
+// tick). This is the semantics SharedConn.Attach is built on: only the
+// latest view is a live station's.
 func (e *Engine) Endpoint(id int) (*Endpoint, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
@@ -158,7 +161,9 @@ func (e *Engine) Endpoint(id int) (*Endpoint, error) {
 		slot:   &e.slots[id],
 		closed: make(chan struct{}),
 	}
-	ep.slot.Store(ep)
+	if old := ep.slot.Swap(ep); old != nil {
+		old.Close() // it is no longer registered: this detaches nothing
+	}
 	return ep, nil
 }
 

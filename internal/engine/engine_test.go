@@ -227,9 +227,10 @@ func TestReplaceSemantics(t *testing.T) {
 	if got := recvOne(t, cur); string(got) != "routed" {
 		t.Fatalf("current endpoint got %q", got)
 	}
-	// The superseded endpoint still sends.
-	if err := old.Send([]byte("still-sends")); err != nil {
-		t.Fatal(err)
+	// The superseded endpoint is closed: a station left on it sends
+	// nothing.
+	if err := old.Send([]byte("stale")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Send on the superseded endpoint = %v, want ErrClosed", err)
 	}
 	// Its Close must not detach the successor.
 	old.Close()

@@ -7,7 +7,7 @@ import (
 	"ghm/internal/bitstr"
 	"ghm/internal/clock"
 	"ghm/internal/core"
-	"ghm/internal/fabric"
+	"ghm/internal/metrics"
 	"ghm/internal/netlink"
 	"ghm/internal/stats"
 )
@@ -37,7 +37,7 @@ type E10Result struct {
 // burst length even though the long-run loss rate never changes.
 //
 // The run is a discrete-event one: the protocol machines exchange packets
-// over a fabric link on a virtual clock, the receiver's RETRY on a
+// over an impaired link on a virtual clock, the receiver's RETRY on a
 // virtual timer, everything inline on this goroutine. A row is therefore
 // a function of the seed alone — the same table on a loaded CI box as on
 // an idle one — and its ms/msg is protocol time: latency, jitter and
@@ -67,13 +67,6 @@ func runE10Burst(o Options, burstLen, messages int) E10Row {
 	seed := o.Seed*61 + int64(burstLen)
 
 	v := clock.NewVirtual(time.Time{}, seed)
-	tPort, rPort := fabric.New(fabric.Config{Clock: v, Seed: seed}).Link(fabric.LinkConfig{
-		LinkModel: netlink.LinkModel{
-			Burst:   &netlink.GilbertElliott{PGoodBad: pGoodBad, PBadGood: pBadGood, LossBad: 0.8},
-			Latency: 100 * time.Microsecond,
-			Jitter:  200 * time.Microsecond,
-		},
-	})
 	tx, err := core.NewTransmitter(core.Params{Source: bitstr.NewSeededSource(seed + 1)})
 	if err != nil {
 		panic(fmt.Sprintf("E10: %v", err))
@@ -83,13 +76,16 @@ func runE10Burst(o Options, burstLen, messages int) E10Row {
 		panic(fmt.Sprintf("E10: %v", err))
 	}
 	// A full link queue drops the packet; that is loss like any other.
-	send := func(p *fabric.Port, pkt []byte) {
+	send := func(p *netlink.ImpairedConn, pkt []byte) {
 		if len(pkt) > 0 {
 			_ = p.Send(pkt)
 		}
 	}
 
-	completed := 0
+	var (
+		tPort, rPort *netlink.ImpairedConn
+		completed    int
+	)
 	submit := func() {
 		pkt, err := tx.AppendSendMsg(nil, []byte(fmt.Sprintf("e10-%d-%d", burstLen, completed)))
 		if err != nil {
@@ -97,7 +93,11 @@ func runE10Burst(o Options, burstLen, messages int) E10Row {
 		}
 		send(tPort, pkt)
 	}
-	tPort.SetHandler(func(p []byte) {
+	tPort, rPort = virtualLink(v, seed, 0, netlink.LinkModel{
+		Burst:   &netlink.GilbertElliott{PGoodBad: pGoodBad, PBadGood: pBadGood, LossBad: 0.8},
+		Latency: 100 * time.Microsecond,
+		Jitter:  200 * time.Microsecond,
+	}, func(p []byte) {
 		pkt, ok := tx.AppendReceivePacket(nil, p)
 		send(tPort, pkt)
 		if ok {
@@ -105,8 +105,7 @@ func runE10Burst(o Options, burstLen, messages int) E10Row {
 				submit()
 			}
 		}
-	})
-	rPort.SetHandler(func(p []byte) {
+	}, func(p []byte) {
 		pkt, _, _ := rx.AppendReceivePacket(nil, p)
 		send(rPort, pkt)
 	})
@@ -131,6 +130,28 @@ func runE10Burst(o Options, burstLen, messages int) E10Row {
 		row.ElapsedPerMsgMs = float64(elapsed.Microseconds()) / 1000 / float64(completed)
 	}
 	return row
+}
+
+// inlineConn is a perfect netlink.Pipe end: SetHandler gives it inline
+// ingress (see netlink.Pipe).
+type inlineConn interface{ SetHandler(fn func(p []byte)) }
+
+// virtualLink builds link i of a discrete-event run on v: a perfect
+// netlink.Pipe with model on an impairment stage at each end, so every
+// delayed packet is one event on v and nothing runs off the caller's
+// goroutine. What arrives at end a runs atA, inside the clock event that
+// lands it, and at end b atB. Direction a→b draws its fates from
+// clock.MixSeed(clock.MixSeed(base, i+1), 1) and b→a from the same with
+// 2, so no two directions of a run share a stream.
+func virtualLink(v *clock.Virtual, base int64, i int, model netlink.LinkModel, atA, atB func(p []byte)) (a, b *netlink.ImpairedConn) {
+	pa, pb := netlink.Pipe(netlink.PipeConfig{Clock: v})
+	pa.(inlineConn).SetHandler(atA)
+	pb.(inlineConn).SetHandler(atB)
+	seed := clock.MixSeed(base, int64(i)+1)
+	cfg := netlink.ImpairConfig{LinkModel: model, Seed: clock.MixSeed(seed, 1), Clock: v, Metrics: metrics.New()}
+	a = netlink.Impair(pa, cfg)
+	cfg.Seed = clock.MixSeed(seed, 2)
+	return a, netlink.Impair(pb, cfg)
 }
 
 // LatencyClimbs reports the claim's shape: the longest bursts cost more

@@ -9,7 +9,6 @@ import (
 	"ghm/internal/bitstr"
 	"ghm/internal/clock"
 	"ghm/internal/core"
-	"ghm/internal/fabric"
 	"ghm/internal/netlink"
 	"ghm/internal/relay"
 	"ghm/internal/stats"
@@ -38,9 +37,9 @@ type E7Result struct {
 // contrast: flooding pays O(|E|) traversals per packet, path routing pays
 // O(path), and both compose with GHM into a reliable transport.
 //
-// Like E10 the run is discrete-event: the grid's links are fabric links on
-// a virtual clock, each relay node forwards inline from its ports'
-// handlers, and the end stations are the protocol machines with RETRY on a
+// Like E10 the run is discrete-event: the grid's links are impaired links
+// on a virtual clock (virtualLink), each relay node forwards inline from
+// its ports' handlers, and the end stations are the protocol machines with RETRY on a
 // virtual timer. A row is a function of the seed alone, and its ms/msg is
 // virtual time.
 func E7(o Options) E7Result {
@@ -68,7 +67,6 @@ func runE7Mode(seed int64, mode string, messages int) E7Row {
 	)
 	flood := mode == "flooding"
 	v := clock.NewVirtual(time.Time{}, seed)
-	fab := fabric.New(fabric.Config{Clock: v, Seed: seed})
 	tx, err := core.NewTransmitter(core.Params{Source: bitstr.NewSeededSource(seed + 1)})
 	if err != nil {
 		panic(fmt.Sprintf("E7: %v", err))
@@ -83,7 +81,7 @@ func runE7Mode(seed int64, mode string, messages int) E7Row {
 	// A flooding frame's route is the destination alone; a path-routing
 	// frame's route starts at the node it arrives at.
 	var (
-		ports     [9][9]*fabric.Port // ports[a][b]: node a's end of the link to b
+		ports     [9][9]*netlink.ImpairedConn // ports[a][b]: node a's end of the link to b
 		down      = make([]bool, len(e7Grid))
 		seen      = make(map[[2]uint32]bool) // (node, frame id) a flooding relay forwarded
 		nextID    uint32
@@ -170,11 +168,9 @@ func runE7Mode(seed int64, mode string, messages int) E7Row {
 		}
 	}
 
-	for _, l := range e7Grid {
-		a, b := fab.Link(fabric.LinkConfig{LinkModel: netlink.LinkModel{Loss: 0.05, Latency: hop}})
-		a.SetHandler(func(f []byte) { arrive(l.A, l.B, f) })
-		b.SetHandler(func(f []byte) { arrive(l.B, l.A, f) })
-		ports[l.A][l.B], ports[l.B][l.A] = a, b
+	for i, l := range e7Grid {
+		ports[l.A][l.B], ports[l.B][l.A] = virtualLink(v, seed, i, netlink.LinkModel{Loss: 0.05, Latency: hop},
+			func(f []byte) { arrive(l.A, l.B, f) }, func(f []byte) { arrive(l.B, l.A, f) })
 	}
 	rng := rand.New(rand.NewSource(seed))
 	var tick, retry clock.Timer
@@ -206,7 +202,7 @@ func runE7Mode(seed int64, mode string, messages int) E7Row {
 
 	var sent int64
 	for _, l := range e7Grid {
-		for _, p := range []*fabric.Port{ports[l.A][l.B], ports[l.B][l.A]} {
+		for _, p := range []*netlink.ImpairedConn{ports[l.A][l.B], ports[l.B][l.A]} {
 			st := p.Stats()
 			sent += st.Sent
 			row.LostTraversals += int(st.DropIID + st.DropBlackout + st.DropQueue)

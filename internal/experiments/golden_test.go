@@ -8,7 +8,7 @@ import (
 
 // TestTablesGoldenBytes pins every table at small by the SHA-256 of its
 // text: EXPERIMENTS.md quotes these tables, so a refactor of sim,
-// adversary, secmodel or fabric that moves one random draw or one default
+// adversary, secmodel or the link stage that moves one random draw or one default
 // fails here instead of silently changing the numbers.
 func TestTablesGoldenBytes(t *testing.T) {
 	want := map[string]string{

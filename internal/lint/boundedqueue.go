@@ -38,7 +38,7 @@ var BoundedQueue = &analysis.Analyzer{
 	Name: "boundedqueue",
 	Doc: `runtime queues are capacity-bounded and shed with accounting
 
-Channels in ghm/internal/{engine,netlink,session,supervise,relay,fabric}
+Channels in ghm/internal/{engine,netlink,session,supervise,relay}
 must have statically bounded capacity (constant or config arithmetic —
 no function calls in the capacity expression). Appends that grow struct
 fields on handler paths must pair with an occupancy check (len/cap of

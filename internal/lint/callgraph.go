@@ -18,7 +18,6 @@ var runtimeScope = map[string]bool{
 	"ghm/internal/session":   true,
 	"ghm/internal/supervise": true,
 	"ghm/internal/relay":     true,
-	"ghm/internal/fabric":    true,
 }
 
 // collectDecls indexes the package's function declarations (with bodies,

@@ -10,9 +10,9 @@ import (
 // wheelclockScope is the set of runtime packages whose pacing and
 // timestamps must ride the injected clock (and its shared timer wheel).
 // The engine owns the wheel; the netlink stations, the session layer,
-// the supervisor and the relay mesh are its clients; the outbox, the
-// fabric and mux (which builds lanes as one station) read no clock and
-// are pinned so the virtual-clock harness can rely on that. Simulation-side
+// the supervisor and the relay mesh are its clients; the outbox and mux
+// (which builds lanes as one station) read no clock and are pinned so the
+// virtual-clock harness can rely on that. Simulation-side
 // packages (chaos schedules real wall-clock work; sim and the
 // experiments keep their own time) are deliberately out of scope, as is
 // ghm/internal/clock itself — it is the one place allowed to touch the
@@ -24,7 +24,6 @@ var wheelclockScope = map[string]bool{
 	"ghm/internal/session":   true,
 	"ghm/internal/relay":     true,
 	"ghm/internal/outbox":    true,
-	"ghm/internal/fabric":    true,
 	"ghm/internal/mux":       true,
 }
 
@@ -58,7 +57,7 @@ var Wheelclock = &analysis.Analyzer{
 	Name: "wheelclock",
 	Doc: `forbid runtime timers and wall-clock reads (time.Now/Until/After/Sleep/...) in wheel territory
 
-In ghm/internal/{engine,netlink,supervise,session,relay,outbox,fabric,mux},
+In ghm/internal/{engine,netlink,supervise,session,relay,outbox,mux},
 retry and backoff pacing must arm the shared timer wheel
 (engine.Wheel.AfterFunc / Timer.Reset) and timestamps must come from the
 injected clock (clock.Clock.Now) so the whole layer runs unmodified under

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"ghm/internal/engine"
-	"ghm/internal/fabric"
 	"ghm/internal/netlink"
 	"ghm/internal/trace"
 )
@@ -75,9 +74,6 @@ func conns() map[string]func(t *testing.T) (tx, rx netlink.PacketConn) {
 				t.Fatal(err)
 			}
 			return ta, tb
-		},
-		"fabric.Port": func(*testing.T) (netlink.PacketConn, netlink.PacketConn) {
-			return fabric.New(fabric.Config{Seed: 1}).Link(fabric.LinkConfig{LinkModel: netlink.LinkModel{Latency: time.Millisecond}})
 		},
 		"UDPConn": func(t *testing.T) (netlink.PacketConn, netlink.PacketConn) {
 			la, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})

@@ -2,14 +2,11 @@ package netlink_test
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
 	"ghm/internal/clock"
-	"ghm/internal/fabric"
 	"ghm/internal/metrics"
 	"ghm/internal/netlink"
 )
@@ -18,21 +15,6 @@ import (
 type arrival struct {
 	at  time.Duration
 	pkt byte
-}
-
-// stampConn notes the virtual instant of every packet sent through it.
-type stampConn struct {
-	netlink.PacketConn
-	now  func() time.Duration
-	mu   sync.Mutex
-	seen []arrival
-}
-
-func (c *stampConn) Send(p []byte) error {
-	c.mu.Lock()
-	c.seen = append(c.seen, arrival{c.now(), p[0]})
-	c.mu.Unlock()
-	return c.PacketConn.Send(p)
 }
 
 func sortArrivals(a []arrival) {
@@ -44,111 +26,170 @@ func sortArrivals(a []arrival) {
 	})
 }
 
-// TestLinkDriversAgree is the differential test of the two drivers of
-// netlink.Link: an ImpairedConn over a perfect Pipe (a goroutine, a
-// flight heap and one timer) and a fabric link (a clock event a flight),
-// on one virtual clock with the same resolved seed, are fed the same
-// packets at the same instants — with a blackout switched on and off in
-// the middle — and must deliver the same packets at the same virtual
-// instants and report equal Stats.
+// inlineConn is a perfect Pipe end: SetHandler gives it inline ingress.
+type inlineConn interface{ SetHandler(fn func(p []byte)) }
+
+// driverModels are the link models the driver differential runs. The
+// first and third have Fates that read no clock: no bandwidth, and a
+// queue cap the test's 40 packets never reach.
+var driverModels = []struct {
+	name      string
+	model     netlink.LinkModel
+	clockless bool
+}{
+	{"loss, dup, latency, jitter", netlink.LinkModel{Loss: 0.2, DupProb: 0.3, Latency: 700 * time.Microsecond, Jitter: 900 * time.Microsecond}, true},
+	{"burst, bandwidth, short queue", netlink.LinkModel{
+		Burst:     &netlink.GilbertElliott{PGoodBad: 0.2, PBadGood: 0.3, LossBad: 0.9},
+		Bandwidth: 150_000, Queue: 6,
+	}, false},
+	{"reorder, dup", netlink.LinkModel{ReorderProb: 0.5, ReleaseEvery: 400 * time.Microsecond, DupProb: 0.2}, true},
+	{"everything", netlink.LinkModel{
+		Loss: 0.1, DupProb: 0.2, ReorderProb: 0.3, Latency: 300 * time.Microsecond, Jitter: 500 * time.Microsecond, Bandwidth: 400_000, Queue: 12,
+		Burst: &netlink.GilbertElliott{PGoodBad: 0.1, PBadGood: 0.4, LossGood: 0.05, LossBad: 0.8},
+	}, false},
+}
+
+const (
+	driverPackets = 40
+	driverGap     = 250 * time.Microsecond // between the feed's pairs of packets
+)
+
+// driverFeed is packet i of the differential: its size varies, its first
+// byte names it, and packets 20 to 23 go into a blackout.
+func driverFeed(i int) (pkt []byte, dark bool) {
+	pkt = make([]byte, 20+i%6*20)
+	pkt[0] = byte(i)
+	return pkt, i >= 20 && i < 24
+}
+
+// TestLinkDriversAgree is the differential of the two clocks under the
+// one driver of netlink.Link, the impairment stage. Each of 4 models × 20
+// seeds is fed 40 packets, two at a time, with a blackout switched on and
+// off in the middle.
+//
+// On a virtual clock the stage's delays are clock events: every packet
+// must reach the far end of a perfect Pipe at the exact instant a bare
+// Link, fed the same packets at the same instants and landed at the same
+// instants, says, and the Stats of the two must be equal. On the wall
+// clock the stage's delays are its goroutine's timer: for the models whose
+// Fate reads no clock it must deliver the same multiset of packets, with
+// equal Stats.
 func TestLinkDriversAgree(t *testing.T) {
-	const (
-		us      = time.Microsecond
-		packets = 40
-	)
-	models := map[string]netlink.LinkModel{
-		"loss, dup, latency, jitter": {Loss: 0.2, DupProb: 0.3, Latency: 700 * us, Jitter: 900 * us},
-		"burst, bandwidth, short queue": {
-			Burst:     &netlink.GilbertElliott{PGoodBad: 0.2, PBadGood: 0.3, LossBad: 0.9},
-			Bandwidth: 150_000, Queue: 6,
-		},
-		"reorder, dup": {ReorderProb: 0.5, ReleaseEvery: 400 * us, DupProb: 0.2},
-		"everything": {
-			Loss: 0.1, DupProb: 0.2, ReorderProb: 0.3, Latency: 300 * us, Jitter: 500 * us, Bandwidth: 400_000, Queue: 12,
-			Burst: &netlink.GilbertElliott{PGoodBad: 0.1, PBadGood: 0.4, LossGood: 0.05, LossBad: 0.8},
-		},
-	}
-	for name, model := range models {
+	for _, tc := range driverModels {
 		for seed := int64(1); seed <= 20; seed++ {
-			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
-				v := clock.NewVirtual(time.Time{}, seed)
-				v.SetSettle(1) // the pipe's reader is a goroutine: wait on the barrier
-				start := v.Now()
-
-				port, far := fabric.New(fabric.Config{Clock: v, Seed: seed}).Link(fabric.LinkConfig{LinkModel: model})
-				var viaFabric []arrival
-				far.SetHandler(func(p []byte) { viaFabric = append(viaFabric, arrival{v.Now().Sub(start), p[0]}) })
-
-				// The pipe holds the clock still from Send to Recv, so a packet
-				// is read at the instant it is stamped going in — which is
-				// where it is stamped: a reader's own look at the clock would
-				// come after its Recv let go of the barrier.
-				a, b := netlink.Pipe(netlink.PipeConfig{Clock: v})
-				stamp := &stampConn{PacketConn: a, now: func() time.Duration { return v.Now().Sub(start) }}
-				imp := netlink.Impair(stamp, netlink.ImpairConfig{LinkModel: model, Seed: port.Seed(), Clock: v, Metrics: metrics.New()})
-				read := make(chan int)
-				go func() {
-					n := 0
-					for {
-						if _, err := b.Recv(); err != nil {
-							read <- n
-							return
-						}
-						n++
-					}
-				}()
-
-				// The feed is itself clock events, so the clock cannot move
-				// on before both links have taken each packet in.
-				for i := 0; i < packets; i++ {
-					pkt := make([]byte, 20+i%6*20)
-					pkt[0] = byte(i)
-					v.AfterFunc(time.Duration(i/2)*250*us, func() {
-						port.SetBlackout(pkt[0] >= 20 && pkt[0] < 24)
-						imp.SetBlackout(pkt[0] >= 20 && pkt[0] < 24)
-						if err := port.Send(pkt); err != nil {
-							t.Errorf("fabric Send: %v", err)
-						}
-						if err := imp.Send(pkt); err != nil {
-							t.Errorf("impaired Send: %v", err)
-						}
-					})
-				}
-				// The impaired side's goroutine is woken by its timer holding
-				// nothing, so step instant by instant: wait until it has
-				// forwarded what the fabric has delivered by now, then for it to
-				// let go of the barrier (a no-op instant returns once nothing
-				// holds the clock), which it does with its timer set again.
-				for end := start.Add(time.Second); v.Now().Before(end) && v.Step(); {
-					for deadline := time.Now().Add(5 * time.Second); imp.Stats().Delivered != port.Stats().Delivered; {
-						if time.Now().After(deadline) {
-							t.Fatalf("at %v the fabric has delivered %d packets, the impaired conn %d",
-								v.Now().Sub(start), port.Stats().Delivered, imp.Stats().Delivered)
-						}
-						runtime.Gosched()
-					}
-					v.AfterFunc(0, func() {})
-					v.Step()
-				}
-				imp.Close()
-				port.Close()
-				viaPipe := stamp.seen
-				if n := <-read; n != len(viaPipe) {
-					t.Errorf("%d packets went into the pipe, %d came out", len(viaPipe), n)
-				}
-
-				sortArrivals(viaFabric)
-				sortArrivals(viaPipe)
-				if fmt.Sprint(viaFabric) != fmt.Sprint(viaPipe) {
-					t.Errorf("deliveries differ:\n fabric   %v\n impaired %v", viaFabric, viaPipe)
-				}
-				if len(viaFabric) == 0 {
-					t.Error("nothing was delivered")
-				}
-				if fs, is := port.Stats(), imp.Stats(); fs != is {
-					t.Errorf("stats differ:\n fabric   %+v\n impaired %+v", fs, is)
+			t.Run(fmt.Sprintf("%s/seed=%d", tc.name, seed), func(t *testing.T) {
+				t.Run("virtual", func(t *testing.T) { virtualDriverAgrees(t, tc.model, seed) })
+				if tc.clockless {
+					t.Run("wall", func(t *testing.T) { wallDriverAgrees(t, tc.model, seed) })
 				}
 			})
+		}
+	}
+}
+
+func virtualDriverAgrees(t *testing.T, model netlink.LinkModel, seed int64) {
+	v := clock.NewVirtual(time.Time{}, seed)
+	start := v.Now()
+	a, b := netlink.Pipe(netlink.PipeConfig{Clock: v})
+	var got []arrival
+	b.(inlineConn).SetHandler(func(p []byte) { got = append(got, arrival{v.Now().Sub(start), p[0]}) })
+	imp := netlink.Impair(a, netlink.ImpairConfig{LinkModel: model, Seed: seed, Clock: v, Metrics: metrics.New()})
+	defer imp.Close()
+
+	// The reference: a bare Link fed the same packets at the same instants.
+	// The feed's events are armed first, so at an instant where a feed and
+	// a landing meet the feed goes first; a copy due at once lands in its
+	// Send.
+	var (
+		ref     netlink.Link
+		want    []arrival
+		pending []time.Duration // instants of the copies still in flight
+	)
+	ref.Init(model, seed)
+	landBefore := func(at time.Duration) {
+		kept := pending[:0]
+		for _, p := range pending {
+			if p < at {
+				ref.Land()
+			} else {
+				kept = append(kept, p)
+			}
+		}
+		pending = kept
+	}
+	for i := 0; i < driverPackets; i++ {
+		pkt, dark := driverFeed(i)
+		at := time.Duration(i/2) * driverGap
+		v.AfterFunc(at, func() {
+			imp.SetBlackout(dark)
+			if err := imp.Send(pkt); err != nil {
+				t.Errorf("Send: %v", err)
+			}
+		})
+		landBefore(at)
+		ref.SetBlackout(dark)
+		f := ref.Fate(start.Add(at), len(pkt))
+		for _, d := range f.Delay[:f.N] {
+			want = append(want, arrival{at + d, pkt[0]})
+			if d <= 0 {
+				ref.Land()
+			} else {
+				pending = append(pending, at+d)
+			}
+		}
+	}
+	landBefore(time.Hour)
+	v.AdvanceBy(time.Second)
+
+	sortArrivals(got)
+	sortArrivals(want)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("deliveries differ:\n stage %v\n Link  %v", got, want)
+	}
+	if len(got) == 0 {
+		t.Error("nothing was delivered")
+	}
+	if gs, ws := imp.Stats(), ref.Stats(); gs != ws {
+		t.Errorf("stats differ:\n stage %+v\n Link  %+v", gs, ws)
+	}
+}
+
+func wallDriverAgrees(t *testing.T, model netlink.LinkModel, seed int64) {
+	a, b := netlink.Pipe(netlink.PipeConfig{})
+	imp := netlink.Impair(a, netlink.ImpairConfig{LinkModel: model, Seed: seed, Metrics: metrics.New()})
+	defer imp.Close()
+
+	var ref netlink.Link
+	ref.Init(model, seed)
+	want := map[byte]int{}
+	for i := 0; i < driverPackets; i++ {
+		pkt, dark := driverFeed(i)
+		imp.SetBlackout(dark)
+		if err := imp.Send(pkt); err != nil {
+			t.Fatalf("Send: %v", err)
+		}
+		ref.SetBlackout(dark)
+		f := ref.Fate(time.Time{}, len(pkt))
+		for range f.Delay[:f.N] {
+			want[pkt[0]]++
+			ref.Land()
+		}
+	}
+	got := map[byte]int{}
+	for n := ref.Stats().Delivered; n > 0; n-- {
+		p, err := b.Recv()
+		if err != nil {
+			t.Fatalf("Recv: %v", err)
+		}
+		got[p[0]]++
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("deliveries differ:\n stage %v\n Link  %v", got, want)
+	}
+	// The last Recv can come before the stage counts the landing it took.
+	for deadline := time.Now().Add(5 * time.Second); imp.Stats() != ref.Stats(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("stats differ:\n stage %+v\n Link  %+v", imp.Stats(), ref.Stats())
 		}
 	}
 }

@@ -28,10 +28,10 @@ type GilbertElliott struct {
 // LinkModel is the paper's channel (§2.3: it may lose, duplicate and
 // reorder packets, nothing else) with numbers on it, for one direction
 // of a link. It is the one impairment vocabulary of the runtime and the
-// simulator: PipeConfig, ImpairConfig and fabric.LinkConfig embed it, a
-// chaos scenario's link profile is it (hence the JSON names),
-// sim.NewNetLike takes it, and Link.Fate is
-// the one place it is acted on. The zero value is a perfect link.
+// simulator: PipeConfig and ImpairConfig embed it, a chaos scenario's
+// link profile is it (hence the JSON names), sim.NewNetLike takes it, and
+// Link.Fate is the one place it is acted on. The zero value is a perfect
+// link.
 type LinkModel struct {
 	// Loss is an i.i.d. drop probability applied to every packet, on top
 	// of Burst when both are set. Link.SetLoss changes it at runtime.
@@ -104,10 +104,12 @@ type Fate struct {
 // Link is the state of one link direction — the Gilbert–Elliott bit, the
 // serialization clock, the packets in flight, the blackout and the
 // runtime loss rate — behind one seeded clock.SplitMix stream. It has no
-// clock, goroutine or buffer of its own: a driver (ImpairedConn on a
-// goroutine with a timer, fabric.Port with one clock event a flight,
-// sim.NewNetLike on the simulator's steps) asks Fate what happens to each packet, makes that happen on its clock,
-// and reports each arrival with Land. Every method is safe from any
+// clock, goroutine or buffer of its own. It has two drivers: the
+// impairment stage (ImpairedConn: one clock event a delayed copy on a
+// *clock.Virtual, a flight heap under one goroutine and its timer on the
+// wall clock) and sim.NewNetLike on the simulator's steps. A driver asks
+// Fate what happens to each packet, makes that happen on its clock, and
+// reports each arrival with Land. Every method is safe from any
 // goroutine.
 type Link struct {
 	// Model is the link's model with its defaults resolved; read-only

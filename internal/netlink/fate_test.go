@@ -77,9 +77,9 @@ func runFate(m LinkModel, seed int64, steps []fateStep) (string, ImpairStats) {
 
 // TestFate pins the link model itself — no driver, goroutine, sleep or
 // clock: seeds × models → the exact drop causes and release delays. The
-// seeded loss, burst and jitter rows read the same from fabric.Port.Send
-// as it was before the model moved here (same stream, same draw order),
-// so they also pin that a seed's schedule has not moved.
+// seeded loss, burst and jitter rows read the same as the fabric driver
+// the model once lived in (same stream, same draw order), so they also
+// pin that a seed's schedule has not moved.
 func TestFate(t *testing.T) {
 	const ms = time.Millisecond
 	burst := &GilbertElliott{PGoodBad: 0.2, PBadGood: 0.2, LossBad: 1}
@@ -207,8 +207,8 @@ func TestFate(t *testing.T) {
 	}
 }
 
-// TestFateAllocatesNothing is the model's allocation budget: fabric.Port.Send
-// and ImpairedConn ask Fate about every packet, so with every feature on
+// TestFateAllocatesNothing is the model's allocation budget: ImpairedConn
+// and sim.NewNetLike ask Fate about every packet, so with every feature on
 // — loss, burst, duplication, reorder, latency, jitter, bandwidth — a
 // Fate and a Land per released copy cost no allocation.
 func TestFateAllocatesNothing(t *testing.T) {

@@ -30,30 +30,30 @@ type ImpairConfig struct {
 
 // ImpairedConn applies a LinkModel to the egress (Send) path of any
 // PacketConn — pipes and UDP alike — leaving Recv untouched. Wrap both
-// endpoints to impair both directions. It is the conn-wrapping driver of
-// Link: Send asks Link.Fate what becomes of the packet and forwards a
-// copy that is due at once; a delayed one goes onto the stage's heap of
-// flights, which its one goroutine releases off one timer. Beyond the
-// static ImpairConfig, the connection exposes runtime controls
-// (SetBlackout, Blackout, SetLoss) so a chaos controller can partition the
-// link or ramp loss while traffic flows.
+// endpoints to impair both directions. It is the in-process driver of
+// Link: Send asks Link.Fate what becomes of the packet and forwards a copy
+// that is due at once. A delayed copy is driven by the clock: on a
+// *clock.Virtual it is one clock event, with no goroutine, and on any
+// other clock it goes onto the stage's heap of flights, which its one
+// goroutine releases off one timer. Beyond the static ImpairConfig, the
+// connection exposes runtime controls (SetBlackout, SetLoss) so a chaos
+// controller can partition the link or ramp loss while traffic flows.
 type ImpairedConn struct {
 	conn PacketConn
 	link Link
 	m    linkMetrics
 	clk  clock.Clock
-	virt *clock.Virtual // nil unless clk is virtual: a new head holds its barrier until run times it
+	virt *clock.Virtual // non-nil when clk is virtual: a delayed copy is a clock event
 	seed int64          // resolved schedule seed
 
 	mu      sync.Mutex
 	flights flightHeap    // delayed copies by release time; Fate's queue cap bounds them
-	woken   bool          // wake is posted for a new head, which holds the barrier until run's timer covers it
 	wake    chan struct{} // one token: the heap has a new head for run to time
 	free    bufList       // the delayed packets' copies, recycled once released
 
 	stop      chan struct{}
-	ownStop   bool // stop is this stage's to close, not conn's
-	done      chan struct{}
+	ownStop   bool          // stop is this stage's to close, not conn's
+	done      chan struct{} // run has returned; nil on a virtual clock, which has no run
 	closeOnce sync.Once
 }
 
@@ -81,17 +81,17 @@ func impair(conn PacketConn, cfg ImpairConfig, stop chan struct{}) *ImpairedConn
 		m:    newLinkMetrics(cfg.Metrics),
 		clk:  clk,
 		seed: seed,
-		wake: make(chan struct{}, 1),
 		free: bufList{max: freeBuffers},
 		stop: stop,
-		done: make(chan struct{}),
 	}
 	if stop == nil {
 		c.stop, c.ownStop = make(chan struct{}), true
 	}
-	c.virt, _ = clk.(*clock.Virtual)
 	c.link.Init(cfg.LinkModel, seed)
-	go c.run()
+	if c.virt, _ = clk.(*clock.Virtual); c.virt == nil {
+		c.wake, c.done = make(chan struct{}, 1), make(chan struct{})
+		go c.run()
+	}
 	return c
 }
 
@@ -111,7 +111,8 @@ func (c *ImpairedConn) Stats() ImpairStats { return c.link.Stats() }
 
 // Send implements PacketConn: the link decides the packet's fate here,
 // before any copy is made. A copy due at once goes straight to the
-// underlying conn; a delayed one is copied onto the heap for run.
+// underlying conn; a delayed one is copied, and the copy becomes a clock
+// event on a virtual clock or goes onto the heap for run.
 func (c *ImpairedConn) Send(p []byte) error {
 	if isClosed(c.stop) {
 		return ErrClosed
@@ -120,33 +121,29 @@ func (c *ImpairedConn) Send(p []byte) error {
 	f := c.link.Fate(now, len(p))
 	c.m.count(f)
 	for _, d := range f.Delay[:f.N] {
-		if d <= 0 {
+		switch {
+		case d <= 0:
 			c.forward(p)
-			continue
+		case c.virt != nil:
+			// One closure a flight: it carries the copy to its instant.
+			cp := c.free.copy(p)
+			c.virt.AfterFunc(d, func() { c.release(cp) })
+		default:
+			c.schedule(flight{at: now.Add(d), p: c.free.copy(p)})
 		}
-		c.schedule(flight{at: now.Add(d), p: c.free.copy(p)})
-	}
-	if isClosed(c.stop) {
-		c.drain() // run may be gone: nothing may be left holding the barrier
 	}
 	return nil
 }
 
 // schedule puts a delayed copy on the heap. A copy that lands behind the
 // head is covered by the head's release, which comes first; a new head
-// wakes run to re-arm its timer, and until run has, virtual time must not
-// advance past it, so the first unanswered wake holds the barrier for it.
+// wakes run to re-arm its timer.
 func (c *ImpairedConn) schedule(f flight) {
 	c.mu.Lock()
 	head := len(c.flights) == 0 || f.at.Before(c.flights[0].at)
 	c.flights.push(f)
-	wake := head && !c.woken
-	if wake {
-		c.woken = true
-		c.virt.Hold() // run lets go once its timer is set for the head
-	}
 	c.mu.Unlock()
-	if wake {
+	if head {
 		select {
 		case c.wake <- struct{}{}:
 		default: // a token run has yet to take: it reads the head after
@@ -163,17 +160,19 @@ func (c *ImpairedConn) forward(p []byte) {
 	c.m.delivered.Inc()
 }
 
-// drain discards the flights of a closed conn, so that none of them is
-// left holding the virtual clock's barrier.
+// release forwards a delayed copy that is due and takes the copy back:
+// Send must not retain, so once forwarded it is the stage's again.
+func (c *ImpairedConn) release(p []byte) {
+	c.forward(p)
+	c.free.put(p)
+}
+
+// drain discards the flights of a closed conn.
 func (c *ImpairedConn) drain() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for len(c.flights) > 0 {
 		c.free.put(c.flights.pop().p)
-	}
-	if c.woken {
-		c.woken = false
-		c.virt.Release()
 	}
 }
 
@@ -182,29 +181,28 @@ func (c *ImpairedConn) drain() {
 func (c *ImpairedConn) Recv() ([]byte, error) { return c.conn.Recv() }
 
 // Close implements PacketConn: it stops the impairment engine (dropping
-// anything still in flight) and closes the underlying conn.
+// anything still in flight) and closes the underlying conn. On a virtual
+// clock a flight's event still fires, and finds the conn closed.
 func (c *ImpairedConn) Close() error {
 	c.closeOnce.Do(func() {
 		if c.ownStop {
 			close(c.stop)
 		}
 		c.conn.Close()
-		<-c.done
+		if c.done != nil {
+			<-c.done
+		}
 	})
 	return nil
 }
 
-// run is the driver's goroutine: it owns the timer of the heap's head,
-// and forwards each flight when it is due.
+// run is the wall-clock driver's goroutine: it owns the timer of the
+// heap's head, and releases each flight when it is due.
 func (c *ImpairedConn) run() {
 	defer close(c.done)
 	defer c.drain()
 	timer := c.clk.NewTimer(time.Hour)
 	defer timer.Stop()
-
-	// held: run holds the virtual clock's barrier since its timer woke it,
-	// until the timer is set for what is on the heap now.
-	held := false
 	for {
 		c.mu.Lock()
 		armed := len(c.flights) > 0
@@ -212,8 +210,6 @@ func (c *ImpairedConn) run() {
 		if armed {
 			at = c.flights[0].at
 		}
-		woken := c.woken
-		c.woken = false
 		c.mu.Unlock()
 
 		var due <-chan time.Time
@@ -227,18 +223,9 @@ func (c *ImpairedConn) run() {
 			timer.Reset(at.Sub(c.clk.Now()))
 			due = timer.C()
 		}
-		if woken {
-			c.virt.Release() // the head's hold, taken over by the timer
-		}
-		if held {
-			c.virt.Release()
-			held = false
-		}
 		select {
 		case <-c.wake:
 		case now := <-due:
-			c.virt.Hold()
-			held = true
 			for {
 				c.mu.Lock()
 				if len(c.flights) == 0 || c.flights[0].at.After(now) {
@@ -247,8 +234,7 @@ func (c *ImpairedConn) run() {
 				}
 				f := c.flights.pop()
 				c.mu.Unlock()
-				c.forward(f.p)
-				c.free.put(f.p) // Send must not retain: the copy is the stage's again
+				c.release(f.p)
 			}
 		case <-c.stop:
 			return

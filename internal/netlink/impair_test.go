@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"ghm/internal/clock"
 	"ghm/internal/engine"
 	"ghm/internal/metrics"
 	"ghm/internal/testutil"
@@ -47,9 +48,30 @@ func (c *collectConn) count() int {
 	return len(c.pkts)
 }
 
-// settle waits for the impairment engine to drain (counters stable).
+// stageClocks are the stage's two drivers: the wall clock, a goroutine
+// and its timer, and a virtual clock, one clock event a delayed copy.
+var stageClocks = []struct {
+	name string
+	new  func() clock.Clock
+}{
+	{"wall", func() clock.Clock { return nil }},
+	{"virtual", func() clock.Clock { return clock.NewVirtual(time.Time{}, 1) }},
+}
+
+// forClocks runs test once per driver of the stage.
+func forClocks(t *testing.T, test func(t *testing.T, clk clock.Clock)) {
+	for _, c := range stageClocks {
+		t.Run(c.name, func(t *testing.T) { test(t, c.new()) })
+	}
+}
+
+// settle waits for the impairment engine to drain (counters stable). A
+// stage on a virtual clock has drained once the clock has run a minute on.
 func settle(t *testing.T, c *ImpairedConn, want func(ImpairStats) bool) ImpairStats {
 	t.Helper()
+	if c.virt != nil {
+		c.virt.AdvanceBy(time.Minute)
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if st := c.Stats(); want(st) {
@@ -62,12 +84,17 @@ func settle(t *testing.T, c *ImpairedConn, want func(ImpairStats) bool) ImpairSt
 }
 
 func TestImpairBurstDeterministicPerSeed(t *testing.T) {
+	forClocks(t, func(t *testing.T, clk clock.Clock) { testImpairBurstDeterministicPerSeed(t, clk) })
+}
+
+func testImpairBurstDeterministicPerSeed(t *testing.T, clk clock.Clock) {
 	run := func(seed int64) int64 {
 		under := &collectConn{}
 		c := Impair(under, ImpairConfig{
 			LinkModel: LinkModel{Burst: &GilbertElliott{PGoodBad: 0.2, PBadGood: 0.4, LossBad: 0.9},
 				Queue: 5000}, // isolate burst loss from queue drops
-			Seed: seed,
+			Seed:  seed,
+			Clock: clk,
 		})
 		defer c.Close()
 		for i := 0; i < 500; i++ {
@@ -85,24 +112,42 @@ func TestImpairBurstDeterministicPerSeed(t *testing.T) {
 	}
 }
 
+// TestImpairLatency: no packet arrives before its latency; on a virtual
+// clock it arrives at exactly that instant.
 func TestImpairLatency(t *testing.T) {
-	under := &collectConn{}
-	const lat = 20 * time.Millisecond
-	c := Impair(under, ImpairConfig{LinkModel: LinkModel{Latency: lat}, Seed: 3})
-	defer c.Close()
-	start := time.Now()
-	if err := c.Send([]byte("timed")); err != nil {
-		t.Fatal(err)
-	}
-	settle(t, c, func(st ImpairStats) bool { return st.Delivered == 1 })
-	if elapsed := time.Since(start); elapsed < lat {
-		t.Errorf("packet arrived after %v, want >= %v", elapsed, lat)
-	}
+	forClocks(t, func(t *testing.T, clk clock.Clock) {
+		under := &collectConn{}
+		const lat = 20 * time.Millisecond
+		c := Impair(under, ImpairConfig{LinkModel: LinkModel{Latency: lat}, Seed: 3, Clock: clk})
+		defer c.Close()
+		start := time.Now()
+		if err := c.Send([]byte("timed")); err != nil {
+			t.Fatal(err)
+		}
+		if v := c.virt; v != nil {
+			if v.AdvanceBy(lat - 1); under.count() != 0 {
+				t.Fatal("the packet arrived before its latency")
+			}
+			if v.AdvanceBy(1); under.count() != 1 {
+				t.Fatal("the packet did not arrive at its latency")
+			}
+			return
+		}
+		settle(t, c, func(st ImpairStats) bool { return st.Delivered == 1 })
+		if elapsed := time.Since(start); elapsed < lat {
+			t.Errorf("packet arrived after %v, want >= %v", elapsed, lat)
+		}
+	})
 }
 
 func TestImpairBlackoutAndSetLoss(t *testing.T) {
+	forClocks(t, testImpairBlackoutAndSetLoss)
+}
+
+func testImpairBlackoutAndSetLoss(t *testing.T, clk clock.Clock) {
 	under := &collectConn{}
-	c := Impair(under, ImpairConfig{Seed: 4})
+	// Latency: on the virtual clock every copy is a clock event.
+	c := Impair(under, ImpairConfig{LinkModel: LinkModel{Latency: time.Millisecond}, Seed: 4, Clock: clk})
 	defer c.Close()
 
 	c.SetBlackout(true)
@@ -154,30 +199,39 @@ func TestImpairBandwidthQueueCap(t *testing.T) {
 // memory: the fate is decided before any copy is made, so a packet the cap
 // drops never gets a buffer. A burst of four times the cap through a link
 // too slow to release any of it allocates the cap's worth of copies (plus
-// the stage itself) — not one per packet sent.
+// the stage itself) — not one per packet sent. On a virtual clock each
+// admitted copy is also a clock event: its closure, its timer and the
+// clock's heap entry.
 func TestImpairQueueCapDropsRecycleNothing(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts under the race detector measure the detector")
 	}
-	const queue = 64
-	pkt := make([]byte, 100)
-	reg := metrics.New()
-	var last ImpairStats
-	allocs := testing.AllocsPerRun(5, func() {
-		// 1000 B/s: the first packet is 100 ms on the wire, the burst is over long before.
-		c := Impair(&collectConn{}, ImpairConfig{LinkModel: LinkModel{Bandwidth: 1000, Queue: queue}, Seed: 6, Metrics: reg})
-		for i := 0; i < 4*queue; i++ {
-			c.Send(pkt)
+	forClocks(t, func(t *testing.T, clk clock.Clock) {
+		const queue = 64
+		pkt := make([]byte, 100)
+		reg := metrics.New()
+		var last ImpairStats
+		budget := float64(queue + freeBuffers)
+		if clk != nil {
+			budget += 3 * queue
 		}
-		last = c.Stats()
-		c.Close()
+		allocs := testing.AllocsPerRun(5, func() {
+			// 1000 B/s: the first packet is 100 ms on the wire, the burst is over long before.
+			c := Impair(&collectConn{}, ImpairConfig{LinkModel: LinkModel{Bandwidth: 1000, Queue: queue}, Seed: 6, Clock: clk, Metrics: reg})
+			for i := 0; i < 4*queue; i++ {
+				c.Send(pkt)
+			}
+			last = c.Stats()
+			c.Close()
+		})
+		if last.DropQueue != 3*queue {
+			t.Fatalf("queue drops = %d of %d sent, want %d", last.DropQueue, last.Sent, 3*queue)
+		}
+		t.Logf("a burst of %d packets against a queue of %d: %v allocs", 4*queue, queue, allocs)
+		if allocs > budget {
+			t.Errorf("a burst of %d packets against a queue of %d: %v allocs, want at most %v", 4*queue, queue, allocs, budget)
+		}
 	})
-	if last.DropQueue != 3*queue {
-		t.Fatalf("queue drops = %d of %d sent, want %d", last.DropQueue, last.Sent, 3*queue)
-	}
-	if allocs > queue+freeBuffers {
-		t.Errorf("a burst of %d packets against a queue of %d: %v allocs, want at most %d", 4*queue, queue, allocs, queue+freeBuffers)
-	}
 }
 
 func TestImpairDuplication(t *testing.T) {
@@ -194,8 +248,12 @@ func TestImpairDuplication(t *testing.T) {
 }
 
 func TestImpairCloseUnblocksAndRejects(t *testing.T) {
-	a, _ := Pipe(PipeConfig{Seed: 9})
-	c := Impair(a, ImpairConfig{Seed: 9})
+	forClocks(t, testImpairCloseUnblocksAndRejects)
+}
+
+func testImpairCloseUnblocksAndRejects(t *testing.T, clk clock.Clock) {
+	a, _ := Pipe(PipeConfig{Seed: 9, Clock: clk})
+	c := Impair(a, ImpairConfig{Seed: 9, Clock: clk})
 	errc := make(chan error, 1)
 	go func() {
 		_, err := c.Recv()

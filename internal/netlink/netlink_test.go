@@ -12,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"ghm/internal/clock"
 	"ghm/internal/core"
+	"ghm/internal/engine"
 	"ghm/internal/metrics"
 	"ghm/internal/testutil"
 )
@@ -162,8 +164,9 @@ func awaitGoroutinesOf(t *testing.T, n int) {
 }
 
 // TestPipeGoroutines pins what a pipe costs in goroutines: a perfect one
-// none at all, a faulty one the impairment stage's one per direction —
-// and closing one end takes them all down.
+// none at all, a faulty one the impairment stage's one per direction on
+// the wall clock and none on a virtual clock, whose events carry its
+// delays — and closing one end takes them all down.
 func TestPipeGoroutines(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	awaitGoroutinesOf(t, 0) // earlier tests' conns are closed
@@ -176,6 +179,7 @@ func TestPipeGoroutines(t *testing.T) {
 		{"perfect", PipeConfig{}, 0},
 		{"lossy", PipeConfig{LinkModel: LinkModel{Loss: 0.1, DupProb: 0.1, ReorderProb: 0.1}, Seed: 1}, 2},
 		{"latent", PipeConfig{LinkModel: LinkModel{Latency: ms, Jitter: ms, Bandwidth: 1 << 20, Burst: &GilbertElliott{PGoodBad: 0.1, PBadGood: 0.5, LossBad: 0.5}}, Seed: 1}, 2},
+		{"latent on a virtual clock", PipeConfig{LinkModel: LinkModel{Latency: ms, Jitter: ms, DupProb: 0.1}, Seed: 1, Clock: clock.NewVirtual(time.Time{}, 1)}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a, b := Pipe(tc.cfg)
@@ -416,8 +420,10 @@ func TestDialUDPErrors(t *testing.T) {
 // and from the Recv that makes room the Send must confirm in a small
 // fraction of a RetryInterval — one second here, so that a confirmation
 // paced by the regular RETRY cannot be mistaken for the one the room
-// brings. Three episodes in a row: a regular firing landing in one
-// episode's window by chance cannot land in all three. Then a crash^R, and
+// brings. Both stations' wheels run on a virtual clock that the test alone
+// steps, and only to fire what is due: the warm-up RETRYs, then after each
+// Recv only what that Recv brought forward to now, so no regular RETRY can
+// stand in for the unhold. Three episodes in a row. Then a crash^R, and
 // after it a Close, each while an ack is held: neither strands the Send
 // waiting for it, and every message still arrives in order.
 func TestStationHoldsAckWhileFull(t *testing.T) {
@@ -429,13 +435,22 @@ func TestStationHoldsAckWhileFull(t *testing.T) {
 func testStationHoldsAckWhileFull(t *testing.T, k int) {
 	const interval = time.Second
 	reg := metrics.New()
+	v := clock.NewVirtual(time.Time{}, 3)
 	a, b := Pipe(PipeConfig{Seed: 3})
-	s, err := NewSender(a, SenderConfig{Window: k, Metrics: reg})
+	s, err := NewSender(clockedEndpoint(t, a, v, reg), SenderConfig{Window: k, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	r, err := NewReceiver(b, ReceiverConfig{Window: k, RetryInterval: interval, Metrics: reg})
+	// The receiver's engine is the test's, so that closing the station can
+	// close the link under it as a station owning its conn does.
+	reng := engine.New(b, engine.Config{Raw: true, Metrics: reg, Wheel: engine.NewWheelOn(v, 0, 0)})
+	defer reng.Close()
+	rep, err := reng.Endpoint(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReceiver(rep, ReceiverConfig{Window: k, RetryInterval: interval, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +473,19 @@ func testStationHoldsAckWhileFull(t *testing.T, k int) {
 			}
 		}()
 	}
-	warm.Wait()
+	warmed := make(chan struct{})
+	go func() {
+		warm.Wait()
+		close(warmed)
+	}()
+	for done := false; !done; {
+		v.AdvanceBy(interval) // the slots' RETRYs
+		select {
+		case <-warmed:
+			done = true
+		case <-time.After(100 * time.Millisecond): // a Send not yet waiting missed them
+		}
+	}
 	for i := 0; i < k; i++ {
 		if got, err := r.Recv(ctx); err != nil || string(got) != "warm-up" {
 			t.Fatalf("Recv = %q, %v; want the warm-up message", got, err)
@@ -483,6 +510,9 @@ func testStationHoldsAckWhileFull(t *testing.T, k int) {
 		if err != nil {
 			t.Fatalf("Recv: %v", err)
 		}
+		// What the Recv brought forward — the unhold, if it made room — fires
+		// one wheel tick on; the next regular RETRY is an interval away.
+		v.AdvanceBy(100 * time.Microsecond)
 		if dup && string(got) == fmt.Sprintf("message %d", received) {
 			return true
 		}
@@ -537,6 +567,18 @@ func testStationHoldsAckWhileFull(t *testing.T, k int) {
 		t.Errorf("tx.packets_sent = %d for %d messages: a held ack cost a DATA", got, k+sent)
 	}
 
+	// Nothing below is timed against the interval: the clock runs free from
+	// here, as the wall's would, for the RETRYs a fresh machine needs.
+	stop, ran := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(ran)
+		v.Run(v.Now().Add(time.Hour), stop)
+	}()
+	defer func() {
+		close(stop)
+		<-ran
+	}()
+
 	// A crash^R keeps the held mark: the slot stays silent until there is
 	// room, and its fresh machine's RETRY then asks for the message again.
 	// That redelivery is one the crash licenses; at depth 8 its seq drops
@@ -567,6 +609,7 @@ func testStationHoldsAckWhileFull(t *testing.T, k int) {
 	fill()
 	errc = hold()
 	r.Close()
+	reng.Close()
 	select {
 	case err := <-errc:
 		if !errors.Is(err, ErrClosed) {

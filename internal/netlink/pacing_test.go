@@ -11,7 +11,6 @@ import (
 	"ghm/internal/clock"
 	"ghm/internal/core"
 	"ghm/internal/engine"
-	"ghm/internal/fabric"
 	"ghm/internal/metrics"
 	"ghm/internal/netlink"
 	"ghm/internal/trace"
@@ -23,7 +22,7 @@ import (
 // when the slot has been quiet for its gap, at once when the slot extends
 // its challenge, and never later because packets that earn no reply keep
 // arriving. They run a real netlink.Receiver on a virtual clock over a
-// fabric link, inside clock events and on the test's goroutine alone, so a
+// perfect pipe with an impairment stage at each end, inside clock events and on the test's goroutine alone, so a
 // seed is a schedule and every instant below is exact: no sleeps, no
 // settling. The far end is the protocol's transmitter machine
 // (core.WindowedTransmitter) driven the same way — netlink.Sender's Send
@@ -58,7 +57,7 @@ type pacingRig struct {
 	reg          *metrics.Registry
 	wt           *core.WindowedTransmitter
 	r            *netlink.Receiver
-	tPort, rPort *fabric.Port
+	tPort, rPort *netlink.ImpairedConn
 
 	withhold func(data []byte) bool // DATA packets the receiver never sees
 	onOK     func(slot int)
@@ -74,7 +73,7 @@ type pacingRig struct {
 }
 
 // wireConn is the receiver's conn: what the station sends goes onto the
-// fabric, noted, and nothing ever comes out of Recv — arrivals reach the
+// link, noted, and nothing ever comes out of Recv — arrivals reach the
 // station through HandlePacket, inside the clock event that lands them.
 type wireConn struct {
 	rig    *pacingRig
@@ -110,7 +109,14 @@ func newPacingRig(t *testing.T, cfg pacingConfig) *pacingRig {
 	t.Helper()
 	v := clock.NewVirtual(time.Time{}, cfg.seed)
 	g := &pacingRig{t: t, v: v, t0: v.Now(), k: cfg.window, reg: metrics.New(), replies: make([]int, cfg.window)}
-	g.tPort, g.rPort = fabric.New(fabric.Config{Clock: v, Seed: cfg.seed}).Link(fabric.LinkConfig{LinkModel: cfg.link})
+	// Each stage's delays are events on v, and each pipe end hands what
+	// arrives to its handler inside the event that lands it.
+	ta, ra := netlink.Pipe(netlink.PipeConfig{Clock: v})
+	seed := clock.MixSeed(cfg.seed, 1)
+	lc := netlink.ImpairConfig{LinkModel: cfg.link, Seed: clock.MixSeed(seed, 1), Clock: v, Metrics: metrics.New()}
+	g.tPort = netlink.Impair(ta, lc)
+	lc.Seed = clock.MixSeed(seed, 2)
+	g.rPort = netlink.Impair(ra, lc)
 	var err error
 	if g.wt, err = core.NewWindowedTransmitter(cfg.window, core.Params{Source: bitstr.NewSeededSource(cfg.seed)}); err != nil {
 		t.Fatal(err)
@@ -138,12 +144,12 @@ func newPacingRig(t *testing.T, cfg pacingConfig) *pacingRig {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { g.r.Close() })
-	g.rPort.SetHandler(func(p []byte) {
+	ra.(inlineConn).SetHandler(func(p []byte) {
 		if g.withhold == nil || !g.withhold(p) {
 			g.r.HandlePacket(p)
 		}
 	})
-	g.tPort.SetHandler(func(p []byte) {
+	ta.(inlineConn).SetHandler(func(p []byte) {
 		pkt, slot, _ := g.wt.AppendReceivePacket(nil, p)
 		g.transmit(pkt)
 		if slot >= 0 {

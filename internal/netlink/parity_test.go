@@ -16,7 +16,6 @@ import (
 
 	"ghm/internal/core"
 	"ghm/internal/engine"
-	"ghm/internal/fabric"
 	"ghm/internal/metrics"
 	"ghm/internal/mux"
 	"ghm/internal/netlink"
@@ -151,13 +150,14 @@ func TestClosePropagationParity(t *testing.T) {
 		})
 	})
 
-	t.Run("station/fabric-kill", func(t *testing.T) {
+	t.Run("station/stage-kill", func(t *testing.T) {
 		forDepths(t, func(t *testing.T, k int) {
-			// A fabric port reports its closure with the one closed error,
-			// so the pump under the station stops at once instead of riding
-			// the closed link out as a transient fault, a retry a millisecond.
+			// An impairment stage reports its closure with the one closed
+			// error, so the pump under the station stops at once instead of
+			// riding the closed link out as a transient fault, a retry a
+			// millisecond.
 			reg := metrics.New()
-			a, b := fabric.New(fabric.Config{Seed: 91}).Link(fabric.LinkConfig{})
+			a, b := netlink.Pipe(netlink.PipeConfig{LinkModel: netlink.LinkModel{Latency: time.Millisecond}, Seed: 91})
 			rx, err := netlink.NewReceiver(b, netlink.ReceiverConfig{Window: k, Metrics: reg})
 			if err != nil {
 				t.Fatal(err)
@@ -165,7 +165,7 @@ func TestClosePropagationParity(t *testing.T) {
 			defer rx.Close()
 			go func() {
 				time.Sleep(5 * time.Millisecond)
-				a.Close() // closes the link: both ports
+				a.Close() // closes the link: both ends
 			}()
 			wantErr(t, "Receiver.Recv", netlink.ErrClosed, func() error {
 				_, err := rx.Recv(context.Background())

@@ -2,6 +2,7 @@ package netlink
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"ghm/internal/clock"
 )
@@ -17,16 +18,26 @@ type PipeConfig struct {
 	Seed int64
 	// Clock is the pipe's time source (nil = wall clock). Under a virtual
 	// clock the pipe participates in the quiescence barrier: packets in
-	// flight between Send and Recv hold the clock still.
+	// flight between Send and Recv hold the clock still; and a faulty
+	// pipe's stages run their delays as clock events, with no goroutine.
 	Clock clock.Clock
 }
 
 // Pipe returns two connected PacketConn endpoints. A perfect pipe is a
 // hand-off queue in each direction and no goroutine: Send copies the
 // packet onto the queue and Recv takes it off. A faulty one is that with
-// an impairment stage (Impair, one goroutine) on each endpoint's egress,
-// so each direction gets an independent seeded schedule. Closing either
-// endpoint shuts down the whole pipe.
+// an impairment stage (Impair: one goroutine on the wall clock, none on a
+// virtual one) on each endpoint's egress, so each direction gets an
+// independent seeded schedule. Closing either endpoint shuts down the
+// whole pipe.
+//
+// A perfect end also has an inline ingress, for a station simulated on a
+// virtual clock without goroutines: SetHandler(fn func(p []byte)) makes
+// every packet sent toward the end run fn at once, on the sending
+// goroutine — under a stage on a virtual clock, inside the clock event
+// that lands it — instead of queueing for Recv. fn must not block, nor
+// keep p past its return. Set it before traffic starts; packets queued
+// before it stay for Recv.
 func Pipe(cfg PipeConfig) (PacketConn, PacketConn) {
 	virt, _ := cfg.Clock.(*clock.Virtual)
 	p := &pipe{stop: make(chan struct{})}
@@ -135,14 +146,19 @@ type pipeDir struct {
 	head int
 	n    int
 
-	ready chan struct{} // one token: the queue may be non-empty
-	free  bufList
-	virt  *clock.Virtual // nil unless the clock is virtual: a queued packet holds its barrier
+	ready   chan struct{} // one token: the queue may be non-empty
+	free    bufList
+	virt    *clock.Virtual                 // nil unless the clock is virtual: a queued packet holds its barrier
+	handler atomic.Pointer[func(p []byte)] // the receiving end's inline ingress, if set: nothing is queued
 }
 
 // enqueue puts a copy of p on the direction's queue, or drops it when
-// the queue is full.
+// the queue is full. With a handler set, p goes to it instead, uncopied.
 func (d *pipeDir) enqueue(p []byte) {
+	if h := d.handler.Load(); h != nil {
+		(*h)(p)
+		return
+	}
 	cp := d.free.copy(p)
 	d.mu.Lock()
 	if d.n == len(d.ring) {
@@ -227,6 +243,9 @@ func isClosed(stop <-chan struct{}) bool {
 		return false
 	}
 }
+
+// SetHandler switches the end's ingress to inline mode (see Pipe).
+func (e *pipeEnd) SetHandler(fn func(p []byte)) { e.recv.handler.Store(&fn) }
 
 // Send implements PacketConn.
 func (e *pipeEnd) Send(p []byte) error {

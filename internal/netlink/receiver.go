@@ -597,9 +597,9 @@ func (r *Receiver) took() {
 // there is then.
 func (r *Receiver) retryTick() {
 	r.mu.Lock()
-	if r.closed {
+	if r.closed || r.detached() {
 		r.mu.Unlock()
-		return
+		return // the timer stays disarmed: nothing could reach the wire
 	}
 	now := r.io.clock().Now()
 	var due uint64
@@ -622,6 +622,20 @@ func (r *Receiver) retryTick() {
 	buf, pkts, batch := r.retryLocked(due, now)
 	r.mu.Unlock()
 	r.sendRetry(buf, pkts, batch)
+}
+
+// detached reports whether the station's endpoint is gone — closed, or
+// superseded by a later registration of its id, or left without a conn by
+// a dead pump — so that its RETRY has nowhere to go.
+func (r *Receiver) detached() bool {
+	select {
+	case <-r.io.ep.Closed():
+		return true
+	case <-r.io.ep.Dead():
+		return true
+	default:
+		return false
+	}
 }
 
 // sendRetry sends what retryLocked encoded, one CTL per Send, and returns

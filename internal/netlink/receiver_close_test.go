@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"ghm/internal/clock"
+	"ghm/internal/engine"
 	"ghm/internal/metrics"
 	"ghm/internal/trace"
 )
@@ -214,4 +216,36 @@ func TestReceiverCloseDuringIngress(t *testing.T) {
 		// and Close never touch the pending map concurrently.
 		<-done
 	})
+}
+
+// TestForgottenReceiverGoesQuiet: a receiver whose endpoint id is
+// registered again — forgotten by its owner, never closed — sends nothing
+// once the new registration has closed its endpoint. Its RETRY stops at
+// the next wheel tick instead of talking over its successor on the slot.
+func TestForgottenReceiverGoesQuiet(t *testing.T) {
+	v := clock.NewVirtual(time.Time{}, 1)
+	a, _ := Pipe(PipeConfig{Seed: 1})
+	conn := &countSendsConn{PacketConn: a}
+	eng := engine.New(conn, engine.Config{Raw: true, Wheel: engine.NewWheelOn(v, 0, 0), Metrics: metrics.New()})
+	defer eng.Close()
+	ep, err := eng.Endpoint(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewReceiver(ep, ReceiverConfig{RetryInterval: time.Millisecond, Metrics: metrics.New()}); err != nil {
+		t.Fatal(err)
+	}
+	if v.AdvanceBy(10 * time.Millisecond); conn.sends.Load() == 0 {
+		t.Fatal("the receiver sent no RETRY while its endpoint was registered")
+	}
+	if _, err := eng.Endpoint(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := ep.Send([]byte("stale")); !errors.Is(err, ErrClosed) {
+		t.Errorf("Send on the superseded endpoint = %v, want ErrClosed", err)
+	}
+	before := conn.sends.Load()
+	if v.AdvanceBy(time.Second); conn.sends.Load() != before {
+		t.Errorf("the forgotten receiver sent %d packets after its endpoint closed", conn.sends.Load()-before)
+	}
 }

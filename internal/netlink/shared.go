@@ -16,8 +16,8 @@ import (
 //
 // SharedConn is a thin skin over a raw-mode runtime engine: a view is an
 // engine endpoint and Attach is endpoint re-registration, so only the most
-// recently attached view receives inbound packets — earlier incarnations
-// are dead by definition, and the paper's crash model wants their state
+// recently attached view sends or receives — earlier incarnations are dead
+// by definition, and the paper's crash model wants their state
 // (including queued packets) erased. WedgeCurrent simulates a half-dead
 // endpoint — the current view's sends vanish and it receives nothing,
 // while the conn itself stays healthy for the next Attach — the failure
@@ -48,11 +48,12 @@ func NewSharedConnOn(under PacketConn, wheel *engine.Wheel) *SharedConn {
 }
 
 // Attach hands out a fresh view and routes all subsequent inbound traffic
-// to it. Any previous view stops receiving (but its sends still reach the
-// conn until it is closed). A view is the engine endpoint itself: a wedged
-// one swallows its sends (loss, not error — that is the point of a wedge),
-// and closing it detaches it, leaving the shared conn open for the next
-// Attach. The signature matches what a supervisor's Start callback needs.
+// to it. Any previous view is closed: its sends fail with ErrClosed, so a
+// station left on it goes quiet instead of talking over its successor. A
+// view is the engine endpoint itself: a wedged one swallows its sends
+// (loss, not error — that is the point of a wedge), and closing it
+// detaches it, leaving the shared conn open for the next Attach. The
+// signature matches what a supervisor's Start callback needs.
 func (s *SharedConn) Attach() (PacketConn, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -11,7 +11,8 @@ import (
 
 // netLike carries the two channels over one netlink.Link per direction:
 // the runtime's link model, asked the same Fate and told the same Land as
-// under ImpairedConn and fabric.Port, with the delays rounded up to steps.
+// under ImpairedConn, with the delays rounded up to steps. It and the
+// impairment stage are the model's two drivers.
 type netLike struct {
 	tr, rt netlink.Link
 	// next is the step of the adversary's next turn, and the send step of
